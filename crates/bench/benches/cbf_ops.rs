@@ -35,15 +35,6 @@ fn bench_increment(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("blocked_cbf_batched", |b| {
-        let mut f = BlockedCbf::new(params.clone());
-        let mut out = Vec::with_capacity(stream.len());
-        b.iter(|| {
-            out.clear();
-            f.increment_batch(&stream, &mut out);
-            black_box(&out);
-        })
-    });
     group.bench_function("standard_cbf", |b| {
         let mut f = StandardCbf::new(params.clone());
         b.iter(|| {
@@ -87,14 +78,6 @@ fn bench_estimate(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("blocked_cbf_batched", |b| {
-        let mut out = Vec::with_capacity(stream.len());
-        b.iter(|| {
-            out.clear();
-            blocked.estimate_batch(&stream, &mut out);
-            black_box(&out);
-        })
-    });
     group.bench_function("standard_cbf", |b| {
         b.iter(|| {
             for &k in &stream {
@@ -130,52 +113,6 @@ fn bench_fused_increment(c: &mut Criterion) {
     group.finish();
 }
 
-/// The scalar word-level kernels against the wide kernels (portable
-/// u64 SWAR by default, AVX2 where the `simd` build detects it), called
-/// through their always-public names so one binary measures both sides of
-/// the feature-gated dispatch. The `cbf_properties` suite pins the two
-/// paths bit-identical; this group prices the difference.
-fn bench_simd_dispatch(c: &mut Criterion) {
-    let params = CbfParams::for_capacity(100_000, 4, 0.001, CounterWidth::W4);
-    let stream = keys(4096);
-    let mut group = c.benchmark_group("simd_dispatch");
-    group.bench_function("increment_with_prev_scalar", |b| {
-        let mut f = BlockedCbf::new(params.clone());
-        b.iter(|| {
-            for &k in &stream {
-                black_box(f.increment_with_prev_scalar(k));
-            }
-        })
-    });
-    group.bench_function("increment_with_prev_simd", |b| {
-        let mut f = BlockedCbf::new(params.clone());
-        b.iter(|| {
-            for &k in &stream {
-                black_box(f.increment_with_prev_simd(k));
-            }
-        })
-    });
-    let mut warm = BlockedCbf::new(params);
-    for &k in &stream {
-        warm.increment(k);
-    }
-    group.bench_function("estimate_scalar", |b| {
-        b.iter(|| {
-            for &k in &stream {
-                black_box(warm.estimate_scalar(k));
-            }
-        })
-    });
-    group.bench_function("estimate_simd", |b| {
-        b.iter(|| {
-            for &k in &stream {
-                black_box(warm.estimate_simd(k));
-            }
-        })
-    });
-    group.finish();
-}
-
 fn bench_cool(c: &mut Criterion) {
     let params = CbfParams::for_capacity(1_000_000, 4, 0.001, CounterWidth::W4);
     let mut f = BlockedCbf::new(params);
@@ -188,6 +125,6 @@ fn bench_cool(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_increment, bench_estimate, bench_fused_increment, bench_simd_dispatch, bench_cool
+    targets = bench_increment, bench_estimate, bench_fused_increment, bench_cool
 }
 criterion_main!(benches);

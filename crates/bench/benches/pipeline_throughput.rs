@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tiering_mem::{PageSize, TierConfig, TierRatio};
-use tiering_policies::{build_policy, visit_policy, PolicyKind, PolicyVisitor, TieringPolicy};
+use tiering_policies::{build_policy, PolicyKind};
 use tiering_sim::{Engine, SimConfig};
 use tiering_trace::Workload;
 use tiering_workloads::ZipfPageWorkload;
@@ -28,67 +28,6 @@ fn run_once(kind: PolicyKind, batch_ops: usize) {
         .with_max_ops(OPS)
         .with_batch_ops(batch_ops);
     black_box(Engine::new(config).run(&mut w, policy.as_mut(), tier_cfg));
-}
-
-fn recipe() -> (ZipfPageWorkload, TierConfig, SimConfig) {
-    let w = ZipfPageWorkload::new(8_000, 0.99, OPS, 42);
-    let pages = w.footprint_pages(PageSize::Base4K);
-    let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
-    let config = SimConfig::default().with_max_ops(OPS).with_batch_ops(64);
-    (w, tier_cfg, config)
-}
-
-/// [`visit_policy`] shell: runs the recipe with the engine monomorphized
-/// over the concrete workload and policy types — the dispatch-once path
-/// the runner's single-tenant sweeps take.
-struct TypedRun {
-    workload: ZipfPageWorkload,
-    tier_cfg: TierConfig,
-    config: SimConfig,
-}
-
-impl PolicyVisitor for TypedRun {
-    type Out = ();
-    fn visit<P: TieringPolicy + 'static>(mut self, mut policy: P) {
-        black_box(Engine::new(self.config).run_typed(
-            &mut self.workload,
-            &mut policy,
-            self.tier_cfg,
-        ));
-    }
-}
-
-/// Dispatch-once monomorphization vs per-call virtual dispatch: the same
-/// recipe through `Engine::run_typed` (concrete workload + policy resolved
-/// via `visit_policy`) and through `Engine::run` (`dyn Workload` +
-/// `dyn TieringPolicy`). Both produce identical reports — pinned by the
-/// `batch_equivalence` matrix — so the gap is pure dispatch cost.
-fn bench_typed_vs_dyn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("typed_vs_dyn");
-    for kind in [PolicyKind::HybridTier, PolicyKind::Memtis] {
-        group.bench_function(format!("{kind:?}_typed"), |b| {
-            b.iter(|| {
-                let (workload, tier_cfg, config) = recipe();
-                visit_policy(
-                    kind,
-                    &tier_cfg,
-                    TypedRun {
-                        workload,
-                        tier_cfg,
-                        config,
-                    },
-                );
-            })
-        });
-        group.bench_function(format!("{kind:?}_dyn"), |b| {
-            b.iter(|| {
-                let (mut workload, tier_cfg, config) = recipe();
-                let mut policy = build_policy(kind, &tier_cfg);
-                black_box(Engine::new(config).run(&mut workload, policy.as_mut(), tier_cfg));
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_pipeline_throughput(c: &mut Criterion) {
@@ -118,6 +57,6 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_pipeline_throughput, bench_typed_vs_dyn
+    targets = bench_pipeline_throughput
 }
 criterion_main!(benches);

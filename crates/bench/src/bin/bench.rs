@@ -370,6 +370,15 @@ impl SweepPasses {
     }
 }
 
+/// A scratch directory removed when the guard drops.
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(Some(a)) => a,
@@ -477,13 +486,17 @@ fn main() -> ExitCode {
 
     // Trace-replay sweep: newest axis, so it runs last (the same
     // append-at-end timing rule the tier-ladder comment above explains).
-    // The inputs are recorded fresh (untimed) into the temp dir with
-    // ops-independent names, so scenario labels — the compare gate's join
-    // keys — are stable across --ops protocols.
+    // The inputs are recorded fresh (untimed) with ops-independent names,
+    // so scenario labels — the compare gate's join keys — are stable across
+    // --ops protocols. The directory is this process's own: concurrent
+    // `bench` runs (ProcessWorker shards, parallel tests) record at
+    // different --ops and must not see each other's files.
     let mut trace = None;
     if args.trace {
-        let trace_dir = std::env::temp_dir().join("hybridtier-bench-traces");
-        let traces = match hybridtier_bench::record_trace_inputs(ops, &trace_dir) {
+        let trace_dir = ScratchDir(
+            std::env::temp_dir().join(format!("hybridtier-bench-traces-{}", std::process::id())),
+        );
+        let traces = match hybridtier_bench::record_trace_inputs(ops, &trace_dir.0) {
             Ok(paths) => paths,
             Err(e) => {
                 eprintln!("cannot record trace inputs: {e}");

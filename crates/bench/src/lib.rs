@@ -135,14 +135,21 @@ pub fn policy_comparison_matrix(ops: u64) -> Vec<tiering_runner::Scenario> {
 /// Records the two CacheLib suite workloads (built with [`SEED`], exactly
 /// as the `"single"` sweep builds them) to on-disk trace files under `dir`
 /// for the `"trace"` bench section. Filenames are ops-independent
-/// (`trace-CDN.trace`, `trace-social.trace`) and deterministically
-/// overwritten, so scenario labels — the compare gate's join keys — stay
-/// stable across `--ops` protocols.
+/// (`trace-CDN.trace`, `trace-social.trace`), so scenario labels — the
+/// compare gate's join keys — stay stable across `--ops` protocols.
+///
+/// Each file is written under a name unique to this call and renamed into
+/// place, so a reader of the final path sees a complete trace from some
+/// call, never a half-written one, however many recorders share `dir`.
 pub fn record_trace_inputs(
     ops: u64,
     dir: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
+    use std::sync::atomic::{AtomicU64, Ordering};
     use tiering_workloads::{build_workload, record_workload, WorkloadId};
+
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
 
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::new();
@@ -151,9 +158,15 @@ pub fn record_trace_inputs(
         (WorkloadId::SocialCacheLib, "trace-social"),
     ] {
         let path = dir.join(format!("{stem}.trace"));
+        let tmp = dir.join(format!("{stem}.{}-{call}.tmp", std::process::id()));
         let mut workload = build_workload(id, SEED);
-        record_workload(workload.as_mut(), ops, &path, 4096)
-            .map_err(|e| std::io::Error::other(format!("recording {stem}: {e}")))?;
+        let written = record_workload(workload.as_mut(), ops, &tmp, 4096)
+            .map_err(|e| std::io::Error::other(format!("recording {stem}: {e}")))
+            .and_then(|_| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
         paths.push(path);
     }
     Ok(paths)

@@ -30,16 +30,14 @@ use crate::AccessCounter;
 ///   `u64` words ([`CounterArray::load_block`]), extract and update all `k`
 ///   counters with shifts/masks in registers, and write the block back once
 ///   — fusing what used to be a get-min pass plus a set pass of per-counter
-///   indexed accesses;
-/// * [`increment_batch`](AccessCounter::increment_batch) sorts a batch of
-///   keys by block (stably) so consecutive updates touch neighbouring
-///   lines.
+///   indexed accesses.
 ///
-/// All of this is **bit-for-bit identical** to the per-counter reference
-/// path ([`increment_per_counter`](BlockedCbf::increment_per_counter)):
-/// probe values are algebraically the same, and same-block updates apply in
-/// the same order. The `cbf_properties` suite asserts both equivalences
-/// under random operation sequences.
+/// This is the only `GET`/`INCREMENT` implementation, and it is
+/// **bit-for-bit identical** to the per-counter reference path
+/// ([`increment_per_counter`](BlockedCbf::increment_per_counter)), which
+/// exists for the tests: probe values are algebraically the same, and
+/// duplicate slots update in the same order. The `cbf_properties` suite
+/// asserts the equivalence under random operation sequences.
 ///
 /// [`StandardCbf`]: crate::StandardCbf
 #[derive(Debug, Clone)]
@@ -52,8 +50,6 @@ pub struct BlockedCbf {
     base_addr: u64,
     /// In-block slot indices of the current key (scratch, k entries).
     slot_scratch: Vec<usize>,
-    /// `(block, input position)` pairs for batched ops (scratch).
-    batch_scratch: Vec<(u32, u32)>,
 }
 
 impl BlockedCbf {
@@ -83,7 +79,6 @@ impl BlockedCbf {
             slots_per_block,
             base_addr: params.base_addr,
             slot_scratch: vec![0; params.k as usize],
-            batch_scratch: Vec::new(),
         }
     }
 
@@ -136,7 +131,7 @@ impl BlockedCbf {
     /// Per-counter reference implementation of [`AccessCounter::increment`]:
     /// one indexed [`CounterArray::get`]/[`CounterArray::set`] per probe, as
     /// the pre-word-level code did. Retained so equivalence tests and the
-    /// `cbf_ops` bench can pin the word-level fast path against it.
+    /// `cbf_ops` bench can pin the word-level path against it.
     #[doc(hidden)]
     pub fn increment_per_counter(&mut self, key: u64) -> u32 {
         let block = self.fill_slots(key);
@@ -175,14 +170,12 @@ impl BlockedCbf {
     }
 }
 
-impl BlockedCbf {
-    /// Word-level scalar implementation of
-    /// [`AccessCounter::increment_with_prev`]: per-probe shift/mask
-    /// extraction over the loaded block. This is the default hot path; with
-    /// the `simd` feature it stays compiled as the equivalence reference the
-    /// property suite pins the wide kernels against.
-    #[doc(hidden)]
-    pub fn increment_with_prev_scalar(&mut self, key: u64) -> (u32, u32) {
+impl AccessCounter for BlockedCbf {
+    fn increment(&mut self, key: u64) -> u32 {
+        self.increment_with_prev(key).1
+    }
+
+    fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
         let block = self.fill_slots(key);
         let base = block * self.slots_per_block;
         let width = self.counters.width();
@@ -207,10 +200,7 @@ impl BlockedCbf {
         (min, min + 1)
     }
 
-    /// Word-level scalar implementation of [`AccessCounter::estimate`]
-    /// (see [`increment_with_prev_scalar`](Self::increment_with_prev_scalar)).
-    #[doc(hidden)]
-    pub fn estimate_scalar(&self, key: u64) -> u32 {
+    fn estimate(&self, key: u64) -> u32 {
         let (h1, h2) = self.hasher.pair(key);
         let base = reduce(h1, self.num_blocks) * self.slots_per_block;
         let width = self.counters.width();
@@ -224,101 +214,6 @@ impl BlockedCbf {
             })
             .min()
             .expect("k > 0")
-    }
-
-    /// Wide-kernel implementation of
-    /// [`AccessCounter::increment_with_prev`]: probe masks + packed-lane
-    /// min/equality over the whole block (see [`crate::simd`]). Bit-identical
-    /// to the scalar path; the `simd` feature makes it the hot path.
-    #[doc(hidden)]
-    pub fn increment_with_prev_simd(&mut self, key: u64) -> (u32, u32) {
-        let block = self.fill_slots(key);
-        let base = block * self.slots_per_block;
-        let width = self.counters.width();
-        let sel = crate::simd::probe_masks(width, self.slot_scratch.iter().copied());
-        let mut words = self.counters.load_block(base);
-        let min = crate::simd::min_probed(width, &words, &sel);
-        if min >= width.max_count() {
-            return (min, min);
-        }
-        crate::simd::bump_eq(width, &mut words, &sel, min);
-        self.counters.store_block(base, words);
-        (min, min + 1)
-    }
-
-    /// Wide-kernel implementation of [`AccessCounter::estimate`]
-    /// (see [`increment_with_prev_simd`](Self::increment_with_prev_simd)).
-    #[doc(hidden)]
-    pub fn estimate_simd(&self, key: u64) -> u32 {
-        let (h1, h2) = self.hasher.pair(key);
-        let base = reduce(h1, self.num_blocks) * self.slots_per_block;
-        let width = self.counters.width();
-        let sel = crate::simd::probe_masks(
-            width,
-            (1..=self.k as u64)
-                .map(|i| reduce(h1.wrapping_add(i.wrapping_mul(h2)), self.slots_per_block)),
-        );
-        crate::simd::min_probed(width, self.counters.block_ref(base), &sel)
-    }
-}
-
-impl AccessCounter for BlockedCbf {
-    fn increment(&mut self, key: u64) -> u32 {
-        self.increment_with_prev(key).1
-    }
-
-    #[cfg(not(feature = "simd"))]
-    fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
-        self.increment_with_prev_scalar(key)
-    }
-
-    #[cfg(feature = "simd")]
-    fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
-        self.increment_with_prev_simd(key)
-    }
-
-    #[cfg(not(feature = "simd"))]
-    fn estimate(&self, key: u64) -> u32 {
-        self.estimate_scalar(key)
-    }
-
-    #[cfg(feature = "simd")]
-    fn estimate(&self, key: u64) -> u32 {
-        self.estimate_simd(key)
-    }
-
-    fn increment_batch(&mut self, keys: &[u64], out: &mut Vec<u32>) {
-        // Stable block-sort for locality: keys in different blocks share no
-        // counters, and same-block keys keep their relative order, so the
-        // final filter state and every returned count are identical to the
-        // sequential scalar loop (asserted in `cbf_properties`).
-        let start = out.len();
-        out.resize(start + keys.len(), 0);
-        self.batch_scratch.clear();
-        for (i, &key) in keys.iter().enumerate() {
-            self.batch_scratch
-                .push((self.block_of(key) as u32, i as u32));
-        }
-        self.batch_scratch.sort_by_key(|&(block, _)| block);
-        let order = std::mem::take(&mut self.batch_scratch);
-        for &(_, i) in &order {
-            out[start + i as usize] = self.increment(keys[i as usize]);
-        }
-        self.batch_scratch = order;
-    }
-
-    fn estimate_batch(&self, keys: &[u64], out: &mut Vec<u32>) {
-        let mut order: Vec<(u32, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| (self.block_of(key) as u32, i as u32))
-            .collect();
-        order.sort_by_key(|&(block, _)| block);
-        let start = out.len();
-        out.resize(start + keys.len(), 0);
-        for &(_, i) in &order {
-            out[start + i as usize] = self.estimate(keys[i as usize]);
-        }
     }
 
     fn cool(&mut self) {
@@ -415,29 +310,6 @@ mod tests {
             assert_eq!(word.increment(key), scalar.increment_per_counter(key));
             let probe = state % 900;
             assert_eq!(word.estimate(probe), scalar.estimate_per_counter(probe));
-        }
-    }
-
-    #[test]
-    fn batched_ops_match_scalar_order() {
-        let mut batched = filter(2_000);
-        let mut scalar = filter(2_000);
-        let mut state = 5u64;
-        for round in 0..50 {
-            let keys: Vec<u64> = (0..97)
-                .map(|_| {
-                    state = crate::hash::splitmix64(state);
-                    state % 500
-                })
-                .collect();
-            let mut got = Vec::new();
-            batched.increment_batch(&keys, &mut got);
-            let want: Vec<u32> = keys.iter().map(|&k| scalar.increment(k)).collect();
-            assert_eq!(got, want, "round {round}: increment_batch diverged");
-            got.clear();
-            batched.estimate_batch(&keys, &mut got);
-            let want: Vec<u32> = keys.iter().map(|&k| scalar.estimate(k)).collect();
-            assert_eq!(got, want, "round {round}: estimate_batch diverged");
         }
     }
 

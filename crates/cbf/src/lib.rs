@@ -32,26 +32,15 @@
 //! * [`BlockedCbf`] `GET`/`INCREMENT` load the key's block once as whole
 //!   words, extract/update every counter with shifts and masks in
 //!   registers, and store the block back once — the simulator-side twin of
-//!   the paper's one-cache-line-per-op design;
-//! * [`AccessCounter::increment_batch`] / [`AccessCounter::estimate_batch`]
-//!   process runs of keys sorted (stably) by block so adjacent updates
-//!   touch adjacent lines.
+//!   the paper's one-cache-line-per-op design.
 //!
-//! None of this changes results: probe values are algebraically identical
-//! to the per-probe derivation, word extraction mirrors
-//! [`CounterArray::get`]/[`set`](CounterArray::set) bit for bit, and
-//! same-block batch entries keep their input order. The `cbf_properties`
-//! test suite pins each of these equivalences under random op sequences.
-//!
-//! # The `simd` feature
-//!
-//! With `--features simd`, [`BlockedCbf`]'s `GET`/`INCREMENT` (and through
-//! them the block-sorted batch operations) run on the wide kernels of the
-//! [`simd`] module: AVX2 packed-lane min/equality over the whole block where
-//! the CPU supports it (runtime-detected), and a portable u64-SWAR fallback
-//! everywhere else. Both are bit-identical to the scalar path, which stays
-//! compiled as the property-test reference
-//! ([`BlockedCbf::increment_with_prev_scalar`]).
+//! That word-level path is the one kernel each filter has. It changes no
+//! result: probe values are algebraically identical to the per-probe
+//! derivation and word extraction mirrors
+//! [`CounterArray::get`]/[`set`](CounterArray::set) bit for bit. The
+//! `cbf_properties` test suite pins both equivalences under random op
+//! sequences against the per-counter reference
+//! ([`BlockedCbf::increment_per_counter`]).
 //!
 //! # Example
 //!
@@ -76,7 +65,6 @@ mod blocked;
 mod counters;
 mod ground_truth;
 mod hash;
-pub mod simd;
 mod sizing;
 mod standard;
 
@@ -119,30 +107,6 @@ pub trait AccessCounter {
     /// frequency-tracker traffic.
     fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
         (self.estimate(key), self.increment(key))
-    }
-
-    /// Records one access per key, appending each new count to `out` in
-    /// input order.
-    ///
-    /// Semantically identical to calling [`increment`](Self::increment) in
-    /// a loop; implementations may reorder *independent* probes for memory
-    /// locality (the blocked CBF sorts keys by block — see
-    /// [`BlockedCbf`]) as long as every returned count and the final filter
-    /// state match the sequential loop exactly.
-    fn increment_batch(&mut self, keys: &[u64], out: &mut Vec<u32>) {
-        out.reserve(keys.len());
-        for &key in keys {
-            out.push(self.increment(key));
-        }
-    }
-
-    /// Estimates one count per key, appending to `out` in input order
-    /// (batched mirror of [`estimate`](Self::estimate)).
-    fn estimate_batch(&self, keys: &[u64], out: &mut Vec<u32>) {
-        out.reserve(keys.len());
-        for &key in keys {
-            out.push(self.estimate(key));
-        }
     }
 
     /// Halves every counter (exponential decay with factor 2).

@@ -236,83 +236,4 @@ proptest! {
             prop_assert_eq!(fused_s.increment_with_prev(k), want);
         }
     }
-
-    /// Batched increments/estimates equal the sequential scalar loop —
-    /// same returned counts, same final filter state — despite the
-    /// block-sorted processing order.
-    #[test]
-    fn batched_ops_equal_sequential(
-        width in any_width(),
-        keys in prop::collection::vec(0u64..128, 1..200),
-    ) {
-        let params = CbfParams::for_capacity(64, 4, 0.001, width);
-        let mut batched = BlockedCbf::new(params.clone());
-        let mut sequential = BlockedCbf::new(params);
-        let mut got = Vec::new();
-        batched.increment_batch(&keys, &mut got);
-        let want: Vec<u32> = keys.iter().map(|&k| sequential.increment(k)).collect();
-        prop_assert_eq!(got, want);
-        let mut got = Vec::new();
-        batched.estimate_batch(&keys, &mut got);
-        let want: Vec<u32> = keys.iter().map(|&k| sequential.estimate(k)).collect();
-        prop_assert_eq!(got, want);
-    }
-}
-
-proptest! {
-    /// The wide kernels (portable SWAR and, where the CPU has it, AVX2) are
-    /// bit-identical to the scalar reference: same probed-field minimum and
-    /// same conservative update, across randomized keys, counter widths, and
-    /// capacities (which randomize the in-block slot offsets). Runs with and
-    /// without `--features simd` in CI — the kernels are always compiled, the
-    /// feature only decides whether the public API routes through them.
-    #[test]
-    fn simd_kernels_match_scalar(
-        width in any_width(),
-        cap in 64usize..4_096,
-        keys in prop::collection::vec(0u64..512, 1..300),
-    ) {
-        let params = CbfParams::for_capacity(cap, 4, 0.001, width);
-        let mut wide = BlockedCbf::new(params.clone());
-        let mut scalar = BlockedCbf::new(params);
-        for &k in &keys {
-            prop_assert_eq!(
-                wide.increment_with_prev_simd(k),
-                scalar.increment_with_prev_scalar(k),
-                "fused increment diverged on key {}", k
-            );
-            prop_assert_eq!(
-                wide.estimate_simd(k),
-                scalar.estimate_scalar(k),
-                "estimate diverged on key {}", k
-            );
-            // Cross-path probes: each filter answers for the other's stream.
-            prop_assert_eq!(wide.estimate_simd(k ^ 1), scalar.estimate_scalar(k ^ 1));
-        }
-    }
-
-    /// The raw kernel entry points agree with each other (SWAR vs the
-    /// runtime-dispatched implementation) on arbitrary blocks and slot sets.
-    #[test]
-    fn swar_and_dispatch_agree(
-        width in any_width(),
-        raw in prop::collection::vec(any::<u64>(), 8),
-        raw_slots in prop::collection::vec(0usize..128, 1..8),
-    ) {
-        use hybridtier_cbf::simd;
-        let mut words = [0u64; 8];
-        words.copy_from_slice(&raw);
-        let slots: Vec<usize> =
-            raw_slots.iter().map(|&s| s % width.counters_per_line()).collect();
-        let sel = simd::probe_masks(width, slots.iter().copied());
-        let min = simd::min_probed_swar(width, &words, &sel);
-        prop_assert_eq!(simd::min_probed(width, &words, &sel), min);
-        if min < width.max_count() {
-            let mut a = words;
-            let mut b = words;
-            simd::bump_eq_swar(width, &mut a, &sel, min);
-            simd::bump_eq(width, &mut b, &sel, min);
-            prop_assert_eq!(a, b);
-        }
-    }
 }

@@ -557,10 +557,9 @@ impl TieredMemory {
     }
 
     /// Drains the accumulated per-hop migration cost (each hop charged at
-    /// the slower rung's `migrate_base_page_ns` × page span). The 2-tier
-    /// pipeline charges `moves × LatencyModel::migrate_page_ns` directly —
-    /// identical by construction — so only ladder-aware accounting reads
-    /// this.
+    /// the slower rung's `migrate_base_page_ns` × page span) — what the
+    /// pipeline's account stage charges. On a [`TierTopology::two_tier`]
+    /// ladder this is `moves × LatencyModel::migrate_page_ns`.
     pub fn take_migration_ns(&mut self) -> u64 {
         std::mem::take(&mut self.migration_ns)
     }
@@ -759,12 +758,35 @@ mod tests {
 
     #[test]
     fn two_tier_hop_cost_matches_latency_model() {
-        let mut m = small();
-        m.ensure_mapped(PageId(1), Tier::Slow);
-        m.promote(PageId(1)).unwrap();
-        m.demote(PageId(1)).unwrap();
-        let per_hop = LatencyModel::default().migrate_page_ns(PageSize::Base4K);
-        assert_eq!(m.take_migration_ns(), 2 * per_hop);
+        // The pipeline charges migrations by draining this accumulator; on
+        // the two-tier ladder that must equal the flat per-move rate of the
+        // latency model the ladder was built from, at both page sizes.
+        let latency = LatencyModel {
+            migrate_base_page_ns: 3_100,
+            ..LatencyModel::default()
+        };
+        for page_size in [PageSize::Base4K, PageSize::Huge2M] {
+            let cfg = TierConfig::for_footprint(64, TierRatio::OneTo8, page_size);
+            let mut m = TieredMemory::with_topology(TierTopology::two_tier(cfg, &latency));
+            for p in 0..64 {
+                m.ensure_mapped(PageId(p), Tier::Slow);
+            }
+            for p in 0..8 {
+                m.promote(PageId(p)).unwrap();
+            }
+            assert!(m.promote(PageId(8)).is_err(), "fast tier is full");
+            for p in 0..5 {
+                m.demote(PageId(p)).unwrap();
+            }
+            let s = m.stats();
+            assert_eq!((s.promotions, s.demotions), (8, 5));
+            assert_eq!(
+                m.take_migration_ns(),
+                (s.promotions + s.demotions) * latency.migrate_page_ns(page_size),
+                "{page_size:?}"
+            );
+            assert_eq!(m.take_migration_ns(), 0, "drained");
+        }
     }
 
     #[test]

@@ -197,6 +197,18 @@ impl TierSpec {
             TierSpec::Ladder(kind) => kind.label().to_string(),
         }
     }
+
+    /// Resolves the ladder for a workload of `pages` pages. The binary
+    /// specs are the N = 2 ladder over `config.latency`.
+    fn topology(&self, config: &SimConfig, pages: u64) -> TierTopology {
+        let tier_cfg = match self {
+            TierSpec::Ratio(ratio) => TierConfig::for_footprint(pages, *ratio, config.page_size),
+            TierSpec::AllFast => TierConfig::all_fast(pages, config.page_size),
+            TierSpec::Explicit(cfg) => *cfg,
+            TierSpec::Ladder(kind) => return kind.topology(pages, config.page_size),
+        };
+        TierTopology::two_tier(tier_cfg, &config.latency)
+    }
 }
 
 /// One co-located tenant: a name plus workload and policy recipes. The
@@ -776,18 +788,6 @@ impl Scenario {
             .with_controller_mode(ControllerMode::Incremental)
     }
 
-    /// Resolves the tier configuration for a workload of `pages` pages.
-    fn tier_config(tier: &TierSpec, config: &SimConfig, pages: u64) -> TierConfig {
-        match tier {
-            TierSpec::Ratio(ratio) => TierConfig::for_footprint(pages, *ratio, config.page_size),
-            TierSpec::AllFast => TierConfig::all_fast(pages, config.page_size),
-            TierSpec::Explicit(cfg) => *cfg,
-            // Binary facade over the ladder (fast = tier 0, slow = the
-            // rest); the run paths below use the full topology instead.
-            TierSpec::Ladder(kind) => kind.topology(pages, config.page_size).as_tier_config(),
-        }
-    }
-
     /// Builds the workload(s) and policy(ies) and runs the engine to
     /// completion in the calling thread. Deterministic: identical scenarios
     /// produce byte-identical reports regardless of which/how many threads
@@ -1017,11 +1017,11 @@ impl Scenario {
 /// raw aggregates the chunked reduction needs).
 ///
 /// Suite workload + standard policy: resolve both identifiers to concrete
-/// types once, so the whole run executes the monomorphized pipeline
-/// (`Engine::run_typed_captured`). Custom specs only hand out boxed trait
-/// objects, so they take the dyn instantiation of the same pipeline;
-/// either way the report is byte-identical (see `typed_path_equals_dyn` in
-/// the sim crate's integration tests).
+/// types once, so the whole run executes the monomorphized pipeline.
+/// Custom specs only hand out boxed trait objects, so they take the dyn
+/// instantiation of the same [`Engine::run_captured`]; either way the
+/// report is byte-identical (see `typed_path_equals_dyn` in the sim crate's
+/// integration tests).
 fn run_single_captured(
     workload: &WorkloadSpec,
     policy: &PolicySpec,
@@ -1041,20 +1041,9 @@ fn run_single_captured(
         ),
         _ => {
             let mut w = workload.build(seed);
-            let pages = w.footprint_pages(config.page_size);
-            if let TierSpec::Ladder(kind) = tier {
-                let topology = kind.topology(pages, config.page_size);
-                let mut p = policy.build(&topology.as_tier_config());
-                Engine::new(config.clone()).run_typed_ladder_captured(
-                    w.as_mut(),
-                    p.as_mut(),
-                    topology,
-                )
-            } else {
-                let tier_cfg = Scenario::tier_config(tier, config, pages);
-                let mut p = policy.build(&tier_cfg);
-                Engine::new(config.clone()).run_captured(w.as_mut(), p.as_mut(), tier_cfg)
-            }
+            let topology = tier.topology(config, w.footprint_pages(config.page_size));
+            let mut p = policy.build(&topology.as_tier_config());
+            Engine::new(config.clone()).run_captured(w.as_mut(), p.as_mut(), topology)
         }
     }
 }
@@ -1062,7 +1051,7 @@ fn run_single_captured(
 /// Double-dispatch glue for the monomorphized single-scenario path: the
 /// workload visitor resolves the generator type, sizes the tiers from its
 /// footprint, then hands off to the policy visitor, which resolves the
-/// policy type and runs [`Engine::run_typed_captured`]. Only these two
+/// policy type and runs [`Engine::run_captured`]. Only these two
 /// small shells are instantiated per (workload, policy) type pair — the
 /// heavy pipeline stages are generic in at most one of the two, so the
 /// instantiation count stays additive, not multiplicative.
@@ -1076,20 +1065,12 @@ impl WorkloadVisitor for TypedSingle<'_> {
     type Out = CapturedRun;
     fn visit<W: Workload + 'static>(self, mut workload: W) -> CapturedRun {
         let pages = workload.footprint_pages(self.config.page_size);
-        let topology = match self.tier {
-            TierSpec::Ladder(kind) => Some(kind.topology(pages, self.config.page_size)),
-            _ => None,
-        };
-        let tier_cfg = match &topology {
-            Some(t) => t.as_tier_config(),
-            None => Scenario::tier_config(self.tier, self.config, pages),
-        };
+        let topology = self.tier.topology(self.config, pages);
         visit_policy(
             self.kind,
-            &tier_cfg,
+            &topology.as_tier_config(),
             TypedSingleWithWorkload {
                 config: self.config,
-                tier_cfg,
                 topology,
                 workload: &mut workload,
             },
@@ -1099,27 +1080,14 @@ impl WorkloadVisitor for TypedSingle<'_> {
 
 struct TypedSingleWithWorkload<'a, W: Workload> {
     config: &'a SimConfig,
-    tier_cfg: TierConfig,
-    /// `Some` routes the run through the N-tier ladder pipeline.
-    topology: Option<TierTopology>,
+    topology: TierTopology,
     workload: &'a mut W,
 }
 
 impl<W: Workload> PolicyVisitor for TypedSingleWithWorkload<'_, W> {
     type Out = CapturedRun;
     fn visit<P: TieringPolicy + 'static>(self, mut policy: P) -> CapturedRun {
-        match self.topology {
-            Some(topology) => Engine::new(self.config.clone()).run_typed_ladder_captured(
-                self.workload,
-                &mut policy,
-                topology,
-            ),
-            None => Engine::new(self.config.clone()).run_typed_captured(
-                self.workload,
-                &mut policy,
-                self.tier_cfg,
-            ),
-        }
+        Engine::new(self.config.clone()).run_captured(self.workload, &mut policy, self.topology)
     }
 }
 

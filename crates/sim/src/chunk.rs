@@ -16,8 +16,7 @@
 //! do not compose), and the merged fast-hit fraction needs the raw hit
 //! count (fractions do not either). [`CapturedRun`] carries both alongside
 //! the ordinary report; [`Engine::run_captured`](crate::Engine::run_captured)
-//! and [`Engine::run_typed_captured`](crate::Engine::run_typed_captured)
-//! produce it at no extra cost (the pipeline owns the histogram anyway).
+//! produces it at no extra cost (the pipeline owns the histogram anyway).
 
 use crate::histo::LogHistogram;
 use crate::report::{CacheTimelinePoint, LatencySummary, SimReport, TimelinePoint};
@@ -136,7 +135,7 @@ pub fn merge_captured(chunks: &[CapturedRun]) -> SimReport {
 mod tests {
     use super::*;
     use crate::{Engine, SimConfig};
-    use tiering_mem::{PageSize, TierConfig, TierRatio};
+    use tiering_mem::{LatencyModel, PageSize, TierConfig, TierRatio, TierTopology};
     use tiering_policies::{build_policy, PolicyKind};
     use tiering_trace::Workload;
     use tiering_workloads::ZipfPageWorkload;
@@ -146,7 +145,8 @@ mod tests {
         let pages = w.footprint_pages(PageSize::Base4K);
         let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
         let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
-        Engine::new(SimConfig::default()).run_captured(&mut w, policy.as_mut(), tier_cfg)
+        let topology = TierTopology::two_tier(tier_cfg, &LatencyModel::default());
+        Engine::new(SimConfig::default()).run_captured(&mut w, policy.as_mut(), topology)
     }
 
     #[test]

@@ -181,10 +181,15 @@ impl Engine {
     /// Runs the simulation to completion through the batched pipeline,
     /// pulling up to [`SimConfig::batch_ops`] operations per workload call.
     ///
-    /// Produces byte-identical reports to [`run_scalar`](Engine::run_scalar)
-    /// for any batch size: time-sensitive workload phases degrade to
-    /// single-op pulls, and every pipeline stage is shared between the two
-    /// paths (see the [`pipeline`](crate::Engine) module docs).
+    /// Reports are byte-identical for any batch size (`batch_ops = 1` is
+    /// the legacy one-op-per-pull loop): time-sensitive workload phases
+    /// degrade to single-op pulls, and every pipeline stage is shared (see
+    /// the [`pipeline`](crate::Engine) module docs and the
+    /// `batch_equivalence` integration tests).
+    ///
+    /// The two tiers of `tier_cfg` are the N = 2 ladder
+    /// ([`TierTopology::two_tier`] over this config's latency model), so
+    /// this is [`run_ladder`](Engine::run_ladder) on that topology.
     ///
     /// # Panics
     ///
@@ -223,64 +228,20 @@ impl Engine {
         W: Workload + ?Sized,
         P: TieringPolicy + ?Sized,
     {
-        self.run_with_batch(workload, policy, tier_cfg, self.config.batch_ops.max(1))
-            .report
+        let topology = TierTopology::two_tier(tier_cfg, &self.config.latency);
+        self.run_typed_ladder(workload, policy, topology)
     }
 
-    /// [`run`](Engine::run), also yielding the raw aggregates the chunked
-    /// reduction needs ([`merge_captured`](crate::merge_captured)): the
-    /// whole-run latency histogram and the exact fast-hit count. The report
-    /// inside is byte-identical to what `run` returns; the capture costs
-    /// nothing (the pipeline owns both anyway).
-    pub fn run_captured(
-        &self,
-        workload: &mut dyn Workload,
-        policy: &mut dyn TieringPolicy,
-        tier_cfg: TierConfig,
-    ) -> CapturedRun {
-        self.run_typed_captured(workload, policy, tier_cfg)
-    }
-
-    /// [`run_captured`](Engine::run_captured), monomorphized for the
-    /// concrete workload and policy types (see
-    /// [`run_typed`](Engine::run_typed)).
-    pub fn run_typed_captured<W, P>(
-        &self,
-        workload: &mut W,
-        policy: &mut P,
-        tier_cfg: TierConfig,
-    ) -> CapturedRun
-    where
-        W: Workload + ?Sized,
-        P: TieringPolicy + ?Sized,
-    {
-        self.run_with_batch(workload, policy, tier_cfg, self.config.batch_ops.max(1))
-    }
-
-    /// Runs with single-op pulls — the legacy loop shape, kept as the
-    /// reference implementation the equivalence tests compare against.
-    pub fn run_scalar(
-        &self,
-        workload: &mut dyn Workload,
-        policy: &mut dyn TieringPolicy,
-        tier_cfg: TierConfig,
-    ) -> SimReport {
-        self.run_with_batch(workload, policy, tier_cfg, 1).report
-    }
-
-    /// Runs over an explicit N-tier ladder ([`TierTopology`]) instead of
-    /// the classic 2-tier [`TierConfig`]. The 2-tier ladder built by
-    /// [`TierTopology::two_tier`] from this config's latency model
-    /// reproduces [`run`](Engine::run) byte-identically; deeper ladders
-    /// switch access and migration accounting to the topology's per-rung
-    /// tables and let ladder-aware policies cascade demotions down it.
+    /// Runs over an explicit N-tier ladder ([`TierTopology`]): access and
+    /// migration accounting read the topology's per-rung tables, and
+    /// ladder-aware policies cascade demotions down it.
     pub fn run_ladder(
         &self,
         workload: &mut dyn Workload,
         policy: &mut dyn TieringPolicy,
         topology: TierTopology,
     ) -> SimReport {
-        self.run_typed_ladder(workload, policy, topology)
+        self.run_captured(workload, policy, topology).report
     }
 
     /// [`run_ladder`](Engine::run_ladder), monomorphized for the concrete
@@ -295,14 +256,17 @@ impl Engine {
         W: Workload + ?Sized,
         P: TieringPolicy + ?Sized,
     {
-        self.run_typed_ladder_captured(workload, policy, topology)
-            .report
+        self.run_captured(workload, policy, topology).report
     }
 
-    /// [`run_typed_ladder`](Engine::run_typed_ladder), also yielding the
-    /// raw aggregates chunked reduction needs (see
-    /// [`run_captured`](Engine::run_captured)).
-    pub fn run_typed_ladder_captured<W, P>(
+    /// The engine core every other entry wraps: one pipeline over
+    /// `topology`, driven to completion. Besides the report it yields the
+    /// raw aggregates the chunked reduction needs
+    /// ([`merge_captured`](crate::merge_captured)) — the whole-run latency
+    /// histogram and the exact fast-hit count, which the pipeline owns
+    /// anyway. `dyn` callers are the `W = dyn Workload, P = dyn
+    /// TieringPolicy` instantiation.
+    pub fn run_captured<W, P>(
         &self,
         workload: &mut W,
         policy: &mut P,
@@ -313,35 +277,7 @@ impl Engine {
         P: TieringPolicy + ?Sized,
     {
         let batch_ops = self.config.batch_ops.max(1);
-        let pipeline = Pipeline::with_topology(&self.config, topology, policy);
-        Self::drive(pipeline, workload, policy, batch_ops)
-    }
-
-    fn run_with_batch<W, P>(
-        &self,
-        workload: &mut W,
-        policy: &mut P,
-        tier_cfg: TierConfig,
-        batch_ops: usize,
-    ) -> CapturedRun
-    where
-        W: Workload + ?Sized,
-        P: TieringPolicy + ?Sized,
-    {
-        let pipeline = Pipeline::new(&self.config, tier_cfg, policy);
-        Self::drive(pipeline, workload, policy, batch_ops)
-    }
-
-    fn drive<W, P>(
-        mut pipeline: Pipeline<'_>,
-        workload: &mut W,
-        policy: &mut P,
-        batch_ops: usize,
-    ) -> CapturedRun
-    where
-        W: Workload + ?Sized,
-        P: TieringPolicy + ?Sized,
-    {
+        let mut pipeline = Pipeline::with_topology(&self.config, topology, policy);
         let mut batch = AccessBatch::with_capacity(batch_ops, batch_ops * 4);
         'run: while !pipeline.done() {
             if !pipeline.stage_pull(workload, &mut batch, batch_ops) {

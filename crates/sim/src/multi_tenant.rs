@@ -48,7 +48,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use tiering_mem::TierConfig;
+use tiering_mem::{TierConfig, TierTopology};
 use tiering_policies::{ControllerMode, GlobalController, ObjectiveKind, TieringPolicy};
 use tiering_trace::{AccessBatch, Workload};
 
@@ -500,7 +500,11 @@ impl MultiTenantEngine {
         Lane {
             name: run.name,
             workload: run.workload,
-            pipeline: Pipeline::new(&self.sim, tier_cfg, policy.as_ref()),
+            pipeline: Pipeline::with_topology(
+                &self.sim,
+                TierTopology::two_tier(tier_cfg, &self.sim.latency),
+                policy.as_ref(),
+            ),
             policy,
             batch: AccessBatch::with_capacity(batch_ops, batch_ops * 4),
             cursor: 0,
@@ -528,7 +532,8 @@ impl MultiTenantEngine {
             let final_fast_used = lane.pipeline.mem().fast_used();
             let report = lane
                 .pipeline
-                .finish(lane.workload.name(), lane.policy.as_ref());
+                .finish_captured(lane.workload.name(), lane.policy.as_ref())
+                .report;
             names.push(lane.name.clone());
             policies.push(report.policy.clone());
             tenant_reports.push(TenantReport {

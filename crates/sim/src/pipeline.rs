@@ -42,9 +42,7 @@
 //! the touching instruction retires, not between two loads of one request).
 
 use cache_sim::{CacheConfig, CacheHierarchy, HierarchyStats, HitLevel, Source};
-use tiering_mem::{
-    LatencyModel, MigrationStats, PageId, Tier, TierConfig, TierTopology, TieredMemory,
-};
+use tiering_mem::{LatencyModel, PageId, Tier, TierTopology, TieredMemory};
 use tiering_policies::{PolicyCtx, TieringPolicy};
 use tiering_trace::{AccessBatch, Sample, Sampler, Workload};
 
@@ -58,16 +56,14 @@ use crate::SimConfig;
 /// All mutable state of one simulation run, advanced stage by stage.
 pub(crate) struct Pipeline<'c> {
     cfg: &'c SimConfig,
-    tier_cfg: TierConfig,
     mem: TieredMemory,
     sampler: Sampler,
     ctx: PolicyCtx,
     hier: Option<CacheHierarchy>,
     meta_hier: Option<CacheHierarchy>,
     latency: LatencyModel,
-    /// Per-rung `[access_ns, stream_ns]` rows, indexed by ladder index —
-    /// the N-tier generalization of the hoisted 2×2 `mem_ns` table (which
-    /// the 2-tier hot loops keep using verbatim).
+    /// Per-rung `[access_ns, stream_ns]` rows, indexed by ladder index (the
+    /// classic testbed is the two-row case).
     tier_ns: Vec<[u64; 2]>,
 
     global_hist: LogHistogram,
@@ -90,7 +86,6 @@ pub(crate) struct Pipeline<'c> {
     accesses: u64,
     samples: u64,
     fast_hits: u64,
-    mig_before: MigrationStats,
 
     wants_hook: bool,
     prefer: Tier,
@@ -101,24 +96,15 @@ pub(crate) struct Pipeline<'c> {
 }
 
 impl<'c> Pipeline<'c> {
-    pub(crate) fn new<P: TieringPolicy + ?Sized>(
-        cfg: &'c SimConfig,
-        tier_cfg: TierConfig,
-        policy: &P,
-    ) -> Self {
-        Self::with_topology(cfg, TierTopology::two_tier(tier_cfg, &cfg.latency), policy)
-    }
-
-    /// [`new`](Pipeline::new) over an explicit tier ladder. The 2-tier
-    /// ladder built from `cfg.latency` reproduces `new` exactly; deeper
-    /// ladders switch the access and migration accounting to the per-rung
-    /// tables.
+    /// A fresh run over `topology`: per-rung access costs and per-hop
+    /// migration costs come from its rows. The classic testbed is
+    /// [`TierTopology::two_tier`] built from `cfg.latency`.
     pub(crate) fn with_topology<P: TieringPolicy + ?Sized>(
         cfg: &'c SimConfig,
         topology: TierTopology,
         policy: &P,
     ) -> Self {
-        let tier_cfg = topology.as_tier_config();
+        let address_space_pages = topology.address_space_pages();
         let tier_ns = topology
             .latency_table()
             .iter()
@@ -158,7 +144,7 @@ impl<'c> Pipeline<'c> {
             window_end: cfg.window_ns,
             last_cache_stats: HierarchyStats::default(),
             counts: if cfg.count_probe {
-                vec![0; tier_cfg.address_space_pages as usize]
+                vec![0; address_space_pages as usize]
             } else {
                 Vec::new()
             },
@@ -172,13 +158,11 @@ impl<'c> Pipeline<'c> {
             accesses: 0,
             samples: 0,
             fast_hits: 0,
-            mig_before: MigrationStats::default(),
             wants_hook: policy.wants_access_hook(),
             prefer: policy.preferred_alloc_tier(),
             sample_buf: Vec::with_capacity(16),
             fault_buf: Vec::with_capacity(64),
             cfg,
-            tier_cfg,
         }
     }
 
@@ -277,11 +261,12 @@ impl<'c> Pipeline<'c> {
     /// samples for the policy stage. Returns the nanoseconds charged.
     ///
     /// Consumes the batch's SoA columns directly (`addrs`/`pages`/`writes`
-    /// are parallel slices for this op's burst). Per-burst invariants — the
-    /// latency-model costs, allocation preference, hook flag, cache-sim
-    /// presence — are hoisted out of the loop, and the common
-    /// no-cache-sim/no-sample/no-hook burst runs a minimal
-    /// map→stream→latency loop.
+    /// are parallel slices for this op's burst). Per-burst invariants —
+    /// allocation preference, hook flag, cache-sim presence — are hoisted
+    /// out of the loop, and the common no-cache-sim/no-sample/no-hook burst
+    /// runs a minimal map→stream→latency loop. Both loops index the
+    /// per-rung cost table by ladder position, so two tiers and deeper
+    /// ladders run the same code.
     fn access_stage(&mut self, addrs: &[u64], pages: &[u64], writes: &[bool]) -> u64 {
         self.fault_buf.clear();
         self.sample_buf.clear();
@@ -296,66 +281,34 @@ impl<'c> Pipeline<'c> {
         }
         self.accesses += burst_len;
 
-        // Hoisted per-burst invariants: direct-to-memory cost indexed by
-        // [tier == Fast][streamed], allocation preference, hook flag.
-        let mem_ns = [
-            [self.latency.slow_ns, self.latency.slow_stream_ns],
-            [self.latency.fast_ns, self.latency.fast_stream_ns],
-        ];
+        // Hoisted per-burst invariants: allocation preference, hook flag.
+        // The direct-to-memory cost is `tier_ns[ladder index][streamed]`;
+        // the fast-hit statistic is "resident in tier 0".
         let prefer = self.prefer;
         let wants_hook = self.wants_hook;
         let mut burst_ns = 0u64;
         let mut fast_hits = 0u64;
 
-        if self.mem.n_tiers() > 2 {
-            // Ladder loop: per-rung access costs indexed by the page's
-            // ladder position; the fast-hit statistic remains "resident in
-            // tier 0". Runs on its own branch so the 2-tier hot paths below
-            // stay byte-for-byte what the goldens were recorded against.
-            for i in 0..addrs.len() {
-                let page = PageId(pages[i]);
-                let idx = self.mem.ensure_mapped_indexed(page, prefer);
-                fast_hits += (idx == 0) as u64;
-                let streamed = self.prefetcher.observe(addrs[i]) as usize;
-                let memory_ns = self.tier_ns[idx][streamed];
-                burst_ns += match &mut self.hier {
-                    Some(h) => match h.access(addrs[i], Source::App) {
-                        HitLevel::L1 => self.latency.l1_hit_ns,
-                        HitLevel::Llc => self.latency.llc_hit_ns,
-                        HitLevel::Memory => memory_ns,
-                    },
-                    None => memory_ns,
-                };
-                if wants_hook {
-                    self.fault_buf.push(page);
-                }
-                if sampling && self.sampler.tick() {
-                    let tier = if idx == 0 { Tier::Fast } else { Tier::Slow };
-                    self.collect_sample(addrs[i], writes[i], page, tier);
-                }
-            }
-        } else if self.hier.is_none() && !sampling && !wants_hook {
+        if self.hier.is_none() && !sampling && !wants_hook {
             // The dominant burst shape in sweep runs: no cache simulation,
             // no sample due, no fault hook — pure map → stream → latency.
             for i in 0..addrs.len() {
-                let tier = self.mem.ensure_mapped(PageId(pages[i]), prefer);
-                let fast = (tier == Tier::Fast) as usize;
-                fast_hits += fast as u64;
+                let idx = self.mem.ensure_mapped_indexed(PageId(pages[i]), prefer);
+                fast_hits += (idx == 0) as u64;
                 let streamed = self.prefetcher.observe(addrs[i]) as usize;
-                burst_ns += mem_ns[fast][streamed];
+                burst_ns += self.tier_ns[idx][streamed];
             }
         } else {
             for i in 0..addrs.len() {
                 let page = PageId(pages[i]);
-                let tier = self.mem.ensure_mapped(page, prefer);
-                let fast = (tier == Tier::Fast) as usize;
-                fast_hits += fast as u64;
+                let idx = self.mem.ensure_mapped_indexed(page, prefer);
+                fast_hits += (idx == 0) as u64;
 
                 // Application access latency: through the cache if enabled;
                 // memory-level accesses that continue a detected sequential
                 // stream are charged the (bandwidth-bound) prefetched cost.
                 let streamed = self.prefetcher.observe(addrs[i]) as usize;
-                let memory_ns = mem_ns[fast][streamed];
+                let memory_ns = self.tier_ns[idx][streamed];
                 burst_ns += match &mut self.hier {
                     Some(h) => match h.access(addrs[i], Source::App) {
                         HitLevel::L1 => self.latency.l1_hit_ns,
@@ -371,8 +324,9 @@ impl<'c> Pipeline<'c> {
                     self.fault_buf.push(page);
                 }
 
-                // PEBS sampling.
+                // PEBS sampling (samples carry the binary tier facade).
                 if sampling && self.sampler.tick() {
+                    let tier = if idx == 0 { Tier::Fast } else { Tier::Slow };
                     self.collect_sample(addrs[i], writes[i], page, tier);
                 }
             }
@@ -444,19 +398,10 @@ impl<'c> Pipeline<'c> {
     fn account_stage(&mut self) -> u64 {
         let cfg = self.cfg;
         let mut charged = 0;
-        let mig_now = self.mem.stats();
-        let moved = (mig_now.promotions - self.mig_before.promotions)
-            + (mig_now.demotions - self.mig_before.demotions);
-        self.mig_before = mig_now;
-        if moved > 0 {
-            // 2-tier keeps the flat per-move rate the goldens were recorded
-            // with; deeper ladders drain the per-hop accumulator (each hop
-            // charged at its slower rung's rate).
-            let mig_ns = if self.mem.n_tiers() > 2 {
-                self.mem.take_migration_ns()
-            } else {
-                moved * self.latency.migrate_page_ns(cfg.page_size)
-            };
+        // Every hop since the last op, each charged at its slower rung's
+        // rate when it happened.
+        let mig_ns = self.mem.take_migration_ns();
+        if mig_ns > 0 {
             charged += charge_scaled(mig_ns, cfg.migration_charge);
         }
         if self.ctx.tiering_work_ns > 0 {
@@ -528,19 +473,9 @@ impl<'c> Pipeline<'c> {
         }
     }
 
-    /// Seals the run into a [`SimReport`].
-    pub(crate) fn finish<P: TieringPolicy + ?Sized>(
-        self,
-        workload_name: &str,
-        policy: &P,
-    ) -> SimReport {
-        self.finish_captured(workload_name, policy).report
-    }
-
-    /// [`finish`](Pipeline::finish), also yielding the raw aggregates the
+    /// Seals the run into a [`SimReport`] plus the raw aggregates the
     /// chunked-run reduction needs (the whole-run histogram and the exact
     /// fast-hit count — see the [`chunk`](crate::merge_captured) module).
-    /// The report inside is byte-identical to what `finish` returns.
     pub(crate) fn finish_captured<P: TieringPolicy + ?Sized>(
         mut self,
         workload_name: &str,
@@ -557,7 +492,7 @@ impl<'c> Pipeline<'c> {
         }
         self.global_hist.merge(&self.window_hist);
 
-        let untouched = self.tier_cfg.address_space_pages - self.mem.mapped_pages();
+        let untouched = self.mem.address_space_pages() - self.mem.mapped_pages();
         let report = SimReport {
             workload: workload_name.to_string(),
             policy: policy.name().to_string(),

@@ -1,12 +1,13 @@
 //! The batched pipeline's defining contract: for a fixed seed, any batch
 //! size produces a **byte-identical** `SimReport` to the scalar
-//! (one-op-per-pull) reference path.
+//! (one-op-per-pull, `batch_ops = 1`) reference.
 //!
-//! This holds by construction — every pipeline stage is shared between the
-//! two paths, and workloads are batch-pulled only while their output is
-//! independent of simulated time — and these tests pin the construction.
+//! This holds by construction — every pipeline stage is shared between
+//! batch sizes, and workloads are batch-pulled only while their output is
+//! independent of simulated time — and these tests pin the construction,
+//! on the two-tier testbed and on every ladder preset.
 
-use tiering_mem::{PageSize, TierConfig, TierRatio};
+use tiering_mem::{LadderKind, PageSize, TierConfig, TierRatio};
 use tiering_policies::{build_policy, visit_policy, PolicyKind, PolicyVisitor, TieringPolicy};
 use tiering_sim::{Engine, SimConfig, SimReport};
 use tiering_trace::Workload;
@@ -44,12 +45,12 @@ fn run_zipf(config: &SimConfig, kind: PolicyKind, scalar: bool) -> SimReport {
     let pages = w.footprint_pages(PageSize::Base4K);
     let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
     let mut policy = build_policy(kind, &tier_cfg);
-    let engine = Engine::new(config.clone());
-    if scalar {
-        engine.run_scalar(&mut w, policy.as_mut(), tier_cfg)
+    let config = if scalar {
+        config.clone().with_batch_ops(1)
     } else {
-        engine.run(&mut w, policy.as_mut(), tier_cfg)
-    }
+        config.clone()
+    };
+    Engine::new(config).run(&mut w, policy.as_mut(), tier_cfg)
 }
 
 /// Every policy family (CBF-sampling, exact-counter, fault-driven, and the
@@ -101,14 +102,44 @@ fn suite_workloads_equivalent_under_batching() {
             let pages = w.footprint_pages(PageSize::Base4K);
             let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
             let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
-            let engine = Engine::new(SimConfig::default().with_max_ops(30_000));
+            let mut config = SimConfig::default().with_max_ops(30_000);
             if scalar {
-                engine.run_scalar(w.as_mut(), policy.as_mut(), tier_cfg)
-            } else {
-                engine.run(w.as_mut(), policy.as_mut(), tier_cfg)
+                config = config.with_batch_ops(1);
             }
+            Engine::new(config).run(w.as_mut(), policy.as_mut(), tier_cfg)
         };
         assert_reports_identical(&run(true), &run(false), &format!("{id:?}"));
+    }
+}
+
+/// The ladder plane: every preset × the compared systems plus the NeoMem
+/// device-counter design, at scalar, odd and default batch sizes. Ladders
+/// share both access loops with the two-tier testbed (including the
+/// no-sample fast loop), so they owe the same batch-size invariance.
+#[test]
+fn ladder_batch_size_is_result_invariant() {
+    for ladder in LadderKind::ALL {
+        for kind in PolicyKind::COMPARED.into_iter().chain([PolicyKind::NeoMem]) {
+            let run = |batch_ops: usize| {
+                let mut w = build_workload(WorkloadId::CdnCacheLib, 0x1ADD_E125);
+                let topology =
+                    ladder.topology(w.footprint_pages(PageSize::Base4K), PageSize::Base4K);
+                let mut policy = build_policy(kind, &topology.as_tier_config());
+                let config = SimConfig::default()
+                    .with_max_ops(8_000)
+                    .with_batch_ops(batch_ops);
+                Engine::new(config).run_ladder(w.as_mut(), policy.as_mut(), topology)
+            };
+            let scalar = run(1);
+            assert!(scalar.samples > 0, "{ladder}/{kind:?}: sampled loop ran");
+            for batch_ops in [7, 64] {
+                assert_reports_identical(
+                    &scalar,
+                    &run(batch_ops),
+                    &format!("{ladder}/{kind:?} batch_ops={batch_ops}"),
+                );
+            }
+        }
     }
 }
 
