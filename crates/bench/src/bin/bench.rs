@@ -270,8 +270,9 @@ struct SweepPasses {
 /// of it when `--shard` is set. With `--exec-workers` the parallel pass
 /// runs through the fleet executor (worker loss, retry, and reassignment
 /// handling live) and the executor's event log rides along. Returns the
-/// passes, whether they agreed, and the speedup; `Err` when the fleet
-/// executor could not complete the sweep.
+/// passes, whether they agreed, and the speedup; `Err` when a scenario
+/// could not be built (an unreadable trace input) or the fleet executor
+/// could not complete the sweep.
 fn run_sweep(
     name: &str,
     args: &Args,
@@ -293,7 +294,9 @@ fn run_sweep(
     }
     let mut serial: Option<SweepReport> = None;
     if args.serial {
-        let sweep = SweepRunner::serial().run(scenarios());
+        let sweep = SweepRunner::serial()
+            .try_run(scenarios())
+            .map_err(|e| format!("{name}: {e}"))?;
         println!("serial:   {:>8.2}s on 1 thread", sweep.wall.as_secs_f64());
         serial = Some(sweep);
     }
@@ -318,7 +321,9 @@ fn run_sweep(
             parallel = Some(fleet.report);
             exec = Some(fleet.exec);
         } else {
-            let sweep = SweepRunner::new(args.threads).run(scenarios());
+            let sweep = SweepRunner::new(args.threads)
+                .try_run(scenarios())
+                .map_err(|e| format!("{name}: {e}"))?;
             println!(
                 "parallel: {:>8.2}s on {} threads",
                 sweep.wall.as_secs_f64(),

@@ -69,7 +69,7 @@ mod sweep;
 
 pub use scenario::{
     BudgetSpec, ChurnAction, ChurnSpec, CoLocationSpec, FleetSpec, PolicySpec, Scenario,
-    ScenarioKind, ScenarioResult, TenantSpec, TierSpec, WorkloadSpec,
+    ScenarioError, ScenarioKind, ScenarioResult, TenantSpec, TierSpec, WorkloadSpec,
 };
 pub use shard::{MergeError, ShardError, ShardReport, ShardSpec, ShardedSweep};
 pub use sweep::{CoLocationMatrix, FleetMatrix, ScenarioMatrix, SweepReport, SweepRunner};

@@ -38,7 +38,7 @@ use tiering_sim::{
     merge_captured, CapturedRun, ChurnSchedule, Engine, MultiTenantConfig, MultiTenantEngine,
     MultiTenantReport, SimConfig, SimReport, TenantRun,
 };
-use tiering_trace::Workload;
+use tiering_trace::{TraceError, Workload};
 use tiering_workloads::{
     build_workload, visit_workload, TraceReplayWorkload, WorkloadId, WorkloadVisitor,
     ZipfPageWorkload,
@@ -51,6 +51,37 @@ pub type WorkloadFactory = Arc<dyn Fn(u64) -> Box<dyn Workload> + Send + Sync>;
 
 /// Factory for a policy, given the resolved tier configuration.
 pub type PolicyFactory = Arc<dyn Fn(&TierConfig) -> Box<dyn TieringPolicy> + Send + Sync>;
+
+/// Why a scenario could not be built. Running one cannot fail; building
+/// its workloads can, when they come from outside the program.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// A [`WorkloadSpec::Trace`] file could not be opened or did not verify.
+    Trace {
+        /// The trace file.
+        path: std::path::PathBuf,
+        /// What the trace reader found wrong with it.
+        source: TraceError,
+    },
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Trace { path, source } => {
+                write!(f, "cannot open trace {}: {source}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ScenarioError::Trace { source, .. } => Some(source),
+        }
+    }
+}
 
 /// Which workload a scenario runs.
 #[derive(Clone)]
@@ -96,15 +127,18 @@ impl WorkloadSpec {
         }
     }
 
-    fn build(&self, seed: u64) -> Box<dyn Workload> {
-        match self {
+    fn build(&self, seed: u64) -> Result<Box<dyn Workload>, ScenarioError> {
+        Ok(match self {
             WorkloadSpec::Suite(id) => build_workload(*id, seed),
             WorkloadSpec::Custom { build, .. } => build(seed),
-            WorkloadSpec::Trace(path) => Box::new(
-                TraceReplayWorkload::open(path)
-                    .unwrap_or_else(|e| panic!("cannot open trace {}: {e}", path.display())),
-            ),
-        }
+            WorkloadSpec::Trace(path) => {
+                let open = TraceReplayWorkload::open(path);
+                Box::new(open.map_err(|source| ScenarioError::Trace {
+                    path: path.clone(),
+                    source,
+                })?)
+            }
+        })
     }
 }
 
@@ -788,20 +822,31 @@ impl Scenario {
             .with_controller_mode(ControllerMode::Incremental)
     }
 
+    /// [`try_run`](Scenario::try_run) for scenarios that cannot fail to
+    /// build (everything but trace replay).
+    ///
+    /// # Panics
+    ///
+    /// With the [`ScenarioError`]'s message if a workload cannot be built.
+    pub fn run(&self) -> ScenarioResult {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Builds the workload(s) and policy(ies) and runs the engine to
     /// completion in the calling thread. Deterministic: identical scenarios
     /// produce byte-identical reports regardless of which/how many threads
-    /// run their siblings.
-    pub fn run(&self) -> ScenarioResult {
+    /// run their siblings. Every workload is built before anything runs,
+    /// so an unreadable trace costs no simulation.
+    pub fn try_run(&self) -> Result<ScenarioResult, ScenarioError> {
         let start = Instant::now();
-        match &self.kind {
+        Ok(match &self.kind {
             ScenarioKind::Single {
                 workload,
                 policy,
                 tier,
             } => {
                 let report =
-                    run_single_captured(workload, policy, tier, &self.config, self.seed).report;
+                    run_single_captured(workload, policy, tier, &self.config, self.seed)?.report;
                 ScenarioResult {
                     label: self.label.clone(),
                     workload: workload.label(),
@@ -821,11 +866,12 @@ impl Scenario {
                     .map(|(i, t)| {
                         let wseed = derive_seed(self.seed, i as u64);
                         let policy = t.policy.clone();
-                        TenantRun::new(t.name.clone(), t.workload.build(wseed), move |cfg| {
+                        let workload = t.workload.build(wseed)?;
+                        Ok(TenantRun::new(t.name.clone(), workload, move |cfg| {
                             policy.build(cfg)
-                        })
+                        }))
                     })
-                    .collect();
+                    .collect::<Result<_, ScenarioError>>()?;
                 let combined: u64 = runs
                     .iter()
                     .map(|r| r.workload.footprint_pages(self.config.page_size))
@@ -859,11 +905,12 @@ impl Scenario {
                     .map(|(i, t)| {
                         let wseed = derive_seed(self.seed, i as u64);
                         let policy = t.policy.clone();
-                        TenantRun::new(t.name.clone(), t.workload.build(wseed), move |cfg| {
+                        let workload = t.workload.build(wseed)?;
+                        Ok(TenantRun::new(t.name.clone(), workload, move |cfg| {
                             policy.build(cfg)
-                        })
+                        }))
                     })
-                    .collect();
+                    .collect::<Result<_, ScenarioError>>()?;
                 let mut schedule = ChurnSchedule::new();
                 let mut combined: u64 = runs
                     .iter()
@@ -873,7 +920,7 @@ impl Scenario {
                     match &c.action {
                         ChurnAction::Arrive(t) => {
                             let wseed = derive_seed(self.seed, (spec.tenants.len() + j) as u64);
-                            let workload = t.workload.build(wseed);
+                            let workload = t.workload.build(wseed)?;
                             combined += workload.footprint_pages(self.config.page_size);
                             let policy = t.policy.clone();
                             schedule = schedule.arrive(
@@ -912,7 +959,7 @@ impl Scenario {
                     multi: Some(multi),
                 }
             }
-        }
+        })
     }
 
     /// Whether this scenario can be split into contiguous op-range chunks
@@ -959,9 +1006,24 @@ impl Scenario {
     /// non-[`chunkable`](Scenario::chunkable) scenario falls back to an
     /// ordinary [`run`](Scenario::run), byte-identical to calling it
     /// directly.
+    ///
+    /// # Panics
+    ///
+    /// Like [`run`](Scenario::run), with the [`ScenarioError`]'s message.
     pub fn run_chunked(&self, chunks: usize, workers: usize) -> ScenarioResult {
+        self.try_run_chunked(chunks, workers)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run_chunked`](Scenario::run_chunked), reporting the first chunk
+    /// (in chunk order) whose workload could not be built.
+    pub(crate) fn try_run_chunked(
+        &self,
+        chunks: usize,
+        workers: usize,
+    ) -> Result<ScenarioResult, ScenarioError> {
         if chunks <= 1 || !self.chunkable() {
-            return self.run();
+            return self.try_run();
         }
         let start = Instant::now();
         let ScenarioKind::Single {
@@ -973,7 +1035,7 @@ impl Scenario {
             unreachable!("chunkable() admits Single scenarios only");
         };
         let plan = self.chunk_plan(chunks);
-        let slots: Vec<Mutex<Option<CapturedRun>>> =
+        let slots: Vec<Mutex<Option<Result<CapturedRun, ScenarioError>>>> =
             plan.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = workers.clamp(1, plan.len());
@@ -999,8 +1061,8 @@ impl Scenario {
                     .expect("chunk slot poisoned")
                     .expect("chunk slot never filled")
             })
-            .collect();
-        ScenarioResult {
+            .collect::<Result<_, _>>()?;
+        Ok(ScenarioResult {
             label: self.label.clone(),
             workload: workload.label(),
             policy: policy.label(),
@@ -1009,7 +1071,7 @@ impl Scenario {
             wall: start.elapsed(),
             report: merge_captured(&runs),
             multi: None,
-        }
+        })
     }
 }
 
@@ -1028,8 +1090,8 @@ fn run_single_captured(
     tier: &TierSpec,
     config: &SimConfig,
     seed: u64,
-) -> CapturedRun {
-    match (workload, policy) {
+) -> Result<CapturedRun, ScenarioError> {
+    Ok(match (workload, policy) {
         (WorkloadSpec::Suite(id), PolicySpec::Kind(kind)) => visit_workload(
             *id,
             seed,
@@ -1040,12 +1102,12 @@ fn run_single_captured(
             },
         ),
         _ => {
-            let mut w = workload.build(seed);
+            let mut w = workload.build(seed)?;
             let topology = tier.topology(config, w.footprint_pages(config.page_size));
             let mut p = policy.build(&topology.as_tier_config());
             Engine::new(config.clone()).run_captured(w.as_mut(), p.as_mut(), topology)
         }
-    }
+    })
 }
 
 /// Double-dispatch glue for the monomorphized single-scenario path: the

@@ -28,7 +28,8 @@ use tiering_workloads::WorkloadId;
 
 use crate::derive_seed;
 use crate::scenario::{
-    BudgetSpec, ChurnSpec, CoLocationSpec, FleetSpec, Scenario, ScenarioResult, TenantSpec,
+    BudgetSpec, ChurnSpec, CoLocationSpec, FleetSpec, Scenario, ScenarioError, ScenarioResult,
+    TenantSpec,
 };
 use crate::shard::ShardSpec;
 
@@ -463,14 +464,25 @@ impl SweepRunner {
         self.intra_scenario_threads
     }
 
+    /// [`try_run`](SweepRunner::try_run) for sweeps whose scenarios cannot
+    /// fail to build (everything but trace replay).
+    ///
+    /// # Panics
+    ///
+    /// With the [`ScenarioError`]'s message if a workload cannot be built.
+    pub fn run(&self, scenarios: Vec<Scenario>) -> SweepReport {
+        self.try_run(scenarios).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Runs every scenario, in parallel across the pool, and returns the
     /// results **in input order** — execution interleaving never leaks into
-    /// the output. Panics in a scenario propagate (the sweep fails loudly
-    /// rather than returning partial results).
-    pub fn run(&self, scenarios: Vec<Scenario>) -> SweepReport {
+    /// the output. A scenario that cannot be built fails the sweep, not
+    /// its worker: the rest still run, and the error returned is the first
+    /// in input order, so it too is independent of thread count.
+    pub fn try_run(&self, scenarios: Vec<Scenario>) -> Result<SweepReport, ScenarioError> {
         let start = Instant::now();
         let n = scenarios.len();
-        let results: Vec<Mutex<Option<ScenarioResult>>> =
+        let results: Vec<Mutex<Option<Result<ScenarioResult, ScenarioError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(n.max(1));
@@ -485,18 +497,14 @@ impl SweepRunner {
                     if idx >= n {
                         break;
                     }
-                    let result = if self.intra_scenario_threads > 1 {
-                        scenarios[idx]
-                            .run_chunked(self.intra_scenario_threads, self.intra_scenario_threads)
-                    } else {
-                        scenarios[idx].run()
-                    };
+                    let result = scenarios[idx]
+                        .try_run_chunked(self.intra_scenario_threads, self.intra_scenario_threads);
                     *results[idx].lock().expect("result slot poisoned") = Some(result);
                 });
             }
         });
 
-        SweepReport {
+        Ok(SweepReport {
             results: results
                 .into_iter()
                 .map(|slot| {
@@ -504,10 +512,10 @@ impl SweepRunner {
                         .expect("result slot poisoned")
                         .expect("scenario slot never filled")
                 })
-                .collect(),
+                .collect::<Result<_, _>>()?,
             wall: start.elapsed(),
             threads: workers,
-        }
+        })
     }
 }
 

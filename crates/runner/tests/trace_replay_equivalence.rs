@@ -5,16 +5,21 @@
 //! `PolicyKind::COMPARED`, across engine batch sizes, and across recorder
 //! chunk sizes (chunked ≡ whole). Plus the two guarantees that make replay
 //! safe at scale: memory stays O(chunk) (measured, not assumed), and
-//! damaged files fail typed at open, never mid-simulation.
+//! damaged files fail typed at open, never mid-simulation — which the
+//! scenario layer hands on as `ScenarioError::Trace`, never as a panic in
+//! a sweep worker.
 
 use std::path::{Path, PathBuf};
 
 use fleet_exec::FaultKind;
 use tiering_mem::TierRatio;
 use tiering_policies::PolicyKind;
-use tiering_runner::{PolicySpec, Scenario, TierSpec, WorkloadSpec};
+use tiering_runner::{
+    CoLocationSpec, PolicySpec, Scenario, ScenarioError, SweepRunner, TenantSpec, TierSpec,
+    WorkloadSpec,
+};
 use tiering_sim::SimConfig;
-use tiering_trace::{AccessBatch, TraceError, Workload};
+use tiering_trace::{AccessBatch, TraceError, TraceReader, Workload};
 use tiering_workloads::{build_workload, record_workload, TraceReplayWorkload, WorkloadId};
 
 const SEED: u64 = 0xA5F0_5EED;
@@ -46,7 +51,7 @@ fn direct_run(id: WorkloadId, kind: PolicyKind, batch_ops: usize) -> u64 {
         .fingerprint()
 }
 
-fn replay_run(path: &Path, kind: PolicyKind, batch_ops: usize) -> u64 {
+fn replay_scenario(path: &Path, kind: PolicyKind, batch_ops: usize) -> Scenario {
     Scenario::new(
         format!("replay/{}", kind.label()),
         WorkloadSpec::Trace(path.to_path_buf()),
@@ -55,9 +60,13 @@ fn replay_run(path: &Path, kind: PolicyKind, batch_ops: usize) -> u64 {
         &config(batch_ops),
         SEED,
     )
-    .run()
-    .report
-    .fingerprint()
+}
+
+fn replay_run(path: &Path, kind: PolicyKind, batch_ops: usize) -> u64 {
+    replay_scenario(path, kind, batch_ops)
+        .run()
+        .report
+        .fingerprint()
 }
 
 /// The headline guarantee: record→replay is bit-identical to the direct
@@ -174,4 +183,118 @@ fn damaged_traces_fail_typed_at_open() {
             Err(other) => panic!("{tag}: unexpected error {other:?}"),
         }
     }
+}
+
+/// The three ways a user-supplied trace is unreadable before its first
+/// chunk: no such file, a zero-length file, and a file cut right after an
+/// intact header. Returns `(tag, path)` per case, in that order.
+fn unreadable_traces(tag: &str) -> [(&'static str, PathBuf); 3] {
+    let missing = tmp(&format!("{tag}-missing"));
+    let _ = std::fs::remove_file(&missing);
+
+    let empty = tmp(&format!("{tag}-empty"));
+    std::fs::write(&empty, b"").expect("write empty trace");
+
+    let headed = record(WorkloadId::CdnCacheLib, 64, &format!("{tag}-header-only"));
+    let name_len = TraceReader::open(&headed)
+        .expect("open recorded trace")
+        .header()
+        .name
+        .len();
+    let mut bytes = std::fs::read(&headed).expect("read trace");
+    bytes.truncate(48 + name_len);
+    std::fs::write(&headed, bytes).expect("rewrite trace");
+
+    [
+        ("missing", missing),
+        ("empty", empty),
+        ("header-only", headed),
+    ]
+}
+
+/// `try_run` turns each of them into `ScenarioError::Trace` naming the
+/// file — for a single scenario, a chunked one, and a co-located tenant.
+#[test]
+fn unreadable_traces_are_typed_scenario_errors() {
+    for (tag, path) in unreadable_traces("typed") {
+        let single = replay_scenario(&path, PolicyKind::HybridTier, 64);
+        let tenant = |name: &str, workload| {
+            TenantSpec::new(name, workload, PolicySpec::Kind(PolicyKind::HybridTier))
+        };
+        let colo = Scenario::co_location(
+            "colo",
+            CoLocationSpec::new(vec![
+                tenant("live", WorkloadSpec::Suite(WorkloadId::CdnCacheLib)),
+                tenant("replayed", WorkloadSpec::Trace(path.clone())),
+            ]),
+            &config(64),
+            SEED,
+        );
+        let outcomes = [
+            single.try_run().map(drop),
+            SweepRunner::serial()
+                .with_intra_scenario_threads(2)
+                .try_run(vec![single])
+                .map(drop),
+            colo.try_run().map(drop),
+        ];
+        for outcome in outcomes {
+            let err = outcome.expect_err(tag);
+            let ScenarioError::Trace {
+                path: named,
+                source,
+            } = &err;
+            assert_eq!(named, &path, "{tag}");
+            match (tag, source) {
+                ("missing", TraceError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
+                }
+                ("empty" | "header-only", TraceError::Truncated { .. }) => {}
+                other => panic!("unexpected error {other:?}"),
+            }
+            let shown = err.to_string();
+            assert!(
+                shown.starts_with("cannot open trace ") && shown.contains(&source.to_string()),
+                "{tag}: {shown}"
+            );
+        }
+    }
+}
+
+/// One bad trace among good scenarios fails the sweep with that trace's
+/// error — at any thread count, with no worker panic — and the runner is
+/// as good as new for the remaining scenarios.
+#[test]
+fn sweep_reports_a_bad_trace_without_poisoning_a_worker() {
+    let good = record(WorkloadId::CdnCacheLib, 256, "sweep-good");
+    let [_, _, (_, bad)] = unreadable_traces("sweep");
+    let scenarios = |with_bad: bool| -> Vec<Scenario> {
+        PolicyKind::COMPARED
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let path = if with_bad && i == 2 { &bad } else { &good };
+                replay_scenario(path, kind, 64)
+            })
+            .collect()
+    };
+    for runner in [SweepRunner::serial(), SweepRunner::new(3)] {
+        match runner.try_run(scenarios(true)) {
+            Err(ScenarioError::Trace { path, .. }) => assert_eq!(path, bad),
+            Ok(_) => panic!("sweep accepted an unreadable trace"),
+        }
+        let sweep = runner.try_run(scenarios(false)).expect("good sweep");
+        assert_eq!(sweep.results.len(), PolicyKind::COMPARED.len());
+        for (result, kind) in sweep.results.iter().zip(PolicyKind::COMPARED) {
+            assert_eq!(result.report.fingerprint(), replay_run(&good, kind, 64));
+        }
+    }
+}
+
+/// `run` is the panicking wrapper: same message, as a panic.
+#[test]
+#[should_panic(expected = "cannot open trace")]
+fn run_panics_with_the_scenario_error_message() {
+    let [(_, missing), _, _] = unreadable_traces("wrapper");
+    replay_scenario(&missing, PolicyKind::HybridTier, 64).run();
 }

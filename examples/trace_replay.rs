@@ -11,9 +11,11 @@
 //!
 //! Usage: `cargo run --release --example trace_replay [ops]`
 
+use std::process::ExitCode;
+
 use hybridtier::prelude::*;
 
-fn main() {
+fn main() -> ExitCode {
     let ops: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -49,7 +51,9 @@ fn main() {
             seed,
         )
         .run();
-        let replayed = Scenario::new(
+        // A trace is outside input: `try_run` reports a missing or corrupt
+        // file as a typed error instead of panicking.
+        let replayed = match Scenario::new(
             format!("replay/{}", kind.label()),
             WorkloadSpec::Trace(path.clone()),
             PolicySpec::Kind(kind),
@@ -57,7 +61,14 @@ fn main() {
             &config,
             seed,
         )
-        .run();
+        .try_run()
+        {
+            Ok(result) => result,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let identical = live.report.fingerprint() == replayed.report.fingerprint();
         println!(
             "{:<12} {:>10} {:>8.1}% {:>14x} {:>12}",
@@ -84,4 +95,5 @@ fn main() {
     );
 
     std::fs::remove_file(&path).ok();
+    ExitCode::SUCCESS
 }

@@ -91,8 +91,9 @@ pub mod prelude {
     };
     pub use crate::runner::{
         BudgetSpec, ChurnSpec, CoLocationMatrix, CoLocationSpec, FleetMatrix, FleetSpec,
-        PolicySpec, Scenario, ScenarioKind, ScenarioMatrix, ScenarioResult, ShardReport, ShardSpec,
-        ShardedSweep, SweepReport, SweepRunner, TenantSpec, TierSpec, WorkloadSpec,
+        PolicySpec, Scenario, ScenarioError, ScenarioKind, ScenarioMatrix, ScenarioResult,
+        ShardReport, ShardSpec, ShardedSweep, SweepReport, SweepRunner, TenantSpec, TierSpec,
+        WorkloadSpec,
     };
     pub use crate::sim::{
         adaptation_time_ns, run_suite_experiment, Engine, MultiTenantConfig, MultiTenantEngine,
