@@ -1,6 +1,7 @@
 //! Sweep-driver benchmark: times the policy-comparison sweep serial vs
-//! parallel and emits machine-readable `BENCH_*.json` so future PRs can
-//! track the perf trajectory. Schema: `docs/BENCH_FORMAT.md`.
+//! parallel and emits machine-readable `BENCH_*.json`. Schema:
+//! `docs/BENCH_FORMAT.md`. It gates correctness (parallel ≡ serial); the
+//! perf gate is `benchmark/` and its `compare` subcommand.
 //!
 //! ```text
 //! cargo run -p hybridtier-bench --release --bin bench -- [flags]
@@ -11,6 +12,7 @@
 //!   --threads <n>     parallel worker threads (default: all cores)
 //!   --serial-only     skip the parallel pass
 //!   --parallel-only   skip the serial pass (no speedup reported)
+//!   --no-tiers        skip the tier-ladder sweep
 //!   --no-colocation   skip the co-location sweep
 //!   --no-fleet        skip the fleet churn sweep
 //!   --no-trace        skip the trace-replay sweep (recorded CacheLib
@@ -29,10 +31,6 @@
 //!   --merge <a.json> <b.json> ...
 //!                     merge shard jsons (any order) into --json instead of
 //!                     running; rejects overlapping/missing/foreign shards
-//!   --compare <path>  load a previous BENCH json, print wall/throughput
-//!                     deltas, and exit non-zero on regression
-//!   --regress <frac>  max tolerated aggregate-throughput regression for
-//!                     --compare (default 0.15)
 //! ```
 //!
 //! The JSON records wall-clock seconds for each mode, the speedup, the
@@ -48,12 +46,6 @@
 //! and streamed back through the chunked zero-copy replay path across the
 //! compared systems).
 //!
-//! With `--compare`, a `"compare"` section (aggregate throughput ratio plus
-//! per-scenario ratios, matched by label) is appended to the written JSON —
-//! the machine-readable perf trajectory every perf PR is measured by. Its
-//! first entry records section-presence drift: sweeps that exist on only
-//! one side cannot be gated and are called out instead of silently skipped.
-//!
 //! The distributed workflow (`--shard` on every host, `--merge` anywhere)
 //! reassembles a result identical to the unsharded run in every
 //! deterministic field — see `docs/BENCH_FORMAT.md` and the
@@ -64,7 +56,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fleet_exec::{sweep_coordinator, FleetConfig, FleetExecReport};
-use hybridtier_bench::compare::{ControllerDelta, SectionDrift, SweepDelta, SweepSnapshot};
 use hybridtier_bench::controller::controller_section;
 use hybridtier_bench::fleet::fleet_exec_json;
 use hybridtier_bench::{
@@ -87,8 +78,6 @@ struct Args {
     shard: Option<ShardSpec>,
     exec_workers: usize,
     merge: Vec<PathBuf>,
-    compare: Option<PathBuf>,
-    regress: f64,
 }
 
 /// `Ok(None)` means `--help` was requested (exit success, no run).
@@ -108,8 +97,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         shard: None,
         exec_workers: 0,
         merge: Vec::new(),
-        compare: None,
-        regress: 0.15,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter().peekable();
@@ -175,26 +162,12 @@ fn parse_args() -> Result<Option<Args>, String> {
                     return Err("--merge needs at least one shard json path".to_string());
                 }
             }
-            "--compare" => {
-                args.compare = Some(PathBuf::from(it.next().ok_or("--compare needs a path")?));
-            }
-            "--regress" => {
-                args.regress = it
-                    .next()
-                    .ok_or("--regress needs a fraction")?
-                    .parse()
-                    .map_err(|e| format!("--regress: {e}"))?;
-                if !(0.0..1.0).contains(&args.regress) {
-                    return Err("--regress must be in [0, 1)".to_string());
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: bench [--json <path>] [--ops <n>] [--sim-ms <n>] [--threads <n>] \
                      [--serial-only] [--parallel-only] [--no-tiers] [--no-colocation] \
                      [--no-fleet] [--no-trace] [--no-controller] [--shard <i/N>] \
-                     [--exec-workers <n>] \
-                     [--merge <shard.json>...] [--compare <prev.json>] [--regress <frac>]\n\
+                     [--exec-workers <n>] [--merge <shard.json>...]\n\
                      json schema and shard/merge workflow: docs/BENCH_FORMAT.md"
                 );
                 return Ok(None);
@@ -205,15 +178,8 @@ fn parse_args() -> Result<Option<Args>, String> {
     if !args.serial && !args.parallel {
         return Err("--serial-only and --parallel-only are mutually exclusive".to_string());
     }
-    if args.shard.is_some() && args.compare.is_some() {
-        return Err(
-            "--shard runs a slice of each sweep; --compare against a full run would \
-             mislead. Merge the shards first, then compare the merged json."
-                .to_string(),
-        );
-    }
-    if !args.merge.is_empty() && (args.shard.is_some() || args.compare.is_some()) {
-        return Err("--merge only reads shard jsons; drop --shard/--compare".to_string());
+    if !args.merge.is_empty() && args.shard.is_some() {
+        return Err("--merge only reads shard jsons; drop --shard".to_string());
     }
     if args.exec_workers > 0 {
         if args.shard.is_some() {
@@ -492,10 +458,10 @@ fn main() -> ExitCode {
     // Trace-replay sweep: newest axis, so it runs last (the same
     // append-at-end timing rule the tier-ladder comment above explains).
     // The inputs are recorded fresh (untimed) with ops-independent names,
-    // so scenario labels — the compare gate's join keys — are stable across
-    // --ops protocols. The directory is this process's own: concurrent
-    // `bench` runs (ProcessWorker shards, parallel tests) record at
-    // different --ops and must not see each other's files.
+    // so scenario labels are stable across --ops protocols. The directory
+    // is this process's own: concurrent `bench` runs (ProcessWorker shards,
+    // parallel tests) record at different --ops and must not see each
+    // other's files.
     let mut trace = None;
     if args.trace {
         let trace_dir = ScratchDir(
@@ -577,85 +543,6 @@ fn main() -> ExitCode {
     let fleet_identical = fleet.as_ref().and_then(|p| p.identical);
     let trace_identical = trace.as_ref().and_then(|p| p.identical);
 
-    // Perf-trajectory comparison against a previous BENCH json: print
-    // deltas, embed them machine-readably, and flag regressions.
-    let mut regressed = false;
-    if let Some(prev_path) = &args.compare {
-        let prev_text = match std::fs::read_to_string(prev_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", prev_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let prev = match json::parse(&prev_text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("cannot parse {}: {e}", prev_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let cur = json::parse(&json).expect("bench emits valid json");
-        let mut deltas = Vec::new();
-        for name in merge::SECTIONS {
-            if let (Some(p), Some(c)) = (prev.get(name), cur.get(name)) {
-                deltas.push(SweepDelta::between(
-                    name,
-                    &SweepSnapshot::from_json(p),
-                    &SweepSnapshot::from_json(c),
-                ));
-            }
-        }
-        // The control plane's gate rides in the same compare array.
-        let controller_delta = match (prev.get("controller"), cur.get("controller")) {
-            (Some(p), Some(c)) => Some(ControllerDelta::between(p, c)),
-            _ => None,
-        };
-        // Sections present on only one side produce no delta above, so a
-        // baseline missing a whole sweep would otherwise pass unremarked —
-        // the gate would silently cover less than it appears to.
-        let drift = SectionDrift::between(
-            &prev,
-            &cur,
-            merge::SECTIONS.into_iter().chain(["controller"]),
-        );
-        println!(
-            "\ncompare vs {} (regression threshold {:.0}%):",
-            prev_path.display(),
-            args.regress * 100.0
-        );
-        print!("{}", drift.render());
-        for d in &deltas {
-            print!("{}", d.render());
-        }
-        if let Some(d) = &controller_delta {
-            print!("{}", d.render());
-        }
-        json.pop(); // reopen the top-level object
-        json.push_str(",\"compare\":[");
-        json.push_str(&drift.to_json());
-        for d in &deltas {
-            json.push(',');
-            json.push_str(&d.to_json());
-        }
-        if let Some(d) = &controller_delta {
-            json.push(',');
-            json.push_str(&d.to_json());
-        }
-        json.push_str("]}");
-        regressed = deltas.iter().any(|d| d.regressed(args.regress))
-            || controller_delta
-                .as_ref()
-                .is_some_and(|d| d.regressed(args.regress));
-        if regressed {
-            eprintln!(
-                "REGRESSION: serial throughput fell more than {:.0}% below {}",
-                args.regress * 100.0,
-                prev_path.display()
-            );
-        }
-    }
-
     let wrote = write_json(&args, &json);
     if wrote != ExitCode::SUCCESS {
         return wrote;
@@ -666,7 +553,6 @@ fn main() -> ExitCode {
         || colo_identical == Some(false)
         || fleet_identical == Some(false)
         || trace_identical == Some(false)
-        || regressed
     {
         return ExitCode::FAILURE;
     }

@@ -1,6 +1,5 @@
 //! Benchmark harness regenerating every table and figure of the HybridTier
-//! (ASPLOS'25) evaluation, plus the workspace's perf-trajectory and
-//! distributed-sweep tooling.
+//! (ASPLOS'25) evaluation, plus the workspace's distributed-sweep tooling.
 //!
 //! Each `experiments::figN` / `experiments::tableN` module regenerates one
 //! paper result: it runs the relevant simulations, prints the same
@@ -21,15 +20,14 @@
 //! The `bench` binary times the standard sweeps serial-vs-parallel and
 //! emits `BENCH_*.json` (schema: `docs/BENCH_FORMAT.md`), supported by
 //! four library modules: [`json`] (dependency-free parser/writer),
-//! [`compare`] (perf-regression gate between two BENCH files), [`merge`]
-//! (the `--shard`/`--merge` distributed-sweep workflow), and [`fleet`]
-//! (the `"fleet_exec"` section a `bench --exec-workers N` run seals its
+//! [`merge`] (the `--shard`/`--merge` distributed-sweep workflow),
+//! [`controller`] (the `"controller"` scaling probe), and [`fleet`] (the
+//! `"fleet_exec"` section a `bench --exec-workers N` run seals its
 //! executor event log into).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compare;
 pub mod controller;
 pub mod experiments;
 pub mod fleet;
@@ -135,8 +133,8 @@ pub fn policy_comparison_matrix(ops: u64) -> Vec<tiering_runner::Scenario> {
 /// Records the two CacheLib suite workloads (built with [`SEED`], exactly
 /// as the `"single"` sweep builds them) to on-disk trace files under `dir`
 /// for the `"trace"` bench section. Filenames are ops-independent
-/// (`trace-CDN.trace`, `trace-social.trace`), so scenario labels — the
-/// compare gate's join keys — stay stable across `--ops` protocols.
+/// (`trace-CDN.trace`, `trace-social.trace`), so scenario labels stay
+/// stable across `--ops` protocols.
 ///
 /// Each file is written under a name unique to this call and renamed into
 /// place, so a reader of the final path sees a complete trace from some

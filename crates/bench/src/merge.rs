@@ -261,10 +261,11 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     // Symmetric protocol check: a key only *other* shards carry (e.g. a
     // newer bench build's extra field) is just as foreign as a
     // disagreeing value, and must not vanish silently in the merge.
-    // `"compare"` is exempt on both sides: it holds per-host perf deltas
-    // (wall-clock ratios against some baseline file), which legitimately
-    // differ host to host and cannot be meaningfully merged — it is
-    // dropped, like the other host-timing fields are recomputed.
+    // `"compare"` is exempt on both sides: older builds wrote per-host
+    // perf deltas there (wall-clock ratios against some baseline file),
+    // which legitimately differ host to host and cannot be meaningfully
+    // merged — it is dropped, like the other host-timing fields are
+    // recomputed.
     for doc in &ordered[1..] {
         if let Json::Obj(other_members) = doc {
             for (key, _) in other_members {

@@ -69,12 +69,13 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("ht-bench-test");
+        let dir = std::env::temp_dir().join(format!("ht-bench-test-{}", std::process::id()));
         let mut w = CsvWriter::create(&dir, "unit").unwrap();
         w.row(["a", "b"]).unwrap();
         w.row([f3(1.0), f3(2.5)]).unwrap();
         let path = w.finish().unwrap();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1.000,2.500\n");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

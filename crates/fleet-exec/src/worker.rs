@@ -8,7 +8,7 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tiering_runner::{Scenario, ShardReport, ShardSpec, ShardedSweep, SweepRunner};
+use tiering_runner::{Scenario, ScenarioError, ShardReport, ShardSpec, ShardedSweep, SweepRunner};
 
 /// Why a worker failed to produce a shard artifact.
 ///
@@ -126,8 +126,9 @@ pub trait ShardWorker: Send {
 }
 
 /// An in-process worker: runs its shard slice of a scenario matrix on a
-/// private [`SweepRunner`], exactly like one host of a `bench --shard`
-/// fleet but without the process boundary.
+/// serial [`SweepRunner`] (the coordinator's workers are the parallelism),
+/// exactly like one host of a `bench --shard` fleet but without the
+/// process boundary.
 ///
 /// The matrix is a *factory* (recipes are cheap): every worker builds the
 /// same full matrix and executes only its slice, mirroring the multi-host
@@ -136,7 +137,6 @@ pub trait ShardWorker: Send {
 #[derive(Clone)]
 pub struct LocalWorker {
     matrix: Arc<dyn Fn() -> Vec<Scenario> + Send + Sync>,
-    threads: usize,
     weight: u64,
     probe: bool,
 }
@@ -144,7 +144,6 @@ pub struct LocalWorker {
 impl fmt::Debug for LocalWorker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LocalWorker")
-            .field("threads", &self.threads)
             .field("weight", &self.weight)
             .field("probe", &self.probe)
             .finish_non_exhaustive()
@@ -156,17 +155,9 @@ impl LocalWorker {
     pub fn new(matrix: impl Fn() -> Vec<Scenario> + Send + Sync + 'static) -> Self {
         LocalWorker {
             matrix: Arc::new(matrix),
-            threads: 1,
             weight: 1,
             probe: false,
         }
-    }
-
-    /// Sets the worker's private sweep-pool size (default 1 = serial; the
-    /// coordinator's workers are the outer parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Declares a relative speed weight for shard sizing (default 1).
@@ -201,7 +192,7 @@ impl ShardWorker for LocalWorker {
         }
         let probe = matrix.remove(0);
         let start = Instant::now();
-        let result = probe.run();
+        let result = probe.try_run().map_err(crashed)?;
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         let ops = result.report.ops.max(1);
         // ops per millisecond, scaled by the declared weight and clamped
@@ -211,13 +202,16 @@ impl ShardWorker for LocalWorker {
     }
 
     fn run_shard(&mut self, shard: ShardSpec, _attempt: u32) -> Result<ShardReport, WorkerFailure> {
-        let runner = if self.threads <= 1 {
-            SweepRunner::serial()
-        } else {
-            SweepRunner::new(self.threads)
-        };
-        Ok(ShardedSweep::new(shard, runner).run((self.matrix)()))
+        ShardedSweep::new(shard, SweepRunner::serial())
+            .try_run((self.matrix)())
+            .map_err(crashed)
     }
+}
+
+/// A scenario that cannot be built (an unreadable trace) fails the
+/// attempt, not the worker's thread.
+fn crashed(e: ScenarioError) -> WorkerFailure {
+    WorkerFailure::Crashed(e.to_string())
 }
 
 /// A subprocess worker: spawns one process per shard and reads the shard

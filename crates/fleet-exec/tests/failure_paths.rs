@@ -14,7 +14,9 @@ use fleet_exec::{
 };
 use tiering_mem::TierRatio;
 use tiering_policies::PolicyKind;
-use tiering_runner::{Scenario, ScenarioMatrix, ShardSpec, SweepRunner};
+use tiering_runner::{
+    PolicySpec, Scenario, ScenarioMatrix, ShardSpec, SweepRunner, TierSpec, WorkloadSpec,
+};
 use tiering_sim::SimConfig;
 use tiering_workloads::WorkloadId;
 
@@ -175,6 +177,55 @@ fn retry_budget_exhausted_is_a_typed_error_not_a_hang() {
         started.elapsed() < Duration::from_secs(10),
         "budget exhaustion must fail promptly"
     );
+}
+
+/// A scenario that cannot be built is outside input (a trace path), not a
+/// worker death: each attempt fails as `Crashed`, the workers stay in
+/// rotation, and the budget runs out with the trace error as the reason.
+#[test]
+fn unreadable_trace_is_a_typed_error_not_a_worker_panic() {
+    let with_bad_trace = || {
+        let mut m = matrix();
+        m.push(Scenario::new(
+            "replay/missing",
+            WorkloadSpec::Trace("/nonexistent".into()),
+            PolicySpec::Kind(PolicyKind::HybridTier),
+            TierSpec::Ratio(TierRatio::OneTo8),
+            &SimConfig::default().with_max_ops(2_000),
+            7,
+        ));
+        m
+    };
+    let bad_shard = matrix().len() % 2;
+    let started = Instant::now();
+    let err = sweep_coordinator(with_bad_trace, 2, FleetConfig::snappy())
+        .run_sweep(2)
+        .expect_err("the shard holding the trace can never complete");
+    match err {
+        FleetError::RetryBudgetExhausted {
+            shard,
+            attempts,
+            last_error,
+        } => {
+            assert_eq!(shard, bad_shard);
+            assert_eq!(attempts, FleetConfig::snappy().max_attempts);
+            assert!(
+                last_error.contains("cannot open trace /nonexistent"),
+                "unexpected last error: {last_error}"
+            );
+        }
+        other => panic!("wrong error variant: {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "an unbuildable scenario must fail promptly"
+    );
+
+    let fleet = sweep_coordinator(matrix, 2, FleetConfig::snappy())
+        .run_sweep(2)
+        .expect("the same fleet without the trace completes");
+    assert_matches_unsharded(&fleet.report);
+    assert_eq!(fleet.exec.workers_lost, 0);
 }
 
 #[test]

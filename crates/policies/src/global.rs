@@ -45,7 +45,6 @@ use std::fmt;
 use tiering_mem::{PageSize, TierConfig, TieredMemory};
 
 use crate::ostree::OsTree;
-use crate::policy::DemandCurve;
 
 /// Demands above this are clamped before apportioning (2^40 pages = 4 PiB of
 /// 4 KiB pages): keeps the exact 128-bit quota arithmetic overflow-free for
@@ -76,31 +75,6 @@ pub trait QuotaObjective: fmt::Debug + Send + Sync {
 
     /// Splits `amount` pages across `demands.len()` tenants.
     fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64>;
-
-    /// Like [`apportion`](Self::apportion), but with an optional per-tenant
-    /// requirement hint distilled from a sampled marginal-utility curve
-    /// (see [`curve_requirement`](Self::curve_requirement)). Objectives
-    /// that have no use for the richer signal ignore it — the default
-    /// delegates to `apportion`, so behavior is bit-identical unless an
-    /// objective opts in (only [`SloUtility`] does). Hinted apportioning
-    /// keeps exactness and determinism but deliberately trades the
-    /// demand-ordering guarantee for measured curvature: a tenant whose
-    /// curve says it needs few fast pages may receive less than a
-    /// nominally less hungry tenant with a steep curve.
-    fn apportion_hinted(&self, demands: &[u64], hints: &[Option<u64>], amount: u64) -> Vec<u64> {
-        let _ = hints;
-        self.apportion(demands, amount)
-    }
-
-    /// Distills a sampled marginal-utility curve into the scalar this
-    /// objective can consume (for [`SloUtility`]: the smallest sampled
-    /// allocation capturing `slo_frac` of the curve's access mass).
-    /// `None` (the default) means the objective ignores curves and the
-    /// controller keeps the point-estimate path.
-    fn curve_requirement(&self, curve: &DemandCurve) -> Option<u64> {
-        let _ = curve;
-        None
-    }
 }
 
 /// Exact weighted split: each tenant gets `amount * w_i / total` (128-bit
@@ -249,12 +223,6 @@ fn slo_requirement(demand: u64, slo_frac: f64) -> u64 {
 }
 
 impl SloUtility {
-    /// The SLO requirement for one clamped demand: `ceil(d * slo_frac)`,
-    /// kept within `[1, d]` so it is always achievable and monotone in `d`.
-    fn requirement(&self, demand: u64) -> u64 {
-        slo_requirement(demand, self.slo_frac)
-    }
-
     /// The three-phase greedy over an explicit requirement vector (each
     /// entry already within `[1, d]`): requirements first, then the
     /// post-requirement segments, then surplus beyond demand.
@@ -299,26 +267,11 @@ impl QuotaObjective for SloUtility {
     }
 
     fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64> {
-        let req: Vec<u64> = demands.iter().map(|&d| self.requirement(d)).collect();
-        self.apportion_with_requirements(demands, &req, amount)
-    }
-
-    fn apportion_hinted(&self, demands: &[u64], hints: &[Option<u64>], amount: u64) -> Vec<u64> {
-        if hints.iter().all(Option::is_none) {
-            return self.apportion(demands, amount);
-        }
-        // A curve-derived requirement replaces the point-estimate one, but
-        // stays within `[1, d]` so every phase remains well-formed.
         let req: Vec<u64> = demands
             .iter()
-            .zip(hints)
-            .map(|(&d, h)| h.map_or_else(|| self.requirement(d), |r| r.clamp(1, d)))
+            .map(|&d| slo_requirement(d, self.slo_frac))
             .collect();
         self.apportion_with_requirements(demands, &req, amount)
-    }
-
-    fn curve_requirement(&self, curve: &DemandCurve) -> Option<u64> {
-        curve.pages_for_mass_fraction(self.slo_frac)
     }
 }
 
@@ -754,11 +707,6 @@ pub struct GlobalController {
     staged: Vec<u64>,
     dirty: Vec<bool>,
     dirty_slots: Vec<usize>,
-    /// Curve-derived requirement hint per slot (see
-    /// [`update_demand_curve`](Self::update_demand_curve)); `hints_live`
-    /// counts the `Some` entries so the default path pays nothing.
-    hints: Vec<Option<u64>>,
-    hints_live: usize,
     live_count: usize,
     incr: Option<IncrementalApportioner>,
     lazy: Option<LazyPlan>,
@@ -804,8 +752,6 @@ impl GlobalController {
             staged: Vec::new(),
             dirty: Vec::new(),
             dirty_slots: Vec::new(),
-            hints: Vec::new(),
-            hints_live: 0,
             live_count: 0,
             incr: None,
             lazy: None,
@@ -934,7 +880,6 @@ impl GlobalController {
         self.norm.push(1);
         self.staged.push(1);
         self.dirty.push(false);
-        self.hints.push(None);
         self.live_count += 1;
         let slot = self.tenants.len() - 1;
         if let Some(inc) = &mut self.incr {
@@ -1025,9 +970,6 @@ impl GlobalController {
             inc.remove(idx, self.norm[idx]);
         }
         self.norm[idx] = 0;
-        if self.hints[idx].take().is_some() {
-            self.hints_live -= 1;
-        }
         self.live_count -= 1;
         self.donor_heap = None;
         let m = self.live_count as u64;
@@ -1225,31 +1167,6 @@ impl GlobalController {
         }
     }
 
-    /// Feeds one tenant's sampled marginal-utility curve (see
-    /// [`TieringPolicy::demand_curve`](crate::TieringPolicy::demand_curve))
-    /// to the objective. If the objective consumes curves
-    /// ([`QuotaObjective::curve_requirement`] — only [`SloUtility`] does),
-    /// the distilled requirement overrides the point-estimate one at the
-    /// next rebalance and persists until re-fed or the tenant retires;
-    /// otherwise this is a no-op, which is what keeps default behavior
-    /// (and every golden) unchanged. Hinted rebalances always run the
-    /// full-scan path — the incremental planner models unhinted math only.
-    pub fn update_demand_curve(&mut self, slot: usize, curve: &DemandCurve) {
-        if !self.tenants[slot].live {
-            return;
-        }
-        let hint = self.objective.curve_requirement(curve);
-        let before = self.hints[slot].is_some();
-        if hint.is_some() != before {
-            if hint.is_some() {
-                self.hints_live += 1;
-            } else {
-                self.hints_live -= 1;
-            }
-        }
-        self.hints[slot] = hint;
-    }
-
     /// Re-partitions the budget from the staged demand deltas — the
     /// fleet-scale half of the split API. Applies every dirty slot to the
     /// demand model (and the incremental apportioner), then either
@@ -1292,18 +1209,17 @@ impl GlobalController {
         self.donor_heap = None;
         self.equal_share = false;
 
-        if self.mode == ControllerMode::Incremental && self.hints_live == 0 {
-            if let Some(inc) = &mut self.incr {
-                if let Some(plan) = inc.plan(distributable) {
-                    // Lazy quotas are exactly `floor + alloc`; that equals
-                    // the oracle iff the min-one fixup would not fire, i.e.
-                    // the smallest resulting quota is already ≥ 1.
-                    if floor + inc.min_alloc(&plan) >= 1 {
-                        self.lazy = Some(LazyPlan { floor, plan });
-                        let event = self.compact_event(at_ns, floor);
-                        self.events.push(event.clone());
-                        return event;
-                    }
+        // `incr` exists only under `ControllerMode::Incremental`.
+        if let Some(inc) = &mut self.incr {
+            if let Some(plan) = inc.plan(distributable) {
+                // Lazy quotas are exactly `floor + alloc`; that equals
+                // the oracle iff the min-one fixup would not fire, i.e.
+                // the smallest resulting quota is already ≥ 1.
+                if floor + inc.min_alloc(&plan) >= 1 {
+                    self.lazy = Some(LazyPlan { floor, plan });
+                    let event = self.compact_event(at_ns, floor);
+                    self.events.push(event.clone());
+                    return event;
                 }
             }
         }
@@ -1351,19 +1267,12 @@ impl GlobalController {
         let n = self.tenants.len();
         // The objective sees only the live tenants, in slot order.
         let mut live_demands = Vec::with_capacity(self.live_count);
-        let mut live_hints = Vec::with_capacity(self.live_count);
         for (i, t) in self.tenants.iter().enumerate() {
             if t.live {
                 live_demands.push(self.norm[i]);
-                live_hints.push(self.hints[i]);
             }
         }
-        let alloc = if self.hints_live > 0 {
-            self.objective
-                .apportion_hinted(&live_demands, &live_hints, distributable)
-        } else {
-            self.objective.apportion(&live_demands, distributable)
-        };
+        let alloc = self.objective.apportion(&live_demands, distributable);
         debug_assert_eq!(
             alloc.iter().sum::<u64>(),
             distributable,
@@ -1893,87 +1802,6 @@ mod tests {
             per_round < n as u64 / 4,
             "expected sub-linear work, got {per_round} ops/round"
         );
-    }
-
-    #[test]
-    fn hinted_apportion_defaults_to_plain_apportion() {
-        let demands = [5u64, 100, 17, 64];
-        let hints = [None, None, None, None];
-        for kind in ObjectiveKind::ALL {
-            let obj = kind.build();
-            assert_eq!(
-                obj.apportion_hinted(&demands, &hints, 500),
-                obj.apportion(&demands, 500),
-                "{kind:?} with no hints must match the plain path"
-            );
-        }
-    }
-
-    #[test]
-    fn slo_hints_shift_the_requirement_split() {
-        let obj = SloUtility { slo_frac: 0.5 };
-        let demands = [100u64, 100];
-        // Tenant 0's curve says it really needs 90 of its 100 pages to
-        // capture half its access mass (flat curve); tenant 1 keeps the
-        // default point-estimate requirement of 50.
-        let hinted = obj.apportion_hinted(&demands, &[Some(90), None], 140);
-        let plain = obj.apportion(&demands, 140);
-        assert_eq!(hinted.iter().sum::<u64>(), 140);
-        assert!(
-            hinted[0] > plain[0],
-            "a steeper requirement must pull pages toward tenant 0: {hinted:?} vs {plain:?}"
-        );
-    }
-
-    #[test]
-    fn curve_hints_only_engage_for_slo() {
-        let curve = DemandCurve::from_points(vec![(10, 50), (100, 100)]);
-        let mut g =
-            GlobalController::new(1_000, 0.0).with_objective_kind(ObjectiveKind::Proportional);
-        g.add_tenant("a", 128);
-        g.add_tenant("b", 128);
-        g.update_demand_curve(0, &curve);
-        let ev = g.rebalance(1, &[100, 100]);
-        assert_eq!(ev.quotas, vec![500, 500], "proportional ignores curves");
-
-        // A scarce budget (below total demand) so the requirement split
-        // actually decides the outcome — with abundance every SLO phase
-        // saturates and hints are invisible by construction.
-        let mut s = GlobalController::new(120, 0.0).with_objective_kind(ObjectiveKind::SloUtility);
-        s.add_tenant("a", 128);
-        s.add_tenant("b", 128);
-        let baseline = s.rebalance(0, &[100, 100]).quotas.clone();
-        assert_eq!(baseline, vec![60, 60]);
-        // Half the mass sits in the first 10 pages: the distilled
-        // requirement (10) is far below the point estimate (50).
-        s.update_demand_curve(0, &curve);
-        let hinted = s.rebalance(1, &[100, 100]).quotas.clone();
-        assert_ne!(hinted, baseline, "SLO consumes the curve hint");
-        assert_eq!(hinted.iter().sum::<u64>(), 120);
-    }
-
-    #[test]
-    fn retiring_a_hinted_tenant_clears_its_hint() {
-        let mut s = GlobalController::new(1_000, 0.0)
-            .with_objective_kind(ObjectiveKind::SloUtility)
-            .with_mode(ControllerMode::Incremental);
-        s.add_tenant("a", 128);
-        s.add_tenant("b", 128);
-        s.add_tenant("c", 128);
-        s.update_demand_curve(0, &DemandCurve::from_points(vec![(10, 50), (100, 100)]));
-        s.rebalance(0, &[100, 100, 100]);
-        s.retire_tenant(0);
-        // With the hint gone the incremental planner is allowed again;
-        // quotas must match a hint-free full-scan controller.
-        let mut oracle =
-            GlobalController::new(1_000, 0.0).with_objective_kind(ObjectiveKind::SloUtility);
-        oracle.add_tenant("a", 128);
-        oracle.add_tenant("b", 128);
-        oracle.add_tenant("c", 128);
-        oracle.retire_tenant(0);
-        oracle.rebalance(1, &[0, 250, 750]);
-        s.rebalance(1, &[0, 250, 750]);
-        assert_eq!(s.quotas(), oracle.quotas());
     }
 
     #[test]

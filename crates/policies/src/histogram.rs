@@ -116,44 +116,6 @@ impl HotnessHistogram {
         }
     }
 
-    /// Samples a marginal-utility curve from the histogram's suffix sums:
-    /// walking hotness levels from the hottest down, each non-empty level
-    /// contributes one `(cumulative pages, cumulative access mass)` point,
-    /// where a page at level `v` carries mass `v` (its approximate access
-    /// count). The result is strictly increasing in pages, non-decreasing
-    /// in mass, and concave — exactly the shape `DemandCurve` requires:
-    /// the first pages (hottest levels) capture the most mass per page.
-    ///
-    /// Only levels at or above `min_level` (clamped to ≥ 1) contribute, so
-    /// callers with a hotness cutoff (HybridTier's minimum frequency
-    /// threshold) get a curve whose final point matches their hot-set
-    /// estimate. At most `max_points` points are returned (evenly thinned,
-    /// always keeping the hottest and the last point); an empty histogram
-    /// yields an empty curve.
-    pub fn marginal_curve(&self, min_level: u32, max_points: usize) -> Vec<(u64, u64)> {
-        let mut points = Vec::new();
-        let mut pages = 0u64;
-        let mut mass = 0u64;
-        for level in (min_level.max(1)..=self.max_level()).rev() {
-            let at = self.pages_at(level);
-            if at == 0 {
-                continue;
-            }
-            pages += at;
-            mass = mass.saturating_add(at.saturating_mul(u64::from(level)));
-            points.push((pages, mass));
-        }
-        if max_points == 0 || points.len() <= max_points {
-            return points;
-        }
-        // Thin to `max_points`, keeping the endpoints: index i picks the
-        // round(i * (len-1) / (max_points-1))-th original point.
-        let len = points.len();
-        (0..max_points)
-            .map(|i| points[i * (len - 1) / (max_points - 1).max(1)])
-            .collect()
-    }
-
     /// Resets all buckets.
     pub fn clear(&mut self) {
         self.buckets.fill(0);
@@ -277,44 +239,5 @@ mod tests {
     #[should_panic(expected = "at least levels")]
     fn zero_levels_rejected() {
         let _ = HotnessHistogram::new(0);
-    }
-
-    #[test]
-    fn marginal_curve_walks_suffix_sums_hottest_first() {
-        let mut h = HotnessHistogram::new(15);
-        for _ in 0..4 {
-            h.transition(0, 10); // 4 pages × mass 10
-        }
-        for _ in 0..6 {
-            h.transition(0, 3); // 6 pages × mass 3
-        }
-        for _ in 0..5 {
-            h.transition(0, 1); // 5 pages × mass 1
-        }
-        assert_eq!(
-            h.marginal_curve(1, 8),
-            vec![(4, 40), (10, 58), (15, 63)],
-            "one point per non-empty level, cumulative from the hottest"
-        );
-        // A hotness cutoff drops the cold tail, matching
-        // `pages_at_or_above(min_level)` at the last point.
-        assert_eq!(h.marginal_curve(3, 8), vec![(4, 40), (10, 58)]);
-        assert_eq!(h.marginal_curve(11, 8), Vec::<(u64, u64)>::new());
-    }
-
-    #[test]
-    fn marginal_curve_thins_to_max_points_keeping_endpoints() {
-        let mut h = HotnessHistogram::new(15);
-        for level in 1..=12 {
-            h.transition(0, level);
-        }
-        let full = h.marginal_curve(1, 0);
-        assert_eq!(full.len(), 12);
-        let thin = h.marginal_curve(1, 4);
-        assert_eq!(thin.len(), 4);
-        assert_eq!(thin.first(), full.first());
-        assert_eq!(thin.last(), full.last());
-        // Strictly increasing pages — a valid DemandCurve input.
-        assert!(thin.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -21,7 +21,7 @@ use tiering_trace::Sample;
 use crate::chain::DemotionChain;
 use crate::flat_table::FlatPageMap;
 use crate::histogram::HotnessHistogram;
-use crate::policy::{DemandCurve, PolicyCtx, TieringPolicy};
+use crate::policy::{PolicyCtx, TieringPolicy};
 
 /// Simulated base addresses for metadata regions (cache-miss attribution).
 const FREQ_BASE: u64 = 0x7100_0000_0000;
@@ -512,16 +512,6 @@ impl TieringPolicy for HybridTierPolicy {
 
     fn fast_demand_pages(&self, _mem: &TieredMemory) -> u64 {
         self.hot_set_estimate()
-    }
-
-    fn demand_curve(&self, mem: &TieredMemory) -> DemandCurve {
-        // Suffix sums of the hotness histogram above the frequency
-        // threshold: how much access mass each marginal fast page captures.
-        let points = self.hist.marginal_curve(self.config.min_freq_threshold, 8);
-        if points.is_empty() {
-            return DemandCurve::point(self.fast_demand_pages(mem));
-        }
-        DemandCurve::from_points(points)
     }
 
     fn on_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {

@@ -79,8 +79,6 @@ pub use hybridtier::{HybridTierConfig, HybridTierPolicy, MigrationDecision, Trac
 pub use list_set::ListSet;
 pub use memtis::{MemtisConfig, MemtisPolicy};
 pub use neomem::{NeoMemConfig, NeoMemPolicy};
-pub use policy::{
-    build_policy, visit_policy, DemandCurve, PolicyCtx, PolicyKind, PolicyVisitor, TieringPolicy,
-};
+pub use policy::{build_policy, visit_policy, PolicyCtx, PolicyKind, PolicyVisitor, TieringPolicy};
 pub use tpp::{TppConfig, TppPolicy};
 pub use twoq::TwoQPolicy;

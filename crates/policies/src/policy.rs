@@ -33,77 +33,6 @@ impl PolicyCtx {
     }
 }
 
-/// A sampled marginal-utility curve: cumulative access mass captured at
-/// increasing fast-page allocations, the richer demand signal behind
-/// [`TieringPolicy::demand_curve`].
-///
-/// Points are `(pages, mass)` with pages strictly increasing and mass
-/// non-decreasing — each point says "with this many fast pages, this much
-/// of the tenant's observed access mass is served fast". Policies with a
-/// hotness histogram sample it from suffix sums
-/// ([`HotnessHistogram::marginal_curve`](crate::HotnessHistogram::marginal_curve));
-/// the default is a single-point curve at the policy's scalar demand
-/// estimate. Objectives distill a curve into whatever scalar they can use
-/// (`SloUtility`: the smallest allocation capturing its SLO fraction of
-/// the mass).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DemandCurve {
-    points: Vec<(u64, u64)>,
-}
-
-impl DemandCurve {
-    /// A curve from explicit `(pages, cumulative mass)` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless pages are strictly increasing and mass non-decreasing.
-    pub fn from_points(points: Vec<(u64, u64)>) -> Self {
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0, "curve pages must strictly increase");
-            assert!(w[0].1 <= w[1].1, "curve mass must not decrease");
-        }
-        Self { points }
-    }
-
-    /// The degenerate single-point curve — all observed mass at `pages` —
-    /// which makes every consumer behave exactly like the scalar
-    /// point-estimate path.
-    pub fn point(pages: u64) -> Self {
-        Self {
-            points: vec![(pages, 1)],
-        }
-    }
-
-    /// The sampled points, pages ascending.
-    pub fn points(&self) -> &[(u64, u64)] {
-        &self.points
-    }
-
-    /// Whether the curve carries no information (no points, or no mass).
-    pub fn is_empty(&self) -> bool {
-        self.total_mass() == 0
-    }
-
-    /// Total observed access mass (the last point's cumulative mass).
-    pub fn total_mass(&self) -> u64 {
-        self.points.last().map_or(0, |&(_, m)| m)
-    }
-
-    /// The smallest sampled allocation capturing at least `frac` of the
-    /// total access mass; `None` for empty curves or `frac` outside
-    /// `(0, 1]` (consumers then keep their point-estimate path).
-    pub fn pages_for_mass_fraction(&self, frac: f64) -> Option<u64> {
-        if self.is_empty() || !(frac > 0.0 && frac <= 1.0) {
-            return None;
-        }
-        let target = (self.total_mass() as f64 * frac).ceil() as u64;
-        self.points
-            .iter()
-            .find(|&&(_, mass)| mass >= target)
-            .map(|&(pages, _)| pages)
-    }
-}
-
 /// A memory tiering policy.
 ///
 /// The engine drives a policy with three kinds of events:
@@ -201,17 +130,6 @@ pub trait TieringPolicy {
     /// for more.
     fn fast_demand_pages(&self, mem: &TieredMemory) -> u64 {
         mem.fast_used()
-    }
-
-    /// The marginal-utility form of the demand signal: how much access
-    /// mass each candidate fast allocation would capture. The default is
-    /// the single-point curve at [`fast_demand_pages`](Self::fast_demand_pages)
-    /// — exactly the information the scalar signal carries — so nothing
-    /// changes for policies (or controllers) that don't opt in. Policies
-    /// with a hotness histogram (HybridTier) override it with real
-    /// curvature sampled from the histogram's suffix sums.
-    fn demand_curve(&self, mem: &TieredMemory) -> DemandCurve {
-        DemandCurve::point(self.fast_demand_pages(mem))
     }
 
     /// Bytes of tiering metadata currently allocated (paper Table 4).
@@ -384,37 +302,5 @@ mod tests {
         ctx.drain();
         assert!(ctx.metadata_lines.is_empty());
         assert_eq!(ctx.tiering_work_ns, 0);
-    }
-
-    #[test]
-    fn demand_curve_fraction_lookup() {
-        let c = DemandCurve::from_points(vec![(10, 50), (40, 90), (100, 100)]);
-        assert_eq!(c.total_mass(), 100);
-        assert_eq!(c.pages_for_mass_fraction(0.5), Some(10));
-        assert_eq!(c.pages_for_mass_fraction(0.51), Some(40));
-        assert_eq!(c.pages_for_mass_fraction(0.9), Some(40));
-        assert_eq!(c.pages_for_mass_fraction(1.0), Some(100));
-        assert_eq!(c.pages_for_mass_fraction(0.0), None);
-        assert_eq!(c.pages_for_mass_fraction(1.5), None);
-        assert_eq!(DemandCurve::default().pages_for_mass_fraction(0.5), None);
-    }
-
-    #[test]
-    fn point_curve_degenerates_to_the_estimate() {
-        let c = DemandCurve::point(64);
-        assert_eq!(c.pages_for_mass_fraction(0.5), Some(64));
-        assert_eq!(c.pages_for_mass_fraction(1.0), Some(64));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn non_increasing_pages_rejected() {
-        let _ = DemandCurve::from_points(vec![(10, 50), (10, 60)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not decrease")]
-    fn decreasing_mass_rejected() {
-        let _ = DemandCurve::from_points(vec![(10, 50), (20, 40)]);
     }
 }

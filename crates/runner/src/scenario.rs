@@ -25,8 +25,7 @@
 //! distributed-sweep merge layer.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tiering_mem::{LadderKind, TierConfig, TierRatio, TierTopology};
@@ -35,8 +34,8 @@ use tiering_policies::{
     PolicyKind, PolicyVisitor, TieringPolicy,
 };
 use tiering_sim::{
-    merge_captured, CapturedRun, ChurnSchedule, Engine, MultiTenantConfig, MultiTenantEngine,
-    MultiTenantReport, SimConfig, SimReport, TenantRun,
+    ChurnSchedule, Engine, MultiTenantConfig, MultiTenantEngine, MultiTenantReport, SimConfig,
+    SimReport, TenantRun,
 };
 use tiering_trace::{TraceError, Workload};
 use tiering_workloads::{
@@ -845,8 +844,7 @@ impl Scenario {
                 policy,
                 tier,
             } => {
-                let report =
-                    run_single_captured(workload, policy, tier, &self.config, self.seed)?.report;
+                let report = run_single(workload, policy, tier, &self.config, self.seed)?;
                 ScenarioResult {
                     label: self.label.clone(),
                     workload: workload.label(),
@@ -961,136 +959,23 @@ impl Scenario {
             }
         })
     }
-
-    /// Whether this scenario can be split into contiguous op-range chunks
-    /// for intra-scenario parallelism: a `Single` recipe with a finite op
-    /// cap, no simulated-time cap, and no whole-run observers (cache
-    /// simulation, hotness probes) — those cannot be cut at an op boundary.
-    /// [`run_chunked`](Scenario::run_chunked) falls back to an ordinary
-    /// [`run`](Scenario::run) for everything else.
-    pub fn chunkable(&self) -> bool {
-        matches!(self.kind, ScenarioKind::Single { .. })
-            && self.config.max_ops != u64::MAX
-            && self.config.max_sim_ns == u64::MAX
-            && self.config.cache.is_none()
-            && !self.config.count_probe
-            && self.config.retention_probe.is_none()
-    }
-
-    /// The deterministic chunk plan for splitting this scenario's
-    /// `max_ops` budget `chunks` ways: near-equal contiguous op ranges
-    /// (the remainder goes to the first chunks, one op each), never more
-    /// chunks than ops. The plan depends only on `(max_ops, chunks)` —
-    /// never on thread counts or the host — so a chunked run is as
-    /// reproducible as a serial one.
-    pub fn chunk_plan(&self, chunks: usize) -> Vec<u64> {
-        let total = self.config.max_ops;
-        let n = (chunks as u64).clamp(1, total.max(1));
-        let (base, rem) = (total / n, total % n);
-        (0..n).map(|c| base + u64::from(c < rem)).collect()
-    }
-
-    /// Runs the scenario split into `chunks` deterministic op-range chunks
-    /// executed by up to `workers` threads, reducing the per-chunk results
-    /// in chunk order ([`merge_captured`]).
-    ///
-    /// Each chunk is an independent engine run: its own workload instance
-    /// (seeded by [`derive_seed`](crate::derive_seed) from the scenario
-    /// seed and the chunk index), its own policy, its own tiered memory.
-    /// The chunk plan is therefore **part of the recipe** — a chunked run
-    /// is a different (equally deterministic) experiment than the
-    /// unchunked run of the same scenario — but for a fixed `chunks` the
-    /// result is byte-identical for *any* `workers`, on any host: worker
-    /// threads only decide where a chunk executes, never what it is, and
-    /// the reduction is position-ordered. `chunks <= 1` or a
-    /// non-[`chunkable`](Scenario::chunkable) scenario falls back to an
-    /// ordinary [`run`](Scenario::run), byte-identical to calling it
-    /// directly.
-    ///
-    /// # Panics
-    ///
-    /// Like [`run`](Scenario::run), with the [`ScenarioError`]'s message.
-    pub fn run_chunked(&self, chunks: usize, workers: usize) -> ScenarioResult {
-        self.try_run_chunked(chunks, workers)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_chunked`](Scenario::run_chunked), reporting the first chunk
-    /// (in chunk order) whose workload could not be built.
-    pub(crate) fn try_run_chunked(
-        &self,
-        chunks: usize,
-        workers: usize,
-    ) -> Result<ScenarioResult, ScenarioError> {
-        if chunks <= 1 || !self.chunkable() {
-            return self.try_run();
-        }
-        let start = Instant::now();
-        let ScenarioKind::Single {
-            workload,
-            policy,
-            tier,
-        } = &self.kind
-        else {
-            unreachable!("chunkable() admits Single scenarios only");
-        };
-        let plan = self.chunk_plan(chunks);
-        let slots: Vec<Mutex<Option<Result<CapturedRun, ScenarioError>>>> =
-            plan.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = workers.clamp(1, plan.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= plan.len() {
-                        break;
-                    }
-                    let mut config = self.config.clone();
-                    config.max_ops = plan[c];
-                    let seed = derive_seed(self.seed, c as u64);
-                    let run = run_single_captured(workload, policy, tier, &config, seed);
-                    *slots[c].lock().expect("chunk slot poisoned") = Some(run);
-                });
-            }
-        });
-        let runs: Vec<CapturedRun> = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("chunk slot poisoned")
-                    .expect("chunk slot never filled")
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(ScenarioResult {
-            label: self.label.clone(),
-            workload: workload.label(),
-            policy: policy.label(),
-            tier: tier.label(),
-            seed: self.seed,
-            wall: start.elapsed(),
-            report: merge_captured(&runs),
-            multi: None,
-        })
-    }
 }
 
-/// One single-application run, as a [`CapturedRun`] (the report plus the
-/// raw aggregates the chunked reduction needs).
+/// One single-application run.
 ///
 /// Suite workload + standard policy: resolve both identifiers to concrete
 /// types once, so the whole run executes the monomorphized pipeline.
 /// Custom specs only hand out boxed trait objects, so they take the dyn
-/// instantiation of the same [`Engine::run_captured`]; either way the
+/// instantiation of the same [`Engine::run_typed_ladder`]; either way the
 /// report is byte-identical (see `typed_path_equals_dyn` in the sim crate's
 /// integration tests).
-fn run_single_captured(
+fn run_single(
     workload: &WorkloadSpec,
     policy: &PolicySpec,
     tier: &TierSpec,
     config: &SimConfig,
     seed: u64,
-) -> Result<CapturedRun, ScenarioError> {
+) -> Result<SimReport, ScenarioError> {
     Ok(match (workload, policy) {
         (WorkloadSpec::Suite(id), PolicySpec::Kind(kind)) => visit_workload(
             *id,
@@ -1105,7 +990,7 @@ fn run_single_captured(
             let mut w = workload.build(seed)?;
             let topology = tier.topology(config, w.footprint_pages(config.page_size));
             let mut p = policy.build(&topology.as_tier_config());
-            Engine::new(config.clone()).run_captured(w.as_mut(), p.as_mut(), topology)
+            Engine::new(config.clone()).run_typed_ladder(w.as_mut(), p.as_mut(), topology)
         }
     })
 }
@@ -1113,7 +998,7 @@ fn run_single_captured(
 /// Double-dispatch glue for the monomorphized single-scenario path: the
 /// workload visitor resolves the generator type, sizes the tiers from its
 /// footprint, then hands off to the policy visitor, which resolves the
-/// policy type and runs [`Engine::run_captured`]. Only these two
+/// policy type and runs [`Engine::run_typed_ladder`]. Only these two
 /// small shells are instantiated per (workload, policy) type pair — the
 /// heavy pipeline stages are generic in at most one of the two, so the
 /// instantiation count stays additive, not multiplicative.
@@ -1124,8 +1009,8 @@ struct TypedSingle<'a> {
 }
 
 impl WorkloadVisitor for TypedSingle<'_> {
-    type Out = CapturedRun;
-    fn visit<W: Workload + 'static>(self, mut workload: W) -> CapturedRun {
+    type Out = SimReport;
+    fn visit<W: Workload + 'static>(self, mut workload: W) -> SimReport {
         let pages = workload.footprint_pages(self.config.page_size);
         let topology = self.tier.topology(self.config, pages);
         visit_policy(
@@ -1147,9 +1032,9 @@ struct TypedSingleWithWorkload<'a, W: Workload> {
 }
 
 impl<W: Workload> PolicyVisitor for TypedSingleWithWorkload<'_, W> {
-    type Out = CapturedRun;
-    fn visit<P: TieringPolicy + 'static>(self, mut policy: P) -> CapturedRun {
-        Engine::new(self.config.clone()).run_captured(self.workload, &mut policy, self.topology)
+    type Out = SimReport;
+    fn visit<P: TieringPolicy + 'static>(self, mut policy: P) -> SimReport {
+        Engine::new(self.config.clone()).run_typed_ladder(self.workload, &mut policy, self.topology)
     }
 }
 

@@ -35,7 +35,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioError};
 use crate::sweep::{SweepReport, SweepRunner};
 
 /// Which slice of a sweep one host runs: shard `index` of `total`.
@@ -217,17 +217,27 @@ impl ShardedSweep {
         Self { spec, runner }
     }
 
+    /// [`try_run`](ShardedSweep::try_run) for matrices whose scenarios
+    /// cannot fail to build (everything but trace replay).
+    ///
+    /// # Panics
+    ///
+    /// With the [`ScenarioError`]'s message if a workload cannot be built.
+    pub fn run(&self, matrix: Vec<Scenario>) -> ShardReport {
+        self.try_run(matrix).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Runs this shard's slice of the full `matrix` (the complete canonical
     /// scenario list) and returns the slice's results tagged with the shard
     /// identity needed to merge them back.
-    pub fn run(&self, matrix: Vec<Scenario>) -> ShardReport {
+    pub fn try_run(&self, matrix: Vec<Scenario>) -> Result<ShardReport, ScenarioError> {
         let matrix_len = matrix.len();
-        let sweep = self.runner.run(self.spec.select(matrix));
-        ShardReport {
+        let sweep = self.runner.try_run(self.spec.select(matrix))?;
+        Ok(ShardReport {
             spec: self.spec,
             matrix_len,
             sweep,
-        }
+        })
     }
 }
 

@@ -408,7 +408,6 @@ impl FleetMatrix {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     threads: usize,
-    intra_scenario_threads: usize,
 }
 
 impl SweepRunner {
@@ -420,48 +419,18 @@ impl SweepRunner {
         } else {
             threads
         };
-        Self {
-            threads,
-            intra_scenario_threads: 1,
-        }
+        Self { threads }
     }
 
     /// A single-threaded runner (the serial reference the determinism tests
     /// and speedup benchmarks compare against).
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            intra_scenario_threads: 1,
-        }
-    }
-
-    /// Splits every [`chunkable`](Scenario::chunkable) scenario into `n`
-    /// deterministic op-range chunks executed by up to `n` nested worker
-    /// threads ([`Scenario::run_chunked`]) — parallelism *within* a
-    /// scenario, for sweeps with fewer scenarios than cores or one
-    /// dominant long scenario.
-    ///
-    /// The chunk count is part of the recipe: results for a given `n` are
-    /// byte-identical on any host at any `threads` setting, but differ
-    /// from the `n = 1` (unchunked) results of the same scenarios. `0` and
-    /// `1` both mean "no chunking" — the default, preserving the classic
-    /// serial results. Non-chunkable scenarios (multi-tenant kinds,
-    /// probe-enabled or unbounded configs) always run whole.
-    #[must_use]
-    pub fn with_intra_scenario_threads(mut self, n: usize) -> Self {
-        self.intra_scenario_threads = n.max(1);
-        self
+        Self { threads: 1 }
     }
 
     /// Worker threads this runner uses.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Chunks (and nested workers) each chunkable scenario is split into;
-    /// `1` means scenarios run whole.
-    pub fn intra_scenario_threads(&self) -> usize {
-        self.intra_scenario_threads
     }
 
     /// [`try_run`](SweepRunner::try_run) for sweeps whose scenarios cannot
@@ -497,8 +466,7 @@ impl SweepRunner {
                     if idx >= n {
                         break;
                     }
-                    let result = scenarios[idx]
-                        .try_run_chunked(self.intra_scenario_threads, self.intra_scenario_threads);
+                    let result = scenarios[idx].try_run();
                     *results[idx].lock().expect("result slot poisoned") = Some(result);
                 });
             }

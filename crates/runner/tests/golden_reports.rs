@@ -253,7 +253,11 @@ fn fleet_churn_trajectories_match_golden() {
 /// drift together.
 #[test]
 fn trace_replay_matches_golden() {
-    let trace = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-CDN.trace");
+    // This process's own directory; the golden pins the file stem.
+    let dir =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let trace = dir.join("trace-CDN.trace");
     let mut source = build_workload(WorkloadId::CdnCacheLib, 0xA5F0_5EED);
     record_workload(source.as_mut(), 20_000, &trace, 1024).expect("record trace");
 
@@ -272,6 +276,7 @@ fn trace_replay_matches_golden() {
         })
         .collect();
     let sweep = SweepRunner::serial().run(scenarios);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_matches_golden("trace_replay.txt", &report_lines(&sweep.results));
 }
 

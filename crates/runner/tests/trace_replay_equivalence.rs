@@ -25,13 +25,39 @@ use tiering_workloads::{build_workload, record_workload, TraceReplayWorkload, Wo
 const SEED: u64 = 0xA5F0_5EED;
 const OPS: u64 = 6_000;
 
-fn tmp(tag: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("replay-eq-{tag}.trace"))
+/// A scratch trace path of this process's own (two suites may run in one
+/// checkout), removed on drop.
+struct TempTrace(PathBuf);
+
+impl std::ops::Deref for TempTrace {
+    type Target = PathBuf;
+    fn deref(&self) -> &PathBuf {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempTrace {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn tmp(tag: &str) -> TempTrace {
+    TempTrace(
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("replay-eq-{}-{tag}.trace", std::process::id())),
+    )
 }
 
 /// Records `id` (built with the scenario seed, as a direct run would build
 /// it) to a fresh trace file.
-fn record(id: WorkloadId, chunk_ops: usize, tag: &str) -> PathBuf {
+fn record(id: WorkloadId, chunk_ops: usize, tag: &str) -> TempTrace {
     let path = tmp(tag);
     let mut w = build_workload(id, SEED);
     record_workload(w.as_mut(), OPS, &path, chunk_ops).expect("record");
@@ -188,9 +214,8 @@ fn damaged_traces_fail_typed_at_open() {
 /// The three ways a user-supplied trace is unreadable before its first
 /// chunk: no such file, a zero-length file, and a file cut right after an
 /// intact header. Returns `(tag, path)` per case, in that order.
-fn unreadable_traces(tag: &str) -> [(&'static str, PathBuf); 3] {
+fn unreadable_traces(tag: &str) -> [(&'static str, TempTrace); 3] {
     let missing = tmp(&format!("{tag}-missing"));
-    let _ = std::fs::remove_file(&missing);
 
     let empty = tmp(&format!("{tag}-empty"));
     std::fs::write(&empty, b"").expect("write empty trace");
@@ -213,7 +238,7 @@ fn unreadable_traces(tag: &str) -> [(&'static str, PathBuf); 3] {
 }
 
 /// `try_run` turns each of them into `ScenarioError::Trace` naming the
-/// file — for a single scenario, a chunked one, and a co-located tenant.
+/// file — for a single scenario, a sweep of it, and a co-located tenant.
 #[test]
 fn unreadable_traces_are_typed_scenario_errors() {
     for (tag, path) in unreadable_traces("typed") {
@@ -232,10 +257,7 @@ fn unreadable_traces_are_typed_scenario_errors() {
         );
         let outcomes = [
             single.try_run().map(drop),
-            SweepRunner::serial()
-                .with_intra_scenario_threads(2)
-                .try_run(vec![single])
-                .map(drop),
+            SweepRunner::serial().try_run(vec![single]).map(drop),
             colo.try_run().map(drop),
         ];
         for outcome in outcomes {
@@ -244,7 +266,7 @@ fn unreadable_traces_are_typed_scenario_errors() {
                 path: named,
                 source,
             } = &err;
-            assert_eq!(named, &path, "{tag}");
+            assert_eq!(named, &*path, "{tag}");
             match (tag, source) {
                 ("missing", TraceError::Io(e)) => {
                     assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
@@ -280,7 +302,7 @@ fn sweep_reports_a_bad_trace_without_poisoning_a_worker() {
     };
     for runner in [SweepRunner::serial(), SweepRunner::new(3)] {
         match runner.try_run(scenarios(true)) {
-            Err(ScenarioError::Trace { path, .. }) => assert_eq!(path, bad),
+            Err(ScenarioError::Trace { path, .. }) => assert_eq!(path, *bad),
             Ok(_) => panic!("sweep accepted an unreadable trace"),
         }
         let sweep = runner.try_run(scenarios(false)).expect("good sweep");

@@ -5,7 +5,6 @@ use tiering_mem::{LatencyModel, PageSize, TierConfig, TierTopology};
 use tiering_policies::TieringPolicy;
 use tiering_trace::{AccessBatch, Workload};
 
-use crate::chunk::CapturedRun;
 use crate::hotness::RetentionConfig;
 use crate::pipeline::Pipeline;
 use crate::report::SimReport;
@@ -241,37 +240,20 @@ impl Engine {
         policy: &mut dyn TieringPolicy,
         topology: TierTopology,
     ) -> SimReport {
-        self.run_captured(workload, policy, topology).report
+        self.run_typed_ladder(workload, policy, topology)
     }
 
-    /// [`run_ladder`](Engine::run_ladder), monomorphized for the concrete
+    /// The engine core every other entry wraps: one pipeline over
+    /// `topology`, driven to completion, monomorphized for the concrete
     /// workload and policy types (see [`run_typed`](Engine::run_typed)).
+    /// `dyn` callers are the `W = dyn Workload, P = dyn TieringPolicy`
+    /// instantiation.
     pub fn run_typed_ladder<W, P>(
         &self,
         workload: &mut W,
         policy: &mut P,
         topology: TierTopology,
     ) -> SimReport
-    where
-        W: Workload + ?Sized,
-        P: TieringPolicy + ?Sized,
-    {
-        self.run_captured(workload, policy, topology).report
-    }
-
-    /// The engine core every other entry wraps: one pipeline over
-    /// `topology`, driven to completion. Besides the report it yields the
-    /// raw aggregates the chunked reduction needs
-    /// ([`merge_captured`](crate::merge_captured)) — the whole-run latency
-    /// histogram and the exact fast-hit count, which the pipeline owns
-    /// anyway. `dyn` callers are the `W = dyn Workload, P = dyn
-    /// TieringPolicy` instantiation.
-    pub fn run_captured<W, P>(
-        &self,
-        workload: &mut W,
-        policy: &mut P,
-        topology: TierTopology,
-    ) -> CapturedRun
     where
         W: Workload + ?Sized,
         P: TieringPolicy + ?Sized,
@@ -290,7 +272,7 @@ impl Engine {
                 }
             }
         }
-        pipeline.finish_captured(workload.name(), policy)
+        pipeline.finish(workload.name(), policy)
     }
 }
 

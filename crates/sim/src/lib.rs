@@ -29,9 +29,6 @@
 //!   (pull → access → policy → migrate → account over
 //!   [`AccessBatch`](tiering_trace::AccessBatch)es; provably
 //!   batch-size-invariant).
-//! * `chunk` — [`CapturedRun`] / [`merge_captured`]: order-preserving
-//!   reduction of a run split into contiguous op-range chunks (the
-//!   substrate of the runner's intra-scenario parallelism).
 //! * `multi_tenant` — [`MultiTenantEngine`]: N tenants over one shared
 //!   fast tier under the §7 global controller, with churn
 //!   ([`ChurnSchedule`]) and round-based rebalancing.
@@ -48,7 +45,6 @@
 
 mod adaptation;
 mod charge;
-mod chunk;
 mod engine;
 mod histo;
 mod hotness;
@@ -59,7 +55,6 @@ mod report;
 
 pub use adaptation::{adaptation_time_ns, steady_state_p50};
 pub use charge::charge_scaled;
-pub use chunk::{merge_captured, CapturedRun};
 pub use engine::{CacheSimOptions, Engine, SimConfig};
 pub use histo::LogHistogram;
 pub use hotness::{CountDistribution, RetentionConfig, RetentionProbe, COUNT_BUCKET_LABELS};

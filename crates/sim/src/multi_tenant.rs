@@ -184,12 +184,6 @@ pub struct MultiTenantConfig {
     /// `O(k log n)` per rebalance — the setting for synthetic large
     /// fleets. Quotas are bit-identical either way.
     pub controller_mode: ControllerMode,
-    /// When set, each active tenant's sampled marginal-utility curve
-    /// ([`TieringPolicy::demand_curve`]) is fed to the controller every
-    /// round alongside the point demand. Only curve-consuming objectives
-    /// ([`ObjectiveKind::SloUtility`]) react; off by default so existing
-    /// runs (and goldens) are unchanged.
-    pub use_demand_curves: bool,
 }
 
 impl MultiTenantConfig {
@@ -202,7 +196,6 @@ impl MultiTenantConfig {
             rebalance_interval_ns: DEFAULT_REBALANCE_INTERVAL_NS,
             objective: ObjectiveKind::Proportional,
             controller_mode: ControllerMode::FullScan,
-            use_demand_curves: false,
         }
     }
 
@@ -211,14 +204,6 @@ impl MultiTenantConfig {
     #[must_use]
     pub fn with_controller_mode(mut self, mode: ControllerMode) -> Self {
         self.controller_mode = mode;
-        self
-    }
-
-    /// Feeds sampled demand curves to the controller each round (see
-    /// [`MultiTenantConfig::use_demand_curves`]).
-    #[must_use]
-    pub fn with_demand_curves(mut self, on: bool) -> Self {
-        self.use_demand_curves = on;
         self
     }
 
@@ -471,10 +456,6 @@ impl MultiTenantEngine {
             for &i in &active {
                 let lane = &lanes[i];
                 controller.update_demand(i, lane.policy.fast_demand_pages(lane.pipeline.mem()));
-                if self.cfg.use_demand_curves {
-                    let curve = lane.policy.demand_curve(lane.pipeline.mem());
-                    controller.update_demand_curve(i, &curve);
-                }
             }
             controller.rebalance_dirty(round_end);
             for &i in &active {
@@ -532,8 +513,7 @@ impl MultiTenantEngine {
             let final_fast_used = lane.pipeline.mem().fast_used();
             let report = lane
                 .pipeline
-                .finish_captured(lane.workload.name(), lane.policy.as_ref())
-                .report;
+                .finish(lane.workload.name(), lane.policy.as_ref());
             names.push(lane.name.clone());
             policies.push(report.policy.clone());
             tenant_reports.push(TenantReport {

@@ -473,14 +473,12 @@ impl<'c> Pipeline<'c> {
         }
     }
 
-    /// Seals the run into a [`SimReport`] plus the raw aggregates the
-    /// chunked-run reduction needs (the whole-run histogram and the exact
-    /// fast-hit count — see the [`chunk`](crate::merge_captured) module).
-    pub(crate) fn finish_captured<P: TieringPolicy + ?Sized>(
+    /// Seals the run into a [`SimReport`].
+    pub(crate) fn finish<P: TieringPolicy + ?Sized>(
         mut self,
         workload_name: &str,
         policy: &P,
-    ) -> crate::chunk::CapturedRun {
+    ) -> SimReport {
         // Final partial window.
         if self.window_hist.count() > 0 {
             self.timeline.push(TimelinePoint {
@@ -493,7 +491,7 @@ impl<'c> Pipeline<'c> {
         self.global_hist.merge(&self.window_hist);
 
         let untouched = self.mem.address_space_pages() - self.mem.mapped_pages();
-        let report = SimReport {
+        SimReport {
             workload: workload_name.to_string(),
             policy: policy.name().to_string(),
             ops: self.ops,
@@ -517,7 +515,6 @@ impl<'c> Pipeline<'c> {
                 None
             },
             retention: self.retention.map(|r| r.finish(self.now_ns)),
-        };
-        crate::chunk::CapturedRun::new(report, self.global_hist, self.fast_hits)
+        }
     }
 }
