@@ -1,7 +1,8 @@
-//! Sweep-driver benchmark: times the policy-comparison sweep serial vs
-//! parallel and emits machine-readable `BENCH_*.json`. Schema:
-//! `docs/BENCH_FORMAT.md`. It gates correctness (parallel ≡ serial); the
-//! perf gate is `benchmark/` and its `compare` subcommand.
+//! Sweep driver: runs the standard sweeps serial and parallel, checks
+//! parallel ≡ serial, and emits machine-readable `BENCH_*.json` (schema:
+//! `docs/BENCH_FORMAT.md`). Every member of that document is deterministic
+//! — two runs with the same flags write the same bytes — and nothing in it
+//! is a time: the one instrument that reports host time is `benchmark/`.
 //!
 //! ```text
 //! cargo run -p hybridtier-bench --release --bin bench -- [flags]
@@ -11,55 +12,42 @@
 //!   --sim-ms <n>      simulated ms per co-location scenario (default 100)
 //!   --threads <n>     parallel worker threads (default: all cores)
 //!   --serial-only     skip the parallel pass
-//!   --parallel-only   skip the serial pass (no speedup reported)
+//!   --parallel-only   skip the serial pass
 //!   --no-tiers        skip the tier-ladder sweep
 //!   --no-colocation   skip the co-location sweep
 //!   --no-fleet        skip the fleet churn sweep
 //!   --no-trace        skip the trace-replay sweep (recorded CacheLib
 //!                     traces streamed back through the batch pipeline)
-//!   --no-controller   skip the controller scaling probe (ns/rebalance and
-//!                     ns/churn-event at 10^3/10^4/10^5 tenants plus the
-//!                     large-fleet smoke run; also skipped under --shard,
-//!                     since it is a host-local micro-benchmark)
 //!   --shard <i/N>     run only round-robin shard i of N (0-based) of every
 //!                     sweep; the json gains shard identity for --merge
 //!   --exec-workers <n>
 //!                     run the parallel pass through the fleet executor
 //!                     (n in-process workers, 2n shards, retry/reassignment
 //!                     on failure); the json gains a "fleet_exec" section
-//!                     with the executor's event log
+//!                     with the executor's event log (scheduling-dependent,
+//!                     so such a file is not byte-reproducible)
 //!   --merge <a.json> <b.json> ...
 //!                     merge shard jsons (any order) into --json instead of
 //!                     running; rejects overlapping/missing/foreign shards
 //! ```
 //!
-//! The JSON records wall-clock seconds for each mode, the speedup, the
-//! thread count, whether parallel results were byte-identical to serial,
-//! and the full per-scenario result/timing breakdown of the last pass run —
-//! for the single-tenant policy-comparison sweep, the N-tier ladder sweep
-//! (`"tiers"` section: 3- and 4-tier presets across the compared systems
-//! plus NeoMem), the multi-tenant co-location sweep (`"colocation"`
-//! section, with per-tenant detail), the dynamic-fleet churn sweep
-//! (`"fleet"` section: objectives × budgets over the canonical 3-tenant
-//! arrive/depart/arrive-again fleet), and the trace-replay sweep
-//! (`"trace"` section: both CacheLib workloads recorded to on-disk traces
-//! and streamed back through the chunked zero-copy replay path across the
-//! compared systems).
+//! The JSON records, per sweep (`"single"`, `"tiers"`, `"colocation"`,
+//! `"fleet"`, `"trace"`), whether parallel results were identical to serial
+//! and the full per-scenario results.
 //!
 //! The distributed workflow (`--shard` on every host, `--merge` anywhere)
-//! reassembles a result identical to the unsharded run in every
-//! deterministic field — see `docs/BENCH_FORMAT.md` and the
-//! `tiering_runner` README's sharding guide.
+//! reassembles a file byte-identical to the unsharded run's — see
+//! `docs/BENCH_FORMAT.md` and the `tiering_runner` README's sharding guide.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fleet_exec::{sweep_coordinator, FleetConfig, FleetExecReport};
-use hybridtier_bench::controller::controller_section;
 use hybridtier_bench::fleet::fleet_exec_json;
+use hybridtier_bench::json::{self, Json};
 use hybridtier_bench::{
-    colocation_matrix, fleet_matrix, json, merge, policy_comparison_matrix, tier_ladder_matrix,
+    colocation_matrix, fleet_matrix, merge, policy_comparison_matrix, tier_ladder_matrix,
 };
 use tiering_runner::{Scenario, ShardSpec, SweepReport, SweepRunner};
 
@@ -74,7 +62,6 @@ struct Args {
     colocation: bool,
     fleet: bool,
     trace: bool,
-    controller: bool,
     shard: Option<ShardSpec>,
     exec_workers: usize,
     merge: Vec<PathBuf>,
@@ -93,7 +80,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         colocation: true,
         fleet: true,
         trace: true,
-        controller: true,
         shard: None,
         exec_workers: 0,
         merge: Vec::new(),
@@ -132,7 +118,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--no-colocation" => args.colocation = false,
             "--no-fleet" => args.fleet = false,
             "--no-trace" => args.trace = false,
-            "--no-controller" => args.controller = false,
             "--shard" => {
                 args.shard = Some(
                     it.next()
@@ -166,8 +151,8 @@ fn parse_args() -> Result<Option<Args>, String> {
                 println!(
                     "usage: bench [--json <path>] [--ops <n>] [--sim-ms <n>] [--threads <n>] \
                      [--serial-only] [--parallel-only] [--no-tiers] [--no-colocation] \
-                     [--no-fleet] [--no-trace] [--no-controller] [--shard <i/N>] \
-                     [--exec-workers <n>] [--merge <shard.json>...]\n\
+                     [--no-fleet] [--no-trace] [--shard <i/N>] [--exec-workers <n>] \
+                     [--merge <shard.json>...]\n\
                      json schema and shard/merge workflow: docs/BENCH_FORMAT.md"
                 );
                 return Ok(None);
@@ -200,7 +185,7 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 /// `--merge` mode: no simulations, just validate + reassemble shard jsons.
-fn run_merge(args: &Args) -> Result<String, String> {
+fn run_merge(args: &Args) -> Result<Json, String> {
     let mut docs = Vec::with_capacity(args.merge.len());
     for path in &args.merge {
         let text = std::fs::read_to_string(path)
@@ -218,27 +203,26 @@ fn run_merge(args: &Args) -> Result<String, String> {
             );
         }
     }
-    Ok(merged.render())
+    Ok(merged)
 }
 
-/// One sweep's passes: timing, agreement, and the full-matrix size the
-/// (possibly sharded) scenario list was cut from.
+/// One sweep's results (the passes agree or the run fails, so either
+/// pass's will do), whether the passes agreed when both ran, and the
+/// full-matrix size the (possibly sharded) scenario list was cut from.
 struct SweepPasses {
-    serial: Option<SweepReport>,
-    parallel: Option<SweepReport>,
+    sweep: SweepReport,
     identical: Option<bool>,
-    speedup: Option<f64>,
     matrix_len: usize,
     exec: Option<FleetExecReport>,
 }
 
-/// Times one scenario list serial and/or parallel — only this host's shard
+/// Runs one scenario list serial and/or parallel — only this host's shard
 /// of it when `--shard` is set. With `--exec-workers` the parallel pass
 /// runs through the fleet executor (worker loss, retry, and reassignment
 /// handling live) and the executor's event log rides along. Returns the
-/// passes, whether they agreed, and the speedup; `Err` when a scenario
-/// could not be built (an unreadable trace input) or the fleet executor
-/// could not complete the sweep.
+/// passes and whether they agreed; `Err` when a scenario could not be
+/// built (an unreadable trace input) or the fleet executor could not
+/// complete the sweep.
 fn run_sweep(
     name: &str,
     args: &Args,
@@ -310,35 +294,12 @@ fn run_sweep(
         }
         _ => None,
     };
-    let speedup = match (&serial, &parallel) {
-        (Some(s), Some(p)) => {
-            let x = s.wall.as_secs_f64() / p.wall.as_secs_f64().max(1e-9);
-            println!("speedup:  {x:>8.2}x");
-            Some(x)
-        }
-        _ => None,
-    };
     Ok(SweepPasses {
-        serial,
-        parallel,
+        sweep: parallel.or(serial).expect("parse_args keeps one pass on"),
         identical,
-        speedup,
         matrix_len,
         exec,
     })
-}
-
-impl SweepPasses {
-    /// This sweep's JSON section (see `merge::sweep_section_json`).
-    fn to_json(&self, shard: Option<ShardSpec>) -> String {
-        merge::sweep_section_json(
-            &self.serial,
-            &self.parallel,
-            self.identical,
-            self.speedup,
-            shard.map(|spec| (spec, self.matrix_len)),
-        )
-    }
 }
 
 /// A scratch directory removed when the guard drops.
@@ -351,230 +312,148 @@ impl Drop for ScratchDir {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
+    match run() {
+        Ok(true) => ExitCode::SUCCESS,
+        // A diverged sweep has already said so.
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    if !args.merge.is_empty() {
-        let merged = match run_merge(&args) {
-            Ok(m) => m,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return write_json(&args, &merged);
     }
+}
 
-    let ops = args.ops;
-    let single = match run_sweep(
-        &format!("policy-comparison sweep ({ops} ops/scenario)"),
-        &args,
-        move || policy_comparison_matrix(ops),
-    ) {
-        Ok(passes) => passes,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+/// Parses the flags, builds the document (by merging or by running) and
+/// writes it. `Ok(false)` when a parallel pass diverged from its serial one.
+fn run() -> Result<bool, String> {
+    let Some(args) = parse_args()? else {
+        return Ok(true);
     };
+    let (doc, agreed) = if args.merge.is_empty() {
+        run_sweeps(&args)?
+    } else {
+        (run_merge(&args)?, true)
+    };
+    write_json(&args, &doc)?;
+    Ok(agreed)
+}
+
+/// Runs every selected sweep and assembles the BENCH document (schema:
+/// `docs/BENCH_FORMAT.md`); the flag is whether all passes agreed.
+fn run_sweeps(args: &Args) -> Result<(Json, bool), String> {
+    let ops = args.ops;
+    let single = run_sweep(
+        &format!("policy-comparison sweep ({ops} ops/scenario)"),
+        args,
+        move || policy_comparison_matrix(ops),
+    )?;
 
     let sim_ns = args.sim_ms * 1_000_000;
     let mut colo = None;
     if args.colocation {
         println!();
-        colo = match run_sweep(
+        colo = Some(run_sweep(
             &format!("co-location sweep ({} simulated ms/scenario)", args.sim_ms),
-            &args,
+            args,
             move || colocation_matrix(sim_ns),
-        ) {
-            Ok(passes) => Some(passes),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )?);
     }
 
     let mut fleet = None;
     if args.fleet {
         println!();
-        fleet = match run_sweep(
+        fleet = Some(run_sweep(
             &format!(
                 "fleet churn sweep ({} simulated ms/scenario, objectives x budgets)",
                 args.sim_ms
             ),
-            &args,
+            args,
             move || fleet_matrix(sim_ns),
-        ) {
-            Ok(passes) => Some(passes),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )?);
     }
 
-    // The tier-ladder sweep runs *after* the legacy sections even though it
-    // is emitted right after "single" in the JSON: wall clocks drift with a
-    // process's position in a long run (thermal/steal effects on shared
-    // hosts), so new sections must append at the end of the run order to
-    // keep the pre-existing sections comparable against old baselines —
-    // the timing analogue of the ScenarioMatrix seed-preservation rule.
+    // The tier-ladder sweep runs after the legacy sections even though it
+    // is emitted right after "single" in the JSON (new sections append at
+    // the end of the run order).
     let mut tiers = None;
     if args.tiers {
         println!();
-        tiers = match run_sweep(
+        tiers = Some(run_sweep(
             &format!("tier-ladder sweep ({ops} ops/scenario, 3- and 4-tier presets)"),
-            &args,
+            args,
             move || tier_ladder_matrix(ops),
-        ) {
-            Ok(passes) => Some(passes),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )?);
     }
 
-    // Controller scaling probe: host-local micro-timings (no serial /
-    // parallel passes to reconcile), so it is skipped on sharded runs —
-    // the merged document gets it from whichever host runs unsharded.
-    let mut controller = None;
-    if args.controller && args.shard.is_none() {
-        println!("\ncontroller scaling probe (10^3/10^4/10^5 tenants):");
-        controller = Some(controller_section(
-            &[1_000, 10_000, 100_000],
-            args.ops,
-            hybridtier_bench::SEED,
-        ));
-    }
-
-    // Trace-replay sweep: newest axis, so it runs last (the same
-    // append-at-end timing rule the tier-ladder comment above explains).
-    // The inputs are recorded fresh (untimed) with ops-independent names,
-    // so scenario labels are stable across --ops protocols. The directory
-    // is this process's own: concurrent `bench` runs (ProcessWorker shards,
-    // parallel tests) record at different --ops and must not see each
-    // other's files.
+    // Trace-replay sweep: newest axis, so it runs last. The inputs are
+    // recorded fresh with ops-independent names, so scenario labels are
+    // stable across --ops protocols. The directory is this process's own:
+    // concurrent `bench` runs (ProcessWorker shards, parallel tests) record
+    // at different --ops and must not see each other's files.
     let mut trace = None;
     if args.trace {
         let trace_dir = ScratchDir(
             std::env::temp_dir().join(format!("hybridtier-bench-traces-{}", std::process::id())),
         );
-        let traces = match hybridtier_bench::record_trace_inputs(ops, &trace_dir.0) {
-            Ok(paths) => paths,
-            Err(e) => {
-                eprintln!("cannot record trace inputs: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let traces = hybridtier_bench::record_trace_inputs(ops, &trace_dir.0)
+            .map_err(|e| format!("cannot record trace inputs: {e}"))?;
         println!();
-        trace = match run_sweep(
+        trace = Some(run_sweep(
             &format!("trace-replay sweep ({ops} ops/scenario, recorded CacheLib traces)"),
-            &args,
+            args,
             move || hybridtier_bench::trace_replay_matrix(ops, &traces),
-        ) {
-            Ok(passes) => Some(passes),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )?);
     }
 
-    // Assemble the BENCH json around the richer of each sweep's reports.
-    // Timing fields live under "single"/"colocation"/"fleet" per sweep
-    // (the PR-1 format had them at top level; CHANGES.md records the
-    // move); full schema in docs/BENCH_FORMAT.md.
-    let mut json = String::from("{\"bench\":\"policy_comparison_sweep\"");
-    json.push_str(&format!(",\"ops_per_scenario\":{}", args.ops));
+    let sections = [
+        ("single", Some(&single)),
+        ("tiers", tiers.as_ref()),
+        ("colocation", colo.as_ref()),
+        ("fleet", fleet.as_ref()),
+        ("trace", trace.as_ref()),
+    ];
+    let mut doc = Json::obj();
+    doc.set("bench", Json::Str("policy_comparison_sweep".to_string()));
+    doc.set("ops_per_scenario", Json::Int(i128::from(args.ops)));
     if let Some(spec) = args.shard {
-        json.push_str(&format!(
-            ",\"shard\":{{\"index\":{},\"total\":{}}}",
-            spec.index(),
-            spec.total()
-        ));
+        let mut shard = Json::obj();
+        shard.set("index", Json::Int(spec.index() as i128));
+        shard.set("total", Json::Int(spec.total() as i128));
+        doc.set("shard", shard);
     }
-    json.push_str(&format!(",\"single\":{}", single.to_json(args.shard)));
-    if let Some(passes) = &tiers {
-        json.push_str(&format!(",\"tiers\":{}", passes.to_json(args.shard)));
-    }
-    if let Some(passes) = &colo {
-        json.push_str(&format!(",\"colocation\":{}", passes.to_json(args.shard)));
-    }
-    if let Some(passes) = &fleet {
-        json.push_str(&format!(",\"fleet\":{}", passes.to_json(args.shard)));
-    }
-    if let Some(passes) = &trace {
-        json.push_str(&format!(",\"trace\":{}", passes.to_json(args.shard)));
-    }
-    if let Some(section) = &controller {
-        json.push_str(&format!(",\"controller\":{}", section.render()));
+    for (name, passes) in sections {
+        if let Some(p) = passes {
+            let cut = args.shard.map(|spec| (spec, p.matrix_len));
+            doc.set(name, merge::sweep_section_json(&p.sweep, p.identical, cut));
+        }
     }
     // The executor's sealed account of each sweep, one member per sweep
-    // section it drove (schema: docs/BENCH_FORMAT.md).
+    // section it drove.
     if args.exec_workers > 0 {
-        let mut section = json::Json::obj();
-        section.set("workers", json::Json::Int(args.exec_workers as i128));
-        for (name, passes) in [
-            ("single", Some(&single)),
-            ("tiers", tiers.as_ref()),
-            ("colocation", colo.as_ref()),
-            ("fleet", fleet.as_ref()),
-            ("trace", trace.as_ref()),
-        ] {
+        let mut section = Json::obj();
+        section.set("workers", Json::Int(args.exec_workers as i128));
+        for (name, passes) in sections {
             if let Some(exec) = passes.and_then(|p| p.exec.as_ref()) {
                 section.set(name, fleet_exec_json(exec));
             }
         }
-        json.push_str(&format!(",\"fleet_exec\":{}", section.render()));
+        doc.set("fleet_exec", section);
     }
-    json.push('}');
-
-    let identical = single.identical;
-    let tiers_identical = tiers.as_ref().and_then(|p| p.identical);
-    let colo_identical = colo.as_ref().and_then(|p| p.identical);
-    let fleet_identical = fleet.as_ref().and_then(|p| p.identical);
-    let trace_identical = trace.as_ref().and_then(|p| p.identical);
-
-    let wrote = write_json(&args, &json);
-    if wrote != ExitCode::SUCCESS {
-        return wrote;
-    }
-
-    if identical == Some(false)
-        || tiers_identical == Some(false)
-        || colo_identical == Some(false)
-        || fleet_identical == Some(false)
-        || trace_identical == Some(false)
-    {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let mut ran = sections.iter().filter_map(|(_, passes)| *passes);
+    Ok((doc, ran.all(|p| p.identical != Some(false))))
 }
 
-/// Writes the finished document to `--json`, creating parent directories.
-fn write_json(args: &Args, json: &str) -> ExitCode {
+/// Renders the finished document to `--json`, creating parent directories.
+fn write_json(args: &Args, doc: &Json) -> Result<(), String> {
     if let Some(dir) = args.json.parent() {
         if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         }
     }
-    match std::fs::File::create(&args.json).and_then(|mut f| writeln!(f, "{json}")) {
-        Ok(()) => println!("wrote {}", args.json.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", args.json.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    std::fs::File::create(&args.json)
+        .and_then(|mut f| writeln!(f, "{}", doc.render()))
+        .map_err(|e| format!("cannot write {}: {e}", args.json.display()))?;
+    println!("wrote {}", args.json.display());
+    Ok(())
 }

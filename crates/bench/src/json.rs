@@ -1,13 +1,13 @@
-//! A minimal JSON reader/writer for `BENCH_*.json` files.
+//! The workspace's one JSON codec: [`Json::render`] writes every
+//! `BENCH_*.json` document (and `benchmark/`'s result files), [`parse`]
+//! reads them back.
 //!
-//! The workspace is dependency-free (no serde), and the bench driver only
-//! needs to *read back* (and, for `bench --merge`, re-emit) the JSON it
-//! wrote itself — numbers, strings, objects, arrays — so this is a small
-//! recursive-descent parser over the full JSON grammar with a value model
-//! tailored to that use. Objects preserve member order (insertion /
-//! document order), so a parse → [`render`](Json::render) round trip keeps
-//! the writer's layout and merged shard files stay diffable against
-//! unsharded ones.
+//! The workspace is dependency-free (no serde), so this is a small
+//! recursive-descent parser over the full JSON grammar (nesting bounded at
+//! 128 levels) with a value model tailored to BENCH documents. Objects
+//! preserve member order (insertion / document order) and parse ∘ render
+//! is a fixed point, so a merged set of shard files is byte-identical to
+//! the unsharded run's file.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -64,12 +64,12 @@ impl Json {
         }
     }
 
-    /// Serializes back to compact JSON text, preserving object member
-    /// order. Integer-syntax numbers round-trip byte-exactly; `f64`s render
-    /// via Rust's shortest-round-trip display (whole values keep a `.1`
-    /// decimal so they stay `Num` on re-parse), so `render(parse(x))` is
-    /// value-identical to `x` though not necessarily byte-identical (the
-    /// writer pads decimals, e.g. `0.500000`).
+    /// Serializes to compact JSON text, preserving object member order.
+    /// Integer-syntax numbers round-trip byte-exactly; `f64`s render via
+    /// Rust's shortest-round-trip display (whole values keep a `.1` decimal
+    /// so they stay `Num` on re-parse), so `parse(render(v)) == v` and
+    /// `render` is a fixed point. JSON has no spelling for NaN or ±∞; they
+    /// render as `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -89,14 +89,14 @@ impl Json {
                 // exact-i64 range, exponent form beyond it (where `{:.1}`
                 // would lose the magnitude's tail and `{}` prints integer
                 // syntax that would re-parse as `Int`).
-                if n.fract() == 0.0 && n.is_finite() {
-                    if n.abs() < 9e15 {
-                        let _ = write!(out, "{:.1}", *n);
-                    } else {
-                        let _ = write!(out, "{n:e}");
-                    }
-                } else {
+                if !n.is_finite() {
+                    out.push_str("null");
+                } else if n.fract() != 0.0 {
                     let _ = write!(out, "{n}");
+                } else if n.abs() < 9e15 {
+                    let _ = write!(out, "{:.1}", *n);
+                } else {
+                    let _ = write!(out, "{n:e}");
                 }
             }
             Json::Str(s) => render_str(s, out),
@@ -170,7 +170,7 @@ impl Json {
     }
 }
 
-/// JSON string quoting (mirrors the runner's writer escapes).
+/// JSON string quoting.
 fn render_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -206,11 +206,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts. BENCH documents nest
+/// six deep; the bound keeps hostile input (`[[[[…`) a positioned
+/// [`JsonError`] instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (trailing whitespace allowed; arrays and
+/// objects may nest at most 128 deep).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -224,6 +231,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -264,8 +273,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -273,6 +282,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Runs a container parser one level deeper, within `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -414,6 +437,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -446,8 +470,11 @@ mod tests {
                 .policies([PolicyKind::FirstTouch, PolicyKind::HybridTier])
                 .build(),
         );
-        let v = parse(&sweep.to_json()).expect("writer output parses");
-        let scenarios = v.get("scenarios").unwrap().as_array().unwrap();
+        let section = crate::merge::sweep_section_json(&sweep, None, None);
+        let v = parse(&section.render()).expect("writer output parses");
+        assert_eq!(v, section, "parse ∘ render is the identity");
+        let scenarios = v.get("sweep").unwrap().get("scenarios").unwrap();
+        let scenarios = scenarios.as_array().unwrap();
         assert_eq!(scenarios.len(), 2);
         assert_eq!(scenarios[0].num("ops"), Some(500.0));
         assert!(scenarios[0].str("label").unwrap().contains("silo"));
@@ -456,12 +483,38 @@ mod tests {
             16,
             "hex outcome digest present"
         );
-        // render → parse is a fixed point: member order is preserved, so
-        // one round trip canonicalizes number formatting and nothing else.
-        let rendered = v.render();
-        let reparsed = parse(&rendered).unwrap();
-        assert_eq!(reparsed, v);
-        assert_eq!(reparsed.render(), rendered);
+        assert_eq!(v.render(), section.render(), "and render a fixed point");
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        // 200 000 levels used to recurse the parser off the stack (SIGABRT).
+        for open in ["[", "{\"k\":", "[{\"k\":"] {
+            let err = parse(&open.repeat(200_000)).expect_err("too deep");
+            assert_eq!(err.msg, "nesting too deep", "{open}");
+            assert!(err.at > 0 && err.at <= open.len() * MAX_DEPTH, "{err}");
+        }
+        // The limit itself still parses; one more level does not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Depth counts open containers, not containers seen: wide is fine.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Json::Arr(vec![Json::Num(n), Json::Num(1.5)]);
+            assert_eq!(v.render(), "[null,1.5]");
+            assert_eq!(
+                parse(&v.render()).expect("render emits valid JSON"),
+                Json::Arr(vec![Json::Null, Json::Num(1.5)])
+            );
+        }
     }
 
     #[test]
@@ -494,5 +547,100 @@ mod tests {
         o.set("x", Json::Num(2.0)); // overwrite keeps position
         o.set("n", Json::Int(7));
         assert_eq!(o.render(), r#"{"x":2.0,"s":"a\"b","n":7}"#);
+    }
+
+    /// The awkward corners of each scalar kind, then random ones.
+    const INTS: [i128; 6] = [
+        0,
+        -1,
+        u64::MAX as i128, // full-width seeds
+        i64::MIN as i128,
+        i128::MAX,
+        i128::MIN,
+    ];
+    const FLOATS: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0, // whole-valued: must stay `Num`
+        -3.0,
+        5e-324, // tiny
+        1e-7,
+        8_999_999_999_999_999.0, // last whole value rendered with a decimal point
+        9e15,                    // first rendered in exponent form
+        1e300,
+        f64::MIN_POSITIVE,
+    ];
+    const STRINGS: [&str; 6] = [
+        "",
+        "CDN/1:8/HybridTier",
+        "quote\" back\\slash /",
+        "ctl\u{0}\u{1}\u{1f}\n\t\r\u{7f}",
+        "non-BMP 😀 𝒳, BMP é ✓",
+        "\u{fffd}\u{e000}",
+    ];
+
+    /// An entropy tape: values are a deterministic function of it, so a
+    /// failing case is reproducible from the proptest seed.
+    struct Tape(std::vec::IntoIter<u64>);
+
+    impl Tape {
+        fn next(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+
+        /// A value nesting at most `depth` containers.
+        fn value(&mut self, depth: usize) -> Json {
+            let kinds = if depth == 0 { 5 } else { 7 };
+            match self.next() % kinds {
+                0 => Json::Null,
+                1 => Json::Bool(self.next() & 1 == 1),
+                2 => match self.next() as usize % (INTS.len() + 1) {
+                    i if i < INTS.len() => Json::Int(INTS[i]),
+                    _ => Json::Int(self.next() as i64 as i128 * (self.next() % 1_000) as i128),
+                },
+                3 => match self.next() as usize % (FLOATS.len() + 1) {
+                    i if i < FLOATS.len() => Json::Num(FLOATS[i]),
+                    _ => {
+                        let any = f64::from_bits(self.next());
+                        Json::Num(if any.is_finite() { any } else { 0.5 })
+                    }
+                },
+                4 => Json::Str(self.string()),
+                5 => Json::Arr(
+                    (0..self.next() % 4)
+                        .map(|_| self.value(depth - 1))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..self.next() % 4)
+                        .map(|_| (self.string(), self.value(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+
+        fn string(&mut self) -> String {
+            match self.next() as usize % (STRINGS.len() + 1) {
+                i if i < STRINGS.len() => STRINGS[i].to_string(),
+                _ => (0..self.next() % 6)
+                    .filter_map(|_| char::from_u32(self.next() as u32 % 0x11_0000))
+                    .collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_inverts_render_and_render_is_a_fixed_point(
+            tape in prop::collection::vec(any::<u64>(), 96),
+        ) {
+            let v = Tape(tape.into_iter()).value(4);
+            let text = v.render();
+            let back = parse(&text).map_err(|e| format!("{e} in {text}"))?;
+            prop_assert_eq!(&back, &v, "{}", text);
+            prop_assert_eq!(back.render(), text);
+        }
     }
 }

@@ -17,18 +17,18 @@
 //! reproduction targets. EXPERIMENTS.md records paper-vs-measured for every
 //! entry.
 //!
-//! The `bench` binary times the standard sweeps serial-vs-parallel and
-//! emits `BENCH_*.json` (schema: `docs/BENCH_FORMAT.md`), supported by
-//! four library modules: [`json`] (dependency-free parser/writer),
-//! [`merge`] (the `--shard`/`--merge` distributed-sweep workflow),
-//! [`controller`] (the `"controller"` scaling probe), and [`fleet`] (the
-//! `"fleet_exec"` section a `bench --exec-workers N` run seals its
-//! executor event log into).
+//! The `bench` binary runs the standard sweeps serial and parallel, checks
+//! that the two agree, and emits a byte-deterministic `BENCH_*.json`
+//! (schema: `docs/BENCH_FORMAT.md`), supported by three library modules:
+//! [`json`] (the one dependency-free codec: `Json::render` and `parse`),
+//! [`merge`] (the BENCH encoder and the `--shard`/`--merge`
+//! distributed-sweep workflow), and [`fleet`] (the `"fleet_exec"` section a
+//! `bench --exec-workers N` run seals its executor event log into). Host
+//! time is reported by `benchmark/` only.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod controller;
 pub mod experiments;
 pub mod fleet;
 pub mod json;
@@ -69,7 +69,7 @@ pub fn colocation_config() -> SimConfig {
     SimConfig::default().with_max_sim_ns(100_000_000)
 }
 
-/// The co-location sweep the `bench` binary times serial-vs-parallel: the
+/// The co-location sweep the `bench` binary runs serial and parallel: the
 /// §7 wake-up pairing plus a suite pairing, across two budget sizings
 /// (4 multi-tenant scenarios, 2 tenants each).
 pub fn colocation_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
@@ -94,7 +94,7 @@ pub fn colocation_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
         .build()
 }
 
-/// The dynamic-fleet sweep the `bench` binary times serial-vs-parallel:
+/// The dynamic-fleet sweep the `bench` binary runs serial and parallel:
 /// the canonical 3-tenant arrive/depart/arrive-again churn fleet
 /// (`Scenario::fleet_churn_demo_tenants`) under every built-in quota
 /// objective, across two budget sizings (6 fleet scenarios, up to 4
@@ -116,7 +116,7 @@ pub fn fleet_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
 
 /// The policy-comparison sweep: both CacheLib workloads × all three tier
 /// ratios × the six compared systems (36 scenarios) — the matrix the `bench`
-/// binary times serial-vs-parallel and the examples run interactively.
+/// binary runs serial and parallel and the examples run interactively.
 pub fn policy_comparison_matrix(ops: u64) -> Vec<tiering_runner::Scenario> {
     use tiering_mem::TierRatio;
     use tiering_policies::PolicyKind;
@@ -173,10 +173,9 @@ pub fn record_trace_inputs(
 /// The trace-replay sweep (`"trace"` section): every recorded trace file ×
 /// the six compared systems at 1:8 (12 scenarios for the two CacheLib
 /// traces). Replay is bit-identical to the generators (the runner's
-/// replay-equivalence suite locks it), so this sweep times the *streaming
+/// replay-equivalence suite locks it), so this sweep drives the *streaming
 /// ingestion* path — chunked reads, checksum verification, and the
-/// zero-copy batch fill — against the in-memory generators timed by
-/// `"single"`.
+/// zero-copy batch fill — where `"single"` drives the in-memory generators.
 pub fn trace_replay_matrix(
     ops: u64,
     traces: &[std::path::PathBuf],

@@ -14,73 +14,117 @@
 //! `tiering_runner::SweepReport::merge` — rejecting overlapping
 //! (duplicate-index or duplicate-label), missing, or inconsistent shards —
 //! and reassembles each sweep section's scenario entries into canonical
-//! matrix order. The merged document has the same shape as an unsharded
-//! run's; scenario entries are copied through verbatim (value-level), so
-//! every deterministic field (`ops`, `sim_ns`, percentiles, migrations,
-//! `fingerprint`, …) is identical to the unsharded run's, and only
-//! host-timing fields (`wall_s`, `serial_s`, `parallel_s`, `threads`,
-//! `speedup`) reflect the distributed execution: wall times merge as the
-//! **maximum** across shards (a distributed run is as slow as its slowest
-//! host), thread counts as the sum. [`equal_ignoring`] makes that
-//! "identical up to host timing" relation checkable.
+//! matrix order. Every member [`sweep_section_json`] writes is
+//! deterministic and scenario entries are copied through verbatim, so the
+//! merged document renders **byte-identical** to an unsharded run's with
+//! the same pass flags. Members the encoder does not write — the host
+//! timing and legacy `"compare"` data older builds recorded — are accepted
+//! on input and not carried over.
 
 use std::fmt;
 
-use tiering_runner::{ShardSpec, SweepReport};
+use tiering_runner::{ScenarioResult, ShardSpec, SweepReport};
 
 use crate::json::Json;
 
 /// The sweep sections a BENCH document may carry, in canonical order.
-/// `"trace"` is appended last (the PR-9 rule: new sections join at the end
-/// so pre-existing sections stay comparable against old baselines).
+/// `"trace"` is appended last (the PR-9 rule: new sections join at the
+/// end).
 pub const SECTIONS: [&str; 5] = ["single", "tiers", "colocation", "fleet", "trace"];
 
-/// Serializes one sweep's timing section (the `"single"` /
-/// `"colocation"` / `"fleet"` objects of a BENCH document). With `shard`
-/// set, records the full-matrix scenario count (`"matrix_scenarios"`) the
-/// shard was cut from — [`merge_docs`] needs it to validate and reassemble.
-pub fn sweep_section_json(
-    serial: &Option<SweepReport>,
-    parallel: &Option<SweepReport>,
-    identical: Option<bool>,
-    speedup: Option<f64>,
-    shard: Option<(ShardSpec, usize)>,
-) -> String {
-    use std::fmt::Write as _;
+/// Per-tenant rows kept in a multi-tenant scenario entry: large synthetic
+/// fleets would dominate the file with rows nobody reads, so the entry
+/// keeps the head and records how many were dropped (`"tenants_elided"`).
+const MAX_TENANT_ROWS: usize = 32;
 
-    let detail = parallel.as_ref().or(serial.as_ref()).expect("one pass ran");
-    let mut json = String::new();
-    let _ = write!(json, "{{\"scenarios\":{}", detail.results.len());
+fn int(n: u64) -> Json {
+    Json::Int(i128::from(n))
+}
+
+fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
+}
+
+/// One scenario entry of a sweep section (schema: `docs/BENCH_FORMAT.md`).
+/// Every member is a function of the scenario recipe alone.
+fn scenario_json(r: &ScenarioResult) -> Json {
+    let mut e = Json::obj();
+    e.set("label", text(&r.label));
+    e.set("workload", text(&r.workload));
+    e.set("policy", text(&r.policy));
+    e.set("tier", text(&r.tier));
+    e.set("seed", int(r.seed));
+    e.set("ops", int(r.report.ops));
+    e.set("sim_ns", int(r.report.sim_ns));
+    e.set("p50_ns", int(r.report.latency.p50_ns));
+    e.set("mean_ns", Json::Num(r.report.latency.mean_ns));
+    e.set("throughput_mops", Json::Num(r.report.throughput_mops()));
+    e.set("fast_hit_frac", Json::Num(r.report.fast_hit_frac));
+    e.set("promotions", int(r.report.migrations.promotions));
+    e.set("demotions", int(r.report.migrations.demotions));
+    e.set("samples", int(r.report.samples));
+    e.set("metadata_bytes", int(r.report.metadata_bytes as u64));
+    e.set(
+        "fingerprint",
+        Json::Str(format!("{:016x}", r.fingerprint())),
+    );
+    if let Some(multi) = &r.multi {
+        e.set("fairness", Json::Num(multi.fairness_index()));
+        e.set("rebalances", int(multi.rebalances.len() as u64));
+        e.set("churn_events", int(multi.churn.len() as u64));
+        e.set("fast_budget_pages", int(multi.fast_budget_pages));
+        let rows = multi.tenants.iter().take(MAX_TENANT_ROWS).map(|t| {
+            let mut row = Json::obj();
+            row.set("name", text(&t.name));
+            row.set("ops", int(t.report.ops));
+            row.set("sim_ns", int(t.report.sim_ns));
+            row.set("fast_hit_frac", Json::Num(t.report.fast_hit_frac));
+            row.set("initial_quota", int(t.initial_quota_pages));
+            row.set("final_quota", int(t.final_quota_pages));
+            row.set("promotions", int(t.report.migrations.promotions));
+            row.set("demotions", int(t.report.migrations.demotions));
+            row
+        });
+        e.set("tenants", Json::Arr(rows.collect()));
+        if multi.tenants.len() > MAX_TENANT_ROWS {
+            let elided = multi.tenants.len() - MAX_TENANT_ROWS;
+            e.set("tenants_elided", int(elided as u64));
+        }
+    }
+    e
+}
+
+/// One sweep section (the `"single"` / `"colocation"` / … objects of a
+/// BENCH document) over `sweep`'s results. `identical` is the outcome of
+/// the parallel ≡ serial check when both passes ran. With `shard` set, the
+/// section records the shard identity and the full-matrix scenario count
+/// (`"matrix_scenarios"`) the shard was cut from — [`merge_docs`] needs
+/// them to validate and reassemble.
+pub fn sweep_section_json(
+    sweep: &SweepReport,
+    identical: Option<bool>,
+    shard: Option<(ShardSpec, usize)>,
+) -> Json {
+    let mut section = Json::obj();
+    section.set("scenarios", int(sweep.results.len() as u64));
     if let Some((spec, matrix_len)) = shard {
-        let _ = write!(
-            json,
-            ",\"shard_index\":{},\"shard_total\":{},\"matrix_scenarios\":{}",
-            spec.index(),
-            spec.total(),
-            matrix_len
-        );
-    }
-    if let Some(s) = serial {
-        let _ = write!(json, ",\"serial_s\":{:.6}", s.wall.as_secs_f64());
-    }
-    if let Some(p) = parallel {
-        let _ = write!(
-            json,
-            ",\"parallel_s\":{:.6},\"threads\":{}",
-            p.wall.as_secs_f64(),
-            p.threads
-        );
-    }
-    if let Some(x) = speedup {
-        let _ = write!(json, ",\"speedup\":{x:.4}");
+        section.set("shard_index", int(spec.index() as u64));
+        section.set("shard_total", int(spec.total() as u64));
+        section.set("matrix_scenarios", int(matrix_len as u64));
     }
     if let Some(same) = identical {
-        let _ = write!(json, ",\"parallel_identical_to_serial\":{same}");
+        section.set("parallel_identical_to_serial", Json::Bool(same));
     }
-    json.push_str(",\"sweep\":");
-    json.push_str(&detail.to_json());
-    json.push('}');
-    json
+    let entries = sweep.results.iter().map(scenario_json).collect();
+    section.set("sweep", sweep_json(entries));
+    section
+}
+
+/// The `"sweep"` member of a section: the scenario entries, wrapped.
+fn sweep_json(entries: Vec<Json>) -> Json {
+    let mut sweep = Json::obj();
+    sweep.set("scenarios", Json::Arr(entries));
+    sweep
 }
 
 /// Why [`merge_docs`] rejected a set of shard documents.
@@ -206,6 +250,23 @@ impl fmt::Display for MergeJsonError {
 
 impl std::error::Error for MergeJsonError {}
 
+/// The `{"index": i, "total": N}` identity of a shard document, when it
+/// has a well-formed one.
+fn shard_identity(doc: &Json) -> Option<(usize, usize)> {
+    let shard = doc.get("shard")?;
+    let (index, total) = (usize_field(shard, "index")?, usize_field(shard, "total")?);
+    (index < total).then_some((index, total))
+}
+
+/// The scenario entries of a sweep section (none when malformed).
+fn entries(section: &Json) -> &[Json] {
+    section
+        .get("sweep")
+        .and_then(|sw| sw.get("scenarios"))
+        .and_then(Json::as_array)
+        .unwrap_or(&[])
+}
+
 /// Exact non-negative integer member: `1.5` and `-1` are *not* shard
 /// indices (a float-coerced `-1` would otherwise saturate into slot 0 and
 /// mis-bin the shard).
@@ -227,13 +288,7 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     let mut total: Option<usize> = None;
     let mut by_index: Vec<Option<&Json>> = Vec::new();
     for (i, doc) in docs.iter().enumerate() {
-        let shard = doc
-            .get("shard")
-            .ok_or(MergeJsonError::NotSharded { doc: i })?;
-        let (index, t) = match (usize_field(shard, "index"), usize_field(shard, "total")) {
-            (Some(ix), Some(t)) if t > 0 && ix < t => (ix, t),
-            _ => return Err(MergeJsonError::NotSharded { doc: i }),
-        };
+        let (index, t) = shard_identity(doc).ok_or(MergeJsonError::NotSharded { doc: i })?;
         let expected = *total.get_or_insert(t);
         if t != expected {
             return Err(MergeJsonError::MismatchedTotal { expected, found: t });
@@ -264,8 +319,7 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     // `"compare"` is exempt on both sides: older builds wrote per-host
     // perf deltas there (wall-clock ratios against some baseline file),
     // which legitimately differ host to host and cannot be meaningfully
-    // merged — it is dropped, like the other host-timing fields are
-    // recomputed.
+    // merged — it is dropped.
     for doc in &ordered[1..] {
         if let Json::Obj(other_members) = doc {
             for (key, _) in other_members {
@@ -301,7 +355,6 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
             });
         }
     }
-    out.set("merged_from", Json::Int(total as i128));
     Ok(out)
 }
 
@@ -331,11 +384,7 @@ pub fn merge_texts<S: AsRef<str>>(texts: &[S]) -> Result<Json, MergeJsonError> {
 /// final merge.
 pub fn validate_shard_text(spec: ShardSpec, text: &str) -> Result<(), String> {
     let doc = crate::json::parse(text).map_err(|e| format!("unparseable shard json: {e}"))?;
-    let shard = doc.get("shard").ok_or("document has no shard identity")?;
-    let (index, total) = match (usize_field(shard, "index"), usize_field(shard, "total")) {
-        (Some(ix), Some(t)) if t > 0 && ix < t => (ix, t),
-        _ => return Err("document has no shard identity".to_string()),
-    };
+    let (index, total) = shard_identity(&doc).ok_or("document has no shard identity")?;
     if index != spec.index() || total != spec.total() {
         return Err(format!(
             "shard identity {index}/{total} does not match the assigned shard {spec}"
@@ -345,11 +394,7 @@ pub fn validate_shard_text(spec: ShardSpec, text: &str) -> Result<(), String> {
         let Some(s) = doc.get(section) else { continue };
         let matrix_len = usize_field(s, "matrix_scenarios")
             .ok_or_else(|| format!("section '{section}' lacks matrix_scenarios"))?;
-        let entries = s
-            .get("sweep")
-            .and_then(|sw| sw.get("scenarios"))
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
+        let entries = entries(s).len();
         let expected = spec.count_of(matrix_len);
         if entries != expected {
             return Err(format!(
@@ -385,11 +430,7 @@ fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, Me
     // Per-shard scenario entries, validated against the slice sizes.
     let mut slices: Vec<std::slice::Iter<'_, Json>> = Vec::with_capacity(total);
     for (index, s) in sections.iter().enumerate() {
-        let entries = s
-            .get("sweep")
-            .and_then(|sw| sw.get("scenarios"))
-            .and_then(Json::as_array)
-            .unwrap_or(&[]);
+        let entries = entries(s);
         // The ownership formula lives in one place: ShardSpec.
         let expected = ShardSpec::new(index, total)
             .expect("index ranges over 0..total")
@@ -422,20 +463,6 @@ fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, Me
         merged_entries.push(entry.clone());
     }
 
-    // Timing summary: max wall across hosts, summed workers.
-    let fold = |key: &str, f: fn(f64, f64) -> f64| -> Option<f64> {
-        sections
-            .iter()
-            .map(|s| s.num(key))
-            .reduce(|a, b| match (a, b) {
-                (Some(a), Some(b)) => Some(f(a, b)),
-                _ => None,
-            })
-            .flatten()
-    };
-    let serial_s = fold("serial_s", f64::max);
-    let parallel_s = fold("parallel_s", f64::max);
-    let threads = fold("threads", |a, b| a + b);
     let identical = sections
         .iter()
         .map(|s| s.get("parallel_identical_to_serial"))
@@ -444,192 +471,77 @@ fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, Me
             _ => None,
         });
 
+    // Same members, same order as `sweep_section_json` without a shard:
+    // anything else a shard section carried (older builds' host timing) is
+    // not carried over.
     let mut out = Json::obj();
-    out.set("scenarios", Json::Int(matrix_len as i128));
-    if let Some(s) = serial_s {
-        out.set("serial_s", Json::Num(s));
-    }
-    if let Some(p) = parallel_s {
-        out.set("parallel_s", Json::Num(p));
-        if let Some(t) = threads {
-            out.set("threads", Json::Int(t as i128));
-        }
-    }
-    if let (Some(s), Some(p)) = (serial_s, parallel_s) {
-        if p > 0.0 {
-            out.set("speedup", Json::Num(s / p));
-        }
-    }
+    out.set("scenarios", int(matrix_len as u64));
     if let Some(same) = identical {
         out.set("parallel_identical_to_serial", Json::Bool(same));
     }
-    let sweep_wall = sections
-        .iter()
-        .filter_map(|s| s.get("sweep").and_then(|sw| sw.num("wall_s")))
-        .fold(0.0, f64::max);
-    let sweep_threads: f64 = sections
-        .iter()
-        .filter_map(|s| s.get("sweep").and_then(|sw| sw.num("threads")))
-        .sum();
-    let mut sweep = Json::obj();
-    sweep.set("threads", Json::Int(sweep_threads as i128));
-    sweep.set("wall_s", Json::Num(sweep_wall));
-    sweep.set("scenarios", Json::Arr(merged_entries));
-    out.set("sweep", sweep);
+    out.set("sweep", sweep_json(merged_entries));
     Ok(out)
 }
-
-/// Deep value equality that skips object members named in `ignored` — the
-/// "identical up to host timing" relation between a merged document and an
-/// unsharded run (pass [`HOST_TIMING_KEYS`]). Arrays must match in length
-/// and order.
-pub fn equal_ignoring(a: &Json, b: &Json, ignored: &[&str]) -> bool {
-    match (a, b) {
-        (Json::Obj(ma), Json::Obj(mb)) => {
-            let keys = |m: &[(String, Json)]| -> Vec<String> {
-                m.iter()
-                    .map(|(k, _)| k.clone())
-                    .filter(|k| !ignored.contains(&k.as_str()))
-                    .collect()
-            };
-            let (ka, kb) = (keys(ma), keys(mb));
-            // Same member set (order-insensitive: the merge may append).
-            let mut sa = ka.clone();
-            let mut sb = kb.clone();
-            sa.sort();
-            sb.sort();
-            sa == sb
-                && ka.iter().all(|k| match (a.get(k), b.get(k)) {
-                    (Some(va), Some(vb)) => equal_ignoring(va, vb, ignored),
-                    _ => false,
-                })
-        }
-        (Json::Arr(va), Json::Arr(vb)) => {
-            va.len() == vb.len()
-                && va
-                    .iter()
-                    .zip(vb)
-                    .all(|(x, y)| equal_ignoring(x, y, ignored))
-        }
-        // Numbers compare across `Int`/`Num` variants: exactly when both
-        // are integer-syntax, as `f64` when the merge constructed one side.
-        (Json::Int(_) | Json::Num(_), Json::Int(_) | Json::Num(_)) => {
-            match (a.as_i128(), b.as_i128()) {
-                (Some(x), Some(y)) => x == y,
-                _ => a.as_f64() == b.as_f64(),
-            }
-        }
-        _ => a == b,
-    }
-}
-
-/// The fields that legitimately differ between a sharded-and-merged run
-/// and an unsharded one: host timing and merge provenance. Everything else
-/// in a BENCH document is deterministic.
-pub const HOST_TIMING_KEYS: &[&str] = &[
-    "wall_s",
-    "serial_s",
-    "parallel_s",
-    "threads",
-    "speedup",
-    "merged_from",
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
-    use tiering_policies::PolicyKind;
-    use tiering_runner::{ScenarioMatrix, ShardedSweep, SweepRunner};
+    use tiering_policies::{ObjectiveKind, PolicyKind};
+    use tiering_runner::{FleetMatrix, Scenario, ScenarioMatrix, ShardedSweep, SweepRunner};
     use tiering_sim::SimConfig;
     use tiering_workloads::WorkloadId;
 
-    fn matrix() -> Vec<tiering_runner::Scenario> {
+    fn matrix() -> Vec<Scenario> {
         ScenarioMatrix::new(SimConfig::default().with_max_ops(1_000), 0xBE7C)
             .workloads([WorkloadId::CdnCacheLib, WorkloadId::Silo])
             .policies([PolicyKind::HybridTier, PolicyKind::FirstTouch])
             .build()
     }
 
-    /// A BENCH document as `bench --shard i/N` would write it (serial-only,
-    /// `"single"` section).
-    fn shard_doc(spec: ShardSpec) -> Json {
-        let matrix_len = matrix().len();
-        let report = ShardedSweep::new(spec, SweepRunner::serial()).run(matrix());
-        let section = sweep_section_json(
-            &Some(report.sweep),
-            &None,
-            None,
-            None,
-            Some((spec, matrix_len)),
-        );
-        parse(&format!(
-            "{{\"bench\":\"policy_comparison_sweep\",\"ops_per_scenario\":1000,\
-             \"shard\":{{\"index\":{},\"total\":{}}},\"single\":{section}}}",
-            spec.index(),
-            spec.total()
-        ))
-        .unwrap()
-    }
-
-    /// The matching unsharded document.
-    fn unsharded_doc() -> Json {
-        let sweep = SweepRunner::serial().run(matrix());
-        let section = sweep_section_json(&Some(sweep), &None, None, None, None);
-        parse(&format!(
-            "{{\"bench\":\"policy_comparison_sweep\",\"ops_per_scenario\":1000,\
-             \"single\":{section}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn merged_shards_equal_unsharded_up_to_host_timing() {
-        let docs: Vec<Json> = ShardSpec::all(3).map(shard_doc).collect();
-        let merged = merge_docs(&docs).expect("complete union merges");
-        let unsharded = unsharded_doc();
-        assert!(
-            equal_ignoring(&merged, &unsharded, HOST_TIMING_KEYS),
-            "merged != unsharded:\n{}\n{}",
-            merged.render(),
-            unsharded.render()
-        );
-        // The deterministic per-scenario fields really are byte-equal:
-        // labels, seeds, fingerprints in canonical order.
-        let entries = |d: &Json| -> Vec<(String, i128, String)> {
-            d.get("single")
-                .unwrap()
-                .get("sweep")
-                .unwrap()
-                .get("scenarios")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|s| {
-                    (
-                        s.str("label").unwrap().to_string(),
-                        s.get("seed").unwrap().as_i128().expect("exact seed"),
-                        s.str("fingerprint").unwrap().to_string(),
-                    )
-                })
-                .collect()
+    /// A BENCH document as `bench --serial-only` would write it (`"single"`
+    /// section only), sharded or not.
+    fn doc(shard: Option<ShardSpec>) -> Json {
+        let mut doc = Json::obj();
+        doc.set("bench", text("policy_comparison_sweep"));
+        doc.set("ops_per_scenario", int(1_000));
+        let sweep = match shard {
+            Some(spec) => {
+                let mut identity = Json::obj();
+                identity.set("index", int(spec.index() as u64));
+                identity.set("total", int(spec.total() as u64));
+                doc.set("shard", identity);
+                ShardedSweep::new(spec, SweepRunner::serial())
+                    .run(matrix())
+                    .sweep
+            }
+            None => SweepRunner::serial().run(matrix()),
         };
-        assert_eq!(entries(&merged), entries(&unsharded));
+        let cut = shard.map(|spec| (spec, matrix().len()));
+        doc.set("single", sweep_section_json(&sweep, None, cut));
+        doc
     }
 
+    /// Any complete shard set, in any order, merges to the unsharded
+    /// document itself — as a value and byte for byte. Five shards over
+    /// the four-scenario matrix leave one shard empty.
     #[test]
     fn merge_is_order_invariant() {
-        let mut docs: Vec<Json> = ShardSpec::all(3).map(shard_doc).collect();
-        let forward = merge_docs(&docs).unwrap();
-        docs.reverse();
-        let backward = merge_docs(&docs).unwrap();
-        assert_eq!(forward.render(), backward.render());
+        let unsharded = doc(None);
+        for total in [1, 2, 3, 5] {
+            let mut docs: Vec<Json> = ShardSpec::all(total).map(|s| doc(Some(s))).collect();
+            for _ in 0..total {
+                docs.rotate_left(1);
+                docs.reverse();
+                let merged = merge_docs(&docs).expect("complete union merges");
+                assert_eq!(merged, unsharded, "{total} shards");
+                assert_eq!(merged.render(), unsharded.render(), "{total} shards");
+            }
+        }
     }
 
     #[test]
     fn merge_rejects_bad_unions() {
-        let docs: Vec<Json> = ShardSpec::all(3).map(shard_doc).collect();
+        let docs: Vec<Json> = ShardSpec::all(3).map(|s| doc(Some(s))).collect();
         assert_eq!(merge_docs(&[]), Err(MergeJsonError::Empty));
         assert_eq!(
             merge_docs(&[docs[0].clone(), docs[2].clone()]),
@@ -639,7 +551,7 @@ mod tests {
             merge_docs(&[docs[0].clone(), docs[1].clone(), docs[1].clone()]),
             Err(MergeJsonError::DuplicateShard { index: 1 })
         );
-        let two_way = shard_doc(ShardSpec::new(0, 2).unwrap());
+        let two_way = doc(Some(ShardSpec::new(0, 2).unwrap()));
         assert_eq!(
             merge_docs(&[docs[0].clone(), two_way]),
             Err(MergeJsonError::MismatchedTotal {
@@ -647,9 +559,8 @@ mod tests {
                 found: 2
             })
         );
-        let unsharded = unsharded_doc();
         assert_eq!(
-            merge_docs(&[unsharded]),
+            merge_docs(&[doc(None)]),
             Err(MergeJsonError::NotSharded { doc: 0 })
         );
         // Protocol mismatch.
@@ -672,10 +583,99 @@ mod tests {
         );
     }
 
+    /// The runner's small head-count run of the large-fleet recipe: 48
+    /// initial tenants plus the churn arrival's fresh slot.
+    fn synthetic_fleet() -> SweepReport {
+        let scenarios = FleetMatrix::new(SimConfig::default().with_max_ops(5_000), 99)
+            .objectives([ObjectiveKind::MaxMin])
+            .tenant_counts([48])
+            .build();
+        SweepRunner::serial().run(scenarios)
+    }
+
     #[test]
-    fn solo_shard_merges_to_itself() {
-        let doc = shard_doc(ShardSpec::solo());
-        let merged = merge_docs(&[doc]).unwrap();
-        assert!(equal_ignoring(&merged, &unsharded_doc(), HOST_TIMING_KEYS));
+    fn fleet_entries_carry_churn_and_elide_long_tenant_lists() {
+        let sweep = synthetic_fleet();
+        let section = sweep_section_json(&sweep, None, None);
+        let entry = &entries(&section)[0];
+        assert_eq!(entry.str("label"), Some("synth48/max-min/fleet"));
+        assert_eq!(entry.get("churn_events"), Some(&Json::Int(2)));
+        assert!(entry.num("fairness").is_some());
+        assert!(entry.num("rebalances").unwrap() > 0.0);
+        let rows = entry.get("tenants").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 32);
+        let multi = sweep.results[0].multi.as_ref().expect("fleet scenario");
+        assert_eq!(rows[0].str("name"), Some(multi.tenants[0].name.as_str()));
+        assert_eq!(entry.get("tenants_elided"), Some(&Json::Int(17)));
+    }
+
+    /// `docs/BENCH_FORMAT.md` is checked against the encoder: a member
+    /// added here without a line there fails.
+    #[test]
+    fn every_emitted_key_is_documented() {
+        fn keys(v: &Json, out: &mut std::collections::BTreeSet<String>) {
+            match v {
+                Json::Obj(members) => {
+                    for (k, v) in members {
+                        out.insert(k.clone());
+                        keys(v, out);
+                    }
+                }
+                Json::Arr(items) => items.iter().for_each(|v| keys(v, out)),
+                _ => {}
+            }
+        }
+        // A sharded single-tenant section and a fleet section long enough
+        // to elide tenant rows: between them, every member there is.
+        let spec = ShardSpec::new(0, 2).unwrap();
+        let single = ShardedSweep::new(spec, SweepRunner::serial()).run(matrix());
+        let mut emitted = std::collections::BTreeSet::new();
+        keys(
+            &sweep_section_json(&single.sweep, Some(true), Some((spec, 4))),
+            &mut emitted,
+        );
+        keys(
+            &sweep_section_json(&synthetic_fleet(), None, None),
+            &mut emitted,
+        );
+        assert!(emitted.contains("matrix_scenarios") && emitted.contains("tenants_elided"));
+        let doc = include_str!("../../../docs/BENCH_FORMAT.md");
+        for key in emitted {
+            assert!(doc.contains(&format!("\"{key}\"")), "{key} is undocumented");
+        }
+    }
+
+    /// The trace crate's corruption-matrix technique on the text plane:
+    /// every prefix and every flipped byte of a real shard document goes to
+    /// all three entry points that take outside text. Returning at all is
+    /// the assertion — `Ok` is legitimate (a flipped digit is still a
+    /// document), a typed error is the rest, a panic is the bug.
+    #[test]
+    fn every_prefix_and_flipped_byte_of_a_shard_document_is_handled() {
+        let [zero, one] = [0, 1].map(|i| ShardSpec::new(i, 2).unwrap());
+        let (good, other) = (doc(Some(zero)).render(), doc(Some(one)).render());
+        assert_eq!(validate_shard_text(zero, &good), Ok(()));
+        let survives = |damaged: &str| {
+            let _ = crate::json::parse(damaged);
+            let _ = merge_texts(&[damaged, other.as_str()]);
+            let _ = merge_texts(&[other.as_str(), damaged]);
+            let _ = validate_shard_text(zero, damaged);
+        };
+        // The document is ASCII, so every byte offset is a char boundary.
+        for cut in 0..good.len() {
+            assert!(crate::json::parse(&good[..cut]).is_err(), "prefix {cut}");
+            survives(&good[..cut]);
+        }
+        // Low bit: characters turn into their neighbours (`"`→`#`, `,`→`-`,
+        // `:`→`;`, digits ±1). Bit 5 flips case and turns structure into
+        // control bytes. The top bit leaves ASCII, so a lossy reader hands
+        // us U+FFFD in its place.
+        for at in 0..good.len() {
+            for mask in [0x01u8, 0x20, 0x80] {
+                let mut bytes = good.clone().into_bytes();
+                bytes[at] ^= mask;
+                survives(&String::from_utf8_lossy(&bytes));
+            }
+        }
     }
 }

@@ -1,14 +1,15 @@
-//! The `bench` binary's flag contract, checked on the built binary: what
-//! `--help` promises, that the retired perf-gate flags are rejected like
-//! any other unknown flag (before anything runs or is written), and that
-//! the shard/merge exclusion still holds.
+//! The `bench` binary's contract, checked on the built binary: what
+//! `--help` promises, that retired flags are rejected like any other
+//! unknown flag (before anything runs or is written), that the shard/merge
+//! exclusion still holds, and that equal flags write equal bytes.
 
 use std::process::{Command, Output};
 
+use hybridtier_bench::json::{parse, Json};
+
 /// Every flag `parse_args` accepts besides `--help` itself.
 const FLAGS: &str = "--json --ops --sim-ms --threads --serial-only --parallel-only --no-tiers \
-                     --no-colocation --no-fleet --no-trace --no-controller --shard \
-                     --exec-workers --merge";
+                     --no-colocation --no-fleet --no-trace --shard --exec-workers --merge";
 
 fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench"))
@@ -28,12 +29,19 @@ fn help_exits_zero_and_names_every_flag() {
 }
 
 #[test]
-fn retired_perf_gate_flags_are_unknown_and_write_nothing() {
+fn retired_flags_are_unknown_and_write_nothing() {
     let json = std::env::temp_dir().join(format!("bench_cli_{}.json", std::process::id()));
     let json = json.to_str().expect("utf-8 temp path");
-    for (name, value) in [("compare", "x"), ("regress", "0.1")] {
+    // Built with `format!` so a grep for the retired flags finds no caller.
+    for (name, value) in [
+        ("compare", Some("x")),
+        ("regress", Some("0.1")),
+        ("no-controller", None),
+    ] {
         let flag = format!("--{name}");
-        let out = bench(&["--json", json, &flag, value]);
+        let mut args = vec!["--json", json, flag.as_str()];
+        args.extend(value);
+        let out = bench(&args);
         assert!(!out.status.success(), "{flag} accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -52,5 +60,54 @@ fn shard_and_merge_stay_mutually_exclusive() {
     assert!(
         stderr.contains("--merge only reads shard jsons"),
         "{stderr}"
+    );
+}
+
+#[test]
+fn equal_flags_write_byte_identical_documents() {
+    let tmp = std::env::temp_dir();
+    let paths =
+        ["a", "b"].map(|run| tmp.join(format!("bench_cli_{run}_{}.json", std::process::id())));
+    // Different worker counts: scheduling must not leak into the document.
+    for (path, threads) in paths.iter().zip(["1", "3"]) {
+        let path = path.to_str().expect("utf-8 temp path");
+        let out = bench(&[
+            "--ops",
+            "2000",
+            "--sim-ms",
+            "2",
+            "--threads",
+            threads,
+            "--json",
+            path,
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let [a, b] = paths.map(|path| {
+        let bytes = std::fs::read(&path).expect("bench wrote its document");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    });
+    assert!(a == b, "two runs of the same flags differ");
+    // The top-level members are the documented ones.
+    let doc = parse(std::str::from_utf8(&a).expect("utf-8 json"));
+    let Json::Obj(members) = doc.expect("bench wrote json") else {
+        panic!("a BENCH document is one object");
+    };
+    let format = include_str!("../../../docs/BENCH_FORMAT.md");
+    for (key, _) in &members {
+        assert!(
+            format.contains(&format!("\"{key}\"")),
+            "{key} is undocumented"
+        );
+    }
+    assert_eq!(
+        members.len(),
+        7,
+        "bench, ops_per_scenario and five sections"
     );
 }

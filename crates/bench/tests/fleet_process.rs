@@ -1,16 +1,15 @@
 //! End-to-end multi-process sweep: `ProcessWorker`s spawn the real `bench`
 //! binary (`--shard i/N --json …`), the coordinator fans shards out with a
 //! fault injected, and the collected shard texts reassemble through
-//! [`merge_texts`] into a document equal (up to host timing) to an
-//! unsharded `bench` run — the full distributed pipeline, subprocesses
-//! included.
+//! [`merge_texts`] into a document byte-identical to an unsharded `bench`
+//! run — the full distributed pipeline, subprocesses included.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use fleet_exec::{FaultKind, FaultPlan, FleetConfig, FleetCoordinator, ProcessWorker};
 use hybridtier_bench::json::{parse, Json};
-use hybridtier_bench::merge::{equal_ignoring, merge_texts, validate_shard_text, HOST_TIMING_KEYS};
+use hybridtier_bench::merge::{merge_texts, validate_shard_text};
 
 const OPS: &str = "1500";
 
@@ -37,10 +36,8 @@ fn bench_worker(dir: &Path) -> ProcessWorker {
         .out_dir(dir)
 }
 
-/// One unsharded `bench` run with the same protocol flags. Sharded runs
-/// skip the controller scaling probe (it is not shardable), so the
-/// unsharded reference must skip it too for the documents to agree.
-fn unsharded_doc(dir: &Path) -> Json {
+/// The file one unsharded `bench` run with the same protocol flags writes.
+fn unsharded_text(dir: &Path) -> String {
     let out = dir.join("unsharded.json");
     let status = Command::new(env!("CARGO_BIN_EXE_bench"))
         .args([
@@ -49,7 +46,6 @@ fn unsharded_doc(dir: &Path) -> Json {
             "--serial-only",
             "--no-colocation",
             "--no-fleet",
-            "--no-controller",
         ])
         .arg("--json")
         .arg(&out)
@@ -57,8 +53,7 @@ fn unsharded_doc(dir: &Path) -> Json {
         .status()
         .expect("spawn unsharded bench");
     assert!(status.success(), "unsharded bench run failed");
-    let text = std::fs::read_to_string(&out).expect("read unsharded json");
-    parse(&text).expect("unsharded json parses")
+    std::fs::read_to_string(&out).expect("read unsharded json")
 }
 
 #[test]
@@ -80,12 +75,10 @@ fn subprocess_shards_with_a_fault_merge_equal_to_unsharded() {
     assert_eq!(run.artifacts.len(), 3);
 
     let merged = merge_texts(&run.artifacts).expect("shard texts merge");
-    let unsharded = unsharded_doc(&dir);
-    assert!(
-        equal_ignoring(&merged, &unsharded, HOST_TIMING_KEYS),
-        "merged subprocess shards != unsharded run:\n{}\n{}",
-        merged.render(),
-        unsharded.render()
+    assert_eq!(
+        format!("{}\n", merged.render()),
+        unsharded_text(&dir),
+        "merged subprocess shards != unsharded run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -95,15 +88,7 @@ fn exec_workers_flag_writes_a_fleet_exec_section() {
     let dir = scratch("flag");
     let out = dir.join("exec.json");
     let status = Command::new(env!("CARGO_BIN_EXE_bench"))
-        .args([
-            "--ops",
-            "1000",
-            "--sim-ms",
-            "2",
-            "--exec-workers",
-            "2",
-            "--no-controller",
-        ])
+        .args(["--ops", "1000", "--sim-ms", "2", "--exec-workers", "2"])
         .arg("--json")
         .arg(&out)
         .stdout(std::process::Stdio::null())

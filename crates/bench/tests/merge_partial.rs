@@ -1,17 +1,19 @@
 //! Regression tests for `bench --merge` on minimal and partially-written
 //! shard documents — the shapes the fleet executor's fault injectors
-//! actually produce (truncated files, corrupted prefixes, hosts that only
-//! ran some passes) plus hand-degraded documents. The merge must reject
-//! these with a typed [`MergeJsonError`] or merge them losslessly; it must
-//! never panic, and a host-specific `"compare"` section must never abort
-//! an otherwise valid union.
+//! actually produce (truncated files, corrupted prefixes) plus
+//! hand-degraded documents and the shape older builds wrote (host-timing
+//! members, a `"compare"` section). The merge must reject these with a
+//! typed [`MergeJsonError`] or merge them losslessly; it must never panic,
+//! and what an older writer added must never abort an otherwise valid
+//! union.
 
 use hybridtier_bench::json::{parse, Json};
 use hybridtier_bench::merge::{merge_docs, merge_texts, validate_shard_text, MergeJsonError};
 use tiering_runner::ShardSpec;
 
 /// A well-formed 2-way shard document over a 3-scenario matrix: shard 0
-/// owns indices {0, 2}, shard 1 owns {1}.
+/// owns indices {0, 2}, shard 1 owns {1}. The timing members are the
+/// old-writer case: today's encoder writes none of them.
 fn shard_text(index: usize) -> String {
     let entries = match index {
         0 => {
@@ -38,7 +40,7 @@ fn host_specific_compare_sections_are_dropped_not_fatal() {
     // Shard 0 carries a compare section (host-timing deltas against some
     // baseline), shard 1 carries a *different* one — and a third variant
     // carries none at all. None of these may abort the merge: compare
-    // data is per-host and is dropped, like wall-clock is recomputed.
+    // data is per-host and is dropped.
     let mut with_compare = shard_doc(0);
     with_compare.set(
         "compare",
@@ -75,31 +77,16 @@ fn minimal_documents_without_sections_still_merge() {
     ];
     let merged = merge_docs(&docs).expect("sectionless shards merge");
     assert_eq!(merged.str("bench"), Some("x"));
-    assert_eq!(merged.get("merged_from").and_then(Json::as_i128), Some(2));
+    assert_eq!(merged, parse(r#"{"bench":"x"}"#).unwrap());
 }
 
 #[test]
-fn partial_host_timing_is_omitted_not_invented() {
-    // Shard 1 never wrote serial_s (e.g. it ran --parallel-only): the
-    // merged section must omit the aggregate rather than fabricate one
-    // from half the hosts — and must not panic on the absent key.
-    let full = shard_doc(0);
-    let mut partial = shard_doc(1);
-    {
-        let section = parse(
-            r#"{"scenarios":1,"shard_index":1,"shard_total":2,"matrix_scenarios":3,
-             "sweep":{"threads":1,"wall_s":0.5,
-             "scenarios":[{"label":"b","seed":2,"fingerprint":"fb"}]}}"#,
-        )
-        .unwrap();
-        partial.set("single", section);
-    }
-    let merged = merge_docs(&[full, partial]).expect("partial host timing merges");
-    let single = merged.get("single").expect("single section");
-    assert!(single.num("serial_s").is_none(), "no invented aggregate");
-    assert!(single.num("speedup").is_none());
-    // The deterministic payload is intact regardless.
-    assert_eq!(single.num("scenarios"), Some(3.0));
+fn old_writer_timing_members_merge_and_are_not_carried_over() {
+    let merged = merge_texts(&[shard_text(1), shard_text(0)]).expect("old shard files merge");
+    assert_eq!(
+        merged.render(),
+        r#"{"bench":"policy_comparison_sweep","ops_per_scenario":5,"single":{"scenarios":3,"sweep":{"scenarios":[{"label":"a","seed":1,"fingerprint":"fa"},{"label":"b","seed":2,"fingerprint":"fb"},{"label":"c","seed":3,"fingerprint":"fc"}]}}}"#
+    );
 }
 
 #[test]

@@ -206,9 +206,12 @@ fn sparse_rebalances_do_sublinear_work() {
     }
 }
 
-/// Work scales with the number of *changes*, not the fleet: the per-round
-/// ops at 10⁴ tenants stay within a small factor of the per-round ops at
-/// 10³ tenants for the same k (O(k log n) ⇒ ratio ≈ log ratio ≈ 4/3).
+/// Work scales with the number of *changes*, not the fleet: for the same
+/// k, each 10× in tenants adds a roughly constant number of ops per round
+/// (O(k log n)) instead of multiplying them. The counts are exact on any
+/// host, so they are pinned: a planner change that moves them must say so.
+/// (The ledger's `policies.controller_ops_per_rebalance` is the same meter
+/// at 5 000 tenants, k = 16, averaged over the objectives.)
 #[test]
 fn work_tracks_dirty_count_not_fleet_size() {
     let per_round = |n: usize| {
@@ -226,17 +229,17 @@ fn work_tracks_dirty_count_not_fleet_size() {
         }
         (inc.apportion_ops() - settled) / rounds
     };
-    let small = per_round(1_000);
-    let large = per_round(10_000);
+    let ops = [1_000, 10_000, 100_000].map(per_round);
+    assert_eq!(ops, [295, 360, 414], "ops/round at 10³ / 10⁴ / 10⁵ tenants");
     assert!(
-        large < small * 4,
-        "10× the tenants must not cost ~10× the work: {small} → {large} ops/round"
+        ops[2] < ops[0] * 4,
+        "100× the tenants must not cost ~100× the work: {ops:?} ops/round"
     );
 }
 
 /// A 10⁵-tenant fleet completes a rebalance-heavy script. Kept to one
-/// objective and few rounds so the debug-profile suite stays fast; the
-/// bench harness covers the timed version.
+/// objective and few rounds so the debug-profile suite stays fast;
+/// `benchmark/`'s controller probe is the timed version.
 #[test]
 fn hundred_thousand_tenants_smoke() {
     let n = 100_000usize;

@@ -16,7 +16,6 @@
 //! are interchangeable and shard reports merge deterministically
 //! ([`SweepReport::merge`], defined in the shard module).
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -423,7 +422,7 @@ impl SweepRunner {
     }
 
     /// A single-threaded runner (the serial reference the determinism tests
-    /// and speedup benchmarks compare against).
+    /// compare against).
     pub fn serial() -> Self {
         Self { threads: 1 }
     }
@@ -524,128 +523,6 @@ impl SweepReport {
                 .zip(&other.results)
                 .all(|(a, b)| a.same_outcome(b))
     }
-
-    /// Serializes the sweep to a JSON object (hand-rolled; the workspace is
-    /// dependency-free). Shape (full schema: `docs/BENCH_FORMAT.md`):
-    ///
-    /// ```json
-    /// {"threads":8,"wall_s":1.25,"scenarios":[
-    ///   {"label":"CDN/1:8/HybridTier","workload":"CDN","policy":"HybridTier",
-    ///    "tier":"1:8","seed":123,"wall_s":0.31,"ops":1200000,"sim_ns":9,
-    ///    "p50_ns":350,"mean_ns":401.2,"throughput_mops":2.9,
-    ///    "fast_hit_frac":0.93,"promotions":100,"demotions":90,
-    ///    "samples":63157,"metadata_bytes":40960,
-    ///    "fingerprint":"91b1d3a407dbf5f2"}]}
-    /// ```
-    ///
-    /// `"fingerprint"` is the [`ScenarioResult::fingerprint`] outcome
-    /// digest (hex); every field except `"wall_s"` is deterministic for a
-    /// given scenario. Co-location scenarios additionally carry
-    /// `"fairness"`, `"rebalances"`, `"churn_events"`, and a `"tenants"`
-    /// array with per-tenant counters and final quotas.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.results.len() * 256);
-        let _ = write!(
-            s,
-            "{{\"threads\":{},\"wall_s\":{:.6},\"scenarios\":[",
-            self.threads,
-            self.wall.as_secs_f64()
-        );
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"label\":{},\"workload\":{},\"policy\":{},\"tier\":{},\"seed\":{},\
-                 \"wall_s\":{:.6},\"ops\":{},\"sim_ns\":{},\"p50_ns\":{},\"mean_ns\":{:.3},\
-                 \"throughput_mops\":{:.6},\"fast_hit_frac\":{:.6},\"promotions\":{},\
-                 \"demotions\":{},\"samples\":{},\"metadata_bytes\":{},\
-                 \"fingerprint\":\"{:016x}\"",
-                json_str(&r.label),
-                json_str(&r.workload),
-                json_str(&r.policy),
-                json_str(&r.tier),
-                r.seed,
-                r.wall.as_secs_f64(),
-                r.report.ops,
-                r.report.sim_ns,
-                r.report.latency.p50_ns,
-                r.report.latency.mean_ns,
-                r.report.throughput_mops(),
-                r.report.fast_hit_frac,
-                r.report.migrations.promotions,
-                r.report.migrations.demotions,
-                r.report.samples,
-                r.report.metadata_bytes,
-                r.fingerprint(),
-            );
-            if let Some(multi) = &r.multi {
-                let _ = write!(
-                    s,
-                    ",\"fairness\":{:.6},\"rebalances\":{},\"churn_events\":{},\
-                     \"fast_budget_pages\":{},\"tenants\":[",
-                    multi.fairness_index(),
-                    multi.rebalances.len(),
-                    multi.churn.len(),
-                    multi.fast_budget_pages,
-                );
-                // Large synthetic fleets would dominate the file with
-                // per-tenant rows nobody reads; keep the head and record
-                // how many rows were dropped.
-                const MAX_TENANT_ROWS: usize = 32;
-                let shown = multi.tenants.len().min(MAX_TENANT_ROWS);
-                for (j, t) in multi.tenants.iter().take(shown).enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"name\":{},\"ops\":{},\"sim_ns\":{},\"fast_hit_frac\":{:.6},\
-                         \"initial_quota\":{},\"final_quota\":{},\"promotions\":{},\
-                         \"demotions\":{}}}",
-                        json_str(&t.name),
-                        t.report.ops,
-                        t.report.sim_ns,
-                        t.report.fast_hit_frac,
-                        t.initial_quota_pages,
-                        t.final_quota_pages,
-                        t.report.migrations.promotions,
-                        t.report.migrations.demotions,
-                    );
-                }
-                s.push(']');
-                if multi.tenants.len() > shown {
-                    let _ = write!(s, ",\"tenants_elided\":{}", multi.tenants.len() - shown);
-                }
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-/// Minimal JSON string quoting (labels contain no exotic characters, but
-/// escape the structural ones defensively).
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -685,17 +562,6 @@ mod tests {
             let other = reversed.find(&r.label).expect("label present");
             assert!(r.same_outcome(other), "{} diverged on reorder", r.label);
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let sweep = SweepRunner::new(2).run(small_matrix());
-        let json = sweep.to_json();
-        assert!(json.starts_with("{\"threads\":"));
-        assert!(json.ends_with("]}"));
-        assert_eq!(json.matches("\"label\":").count(), 4);
-        assert!(json.contains("\"throughput_mops\":"));
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 
     #[test]
@@ -760,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_fleet_runs_and_json_truncates_the_tenant_array() {
+    fn synthetic_fleet_runs_with_compact_events() {
         // Small head-count run of the large-fleet recipe: enough per-lane
         // ops that both churn events fire, small enough for a debug test.
         let scenarios = FleetMatrix::new(SimConfig::default().with_max_ops(5_000), 99)
@@ -781,8 +647,33 @@ mod tests {
         // Incremental mode records compact rebalance events.
         assert!(!multi.rebalances.is_empty());
         assert!(multi.rebalances.iter().all(|e| e.quotas.is_empty()));
-        let json = sweep.to_json();
-        assert_eq!(json.matches("\"name\":").count(), 32);
-        assert!(json.contains("\"tenants_elided\":17"));
+    }
+
+    /// The same recipe at 10⁵ tenants, end to end: engine active-set
+    /// iteration, donor-funded churn and compact events at the scale the
+    /// control plane is built for. Minutes in a debug build, so CI runs it
+    /// once with `--release -- --ignored`.
+    #[test]
+    #[ignore = "release-only scale test: cargo test --release -p tiering_runner -- --ignored"]
+    fn hundred_thousand_tenant_fleet_runs_end_to_end() {
+        let mut config = SimConfig::default()
+            .with_max_ops(100_000)
+            .with_batch_ops(32);
+        // The per-lane metadata-cache model costs ~74 KiB of tag/stamp
+        // arrays per tenant — ~7 GiB at this scale, which would turn the
+        // run into a reclaim test.
+        config.metadata_cache = false;
+        let scenario = Scenario::fleet(
+            "synth100000/scale/fleet",
+            Scenario::synthetic_fleet_spec(100_000),
+            &config,
+            0xA5F0_5EED,
+        );
+        let result = scenario.run();
+        assert!(result.report.ops > 0);
+        let multi = result.multi.as_ref().expect("fleet scenario");
+        assert!(!multi.rebalances.is_empty());
+        assert!(multi.rebalances.iter().all(|e| e.quotas.is_empty()));
+        assert_eq!(multi.churn.len(), 2, "depart + arrive");
     }
 }

@@ -215,8 +215,6 @@ fn mixed_single_and_colocation_sweep_is_deterministic() {
         a.results[3].multi.is_some(),
         "fleet scenario carries detail"
     );
-    let json = a.to_json();
-    assert!(json.contains("\"tenants\":["), "co-location JSON detail");
-    assert!(json.contains("\"fairness\":"));
-    assert!(json.contains("\"churn_events\":2"), "fleet churn in JSON");
+    let fleet = a.results[3].multi.as_ref().expect("checked above");
+    assert_eq!(fleet.churn.len(), 2, "fleet churn applied");
 }
