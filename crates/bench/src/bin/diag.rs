@@ -1,27 +1,57 @@
 //! Diagnostic: trace a policy's placement dynamics through the Figure 4
 //! adaptation scenario (development/tuning tool).
 //!
-//! Usage: `diag [hybridtier|memtis|autonuma|tpp|arc|twoq] [ratio]`
+//! Usage: `diag [hybridtier|memtis|autonuma|tpp|arc|twoq|neomem] [1:16|1:8|1:4]`
+//! (defaults: `hybridtier 1:16`). Anything else is rejected with the usage
+//! line and a non-zero exit before any simulation.
+
+use std::process::ExitCode;
 
 use tiering_mem::{PageId, PageSize, Tier, TierConfig, TierRatio, TieredMemory};
 use tiering_policies::{build_policy, PolicyCtx, PolicyKind};
 use tiering_trace::{Sampler, Workload};
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
 
-fn main() {
-    let kind = match std::env::args().nth(1).as_deref() {
+const USAGE: &str = "usage: diag [hybridtier|memtis|autonuma|tpp|arc|twoq|neomem] [1:16|1:8|1:4]";
+
+fn parse_args(args: &[String]) -> Result<(PolicyKind, TierRatio), String> {
+    let kind = match args.first().map(String::as_str) {
+        None | Some("hybridtier") => PolicyKind::HybridTier,
         Some("memtis") => PolicyKind::Memtis,
         Some("autonuma") => PolicyKind::AutoNuma,
         Some("tpp") => PolicyKind::Tpp,
         Some("arc") => PolicyKind::Arc,
         Some("twoq") => PolicyKind::TwoQ,
-        _ => PolicyKind::HybridTier,
+        Some("neomem") => PolicyKind::NeoMem,
+        Some(other) => return Err(format!("unknown policy '{other}'")),
     };
-    let ratio = match std::env::args().nth(2).as_deref() {
+    let ratio = match args.get(1).map(String::as_str) {
+        None | Some("1:16") => TierRatio::OneTo16,
         Some("1:8") => TierRatio::OneTo8,
         Some("1:4") => TierRatio::OneTo4,
-        _ => TierRatio::OneTo16,
+        Some(other) => return Err(format!("unknown ratio '{other}'")),
     };
+    match args.get(2) {
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+        None => Ok((kind, ratio)),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&args) {
+        Ok((kind, ratio)) => {
+            trace_adaptation(kind, ratio);
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprintln!("diag: {msg}\n{USAGE}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
     let shift_ns = 2_000_000_000;
     let mut workload = CacheLibWorkload::new(
         CacheLibConfig::cdn()
@@ -72,19 +102,16 @@ fn main() {
             }
             op_ns += latency.access_ns(tier);
             if policy.wants_access_hook() {
-                op_ns += policy.on_access(page, now, &mut mem, &mut ctx);
+                op_ns += policy.on_access_batch(&[page], now, &mut mem, &mut ctx);
             }
             if let Some(s) = sampler.observe_full(a, tier, now, PageSize::Base4K) {
-                policy.on_sample(s, &mut mem, &mut ctx);
+                policy.on_sample_batch(&[s], &mut mem, &mut ctx);
             }
         }
         if now >= next_tick {
             policy.on_tick(now, &mut mem, &mut ctx);
             next_tick = now + 1_000_000;
         }
-        let s = mem.stats();
-        let moved = (s.promotions - last.promotions) + (s.demotions - last.demotions);
-        let _ = moved;
         ctx.drain();
         now += op_ns.max(1);
         lat_sum += op_ns;

@@ -8,7 +8,7 @@ use tiering_mem::PageSize;
 use tiering_policies::ema_lag_series;
 use tiering_sim::{RetentionConfig, SimConfig};
 use tiering_trace::{Sampler, Workload};
-use tiering_workloads::{build_workload, CacheLibConfig, CacheLibWorkload, WorkloadId};
+use tiering_workloads::{CacheLibConfig, CacheLibWorkload, WorkloadId};
 
 use crate::output::{f3, print_header, CsvWriter};
 use crate::SEED;
@@ -145,22 +145,4 @@ pub fn fig3b(out: &Path) -> io::Result<()> {
     let path = csv.finish()?;
     println!("wrote {}", path.display());
     Ok(())
-}
-
-/// Smoke helper used by integration tests: fig2's probe on a tiny budget.
-pub fn fig2_smoke() -> Vec<(u64, f64)> {
-    let mut cfg = SimConfig::default().with_max_ops(100_000);
-    cfg.retention_probe = Some(RetentionConfig {
-        window_ns: 100_000_000,
-        hot_min_samples: 2,
-    });
-    let _ = build_workload(WorkloadId::PrKron, SEED); // exercise the builder
-    let report = tiering_sim::run_suite_experiment(
-        WorkloadId::Xgboost,
-        tiering_policies::PolicyKind::FirstTouch,
-        tiering_mem::TierRatio::OneTo4,
-        &cfg,
-        SEED,
-    );
-    report.retention.unwrap_or_default()
 }

@@ -1,7 +1,8 @@
 //! The `bench` binary's contract, checked on the built binary: what
 //! `--help` promises, that retired flags are rejected like any other
 //! unknown flag (before anything runs or is written), that the shard/merge
-//! exclusion still holds, and that equal flags write equal bytes.
+//! exclusion still holds, and that equal flags write equal bytes. Plus
+//! `diag`'s: an argument it does not know is an error, not a default.
 
 use std::process::{Command, Output};
 
@@ -110,4 +111,23 @@ fn equal_flags_write_byte_identical_documents() {
         7,
         "bench, ops_per_scenario and five sections"
     );
+}
+
+#[test]
+fn diag_rejects_unknown_policy_and_ratio_before_simulating() {
+    for (args, complaint) in [
+        (&["bogus"][..], "unknown policy 'bogus'"),
+        (&["tpp", "1:3"][..], "unknown ratio '1:3'"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diag"))
+            .args(args)
+            .output()
+            .expect("spawn diag");
+        assert!(!out.status.success(), "{args:?} accepted");
+        assert!(out.stdout.is_empty(), "{args:?} started a run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: diag"), "{args:?}: {stderr}");
+        assert!(stderr.contains("neomem"), "usage omits neomem: {stderr}");
+    }
 }

@@ -124,11 +124,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Hierarchy matching the paper's testbed (48 KiB L1d, 24 MiB LLC).
-    pub fn paper_testbed() -> Self {
-        Self::new(CacheConfig::l1d(), CacheConfig::llc())
-    }
-
     /// Hierarchy for scaled-down simulations (48 KiB L1d, 2 MiB LLC), keeping
     /// metadata:LLC proportions close to the paper's despite smaller
     /// footprints.

@@ -484,11 +484,6 @@ impl<A: ShardArtifact> FleetCoordinator<A> {
         self
     }
 
-    /// How many workers are registered.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Runs the fleet over `shards` shards and returns the
     /// index-complete artifact set plus the sealed scheduling account.
     pub fn run(self, shards: usize) -> Result<FleetRun<A>, FleetError> {

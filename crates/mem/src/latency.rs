@@ -92,23 +92,6 @@ impl LatencyModel {
     pub fn migrate_page_ns(&self, size: PageSize) -> u64 {
         self.migrate_base_page_ns * size.base_pages()
     }
-
-    /// The model as a per-tier latency table — the 2-tier row of the
-    /// N-tier generalization ([`crate::TierTopology::latency_table`]).
-    pub fn tier_table(&self) -> [TierLatency; 2] {
-        [
-            TierLatency {
-                access_ns: self.fast_ns,
-                stream_ns: self.fast_stream_ns,
-                migrate_base_page_ns: self.migrate_base_page_ns,
-            },
-            TierLatency {
-                access_ns: self.slow_ns,
-                stream_ns: self.slow_stream_ns,
-                migrate_base_page_ns: self.migrate_base_page_ns,
-            },
-        ]
-    }
 }
 
 /// One row of a per-tier latency table: the access/stream/migration costs

@@ -574,13 +574,48 @@ impl TieredMemory {
             .map(|(i, &t)| (PageId(i as u64), Self::facade(t)))
     }
 
-    /// [`iter_mapped`](Self::iter_mapped) with ladder indices instead of
-    /// the binary facade.
-    pub fn iter_mapped_indexed(&self) -> impl Iterator<Item = (PageId, usize)> + '_ {
-        self.table
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &t)| (t != UNMAPPED).then_some((PageId(i as u64), t as usize)))
+    /// The clock sweep every watermark demotion runs on: advances `hand`
+    /// (a page-table position the caller owns and keeps between calls),
+    /// wrapping at the end of the address space, over at most `budget`
+    /// entries, and stops just past the first entry resident on `rung`.
+    /// Returns that page (`None` when the budget ran out first — the hand
+    /// has then advanced by exactly `budget`) and the number of entries
+    /// walked, which is what a caller charges scan cost for.
+    ///
+    /// Occupancy only changes when a caller moves the page it was handed,
+    /// so a watermark tested before the first call and after each returned
+    /// page decides exactly what a per-entry test would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rung` is not a rung of the ladder or `hand` is outside a
+    /// non-empty address space.
+    pub fn next_resident(&self, rung: usize, hand: &mut u64, budget: u64) -> (Option<PageId>, u64) {
+        assert!(rung < self.n_tiers(), "tier {rung} outside the ladder");
+        let rung = rung as u8; // at most MAX_TIERS, so never `UNMAPPED`
+        let n = self.table.len() as u64;
+        if n == 0 {
+            return (None, 0);
+        }
+        assert!(*hand < n, "hand {hand} outside address space of {n} pages");
+        let mut walked = 0;
+        while walked < budget {
+            // One contiguous run: up to the wrap or the end of the budget.
+            let run = (n - *hand).min(budget - walked);
+            let entries = &self.table[*hand as usize..(*hand + run) as usize];
+            match entries.iter().position(|&t| t == rung) {
+                Some(i) => {
+                    let page = *hand + i as u64;
+                    *hand = (page + 1) % n;
+                    return (Some(PageId(page)), walked + i as u64 + 1);
+                }
+                None => {
+                    *hand = (*hand + run) % n;
+                    walked += run;
+                }
+            }
+        }
+        (None, walked)
     }
 }
 
@@ -892,6 +927,180 @@ mod tests {
         assert!(!m.tier_free_below(2, 0.06), "nvme is half free");
         assert!(m.fast_free_below(1.1), "fully free is still below 1.1");
         assert!(!m.fast_free_below(0.5), "fast tier is empty: frac 1.0");
+    }
+
+    /// `small()` with pages 2 and 5 fast, 3 slow, everything else unmapped.
+    fn sparse() -> TieredMemory {
+        let mut m = small();
+        m.ensure_mapped(PageId(2), Tier::Fast);
+        m.ensure_mapped(PageId(3), Tier::Slow);
+        m.ensure_mapped(PageId(5), Tier::Fast);
+        m
+    }
+
+    #[test]
+    fn next_resident_stops_just_past_the_hit() {
+        let m = sparse();
+        let mut hand = 0;
+        assert_eq!(m.next_resident(0, &mut hand, 100), (Some(PageId(2)), 3));
+        assert_eq!(hand, 3);
+        assert_eq!(m.next_resident(0, &mut hand, 100), (Some(PageId(5)), 3));
+        assert_eq!(hand, 6);
+        // A hit on the very entry under the hand walks one entry.
+        let mut hand = 3;
+        assert_eq!(m.next_resident(1, &mut hand, 1), (Some(PageId(3)), 1));
+        assert_eq!(hand, 4);
+    }
+
+    #[test]
+    fn next_resident_wraps_at_the_last_entry() {
+        let mut m = sparse();
+        m.ensure_mapped(PageId(99), Tier::Slow);
+        let mut hand = 98;
+        assert_eq!(m.next_resident(1, &mut hand, 100), (Some(PageId(99)), 2));
+        assert_eq!(hand, 0, "a hit on the last entry leaves the hand at 0");
+        let mut hand = 6;
+        assert_eq!(m.next_resident(0, &mut hand, 100), (Some(PageId(2)), 97));
+        assert_eq!(hand, 3, "the walk continued through the wrap");
+    }
+
+    #[test]
+    fn next_resident_budget_runs_out_mid_gap() {
+        let m = sparse();
+        let mut hand = 6;
+        assert_eq!(m.next_resident(0, &mut hand, 96), (None, 96));
+        assert_eq!(hand, 2, "advanced by exactly the budget, through the wrap");
+        let mut hand = 0;
+        assert_eq!(m.next_resident(0, &mut hand, 2), (None, 2));
+        assert_eq!(hand, 2, "stopped on the resident without visiting it");
+    }
+
+    #[test]
+    fn next_resident_walks_the_whole_budget_on_an_empty_rung() {
+        let m = three_tier(); // 80 pages, nothing mapped
+        let mut hand = 70;
+        assert_eq!(m.next_resident(2, &mut hand, 15), (None, 15));
+        assert_eq!(hand, 5);
+        // More than one revolution is still exactly `budget` entries.
+        assert_eq!(m.next_resident(2, &mut hand, 200), (None, 200));
+        assert_eq!(hand, (5 + 200) % 80);
+    }
+
+    #[test]
+    fn next_resident_walks_nothing_on_zero_budget_or_empty_space() {
+        let m = sparse();
+        let mut hand = 2;
+        assert_eq!(m.next_resident(0, &mut hand, 0), (None, 0));
+        assert_eq!(hand, 2);
+        let empty = TieredMemory::new(TierConfig {
+            address_space_pages: 0,
+            ..small().config()
+        });
+        let mut hand = 0;
+        assert_eq!(empty.next_resident(0, &mut hand, 10), (None, 0));
+        assert_eq!(hand, 0);
+    }
+
+    #[test]
+    fn next_resident_never_matches_unmapped_entries() {
+        // A full 8-rung ladder: no rung index can alias the unmapped marker.
+        let rung = |capacity_pages| crate::TierParams {
+            label: "rung",
+            capacity_pages,
+            access_ns: 100,
+            stream_ns: 30,
+            migrate_base_page_ns: 2_000,
+        };
+        let topo = TierTopology::new(vec![rung(16); crate::MAX_TIERS], PageSize::Base4K, 16);
+        let m = TieredMemory::with_topology(topo);
+        for t in 0..crate::MAX_TIERS {
+            let mut hand = 0;
+            assert_eq!(m.next_resident(t, &mut hand, 16), (None, 16), "rung {t}");
+        }
+    }
+
+    /// The per-entry clock walk `next_resident` replaced, written out: the
+    /// oracle any indexed implementation of the sweep is held to.
+    fn next_resident_oracle(
+        m: &TieredMemory,
+        rung: usize,
+        hand: &mut u64,
+        budget: u64,
+    ) -> (Option<PageId>, u64) {
+        let n = m.address_space_pages();
+        let mut walked = 0;
+        while n > 0 && walked < budget {
+            let page = PageId(*hand);
+            *hand = (*hand + 1) % n;
+            walked += 1;
+            if m.tier_index_of(page) == Some(rung) {
+                return (Some(page), walked);
+            }
+        }
+        (None, walked)
+    }
+
+    #[test]
+    fn next_resident_equals_the_per_entry_walk() {
+        let mut state = 0x5EED_71C4u64;
+        let mut rand = move |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        let mut calls = 0;
+        for table in 0..40 {
+            let n = [1, 2, 7, 64, 300][table % 5] + rand(3);
+            let n_tiers = 2 + table % 3;
+            let mut rung = |label| crate::TierParams {
+                label,
+                capacity_pages: n / 2 + 1 + rand(n),
+                access_ns: 100,
+                stream_ns: 30,
+                migrate_base_page_ns: 2_000,
+            };
+            let mut tiers: Vec<_> = (1..n_tiers).map(|_| rung("upper")).collect();
+            tiers.push(crate::TierParams {
+                capacity_pages: n,
+                ..rung("bottom")
+            });
+            let mut m = TieredMemory::with_topology(TierTopology::new(tiers, PageSize::Base4K, n));
+            let mut hands = vec![0u64; n_tiers];
+            for _ in 0..3_000 {
+                // Placement changes between sweeps, as between two visits.
+                let page = PageId(rand(n));
+                let target = rand(n_tiers as u64) as usize;
+                match rand(5) {
+                    0 => {
+                        let preferred = [Tier::Fast, Tier::Slow][rand(2) as usize];
+                        m.ensure_mapped_indexed(page, preferred);
+                    }
+                    1 => drop(m.demote_toward(page, target)),
+                    2 => drop(m.promote_toward(page, target)),
+                    _ => {}
+                }
+                let t = rand(n_tiers as u64) as usize;
+                if rand(16) == 0 {
+                    hands[t] = rand(n);
+                }
+                let budget = [0, 1, rand(n + 1), n, 2 * n + rand(4)][rand(5) as usize];
+                let mut expected_hand = hands[t];
+                let expected = next_resident_oracle(&m, t, &mut expected_hand, budget);
+                assert_eq!(
+                    m.next_resident(t, &mut hands[t], budget),
+                    expected,
+                    "table {table} rung {t} budget {budget}"
+                );
+                assert_eq!(hands[t], expected_hand, "table {table} rung {t}");
+                calls += 1;
+                // What every caller does with a hit: move the page.
+                if let (Some(hit), true) = (expected.0, t + 1 < n_tiers) {
+                    let _ = m.demote_toward(hit, t + 1);
+                }
+            }
+        }
+        assert!(calls >= 100_000);
     }
 
     #[test]

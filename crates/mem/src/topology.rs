@@ -243,8 +243,7 @@ impl TierTopology {
         self.tiers[idx].capacity_pages = pages;
     }
 
-    /// The per-tier latency table of this ladder, fastest row first — the
-    /// N-tier generalization of [`LatencyModel::tier_table`].
+    /// The per-tier latency table of this ladder, fastest row first.
     pub fn latency_table(&self) -> Vec<TierLatency> {
         self.tiers
             .iter()

@@ -89,7 +89,7 @@ impl ArcPolicy {
         let _ = mem.promote(page);
     }
 
-    /// One ARC step (Cases I–IV); shared by the scalar and batched hooks.
+    /// One ARC step (Cases I–IV).
     #[inline]
     fn ingest_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         let x = sample.page.0 as u32;
@@ -161,10 +161,6 @@ impl TieringPolicy for ArcPolicy {
         Tier::Slow // paper §5.2: ARC/TwoQ allocate new pages on the slow tier
     }
 
-    fn on_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        self.ingest_sample(sample, mem, ctx);
-    }
-
     fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         for &sample in samples {
             self.ingest_sample(sample, mem, ctx);
@@ -208,7 +204,7 @@ mod tests {
         let (mut p, mut mem) = setup();
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(3), Tier::Slow);
-        p.on_sample(sample(3), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(3)], &mut mem, &mut ctx);
         assert_eq!(
             mem.tier_of(PageId(3)),
             Some(Tier::Fast),
@@ -222,8 +218,8 @@ mod tests {
         let (mut p, mut mem) = setup();
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(3), Tier::Slow);
-        p.on_sample(sample(3), &mut mem, &mut ctx);
-        p.on_sample(sample(3), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(3)], &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(3)], &mut mem, &mut ctx);
         assert_eq!(p.lists.which(3), Some(T2));
     }
 
@@ -237,7 +233,7 @@ mod tests {
         // Stream far more distinct pages than capacity.
         for round in 0..4 {
             for i in 0..64u64 {
-                p.on_sample(sample((i * 7 + round) % 64), &mut mem, &mut ctx);
+                p.on_sample_batch(&[sample((i * 7 + round) % 64)], &mut mem, &mut ctx);
                 assert!(
                     mem.fast_used() <= mem.config().fast_capacity_pages,
                     "fast tier overflowed"
@@ -259,16 +255,16 @@ mod tests {
         // stream fresh pages: REPLACE now routes T1 victims into B1.
         for _ in 0..2 {
             for i in 0..8u64 {
-                p.on_sample(sample(i), &mut mem, &mut ctx);
+                p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
             }
         }
         for i in 8..40u64 {
-            p.on_sample(sample(i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
         }
         assert!(p.lists.len(B1) > 0, "evictions should populate B1 ghosts");
         let ghost = p.lists.peek_lru(B1).unwrap();
         let p_before = p.p();
-        p.on_sample(sample(ghost as u64), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(ghost as u64)], &mut mem, &mut ctx);
         assert!(p.p() > p_before, "B1 ghost hit grows p");
         assert_eq!(p.lists.which(ghost), Some(T2));
         assert_eq!(mem.tier_of(PageId(ghost as u64)), Some(Tier::Fast));
@@ -284,12 +280,12 @@ mod tests {
         // Establish pages 0..4 as frequent (T2).
         for _ in 0..3 {
             for i in 0..4u64 {
-                p.on_sample(sample(i), &mut mem, &mut ctx);
+                p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
             }
         }
         // One-time scan over many cold pages.
         for i in 8..56u64 {
-            p.on_sample(sample(i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
         }
         // The frequent pages should still be resident.
         let survivors = (0..4u64)

@@ -12,13 +12,10 @@
 //! pages. Demotion follows the MGLRU configuration the paper enables:
 //! pages whose last hint fault is oldest are demoted first.
 
-use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
+use tiering_mem::{PageId, TierConfig, TieredMemory};
 
-use crate::chain::DemotionChain;
+use crate::hint_fault::HintFaultModel;
 use crate::policy::{PolicyCtx, TieringPolicy};
-
-const SCAN_PAGE_NS: u64 = 10;
-const FAULT_SERVICE_NS: u64 = 250;
 
 /// Configuration of [`AutoNumaPolicy`].
 #[derive(Debug, Clone)]
@@ -52,83 +49,27 @@ impl Default for AutoNumaConfig {
     }
 }
 
-/// The AutoNUMA policy.
+/// The AutoNUMA policy: the shared hint-fault model with AutoNUMA's
+/// hint-fault-latency promotion test and pressure-only reclaim trigger.
 #[derive(Debug)]
 pub struct AutoNumaPolicy {
     config: AutoNumaConfig,
-    /// Per-page unmap timestamp; 0 = currently mapped (no pending hint
-    /// fault).
-    unmapped_at: Vec<u64>,
-    /// Per-page last hint-fault time (the recency signal MGLRU demotes by).
-    last_fault: Vec<u64>,
-    scan_cursor: u64,
-    next_scan_ns: u64,
-    demote_cursor: u64,
-    chain: DemotionChain,
+    model: HintFaultModel,
 }
 
 impl AutoNumaPolicy {
-    /// Builds AutoNUMA for the given address space.
-    pub fn new(mut config: AutoNumaConfig, tier_cfg: &TierConfig) -> Self {
-        let n = tier_cfg.address_space_pages as usize;
-        // Keep the full-sweep period roughly footprint-independent.
-        config.scan_window_pages = config.scan_window_pages.max(n as u64 / 64);
+    /// Builds AutoNUMA for the given address space. The scan window scales
+    /// with the footprint so the full-sweep period stays roughly constant.
+    pub fn new(config: AutoNumaConfig, tier_cfg: &TierConfig) -> Self {
         Self {
+            model: HintFaultModel::new(
+                config.scan_window_pages,
+                config.scan_interval_ns,
+                config.demote_wmark,
+                config.max_demote_per_call,
+                tier_cfg,
+            ),
             config,
-            unmapped_at: vec![0; n],
-            last_fault: vec![0; n],
-            scan_cursor: 0,
-            next_scan_ns: 0,
-            demote_cursor: 0,
-            chain: DemotionChain::new(),
-        }
-    }
-
-    /// Unmaps the next scan window (the periodic kernel scanner).
-    fn scan_window(&mut self, now_ns: u64, ctx: &mut PolicyCtx) {
-        let n = self.unmapped_at.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let window = self.config.scan_window_pages.min(n);
-        for _ in 0..window {
-            self.unmapped_at[self.scan_cursor as usize] = now_ns.max(1);
-            self.scan_cursor = (self.scan_cursor + 1) % n;
-        }
-        ctx.tiering_work_ns += window * SCAN_PAGE_NS;
-    }
-
-    /// Demotes coldest-by-recency fast-tier pages until the target
-    /// watermark (MGLRU aging approximation: oldest `last_fault` first,
-    /// found by a clock-style sweep).
-    fn demote_pressure(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        let n = mem.address_space_pages();
-        if n == 0 {
-            return;
-        }
-        // Two sweeps: first demote pages never faulted recently (older than
-        // 2 scan intervals), then anything fast if still over watermark.
-        let stale_cutoff = now_ns.saturating_sub(2 * self.config.scan_interval_ns);
-        for pass in 0..2 {
-            let mut scanned = 0u64;
-            while mem.fast_free_below(self.config.demote_wmark)
-                && scanned < self.config.max_demote_per_call.min(n)
-            {
-                let page = PageId(self.demote_cursor);
-                self.demote_cursor = (self.demote_cursor + 1) % n;
-                scanned += 1;
-                ctx.tiering_work_ns += SCAN_PAGE_NS;
-                if mem.tier_of(page) != Some(Tier::Fast) {
-                    continue;
-                }
-                let stale = self.last_fault[page.0 as usize] <= stale_cutoff;
-                if pass == 1 || stale {
-                    let _ = mem.demote(page);
-                }
-            }
-            if !mem.fast_free_below(self.config.demote_wmark) {
-                break;
-            }
         }
     }
 }
@@ -142,31 +83,6 @@ impl TieringPolicy for AutoNumaPolicy {
         true
     }
 
-    fn on_access(
-        &mut self,
-        page: PageId,
-        now_ns: u64,
-        mem: &mut TieredMemory,
-        ctx: &mut PolicyCtx,
-    ) -> u64 {
-        let idx = page.0 as usize;
-        let unmapped = self.unmapped_at[idx];
-        if unmapped == 0 {
-            return 0; // mapped: no hint fault, zero overhead
-        }
-        // Hint fault: re-map and evaluate recency.
-        self.unmapped_at[idx] = 0;
-        self.last_fault[idx] = now_ns.max(1);
-        let latency = now_ns.saturating_sub(unmapped);
-        if mem.tier_of(page) == Some(Tier::Slow) && latency < self.config.promote_latency_ns {
-            if mem.fast_free() == 0 {
-                self.demote_pressure(now_ns, mem, ctx);
-            }
-            let _ = mem.promote(page);
-        }
-        FAULT_SERVICE_NS
-    }
-
     fn on_access_batch(
         &mut self,
         pages: &[PageId],
@@ -174,47 +90,31 @@ impl TieringPolicy for AutoNumaPolicy {
         mem: &mut TieredMemory,
         ctx: &mut PolicyCtx,
     ) -> u64 {
-        // Fused hint-fault loop: skip already-mapped pages (the common case
-        // between scan windows) with one array probe each, paying the full
-        // fault path only for genuinely unmapped entries.
-        let mut total = 0;
-        for &page in pages {
-            if self.unmapped_at[page.0 as usize] == 0 {
-                continue;
-            }
-            total += self.on_access(page, now_ns, mem, ctx);
-        }
-        total
+        // One recent access suffices: promote when the hint-fault latency
+        // (unmap → access) is short, regardless of history.
+        let promote_latency_ns = self.config.promote_latency_ns;
+        self.model
+            .on_access_batch(pages, now_ns, mem, ctx, |fault| {
+                now_ns.saturating_sub(fault.unmapped_ns) < promote_latency_ns
+            })
     }
 
     fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        if now_ns >= self.next_scan_ns {
-            self.scan_window(now_ns, ctx);
-            self.next_scan_ns = now_ns + self.config.scan_interval_ns;
-        }
-        if mem.fast_free_below(self.config.promo_wmark) {
-            self.demote_pressure(now_ns, mem, ctx);
-        }
-        // Cascade watermark pressure down any middle rungs (no-op on the
-        // 2-tier testbed).
-        self.chain.cascade(
-            mem,
-            self.config.demote_wmark,
-            self.config.max_demote_per_call,
-            ctx,
-        );
+        // Reclaim only under promotion pressure (MGLRU aging: oldest hint
+        // fault first), down to `demote_wmark`.
+        self.model
+            .on_tick(now_ns, self.config.promo_wmark, mem, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {
-        // Two u64 timestamps per page.
-        self.unmapped_at.len() * 16
+        self.model.metadata_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiering_mem::{PageSize, TierRatio};
+    use tiering_mem::{PageSize, Tier, TierRatio};
 
     fn setup() -> (AutoNumaPolicy, TieredMemory) {
         let cfg = TierConfig::for_footprint(512, TierRatio::OneTo8, PageSize::Base4K);
@@ -229,7 +129,7 @@ mod tests {
         let (mut p, mut mem) = setup();
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
-        assert_eq!(p.on_access(PageId(1), 100, &mut mem, &mut ctx), 0);
+        assert_eq!(p.on_access_batch(&[PageId(1)], 100, &mut mem, &mut ctx), 0);
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Slow));
     }
 
@@ -239,7 +139,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
         p.on_tick(1_000, &mut mem, &mut ctx); // unmaps a window incl. page 1
-        let cost = p.on_access(PageId(1), 2_000, &mut mem, &mut ctx);
+        let cost = p.on_access_batch(&[PageId(1)], 2_000, &mut mem, &mut ctx);
         assert!(cost > 0, "hint fault must cost time");
         assert_eq!(
             mem.tier_of(PageId(1)),
@@ -255,7 +155,7 @@ mod tests {
         mem.ensure_mapped(PageId(1), Tier::Slow);
         p.on_tick(1_000, &mut mem, &mut ctx);
         // Access arrives 2 simulated seconds later: above the 1 s threshold.
-        let cost = p.on_access(PageId(1), 2_001_001_000, &mut mem, &mut ctx);
+        let cost = p.on_access_batch(&[PageId(1)], 2_001_001_000, &mut mem, &mut ctx);
         assert!(cost > 0);
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Slow));
     }
@@ -266,8 +166,8 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(3), Tier::Fast);
         p.on_tick(0, &mut mem, &mut ctx);
-        assert!(p.on_access(PageId(3), 10, &mut mem, &mut ctx) > 0);
-        assert_eq!(p.on_access(PageId(3), 20, &mut mem, &mut ctx), 0);
+        assert!(p.on_access_batch(&[PageId(3)], 10, &mut mem, &mut ctx) > 0);
+        assert_eq!(p.on_access_batch(&[PageId(3)], 20, &mut mem, &mut ctx), 0);
     }
 
     #[test]
@@ -282,9 +182,9 @@ mod tests {
         p.on_tick(0, &mut mem, &mut ctx);
         let t = 10_000_000_000;
         p.on_tick(t, &mut mem, &mut ctx); // rescan
-        p.on_access(PageId(0), t + 1_000, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(0)], t + 1_000, &mut mem, &mut ctx);
         // Trigger pressure demotion.
-        p.demote_pressure(t + 2_000, &mut mem, &mut ctx);
+        p.model.reclaim(t + 2_000, &mut mem, &mut ctx);
         assert!(mem.stats().demotions > 0);
         assert_eq!(
             mem.tier_of(PageId(0)),

@@ -74,14 +74,14 @@ mod tests {
         for i in 0..100u64 {
             mem.ensure_mapped(PageId(i), p.preferred_alloc_tier());
         }
-        p.on_sample(
-            Sample {
+        p.on_sample_batch(
+            &[Sample {
                 page: PageId(0),
                 addr: 0,
                 tier: Tier::Fast,
                 at_ns: 0,
                 is_write: false,
-            },
+            }],
             &mut mem,
             &mut ctx,
         );

@@ -10,14 +10,50 @@
 //! there are no middle rungs and [`cascade`](DemotionChain::cascade) is a
 //! structural no-op — zero scans, zero charge, zero state change — which is
 //! what keeps the 2-tier golden trajectories byte-identical.
+//!
+//! The fast-tier counterpart the recency policies share, the two-pass
+//! reclaim ([`reclaim_two_pass`]), lives beside it: same sweep primitive,
+//! same per-entry charge.
 
-use tiering_mem::TieredMemory;
+use tiering_mem::{PageId, TieredMemory};
 
 use crate::policy::PolicyCtx;
 
-/// Cost charged per page-table entry scanned by a cascade sweep, matching
-/// the clock-scan cost the 2-tier demotion paths charge.
-const SCAN_PAGE_NS: u64 = 10;
+/// Cost charged per page-table entry walked by a cascade sweep and by the
+/// recency reclaims ([`reclaim_two_pass`]).
+pub(crate) const SCAN_PAGE_NS: u64 = 10;
+
+/// The two-pass fast-tier reclaim the recency policies share (TPP and
+/// AutoNUMA through the hint-fault model, NeoMem on its device counters):
+/// while the fast tier's free fraction is (exactly) below `wmark`, sweep
+/// `hand` over fast-tier residents — the first pass demotes only pages
+/// `is_cold` accepts, the second anything — walking at most
+/// `max_walk_per_pass` entries (and at most one revolution) per pass.
+pub(crate) fn reclaim_two_pass(
+    mem: &mut TieredMemory,
+    hand: &mut u64,
+    wmark: f64,
+    max_walk_per_pass: u64,
+    ctx: &mut PolicyCtx,
+    is_cold: impl Fn(PageId) -> bool,
+) {
+    let budget = max_walk_per_pass.min(mem.address_space_pages());
+    for pass in 0..2 {
+        let mut walked = 0;
+        while mem.fast_free_below(wmark) && walked < budget {
+            let (page, step) = mem.next_resident(0, hand, budget - walked);
+            walked += step;
+            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            let Some(page) = page else { break };
+            if pass == 1 || is_cold(page) {
+                let _ = mem.demote(page);
+            }
+        }
+        if !mem.fast_free_below(wmark) {
+            break;
+        }
+    }
+}
 
 /// Per-rung clock cursors driving watermark cascades down a tier ladder.
 ///
@@ -61,22 +97,19 @@ impl DemotionChain {
             self.cursors.resize(bottom, 0);
         }
         let n = mem.address_space_pages();
-        if n == 0 {
-            return 0;
-        }
         let mut moved_total = 0u64;
         for t in 1..bottom {
             let mut moved = 0u64;
-            let mut scanned = 0u64;
+            let mut walked = 0u64;
             // Bound the sweep by one full revolution: if a rung is over
             // watermark but holds nothing demotable (everything already
             // moved this call), stop rather than spin.
-            while mem.tier_free_below(t, wmark) && moved < max_per_tier && scanned < n {
-                let page = tiering_mem::PageId(self.cursors[t]);
-                self.cursors[t] = (self.cursors[t] + 1) % n;
-                scanned += 1;
-                ctx.tiering_work_ns += SCAN_PAGE_NS;
-                if mem.tier_index_of(page) == Some(t) && mem.demote_toward(page, t + 1).is_ok() {
+            while mem.tier_free_below(t, wmark) && moved < max_per_tier && walked < n {
+                let (page, step) = mem.next_resident(t, &mut self.cursors[t], n - walked);
+                walked += step;
+                ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+                let Some(page) = page else { break };
+                if mem.demote_toward(page, t + 1).is_ok() {
                     moved += 1;
                 }
             }

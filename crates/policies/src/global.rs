@@ -1369,14 +1369,14 @@ mod tests {
         }
         for s in 0..samples_per_page {
             for p in 0..pages {
-                policy.on_sample(
-                    Sample {
+                policy.on_sample_batch(
+                    &[Sample {
                         page: PageId(p),
                         addr: p << 12,
                         tier: mem.tier_of(PageId(p)).unwrap_or(Tier::Slow),
                         at_ns: u64::from(s) * 1_000 + p,
                         is_write: false,
-                    },
+                    }],
                     &mut mem,
                     &mut ctx,
                 );

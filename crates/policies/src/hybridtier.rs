@@ -190,6 +190,19 @@ impl HybridTierConfig {
     }
 }
 
+/// The pagemap lines a scan reads walking `walked` entries (at most one
+/// revolution) from hand position `from`: one line covers 8 pages (8-byte
+/// entries), touched as the hand lands on a multiple of 8 — 0 after the
+/// wrap at `n` included.
+fn push_pagemap_lines(from: u64, walked: u64, n: u64, out: &mut Vec<u64>) {
+    let end = from + walked;
+    let line = |pos| PAGEMAP_BASE + pos;
+    out.extend((from / 8 * 8 + 8..=end.min(n - 1)).step_by(8).map(line));
+    if end >= n {
+        out.extend((0..=end - n).step_by(8).map(line));
+    }
+}
+
 fn build_tracker(params: CbfParams, layout: TrackerLayout) -> Box<dyn AccessCounter + Send + Sync> {
     match layout {
         TrackerLayout::Blocked => Box::new(BlockedCbf::new(params)),
@@ -315,11 +328,6 @@ impl HybridTierPolicy {
         self.momentum.estimate(page.0)
     }
 
-    /// Number of pages currently marked for second chance (diagnostics).
-    pub fn second_chance_len(&self) -> usize {
-        self.second_chance.len()
-    }
-
     /// Estimated hot-set size: pages at or above the *minimum* hotness
     /// level (used by the global controller of paper §7 to apportion fast
     /// memory across tenants). The adaptive threshold is unsuitable here —
@@ -330,9 +338,7 @@ impl HybridTierPolicy {
     }
 
     /// The Algorithm-1 loop body: update both trackers, cool on schedule,
-    /// queue promotion candidates, flush full batches. Shared (inlined) by
-    /// the scalar `on_sample` hook and the batched `on_sample_batch` hook so
-    /// the two paths cannot drift.
+    /// queue promotion candidates, flush full batches.
     #[inline]
     fn ingest_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         self.samples_seen += 1;
@@ -429,24 +435,15 @@ impl HybridTierPolicy {
     /// recovers to `DEMOTE_WMARK` or the scan budget is exhausted.
     fn demote_scan(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         let n = mem.address_space_pages();
-        if n == 0 {
-            return;
-        }
-        let mut scanned = 0u64;
-        while mem.fast_free_below(self.config.demote_wmark)
-            && scanned < self.config.max_scan_per_call.min(n)
-        {
-            let page = PageId(self.scan_cursor);
-            self.scan_cursor = (self.scan_cursor + 1) % n;
-            scanned += 1;
-            ctx.tiering_work_ns += SCAN_PAGE_NS;
-            // One pagemap line covers 8 pages (8-byte entries).
-            if self.scan_cursor.is_multiple_of(8) {
-                ctx.metadata_lines.push(PAGEMAP_BASE + self.scan_cursor);
-            }
-            if mem.tier_of(page) != Some(Tier::Fast) {
-                continue;
-            }
+        let budget = self.config.max_scan_per_call.min(n);
+        let mut walked = 0;
+        while mem.fast_free_below(self.config.demote_wmark) && walked < budget {
+            let from = self.scan_cursor;
+            let (page, step) = mem.next_resident(0, &mut self.scan_cursor, budget - walked);
+            walked += step;
+            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            push_pagemap_lines(from, step, n, &mut ctx.metadata_lines);
+            let Some(page) = page else { break };
             let f = self.freq.estimate(page.0);
             let m = self.momentum.estimate(page.0);
             self.freq.touched_lines(page.0, &mut ctx.metadata_lines);
@@ -514,14 +511,7 @@ impl TieringPolicy for HybridTierPolicy {
         self.hot_set_estimate()
     }
 
-    fn on_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        self.ingest_sample(sample, mem, ctx);
-    }
-
     fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        // One virtual call per op instead of per sample; the shared inlined
-        // ingest keeps batch and scalar paths state-identical (including
-        // promo-queue capacity, which metadata_bytes reports).
         for &sample in samples {
             self.ingest_sample(sample, mem, ctx);
         }
@@ -610,6 +600,27 @@ mod tests {
     }
 
     #[test]
+    fn pagemap_lines_are_the_multiples_of_8_the_hand_lands_on() {
+        for n in [1u64, 7, 8, 9, 16, 21] {
+            for from in 0..n {
+                for walked in 0..=n {
+                    let mut hand = from;
+                    let mut expected = Vec::new();
+                    for _ in 0..walked {
+                        hand = (hand + 1) % n;
+                        if hand.is_multiple_of(8) {
+                            expected.push(PAGEMAP_BASE + hand);
+                        }
+                    }
+                    let mut got = Vec::new();
+                    push_pagemap_lines(from, walked, n, &mut got);
+                    assert_eq!(got, expected, "n={n} from={from} walked={walked}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn momentum_promotes_new_hot_page_quickly() {
         let (mut p, mut mem) = setup(TierRatio::OneTo16);
         let mut ctx = PolicyCtx::new();
@@ -618,7 +629,7 @@ mod tests {
         // should trigger promotion on the next batch flush even though
         // frequency history is shallow.
         for i in 0..16 {
-            p.on_sample(sample(7, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(7, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         assert_eq!(mem.tier_of(PageId(7)), Some(Tier::Fast));
     }
@@ -634,7 +645,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(3), Tier::Slow);
         for i in 0..8 {
-            p.on_sample(sample(3, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(3, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         assert_eq!(
             mem.tier_of(PageId(3)),
@@ -673,7 +684,7 @@ mod tests {
         }
         // Make page 0 intensely hot (both trackers).
         for i in 0..50 {
-            p.on_sample(sample(0, Tier::Fast, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(0, Tier::Fast, i)], &mut mem, &mut ctx);
         }
         p.on_tick(100, &mut mem, &mut ctx);
         assert_eq!(
@@ -706,13 +717,13 @@ mod tests {
         }
         // Page 0 historically hot: many samples...
         for i in 0..16 {
-            p.on_sample(sample(0, Tier::Fast, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(0, Tier::Fast, i)], &mut mem, &mut ctx);
         }
         assert!(p.freq_estimate(PageId(0)) >= 2);
         // ...then it goes quiet while other pages keep the sampler busy, so
         // momentum cooling (every 4 samples) erodes its burst score to 0.
         for i in 0..16 {
-            p.on_sample(sample(1, Tier::Fast, 100 + i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(1, Tier::Fast, 100 + i)], &mut mem, &mut ctx);
         }
         assert_eq!(p.momentum_estimate(PageId(0)), 0, "momentum cooled to 0");
         // First scan: page 0 is freq-hot/momentum-cold → marked, not demoted.
@@ -738,10 +749,10 @@ mod tests {
         }
         // 15 samples (batch = 16): candidates queued but not flushed.
         for i in 0..15 {
-            p.on_sample(sample(i % 5, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(i % 5, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         assert_eq!(mem.stats().promotions, 0, "no flush before the batch fills");
-        p.on_sample(sample(0, Tier::Slow, 15), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(0, Tier::Slow, 15)], &mut mem, &mut ctx);
         assert!(mem.stats().promotions > 0, "batch flush promotes");
     }
 
@@ -783,8 +794,8 @@ mod tests {
             mem_s.ensure_mapped(PageId(pg), Tier::Slow);
         }
         for i in 0..200u64 {
-            blocked.on_sample(sample(i % 200, Tier::Slow, i), &mut mem_b, &mut cb);
-            standard.on_sample(sample(i % 200, Tier::Slow, i), &mut mem_s, &mut cs);
+            blocked.on_sample_batch(&[sample(i % 200, Tier::Slow, i)], &mut mem_b, &mut cb);
+            standard.on_sample_batch(&[sample(i % 200, Tier::Slow, i)], &mut mem_s, &mut cs);
         }
         assert!(
             cb.metadata_lines.len() < cs.metadata_lines.len(),
@@ -806,8 +817,8 @@ mod tests {
         // threshold must rise above the minimum.
         for round in 0..6 {
             for pg in 0..1_000u64 {
-                p.on_sample(
-                    sample(pg, Tier::Slow, round * 1_000 + pg),
+                p.on_sample_batch(
+                    &[sample(pg, Tier::Slow, round * 1_000 + pg)],
                     &mut mem,
                     &mut ctx,
                 );

@@ -24,10 +24,23 @@
 //!   counters) alongside host PEBS sampling and CBF compression.
 //!
 //! Policies communicate with the simulation engine through
-//! [`TieringPolicy`]: they receive PEBS-like [`Sample`]s and/or per-access
-//! fault hooks, mutate the [`TieredMemory`] page table, and report the
-//! metadata cache lines they touch (for the cache-overhead experiments) via
-//! [`PolicyCtx`].
+//! [`TieringPolicy`]: they receive each op's PEBS-like [`Sample`]s and/or
+//! its accesses (the fault hook) in one batched call, mutate the
+//! [`TieredMemory`] page table, and report the metadata cache lines they
+//! touch (for the cache-overhead experiments) via [`PolicyCtx`].
+//!
+//! Each mechanism is written once. Demotion is a watermark-driven clock
+//! sweep of the address space (paper §4.3), and every sweep here — the
+//! fast-tier scans of HybridTier and Memtis, the two-pass recency reclaim
+//! of TPP, AutoNUMA and NeoMem, and the [`DemotionChain`] cascade down a
+//! ladder's middle rungs — advances its hand through
+//! [`TieredMemory::next_resident`](tiering_mem::TieredMemory::next_resident),
+//! charging scan cost per entry walked and testing its (exact) watermark
+//! before the first entry and after each resident. TPP is built on NUMA
+//! balancing, so the scanner, per-page fault bookkeeping and reclaim of the
+//! two recency baselines are one crate-private hint-fault model
+//! (`hint_fault.rs`); the policies supply only their promotion test and
+//! reclaim trigger.
 //!
 //! Above the per-tenant policies sits the `global` module — the paper's §7
 //! multi-tenant extension: a [`GlobalController`] owns one physical fast
@@ -54,6 +67,7 @@ mod chain;
 mod ema;
 mod flat_table;
 mod global;
+mod hint_fault;
 mod histogram;
 mod hybridtier;
 mod list_set;

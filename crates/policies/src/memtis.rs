@@ -138,8 +138,7 @@ impl MemtisPolicy {
     }
 
     /// The per-sample update: exact counter, histogram transition, metadata
-    /// walk, threshold refresh, inline promotion. Shared (inlined) by the
-    /// scalar and batched hooks.
+    /// walk, threshold refresh, inline promotion.
     #[inline]
     fn ingest_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         self.samples_seen += 1;
@@ -182,21 +181,13 @@ impl MemtisPolicy {
     }
 
     fn demote_scan(&mut self, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        let n = mem.address_space_pages();
-        if n == 0 {
-            return;
-        }
-        let mut scanned = 0u64;
-        while mem.fast_free_below(self.config.demote_wmark)
-            && scanned < self.config.max_scan_per_call.min(n)
-        {
-            let page = PageId(self.scan_cursor);
-            self.scan_cursor = (self.scan_cursor + 1) % n;
-            scanned += 1;
-            ctx.tiering_work_ns += SCAN_PAGE_NS;
-            if mem.tier_of(page) != Some(Tier::Fast) {
-                continue;
-            }
+        let budget = self.config.max_scan_per_call.min(mem.address_space_pages());
+        let mut walked = 0;
+        while mem.fast_free_below(self.config.demote_wmark) && walked < budget {
+            let (page, step) = mem.next_resident(0, &mut self.scan_cursor, budget - walked);
+            walked += step;
+            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            let Some(page) = page else { break };
             self.record_meta_lines(page.0, &mut ctx.metadata_lines);
             // Demote only cold-classified pages; warm/hot pages keep their
             // fast residency until cooling erodes their EMA score (no
@@ -214,13 +205,7 @@ impl TieringPolicy for MemtisPolicy {
         "Memtis"
     }
 
-    fn on_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        self.ingest_sample(sample, mem, ctx);
-    }
-
     fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        // Memtis's per-sample record walk is the expensive part (paper §3.3);
-        // batching at least pays the dispatch once per drained burst.
         for &sample in samples {
             self.ingest_sample(sample, mem, ctx);
         }
@@ -284,7 +269,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(5), Tier::Slow);
         for i in 0..7 {
-            p.on_sample(sample(5, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(5, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         assert_eq!(p.count_of(PageId(5)), 7);
     }
@@ -295,7 +280,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
         for i in 0..5 {
-            p.on_sample(sample(1, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(1, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Fast));
     }
@@ -314,7 +299,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(0), Tier::Slow);
         for i in 0..10 {
-            p.on_sample(sample(0, Tier::Slow, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(0, Tier::Slow, i)], &mut mem, &mut ctx);
         }
         // 10 increments then one cooling: 10/2 = 5.
         assert_eq!(p.count_of(PageId(0)), 5);
@@ -349,7 +334,7 @@ mod tests {
         let (mut p, mut mem) = setup();
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(9), Tier::Slow);
-        p.on_sample(sample(9, Tier::Slow, 0), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(9, Tier::Slow, 0)], &mut mem, &mut ctx);
         // Leaf + 2 upper levels + histogram = 4 distinct lines.
         assert_eq!(ctx.metadata_lines.len(), 4);
     }
@@ -388,7 +373,7 @@ mod tests {
         }
         // Page 0 accumulates a deep history.
         for i in 0..40 {
-            p.on_sample(sample(0, Tier::Fast, i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(0, Tier::Fast, i)], &mut mem, &mut ctx);
         }
         // It then turns cold, but pressure-driven scans cannot demote it.
         for t in 0..4 {

@@ -23,7 +23,7 @@
 
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 
-use crate::chain::DemotionChain;
+use crate::chain::{reclaim_two_pass, DemotionChain};
 use crate::policy::{PolicyCtx, TieringPolicy};
 
 /// Host-side cost of one device-counter readout transaction (an MMIO/DMA
@@ -31,8 +31,6 @@ use crate::policy::{PolicyCtx, TieringPolicy};
 const READOUT_NS: u64 = 1_500;
 /// Host-side cost per hot-page entry processed from a readout.
 const PER_ENTRY_NS: u64 = 40;
-/// Cost charged per page-table entry scanned by the demotion clock.
-const SCAN_PAGE_NS: u64 = 10;
 
 /// Configuration of [`NeoMemPolicy`].
 #[derive(Debug, Clone)]
@@ -131,31 +129,15 @@ impl NeoMemPolicy {
     /// (counter 0: not reported hot in recent epochs) until the watermark
     /// recovers, then lets the chain cascade the pressure downward.
     fn demote_pressure(&mut self, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        let n = mem.address_space_pages();
-        if n == 0 {
-            return;
-        }
-        for pass in 0..2 {
-            let mut scanned = 0u64;
-            while mem.fast_free_below(self.config.demote_wmark)
-                && scanned < self.config.max_scan_per_call.min(n)
-            {
-                let page = PageId(self.demote_cursor);
-                self.demote_cursor = (self.demote_cursor + 1) % n;
-                scanned += 1;
-                ctx.tiering_work_ns += SCAN_PAGE_NS;
-                if mem.tier_index_of(page) != Some(0) {
-                    continue;
-                }
-                // First pass: only fully-cold pages. Second pass: anything.
-                if pass == 1 || self.counters[page.0 as usize] == 0 {
-                    let _ = mem.demote(page);
-                }
-            }
-            if !mem.fast_free_below(self.config.demote_wmark) {
-                break;
-            }
-        }
+        let counters = &self.counters;
+        reclaim_two_pass(
+            mem,
+            &mut self.demote_cursor,
+            self.config.demote_wmark,
+            self.config.max_scan_per_call,
+            ctx,
+            |page| counters[page.0 as usize] == 0,
+        );
     }
 }
 
@@ -175,21 +157,6 @@ impl TieringPolicy for NeoMemPolicy {
         true
     }
 
-    fn on_access(
-        &mut self,
-        page: PageId,
-        _now_ns: u64,
-        mem: &mut TieredMemory,
-        _ctx: &mut PolicyCtx,
-    ) -> u64 {
-        // Count only device-resident pages (DRAM rung 0 has no counters).
-        if mem.tier_index_of(page).is_some_and(|t| t > 0) {
-            let c = &mut self.counters[page.0 as usize];
-            *c = c.saturating_add(1);
-        }
-        0
-    }
-
     fn on_access_batch(
         &mut self,
         pages: &[PageId],
@@ -198,6 +165,7 @@ impl TieringPolicy for NeoMemPolicy {
         _ctx: &mut PolicyCtx,
     ) -> u64 {
         for &page in pages {
+            // Count only device-resident pages (DRAM rung 0 has no counters).
             if mem.tier_index_of(page).is_some_and(|t| t > 0) {
                 let c = &mut self.counters[page.0 as usize];
                 *c = c.saturating_add(1);
@@ -260,8 +228,8 @@ mod tests {
         mem.ensure_mapped(PageId(0), Tier::Fast);
         mem.ensure_mapped(PageId(1), Tier::Slow);
         for _ in 0..3 {
-            assert_eq!(p.on_access(PageId(0), 0, &mut mem, &mut ctx), 0);
-            assert_eq!(p.on_access(PageId(1), 0, &mut mem, &mut ctx), 0);
+            assert_eq!(p.on_access_batch(&[PageId(0)], 0, &mut mem, &mut ctx), 0);
+            assert_eq!(p.on_access_batch(&[PageId(1)], 0, &mut mem, &mut ctx), 0);
         }
         assert_eq!(p.counter_of(PageId(0)), 0, "DRAM pages are invisible");
         assert_eq!(p.counter_of(PageId(1)), 3);
@@ -273,7 +241,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(7), Tier::Slow);
         for _ in 0..4 {
-            p.on_access(PageId(7), 0, &mut mem, &mut ctx);
+            p.on_access_batch(&[PageId(7)], 0, &mut mem, &mut ctx);
         }
         p.on_tick(10_000_000, &mut mem, &mut ctx); // past the readout interval
         assert_eq!(mem.tier_of(PageId(7)), Some(Tier::Fast));
@@ -286,7 +254,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(3), Tier::Slow);
         for _ in 0..2 {
-            p.on_access(PageId(3), 0, &mut mem, &mut ctx);
+            p.on_access_batch(&[PageId(3)], 0, &mut mem, &mut ctx);
         }
         assert_eq!(p.counter_of(PageId(3)), 2);
         p.on_tick(10_000_000, &mut mem, &mut ctx);
@@ -330,7 +298,7 @@ mod tests {
         mem.demote(PageId(9)).unwrap(); // nvme, rung 2
         for readout in 0..2 {
             for _ in 0..8 {
-                p.on_access(PageId(9), 0, &mut mem, &mut ctx);
+                p.on_access_batch(&[PageId(9)], 0, &mut mem, &mut ctx);
             }
             let t = (readout + 1) * 10_000_000;
             p.on_tick(t, &mut mem, &mut ctx);

@@ -35,17 +35,24 @@ impl PolicyCtx {
 
 /// A memory tiering policy.
 ///
-/// The engine drives a policy with three kinds of events:
+/// The engine drives a policy with two batched observation hooks and a
+/// tick; each delivers one operation's worth of events in a single call, so
+/// dispatch is paid once per op:
 ///
-/// 1. [`on_access`](TieringPolicy::on_access) — every application access,
-///    but only if [`wants_access_hook`](TieringPolicy::wants_access_hook)
-///    returns `true`. Fault-driven policies (AutoNUMA, TPP) use this to
-///    model NUMA hint faults; the returned nanoseconds are charged
-///    *synchronously* to the faulting access.
-/// 2. [`on_sample`](TieringPolicy::on_sample) — every PEBS sample, for
-///    hardware-sampling policies (HybridTier, Memtis, ARC, TwoQ).
+/// 1. [`on_access_batch`](TieringPolicy::on_access_batch) — every
+///    application access, but only if
+///    [`wants_access_hook`](TieringPolicy::wants_access_hook) returns
+///    `true`. Fault-driven policies (AutoNUMA, TPP) use this to model NUMA
+///    hint faults; the returned nanoseconds are charged *synchronously* to
+///    the faulting op.
+/// 2. [`on_sample_batch`](TieringPolicy::on_sample_batch) — every PEBS
+///    sample, for hardware-sampling policies (HybridTier, Memtis, ARC,
+///    TwoQ).
 /// 3. [`on_tick`](TieringPolicy::on_tick) — periodic maintenance (cooling,
 ///    demotion scans, watermark checks).
+///
+/// All three default to doing nothing; a policy implements the ones its
+/// observation mode needs.
 pub trait TieringPolicy {
     /// Display name used in reports (matches the paper's legends).
     fn name(&self) -> &'static str;
@@ -58,18 +65,19 @@ pub trait TieringPolicy {
         Tier::Fast
     }
 
-    /// Whether the engine should invoke [`on_access`](Self::on_access) for
-    /// every application access (fault-driven policies only — it is the
-    /// expensive path).
+    /// Whether the engine should invoke
+    /// [`on_access_batch`](Self::on_access_batch) with every application
+    /// access (fault-driven policies only — it is the expensive path).
     fn wants_access_hook(&self) -> bool {
         false
     }
 
-    /// Observes one application access; returns extra nanoseconds charged to
-    /// it (e.g. hint-fault service time).
-    fn on_access(
+    /// Observes one op's application accesses, in order, at time `now_ns`;
+    /// returns the extra nanoseconds charged to the op (e.g. hint-fault
+    /// service time).
+    fn on_access_batch(
         &mut self,
-        _page: PageId,
+        _pages: &[PageId],
         _now_ns: u64,
         _mem: &mut TieredMemory,
         _ctx: &mut PolicyCtx,
@@ -77,45 +85,15 @@ pub trait TieringPolicy {
         0
     }
 
-    /// Observes one PEBS sample.
-    fn on_sample(&mut self, _sample: Sample, _mem: &mut TieredMemory, _ctx: &mut PolicyCtx) {}
-
-    /// Observes a burst of faulting accesses (one op's worth) in a single
-    /// call, returning the total extra nanoseconds charged to the op.
-    ///
-    /// The batched engine pipeline collects each operation's accesses and
-    /// delivers them together, so the virtual-dispatch cost is paid once per
-    /// op instead of once per access. The default loops
-    /// [`on_access`](Self::on_access); fault-driven policies override it
-    /// with a fused loop. Overrides must leave the policy in exactly the
-    /// state the scalar loop would — the engine's scalar and batched paths
-    /// are asserted bit-identical.
-    fn on_access_batch(
+    /// Ingests one op's PEBS samples, in order — how the real tiering
+    /// thread drains the PEBS buffer: in runs, not one record at a time
+    /// (paper Algorithm 1).
+    fn on_sample_batch(
         &mut self,
-        pages: &[PageId],
-        now_ns: u64,
-        mem: &mut TieredMemory,
-        ctx: &mut PolicyCtx,
-    ) -> u64 {
-        let mut total = 0;
-        for &page in pages {
-            total += self.on_access(page, now_ns, mem, ctx);
-        }
-        total
-    }
-
-    /// Ingests a burst of PEBS samples (one op's worth) in a single call —
-    /// the batched analogue of [`on_sample`](Self::on_sample), mirroring
-    /// how the real tiering thread drains the PEBS buffer in runs rather
-    /// than one record at a time (paper Algorithm 1).
-    ///
-    /// The default loops the scalar hook; sampling-driven policies override
-    /// it to amortize dispatch and tracker-update setup. Overrides must be
-    /// state-identical to the scalar loop.
-    fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        for &sample in samples {
-            self.on_sample(sample, mem, ctx);
-        }
+        _samples: &[Sample],
+        _mem: &mut TieredMemory,
+        _ctx: &mut PolicyCtx,
+    ) {
     }
 
     /// Periodic maintenance, called every engine tick.

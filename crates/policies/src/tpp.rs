@@ -15,11 +15,8 @@
 
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 
-use crate::chain::DemotionChain;
+use crate::hint_fault::HintFaultModel;
 use crate::policy::{PolicyCtx, TieringPolicy};
-
-const SCAN_PAGE_NS: u64 = 10;
-const FAULT_SERVICE_NS: u64 = 250;
 
 /// Configuration of [`TppPolicy`].
 #[derive(Debug, Clone)]
@@ -53,74 +50,28 @@ impl Default for TppConfig {
     }
 }
 
-/// The TPP policy.
+/// The TPP policy: the shared hint-fault model with TPP's two-touch
+/// promotion filter and proactive reclaim trigger.
 #[derive(Debug)]
 pub struct TppPolicy {
     config: TppConfig,
-    unmapped_at: Vec<u64>,
-    last_fault: Vec<u64>,
-    scan_cursor: u64,
-    next_scan_ns: u64,
-    demote_cursor: u64,
-    chain: DemotionChain,
+    model: HintFaultModel,
 }
 
 impl TppPolicy {
-    /// Builds TPP for the given address space.
-    pub fn new(mut config: TppConfig, tier_cfg: &TierConfig) -> Self {
-        let n = tier_cfg.address_space_pages as usize;
-        // Keep the full-sweep period roughly footprint-independent (~640 ms)
-        // so the two-fault window spans a constant number of sweeps.
-        config.scan_window_pages = config.scan_window_pages.max(n as u64 / 64);
+    /// Builds TPP for the given address space. The scan window scales with
+    /// the footprint (full sweep ~640 ms) so the two-fault window spans a
+    /// constant number of sweeps.
+    pub fn new(config: TppConfig, tier_cfg: &TierConfig) -> Self {
         Self {
+            model: HintFaultModel::new(
+                config.scan_window_pages,
+                config.scan_interval_ns,
+                config.demote_wmark,
+                config.max_demote_per_call,
+                tier_cfg,
+            ),
             config,
-            unmapped_at: vec![0; n],
-            last_fault: vec![0; n],
-            scan_cursor: 0,
-            next_scan_ns: 0,
-            demote_cursor: 0,
-            chain: DemotionChain::new(),
-        }
-    }
-
-    fn scan_window(&mut self, now_ns: u64, ctx: &mut PolicyCtx) {
-        let n = self.unmapped_at.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let window = self.config.scan_window_pages.min(n);
-        for _ in 0..window {
-            self.unmapped_at[self.scan_cursor as usize] = now_ns.max(1);
-            self.scan_cursor = (self.scan_cursor + 1) % n;
-        }
-        ctx.tiering_work_ns += window * SCAN_PAGE_NS;
-    }
-
-    fn reclaim(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        let n = mem.address_space_pages();
-        if n == 0 {
-            return;
-        }
-        let stale_cutoff = now_ns.saturating_sub(2 * self.config.scan_interval_ns);
-        for pass in 0..2 {
-            let mut scanned = 0u64;
-            while mem.fast_free_below(self.config.demote_wmark)
-                && scanned < self.config.max_demote_per_call.min(n)
-            {
-                let page = PageId(self.demote_cursor);
-                self.demote_cursor = (self.demote_cursor + 1) % n;
-                scanned += 1;
-                ctx.tiering_work_ns += SCAN_PAGE_NS;
-                if mem.tier_of(page) != Some(Tier::Fast) {
-                    continue;
-                }
-                if pass == 1 || self.last_fault[page.0 as usize] <= stale_cutoff {
-                    let _ = mem.demote(page);
-                }
-            }
-            if !mem.fast_free_below(self.config.demote_wmark) {
-                break;
-            }
         }
     }
 }
@@ -138,35 +89,6 @@ impl TieringPolicy for TppPolicy {
         true
     }
 
-    fn on_access(
-        &mut self,
-        page: PageId,
-        now_ns: u64,
-        mem: &mut TieredMemory,
-        ctx: &mut PolicyCtx,
-    ) -> u64 {
-        let idx = page.0 as usize;
-        let unmapped = self.unmapped_at[idx];
-        if unmapped == 0 {
-            return 0;
-        }
-        self.unmapped_at[idx] = 0;
-        let prev_fault = self.last_fault[idx];
-        self.last_fault[idx] = now_ns.max(1);
-        // Two-touch filter: promote only when the previous fault was recent
-        // (the page is on the active list).
-        if mem.tier_of(page) == Some(Tier::Slow)
-            && prev_fault > 0
-            && now_ns.saturating_sub(prev_fault) < self.config.active_window_ns
-        {
-            if mem.fast_free() == 0 {
-                self.reclaim(now_ns, mem, ctx);
-            }
-            let _ = mem.promote(page);
-        }
-        FAULT_SERVICE_NS
-    }
-
     fn on_access_batch(
         &mut self,
         pages: &[PageId],
@@ -174,42 +96,25 @@ impl TieringPolicy for TppPolicy {
         mem: &mut TieredMemory,
         ctx: &mut PolicyCtx,
     ) -> u64 {
-        // Fused fault loop: in steady state almost every page is mapped
-        // (`unmapped_at == 0`), so the batch path filters the burst down to
-        // the rare faulting entries with one pass over the timestamp array
-        // before paying the full per-fault path.
-        let mut total = 0;
-        for &page in pages {
-            if self.unmapped_at[page.0 as usize] == 0 {
-                continue;
-            }
-            total += self.on_access(page, now_ns, mem, ctx);
-        }
-        total
+        // Two-touch filter: promote only when the previous fault was recent
+        // (the page is on the active list).
+        let active_window_ns = self.config.active_window_ns;
+        self.model
+            .on_access_batch(pages, now_ns, mem, ctx, |fault| {
+                fault.prev_fault_ns > 0
+                    && now_ns.saturating_sub(fault.prev_fault_ns) < active_window_ns
+            })
     }
 
     fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        if now_ns >= self.next_scan_ns {
-            self.scan_window(now_ns, ctx);
-            self.next_scan_ns = now_ns + self.config.scan_interval_ns;
-        }
-        // Proactive reclaim keeps headroom even before pressure (TPP's
-        // signature behaviour).
-        if mem.fast_free_below(self.config.demote_wmark) {
-            self.reclaim(now_ns, mem, ctx);
-        }
-        // Cascade the same headroom target down any middle rungs (no-op on
-        // the 2-tier testbed).
-        self.chain.cascade(
-            mem,
-            self.config.demote_wmark,
-            self.config.max_demote_per_call,
-            ctx,
-        );
+        // Proactive reclaim keeps the headroom even before pressure (TPP's
+        // signature behaviour): the trigger is the reclaim target itself.
+        self.model
+            .on_tick(now_ns, self.config.demote_wmark, mem, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.unmapped_at.len() * 16
+        self.model.metadata_bytes()
     }
 }
 
@@ -232,7 +137,7 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
         p.on_tick(0, &mut mem, &mut ctx);
-        p.on_access(PageId(1), 100, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(1)], 100, &mut mem, &mut ctx);
         assert_eq!(
             mem.tier_of(PageId(1)),
             Some(Tier::Slow),
@@ -246,11 +151,11 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
         p.on_tick(0, &mut mem, &mut ctx);
-        p.on_access(PageId(1), 100, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(1)], 100, &mut mem, &mut ctx);
         // Second scan re-arms the hint fault; second access within the
         // active window promotes.
         p.on_tick(20_000_000, &mut mem, &mut ctx);
-        p.on_access(PageId(1), 20_000_100, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(1)], 20_000_100, &mut mem, &mut ctx);
         // (both faults fall inside the 1.5 s active window)
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Fast));
     }
@@ -261,10 +166,10 @@ mod tests {
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
         p.on_tick(0, &mut mem, &mut ctx);
-        p.on_access(PageId(1), 100, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(1)], 100, &mut mem, &mut ctx);
         let far = 10_000_000_000; // 10 s later, beyond the active window
         p.on_tick(far, &mut mem, &mut ctx);
-        p.on_access(PageId(1), far + 100, &mut mem, &mut ctx);
+        p.on_access_batch(&[PageId(1)], far + 100, &mut mem, &mut ctx);
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Slow));
     }
 

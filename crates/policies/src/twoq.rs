@@ -85,7 +85,7 @@ impl TwoQPolicy {
         mem.promote(page).is_ok()
     }
 
-    /// One 2Q step; shared by the scalar and batched hooks.
+    /// One 2Q step.
     #[inline]
     fn ingest_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         let x = sample.page.0 as u32;
@@ -132,10 +132,6 @@ impl TieringPolicy for TwoQPolicy {
 
     fn preferred_alloc_tier(&self) -> Tier {
         Tier::Slow
-    }
-
-    fn on_sample(&mut self, sample: Sample, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        self.ingest_sample(sample, mem, ctx);
     }
 
     fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
@@ -188,7 +184,7 @@ mod tests {
         let (mut p, mut mem) = setup();
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(1), Tier::Slow);
-        p.on_sample(sample(1), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(1)], &mut mem, &mut ctx);
         assert_eq!(p.lists.which(1), Some(A1IN));
         assert_eq!(mem.tier_of(PageId(1)), Some(Tier::Fast));
     }
@@ -202,7 +198,7 @@ mod tests {
         }
         // A long one-time scan: nothing should reach Am.
         for i in 0..60u64 {
-            p.on_sample(sample(i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
         }
         assert_eq!(p.lists.len(AM), 0, "scan pages must not enter Am");
         assert!(mem.stats().demotions > 0);
@@ -218,13 +214,13 @@ mod tests {
         // Push page 0 through A1in and out into the ghost queue: 2Q only
         // reclaims once the cache (fast tier, 16 pages) is actually full,
         // so stream enough distinct pages to exceed capacity.
-        p.on_sample(sample(0), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(0)], &mut mem, &mut ctx);
         for i in 1..20u64 {
-            p.on_sample(sample(i), &mut mem, &mut ctx);
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
         }
         assert_eq!(p.lists.which(0), Some(A1OUT), "page 0 should be ghosted");
         // Re-reference: promoted into Am.
-        p.on_sample(sample(0), &mut mem, &mut ctx);
+        p.on_sample_batch(&[sample(0)], &mut mem, &mut ctx);
         assert_eq!(p.lists.which(0), Some(AM));
         assert_eq!(mem.tier_of(PageId(0)), Some(Tier::Fast));
     }
@@ -238,7 +234,7 @@ mod tests {
         }
         for round in 0..5u64 {
             for i in 0..64u64 {
-                p.on_sample(sample((i * 11 + round * 3) % 64), &mut mem, &mut ctx);
+                p.on_sample_batch(&[sample((i * 11 + round * 3) % 64)], &mut mem, &mut ctx);
                 assert!(mem.fast_used() <= mem.config().fast_capacity_pages);
                 assert_eq!(p.resident() as u64, mem.fast_used());
             }

@@ -76,16 +76,16 @@ fn drive(
         now += 10_000;
         let tier = mem.ensure_mapped(page, policy.preferred_alloc_tier());
         if policy.wants_access_hook() {
-            policy.on_access(page, now, mem, ctx);
+            policy.on_access_batch(&[page], now, mem, ctx);
         }
-        policy.on_sample(
-            Sample {
+        policy.on_sample_batch(
+            &[Sample {
                 page,
                 addr: page.0 << 12,
                 tier,
                 at_ns: now,
                 is_write: i % 4 == 0,
-            },
+            }],
             mem,
             ctx,
         );

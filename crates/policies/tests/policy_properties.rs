@@ -36,16 +36,16 @@ fn run_stream(
         let tier = mem.ensure_mapped(PageId(page), policy.preferred_alloc_tier());
         let now = i as u64 * 10_000;
         if policy.wants_access_hook() {
-            policy.on_access(PageId(page), now, &mut mem, &mut ctx);
+            policy.on_access_batch(&[PageId(page)], now, &mut mem, &mut ctx);
         }
-        policy.on_sample(
-            Sample {
+        policy.on_sample_batch(
+            &[Sample {
                 page: PageId(page),
                 addr: page << 12,
                 tier,
                 at_ns: now,
                 is_write,
-            },
+            }],
             &mut mem,
             &mut ctx,
         );
@@ -112,8 +112,8 @@ proptest! {
         let app_top = 256u64 << 12;
         for (i, &(page, is_write)) in stream.iter().enumerate() {
             let tier = mem.ensure_mapped(PageId(page), policy.preferred_alloc_tier());
-            policy.on_sample(
-                Sample { page: PageId(page), addr: page << 12, tier, at_ns: i as u64, is_write },
+            policy.on_sample_batch(
+                &[Sample { page: PageId(page), addr: page << 12, tier, at_ns: i as u64, is_write }],
                 &mut mem,
                 &mut ctx,
             );
@@ -135,8 +135,8 @@ proptest! {
         let mut ctx = PolicyCtx::new();
         for (i, &(page, is_write)) in stream.iter().enumerate() {
             let tier = mem.ensure_mapped(PageId(page), policy.preferred_alloc_tier());
-            policy.on_sample(
-                Sample { page: PageId(page), addr: page << 12, tier, at_ns: i as u64, is_write },
+            policy.on_sample_batch(
+                &[Sample { page: PageId(page), addr: page << 12, tier, at_ns: i as u64, is_write }],
                 &mut mem,
                 &mut ctx,
             );

@@ -57,8 +57,6 @@ enum SeedMode {
     /// compared on *identical* access streams (the paper's protocol), while
     /// distinct cells get independent streams. The default.
     PerCell,
-    /// Every scenario gets its own derived seed.
-    PerScenario,
     /// Every scenario uses the base seed verbatim (the legacy harness
     /// behaviour; keeps regenerated figures comparable across PRs).
     Fixed,
@@ -110,14 +108,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Gives every scenario its own derived seed instead of sharing one
-    /// access stream per (workload, ratio) cell.
-    #[must_use]
-    pub fn independent_streams(mut self) -> Self {
-        self.seed_mode = SeedMode::PerScenario;
-        self
-    }
-
     /// Uses the base seed verbatim for every scenario (the legacy harness
     /// protocol, kept so regenerated paper figures stay comparable).
     #[must_use]
@@ -138,7 +128,6 @@ impl ScenarioMatrix {
                 for &kind in &self.policies {
                     let seed = match self.seed_mode {
                         SeedMode::PerCell => cell_seed,
-                        SeedMode::PerScenario => derive_seed(self.seed, out.len() as u64),
                         SeedMode::Fixed => self.seed,
                     };
                     out.push(Scenario::suite(id, kind, ratio, &self.config, seed));
@@ -154,7 +143,6 @@ impl ScenarioMatrix {
                 for &kind in &self.policies {
                     let seed = match self.seed_mode {
                         SeedMode::PerCell => cell_seed,
-                        SeedMode::PerScenario => derive_seed(self.seed, out.len() as u64),
                         SeedMode::Fixed => self.seed,
                     };
                     out.push(Scenario::suite_ladder(id, kind, ladder, &self.config, seed));

@@ -13,10 +13,11 @@
 //! * [`AccessBatch`] — fixed-size operation/access batches; workloads emit
 //!   many ops per virtual call through [`Workload::fill_batch`], and the
 //!   engine's pipeline stages iterate the flat access slices.
-//! * [`Sampler`] + [`SampleBuffer`] — the PEBS model: periodic sampling into
-//!   a bounded buffer that the tiering runtime drains (paper Algorithm 1).
-//!   [`Sampler::due_in`]/[`Sampler::skip`] let batch consumers step over
-//!   whole unsampled bursts in one operation.
+//! * [`Sampler`] — the PEBS model: every Nth access becomes a [`Sample`];
+//!   the engine collects each op's samples and the tiering runtime drains
+//!   them in one run (paper Algorithm 1). [`Sampler::due_in`]/
+//!   [`Sampler::skip`] let batch consumers step over whole unsampled bursts
+//!   in one operation.
 //! * [`TraceWriter`] / [`TraceReader`] — a versioned, chunked, checksummed
 //!   on-disk trace format (`docs/TRACE_FORMAT.md`) whose columnar chunk
 //!   frames mirror the [`AccessBatch`] layout, so recorded access streams
@@ -49,4 +50,4 @@ pub use file::{
     TraceChunk, TraceError, TraceHeader, TraceReader, TraceSummary, TraceWriter, DEFAULT_CHUNK_OPS,
     MAX_CHUNK_PAYLOAD_BYTES, TRACE_MAGIC, TRACE_VERSION,
 };
-pub use sampler::{Sample, SampleBuffer, Sampler};
+pub use sampler::{Sample, Sampler};

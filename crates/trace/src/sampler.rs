@@ -1,7 +1,5 @@
 //! PEBS-style periodic access sampling.
 
-use std::collections::VecDeque;
-
 use tiering_mem::{PageId, PageSize, Tier};
 
 use crate::access::Access;
@@ -125,63 +123,6 @@ impl Sampler {
     }
 }
 
-/// A bounded PEBS sample buffer (paper Algorithm 1: the tiering thread reads
-/// from `SampleBuffer` when it is non-empty).
-///
-/// If the tiering thread falls behind, the hardware overwrites unread
-/// records; [`dropped`](SampleBuffer::dropped) counts those losses.
-#[derive(Debug, Clone)]
-pub struct SampleBuffer {
-    buf: VecDeque<Sample>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SampleBuffer {
-    /// Creates a buffer holding at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "sample buffer capacity must be positive");
-        Self {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Pushes a sample, dropping it (and counting the drop) if full.
-    pub fn push(&mut self, sample: Sample) {
-        if self.buf.len() == self.capacity {
-            self.dropped += 1;
-        } else {
-            self.buf.push_back(sample);
-        }
-    }
-
-    /// Pops the oldest sample.
-    pub fn pop(&mut self) -> Option<Sample> {
-        self.buf.pop_front()
-    }
-
-    /// Number of samples waiting.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Samples lost to buffer overflow so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,26 +161,5 @@ mod tests {
         assert_eq!(sample.tier, Tier::Slow);
         assert_eq!(sample.at_ns, 77);
         assert!(sample.is_write);
-    }
-
-    #[test]
-    fn buffer_fifo_and_drops() {
-        let mut b = SampleBuffer::new(2);
-        let mk = |i: u64| Sample {
-            page: PageId(i),
-            addr: i << 12,
-            tier: Tier::Fast,
-            at_ns: i,
-            is_write: false,
-        };
-        b.push(mk(1));
-        b.push(mk(2));
-        b.push(mk(3)); // dropped
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.dropped(), 1);
-        assert_eq!(b.pop().unwrap().page, PageId(1));
-        assert_eq!(b.pop().unwrap().page, PageId(2));
-        assert!(b.pop().is_none());
-        assert!(b.is_empty());
     }
 }

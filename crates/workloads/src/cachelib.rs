@@ -284,12 +284,6 @@ impl CacheLibWorkload {
             self.next_churn_op += self.config.churn_interval_ops.expect("churn enabled");
         }
     }
-
-    /// The heap region (object storage), exposed for experiments that probe
-    /// page hotness directly.
-    pub fn heap_region(&self) -> Region {
-        self.heap
-    }
 }
 
 impl Workload for CacheLibWorkload {

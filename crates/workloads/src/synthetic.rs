@@ -147,21 +147,19 @@ pub struct PulseWorkload {
     /// Accesses per simulated minute while active.
     rate_per_min: u64,
     active_minutes: u64,
-    total_minutes: u64,
     emitted: u64,
 }
 
 impl PulseWorkload {
     /// A single page touched `rate_per_min` times per minute for
-    /// `active_minutes`, followed by silence until `total_minutes`.
-    pub fn new(rate_per_min: u64, active_minutes: u64, total_minutes: u64) -> Self {
+    /// `active_minutes`, then never again.
+    pub fn new(rate_per_min: u64, active_minutes: u64) -> Self {
         let mut layout = LayoutBuilder::new();
         let region = layout.alloc(4096);
         Self {
             region,
             rate_per_min,
             active_minutes,
-            total_minutes,
             emitted: 0,
         }
     }
@@ -174,11 +172,6 @@ impl PulseWorkload {
     /// Total number of accesses the pulse emits.
     pub fn total_accesses(&self) -> u64 {
         self.rate_per_min * self.active_minutes
-    }
-
-    /// Total simulated duration covered (including the silent tail).
-    pub fn duration_ns(&self) -> u64 {
-        self.total_minutes * 60_000_000_000
     }
 }
 
@@ -337,7 +330,7 @@ mod tests {
 
     #[test]
     fn pulse_emits_exact_count_and_rate() {
-        let mut w = PulseWorkload::new(50, 10, 20);
+        let mut w = PulseWorkload::new(50, 10);
         assert_eq!(w.total_accesses(), 500);
         assert_eq!(w.access_gap_ns(), 1_200_000_000);
         let accesses = drain(&mut w, 1000);

@@ -151,14 +151,14 @@ fn blocked_cbf_reduces_metadata_lines_through_policy() {
             mem.ensure_mapped(PageId(i), Tier::Slow);
         }
         for i in 0..2_000u64 {
-            policy.on_sample(
-                Sample {
+            policy.on_sample_batch(
+                &[Sample {
                     page: PageId(i),
                     addr: i << 12,
                     tier: Tier::Slow,
                     at_ns: i,
                     is_write: false,
-                },
+                }],
                 &mut mem,
                 &mut ctx,
             );
