@@ -1,4 +1,5 @@
-//! A single set-associative, true-LRU cache level.
+//! A single set-associative, true-LRU cache level, each set kept in recency
+//! order.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,20 +70,26 @@ impl CacheConfig {
 /// One set-associative cache level with true-LRU replacement.
 ///
 /// Tags are full line addresses, so aliasing across address spaces is
-/// impossible. Lookup is a linear scan over the ways of one set — at 12 ways
-/// this is a handful of nanoseconds and keeps the simulator fast enough to
-/// replay tens of millions of references.
+/// impossible. Each set keeps its ways **in recency order**: way 0 is the
+/// most recently used line, the last way the least recently used one, and
+/// empty ways sink to the tail. A hit at depth `i` rotates `tags[0..=i]` —
+/// that tag moves to the front and the `i` more recent ones down by one; a
+/// miss rotates the whole set, which drops the last way — an empty one until
+/// the set is full, the LRU line afterwards. The order *is* the replacement
+/// state, so there is no per-way timestamp and no clock, and a lookup costs
+/// as many compares as the line's recency depth: a repeat of the previous
+/// line (7 of every 8 references of a pagemap walk) is one compare.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     sets: usize,
     set_mask: u64,
     line_shift: u32,
-    /// `sets * ways` tags; `u64::MAX` marks an empty way.
+    /// `sets * ways` tags, each set MRU first; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// Per-way last-touch stamps for LRU.
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Work meter: tag comparisons made by `access`.
+    #[cfg(test)]
+    compares: u64,
 }
 
 const EMPTY: u64 = u64::MAX;
@@ -106,8 +113,8 @@ impl SetAssocCache {
             set_mask: sets as u64 - 1,
             line_shift: config.line_bytes.trailing_zeros(),
             tags: vec![EMPTY; sets * config.ways],
-            stamps: vec![0; sets * config.ways],
-            clock: 0,
+            #[cfg(test)]
+            compares: 0,
         }
     }
 
@@ -123,30 +130,28 @@ impl SetAssocCache {
 
     /// Touches the line containing `byte_addr`; returns `true` on hit.
     ///
-    /// On a miss the LRU way of the set is evicted and replaced.
+    /// The line becomes the set's most recently used; on a miss the least
+    /// recently used way of the set is evicted to make room.
     #[inline]
     pub fn access(&mut self, byte_addr: u64) -> bool {
-        self.clock += 1;
         let line = byte_addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.config.ways;
-        let ways = &mut self.tags[base..base + self.config.ways];
-
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for (i, &tag) in ways.iter().enumerate() {
-            if tag == line {
-                self.stamps[base + i] = self.clock;
+        let base = (line & self.set_mask) as usize * self.config.ways;
+        let set = &mut self.tags[base..base + self.config.ways];
+        // One pass from the MRU end: each way takes the tag of the way
+        // before it (way 0 takes `line`) until the way that held `line` is
+        // reached — on a miss that is never, and the last tag drops out.
+        let mut carried = line;
+        for tag in set {
+            #[cfg(test)]
+            {
+                self.compares += 1;
+            }
+            let found = std::mem::replace(tag, carried);
+            if found == line {
                 return true;
             }
-            let s = self.stamps[base + i];
-            if s < victim_stamp {
-                victim_stamp = s;
-                victim = i;
-            }
+            carried = found;
         }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
         false
     }
 
@@ -162,7 +167,6 @@ impl SetAssocCache {
     /// Empties the cache.
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
-        self.stamps.fill(0);
     }
 
     /// Number of resident lines.
@@ -174,6 +178,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{metadata_pair, Mix, Rng, StampLru, Stream};
 
     fn tiny() -> SetAssocCache {
         // 4 sets × 2 ways × 64B = 512B.
@@ -275,5 +280,145 @@ mod tests {
             ways: 2,
             line_bytes: 48,
         });
+    }
+
+    /// One of each associativity the simulator builds, and a direct-mapped
+    /// and a 2-way cache for the degenerate rotations.
+    fn geometries() -> Vec<CacheConfig> {
+        let (meta_l1, meta_llc) = metadata_pair();
+        let small = |size_bytes, ways| CacheConfig {
+            size_bytes,
+            ways,
+            line_bytes: 64,
+        };
+        vec![
+            small(4 << 10, 1),
+            small(512, 2),
+            meta_l1,
+            meta_llc,
+            CacheConfig::l1d(),
+            CacheConfig::llc_scaled(),
+        ]
+    }
+
+    #[test]
+    fn recency_order_equals_stamp_lru_at_every_step() {
+        const STEPS_PER_MIX: usize = 500_000;
+        for (g, config) in geometries().into_iter().enumerate() {
+            let mut cache = SetAssocCache::new(config);
+            let mut oracle = StampLru::new(config);
+            let mut hits = 0usize;
+            for (m, mix) in Mix::ALL.into_iter().enumerate() {
+                let seed = 0x5EED_0000 + (g * 16 + m) as u64;
+                let mut stream = Stream::new(mix, config, seed);
+                let mut rng = Rng(seed ^ 0xFFFF);
+                // A sample of the last few thousand addresses: some still
+                // resident, some evicted.
+                let mut probes = [0u64; 64];
+                for step in 0..STEPS_PER_MIX {
+                    let addr = stream.next_addr();
+                    let hit = cache.access(addr);
+                    assert_eq!(
+                        hit,
+                        oracle.access(addr),
+                        "{config:?} {mix:?} step {step} addr {addr:#x}"
+                    );
+                    hits += hit as usize;
+                    match rng.below(1 << 16) {
+                        0 => {
+                            cache.flush();
+                            oracle.flush();
+                            assert_eq!(cache.resident_lines(), 0);
+                        }
+                        // `contains` agrees, and must not reorder the set
+                        // (the steps that follow would diverge if it did).
+                        1..=1_024 => {
+                            for probe in probes {
+                                assert_eq!(
+                                    cache.contains(probe),
+                                    oracle.contains(probe),
+                                    "{config:?} {mix:?} step {step} probe {probe:#x}"
+                                );
+                            }
+                        }
+                        1_025..=2_048 => probes[rng.below(64) as usize] = addr,
+                        _ => {}
+                    }
+                }
+                assert_eq!(
+                    cache.resident_lines(),
+                    oracle.resident_lines(),
+                    "{config:?} {mix:?}"
+                );
+                for probe in probes {
+                    assert_eq!(cache.contains(probe), oracle.contains(probe));
+                }
+            }
+            // The streams exercise both outcomes, not one of them.
+            let steps = Mix::ALL.len() * STEPS_PER_MIX;
+            assert!(
+                hits > steps / 4 && hits < steps * 3 / 4,
+                "{config:?}: {hits}"
+            );
+        }
+    }
+
+    #[test]
+    fn direct_mapped_cache_replaces_on_every_conflict() {
+        let mut c = SetAssocCache::new(CacheConfig {
+            size_bytes: 256,
+            ways: 1,
+            line_bytes: 64,
+        });
+        assert!(!c.access(0x000));
+        assert!(c.access(0x000));
+        assert!(!c.access(0x100), "same set, other line");
+        assert!(!c.access(0x000), "evicted by the conflict");
+        assert_eq!(c.resident_lines(), 1);
+    }
+
+    /// Tag compares per access over `addrs`.
+    fn compares_per_access(c: &mut SetAssocCache, addrs: impl Iterator<Item = u64>) -> f64 {
+        let before = c.compares;
+        let mut accesses = 0u64;
+        for addr in addrs {
+            c.access(addr);
+            accesses += 1;
+        }
+        (c.compares - before) as f64 / accesses as f64
+    }
+
+    /// The work a lookup does is the line's recency depth, not the
+    /// associativity. Exact on any host, so a regression to a scan of the
+    /// whole set per reference fails here without a stopwatch.
+    #[test]
+    fn compares_per_access_track_recency_depth() {
+        let (meta_l1, _) = metadata_pair();
+
+        // A repeat of the previous line is one compare, in a cold set and
+        // in a full one.
+        let mut c = SetAssocCache::new(meta_l1);
+        let mut rng = Rng(0x5EED_C0DE);
+        for _ in 0..100_000 {
+            let addr = rng.below(1 << 22);
+            c.access(addr);
+            let before = c.compares;
+            assert!(c.access(addr));
+            assert_eq!(c.compares - before, 1);
+        }
+
+        // The pagemap walk: a miss that scans the set, then seven repeats.
+        let mut c = SetAssocCache::new(meta_l1);
+        let walk = compares_per_access(&mut c, (0..800_000u64).map(|i| (i / 8) * 64));
+        assert!(walk <= 2.0, "8x-repeated sequential stream: {walk}");
+
+        // A cyclic sweep over a working set that fits hits at full depth:
+        // never more than one compare per way.
+        for config in geometries() {
+            let lines = (config.size_bytes / config.line_bytes) as u64;
+            let mut c = SetAssocCache::new(config);
+            let cyclic = compares_per_access(&mut c, (0..4 * lines).map(|i| (i % lines) * 64));
+            assert!(cyclic <= config.ways as f64, "{config:?}: {cyclic}");
+        }
     }
 }

@@ -169,6 +169,7 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{metadata_pair, Mix, Rng, StampLru, Stream};
 
     fn tiny_hierarchy() -> CacheHierarchy {
         CacheHierarchy::new(
@@ -248,5 +249,67 @@ mod tests {
         assert_eq!(s.miss_ratio(), 0.0);
         let l = LevelStats::default();
         assert_eq!(l.tiering_miss_fraction(), 0.0);
+    }
+
+    /// The hierarchy over two stamp/clock caches: what `CacheHierarchy` was
+    /// before its levels kept their sets in recency order.
+    struct StampHierarchy {
+        l1: StampLru,
+        llc: StampLru,
+        stats: HierarchyStats,
+    }
+
+    impl StampHierarchy {
+        fn access(&mut self, byte_addr: u64, source: Source) -> HitLevel {
+            if self.l1.access(byte_addr) {
+                self.stats.l1.record(source, true);
+                return HitLevel::L1;
+            }
+            self.stats.l1.record(source, false);
+            if self.llc.access(byte_addr) {
+                self.stats.llc.record(source, true);
+                HitLevel::Llc
+            } else {
+                self.stats.llc.record(source, false);
+                HitLevel::Memory
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_equals_the_stamp_lru_hierarchy() {
+        const STEPS_PER_MIX: usize = 500_000;
+        let pairs = [
+            (CacheConfig::l1d(), CacheConfig::llc_scaled()),
+            metadata_pair(),
+        ];
+        for (p, (l1, llc)) in pairs.into_iter().enumerate() {
+            let mut hier = CacheHierarchy::new(l1, llc);
+            let mut oracle = StampHierarchy {
+                l1: StampLru::new(l1),
+                llc: StampLru::new(llc),
+                stats: HierarchyStats::default(),
+            };
+            let mut levels = [0usize; 3];
+            for (m, mix) in Mix::ALL.into_iter().enumerate() {
+                // Sized against the LLC, so all three levels serve hits.
+                let seed = 0x5EED_1000 + (p * 16 + m) as u64;
+                let mut stream = Stream::new(mix, llc, seed);
+                let mut rng = Rng(seed ^ 0xFFFF);
+                for step in 0..STEPS_PER_MIX {
+                    let addr = stream.next_addr();
+                    let source = [Source::App, Source::Tiering][rng.below(2) as usize];
+                    let level = hier.access(addr, source);
+                    assert_eq!(
+                        level,
+                        oracle.access(addr, source),
+                        "{l1:?}+{llc:?} {mix:?} step {step}"
+                    );
+                    levels[level as usize] += 1;
+                }
+            }
+            assert_eq!(hier.stats(), oracle.stats, "{l1:?}+{llc:?}");
+            assert!(levels.iter().all(|&n| n > 50_000), "{levels:?}");
+        }
     }
 }

@@ -13,6 +13,18 @@
 //! locality of metadata layouts (page-table walk vs. hash table vs. standard
 //! CBF vs. blocked CBF), which a basic LRU hierarchy captures faithfully.
 //!
+//! Every metadata line a policy touches is replayed through this model, so
+//! its cost per reference is a first-order term of what a simulated access
+//! costs the host. A level ([`SetAssocCache`]) therefore keeps each set's
+//! ways in recency order — way 0 the most recently used line, the last way
+//! the victim — instead of a timestamp per way: the order is the LRU state
+//! (a hit moves the line to the front, a miss pushes the last way out), a
+//! lookup compares as many tags as the line's recency depth, and a level is
+//! one array of tags. The timestamp scheme it replaced, under which only
+//! empty ways ever tie and which empty way a fill lands in is unobservable,
+//! produces the same hit/miss sequence; it is the tests' differential
+//! oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +43,8 @@
 
 mod cache;
 mod hierarchy;
+#[cfg(test)]
+mod oracle;
 
 pub use cache::{CacheConfig, SetAssocCache};
 pub use hierarchy::{CacheHierarchy, HierarchyStats, HitLevel, LevelStats, Source, SourceStats};

@@ -586,6 +586,11 @@ impl TieredMemory {
     /// so a watermark tested before the first call and after each returned
     /// page decides exactly what a per-entry test would.
     ///
+    /// The walk is over at most two contiguous runs of the page table per
+    /// revolution (split at the wrap and at the budget), each searched eight
+    /// one-byte entries per step; the per-entry walk it equals is
+    /// the oracle in this module's tests.
+    ///
     /// # Panics
     ///
     /// Panics if `rung` is not a rung of the ladder or `hand` is outside a
@@ -603,7 +608,7 @@ impl TieredMemory {
             // One contiguous run: up to the wrap or the end of the budget.
             let run = (n - *hand).min(budget - walked);
             let entries = &self.table[*hand as usize..(*hand + run) as usize];
-            match entries.iter().position(|&t| t == rung) {
+            match first_equal(entries, rung) {
                 Some(i) => {
                     let page = *hand + i as u64;
                     *hand = (page + 1) % n;
@@ -617,6 +622,31 @@ impl TieredMemory {
         }
         (None, walked)
     }
+}
+
+/// Index of the first byte of `entries` equal to `value`, searched eight
+/// entries per step: with `x = word ^ value-in-every-byte`, a byte of `x` is
+/// zero exactly where the entry matches, and `(x − 0x01…) & !x & 0x80…` has
+/// its high bit set in every zero byte. The subtraction's borrow can also
+/// flag bytes *above* a zero byte, never one below the lowest, so with the
+/// word loaded little-endian the lowest flagged byte is the first match.
+/// The tail shorter than a word is searched entry by entry.
+fn first_equal(entries: &[u8], value: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let pattern = LOW * u64::from(value);
+    let mut words = entries.chunks_exact(8);
+    for (w, word) in words.by_ref().enumerate() {
+        let word: [u8; 8] = word.try_into().expect("chunks_exact(8) yields 8 entries");
+        let x = u64::from_le_bytes(word) ^ pattern;
+        let zero_bytes = x.wrapping_sub(LOW) & !x & HIGH;
+        if zero_bytes != 0 {
+            return Some(w * 8 + (zero_bytes.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    let searched = entries.len() - tail.len();
+    tail.iter().position(|&t| t == value).map(|i| searched + i)
 }
 
 #[cfg(test)]
@@ -1001,18 +1031,27 @@ mod tests {
         assert_eq!(hand, 0);
     }
 
-    #[test]
-    fn next_resident_never_matches_unmapped_entries() {
-        // A full 8-rung ladder: no rung index can alias the unmapped marker.
-        let rung = |capacity_pages| crate::TierParams {
+    /// An 8-rung memory (every value 0..=7 is a rung) whose page table is
+    /// `table`, written directly: only `next_resident` is asked of it.
+    fn with_table(table: &[u8]) -> TieredMemory {
+        let n = table.len() as u64;
+        let rung = crate::TierParams {
             label: "rung",
-            capacity_pages,
+            capacity_pages: n,
             access_ns: 100,
             stream_ns: 30,
             migrate_base_page_ns: 2_000,
         };
-        let topo = TierTopology::new(vec![rung(16); crate::MAX_TIERS], PageSize::Base4K, 16);
-        let m = TieredMemory::with_topology(topo);
+        let topo = TierTopology::new(vec![rung; crate::MAX_TIERS], PageSize::Base4K, n);
+        let mut m = TieredMemory::with_topology(topo);
+        m.table.copy_from_slice(table);
+        m
+    }
+
+    #[test]
+    fn next_resident_never_matches_unmapped_entries() {
+        // A full 8-rung ladder: no rung index can alias the unmapped marker.
+        let m = with_table(&[UNMAPPED; 16]);
         for t in 0..crate::MAX_TIERS {
             let mut hand = 0;
             assert_eq!(m.next_resident(t, &mut hand, 16), (None, 16), "rung {t}");
@@ -1038,6 +1077,82 @@ mod tests {
             }
         }
         (None, walked)
+    }
+
+    /// `next_resident` from `hand` under `budget` equals the per-entry walk.
+    fn assert_sweep_equals_walk(m: &TieredMemory, rung: usize, hand: u64, budget: u64) {
+        let (mut swept_hand, mut walked_hand) = (hand, hand);
+        assert_eq!(
+            m.next_resident(rung, &mut swept_hand, budget),
+            next_resident_oracle(m, rung, &mut walked_hand, budget),
+            "table {:?} rung {rung} hand {hand} budget {budget}",
+            m.table
+        );
+        assert_eq!(swept_hand, walked_hand, "table {:?} rung {rung}", m.table);
+    }
+
+    const TABLE_VALUES: [u8; 9] = [0, 1, 2, 3, 4, 5, 6, 7, UNMAPPED];
+
+    #[test]
+    fn next_resident_is_exact_beside_every_neighbouring_value() {
+        // The word test's borrow can flag the byte above a match (a
+        // neighbour that differs from the rung in its lowest bit only);
+        // every pair of neighbours, at every position in a word, with and
+        // without the match between them.
+        for rung in 0..crate::MAX_TIERS {
+            for filler in [UNMAPPED, (rung as u8 + 1) % 8, rung as u8 ^ 1] {
+                for (a, b) in TABLE_VALUES
+                    .iter()
+                    .flat_map(|&a| TABLE_VALUES.map(|b| (a, b)))
+                {
+                    for at in 0..8 {
+                        let mut table = [filler; 24];
+                        table[at..at + 2].copy_from_slice(&[a, b]);
+                        assert_sweep_equals_walk(&with_table(&table), rung, 0, 24);
+                        table[at..at + 3].copy_from_slice(&[a, rung as u8, b]);
+                        assert_sweep_equals_walk(&with_table(&table), rung, 0, 24);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_resident_finds_a_match_at_every_offset_from_every_alignment() {
+        for rung in [0usize, 3, 7] {
+            for hand in 0..8u64 {
+                for offset in 0..16u64 {
+                    let mut table = [UNMAPPED; 40];
+                    table[(hand + offset) as usize] = rung as u8;
+                    let m = with_table(&table);
+                    // Short of the match, exactly on it, the whole table.
+                    for budget in [offset, offset + 1, 40] {
+                        assert_sweep_equals_walk(&m, rung, hand, budget);
+                    }
+                    // From just past the match: all the way round to it.
+                    assert_sweep_equals_walk(&m, rung, (hand + offset + 1) % 40, 40);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_resident_is_exact_on_tables_shorter_than_three_words() {
+        for n in 1..=17usize {
+            // No match, then a match at every position.
+            for matched in std::iter::once(None).chain((0..n).map(Some)) {
+                let mut table = vec![6u8; n];
+                if let Some(at) = matched {
+                    table[at] = 1;
+                }
+                let m = with_table(&table);
+                for hand in 0..n as u64 {
+                    for budget in [1, n as u64 - 1, n as u64, 2 * n as u64 + 1] {
+                        assert_sweep_equals_walk(&m, 1, hand, budget);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

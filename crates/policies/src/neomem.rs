@@ -31,6 +31,8 @@ use crate::policy::{PolicyCtx, TieringPolicy};
 const READOUT_NS: u64 = 1_500;
 /// Host-side cost per hot-page entry processed from a readout.
 const PER_ENTRY_NS: u64 = 40;
+/// Counters a readout tests for a hot entry, and decays, at a time.
+const READOUT_CHUNK: usize = 64;
 
 /// Configuration of [`NeoMemPolicy`].
 #[derive(Debug, Clone)]
@@ -40,7 +42,8 @@ pub struct NeoMemConfig {
     /// Device counter value at which a page is reported hot.
     pub hot_threshold: u8,
     /// Right-shift applied to every counter at each readout (hardware decay
-    /// so counters track the current epoch, not all of history).
+    /// so counters track the current epoch, not all of history); 8 or more
+    /// clears the 8-bit counters.
     pub decay_shift: u8,
     /// Maximum pages promoted per readout (bounds the migration burst the
     /// host issues per report).
@@ -101,27 +104,51 @@ impl NeoMemPolicy {
 
     /// One host readout: harvest counter-hot device pages, promote them one
     /// rung toward DRAM, decay every counter.
+    ///
+    /// The array is walked in index order, [`READOUT_CHUNK`] counters at a
+    /// time. A chunk with no counter at or above `hot_threshold` — and any
+    /// chunk once `max_promote_per_readout` pages are promoted — can promote
+    /// nothing, so it is only decayed, by a branch-free loop. A chunk that
+    /// holds a hot counter is visited entry by entry, test before decay,
+    /// because a promotion into a full DRAM rung runs
+    /// [`demote_pressure`](Self::demote_pressure), whose cold test reads the
+    /// counters of arbitrary pages: at every promotion all earlier entries
+    /// are decayed and all later ones are not, exactly as in a walk that
+    /// visits every entry.
     fn readout(&mut self, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         ctx.tiering_work_ns += READOUT_NS;
+        let hot = self.config.hot_threshold;
+        let max_promote = self.config.max_promote_per_readout;
+        // A shift of the whole counter width or more forgets everything
+        // (`u8 >> 8` is an overflow, not 0).
+        let shift = u32::from(self.config.decay_shift);
+        let decay = |c: u8| c.checked_shr(shift).unwrap_or(0);
         let mut promoted = 0u64;
-        for page in 0..self.counters.len() as u64 {
-            if self.counters[page as usize] >= self.config.hot_threshold
-                && promoted < self.config.max_promote_per_readout
-            {
-                let p = PageId(page);
-                // Device pages are any rung below 0; hop one toward DRAM.
-                if mem.tier_index_of(p).is_some_and(|t| t > 0) {
-                    ctx.tiering_work_ns += PER_ENTRY_NS;
-                    if mem.fast_free() == 0 {
-                        self.demote_pressure(mem, ctx);
-                    }
-                    if mem.promote_toward(p, 0).is_ok() {
-                        promoted += 1;
+        for start in (0..self.counters.len()).step_by(READOUT_CHUNK) {
+            let end = (start + READOUT_CHUNK).min(self.counters.len());
+            let chunk = &mut self.counters[start..end];
+            // The maximum, not `any`: no early exit, so it vectorizes.
+            if promoted >= max_promote || chunk.iter().fold(0, |m, &c| m.max(c)) < hot {
+                chunk.iter_mut().for_each(|c| *c = decay(*c));
+                continue;
+            }
+            for page in start..end {
+                if self.counters[page] >= hot && promoted < max_promote {
+                    let p = PageId(page as u64);
+                    // Device pages are any rung below 0; hop one toward DRAM.
+                    if mem.tier_index_of(p).is_some_and(|t| t > 0) {
+                        ctx.tiering_work_ns += PER_ENTRY_NS;
+                        if mem.fast_free() == 0 {
+                            self.demote_pressure(mem, ctx);
+                        }
+                        if mem.promote_toward(p, 0).is_ok() {
+                            promoted += 1;
+                        }
                     }
                 }
+                // Hardware decay runs over the whole counter array regardless.
+                self.counters[page] = decay(self.counters[page]);
             }
-            // Hardware decay runs over the whole counter array regardless.
-            self.counters[page as usize] >>= self.config.decay_shift;
         }
     }
 
@@ -308,5 +335,160 @@ mod tests {
             Some(0),
             "two readouts walk nvme → cxl → dram"
         );
+    }
+
+    /// One readout of `counter` under `decay_shift`, through both paths: a
+    /// chunk that is only decayed and one visited entry by entry.
+    fn decayed(decay_shift: u8, counter: u8) -> u8 {
+        let (mut p, mut mem) = setup();
+        p.config.decay_shift = decay_shift;
+        p.config.max_promote_per_readout = 0;
+        p.counters[3] = counter;
+        p.readout(&mut mem, &mut PolicyCtx::new());
+        let bulk = p.counter_of(PageId(3));
+        p.config.max_promote_per_readout = 1;
+        p.config.hot_threshold = 0;
+        p.counters[3] = counter;
+        p.readout(&mut mem, &mut PolicyCtx::new());
+        assert_eq!(p.counter_of(PageId(3)), bulk, "shift {decay_shift}");
+        bulk
+    }
+
+    #[test]
+    fn decay_shift_of_the_counter_width_or_more_forgets_everything() {
+        for counter in [0u8, 1, 2, 0x80, 0xAB, u8::MAX] {
+            assert_eq!(decayed(0, counter), counter, "shift 0 keeps the count");
+            assert_eq!(decayed(1, counter), counter >> 1);
+            assert_eq!(decayed(7, counter), counter >> 7);
+            assert_eq!(decayed(8, counter), 0, "shift 8 is not shift 0");
+            assert_eq!(decayed(255, counter), 0, "shift 255 is not shift 7");
+        }
+    }
+
+    /// `readout` as it was before it walked the counters in chunks, line
+    /// for line: every entry tested, then decayed, in index order.
+    fn readout_per_entry(p: &mut NeoMemPolicy, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
+        ctx.tiering_work_ns += READOUT_NS;
+        let mut promoted = 0u64;
+        for page in 0..p.counters.len() as u64 {
+            if p.counters[page as usize] >= p.config.hot_threshold
+                && promoted < p.config.max_promote_per_readout
+            {
+                let pg = PageId(page);
+                // Device pages are any rung below 0; hop one toward DRAM.
+                if mem.tier_index_of(pg).is_some_and(|t| t > 0) {
+                    ctx.tiering_work_ns += PER_ENTRY_NS;
+                    if mem.fast_free() == 0 {
+                        p.demote_pressure(mem, ctx);
+                    }
+                    if mem.promote_toward(pg, 0).is_ok() {
+                        promoted += 1;
+                    }
+                }
+            }
+            // Hardware decay runs over the whole counter array regardless.
+            p.counters[page as usize] >>= p.config.decay_shift;
+        }
+    }
+
+    /// SplitMix64: seeded, dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A ladder of `n_tiers` rungs over `pages` pages with a small DRAM
+    /// rung, every page mapped and DRAM full, so that the first promotion
+    /// of a readout already has to reclaim.
+    fn full_ladder(n_tiers: usize, pages: u64, rng: &mut Rng) -> TieredMemory {
+        let rung = |capacity_pages| tiering_mem::TierParams {
+            label: "rung",
+            capacity_pages,
+            access_ns: 100,
+            stream_ns: 30,
+            migrate_base_page_ns: 2_000,
+        };
+        let mut tiers = vec![rung(1 + pages / 16)];
+        tiers.extend((2..n_tiers).map(|t| rung(1 + pages / (2 + t as u64))));
+        tiers.push(rung(pages));
+        let mut mem =
+            TieredMemory::with_topology(TierTopology::new(tiers, PageSize::Base4K, pages));
+        while mem.fast_free() > 0 && mem.tier_used(0) < pages {
+            mem.ensure_mapped(PageId(rng.below(pages)), Tier::Fast);
+        }
+        for page in 0..pages {
+            mem.ensure_mapped(PageId(page), Tier::Slow);
+            if rng.below(3) == 0 {
+                let _ = mem.demote_toward(PageId(page), rng.below(n_tiers as u64) as usize);
+            }
+        }
+        mem
+    }
+
+    #[test]
+    fn chunked_readout_equals_the_per_entry_loop() {
+        let mut rng = Rng(0x5EED_4E30);
+        let (mut readouts, mut promotions, mut reclaims) = (0, 0, 0);
+        for case in 0..360 {
+            // Never a whole number of chunks, down to less than one.
+            let pages = [1, 63, 65, 333, 1_000, 4_097][case % 6];
+            let n_tiers = 2 + case % 3;
+            let config = NeoMemConfig {
+                hot_threshold: [0, 1, 4, 200, 255][rng.below(5) as usize],
+                decay_shift: [0, 1, 2, 7][rng.below(4) as usize],
+                max_promote_per_readout: [0, 1, 2_048][case / 6 % 3],
+                max_scan_per_call: [8, 16_384][rng.below(2) as usize],
+                ..NeoMemConfig::default()
+            };
+            let mut mem = full_ladder(n_tiers, pages, &mut rng);
+            let mut oracle_mem = mem.clone();
+            let mut p = NeoMemPolicy::new(config.clone(), &mem.config());
+            let mut oracle = NeoMemPolicy::new(config.clone(), &mem.config());
+            // From all-zero arrays to every counter live.
+            let one_in = [1, 8, 64, 1_024][rng.below(4) as usize];
+            for _ in 0..4 {
+                for page in 0..pages as usize {
+                    if rng.below(one_in) == 0 {
+                        p.counters[page] = rng.next() as u8;
+                    }
+                }
+                oracle.counters.clone_from(&p.counters);
+                let before = mem.stats();
+                let (mut ctx, mut oracle_ctx) = (PolicyCtx::new(), PolicyCtx::new());
+                p.readout(&mut mem, &mut ctx);
+                readout_per_entry(&mut oracle, &mut oracle_mem, &mut oracle_ctx);
+
+                let what = format!("case {case}: {pages} pages, {n_tiers} rungs, {config:?}");
+                assert_eq!(p.counters, oracle.counters, "{what}");
+                assert_eq!(p.demote_cursor, oracle.demote_cursor, "{what}");
+                assert_eq!(mem.stats(), oracle_mem.stats(), "{what}");
+                assert_eq!(ctx.tiering_work_ns, oracle_ctx.tiering_work_ns, "{what}");
+                assert_eq!(ctx.metadata_lines, oracle_ctx.metadata_lines, "{what}");
+                for page in (0..pages).map(PageId) {
+                    assert_eq!(
+                        mem.tier_index_of(page),
+                        oracle_mem.tier_index_of(page),
+                        "{what}"
+                    );
+                }
+                readouts += 1;
+                promotions += mem.stats().promotions - before.promotions;
+                reclaims += mem.stats().demotions - before.demotions;
+            }
+        }
+        // Promotions happened, and into a full DRAM rung: the cold test of
+        // `demote_pressure` read the counters in the middle of readouts.
+        assert!(readouts >= 1_000 && promotions > 10_000 && reclaims > 1_000);
     }
 }

@@ -647,9 +647,9 @@ mod tests {
         let mut config = SimConfig::default()
             .with_max_ops(100_000)
             .with_batch_ops(32);
-        // The per-lane metadata-cache model costs ~74 KiB of tag/stamp
-        // arrays per tenant — ~7 GiB at this scale, which would turn the
-        // run into a reclaim test.
+        // The per-lane metadata-cache model costs ~37 KiB of tags per
+        // tenant — ~3.5 GiB at this scale, which would turn the run into
+        // a reclaim test.
         config.metadata_cache = false;
         let scenario = Scenario::fleet(
             "synth100000/scale/fleet",
