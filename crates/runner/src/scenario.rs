@@ -34,8 +34,8 @@ use tiering_policies::{
     PolicyKind, PolicyVisitor, TieringPolicy,
 };
 use tiering_sim::{
-    ChurnSchedule, Engine, MultiTenantConfig, MultiTenantEngine, MultiTenantReport, SimConfig,
-    SimReport, TenantRun,
+    ChurnSchedule, Engine, FleetError, MultiTenantConfig, MultiTenantEngine, MultiTenantReport,
+    SimConfig, SimReport, TenantRun,
 };
 use tiering_trace::{TraceError, Workload};
 use tiering_workloads::{
@@ -51,8 +51,9 @@ pub type WorkloadFactory = Arc<dyn Fn(u64) -> Box<dyn Workload> + Send + Sync>;
 /// Factory for a policy, given the resolved tier configuration.
 pub type PolicyFactory = Arc<dyn Fn(&TierConfig) -> Box<dyn TieringPolicy> + Send + Sync>;
 
-/// Why a scenario could not be built. Running one cannot fail; building
-/// its workloads can, when they come from outside the program.
+/// Why a scenario could not be run: a workload that comes from outside
+/// the program could not be built, or a caller-built fleet is not one the
+/// engine can run.
 #[derive(Debug)]
 pub enum ScenarioError {
     /// A [`WorkloadSpec::Trace`] file could not be opened or did not verify.
@@ -62,6 +63,9 @@ pub enum ScenarioError {
         /// What the trace reader found wrong with it.
         source: TraceError,
     },
+    /// A co-location or fleet spec with no tenants, or a churn schedule
+    /// that departs a tenant that is not live.
+    Fleet(FleetError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -70,6 +74,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Trace { path, source } => {
                 write!(f, "cannot open trace {}: {source}", path.display())
             }
+            ScenarioError::Fleet(e) => e.fmt(f),
         }
     }
 }
@@ -78,6 +83,7 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Trace { source, .. } => Some(source),
+            ScenarioError::Fleet(e) => Some(e),
         }
     }
 }
@@ -821,12 +827,13 @@ impl Scenario {
             .with_controller_mode(ControllerMode::Incremental)
     }
 
-    /// [`try_run`](Scenario::try_run) for scenarios that cannot fail to
-    /// build (everything but trace replay).
+    /// [`try_run`](Scenario::try_run) for scenarios that cannot fail
+    /// (everything but trace replay and hand-built fleet specs).
     ///
     /// # Panics
     ///
-    /// With the [`ScenarioError`]'s message if a workload cannot be built.
+    /// With the [`ScenarioError`]'s message if a workload cannot be built
+    /// or the fleet cannot be run.
     pub fn run(&self) -> ScenarioResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -878,7 +885,9 @@ impl Scenario {
                 let mt_cfg = MultiTenantConfig::new(budget)
                     .with_floor_frac(spec.floor_frac)
                     .with_rebalance_interval_ns(spec.rebalance_interval_ns);
-                let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg).run(runs);
+                let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg)
+                    .run(runs)
+                    .map_err(ScenarioError::Fleet)?;
                 ScenarioResult {
                     label: self.label.clone(),
                     workload: spec.tenants_label(),
@@ -940,7 +949,8 @@ impl Scenario {
                     .with_objective(spec.objective)
                     .with_controller_mode(spec.controller_mode);
                 let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg)
-                    .run_with_churn(runs, schedule);
+                    .run_with_churn(runs, schedule)
+                    .map_err(ScenarioError::Fleet)?;
                 ScenarioResult {
                     label: self.label.clone(),
                     workload: spec.tenants_label(),
@@ -1208,6 +1218,40 @@ mod tests {
             "tenants must not share a workload RNG stream"
         );
         assert!(!multi.rebalances.is_empty());
+    }
+
+    /// A hand-built spec the engine refuses comes back as
+    /// `ScenarioError::Fleet` from `try_run` — and as the documented panic,
+    /// with the same message, from `run`.
+    #[test]
+    fn unrunnable_fleet_specs_are_typed_errors() {
+        let config = SimConfig::default().with_max_ops(2_000);
+        let empty = Scenario::co_location("none", CoLocationSpec::new(Vec::new()), &config, 1);
+        assert!(matches!(
+            empty.try_run(),
+            Err(ScenarioError::Fleet(FleetError::NoTenants))
+        ));
+
+        let tenant = TenantSpec::new(
+            "a",
+            WorkloadSpec::custom("zipf", |seed| {
+                Box::new(ZipfPageWorkload::new(500, 0.9, 2_000, seed))
+            }),
+            PolicySpec::Kind(PolicyKind::HybridTier),
+        );
+        let spec = FleetSpec::new(vec![tenant])
+            .with_churn(vec![ChurnSpec::depart(100, "ghost")])
+            .with_rebalance_interval_ns(100_000);
+        let ghost = Scenario::fleet("ghost", spec, &config, 1);
+        let err = ghost.try_run().map(drop).expect_err("unknown departure");
+        assert!(matches!(
+            &err,
+            ScenarioError::Fleet(FleetError::UnknownDeparture { tenant, at_fleet_ops: 100 })
+                if tenant == "ghost"
+        ));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ghost.run()))
+            .expect_err("run panics");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
     }
 
     #[test]

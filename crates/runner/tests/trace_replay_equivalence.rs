@@ -265,7 +265,10 @@ fn unreadable_traces_are_typed_scenario_errors() {
             let ScenarioError::Trace {
                 path: named,
                 source,
-            } = &err;
+            } = &err
+            else {
+                panic!("{tag}: {err}")
+            };
             assert_eq!(named, &*path, "{tag}");
             match (tag, source) {
                 ("missing", TraceError::Io(e)) => {
@@ -303,6 +306,7 @@ fn sweep_reports_a_bad_trace_without_poisoning_a_worker() {
     for runner in [SweepRunner::serial(), SweepRunner::new(3)] {
         match runner.try_run(scenarios(true)) {
             Err(ScenarioError::Trace { path, .. }) => assert_eq!(path, *bad),
+            Err(other) => panic!("unexpected error {other}"),
             Ok(_) => panic!("sweep accepted an unreadable trace"),
         }
         let sweep = runner.try_run(scenarios(false)).expect("good sweep");

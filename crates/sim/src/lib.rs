@@ -59,8 +59,8 @@ pub use engine::{CacheSimOptions, Engine, SimConfig};
 pub use histo::LogHistogram;
 pub use hotness::{CountDistribution, RetentionConfig, RetentionProbe, COUNT_BUCKET_LABELS};
 pub use multi_tenant::{
-    ChurnSchedule, MultiTenantConfig, MultiTenantEngine, TenantEvent, TenantPolicyBuilder,
-    TenantRun, DEFAULT_FLOOR_FRAC, DEFAULT_REBALANCE_INTERVAL_NS,
+    ChurnSchedule, FleetError, MultiTenantConfig, MultiTenantEngine, TenantEvent,
+    TenantPolicyBuilder, TenantRun, DEFAULT_FLOOR_FRAC, DEFAULT_REBALANCE_INTERVAL_NS,
 };
 pub use prefetch::StreamPrefetcher;
 pub use report::{

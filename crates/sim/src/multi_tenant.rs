@@ -234,6 +234,39 @@ impl MultiTenantConfig {
     }
 }
 
+/// Why a fleet could not be run: both conditions come from the caller's
+/// tenant list and [`ChurnSchedule`], not from the engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FleetError {
+    /// The initial tenant list was empty; a fleet starts with at least
+    /// one tenant.
+    NoTenants,
+    /// A [`TenantEvent::Depart`] fired for a name no live tenant carries.
+    UnknownDeparture {
+        /// The name the event carried.
+        tenant: String,
+        /// The event's fleet op-count threshold.
+        at_fleet_ops: u64,
+    },
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::NoTenants => write!(f, "co-location needs at least one tenant"),
+            FleetError::UnknownDeparture {
+                tenant,
+                at_fleet_ops,
+            } => write!(
+                f,
+                "depart of unknown live tenant {tenant} (scheduled at {at_fleet_ops} fleet ops)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
+
 /// One tenant's live execution state.
 struct Lane<'c> {
     name: String,
@@ -317,10 +350,10 @@ impl MultiTenantEngine {
 
     /// Runs a static fleet to completion and seals the merged report.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `tenants` is empty.
-    pub fn run(&self, tenants: Vec<TenantRun>) -> MultiTenantReport {
+    /// [`FleetError::NoTenants`] if `tenants` is empty.
+    pub fn run(&self, tenants: Vec<TenantRun>) -> Result<MultiTenantReport, FleetError> {
         self.run_with_churn(tenants, ChurnSchedule::new())
     }
 
@@ -330,17 +363,19 @@ impl MultiTenantEngine {
     /// for the determinism argument). Events whose threshold the run never
     /// reaches do not fire.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `tenants` is empty (a fleet must start with at least one
-    /// tenant), or if a [`TenantEvent::Depart`] names no live tenant when
-    /// it fires.
+    /// [`FleetError::NoTenants`] if `tenants` is empty (a fleet must start
+    /// with at least one tenant); [`FleetError::UnknownDeparture`] if a
+    /// [`TenantEvent::Depart`] names no live tenant when it fires.
     pub fn run_with_churn(
         &self,
         tenants: Vec<TenantRun>,
         churn: ChurnSchedule,
-    ) -> MultiTenantReport {
-        assert!(!tenants.is_empty(), "co-location needs at least one tenant");
+    ) -> Result<MultiTenantReport, FleetError> {
+        if tenants.is_empty() {
+            return Err(FleetError::NoTenants);
+        }
         let mut controller = GlobalController::new(self.cfg.fast_budget_pages, self.cfg.floor_frac)
             .with_objective_kind(self.cfg.objective)
             .with_mode(self.cfg.controller_mode);
@@ -349,11 +384,21 @@ impl MultiTenantEngine {
         }
 
         let batch_ops = self.sim.batch_ops.max(1);
-        let mut lanes: Vec<Lane<'_>> = tenants
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| self.lane(&controller, i, t, 0, batch_ops))
-            .collect();
+        // Sized once for every slot the run can create: a `Lane` is over
+        // 2 KiB, so one arrival doubling a 5 000-lane table is a 32 MiB
+        // transient.
+        let arrivals = churn
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, TenantEvent::Arrive(_)))
+            .count();
+        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(tenants.len() + arrivals);
+        lanes.extend(
+            tenants
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| self.lane(&controller, i, t, 0, batch_ops)),
+        );
         let mut pending: VecDeque<(u64, TenantEvent)> = churn.events.into();
         let mut churn_records: Vec<ChurnRecord> = Vec::new();
 
@@ -393,10 +438,15 @@ impl MultiTenantEngine {
                 let (at_ops, event) = pending.remove(scan).expect("index checked");
                 let (kind, tenant) = match event {
                     TenantEvent::Depart(name) => {
-                        let slot = lanes
+                        let Some(slot) = lanes
                             .iter()
                             .position(|l| l.departed_at_ns.is_none() && l.name == name)
-                            .unwrap_or_else(|| panic!("depart of unknown live tenant {name}"));
+                        else {
+                            return Err(FleetError::UnknownDeparture {
+                                tenant: name,
+                                at_fleet_ops: at_ops,
+                            });
+                        };
                         lanes[slot].departed_at_ns = Some(round_end);
                         controller.retire_tenant(slot);
                         (ChurnKind::Departed, name)
@@ -409,6 +459,7 @@ impl MultiTenantEngine {
                         let name = run.name.clone();
                         let lane = self.lane(&controller, slot, run, round_end, batch_ops);
                         debug_assert_eq!(slot, lanes.len(), "slots track lanes");
+                        debug_assert!(lanes.len() < lanes.capacity(), "lane table sized once");
                         lanes.push(lane);
                         active.push(slot);
                         (ChurnKind::Arrived, name)
@@ -464,7 +515,7 @@ impl MultiTenantEngine {
             round_end += self.cfg.rebalance_interval_ns;
         }
 
-        self.seal(controller, lanes, churn_records)
+        Ok(self.seal(controller, lanes, churn_records))
     }
 
     /// Builds one tenant's lane at its controller-assigned initial quota.
@@ -609,7 +660,7 @@ mod tests {
             SimConfig::default().with_max_ops(40_000),
             MultiTenantConfig::new(750).with_rebalance_interval_ns(2_000_000),
         );
-        let r = engine.run(two_tenants(40_000));
+        let r = engine.run(two_tenants(40_000)).unwrap();
         assert_eq!(r.tenants.len(), 2);
         assert!(!r.rebalances.is_empty(), "cadence must fire");
         for e in &r.rebalances {
@@ -660,11 +711,13 @@ mod tests {
             SimConfig::default().with_max_ops(5_000),
             MultiTenantConfig::new(500),
         );
-        let r = engine.run(vec![TenantRun::new(
-            "solo",
-            Box::new(ZipfPageWorkload::new(1_000, 0.99, 5_000, 3)),
-            |cfg| build_policy(PolicyKind::HybridTier, cfg),
-        )]);
+        let r = engine
+            .run(vec![TenantRun::new(
+                "solo",
+                Box::new(ZipfPageWorkload::new(1_000, 0.99, 5_000, 3)),
+                |cfg| build_policy(PolicyKind::HybridTier, cfg),
+            )])
+            .unwrap();
         assert_eq!(r.tenants[0].initial_quota_pages, 500);
         assert!(r.tenants[0].final_fast_used <= 500);
         assert_eq!(r.quota_share(0), 1.0);
@@ -678,6 +731,7 @@ mod tests {
                 MultiTenantConfig::new(600).with_rebalance_interval_ns(3_000_000),
             )
             .run(two_tenants(20_000))
+            .unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -704,7 +758,7 @@ mod tests {
             .arrive(45_000, mk_burst());
         let mut tenants = two_tenants(30_000);
         tenants.push(mk_burst());
-        let r = engine.run_with_churn(tenants, schedule);
+        let r = engine.run_with_churn(tenants, schedule).unwrap();
 
         assert_eq!(r.tenants.len(), 4, "3 initial slots + 1 re-arrival slot");
         assert_eq!(r.churn.len(), 2, "both events fired");
@@ -766,7 +820,7 @@ mod tests {
                 |cfg| build_policy(PolicyKind::HybridTier, cfg),
             ),
         );
-        let r = engine.run_with_churn(two_tenants(4_000), schedule);
+        let r = engine.run_with_churn(two_tenants(4_000), schedule).unwrap();
         assert_eq!(r.tenants.len(), 2, "unreachable arrival never joined");
         assert!(r.churn.is_empty());
     }
@@ -790,7 +844,9 @@ mod tests {
                 ),
             )
             .depart(5_000, "hot");
-        let r = engine.run_with_churn(two_tenants(20_000), schedule);
+        let r = engine
+            .run_with_churn(two_tenants(20_000), schedule)
+            .unwrap();
         assert_eq!(r.churn.len(), 1, "the due depart must fire");
         assert_eq!(r.churn[0].kind, ChurnKind::Departed);
         assert_eq!(r.churn[0].tenant, "hot");
@@ -806,7 +862,7 @@ mod tests {
                 .with_rebalance_interval_ns(2_000_000)
                 .with_objective(ObjectiveKind::MaxMin),
         );
-        let r = engine.run(two_tenants(10_000));
+        let r = engine.run(two_tenants(10_000)).unwrap();
         assert!(!r.rebalances.is_empty());
         assert!(r.rebalances.iter().all(|e| e.objective == "max-min"));
         assert!(r.rebalances.iter().all(|e| e.assigned() == 500));
@@ -821,9 +877,58 @@ mod tests {
             },
             MultiTenantConfig::new(100),
         );
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run(Vec::new());
-        }));
-        assert!(result.is_err(), "empty tenant list must panic");
+        assert_eq!(engine.run(Vec::new()), Err(FleetError::NoTenants));
+    }
+
+    /// A departure that names no live tenant — never present, or already
+    /// departed — is the caller's schedule being wrong, reported as such.
+    #[test]
+    fn unknown_departure_is_an_error() {
+        let engine = MultiTenantEngine::new(
+            SimConfig::default().with_max_ops(4_000),
+            MultiTenantConfig::new(400).with_rebalance_interval_ns(1_000_000),
+        );
+        let never = ChurnSchedule::new().depart(100, "ghost");
+        assert_eq!(
+            engine.run_with_churn(two_tenants(4_000), never),
+            Err(FleetError::UnknownDeparture {
+                tenant: "ghost".into(),
+                at_fleet_ops: 100,
+            })
+        );
+        let twice = ChurnSchedule::new().depart(100, "hot").depart(200, "hot");
+        let err = engine
+            .run_with_churn(two_tenants(4_000), twice)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "depart of unknown live tenant hot (scheduled at 200 fleet ops)"
+        );
+    }
+
+    /// The footprint meter at lane level: a tail tenant of the synthetic
+    /// fleet (64 pages, 40 ops, 100–400 ns each) ends its run holding a few
+    /// hundred histogram buckets, where the fixed-range histograms held
+    /// 8 192 (64 KiB, 16× the tenant's CBF budget).
+    #[test]
+    fn tiny_lane_histograms_cost_what_they_record() {
+        let engine = MultiTenantEngine::new(
+            SimConfig::default().with_batch_ops(32),
+            MultiTenantConfig::new(4).with_rebalance_interval_ns(200_000),
+        );
+        let mut controller = GlobalController::new(4, 0.25);
+        let run = TenantRun::new(
+            "tiny",
+            Box::new(ZipfPageWorkload::new(64, 0.9, 40, 5)),
+            |cfg| build_policy(PolicyKind::HybridTier, cfg),
+        );
+        controller.add_tenant(&run.name, 64);
+        let mut lane = engine.lane(&controller, 0, run, 0, 32);
+        assert_eq!(lane.pipeline.histogram_buckets(), 0, "nothing recorded yet");
+        lane.run_until(u64::MAX, 32);
+        assert!(lane.finished());
+        assert_eq!(lane.pipeline.ops(), 40);
+        let held = lane.pipeline.histogram_buckets();
+        assert!((1..1024).contains(&held), "{held} buckets allocated");
     }
 }

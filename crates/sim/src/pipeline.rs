@@ -205,6 +205,13 @@ impl<'c> Pipeline<'c> {
         h
     }
 
+    /// Buckets allocated by the two latency histograms together (the
+    /// per-tenant footprint meter).
+    #[cfg(test)]
+    pub(crate) fn histogram_buckets(&self) -> usize {
+        self.global_hist.allocated_buckets() + self.window_hist.allocated_buckets()
+    }
+
     /// Stage 1 — pull: refills `batch` from the workload and derives its
     /// page column (one sequential pass). Returns `false` when the workload
     /// is exhausted.

@@ -50,6 +50,7 @@ fn run(batch_ops: usize, ops: u64) -> MultiTenantReport {
             .with_rebalance_interval_ns(2_000_000),
     )
     .run(tenants(ops))
+    .expect("a two-tenant fleet")
 }
 
 /// Field-by-field assertion so a regression names the diverging tenant and
@@ -129,6 +130,7 @@ fn run_churn(batch_ops: usize, ops: u64) -> MultiTenantReport {
             .with_objective(ObjectiveKind::MaxMin),
     )
     .run_with_churn(tenants(ops), schedule)
+    .expect("the schedule departs live tenants only")
 }
 
 /// Churn timing rides fleet op counts observed at round boundaries, which
