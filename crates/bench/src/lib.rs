@@ -175,7 +175,7 @@ pub fn record_trace_inputs(
 /// traces). Replay is bit-identical to the generators (the runner's
 /// replay-equivalence suite locks it), so this sweep drives the *streaming
 /// ingestion* path — chunked reads, checksum verification, and the
-/// zero-copy batch fill — where `"single"` drives the in-memory generators.
+/// column-wise batch fill — where `"single"` drives the in-memory generators.
 pub fn trace_replay_matrix(
     ops: u64,
     traces: &[std::path::PathBuf],

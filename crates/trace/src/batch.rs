@@ -157,6 +157,41 @@ impl AccessBatch {
         });
     }
 
+    /// Appends whole operations whose accesses already sit in columns (a
+    /// decoded trace chunk): one copy per column for all of them, then one
+    /// record per op. `ops` yields each operation with its access count,
+    /// in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length or the counts do not add up
+    /// to it.
+    pub fn append_ops(
+        &mut self,
+        addrs: &[u64],
+        writes: &[bool],
+        ops: impl IntoIterator<Item = (Op, usize)>,
+    ) {
+        assert_eq!(addrs.len(), writes.len(), "access columns differ in length");
+        let mut start = self.addrs.len();
+        self.addrs.extend_from_slice(addrs);
+        self.writes.extend_from_slice(writes);
+        self.ops.extend(ops.into_iter().map(|(op, len)| {
+            let record = OpRecord {
+                op,
+                start: start as u32,
+                len: len as u32,
+            };
+            start += len;
+            record
+        }));
+        assert_eq!(
+            start,
+            self.addrs.len(),
+            "op counts disagree with the columns"
+        );
+    }
+
     /// Fills the [`pages`](Self::pages) column from the address column —
     /// one sequential pass per batch, so the engine's access stage never
     /// recomputes `addr >> shift` per access.
@@ -292,6 +327,39 @@ mod tests {
         let (op_s, s0, s1) = staged.op_bounds(0);
         let (op_d, d0, d1) = direct.op_bounds(0);
         assert_eq!((op_s, s0, s1), (op_d, d0, d1));
+    }
+
+    #[test]
+    fn append_ops_matches_direct_fill() {
+        let mut direct = AccessBatch::new();
+        let mut bulk = AccessBatch::new();
+        for b in [&mut direct, &mut bulk] {
+            b.push_single(Op::compute(1), Access::read(0x8));
+        }
+        let ops = [(Op::read(7), 2), (Op::compute(9), 0), (Op::write(3), 1)];
+        let accesses = [Access::read(0x10), Access::write(0x20), Access::write(0x30)];
+        let mut next = accesses.iter();
+        for &(op, len) in &ops {
+            let start = direct.open_op();
+            for &a in next.by_ref().take(len) {
+                direct.push_access(a);
+            }
+            direct.commit_open_op(op, start);
+        }
+        bulk.append_ops(&[0x10, 0x20, 0x30], &[false, true, true], ops);
+
+        assert_eq!(bulk.addrs(), direct.addrs());
+        assert_eq!(bulk.writes(), direct.writes());
+        assert_eq!(bulk.len(), 4);
+        for i in 0..4 {
+            assert_eq!(bulk.op_bounds(i), direct.op_bounds(i), "op {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "op counts disagree")]
+    fn append_ops_rejects_counts_that_do_not_cover_the_columns() {
+        AccessBatch::new().append_ops(&[1, 2], &[false, false], [(Op::read(1), 1)]);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! **columnar** — per-op `kind`/`cpu_ns`/`access-count` columns, per-access
 //! `addrs`/`writes` columns — mirroring the structure-of-arrays layout of
 //! [`AccessBatch`](crate::AccessBatch), so a decoded chunk feeds the batch
-//! pipeline through the `open_op`/`push_access`/`commit_open_op`
-//! direct-fill path without ever materializing per-op `Access` vectors.
+//! pipeline a whole column range at a time
+//! ([`AccessBatch::append_ops`](crate::AccessBatch::append_ops)) without
+//! ever materializing per-op `Access` vectors.
 //!
 //! Layout (byte offsets; all integers little-endian; full specification in
 //! `docs/TRACE_FORMAT.md`):
 //!
 //! ```text
 //! header   0  magic            [u8; 8] = b"HTIERTRC"
-//!          8  version          u32     = 1
+//!          8  version          u32     = 2
 //!         12  name_len         u32     (≤ 4096)
 //!         16  footprint_bytes  u64
 //!         24  total_ops        u64
@@ -29,13 +30,23 @@
 //!             acc_len          [u32; ops]       accesses per op
 //!             addrs            [u64; accesses]
 //!             writes           [u8;  accesses]  0=load 1=store
-//!             checksum         u64              FNV-1a over prologue+payload
+//!             checksum         u64              four-lane word seal over prologue+payload
 //! ```
+//!
+//! The seal ([`chunk_seal`]) is the one thing version 2 changed: version 1
+//! folded every byte through one FNV-1a dependency chain, version 2 folds
+//! the payload as little-endian `u64` words through four independent
+//! lanes, so sealing and both verification passes cost a multiply per
+//! eight bytes instead of one per byte. The decoder works per column the
+//! same way: one reduction validates a column's vocabulary, one `extend`
+//! converts it.
 //!
 //! `payload_len` must equal `13·ops + 9·accesses` and is capped
 //! ([`MAX_CHUNK_PAYLOAD_BYTES`]) so a corrupted count field can never make
 //! the reader allocate unbounded memory. [`TraceWriter`] streams frames out
-//! as ops arrive and back-patches the header totals on
+//! as ops arrive — sealing early when the next op would cross the cap, so
+//! it never writes a frame its own reader rejects — and back-patches the
+//! header totals on
 //! [`finish`](TraceWriter::finish); [`TraceReader`] holds **one decoded
 //! chunk at a time** (replay memory is O(chunk), never O(trace) — the
 //! [`max_resident_bytes`](TraceReader::max_resident_bytes) meter is
@@ -55,7 +66,7 @@ use crate::access::{Access, Op, OpKind};
 pub const TRACE_MAGIC: [u8; 8] = *b"HTIERTRC";
 
 /// Current format version (the only one this reader accepts).
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Default operations per chunk for [`TraceWriter`].
 pub const DEFAULT_CHUNK_OPS: usize = 4096;
@@ -207,21 +218,70 @@ fn read_exact_or_truncated<R: Read>(
     })
 }
 
-/// The FNV-1a accumulator sealing each chunk — the same fixed, documented
-/// algorithm the report fingerprints use, so checksums are identical across
-/// hosts and rustc versions.
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0100_0000_01b3;
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+/// FNV-1a offset basis (the seal's initial state).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime (the seal's only multiplier).
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+/// Bytes the four seal lanes consume per step (one `u64` word each).
+const SEAL_BLOCK_BYTES: usize = 32;
+
+/// The seal's one multiply. Every step of [`chunk_seal`] goes through it,
+/// so the test-only meter counts exactly the multiplies a chunk costs.
+#[inline]
+fn mul_prime(x: u64) -> u64 {
+    #[cfg(test)]
+    SEAL_MULTIPLIES.with(|m| m.set(m.get() + 1));
+    x.wrapping_mul(FNV_PRIME)
 }
 
-/// FNV-1a offset basis (the checksum's initial state).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+#[cfg(test)]
+thread_local! {
+    /// Work meter: multiplies made by [`chunk_seal`] on this thread.
+    static SEAL_MULTIPLIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Byte-wise FNV-1a: folds the 16 prologue bytes and the < 32-byte payload
+/// tail of a seal.
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| mul_prime(h ^ u64::from(b)))
+}
+
+/// The version-2 chunk seal (normative text: `docs/TRACE_FORMAT.md`,
+/// "Checksum").
+///
+/// The prologue is folded byte-wise into `s`; the payload is then consumed
+/// 32 bytes at a time as four little-endian `u64` words, word `k` going to
+/// lane `k` (`l = (l ^ word) · PRIME; l ^= l >> 29`), so the four multiply
+/// chains run side by side instead of one byte chain serially. Lane 0
+/// starts at `s`, lanes 1–3 at `OFFSET ^ k`: a damaged prologue therefore
+/// perturbs exactly one lane, like a damaged payload word does. Every step
+/// is a bijection of its lane for a fixed input and of the input for a
+/// fixed lane, and so is each fold of a lane into `h`, so damage confined
+/// to the prologue, to one payload word or to one tail byte always changes
+/// the seal. Fixed-width wrapping integer arithmetic on little-endian
+/// words only: the same on every host.
+fn chunk_seal(prologue: &[u8; PROLOGUE_BYTES], payload: &[u8]) -> u64 {
+    let mut lanes = [
+        fnv1a(FNV_OFFSET, prologue),
+        FNV_OFFSET ^ 1,
+        FNV_OFFSET ^ 2,
+        FNV_OFFSET ^ 3,
+    ];
+    let mut blocks = payload.chunks_exact(SEAL_BLOCK_BYTES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = mul_prime(*lane ^ word);
+            *lane ^= *lane >> 29;
+        }
+    }
+    let [first, rest @ ..] = lanes;
+    let folded = rest.iter().fold(first, |h, &lane| mul_prime(h ^ lane));
+    fnv1a(folded, blocks.remainder())
+}
 
 /// The decoded trace header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -386,8 +446,23 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Appends one operation with its accesses to the current chunk,
-    /// sealing and writing the chunk once it reaches the op target.
+    /// sealing and writing the chunk once it reaches the op target — or
+    /// first, if this op would take its payload past
+    /// [`MAX_CHUNK_PAYLOAD_BYTES`]. An op too long for any chunk is
+    /// refused as [`TraceError::OverlengthChunk`] and leaves the writer as
+    /// it was.
     pub fn push_op(&mut self, op: Op, accesses: &[Access]) -> Result<(), TraceError> {
+        let op_bytes = OP_BYTES + accesses.len() as u64 * ACCESS_BYTES;
+        if op_bytes > MAX_CHUNK_PAYLOAD_BYTES {
+            return Err(TraceError::OverlengthChunk {
+                chunk: self.header.chunk_count,
+                declared: op_bytes,
+                limit: MAX_CHUNK_PAYLOAD_BYTES,
+            });
+        }
+        if self.payload_len() + op_bytes > MAX_CHUNK_PAYLOAD_BYTES {
+            self.flush_chunk()?;
+        }
         self.kinds.push(match op.kind {
             OpKind::Read => 0,
             OpKind::Write => 1,
@@ -407,6 +482,13 @@ impl<W: Write + Seek> TraceWriter<W> {
         Ok(())
     }
 
+    /// Payload bytes of the buffered chunk; `push_op` keeps it within
+    /// [`MAX_CHUNK_PAYLOAD_BYTES`], so it and both counts fit the
+    /// prologue's `u32` fields.
+    fn payload_len(&self) -> u64 {
+        self.kinds.len() as u64 * OP_BYTES + self.addrs.len() as u64 * ACCESS_BYTES
+    }
+
     /// Seals and writes the buffered chunk (no-op when empty).
     fn flush_chunk(&mut self) -> Result<(), TraceError> {
         if self.kinds.is_empty() {
@@ -414,7 +496,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         }
         let ops = self.kinds.len();
         let accesses = self.addrs.len();
-        let payload_len = ops as u64 * OP_BYTES + accesses as u64 * ACCESS_BYTES;
+        let payload_len = self.payload_len();
 
         let mut prologue = [0u8; PROLOGUE_BYTES];
         prologue[0..4].copy_from_slice(&(ops as u32).to_le_bytes());
@@ -435,7 +517,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         payload.extend_from_slice(&self.writes);
         debug_assert_eq!(payload.len() as u64, payload_len);
 
-        let checksum = fnv1a(fnv1a(FNV_OFFSET, &prologue), &payload);
+        let checksum = chunk_seal(&prologue, &payload);
         self.out.write_all(&prologue)?;
         self.out.write_all(&payload)?;
         self.out.write_all(&checksum.to_le_bytes())?;
@@ -671,12 +753,12 @@ impl<R: Read> TraceReader<R> {
         read_exact_or_truncated(&mut self.inner, &mut self.payload_buf, "chunk payload")?;
         let mut stored = [0u8; 8];
         read_exact_or_truncated(&mut self.inner, &mut stored, "chunk checksum")?;
-        let computed = fnv1a(fnv1a(FNV_OFFSET, &prologue), &self.payload_buf);
+        let computed = chunk_seal(&prologue, &self.payload_buf);
         if u64::from_le_bytes(stored) != computed {
             return Err(TraceError::ChecksumMismatch { chunk: idx });
         }
 
-        self.decode_payload(idx, ops as usize, accesses as usize)?;
+        self.decode_payload(ops as usize, accesses as usize)?;
         self.chunks_read += 1;
         self.ops_seen += ops;
         self.accesses_seen += accesses;
@@ -686,44 +768,51 @@ impl<R: Read> TraceReader<R> {
         Ok(true)
     }
 
-    /// Splits the verified payload into the reused column vectors.
-    fn decode_payload(&mut self, idx: u64, ops: usize, accesses: usize) -> Result<(), TraceError> {
+    /// Splits the verified payload into the reused column vectors, a whole
+    /// column at a time: one reduction checks a column's vocabulary, one
+    /// `extend` converts it. Columns are checked in file order (kinds,
+    /// access counts, write flags), so the first defect in that order is
+    /// the one reported.
+    fn decode_payload(&mut self, ops: usize, accesses: usize) -> Result<(), TraceError> {
         let c = &mut self.chunk;
+        // Reserve exactly the declared sizes: capacity (what
+        // `max_resident_bytes` meters) is then the largest chunk seen, not
+        // its next power of two.
         c.kinds.clear();
+        c.kinds.reserve_exact(ops);
         c.cpu_ns.clear();
+        c.cpu_ns.reserve_exact(ops);
         c.acc_start.clear();
+        c.acc_start.reserve_exact(ops + 1);
         c.addrs.clear();
+        c.addrs.reserve_exact(accesses);
         c.writes.clear();
+        c.writes.reserve_exact(accesses);
 
         let buf = &self.payload_buf;
         let (kind_bytes, rest) = buf.split_at(ops);
         let (cpu_bytes, rest) = rest.split_at(ops * 8);
         let (len_bytes, rest) = rest.split_at(ops * 4);
         let (addr_bytes, write_bytes) = rest.split_at(accesses * 8);
+        let le64 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
 
-        for &k in kind_bytes {
-            c.kinds.push(match k {
-                0 => OpKind::Read,
-                1 => OpKind::Write,
-                2 => OpKind::Compute,
-                _ => return Err(TraceError::Malformed { what: "op kind" }),
-            });
+        if kind_bytes.iter().fold(0, |max, &k| max.max(k)) > 2 {
+            return Err(TraceError::Malformed { what: "op kind" });
         }
-        c.cpu_ns.extend(
-            cpu_bytes
-                .chunks_exact(8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        );
+        c.kinds.extend(kind_bytes.iter().map(|&k| match k {
+            0 => OpKind::Read,
+            1 => OpKind::Write,
+            _ => OpKind::Compute,
+        }));
+        c.cpu_ns.extend(cpu_bytes.chunks_exact(8).map(le64));
+        // Running totals in `u64`: a column of `u32` counts cannot wrap it,
+        // so the first prefix past `accesses` is the one reported.
         let mut cursor: u64 = 0;
         c.acc_start.push(0);
         for b in len_bytes.chunks_exact(4) {
             cursor += u64::from(u32::from_le_bytes(b.try_into().expect("4-byte chunk")));
             if cursor > accesses as u64 {
-                return Err(TraceError::CountMismatch {
-                    what: "chunk access total",
-                    declared: accesses as u64,
-                    found: cursor,
-                });
+                break;
             }
             c.acc_start.push(cursor as u32);
         }
@@ -734,19 +823,11 @@ impl<R: Read> TraceReader<R> {
                 found: cursor,
             });
         }
-        c.addrs.extend(
-            addr_bytes
-                .chunks_exact(8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        );
-        for &w in write_bytes {
-            c.writes.push(match w {
-                0 => false,
-                1 => true,
-                _ => return Err(TraceError::Malformed { what: "write flag" }),
-            });
+        c.addrs.extend(addr_bytes.chunks_exact(8).map(le64));
+        if write_bytes.iter().fold(0, |or, &w| or | w) > 1 {
+            return Err(TraceError::Malformed { what: "write flag" });
         }
-        let _ = idx;
+        c.writes.extend(write_bytes.iter().map(|&w| w != 0));
         Ok(())
     }
 
@@ -896,5 +977,271 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The reader's `decode_payload` body as it stood before the
+    /// whole-column rewrite, verbatim (one `match` + `push` per element):
+    /// the oracle the bulk decoder is compared against.
+    fn decode_per_element(
+        buf: &[u8],
+        c: &mut TraceChunk,
+        ops: usize,
+        accesses: usize,
+    ) -> Result<(), TraceError> {
+        c.kinds.clear();
+        c.cpu_ns.clear();
+        c.acc_start.clear();
+        c.addrs.clear();
+        c.writes.clear();
+
+        let (kind_bytes, rest) = buf.split_at(ops);
+        let (cpu_bytes, rest) = rest.split_at(ops * 8);
+        let (len_bytes, rest) = rest.split_at(ops * 4);
+        let (addr_bytes, write_bytes) = rest.split_at(accesses * 8);
+
+        for &k in kind_bytes {
+            c.kinds.push(match k {
+                0 => OpKind::Read,
+                1 => OpKind::Write,
+                2 => OpKind::Compute,
+                _ => return Err(TraceError::Malformed { what: "op kind" }),
+            });
+        }
+        c.cpu_ns.extend(
+            cpu_bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
+        let mut cursor: u64 = 0;
+        c.acc_start.push(0);
+        for b in len_bytes.chunks_exact(4) {
+            cursor += u64::from(u32::from_le_bytes(b.try_into().expect("4-byte chunk")));
+            if cursor > accesses as u64 {
+                return Err(TraceError::CountMismatch {
+                    what: "chunk access total",
+                    declared: accesses as u64,
+                    found: cursor,
+                });
+            }
+            c.acc_start.push(cursor as u32);
+        }
+        if cursor != accesses as u64 {
+            return Err(TraceError::CountMismatch {
+                what: "chunk access total",
+                declared: accesses as u64,
+                found: cursor,
+            });
+        }
+        c.addrs.extend(
+            addr_bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
+        for &w in write_bytes {
+            c.writes.push(match w {
+                0 => false,
+                1 => true,
+                _ => return Err(TraceError::Malformed { what: "write flag" }),
+            });
+        }
+        Ok(())
+    }
+
+    /// Decodes `payload` both ways and requires the same outcome: the same
+    /// five columns on `Ok`, the same error (variant and fields) on `Err`.
+    /// Returns the shared outcome's error, rendered, for the caller to pin.
+    fn decode_both_ways(
+        reader: &mut TraceReader<Cursor<Vec<u8>>>,
+        payload: &[u8],
+        ops: usize,
+        accesses: usize,
+    ) -> Option<String> {
+        let mut oracle = TraceChunk::default();
+        let expected = decode_per_element(payload, &mut oracle, ops, accesses);
+        reader.payload_buf.clear();
+        reader.payload_buf.extend_from_slice(payload);
+        let got = reader.decode_payload(ops, accesses);
+        match (&expected, &got) {
+            (Ok(()), Ok(())) => {
+                let c = &reader.chunk;
+                assert_eq!(c.kinds, oracle.kinds);
+                assert_eq!(c.cpu_ns, oracle.cpu_ns);
+                assert_eq!(c.acc_start, oracle.acc_start);
+                assert_eq!(c.addrs, oracle.addrs);
+                assert_eq!(c.writes, oracle.writes);
+                None
+            }
+            (Err(e), Err(g)) => {
+                assert_eq!(format!("{g:?}"), format!("{e:?}"));
+                Some(format!("{e:?}"))
+            }
+            _ => panic!("bulk decode gave {got:?}, per-element decode {expected:?}"),
+        }
+    }
+
+    /// Bulk decode ≡ per-element decode on seeded random payloads, clean
+    /// and with **every** out-of-vocabulary byte value planted at **every**
+    /// position of the kind and write-flag columns, alone and together with
+    /// a second defect in another column. Precedence is file order: a bad
+    /// kind is reported before a drifted access count, and either before a
+    /// bad write flag — wherever in their columns they sit.
+    #[test]
+    fn bulk_decode_equals_per_element_decode() {
+        let mut state = 0x7AC3_C0DEu64;
+        let mut rand = move |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        let mut reader = TraceReader::new(Cursor::new(write_ops(&[], 1))).expect("reader");
+        let mut planted = 0u64;
+        for round in 0..16 {
+            let ops = [0, 1, 2, 5, 31, 32, 33, 40][round % 8];
+            let lens: Vec<u32> = (0..ops).map(|_| rand(6) as u32).collect();
+            let accesses = lens.iter().sum::<u32>() as usize;
+            let mut payload = Vec::new();
+            payload.extend((0..ops).map(|_| rand(3) as u8));
+            for _ in 0..ops {
+                payload.extend_from_slice(&(rand(1 << 32) << 31 | rand(1 << 31)).to_le_bytes());
+            }
+            for &l in &lens {
+                payload.extend_from_slice(&l.to_le_bytes());
+            }
+            for _ in 0..accesses {
+                payload.extend_from_slice(&(rand(1 << 32) << 32 | rand(1 << 32)).to_le_bytes());
+            }
+            let writes_at = payload.len();
+            payload.extend((0..accesses).map(|_| rand(2) as u8));
+            assert_eq!(
+                decode_both_ways(&mut reader, &payload, ops, accesses),
+                None,
+                "round {round}: a clean payload decodes"
+            );
+
+            let kind_err = Some(format!("{:?}", TraceError::Malformed { what: "op kind" }));
+            let flag_err = Some(format!(
+                "{:?}",
+                TraceError::Malformed { what: "write flag" }
+            ));
+            let columns = [
+                (0..ops, 3, &kind_err),
+                (writes_at..payload.len(), 2, &flag_err),
+            ];
+            for (column, first_bad, err) in columns {
+                for at in column {
+                    let sound = payload[at];
+                    for bad in first_bad..=u8::MAX {
+                        payload[at] = bad;
+                        assert_eq!(&decode_both_ways(&mut reader, &payload, ops, accesses), err);
+                        planted += 1;
+                    }
+                    payload[at] = sound;
+                }
+            }
+            if ops == 0 {
+                continue;
+            }
+            // Two defects at once: the earlier column wins.
+            let len_at = ops * 9 + 4 * rand(ops as u64) as usize;
+            let mut drifted = payload.clone();
+            drifted[len_at] = drifted[len_at].wrapping_add(1 + rand(200) as u8);
+            let count_err = decode_both_ways(&mut reader, &drifted, ops, accesses)
+                .expect("a drifted access count is rejected");
+            assert!(count_err.starts_with("CountMismatch"), "{count_err}");
+            let mut p = drifted.clone();
+            p[ops - 1] = 3;
+            assert_eq!(decode_both_ways(&mut reader, &p, ops, accesses), kind_err);
+            if accesses > 0 {
+                let mut p = drifted.clone();
+                p[writes_at] = 2;
+                assert_eq!(
+                    decode_both_ways(&mut reader, &p, ops, accesses),
+                    Some(count_err)
+                );
+                let mut p = payload.clone();
+                p[ops - 1] = 255;
+                p[writes_at] = 255;
+                assert_eq!(decode_both_ways(&mut reader, &p, ops, accesses), kind_err);
+            }
+        }
+        assert!(
+            planted > 150_000,
+            "only {planted} planted bytes were compared"
+        );
+    }
+
+    /// Seal multiplies made on this thread while `work` runs.
+    fn seal_multiplies_during(work: impl FnOnce()) -> u64 {
+        let before = SEAL_MULTIPLIES.with(std::cell::Cell::get);
+        work();
+        SEAL_MULTIPLIES.with(std::cell::Cell::get) - before
+    }
+
+    /// The work meter behind the format bump: sealing a chunk costs 16
+    /// multiplies for the prologue, 4 per whole 32-byte block, 3 to fold the
+    /// lanes and one per tail byte — exact on any host, against one per
+    /// byte (`16 + payload`) for the version-1 seal.
+    #[test]
+    fn seal_multiplies_per_chunk_are_pinned() {
+        let prologue = [0x5Au8; PROLOGUE_BYTES];
+        let payload: Vec<u8> = (0..4096u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in (0..=97).chain([1023, 1024, 4095, 4096]) {
+            assert_eq!(
+                seal_multiplies_during(|| _ = chunk_seal(&prologue, &payload[..len])),
+                (16 + 4 * (len / 32) + 3 + len % 32) as u64,
+                "payload of {len} bytes"
+            );
+        }
+
+        // The same meter through the writer and the reader: one chunk of
+        // 4 ops and 6 accesses is 13·4 + 9·6 = 106 payload bytes, sealed
+        // once when written and once per verification pass.
+        let per_seal = 16 + 4 * 3 + 3 + 10;
+        let mut bytes = Vec::new();
+        assert_eq!(
+            seal_multiplies_during(|| bytes = write_ops(&sample_ops(), 100)),
+            per_seal
+        );
+        assert_eq!(
+            seal_multiplies_during(|| assert_eq!(read_ops(&bytes), sample_ops())),
+            per_seal
+        );
+    }
+
+    /// Exhaustive single-bit matrix on the seal itself: for every payload
+    /// length 0–97 (every tail length, zero to three whole blocks, both
+    /// sides of each 32-byte edge), flipping any one bit of the prologue or
+    /// the payload changes the seal, and no two prefixes of one payload
+    /// share a seal.
+    #[test]
+    fn every_single_bit_changes_the_seal() {
+        let mut prologue = [0u8; PROLOGUE_BYTES];
+        for (i, b) in prologue.iter_mut().enumerate() {
+            *b = (i * 29 + 3) as u8;
+        }
+        let mut payload: Vec<u8> = (0..98u32).map(|i| (i * 101 + 7) as u8).collect();
+        let mut seals = Vec::new();
+        for len in 0..=97 {
+            let sealed = chunk_seal(&prologue, &payload[..len]);
+            for bit in 0..PROLOGUE_BYTES * 8 {
+                prologue[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(chunk_seal(&prologue, &payload[..len]), sealed);
+                prologue[bit / 8] ^= 1 << (bit % 8);
+            }
+            for bit in 0..len * 8 {
+                payload[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(
+                    chunk_seal(&prologue, &payload[..len]),
+                    sealed,
+                    "payload of {len} bytes, bit {bit}"
+                );
+                payload[bit / 8] ^= 1 << (bit % 8);
+            }
+            seals.push(sealed);
+        }
+        seals.sort_unstable();
+        seals.dedup();
+        assert_eq!(seals.len(), 98, "two prefixes of one payload share a seal");
     }
 }

@@ -21,8 +21,8 @@
 //! * [`TraceWriter`] / [`TraceReader`] — a versioned, chunked, checksummed
 //!   on-disk trace format (`docs/TRACE_FORMAT.md`) whose columnar chunk
 //!   frames mirror the [`AccessBatch`] layout, so recorded access streams
-//!   bigger than RAM replay through the same zero-copy direct-fill path
-//!   with O(chunk) resident memory.
+//!   bigger than RAM replay a column range at a time
+//!   ([`AccessBatch::append_ops`]) with O(chunk) resident memory.
 //!
 //! # Example
 //!

@@ -1,7 +1,13 @@
 //! Corruption tests: every way a trace file can be damaged — truncation at
-//! any byte, foreign magic, unknown version, flipped payload bytes,
-//! over-length chunk declarations, drifted totals — must surface as a typed
-//! [`TraceError`], never a panic and never a silent short read.
+//! any byte, foreign magic, unknown version (version 1 included), any
+//! flipped bit of a chunk frame, over-length chunk declarations, drifted
+//! totals — must surface as a typed [`TraceError`], never a panic and never
+//! a silent short read.
+//!
+//! Frames are re-sealed here by [`seal_from_the_spec`], written from
+//! `docs/TRACE_FORMAT.md` alone and sharing no code with the crate: if the
+//! crate's seal and the document ever disagree, the pinned frame and the
+//! re-sealing tests fail.
 //!
 //! The damage shapes mirror the PR-7 fleet-executor fault vocabulary
 //! (`FaultKind::Corrupt` / `FaultKind::Truncate`); the runner-level suite
@@ -33,6 +39,48 @@ const HEADER_FIXED: usize = 48;
 const NAME_LEN: usize = 17;
 /// Offset of the first chunk prologue.
 const FIRST_CHUNK: usize = HEADER_FIXED + NAME_LEN;
+
+/// The version-2 chunk seal, transcribed from the "Checksum" section of
+/// `docs/TRACE_FORMAT.md` with plain indexing and no iterator adapters —
+/// deliberately not the crate's code.
+fn seal_from_the_spec(prologue: &[u8], payload: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0100_0000_01b3;
+    assert_eq!(prologue.len(), 16);
+    let mut s = OFFSET;
+    for &byte in prologue {
+        s = (s ^ u64::from(byte)).wrapping_mul(PRIME);
+    }
+    let mut lane = [s, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
+    let blocks = payload.len() / 32;
+    for b in 0..blocks {
+        for k in 0..4 {
+            let mut word = 0u64;
+            for i in 0..8 {
+                word |= u64::from(payload[32 * b + 8 * k + i]) << (8 * i);
+            }
+            lane[k] = (lane[k] ^ word).wrapping_mul(PRIME);
+            lane[k] ^= lane[k] >> 29;
+        }
+    }
+    let mut h = lane[0];
+    h = (h ^ lane[1]).wrapping_mul(PRIME);
+    h = (h ^ lane[2]).wrapping_mul(PRIME);
+    h = (h ^ lane[3]).wrapping_mul(PRIME);
+    for &byte in &payload[32 * blocks..] {
+        h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// Re-seals the frame starting at `frame` (whose prologue must still
+/// declare its true payload length) after a test edited its payload.
+fn reseal(bytes: &mut [u8], frame: usize) {
+    let payload_len = u32::from_le_bytes(bytes[frame + 8..frame + 12].try_into().unwrap()) as usize;
+    let end = frame + 16 + payload_len;
+    let seal = seal_from_the_spec(&bytes[frame..frame + 16], &bytes[frame + 16..end]);
+    bytes[end..end + 8].copy_from_slice(&seal.to_le_bytes());
+}
 
 /// Fully consumes `bytes` as a trace, returning the first error.
 fn scan(bytes: &[u8]) -> Result<(), TraceError> {
@@ -84,6 +132,75 @@ fn future_version_is_rejected() {
         Err(TraceError::BadVersion { found }) => assert_eq!(found, TRACE_VERSION + 1),
         other => panic!("expected BadVersion, got {other:?}"),
     }
+}
+
+/// Version 1 sealed chunks with byte-wise FNV-1a; this reader verifies
+/// only the version-2 seal, so a version-1 file is refused at the header,
+/// not at its first checksum. Built by hand: a version-1 header is the
+/// same 48 fixed bytes with `version = 1`.
+#[test]
+fn version_1_is_rejected() {
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(b"HTIERTRC");
+    v1.extend_from_slice(&1u32.to_le_bytes()); // version
+    v1.extend_from_slice(&2u32.to_le_bytes()); // name_len
+    v1.extend_from_slice(&4096u64.to_le_bytes()); // footprint_bytes
+    v1.extend_from_slice(&[0u8; 24]); // total_ops, total_accesses, chunk_count
+    v1.extend_from_slice(b"v1");
+    assert!(matches!(
+        scan(&v1),
+        Err(TraceError::BadVersion { found: 1 })
+    ));
+    // The same bytes declaring the current version are an empty trace.
+    v1[8..12].copy_from_slice(&TRACE_VERSION.to_le_bytes());
+    assert!(scan(&v1).is_ok());
+}
+
+/// One frame written out by hand, byte for byte, with its seal pinned as a
+/// constant: seals are a function of the bytes alone — not of the host's
+/// endianness, word size or compiler — and the crate, the document and this
+/// file's transcription of the document agree on it.
+#[test]
+fn hand_written_frame_has_the_pinned_seal() {
+    #[rustfmt::skip]
+    let frame: [u8; 16 + 53] = [
+        // prologue: ops = 2, accesses = 3, payload_len = 13·2 + 9·3 = 53, reserved
+        2, 0, 0, 0,  3, 0, 0, 0,  53, 0, 0, 0,  0, 0, 0, 0,
+        // kinds: Read, Write
+        0, 1,
+        // cpu_ns: 50, 70
+        50, 0, 0, 0, 0, 0, 0, 0,  70, 0, 0, 0, 0, 0, 0, 0,
+        // acc_len: 2, 1
+        2, 0, 0, 0,  1, 0, 0, 0,
+        // addrs: 0x1000, 0x2040, 0xFFFF_FFFF_FFFF_0000
+        0x00, 0x10, 0, 0, 0, 0, 0, 0,  0x40, 0x20, 0, 0, 0, 0, 0, 0,
+        0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        // writes: load, load, store
+        0, 0, 1,
+    ];
+    const PINNED_SEAL: u64 = 0xfaf1_f29a_bb8c_88dc;
+    assert_eq!(
+        seal_from_the_spec(&frame[..16], &frame[16..]),
+        PINNED_SEAL,
+        "seal of the hand-written frame: {:#018x}",
+        seal_from_the_spec(&frame[..16], &frame[16..])
+    );
+
+    // The writer produces exactly this frame and this seal …
+    let mut w = TraceWriter::new(Cursor::new(Vec::new()), "", 0).expect("writer");
+    w.push_op(Op::read(50), &[Access::read(0x1000), Access::read(0x2040)])
+        .expect("push");
+    w.push_op(Op::write(70), &[Access::write(0xFFFF_FFFF_FFFF_0000)])
+        .expect("push");
+    let (_, cursor) = w.finish().expect("finish");
+    let bytes = cursor.into_inner();
+    assert_eq!(&bytes[HEADER_FIXED..HEADER_FIXED + frame.len()], &frame[..]);
+    assert_eq!(
+        &bytes[HEADER_FIXED + frame.len()..],
+        &PINNED_SEAL.to_le_bytes()
+    );
+    // … and the reader accepts it.
+    assert!(scan(&bytes).is_ok());
 }
 
 /// A single flipped bit anywhere in a chunk payload must trip that chunk's
@@ -201,32 +318,112 @@ fn unfinished_trace_yields_no_ops() {
     assert_eq!(r.chunk().len(), 0);
 }
 
+/// Writes one chunk of `ops` operations sharing `accesses` accesses
+/// (`13·ops + 9·accesses` payload bytes) under an empty name, so the frame
+/// starts right after the fixed header.
+fn one_chunk_trace(ops: usize, accesses: usize) -> Vec<u8> {
+    let mut w = TraceWriter::new(Cursor::new(Vec::new()), "", 1 << 20).expect("writer");
+    let accs: Vec<Access> = (0..accesses as u64)
+        .map(|i| Access {
+            addr: i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            is_write: i % 3 == 0,
+        })
+        .collect();
+    for i in 0..ops {
+        // The first op carries every access; the rest are bare.
+        let burst = if i == 0 { &accs[..] } else { &[] };
+        w.push_op(Op::write(1_000 + i as u64), burst).expect("push");
+    }
+    let (summary, cursor) = w.finish().expect("finish");
+    assert_eq!(summary.chunks, 1);
+    cursor.into_inner()
+}
+
+/// The exhaustive single-bit matrix: for every chunk shape whose payload is
+/// 13–97 bytes (zero to three whole 32-byte seal blocks and 28 of the 32
+/// tail lengths), flipping each bit of the frame in turn —
+/// prologue, payload, stored seal — is rejected with a typed error. No flip
+/// is ever accepted, and none panics.
+#[test]
+fn every_single_bit_flip_in_a_frame_is_rejected() {
+    let mut payload_lens = Vec::new();
+    let mut flips = 0u32;
+    for ops in 1..=7 {
+        for accesses in 0..=(97 - 13 * ops) / 9 {
+            let payload_len = 13 * ops + 9 * accesses;
+            payload_lens.push(payload_len);
+            let pristine = one_chunk_trace(ops, accesses);
+            assert_eq!(pristine.len(), HEADER_FIXED + 16 + payload_len + 8);
+            assert!(scan(&pristine).is_ok());
+            let mut bytes = pristine.clone();
+            for at in HEADER_FIXED..bytes.len() {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    let outcome = scan(&bytes);
+                    let in_frame = at - HEADER_FIXED;
+                    assert!(
+                        outcome.is_err(),
+                        "{ops} ops, {accesses} accesses: flipping bit {bit} of frame byte {in_frame} was accepted"
+                    );
+                    // Past the three count fields nothing but the seal can
+                    // tell: reserved word, payload and stored seal.
+                    if in_frame >= 12 {
+                        assert!(
+                            matches!(outcome, Err(TraceError::ChecksumMismatch { chunk: 0 })),
+                            "frame byte {in_frame}, bit {bit}: {outcome:?}"
+                        );
+                    }
+                    bytes[at] ^= 1 << bit;
+                    flips += 1;
+                }
+            }
+            assert_eq!(bytes, pristine);
+        }
+    }
+    // Frames with no whole seal block, and one ending exactly on a block
+    // edge; the lengths no frame can have (1–12, 14–21, …) are covered on
+    // the seal function itself by `every_single_bit_changes_the_seal`.
+    assert!(payload_lens.contains(&13) && payload_lens.contains(&96));
+    assert!(flips > 20_000);
+}
+
+/// An out-of-vocabulary kind byte under a *valid* seal: the seal covers the
+/// payload, so a naive edit trips the checksum first; re-seal (from the
+/// spec, not from the crate) so the vocabulary check itself is exercised.
 #[test]
 fn garbage_op_kind_is_rejected() {
     let mut bytes = valid_trace();
     // First payload byte of chunk 0 is the first op's kind.
-    let kind_off = FIRST_CHUNK + 16;
-    bytes[kind_off] = 7;
-    // The checksum seals the payload, so a naive flip trips the checksum
-    // first; recompute it so the kind check itself is exercised.
-    let ops = 4usize;
-    let accesses = 8usize;
-    let payload_len = 13 * ops + 9 * accesses;
-    let frame_start = FIRST_CHUNK;
-    let payload_start = frame_start + 16;
-    let checksum = {
-        const PRIME: u64 = 0x0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &bytes[frame_start..payload_start + payload_len] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    };
-    let ck_off = payload_start + payload_len;
-    bytes[ck_off..ck_off + 8].copy_from_slice(&checksum.to_le_bytes());
+    bytes[FIRST_CHUNK + 16] = 7;
+    assert!(matches!(
+        scan(&bytes),
+        Err(TraceError::ChecksumMismatch { chunk: 0 })
+    ));
+    reseal(&mut bytes, FIRST_CHUNK);
     assert!(matches!(
         scan(&bytes),
         Err(TraceError::Malformed { what: "op kind" })
     ));
+}
+
+/// The twin for the other vocabulary: a write flag that is neither 0 nor 1,
+/// in the last position of the column, under a valid seal.
+#[test]
+fn garbage_write_flag_is_rejected() {
+    let mut bytes = valid_trace();
+    // Chunk 0 holds 4 ops and 8 accesses: its last payload byte is the
+    // last access's write flag.
+    let last_flag = FIRST_CHUNK + 16 + (13 * 4 + 9 * 8) - 1;
+    assert_eq!(bytes[last_flag], 1, "the victim's second access is a store");
+    bytes[last_flag] = 2;
+    reseal(&mut bytes, FIRST_CHUNK);
+    assert!(matches!(
+        scan(&bytes),
+        Err(TraceError::Malformed { what: "write flag" })
+    ));
+    // Re-sealing an undamaged frame is the identity: the spec's seal is the
+    // crate's seal.
+    bytes[last_flag] = 1;
+    reseal(&mut bytes, FIRST_CHUNK);
+    assert_eq!(bytes, valid_trace());
 }

@@ -5,10 +5,10 @@
 //! [`TraceWriter`](tiering_trace::TraceWriter) (format:
 //! `docs/TRACE_FORMAT.md`) back into the engine. The trace's chunk frames
 //! are columnar in exactly the [`AccessBatch`] structure-of-arrays layout,
-//! so [`fill_batch`](Workload::fill_batch) copies decoded columns straight
-//! into the batch through the `open_op`/`push_access`/`commit_open_op`
-//! direct-fill path — one chunk resident at a time, so traces bigger than
-//! RAM replay in O(chunk) memory
+//! so [`fill_batch`](Workload::fill_batch) copies the `addrs`/`writes`
+//! range of the ops it serves into the batch with one slice copy per column
+//! ([`AccessBatch::append_ops`]) — one chunk resident at a time, so traces
+//! bigger than RAM replay in O(chunk) memory
 //! ([`max_resident_bytes`](TraceReplayWorkload::max_resident_bytes) meters
 //! it).
 //!
@@ -163,23 +163,28 @@ impl Workload for TraceReplayWorkload {
     }
 
     fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        // Zero-copy SoA fill: chunk columns feed the batch columns through
-        // the direct-fill path, no per-op `Vec<Access>` staging.
+        // SoA fill: the ops served from one chunk are one contiguous range
+        // of its columns, copied whole — no per-access work, no per-op
+        // `Vec<Access>` staging.
         let mut filled = 0;
         while filled < max_ops {
             if !self.ensure_op() {
                 break;
             }
             let chunk = self.reader.chunk();
-            let n = (max_ops - filled).min(chunk.len() - self.cursor);
-            for idx in self.cursor..self.cursor + n {
-                let start = batch.open_op();
-                let (s, e) = chunk.op_access_range(idx);
-                for i in s..e {
-                    batch.push_access(chunk.access(i));
-                }
-                batch.commit_open_op(chunk.op(idx), start);
-            }
+            // `ensure_op` left the cursor on an unserved op, so `n ≥ 1`.
+            let first = self.cursor;
+            let n = (max_ops - filled).min(chunk.len() - first);
+            let (start, _) = chunk.op_access_range(first);
+            let (_, end) = chunk.op_access_range(first + n - 1);
+            batch.append_ops(
+                &chunk.addrs()[start..end],
+                &chunk.writes()[start..end],
+                (first..first + n).map(|idx| {
+                    let (s, e) = chunk.op_access_range(idx);
+                    (chunk.op(idx), e - s)
+                }),
+            );
             self.cursor += n;
             filled += n;
         }
@@ -230,26 +235,133 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    impl TraceReplayWorkload {
+        /// `fill_batch` as it stood before the whole-column copy, verbatim
+        /// (one `push_access(chunk.access(i))` per access): the oracle the
+        /// bulk fill is compared against.
+        fn fill_batch_per_access(&mut self, max_ops: usize, batch: &mut AccessBatch) -> usize {
+            let mut filled = 0;
+            while filled < max_ops {
+                if !self.ensure_op() {
+                    break;
+                }
+                let chunk = self.reader.chunk();
+                let n = (max_ops - filled).min(chunk.len() - self.cursor);
+                for idx in self.cursor..self.cursor + n {
+                    let start = batch.open_op();
+                    let (s, e) = chunk.op_access_range(idx);
+                    for i in s..e {
+                        batch.push_access(chunk.access(i));
+                    }
+                    batch.commit_open_op(chunk.op(idx), start);
+                }
+                self.cursor += n;
+                filled += n;
+            }
+            filled
+        }
+    }
+
+    /// Ops of 0–7 accesses (bare ops included, so they land on both sides
+    /// of chunk boundaries), all three kinds, loads and stores.
+    struct BurstyWorkload {
+        state: u64,
+        left: u64,
+    }
+
+    impl BurstyWorkload {
+        fn rand(&mut self, below: u64) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.state >> 33) % below
+        }
+    }
+
+    impl Workload for BurstyWorkload {
+        fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
+            self.left = self.left.checked_sub(1)?;
+            for _ in 0..self.rand(8) {
+                let access = Access {
+                    addr: self.rand(1 << 30) * 8,
+                    is_write: self.rand(3) == 0,
+                };
+                out.push(access);
+            }
+            let cpu_ns = self.rand(500);
+            Some([Op::read, Op::write, Op::compute][self.rand(3) as usize](
+                cpu_ns,
+            ))
+        }
+
+        fn footprint_bytes(&self) -> u64 {
+            1 << 33
+        }
+
+        fn name(&self) -> &str {
+            "bursty"
+        }
+    }
+
+    /// Bulk fill ≡ the per-access fill it replaced ≡ `next_op`, batch by
+    /// batch: single-access Zipf ops and multi-access bursts, batches of 1,
+    /// 13 (straddles every 16-op chunk boundary at a different offset), 64
+    /// (four whole chunks per batch) and 100 (more than the last chunks
+    /// hold), on traces whose final chunk is partial, until all three
+    /// replays run dry in the same round.
     #[test]
     fn fill_batch_equals_next_op_for_replay() {
         let path = temp_path("batch");
-        record_workload(&mut zipf(), 1_000, &path, 16).expect("record");
-
-        let mut via_next = TraceReplayWorkload::open(&path).expect("open A");
-        let mut via_fill = TraceReplayWorkload::open(&path).expect("open B");
-        // Odd batch size so batches straddle the 16-op chunk boundary.
-        for round in 0..40 {
-            let mut a = AccessBatch::with_capacity(13, 13);
-            let mut b = AccessBatch::with_capacity(13, 13);
-            let na = fill_batch_via_next_op(&mut via_next, 0, 13, &mut a);
-            let nb = via_fill.fill_batch(0, 13, &mut b);
-            assert_eq!(na, nb, "round {round}");
-            assert_eq!(a.len(), b.len());
-            for i in 0..a.len() {
-                assert_eq!(a.op_bounds(i), b.op_bounds(i), "round {round} op {i}");
-            }
-            for i in 0..a.total_accesses() {
-                assert_eq!(a.access(i), b.access(i), "round {round} access {i}");
+        let mut sources: [(&str, Box<dyn Workload>, u64); 2] = [
+            ("zipf", Box::new(zipf()), 395),
+            (
+                "bursty",
+                Box::new(BurstyWorkload {
+                    state: 0xB0B5,
+                    left: 1_000,
+                }),
+                1_000,
+            ),
+        ];
+        for (name, source, total_ops) in &mut sources {
+            let summary = record_workload(source.as_mut(), *total_ops, &path, 16).expect("record");
+            assert_eq!(summary.ops, *total_ops);
+            assert_ne!(summary.ops % 16, 0, "the last chunk is partial");
+            for batch_ops in [1, 13, 64, 100] {
+                let mut via_next = TraceReplayWorkload::open(&path).expect("open A");
+                let mut via_loop = TraceReplayWorkload::open(&path).expect("open B");
+                let mut via_fill = TraceReplayWorkload::open(&path).expect("open C");
+                let mut served = 0;
+                for round in 0.. {
+                    let at = format!("{name}, batches of {batch_ops}, round {round}");
+                    let mut a = AccessBatch::with_capacity(batch_ops, batch_ops);
+                    let mut b = AccessBatch::new();
+                    let mut c = AccessBatch::new();
+                    let na = fill_batch_via_next_op(&mut via_next, 0, batch_ops, &mut a);
+                    let nb = via_loop.fill_batch_per_access(batch_ops, &mut b);
+                    let nc = via_fill.fill_batch(0, batch_ops, &mut c);
+                    assert_eq!((na, nb), (nc, nc), "{at}");
+                    assert_eq!((a.len(), b.len()), (nc, nc), "{at}");
+                    assert_eq!(c.len(), nc, "{at}");
+                    for i in 0..nc {
+                        assert_eq!(a.op_bounds(i), c.op_bounds(i), "{at} op {i}");
+                        assert_eq!(b.op_bounds(i), c.op_bounds(i), "{at} op {i}");
+                    }
+                    assert_eq!(a.addrs(), c.addrs(), "{at}");
+                    assert_eq!(b.addrs(), c.addrs(), "{at}");
+                    assert_eq!(a.writes(), c.writes(), "{at}");
+                    assert_eq!(b.writes(), c.writes(), "{at}");
+                    served += nc as u64;
+                    if nc < batch_ops {
+                        break;
+                    }
+                }
+                assert_eq!(served, *total_ops, "{name}, batches of {batch_ops}");
+                assert_eq!(
+                    via_fill.fill_batch(0, batch_ops, &mut AccessBatch::new()),
+                    0
+                );
             }
         }
         std::fs::remove_file(&path).ok();
