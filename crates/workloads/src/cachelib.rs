@@ -150,24 +150,27 @@ impl CacheLibConfig {
     }
 }
 
-/// One object's heap placement: byte offset and size packed in a single
-/// 16-byte-stride record, so the per-op lookup touches one cache line
-/// instead of two parallel arrays.
-#[derive(Debug, Clone, Copy)]
-struct ObjectSlot {
-    offset: u64,
-    size: u32,
-}
-
-/// The size-mixture draw and slab layout for one config. Immutable after
-/// construction and fully determined by `(objects, small_size, large_size,
-/// large_frac, seed)`, so sweep scenarios share one build process-wide —
-/// same pattern as the Zipf CDF memo in [`crate::zipf`]. The cached slots
-/// are the very values a fresh build would produce, so sharing is invisible
-/// to results.
+/// The size-mixture draw and slab layout for one config: objects are laid
+/// out back to back in id order, each either small or large, so one bit
+/// per object is the whole layout. Object `i`'s offset is
+/// `(i − b)·small + b·large`, where `b` — the large objects before it — is
+/// a per-word prefix count plus a popcount (a bitmap rank query). 41 KB
+/// for the 220k social-graph objects: small enough to stay cached under
+/// the shuffled object ids the generator draws.
+///
+/// Immutable after construction and fully determined by `(objects,
+/// small_size, large_size, large_frac, seed)`, so sweep scenarios share one
+/// build process-wide — same pattern as the Zipf CDF memo in
+/// [`crate::zipf`]. The cached table is exactly what a fresh build would
+/// produce, so sharing is invisible to results.
 #[derive(Debug)]
 struct ObjectTable {
-    slots: Vec<ObjectSlot>,
+    /// Bit `i % 64` of word `i / 64` is set iff object `i` is large.
+    large: Vec<u64>,
+    /// `large_before[w]` = large objects among `0..64·w`.
+    large_before: Vec<u32>,
+    small_size: u64,
+    large_size: u64,
     /// Total heap bytes (`Σ size`), i.e. the slab-heap allocation.
     heap_bytes: u64,
 }
@@ -175,24 +178,45 @@ struct ObjectTable {
 impl ObjectTable {
     fn build(config: &CacheLibConfig) -> Self {
         let mut size_rng = SmallRng::seed_from_u64(config.seed ^ 0x5153);
-        let mut slots = Vec::with_capacity(config.objects);
-        let mut cursor = 0u64;
-        for _ in 0..config.objects {
-            let size = if size_rng.gen::<f64>() < config.large_frac {
-                config.large_size
-            } else {
-                config.small_size
-            } as u32;
-            slots.push(ObjectSlot {
-                offset: cursor,
-                size,
-            });
-            cursor += size as u64;
+        let mut large = vec![0u64; config.objects.div_ceil(64)];
+        for i in 0..config.objects {
+            if size_rng.gen::<f64>() < config.large_frac {
+                large[i / 64] |= 1 << (i % 64);
+            }
         }
+        let mut n_large = 0u32;
+        let large_before = large
+            .iter()
+            .map(|w| {
+                let before = n_large;
+                n_large += w.count_ones();
+                before
+            })
+            .collect();
+        let n_large = u64::from(n_large);
         Self {
-            slots,
-            heap_bytes: cursor,
+            large,
+            large_before,
+            small_size: config.small_size,
+            large_size: config.large_size,
+            heap_bytes: (config.objects as u64 - n_large) * config.small_size
+                + n_large * config.large_size,
         }
+    }
+
+    /// Heap offset and size of object `i`.
+    #[inline]
+    fn slot(&self, i: usize) -> (u64, u64) {
+        let word = self.large[i / 64];
+        let bit = 1u64 << (i % 64);
+        let b = u64::from(self.large_before[i / 64] + (word & (bit - 1)).count_ones());
+        let offset = (i as u64 - b) * self.small_size + b * self.large_size;
+        let size = if word & bit != 0 {
+            self.large_size
+        } else {
+            self.small_size
+        };
+        (offset, size)
     }
 
     fn shared(config: &CacheLibConfig) -> Arc<Self> {
@@ -284,7 +308,38 @@ impl CacheLibWorkload {
             self.next_churn_op += self.config.churn_interval_ops.expect("churn enabled");
         }
     }
+
+    /// One GET/SET of object `obj`: the index entry, then every page of the
+    /// object body, handed to `push` in order. Returns the op.
+    #[inline]
+    fn emit_op(&self, obj: usize, is_set: bool, mut push: impl FnMut(Access)) -> Op {
+        // Index lookup: one bucket entry.
+        push(Access::read(self.index.elem(obj as u64, 16)));
+
+        // Object body: one access per 4 KiB page the object spans.
+        let (start, size) = self.table.slot(obj);
+        let mut off = start;
+        while off < start + size {
+            push(Access {
+                addr: self.heap.addr(off),
+                is_write: is_set,
+            });
+            off = (off / 4096 + 1) * 4096; // next page boundary
+        }
+
+        // Compute cost grows mildly with object size (checksum/copy).
+        let cpu = 200 + size / 64;
+        if is_set {
+            Op::write(cpu)
+        } else {
+            Op::read(cpu)
+        }
+    }
 }
+
+/// Ops whose draws [`CacheLibWorkload::fill_batch`] takes before emitting
+/// any of them (the engine's default batch).
+const DRAW_CHUNK: usize = 64;
 
 impl Workload for CacheLibWorkload {
     fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
@@ -296,33 +351,7 @@ impl Workload for CacheLibWorkload {
 
         let obj = self.zipf.sample(&mut self.rng) as usize;
         let is_set = self.rng.gen::<f64>() < self.config.set_fraction;
-
-        // Index lookup: one bucket entry.
-        out.push(Access::read(self.index.elem(obj as u64, 16)));
-
-        // Object body: one access per 4 KiB page the object spans.
-        let slot = self.table.slots[obj];
-        let start = slot.offset;
-        let size = slot.size as u64;
-        let mut off = start;
-        let end = start + size;
-        while off < end {
-            let a = self.heap.addr(off);
-            out.push(if is_set {
-                Access::write(a)
-            } else {
-                Access::read(a)
-            });
-            off = (off / 4096 + 1) * 4096; // next page boundary
-        }
-
-        // Compute cost grows mildly with object size (checksum/copy).
-        let cpu = 200 + size / 64;
-        Some(if is_set {
-            Op::write(cpu)
-        } else {
-            Op::read(cpu)
-        })
+        Some(self.emit_op(obj, is_set, |a| out.push(a)))
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -345,43 +374,31 @@ impl Workload for CacheLibWorkload {
         // (no staging `Vec<Access>` round trip). Only valid while batchable
         // — with a clock-driven shift still pending, fall back to the
         // generic per-op path so the trigger sees fresh time every op.
-        // `maybe_shift` still runs per op for the op-counter-driven churn.
         if !self.batchable_now() {
             return fill_batch_via_next_op(self, now_ns, max_ops, batch);
         }
+        // Draw first, emit second: a rank never reads the rank→item
+        // permutation and churn has its own RNG, so drawing a chunk's
+        // `(rank, is_set)` pairs ahead — in `next_op`'s RNG order — lets
+        // their CDF misses overlap. The permutation is read per op, after
+        // that op's `maybe_shift`, exactly as `next_op` reads it.
         let n = max_ops.min((self.config.ops - self.ops_done) as usize);
-        for _ in 0..n {
-            self.ops_done += 1;
-            self.maybe_shift(now_ns);
-
-            let obj = self.zipf.sample(&mut self.rng) as usize;
-            let is_set = self.rng.gen::<f64>() < self.config.set_fraction;
-
-            let start = batch.open_op();
-            batch.push_access(Access::read(self.index.elem(obj as u64, 16)));
-            let slot = self.table.slots[obj];
-            let first = slot.offset;
-            let size = slot.size as u64;
-            let mut off = first;
-            let end = first + size;
-            while off < end {
-                let a = self.heap.addr(off);
-                batch.push_access(if is_set {
-                    Access::write(a)
-                } else {
-                    Access::read(a)
-                });
-                off = (off / 4096 + 1) * 4096; // next page boundary
+        let mut draws = [(0usize, false); DRAW_CHUNK];
+        for chunk_start in (0..n).step_by(DRAW_CHUNK) {
+            let draws = &mut draws[..DRAW_CHUNK.min(n - chunk_start)];
+            let dist = self.zipf.distribution();
+            for d in draws.iter_mut() {
+                let rank = dist.sample_rank(&mut self.rng);
+                *d = (rank, self.rng.gen::<f64>() < self.config.set_fraction);
             }
-            let cpu = 200 + size / 64;
-            batch.commit_open_op(
-                if is_set {
-                    Op::write(cpu)
-                } else {
-                    Op::read(cpu)
-                },
-                start,
-            );
+            for &(rank, is_set) in draws.iter() {
+                self.ops_done += 1;
+                self.maybe_shift(now_ns);
+                let obj = self.zipf.item_at_rank(rank) as usize;
+                let start = batch.open_op();
+                let op = self.emit_op(obj, is_set, |a| batch.push_access(a));
+                batch.commit_open_op(op, start);
+            }
         }
         n
     }
@@ -405,9 +422,140 @@ mod tests {
         let expect_min = 2_000 * 4096;
         assert!(w.footprint_bytes() > expect_min as u64);
         // Every object lies inside the heap region.
-        let slot = w.table.slots[1999];
-        let last = slot.offset + slot.size as u64;
-        assert!(last <= w.heap.bytes());
+        let (offset, size) = w.table.slot(1999);
+        assert!(offset + size <= w.heap.bytes());
+    }
+
+    /// The parent's layout, kept verbatim as the oracle for the bitmap:
+    /// one heap placement per object, byte offset and size packed in a
+    /// single 16-byte-stride record.
+    #[derive(Debug, Clone, Copy)]
+    struct ObjectSlot {
+        offset: u64,
+        size: u32,
+    }
+
+    /// The parent's `ObjectTable::build` body: `(slots, heap_bytes)`.
+    fn slot_table(config: &CacheLibConfig) -> (Vec<ObjectSlot>, u64) {
+        let mut size_rng = SmallRng::seed_from_u64(config.seed ^ 0x5153);
+        let mut slots = Vec::with_capacity(config.objects);
+        let mut cursor = 0u64;
+        for _ in 0..config.objects {
+            let size = if size_rng.gen::<f64>() < config.large_frac {
+                config.large_size
+            } else {
+                config.small_size
+            } as u32;
+            slots.push(ObjectSlot {
+                offset: cursor,
+                size,
+            });
+            cursor += size as u64;
+        }
+        (slots, cursor)
+    }
+
+    /// The rank/select bitmap places every object exactly where the slot
+    /// table did, across word boundaries and both size extremes.
+    #[test]
+    fn bitmap_layout_matches_slot_table() {
+        let mut configs = vec![
+            CacheLibConfig::cdn(),
+            CacheLibConfig::social_graph(),
+            CacheLibConfig::cdn().with_uniform_size(8 << 10),
+        ];
+        for frac in [0.0, 1.0] {
+            let mut c = CacheLibConfig::social_graph();
+            c.large_frac = frac;
+            configs.push(c);
+        }
+        for objects in [1, 63, 64, 65, 220_001] {
+            for mut c in [CacheLibConfig::cdn(), CacheLibConfig::social_graph()] {
+                c.objects = objects;
+                configs.push(c);
+            }
+        }
+        for c in &configs {
+            let (slots, heap_bytes) = slot_table(c);
+            let table = ObjectTable::build(c);
+            assert_eq!(table.heap_bytes, heap_bytes, "{} × {}", c.name, c.objects);
+            for (i, s) in slots.iter().enumerate() {
+                assert_eq!(
+                    table.slot(i),
+                    (s.offset, u64::from(s.size)),
+                    "{} × {}: object {i}",
+                    c.name,
+                    c.objects
+                );
+            }
+        }
+    }
+
+    /// Object sizes are `u64` end to end: a ≥ 4 GiB object keeps its size
+    /// and pushes every later offset (the slot table truncated it).
+    #[test]
+    fn objects_of_4_gib_and_more_keep_their_size() {
+        let mut c = CacheLibConfig::cdn().with_uniform_size(5 << 30);
+        c.objects = 3;
+        let table = ObjectTable::build(&c);
+        assert_eq!(table.heap_bytes, 15 << 30);
+        assert_eq!(table.slot(2), (10 << 30, 5 << 30));
+        assert_ne!(slot_table(&c).1, table.heap_bytes);
+        assert!(CacheLibWorkload::new(c).footprint_bytes() > 15 << 30);
+    }
+
+    /// `fill_batch` ≡ `next_op` with churn firing inside batches: every op
+    /// (interval 1) or at an offset that drifts across batch edges
+    /// (interval 7), for batch sizes on and off the draw chunk, on both
+    /// configs.
+    #[test]
+    fn fill_batch_equals_next_op_with_churn_inside_the_batch() {
+        for base in [CacheLibConfig::cdn(), CacheLibConfig::social_graph()] {
+            for interval in [1, 7] {
+                for batch_ops in [1, 13, 61, 64] {
+                    let mut c = base.clone().with_ops(2_000);
+                    c.objects = 3_000;
+                    c.churn_interval_ops = Some(interval);
+                    c.churn_fraction = 0.5;
+                    assert_fill_matches_next_op(c, batch_ops);
+                }
+            }
+        }
+    }
+
+    /// The shipped configs over 120 000 ops: default churn (every 50 000
+    /// ops) fires twice, mid-batch.
+    #[test]
+    fn fill_batch_equals_next_op_across_default_churn() {
+        for c in [CacheLibConfig::cdn(), CacheLibConfig::social_graph()] {
+            assert_fill_matches_next_op(c.with_ops(120_000), 61);
+        }
+    }
+
+    fn assert_fill_matches_next_op(config: CacheLibConfig, batch_ops: usize) {
+        let what = format!("{} churn {:?}", config.name, config.churn_interval_ops);
+        let mut batched = CacheLibWorkload::new(config.clone());
+        let mut scalar = CacheLibWorkload::new(config);
+        let mut batch = AccessBatch::new();
+        let mut buf = Vec::new();
+        let mut ops = 0;
+        loop {
+            batch.clear();
+            let n = batched.fill_batch(0, batch_ops, &mut batch);
+            for i in 0..n {
+                let (op, s, e) = batch.op_bounds(i);
+                buf.clear();
+                assert_eq!(scalar.next_op(0, &mut buf), Some(op), "{what}: op {ops}");
+                let got: Vec<Access> = (s..e).map(|k| batch.access(k)).collect();
+                assert_eq!(got, buf, "{what} batch {batch_ops}: op {ops}");
+                ops += 1;
+            }
+            if n == 0 {
+                assert_eq!(scalar.next_op(0, &mut buf), None, "{what}");
+                break;
+            }
+        }
+        assert_eq!(batched.ops_done, scalar.ops_done);
     }
 
     #[test]

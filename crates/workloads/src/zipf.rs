@@ -7,21 +7,28 @@ use rand::{Rng, SeedableRng};
 
 /// Bounds on the quantile-index fan-out accelerating
 /// [`ZipfDistribution::sample_rank`]: `u`'s top bits select a precomputed
-/// rank range, and the binary search runs only inside it. Pure search
-/// pruning — the returned rank is identical to a whole-table
-/// `partition_point` for *any* fan-out, so the count is a tuning knob.
+/// rank range, and the search runs only inside it. Pure search pruning —
+/// the returned rank is identical to a whole-table `partition_point` for
+/// *any* fan-out, so the count is a tuning knob.
 ///
 /// The fan-out scales with the table ([`quantile_buckets`]) to keep the
-/// residual search within ~2 CDF entries — one or two cache lines — even
-/// for tables that outgrow the LLC: the 220k-item social-graph CDF is
-/// 1.7 MiB, and at the old fixed 4096-bucket fan-out every draw walked a
-/// ~54-entry (seven-line) cold subrange, which dominated that workload's
-/// generation cost. The index itself stays ≤ 256 KiB per memoized table.
+/// residual search short — one or two cache lines — even for tables that
+/// outgrow the LLC: the 220k-item social-graph CDF is 1.7 MiB, and at the
+/// old fixed 4096-bucket fan-out every draw walked a ~54-entry
+/// (seven-line) cold subrange, which dominated that workload's generation
+/// cost. The index itself stays ≤ 256 KiB per memoized table.
 const MIN_QUANTILE_BUCKETS: usize = 4096;
 const MAX_QUANTILE_BUCKETS: usize = 65_536;
 
+/// Entries [`ZipfDistribution::rank_for`] counts instead of searching:
+/// a bucket of at most this many entries is resolved by one branch-free
+/// count over `WINDOW` consecutive CDF values (one or two cache lines).
+/// Buckets are uneven — the Zipf tail packs many entries into one — but
+/// 93 % (CDN) and 85 % (social) of the CacheLib tables' buckets fit.
+const WINDOW: usize = 8;
+
 /// Quantile-index fan-out for an `n`-entry CDF: the next power of two
-/// above `n/2` (≈2 entries per bucket), clamped to the module bounds.
+/// above `n/2`, clamped to the module bounds.
 fn quantile_buckets(n: usize) -> usize {
     (n / 2)
         .next_power_of_two()
@@ -98,8 +105,10 @@ fn table_for(n: usize, theta: f64) -> Arc<ZipfTable> {
 /// A Zipf(θ) distribution over ranks `0..n` (rank 0 most popular),
 /// `P(rank r) ∝ 1 / (r + 1)^θ`.
 ///
-/// Sampling uses a precomputed CDF table and binary search — `O(log n)` per
-/// draw, exact, and deterministic given the caller's RNG. Production
+/// Sampling inverts a precomputed CDF table — exact, and deterministic
+/// given the caller's RNG: a quantile index narrows each draw to a bucket,
+/// which is resolved by a fixed-window count (or, for the few wide tail
+/// buckets, a binary search inside the bucket). Production
 /// in-memory caches follow this shape with high skew (paper §2.2: "~80% of
 /// accesses to Meta's object storage cache focus on the top 10% most popular
 /// items").
@@ -107,7 +116,7 @@ fn table_for(n: usize, theta: f64) -> Arc<ZipfTable> {
 /// The CDF is immutable and memoized process-wide by `(n, θ)` — see
 /// `table_for` in this module — so repeated scenario builds in a sweep pay the `powf`
 /// pass once, and a size-scaled quantile index (see `quantile_buckets`)
-/// narrows each draw's binary search. Neither changes any sampled rank.
+/// narrows each draw's search. Neither changes any sampled rank.
 #[derive(Debug, Clone)]
 pub struct ZipfDistribution {
     table: Arc<ZipfTable>,
@@ -149,8 +158,16 @@ impl ZipfDistribution {
     ///
     /// `u`'s top bits select a precomputed bucket `[lo, hi]`; monotonicity
     /// of the partition point in `u` pins the full-table answer inside it
-    /// (including the answer-equals-hi case, which the subrange search
-    /// returns as the subslice length), so only that range is searched.
+    /// (including the answer-equals-hi case), so only that range is read.
+    ///
+    /// A bucket of at most [`WINDOW`] entries is resolved by counting the
+    /// entries of `cdf[lo..lo + WINDOW]` below `u` — branch-free, no
+    /// data-dependent loads. Entries past `hi` add nothing to the count:
+    /// the bucket count is a power of two, so `j = ⌊u·buckets⌋` is exact
+    /// and `u < (j+1)/buckets ≤ cdf[k]` for every `k ≥ hi` (for `u = 1`,
+    /// the clamped last bucket, every such entry is `≥ 1`). Wider buckets,
+    /// and a window that would run off the table's end, fall back to a
+    /// binary search of `[lo, hi)`.
     #[inline]
     fn rank_for(&self, u: f64) -> usize {
         let cdf = &self.table.cdf;
@@ -158,7 +175,16 @@ impl ZipfDistribution {
         let j = ((u * buckets as f64) as usize).min(buckets - 1);
         let lo = self.table.bucket_start[j] as usize;
         let hi = self.table.bucket_start[j + 1] as usize;
-        let p = lo + cdf[lo..hi].partition_point(|&c| c < u);
+        let p = match cdf.get(lo..lo + WINDOW) {
+            Some(window) if hi - lo <= WINDOW => {
+                lo + window.iter().map(|&c| usize::from(c < u)).sum::<usize>()
+            }
+            _ => {
+                #[cfg(test)]
+                FALLBACK_SEARCHES.with(|n| n.set(n.get() + 1));
+                lo + cdf[lo..hi].partition_point(|&c| c < u)
+            }
+        };
         p.min(cdf.len() - 1)
     }
 
@@ -171,10 +197,18 @@ impl ZipfDistribution {
         }
     }
 
-    /// Smallest number of top ranks whose combined mass reaches `mass`.
+    /// Smallest number of top ranks whose combined mass reaches `mass`
+    /// (all of them, [`len`](Self::len), for `mass ≥ 1`).
     pub fn ranks_for_mass(&self, mass: f64) -> usize {
-        self.table.cdf.partition_point(|&c| c < mass) + 1
+        (self.table.cdf.partition_point(|&c| c < mass) + 1).min(self.len())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Work meter: draws [`ZipfDistribution::rank_for`] resolved by binary
+    /// search rather than the window count, on this thread.
+    static FALLBACK_SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A Zipf distribution over *items* through a mutable rank→item permutation,
@@ -351,10 +385,62 @@ mod tests {
                 check((c - 1e-12).max(0.0));
                 check((c + 1e-12).min(1.0));
             }
+            // The fallback path: one ulp either side of both edges of every
+            // bucket wider than the window, and every entry inside it.
+            let start = &d.table.bucket_start;
+            for j in (0..buckets).filter(|&j| start[j + 1] - start[j] > WINDOW as u32) {
+                for edge in [j, j + 1] {
+                    let e = edge as f64 / buckets as f64;
+                    check(e.next_down().max(0.0));
+                    check(e);
+                    check(e.next_up().min(1.0));
+                }
+                for &c in &cdf[start[j] as usize..start[j + 1] as usize] {
+                    check(c.next_down());
+                    check(c);
+                }
+            }
         }
     }
 
-    /// The fan-out scaling: ~2 entries per bucket, clamped.
+    /// Fallback-search meter: a draw falls back to the binary search
+    /// exactly when its bucket is wider than [`WINDOW`], and that is rare
+    /// on both CacheLib tables.
+    #[test]
+    fn fallback_searches_are_the_wide_bucket_draws() {
+        for (n, theta, max_frac) in [(14_000, 0.99, 0.07), (220_000, 0.90, 0.16)] {
+            let d = ZipfDistribution::new(n, theta);
+            let t = &d.table;
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let draws = 1_000_000;
+            let before = FALLBACK_SEARCHES.with(|c| c.get());
+            let mut wide = 0u64;
+            for _ in 0..draws {
+                let u: f64 = rng.gen();
+                let j = (u * t.buckets as f64) as usize;
+                wide += u64::from(t.bucket_start[j + 1] - t.bucket_start[j] > WINDOW as u32);
+                d.rank_for(u);
+            }
+            let fallbacks = FALLBACK_SEARCHES.with(|c| c.get()) - before;
+            assert_eq!(fallbacks, wide, "n={n}");
+            assert!(
+                (fallbacks as f64) <= max_frac * draws as f64,
+                "n={n}: {fallbacks} fallbacks in {draws} draws"
+            );
+        }
+    }
+
+    /// All of the mass takes all of the ranks, not one more.
+    #[test]
+    fn ranks_for_mass_is_clamped_to_len() {
+        let z = ZipfDistribution::new(1000, 0.9);
+        assert_eq!(z.ranks_for_mass(1.0), 1000);
+        assert_eq!(z.ranks_for_mass(1.5), 1000);
+        assert_eq!(z.ranks_for_mass(f64::INFINITY), 1000);
+        assert_eq!(ZipfDistribution::new(1, 0.9).ranks_for_mass(2.0), 1);
+    }
+
+    /// The fan-out scaling: `n/2` rounded up to a power of two, clamped.
     #[test]
     fn quantile_bucket_scaling() {
         assert_eq!(quantile_buckets(1), MIN_QUANTILE_BUCKETS);
