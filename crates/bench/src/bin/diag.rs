@@ -9,7 +9,7 @@ use std::process::ExitCode;
 
 use tiering_mem::{PageId, PageSize, Tier, TierConfig, TierRatio, TieredMemory};
 use tiering_policies::{build_policy, PolicyCtx, PolicyKind};
-use tiering_trace::{Sampler, Workload};
+use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
 
 const USAGE: &str = "usage: diag [hybridtier|memtis|autonuma|tpp|arc|twoq|neomem] [1:16|1:8|1:4]";
@@ -75,7 +75,7 @@ fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
     let mut now = 0u64;
     let mut next_tick = 1_000_000u64;
     let mut next_report = 200_000_000u64;
-    let mut buf = Vec::new();
+    let mut batch = AccessBatch::new();
     let mut last = mem.stats();
     let (mut slow_hits, mut accesses, mut lat_sum, mut ops) = (0u64, 0u64, 0u64, 0u64);
     println!(
@@ -88,12 +88,13 @@ fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
         "t(s)", "mean(ns)", "slowfrac", "promo", "demo", "stale-left"
     );
     while now < 8_000_000_000 {
-        buf.clear();
-        let Some(op) = workload.next_op(now, &mut buf) else {
+        batch.clear();
+        if workload.fill_batch(now, 1, &mut batch) == 0 {
             break;
-        };
+        }
+        let (op, start, end) = batch.op_bounds(0);
         let mut op_ns = op.cpu_ns;
-        for a in &buf {
+        for a in (start..end).map(|i| batch.access(i)) {
             let page = a.page(PageSize::Base4K);
             let tier = mem.ensure_mapped(page, policy.preferred_alloc_tier());
             accesses += 1;
@@ -104,7 +105,7 @@ fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
             if policy.wants_access_hook() {
                 op_ns += policy.on_access_batch(&[page], now, &mut mem, &mut ctx);
             }
-            if let Some(s) = sampler.observe_full(a, tier, now, PageSize::Base4K) {
+            if let Some(s) = sampler.observe_full(&a, tier, now, PageSize::Base4K) {
                 policy.on_sample_batch(&[s], &mut mem, &mut ctx);
             }
         }

@@ -9,7 +9,7 @@ use hybridtier_cbf::{
 use tiering_mem::{PageSize, TierConfig, TierRatio};
 use tiering_policies::{build_policy, PolicyKind};
 use tiering_sim::{SimConfig, COUNT_BUCKET_LABELS};
-use tiering_trace::{Sampler, Workload};
+use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{build_workload, WorkloadId};
 
 use crate::output::{f3, print_header, CsvWriter};
@@ -134,17 +134,19 @@ pub fn table5(out: &Path) -> io::Result<()> {
         .collect();
     let mut truth = GroundTruthCounter::new(CounterWidth::W4);
     let mut sampler = Sampler::new(19);
-    let mut buf = Vec::new();
+    let mut batch = AccessBatch::new();
     let mut ops = 0u64;
     let mut samples = 0u64;
     while ops < 1_200_000 {
-        buf.clear();
-        if workload.next_op(0, &mut buf).is_none() {
+        batch.clear();
+        let n = workload.fill_batch(0, (1_200_000 - ops).min(64) as usize, &mut batch);
+        if n == 0 {
             break;
         }
-        ops += 1;
-        for a in &buf {
-            if sampler.observe(a).is_none() {
+        ops += n as u64;
+        for i in 0..batch.total_accesses() {
+            let a = batch.access(i);
+            if sampler.observe(&a).is_none() {
                 continue;
             }
             samples += 1;

@@ -7,7 +7,7 @@ use std::path::Path;
 use tiering_mem::PageSize;
 use tiering_policies::ema_lag_series;
 use tiering_sim::{RetentionConfig, SimConfig};
-use tiering_trace::{Sampler, Workload};
+use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload, WorkloadId};
 
 use crate::output::{f3, print_header, CsvWriter};
@@ -112,11 +112,12 @@ pub fn fig3b(out: &Path) -> io::Result<()> {
         let pages = workload.footprint_pages(PageSize::Base4K) as usize;
         let mut counts = vec![0u32; pages];
         let mut sampler = Sampler::new(19);
-        let mut buf = Vec::new();
+        let mut batch = AccessBatch::new();
         let mut samples = 0u64;
-        while workload.next_op(0, &mut buf).is_some() {
-            for a in &buf {
-                if sampler.observe(a).is_some() {
+        while workload.fill_batch(0, 64, &mut batch) > 0 {
+            for i in 0..batch.total_accesses() {
+                let a = batch.access(i);
+                if sampler.observe(&a).is_some() {
                     samples += 1;
                     counts[(a.addr >> 12) as usize] =
                         counts[(a.addr >> 12) as usize].saturating_add(1);
@@ -127,7 +128,7 @@ pub fn fig3b(out: &Path) -> io::Result<()> {
                     }
                 }
             }
-            buf.clear();
+            batch.clear();
         }
         let touched = counts.iter().filter(|&&c| c > 0).count().max(1);
         let hot = counts.iter().filter(|&&c| c >= 8).count();

@@ -79,11 +79,14 @@ pub struct SimConfig {
     pub count_probe: bool,
     /// Record hot-set retention (Figure 2).
     pub retention_probe: Option<RetentionConfig>,
-    /// Operations pulled from the workload per batch (the pipeline's unit
-    /// of work). `1` reproduces the legacy one-virtual-call-per-op loop.
+    /// Operations pulled from the workload per
+    /// [`fill_batch`](Workload::fill_batch) call (the pipeline's unit of
+    /// work). `1` pulls one op per call.
     ///
-    /// Results are **independent of this value** — workloads are
-    /// batch-pulled only while time-insensitive, and every pipeline stage
+    /// Results are **independent of this value** — every op of a call is
+    /// generated at the clock of the call, a workload is asked for more
+    /// than one op only while it reports
+    /// [`batchable_now`](Workload::batchable_now), and every pipeline stage
     /// is shared between batch sizes — so it is purely a host-performance
     /// knob. Tuning guidance:
     ///

@@ -143,64 +143,6 @@ fn ladder_batch_size_is_result_invariant() {
     }
 }
 
-/// Hides an inner workload's `fill_batch` override so every pull goes
-/// through the generic staged `next_op` adapter (`begin_op`/`commit_op`
-/// into the SoA columns) instead of the zero-copy direct column path.
-struct StagedFill<W: Workload>(W);
-
-impl<W: Workload> Workload for StagedFill<W> {
-    fn next_op(
-        &mut self,
-        now_ns: u64,
-        out: &mut Vec<tiering_trace::Access>,
-    ) -> Option<tiering_trace::Op> {
-        self.0.next_op(now_ns, out)
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.0.footprint_bytes()
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn batchable_now(&self) -> bool {
-        self.0.batchable_now()
-    }
-    // Deliberately no fill_batch override: the trait default stages through
-    // `begin_op`/`commit_op`.
-}
-
-/// SoA-fill equivalence: the zero-copy direct column fills (CacheLib, Silo,
-/// the synthetic generators) must produce byte-identical reports to the
-/// staged `next_op` adapter writing the same columns — the two ways an
-/// `AccessBatch` can be populated.
-#[test]
-fn direct_soa_fill_equals_staged_fill() {
-    for id in [
-        WorkloadId::CdnCacheLib,
-        WorkloadId::SocialCacheLib,
-        WorkloadId::Silo,
-    ] {
-        let run = |staged: bool| {
-            let mut direct = build_workload(id, 0xFEED);
-            let mut forced;
-            let w: &mut dyn Workload = if staged {
-                forced = StagedFill(build_workload(id, 0xFEED));
-                &mut forced
-            } else {
-                direct.as_mut()
-            };
-            let pages = w.footprint_pages(PageSize::Base4K);
-            let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
-            let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
-            Engine::new(SimConfig::default().with_max_ops(25_000)).run(w, policy.as_mut(), tier_cfg)
-        };
-        assert_reports_identical(&run(false), &run(true), &format!("{id:?} staged-vs-direct"));
-    }
-}
-
 /// All ten buildable policies, typed-dispatch matrix order.
 const ALL_POLICIES: [PolicyKind; 10] = [
     PolicyKind::HybridTier,

@@ -90,17 +90,29 @@ impl Op {
 
 /// A lazily generated memory-access workload.
 ///
-/// The engine repeatedly calls [`next_op`](Workload::next_op) with the
-/// current simulated time; the workload appends the operation's accesses to
-/// `out` (cleared by the engine beforehand) and returns the operation
-/// metadata, or `None` when the workload is complete.
+/// The engine pulls operations with [`fill_batch`](Workload::fill_batch),
+/// passing the current simulated time; the workload appends each
+/// operation's metadata and accesses to the batch. Passing simulated time
+/// into the generator lets time-dependent behaviours — CacheLib's
+/// hotness-distribution shift events, TTL expiry — trigger at the right
+/// simulated instants regardless of how fast the host runs.
 ///
-/// Passing simulated time into the generator lets time-dependent behaviours
-/// — CacheLib's hotness-distribution shift events, TTL expiry — trigger at
-/// the right simulated instants regardless of how fast the host runs.
+/// `fill_batch` is the one generation method; a generator's body is
+/// written once, straight into the batch columns.
+/// [`next_op`](Workload::next_op) is a one-op wrapper over it for tools
+/// and tests.
 pub trait Workload {
-    /// Generates the next operation. Returns `None` when the workload ends.
-    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op>;
+    /// Appends up to `max_ops` operations to `batch` and returns how many
+    /// it appended. The contract:
+    ///
+    /// * Every op of one call is generated at `now_ns`. The engine asks for
+    ///   more than one op only while [`batchable_now`](Workload::batchable_now)
+    ///   is `true`, so a clock trigger is never evaluated at a stale time.
+    /// * `0` means the workload is exhausted. A call returns fewer than
+    ///   `max_ops` only when the next call returns `0`, or when its next op
+    ///   depends on the clock (`batchable_now()` has turned `false`) and it
+    ///   stopped before that op.
+    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize;
 
     /// Total bytes of the address space this workload touches.
     fn footprint_bytes(&self) -> u64;
@@ -118,57 +130,31 @@ pub trait Workload {
     /// ops) only while this returns `true`, so batching can never perturb
     /// time-triggered behaviour (hotness shifts, TTL expiry).
     ///
-    /// The conservative default is `false` (pull one op at a time, exactly
-    /// the legacy behaviour). Generators that never consult `now_ns` —
-    /// or whose remaining time triggers have all fired — should override
-    /// this; all twelve suite workloads do.
+    /// The conservative default is `false` (pull one op at a time).
+    /// Generators that never consult `now_ns` — or whose remaining time
+    /// triggers have all fired — should override this; all twelve suite
+    /// workloads do.
     fn batchable_now(&self) -> bool {
         false
     }
 
-    /// Emits up to `max_ops` operations into `batch` (appending), returning
-    /// how many were emitted. `0` means the workload is exhausted.
-    ///
-    /// The default implementation loops [`next_op`](Workload::next_op) (via
-    /// [`fill_batch_via_next_op`]); generators on hot sweep paths can
-    /// override it to amortize per-op setup (RNG loads, bounds checks)
-    /// across the whole batch. Overrides **must** emit exactly the
-    /// operations `max_ops` successive `next_op` calls would — equivalence
-    /// tests compare the two paths byte for byte.
-    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        fill_batch_via_next_op(self, now_ns, max_ops, batch)
-    }
-}
-
-/// The canonical op-by-op batch fill: loops [`Workload::next_op`] up to
-/// `max_ops` times. This is the [`Workload::fill_batch`] default; overrides
-/// that specialize only *some* phases (e.g. a pending time trigger forces
-/// the generic path) should fall back to this same function rather than
-/// re-implementing the loop.
-pub fn fill_batch_via_next_op<W: Workload + ?Sized>(
-    w: &mut W,
-    now_ns: u64,
-    max_ops: usize,
-    batch: &mut AccessBatch,
-) -> usize {
-    let mut emitted = 0;
-    while emitted < max_ops {
-        let buf = batch.begin_op();
-        match w.next_op(now_ns, buf) {
-            Some(op) => batch.commit_op(op),
-            None => {
-                batch.abort_op();
-                break;
-            }
+    /// Generates one operation at `now_ns`, appending its accesses to
+    /// `out`: a one-op [`fill_batch`](Workload::fill_batch). Returns `None`
+    /// when the workload is exhausted.
+    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
+        let mut batch = AccessBatch::new();
+        if self.fill_batch(now_ns, 1, &mut batch) == 0 {
+            return None;
         }
-        emitted += 1;
+        let (op, start, end) = batch.op_bounds(0);
+        out.extend((start..end).map(|i| batch.access(i)));
+        Some(op)
     }
-    emitted
 }
 
 impl<W: Workload + ?Sized> Workload for Box<W> {
-    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        (**self).next_op(now_ns, out)
+    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        (**self).fill_batch(now_ns, max_ops, batch)
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -181,10 +167,6 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 
     fn batchable_now(&self) -> bool {
         (**self).batchable_now()
-    }
-
-    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        (**self).fill_batch(now_ns, max_ops, batch)
     }
 }
 
@@ -203,8 +185,8 @@ mod tests {
     fn footprint_pages_rounds_up() {
         struct W;
         impl Workload for W {
-            fn next_op(&mut self, _: u64, _: &mut Vec<Access>) -> Option<Op> {
-                None
+            fn fill_batch(&mut self, _: u64, _: usize, _: &mut AccessBatch) -> usize {
+                0
             }
             fn footprint_bytes(&self) -> u64 {
                 4097
@@ -221,13 +203,13 @@ mod tests {
     fn boxed_workload_delegates() {
         struct W(u32);
         impl Workload for W {
-            fn next_op(&mut self, _: u64, out: &mut Vec<Access>) -> Option<Op> {
-                if self.0 == 0 {
-                    return None;
+            fn fill_batch(&mut self, _: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+                let n = max_ops.min(self.0 as usize);
+                self.0 -= n as u32;
+                for _ in 0..n {
+                    batch.push_single(Op::read(10), Access::read(0));
                 }
-                self.0 -= 1;
-                out.push(Access::read(0));
-                Some(Op::read(10))
+                n
             }
             fn footprint_bytes(&self) -> u64 {
                 4096

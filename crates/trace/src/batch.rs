@@ -1,9 +1,9 @@
 //! Fixed-size operation/access batches, stored structure-of-arrays.
 //!
-//! The simulation engine's hot loop used to make one virtual call into the
-//! workload generator per operation. [`AccessBatch`] lets a workload emit up
-//! to a whole batch of operations — each with its burst of accesses — per
-//! virtual call.
+//! [`Workload::fill_batch`](crate::Workload::fill_batch) is the one way a
+//! generator emits operations: it writes up to a whole batch of them — each
+//! with its burst of accesses — straight into an [`AccessBatch`] per call,
+//! so the engine makes one virtual call per batch, not per operation.
 //!
 //! Storage is **SoA**: flat [`addrs`](AccessBatch::addrs) /
 //! [`writes`](AccessBatch::writes) columns plus a derived
@@ -15,7 +15,7 @@
 //! Batching never changes simulation results: a workload is batch-pulled
 //! only while it reports [`batchable_now`](crate::Workload::batchable_now)
 //! (its output does not depend on simulated time), so the operation stream
-//! is byte-identical to per-op pulls.
+//! is byte-identical to one-op pulls.
 
 use tiering_mem::PageSize;
 
@@ -35,10 +35,13 @@ pub struct OpRecord {
 
 /// A batch of operations with their accesses stored as flat columns.
 ///
-/// Workloads fill a batch through [`begin_op`](AccessBatch::begin_op) /
-/// [`commit_op`](AccessBatch::commit_op) (or
-/// [`push_single`](AccessBatch::push_single) for one-access ops); the
-/// engine drains it by op index via [`op_bounds`](AccessBatch::op_bounds)
+/// Workloads write an operation with [`open_op`](AccessBatch::open_op) /
+/// [`push_access`](AccessBatch::push_access) /
+/// [`commit_open_op`](AccessBatch::commit_open_op) — or one per call of a
+/// per-op body through [`fill_ops`](AccessBatch::fill_ops) — and whole
+/// operations with [`push_single`](AccessBatch::push_single) and
+/// [`append_ops`](AccessBatch::append_ops); the engine drains it by op
+/// index via [`op_bounds`](AccessBatch::op_bounds)
 /// over the [`addrs`](AccessBatch::addrs)/[`pages`](AccessBatch::pages)/
 /// [`writes`](AccessBatch::writes) columns. Buffers are reused across
 /// batches — a cleared batch keeps its capacity, so steady-state operation
@@ -51,9 +54,6 @@ pub struct AccessBatch {
     /// [`compute_pages`](Self::compute_pages), empty until then.
     pages: Vec<u64>,
     ops: Vec<OpRecord>,
-    /// Staging buffer for [`begin_op`](Self::begin_op)-style fills (the
-    /// generic `next_op` adapter); drained into the columns on commit.
-    scratch: Vec<Access>,
 }
 
 impl AccessBatch {
@@ -69,7 +69,6 @@ impl AccessBatch {
             writes: Vec::with_capacity(accesses),
             pages: Vec::with_capacity(accesses),
             ops: Vec::with_capacity(ops),
-            scratch: Vec::new(),
         }
     }
 
@@ -79,42 +78,10 @@ impl AccessBatch {
         self.writes.clear();
         self.pages.clear();
         self.ops.clear();
-        self.scratch.clear();
-    }
-
-    /// Opens a new operation and returns the staging buffer its accesses
-    /// should be pushed into.
-    ///
-    /// Follow with [`commit_op`](Self::commit_op) to record the operation or
-    /// [`abort_op`](Self::abort_op) to discard any pushed accesses (used
-    /// when the workload turns out to be exhausted).
-    #[inline]
-    pub fn begin_op(&mut self) -> &mut Vec<Access> {
-        self.scratch.clear();
-        &mut self.scratch
-    }
-
-    /// Seals the currently open operation, draining the staging buffer into
-    /// the flat columns.
-    #[inline]
-    pub fn commit_op(&mut self, op: Op) {
-        let start = self.addrs.len() as u32;
-        self.addrs.extend(self.scratch.iter().map(|a| a.addr));
-        self.writes.extend(self.scratch.iter().map(|a| a.is_write));
-        let len = self.scratch.len() as u32;
-        self.scratch.clear();
-        self.ops.push(OpRecord { op, start, len });
-    }
-
-    /// Discards accesses pushed since the last [`begin_op`](Self::begin_op).
-    #[inline]
-    pub fn abort_op(&mut self) {
-        self.scratch.clear();
     }
 
     /// Pushes a complete single-access operation (the common case for
-    /// pointer-chasing workloads; avoids the begin/commit round trip and
-    /// the staging copy).
+    /// pointer-chasing workloads; no open/commit round trip).
     #[inline]
     pub fn push_single(&mut self, op: Op, access: Access) {
         let start = self.addrs.len() as u32;
@@ -123,16 +90,10 @@ impl AccessBatch {
         self.ops.push(OpRecord { op, start, len: 1 });
     }
 
-    /// Opens an operation that writes **directly** into the flat columns
-    /// (no staging copy), returning its start cursor. Push the op's
-    /// accesses with [`push_access`](Self::push_access), then seal with
+    /// Opens an operation that writes directly into the flat columns,
+    /// returning its start cursor. Push the op's accesses with
+    /// [`push_access`](Self::push_access), then seal with
     /// [`commit_open_op`](Self::commit_open_op) passing the cursor back.
-    ///
-    /// This is the zero-copy fill path for workloads with specialized
-    /// [`fill_batch`](crate::Workload::fill_batch) overrides; the
-    /// [`begin_op`](Self::begin_op) staging path remains for the generic
-    /// `next_op` adapter. Do not interleave with `begin_op`/`commit_op`
-    /// for the same operation.
     #[inline]
     pub fn open_op(&mut self) -> usize {
         self.addrs.len()
@@ -155,6 +116,33 @@ impl AccessBatch {
             start: start as u32,
             len: (self.addrs.len() - start) as u32,
         });
+    }
+
+    /// Appends up to `max_ops` operations, one per call of `op`: each call
+    /// pushes its operation's accesses with [`push_access`](Self::push_access)
+    /// and returns the operation, or returns `None` when the generator is
+    /// exhausted, which ends the fill and discards anything that call
+    /// pushed. Returns how many operations were appended.
+    ///
+    /// This is the fill loop of every generator written as a per-op body.
+    #[inline]
+    pub fn fill_ops(
+        &mut self,
+        max_ops: usize,
+        mut op: impl FnMut(&mut Self) -> Option<Op>,
+    ) -> usize {
+        for filled in 0..max_ops {
+            let start = self.open_op();
+            match op(self) {
+                Some(done) => self.commit_open_op(done, start),
+                None => {
+                    self.addrs.truncate(start);
+                    self.writes.truncate(start);
+                    return filled;
+                }
+            }
+        }
+        max_ops
     }
 
     /// Appends whole operations whose accesses already sit in columns (a
@@ -287,10 +275,10 @@ mod tests {
     #[test]
     fn fill_and_iterate() {
         let mut b = AccessBatch::with_capacity(4, 8);
-        let buf = b.begin_op();
-        buf.push(Access::read(0x1000));
-        buf.push(Access::write(0x2000));
-        b.commit_op(Op::read(50));
+        let start = b.open_op();
+        b.push_access(Access::read(0x1000));
+        b.push_access(Access::write(0x2000));
+        b.commit_open_op(Op::read(50), start);
         b.push_single(Op::compute(10), Access::read(0x3000));
 
         assert_eq!(b.len(), 2);
@@ -305,28 +293,6 @@ mod tests {
         assert_eq!((s, e), (0, 2));
         assert_eq!(&b.addrs()[s..e], &[0x1000, 0x2000]);
         assert_eq!(&b.writes()[s..e], &[false, true]);
-    }
-
-    #[test]
-    fn direct_fill_matches_staged_fill() {
-        let mut staged = AccessBatch::new();
-        let buf = staged.begin_op();
-        buf.push(Access::read(0x10));
-        buf.push(Access::write(0x20));
-        staged.commit_op(Op::read(7));
-
-        let mut direct = AccessBatch::new();
-        let start = direct.open_op();
-        direct.push_access(Access::read(0x10));
-        direct.push_access(Access::write(0x20));
-        direct.commit_open_op(Op::read(7), start);
-
-        assert_eq!(staged.addrs(), direct.addrs());
-        assert_eq!(staged.writes(), direct.writes());
-        assert_eq!(staged.len(), direct.len());
-        let (op_s, s0, s1) = staged.op_bounds(0);
-        let (op_d, d0, d1) = direct.op_bounds(0);
-        assert_eq!((op_s, s0, s1), (op_d, d0, d1));
     }
 
     #[test]
@@ -362,15 +328,26 @@ mod tests {
         AccessBatch::new().append_ops(&[1, 2], &[false, false], [(Op::read(1), 1)]);
     }
 
+    /// `fill_ops` commits one op per call until the body returns `None`,
+    /// and drops whatever that last call pushed.
     #[test]
-    fn abort_discards_partial_op() {
+    fn fill_ops_stops_at_none_and_discards_its_accesses() {
         let mut b = AccessBatch::new();
         b.push_single(Op::read(1), Access::read(0));
-        let buf = b.begin_op();
-        buf.push(Access::read(0x5000));
-        b.abort_op();
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.total_accesses(), 1);
+        let mut left = 2u64;
+        let n = b.fill_ops(5, |b| {
+            b.push_access(Access::write(0x5000 + left));
+            left = left.checked_sub(1)?;
+            b.push_access(Access::read(0x6000));
+            Some(Op::compute(left))
+        });
+        assert_eq!(n, 2);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.addrs(), &[0, 0x5002, 0x6000, 0x5001, 0x6000]);
+        assert_eq!(b.writes(), &[false, true, false, true, false]);
+        assert_eq!(b.op_bounds(2), (Op::compute(0), 3, 5));
+        assert_eq!(b.fill_ops(3, |_| Some(Op::read(9))), 3, "a full fill");
+        assert_eq!(b.len(), 6);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod batch;
 mod file;
 mod sampler;
 
-pub use access::{fill_batch_via_next_op, Access, Op, OpKind, Workload};
+pub use access::{Access, Op, OpKind, Workload};
 pub use batch::{AccessBatch, OpRecord};
 pub use file::{
     TraceChunk, TraceError, TraceHeader, TraceReader, TraceSummary, TraceWriter, DEFAULT_CHUNK_OPS,

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use tiering_trace::{fill_batch_via_next_op, Access, AccessBatch, Op, Workload};
+use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::{LayoutBuilder, Region};
 use crate::zipf::ShiftableZipf;
@@ -342,18 +342,6 @@ impl CacheLibWorkload {
 const DRAW_CHUNK: usize = 64;
 
 impl Workload for CacheLibWorkload {
-    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.ops_done >= self.config.ops {
-            return None;
-        }
-        self.ops_done += 1;
-        self.maybe_shift(now_ns);
-
-        let obj = self.zipf.sample(&mut self.rng) as usize;
-        let is_set = self.rng.gen::<f64>() < self.config.set_fraction;
-        Some(self.emit_op(obj, is_set, |a| out.push(a)))
-    }
-
     fn footprint_bytes(&self) -> u64 {
         self.footprint
     }
@@ -370,18 +358,13 @@ impl Workload for CacheLibWorkload {
     }
 
     fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        // Zero-copy SoA fill: accesses go straight into the batch columns
-        // (no staging `Vec<Access>` round trip). Only valid while batchable
-        // — with a clock-driven shift still pending, fall back to the
-        // generic per-op path so the trigger sees fresh time every op.
-        if !self.batchable_now() {
-            return fill_batch_via_next_op(self, now_ns, max_ops, batch);
-        }
-        // Draw first, emit second: a rank never reads the rank→item
-        // permutation and churn has its own RNG, so drawing a chunk's
-        // `(rank, is_set)` pairs ahead — in `next_op`'s RNG order — lets
-        // their CDF misses overlap. The permutation is read per op, after
-        // that op's `maybe_shift`, exactly as `next_op` reads it.
+        // Draw first, emit second: each op draws its rank, then whether it
+        // is a SET, from `rng`. A rank never reads the rank→item
+        // permutation, and shifts and churn — which only permute it — use
+        // their own RNG, so drawing a chunk's `(rank, is_set)` pairs ahead
+        // lets their CDF misses overlap. The permutation is read per op,
+        // after that op's `maybe_shift`, so a shift or churn takes effect
+        // at the op it fires on wherever that op sits in the call.
         let n = max_ops.min((self.config.ops - self.ops_done) as usize);
         let mut draws = [(0usize, false); DRAW_CHUNK];
         for chunk_start in (0..n).step_by(DRAW_CHUNK) {
@@ -520,15 +503,6 @@ mod tests {
                     assert_fill_matches_next_op(c, batch_ops);
                 }
             }
-        }
-    }
-
-    /// The shipped configs over 120 000 ops: default churn (every 50 000
-    /// ops) fires twice, mid-batch.
-    #[test]
-    fn fill_batch_equals_next_op_across_default_churn() {
-        for c in [CacheLibConfig::cdn(), CacheLibConfig::social_graph()] {
-            assert_fill_matches_next_op(c.with_ops(120_000), 61);
         }
     }
 

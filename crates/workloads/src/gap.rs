@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use tiering_trace::{Access, Op, Workload};
+use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::{LayoutBuilder, Region};
 
@@ -164,12 +164,13 @@ impl Graph {
     }
 
     /// Out-degree of `u`.
-    pub fn degree(&self, u: u32) -> u64 {
+    fn degree(&self, u: u32) -> u64 {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
     }
 
     /// Out-neighbours of `u`.
-    pub fn neighbors(&self, u: u32) -> &[u32] {
+    #[cfg(test)]
+    fn neighbors(&self, u: u32) -> &[u32] {
         let s = self.offsets[u as usize] as usize;
         let e = self.offsets[u as usize + 1] as usize;
         &self.edges[s..e]
@@ -177,14 +178,14 @@ impl Graph {
 
     /// Emits the accesses a kernel performs to read `u`'s adjacency: the
     /// offsets entry plus one access per 64-byte line of the edge slice.
-    fn emit_adjacency(&self, u: u32, out: &mut Vec<Access>) {
-        out.push(Access::read(self.offsets_region.elem(u as u64, 8)));
+    fn emit_adjacency(&self, u: u32, batch: &mut AccessBatch) {
+        batch.push_access(Access::read(self.offsets_region.elem(u as u64, 8)));
         let s = self.offsets[u as usize];
         let e = self.offsets[u as usize + 1];
         let mut byte = s * 4;
         let end = e * 4;
         while byte < end {
-            out.push(Access::read(self.edges_region.addr(byte)));
+            batch.push_access(Access::read(self.edges_region.addr(byte)));
             byte = (byte / 64 + 1) * 64;
         }
     }
@@ -237,16 +238,15 @@ impl BfsWorkload {
             name,
         }
     }
-}
 
-impl Workload for BfsWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
+    /// One op: a page of the parent-array reset, or one vertex relaxation.
+    fn step(&mut self, batch: &mut AccessBatch) -> Option<Op> {
         // Phase 1: clearing the parent array page by page before a trial.
         if let Some(page) = self.reset_cursor {
             let bytes = self.parent_region.bytes();
             let off = page * 4096;
             if off < bytes {
-                out.push(Access::write(self.parent_region.addr(off)));
+                batch.push_access(Access::write(self.parent_region.addr(off)));
                 self.reset_cursor = Some(page + 1);
                 return Some(Op::compute(200));
             }
@@ -277,10 +277,10 @@ impl Workload for BfsWorkload {
                 }
                 self.trials_remaining -= 1;
                 self.reset_cursor = Some(0);
-                return self.next_op(_now_ns, out);
+                return self.step(batch);
             }
         };
-        self.graph.emit_adjacency(u, out);
+        self.graph.emit_adjacency(u, batch);
         // Borrow-friendly local walk over the neighbour slice.
         let (s, e) = (
             self.graph.offsets[u as usize] as usize,
@@ -288,14 +288,20 @@ impl Workload for BfsWorkload {
         );
         for i in s..e {
             let v = self.graph.edges[i];
-            out.push(Access::read(self.parent_region.elem(v as u64, 4)));
+            batch.push_access(Access::read(self.parent_region.elem(v as u64, 4)));
             if self.parent[v as usize] == NO_PARENT {
                 self.parent[v as usize] = u;
-                out.push(Access::write(self.parent_region.elem(v as u64, 4)));
+                batch.push_access(Access::write(self.parent_region.elem(v as u64, 4)));
                 self.queue.push_back(v);
             }
         }
         Some(Op::compute(30 + (e - s) as u64 * 2))
+    }
+}
+
+impl Workload for BfsWorkload {
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| self.step(batch))
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -347,7 +353,8 @@ impl CcWorkload {
     }
 
     /// Number of distinct component labels at the current state.
-    pub fn num_components(&self) -> usize {
+    #[cfg(test)]
+    fn num_components(&self) -> usize {
         let mut labels: Vec<u32> = self.comp.clone();
         labels.sort_unstable();
         labels.dedup();
@@ -356,39 +363,41 @@ impl CcWorkload {
 }
 
 impl Workload for CcWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.iter >= self.max_iters {
-            return None;
-        }
-        let u = self.cursor;
-        self.graph.emit_adjacency(u, out);
-        out.push(Access::read(self.comp_region.elem(u as u64, 4)));
-        let mut min = self.comp[u as usize];
-        let (s, e) = (
-            self.graph.offsets[u as usize] as usize,
-            self.graph.offsets[u as usize + 1] as usize,
-        );
-        for i in s..e {
-            let v = self.graph.edges[i];
-            out.push(Access::read(self.comp_region.elem(v as u64, 4)));
-            min = min.min(self.comp[v as usize]);
-        }
-        if min < self.comp[u as usize] {
-            self.comp[u as usize] = min;
-            self.changed = true;
-            out.push(Access::write(self.comp_region.elem(u as u64, 4)));
-        }
-
-        self.cursor += 1;
-        if self.cursor == self.graph.num_nodes() {
-            self.cursor = 0;
-            self.iter += 1;
-            if !self.changed {
-                self.iter = self.max_iters; // converged
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| {
+            if self.iter >= self.max_iters {
+                return None;
             }
-            self.changed = false;
-        }
-        Some(Op::compute(30 + (e - s) as u64 * 2))
+            let u = self.cursor;
+            self.graph.emit_adjacency(u, batch);
+            batch.push_access(Access::read(self.comp_region.elem(u as u64, 4)));
+            let mut min = self.comp[u as usize];
+            let (s, e) = (
+                self.graph.offsets[u as usize] as usize,
+                self.graph.offsets[u as usize + 1] as usize,
+            );
+            for i in s..e {
+                let v = self.graph.edges[i];
+                batch.push_access(Access::read(self.comp_region.elem(v as u64, 4)));
+                min = min.min(self.comp[v as usize]);
+            }
+            if min < self.comp[u as usize] {
+                self.comp[u as usize] = min;
+                self.changed = true;
+                batch.push_access(Access::write(self.comp_region.elem(u as u64, 4)));
+            }
+
+            self.cursor += 1;
+            if self.cursor == self.graph.num_nodes() {
+                self.cursor = 0;
+                self.iter += 1;
+                if !self.changed {
+                    self.iter = self.max_iters; // converged
+                }
+                self.changed = false;
+            }
+            Some(Op::compute(30 + (e - s) as u64 * 2))
+        })
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -443,44 +452,46 @@ impl PrWorkload {
 }
 
 impl Workload for PrWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.iter >= self.iters {
-            return None;
-        }
-        // End-of-iteration pass: normalize `next` into `pr`, one page per op.
-        if let Some(page) = self.scan_cursor {
-            let off = page * 4096;
-            if off < self.pr_region.bytes() {
-                out.push(Access::read(self.next_region.addr(off)));
-                out.push(Access::write(self.pr_region.addr(off)));
-                self.scan_cursor = Some(page + 1);
-                return Some(Op::compute(300));
-            }
-            self.scan_cursor = None;
-            self.iter += 1;
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| {
             if self.iter >= self.iters {
                 return None;
             }
-        }
+            // End-of-iteration pass: normalize `next` into `pr`, one page per op.
+            if let Some(page) = self.scan_cursor {
+                let off = page * 4096;
+                if off < self.pr_region.bytes() {
+                    batch.push_access(Access::read(self.next_region.addr(off)));
+                    batch.push_access(Access::write(self.pr_region.addr(off)));
+                    self.scan_cursor = Some(page + 1);
+                    return Some(Op::compute(300));
+                }
+                self.scan_cursor = None;
+                self.iter += 1;
+                if self.iter >= self.iters {
+                    return None;
+                }
+            }
 
-        let u = self.cursor;
-        self.graph.emit_adjacency(u, out);
-        out.push(Access::read(self.pr_region.elem(u as u64, 4)));
-        let (s, e) = (
-            self.graph.offsets[u as usize] as usize,
-            self.graph.offsets[u as usize + 1] as usize,
-        );
-        for i in s..e {
-            let v = self.graph.edges[i];
-            out.push(Access::write(self.next_region.elem(v as u64, 4)));
-        }
+            let u = self.cursor;
+            self.graph.emit_adjacency(u, batch);
+            batch.push_access(Access::read(self.pr_region.elem(u as u64, 4)));
+            let (s, e) = (
+                self.graph.offsets[u as usize] as usize,
+                self.graph.offsets[u as usize + 1] as usize,
+            );
+            for i in s..e {
+                let v = self.graph.edges[i];
+                batch.push_access(Access::write(self.next_region.elem(v as u64, 4)));
+            }
 
-        self.cursor += 1;
-        if self.cursor == self.graph.num_nodes() {
-            self.cursor = 0;
-            self.scan_cursor = Some(0);
-        }
-        Some(Op::compute(30 + (e - s) as u64 * 2))
+            self.cursor += 1;
+            if self.cursor == self.graph.num_nodes() {
+                self.cursor = 0;
+                self.scan_cursor = Some(0);
+            }
+            Some(Op::compute(30 + (e - s) as u64 * 2))
+        })
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -607,15 +618,16 @@ mod tests {
     #[test]
     fn adjacency_accesses_hit_csr_regions() {
         let g = tiny_kron();
-        let mut buf = Vec::new();
-        g.emit_adjacency(5, &mut buf);
+        let mut batch = AccessBatch::new();
+        g.emit_adjacency(5, &mut batch);
+        let buf = batch.addrs();
         assert!(!buf.is_empty());
-        assert!(buf[0].addr >= g.offsets_region.base() && buf[0].addr < g.offsets_region.end());
-        for a in &buf[1..] {
-            assert!(a.addr >= g.edges_region.base() && a.addr < g.edges_region.end());
+        assert!(buf[0] >= g.offsets_region.base() && buf[0] < g.offsets_region.end());
+        for &a in &buf[1..] {
+            assert!(a >= g.edges_region.base() && a < g.edges_region.end());
         }
         // Edge-line accesses deduplicate to one per cache line.
-        let lines: Vec<u64> = buf[1..].iter().map(|a| a.addr / 64).collect();
+        let lines: Vec<u64> = buf[1..].iter().map(|a| a / 64).collect();
         let mut dedup = lines.clone();
         dedup.dedup();
         assert_eq!(lines, dedup);

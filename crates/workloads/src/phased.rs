@@ -9,12 +9,13 @@
 //! (or until the inner generator ends early), then hands off to the next.
 //!
 //! Phase boundaries are keyed on the *op counter*, not the clock, so a
-//! phased workload is batchable whenever its current phase is — batching
-//! never smears ops across a phase boundary because
+//! phased workload is batchable whenever its current phase is.
 //! [`fill_batch`](Workload::fill_batch) caps each request at the ops left
-//! in the phase.
+//! in the phase, and a call that reaches the boundary of a phase whose
+//! output depends on the clock stops there, so that phase's first op is
+//! generated at the clock of its own call, as in one-op pulls.
 
-use tiering_trace::{Access, AccessBatch, Op, Workload};
+use tiering_trace::{AccessBatch, Workload};
 
 struct Phase {
     /// Op budget for this phase (the generator may end earlier).
@@ -96,36 +97,9 @@ impl PhasedWorkload {
         }
         self.current < self.phases.len()
     }
-
-    /// Abandons the current phase (its generator ended before the op
-    /// budget) and moves to the next.
-    fn skip_exhausted_phase(&mut self) {
-        self.current += 1;
-        self.done_in_phase = 0;
-    }
 }
 
 impl Workload for PhasedWorkload {
-    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        let entry_len = out.len();
-        while self.settle() {
-            let phase = &mut self.phases[self.current];
-            match phase.workload.next_op(now_ns, out) {
-                Some(op) => {
-                    self.done_in_phase += 1;
-                    return Some(op);
-                }
-                None => {
-                    // Generator ended early; drop anything it staged and
-                    // hand off to the next phase.
-                    out.truncate(entry_len);
-                    self.skip_exhausted_phase();
-                }
-            }
-        }
-        None
-    }
-
     /// The largest phase footprint: phases share the address space
     /// sequentially, so peak residency is the biggest phase, not the sum.
     fn footprint_bytes(&self) -> u64 {
@@ -141,8 +115,8 @@ impl Workload for PhasedWorkload {
     }
 
     /// Batchable exactly when the phase about to serve is: thresholds are
-    /// op-keyed (never clock-keyed), and `fill_batch` stops at the phase
-    /// boundary, so batching cannot smear across phases.
+    /// op-keyed (never clock-keyed), and `fill_batch` stops before a phase
+    /// that is not batchable.
     fn batchable_now(&self) -> bool {
         match self.serving_phase() {
             Some(idx) => self.phases[idx].workload.batchable_now(),
@@ -153,16 +127,21 @@ impl Workload for PhasedWorkload {
     fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
         let mut filled = 0;
         while filled < max_ops && self.settle() {
-            let budget = self.phases[self.current].ops - self.done_in_phase;
+            let phase = &mut self.phases[self.current];
+            if filled > 0 && !phase.workload.batchable_now() {
+                // Its next op depends on the clock: it runs in a call of
+                // its own.
+                break;
+            }
+            let budget = phase.ops - self.done_in_phase;
             let room = (max_ops - filled).min(usize::try_from(budget).unwrap_or(usize::MAX));
-            let n = self.phases[self.current]
-                .workload
-                .fill_batch(now_ns, room, batch);
+            let n = phase.workload.fill_batch(now_ns, room, batch);
             self.done_in_phase += n as u64;
             filled += n;
-            if n < room {
-                // Generator ended before its op budget.
-                self.skip_exhausted_phase();
+            if n == 0 {
+                // The generator ended before its op budget: move on.
+                self.current += 1;
+                self.done_in_phase = 0;
             }
         }
         filled
@@ -173,7 +152,6 @@ impl Workload for PhasedWorkload {
 mod tests {
     use super::*;
     use crate::{SequentialScanWorkload, ZipfPageWorkload};
-    use tiering_trace::fill_batch_via_next_op;
 
     fn diurnal() -> PhasedWorkload {
         PhasedWorkload::new()
@@ -215,20 +193,26 @@ mod tests {
     fn fill_batch_equals_next_op_across_boundaries() {
         let mut via_next = diurnal();
         let mut via_fill = diurnal();
+        let mut buf = Vec::new();
         // Batch size 61 never divides the 150/100/150 thresholds, so every
         // boundary lands mid-batch.
         for round in 0..10 {
-            let mut a = AccessBatch::with_capacity(61, 61);
             let mut b = AccessBatch::with_capacity(61, 61);
-            let na = fill_batch_via_next_op(&mut via_next, 0, 61, &mut a);
             let nb = via_fill.fill_batch(0, 61, &mut b);
-            assert_eq!(na, nb, "round {round}");
-            assert_eq!(a.len(), b.len());
-            for i in 0..a.len() {
-                assert_eq!(a.op_bounds(i), b.op_bounds(i), "round {round} op {i}");
+            assert_eq!(b.len(), nb, "round {round}");
+            for i in 0..nb {
+                let (op, s, e) = b.op_bounds(i);
+                buf.clear();
+                assert_eq!(
+                    via_next.next_op(0, &mut buf),
+                    Some(op),
+                    "round {round} op {i}"
+                );
+                let got: Vec<_> = (s..e).map(|k| b.access(k)).collect();
+                assert_eq!(got, buf, "round {round} op {i}");
             }
-            for i in 0..a.total_accesses() {
-                assert_eq!(a.access(i), b.access(i), "round {round} access {i}");
+            if nb < 61 {
+                assert_eq!(via_next.next_op(0, &mut buf), None, "round {round}");
             }
         }
     }

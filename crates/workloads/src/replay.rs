@@ -21,14 +21,12 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-use tiering_trace::{
-    Access, AccessBatch, Op, TraceError, TraceReader, TraceSummary, TraceWriter, Workload,
-};
+use tiering_trace::{AccessBatch, TraceError, TraceReader, TraceSummary, TraceWriter, Workload};
 
 /// Records up to `max_ops` operations of `workload` into a trace file at
 /// `path`, chunked every `chunk_ops` operations.
 ///
-/// Operations are pulled through [`Workload::next_op`] at simulated time
+/// Operations are pulled through [`Workload::fill_batch`] at simulated time
 /// zero, so clock-driven behaviour (e.g. a scheduled hot-set shift) is
 /// captured as of t=0. For op-counter-driven workloads — every suite
 /// workload in its default configuration — the recorded stream is exactly
@@ -45,13 +43,23 @@ pub fn record_workload<W: Workload + ?Sized>(
 ) -> Result<TraceSummary, TraceError> {
     let mut writer = TraceWriter::create(path, workload.name(), workload.footprint_bytes())?
         .with_chunk_ops(chunk_ops);
+    let mut batch = AccessBatch::new();
     let mut accesses = Vec::new();
-    for _ in 0..max_ops {
-        accesses.clear();
-        match workload.next_op(0, &mut accesses) {
-            Some(op) => writer.push_op(op, &accesses)?,
-            None => break,
+    let mut left = max_ops;
+    while left > 0 {
+        batch.clear();
+        // Every call size pulls the same stream; 64 is the engine's default.
+        let n = workload.fill_batch(0, left.min(64) as usize, &mut batch);
+        if n == 0 {
+            break;
         }
+        for i in 0..n {
+            let (op, start, end) = batch.op_bounds(i);
+            accesses.clear();
+            accesses.extend((start..end).map(|k| batch.access(k)));
+            writer.push_op(op, &accesses)?;
+        }
+        left -= n as u64;
     }
     let (summary, _) = writer.finish()?;
     Ok(summary)
@@ -134,18 +142,6 @@ impl TraceReplayWorkload {
 }
 
 impl Workload for TraceReplayWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if !self.ensure_op() {
-            return None;
-        }
-        let chunk = self.reader.chunk();
-        let (start, end) = chunk.op_access_range(self.cursor);
-        out.extend((start..end).map(|i| chunk.access(i)));
-        let op = chunk.op(self.cursor);
-        self.cursor += 1;
-        Some(op)
-    }
-
     fn footprint_bytes(&self) -> u64 {
         self.reader.header().footprint_bytes
     }
@@ -164,8 +160,7 @@ impl Workload for TraceReplayWorkload {
 
     fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
         // SoA fill: the ops served from one chunk are one contiguous range
-        // of its columns, copied whole — no per-access work, no per-op
-        // `Vec<Access>` staging.
+        // of its columns, copied whole — no per-access work.
         let mut filled = 0;
         while filled < max_ops {
             if !self.ensure_op() {
@@ -196,7 +191,7 @@ impl Workload for TraceReplayWorkload {
 mod tests {
     use super::*;
     use crate::ZipfPageWorkload;
-    use tiering_trace::fill_batch_via_next_op;
+    use tiering_trace::{Access, Op};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -280,19 +275,21 @@ mod tests {
     }
 
     impl Workload for BurstyWorkload {
-        fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-            self.left = self.left.checked_sub(1)?;
-            for _ in 0..self.rand(8) {
-                let access = Access {
-                    addr: self.rand(1 << 30) * 8,
-                    is_write: self.rand(3) == 0,
-                };
-                out.push(access);
-            }
-            let cpu_ns = self.rand(500);
-            Some([Op::read, Op::write, Op::compute][self.rand(3) as usize](
-                cpu_ns,
-            ))
+        fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+            batch.fill_ops(max_ops, |batch| {
+                self.left = self.left.checked_sub(1)?;
+                for _ in 0..self.rand(8) {
+                    let access = Access {
+                        addr: self.rand(1 << 30) * 8,
+                        is_write: self.rand(3) == 0,
+                    };
+                    batch.push_access(access);
+                }
+                let cpu_ns = self.rand(500);
+                Some([Op::read, Op::write, Op::compute][self.rand(3) as usize](
+                    cpu_ns,
+                ))
+            })
         }
 
         fn footprint_bytes(&self) -> u64 {
@@ -304,14 +301,14 @@ mod tests {
         }
     }
 
-    /// Bulk fill ≡ the per-access fill it replaced ≡ `next_op`, batch by
-    /// batch: single-access Zipf ops and multi-access bursts, batches of 1,
-    /// 13 (straddles every 16-op chunk boundary at a different offset), 64
+    /// Bulk fill ≡ the per-access fill it replaced, batch by batch:
+    /// single-access Zipf ops and multi-access bursts, batches of 1, 13
+    /// (straddles every 16-op chunk boundary at a different offset), 64
     /// (four whole chunks per batch) and 100 (more than the last chunks
-    /// hold), on traces whose final chunk is partial, until all three
-    /// replays run dry in the same round.
+    /// hold), on traces whose final chunk is partial, until both replays
+    /// run dry in the same round.
     #[test]
-    fn fill_batch_equals_next_op_for_replay() {
+    fn bulk_fill_equals_per_access_fill() {
         let path = temp_path("batch");
         let mut sources: [(&str, Box<dyn Workload>, u64); 2] = [
             ("zipf", Box::new(zipf()), 395),
@@ -329,28 +326,21 @@ mod tests {
             assert_eq!(summary.ops, *total_ops);
             assert_ne!(summary.ops % 16, 0, "the last chunk is partial");
             for batch_ops in [1, 13, 64, 100] {
-                let mut via_next = TraceReplayWorkload::open(&path).expect("open A");
-                let mut via_loop = TraceReplayWorkload::open(&path).expect("open B");
-                let mut via_fill = TraceReplayWorkload::open(&path).expect("open C");
+                let mut via_loop = TraceReplayWorkload::open(&path).expect("open A");
+                let mut via_fill = TraceReplayWorkload::open(&path).expect("open B");
                 let mut served = 0;
                 for round in 0.. {
                     let at = format!("{name}, batches of {batch_ops}, round {round}");
-                    let mut a = AccessBatch::with_capacity(batch_ops, batch_ops);
                     let mut b = AccessBatch::new();
                     let mut c = AccessBatch::new();
-                    let na = fill_batch_via_next_op(&mut via_next, 0, batch_ops, &mut a);
                     let nb = via_loop.fill_batch_per_access(batch_ops, &mut b);
                     let nc = via_fill.fill_batch(0, batch_ops, &mut c);
-                    assert_eq!((na, nb), (nc, nc), "{at}");
-                    assert_eq!((a.len(), b.len()), (nc, nc), "{at}");
-                    assert_eq!(c.len(), nc, "{at}");
+                    assert_eq!(nb, nc, "{at}");
+                    assert_eq!((b.len(), c.len()), (nc, nc), "{at}");
                     for i in 0..nc {
-                        assert_eq!(a.op_bounds(i), c.op_bounds(i), "{at} op {i}");
                         assert_eq!(b.op_bounds(i), c.op_bounds(i), "{at} op {i}");
                     }
-                    assert_eq!(a.addrs(), c.addrs(), "{at}");
                     assert_eq!(b.addrs(), c.addrs(), "{at}");
-                    assert_eq!(a.writes(), c.writes(), "{at}");
                     assert_eq!(b.writes(), c.writes(), "{at}");
                     served += nc as u64;
                     if nc < batch_ops {

@@ -95,32 +95,13 @@ impl SiloWorkload {
     }
 
     /// Number of B+-tree inner levels (including the root).
-    pub fn tree_depth(&self) -> usize {
+    #[cfg(test)]
+    fn tree_depth(&self) -> usize {
         self.levels.len()
     }
 }
 
 impl Workload for SiloWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.ops_done >= self.config.ops {
-            return None;
-        }
-        self.ops_done += 1;
-        let key = self.zipf.sample(&mut self.rng) as usize;
-
-        // Walk root → leaf: at each level, the node whose key range covers
-        // `key` (keys partition evenly across a level's nodes).
-        for (region, count) in &self.levels {
-            let node = key * count / self.config.records;
-            out.push(Access::read(region.elem(node as u64, 4096)));
-        }
-        // Record read (single line; 512 B records start line-aligned).
-        out.push(Access::read(
-            self.records.elem(key as u64, self.config.record_bytes),
-        ));
-        Some(Op::read(150))
-    }
-
     fn footprint_bytes(&self) -> u64 {
         self.footprint
     }
@@ -134,10 +115,10 @@ impl Workload for SiloWorkload {
     }
 
     fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        // Zero-copy SoA fill: the tree-walk accesses go straight into the
-        // batch columns, with the op metadata and record geometry hoisted
-        // out of the loop. Byte-identical to `next_op` pulls (pinned by the
-        // suite-wide fill-equivalence test).
+        // Each lookup walks root → leaf: at each level, the node whose key
+        // range covers `key` (keys partition evenly across a level's
+        // nodes), then reads the record (single line; 512 B records start
+        // line-aligned).
         let n = max_ops.min((self.config.ops - self.ops_done) as usize);
         self.ops_done += n as u64;
         let op = Op::read(150);

@@ -12,7 +12,7 @@
 //! * **roms** — a regional ocean model: 3-D stencil sweeps with plane-wise
 //!   reuse (each k-plane is touched while processing planes k−1..k+1).
 
-use tiering_trace::{Access, Op, Workload};
+use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::{LayoutBuilder, Region};
 
@@ -49,25 +49,27 @@ impl BwavesWorkload {
 }
 
 impl Workload for BwavesWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.sweeps_remaining == 0 {
-            return None;
-        }
-        // One op = one 4 KiB block of the sweep: stream the state page,
-        // the matching RHS page, and bang on the coefficient block.
-        out.push(Access::read(self.state.addr(self.cursor)));
-        out.push(Access::write(self.state.addr(self.cursor)));
-        let rhs_off = self.cursor / 4;
-        out.push(Access::read(self.rhs.addr(rhs_off & !4095)));
-        let coeff_off = (self.cursor / 4096 * 64) % self.coeff.bytes();
-        out.push(Access::read(self.coeff.addr(coeff_off)));
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| {
+            if self.sweeps_remaining == 0 {
+                return None;
+            }
+            // One op = one 4 KiB block of the sweep: stream the state page,
+            // the matching RHS page, and bang on the coefficient block.
+            batch.push_access(Access::read(self.state.addr(self.cursor)));
+            batch.push_access(Access::write(self.state.addr(self.cursor)));
+            let rhs_off = self.cursor / 4;
+            batch.push_access(Access::read(self.rhs.addr(rhs_off & !4095)));
+            let coeff_off = (self.cursor / 4096 * 64) % self.coeff.bytes();
+            batch.push_access(Access::read(self.coeff.addr(coeff_off)));
 
-        self.cursor += 4096;
-        if self.cursor >= self.state.bytes() {
-            self.cursor = 0;
-            self.sweeps_remaining -= 1;
-        }
-        Some(Op::compute(900))
+            self.cursor += 4096;
+            if self.cursor >= self.state.bytes() {
+                self.cursor = 0;
+                self.sweeps_remaining -= 1;
+            }
+            Some(Op::compute(900))
+        })
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -126,29 +128,31 @@ impl RomsWorkload {
 }
 
 impl Workload for RomsWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.steps_remaining == 0 {
-            return None;
-        }
-        // One op = one 4 KiB tile of the current k-plane across all fields,
-        // reading the k−1/k/k+1 planes (vertical stencil) and writing k.
-        for field in &self.fields {
-            let base_k = self.k * self.plane_bytes + self.cursor;
-            out.push(Access::read(field.addr(base_k - self.plane_bytes)));
-            out.push(Access::read(field.addr(base_k)));
-            out.push(Access::read(field.addr(base_k + self.plane_bytes)));
-            out.push(Access::write(field.addr(base_k)));
-        }
-        self.cursor += 4096;
-        if self.cursor >= self.plane_bytes {
-            self.cursor = 0;
-            self.k += 1;
-            if self.k >= self.nz - 1 {
-                self.k = 1;
-                self.steps_remaining -= 1;
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| {
+            if self.steps_remaining == 0 {
+                return None;
             }
-        }
-        Some(Op::compute(1_200))
+            // One op = one 4 KiB tile of the current k-plane across all fields,
+            // reading the k−1/k/k+1 planes (vertical stencil) and writing k.
+            for field in &self.fields {
+                let base_k = self.k * self.plane_bytes + self.cursor;
+                batch.push_access(Access::read(field.addr(base_k - self.plane_bytes)));
+                batch.push_access(Access::read(field.addr(base_k)));
+                batch.push_access(Access::read(field.addr(base_k + self.plane_bytes)));
+                batch.push_access(Access::write(field.addr(base_k)));
+            }
+            self.cursor += 4096;
+            if self.cursor >= self.plane_bytes {
+                self.cursor = 0;
+                self.k += 1;
+                if self.k >= self.nz - 1 {
+                    self.k = 1;
+                    self.steps_remaining -= 1;
+                }
+            }
+            Some(Op::compute(1_200))
+        })
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -75,7 +75,8 @@ impl WorkloadId {
 
     /// Whether the workload is request-driven (latency/throughput metrics)
     /// as opposed to batch (runtime metric).
-    pub fn is_request_driven(self) -> bool {
+    #[cfg(test)]
+    fn is_request_driven(self) -> bool {
         matches!(
             self,
             WorkloadId::CdnCacheLib | WorkloadId::SocialCacheLib | WorkloadId::Silo
@@ -220,9 +221,9 @@ mod tests {
         }
     }
 
-    /// Every specialized `fill_batch` override must emit exactly the
-    /// operation stream that successive `next_op` calls would — same ops,
-    /// same accesses, same order — across batch-size boundaries.
+    /// Every `fill_batch` must emit exactly the operation stream that
+    /// successive `next_op` calls would — same ops, same accesses, same
+    /// order — across batch-size boundaries.
     #[test]
     fn fill_batch_equals_next_op_for_all_workloads() {
         use tiering_trace::AccessBatch;

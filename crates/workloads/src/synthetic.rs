@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use tiering_trace::{fill_batch_via_next_op, Access, AccessBatch, Op, Workload};
+use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::LayoutBuilder;
 use crate::zipf::ShiftableZipf;
@@ -80,29 +80,28 @@ impl ZipfPageWorkload {
 }
 
 impl Workload for ZipfPageWorkload {
-    fn next_op(&mut self, now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.ops_remaining == 0 {
-            return None;
+    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        // Every op of a call sees `now_ns`, so the triggers are checked
+        // once, before the first.
+        if self.shift_at_ns.is_some_and(|at| now_ns >= at) {
+            let mut shift_rng = SmallRng::seed_from_u64(0x5117F7ED);
+            self.zipf.shift(self.shift_fraction, &mut shift_rng);
+            self.shift_at_ns = None;
         }
-        if let Some(at) = self.shift_at_ns {
-            if now_ns >= at {
-                let mut shift_rng = SmallRng::seed_from_u64(0x5117F7ED);
-                self.zipf.shift(self.shift_fraction, &mut shift_rng);
-                self.shift_at_ns = None;
-            }
+        if self.wake_at_ns.is_some_and(|at| now_ns >= at) {
+            let pages = self.zipf.len();
+            self.zipf = ShiftableZipf::shuffled_from_seed(pages, self.wake_theta, 0x3A6E_0B17);
+            self.cpu_ns = self.wake_cpu_ns;
+            self.wake_at_ns = None;
         }
-        if let Some(at) = self.wake_at_ns {
-            if now_ns >= at {
-                let pages = self.zipf.len();
-                self.zipf = ShiftableZipf::shuffled_from_seed(pages, self.wake_theta, 0x3A6E_0B17);
-                self.cpu_ns = self.wake_cpu_ns;
-                self.wake_at_ns = None;
-            }
+        let n = max_ops.min(self.ops_remaining as usize);
+        self.ops_remaining -= n as u64;
+        let op = Op::read(self.cpu_ns);
+        for _ in 0..n {
+            let page = self.zipf.sample(&mut self.rng) as u64;
+            batch.push_single(op, Access::read(self.region.addr(page * 4096)));
         }
-        self.ops_remaining -= 1;
-        let page = self.zipf.sample(&mut self.rng) as u64;
-        out.push(Access::read(self.region.addr(page * 4096)));
-        Some(Op::read(self.cpu_ns))
+        n
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -117,24 +116,6 @@ impl Workload for ZipfPageWorkload {
         // Time-independent once every scheduled trigger (shift, wake-up)
         // has fired.
         self.shift_at_ns.is_none() && self.wake_at_ns.is_none()
-    }
-
-    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        // Batch fast path: the per-op trigger checks, region base, and rank
-        // table are hoisted out of the loop. Only valid while batchable —
-        // fall back to the generic path when a trigger is still pending so
-        // it is evaluated against fresh time every op.
-        if !self.batchable_now() {
-            return fill_batch_via_next_op(self, now_ns, max_ops, batch);
-        }
-        let n = max_ops.min(self.ops_remaining as usize);
-        self.ops_remaining -= n as u64;
-        let op = Op::read(self.cpu_ns);
-        for _ in 0..n {
-            let page = self.zipf.sample(&mut self.rng) as u64;
-            batch.push_single(op, Access::read(self.region.addr(page * 4096)));
-        }
-        n
     }
 }
 
@@ -165,26 +146,27 @@ impl PulseWorkload {
     }
 
     /// Simulated nanoseconds between consecutive accesses while active.
-    pub fn access_gap_ns(&self) -> u64 {
+    fn access_gap_ns(&self) -> u64 {
         60_000_000_000 / self.rate_per_min
     }
 
     /// Total number of accesses the pulse emits.
-    pub fn total_accesses(&self) -> u64 {
+    fn total_accesses(&self) -> u64 {
         self.rate_per_min * self.active_minutes
     }
 }
 
 impl Workload for PulseWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.emitted >= self.total_accesses() {
-            return None;
-        }
-        self.emitted += 1;
-        out.push(Access::read(self.region.base()));
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        let n = max_ops.min((self.total_accesses() - self.emitted) as usize);
+        self.emitted += n as u64;
         // The op's CPU time *is* the gap between accesses, so the pulse
         // plays out at the right simulated rate.
-        Some(Op::read(self.access_gap_ns()))
+        let op = Op::read(self.access_gap_ns());
+        for _ in 0..n {
+            batch.push_single(op, Access::read(self.region.base()));
+        }
+        n
     }
 
     fn footprint_bytes(&self) -> u64 {
@@ -231,19 +213,6 @@ impl SequentialScanWorkload {
 }
 
 impl Workload for SequentialScanWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.passes_remaining == 0 {
-            return None;
-        }
-        out.push(Access::read(self.region.addr(self.cursor)));
-        self.cursor += self.stride;
-        if self.cursor >= self.region.bytes() {
-            self.cursor = 0;
-            self.passes_remaining -= 1;
-        }
-        Some(Op::compute(20))
-    }
-
     fn footprint_bytes(&self) -> u64 {
         self.region.bytes()
     }

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use tiering_trace::{Access, Op, Workload};
+use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::{LayoutBuilder, Region};
 
@@ -113,43 +113,47 @@ impl XgboostWorkload {
         self.active = all;
     }
 
-    /// Columns active in the current round (exposed for hotness probes).
-    pub fn active_columns(&self) -> &[usize] {
+    /// Columns active in the current round.
+    #[cfg(test)]
+    fn active_columns(&self) -> &[usize] {
         &self.active
     }
 
     /// Current boosting round.
-    pub fn round(&self) -> u32 {
+    #[cfg(test)]
+    fn round(&self) -> u32 {
         self.round
     }
 }
 
 impl Workload for XgboostWorkload {
-    fn next_op(&mut self, _now_ns: u64, out: &mut Vec<Access>) -> Option<Op> {
-        if self.round >= self.config.rounds {
-            return None;
-        }
-        // One op: scan one row-chunk of one active column, reading the
-        // matching gradient/hessian chunk and updating the histograms.
-        let col = self.columns[self.active[self.col_idx]];
-        let off = self.chunk * ROWS_PER_CHUNK * 4;
-        out.push(Access::read(col.addr(off)));
-        out.push(Access::read(self.gradients.addr(off)));
-        out.push(Access::read(self.hessians.addr(off)));
-        let hist_off = (self.chunk * 64) % self.histogram.bytes();
-        out.push(Access::write(self.histogram.addr(hist_off)));
-
-        self.chunk += 1;
-        if self.chunk >= self.chunks_per_col {
-            self.chunk = 0;
-            self.col_idx += 1;
-            if self.col_idx >= self.active.len() {
-                self.col_idx = 0;
-                self.round += 1;
-                self.sample_columns();
+    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        batch.fill_ops(max_ops, |batch| {
+            if self.round >= self.config.rounds {
+                return None;
             }
-        }
-        Some(Op::compute(2_500))
+            // One op: scan one row-chunk of one active column, reading the
+            // matching gradient/hessian chunk and updating the histograms.
+            let col = self.columns[self.active[self.col_idx]];
+            let off = self.chunk * ROWS_PER_CHUNK * 4;
+            batch.push_access(Access::read(col.addr(off)));
+            batch.push_access(Access::read(self.gradients.addr(off)));
+            batch.push_access(Access::read(self.hessians.addr(off)));
+            let hist_off = (self.chunk * 64) % self.histogram.bytes();
+            batch.push_access(Access::write(self.histogram.addr(hist_off)));
+
+            self.chunk += 1;
+            if self.chunk >= self.chunks_per_col {
+                self.chunk = 0;
+                self.col_idx += 1;
+                if self.col_idx >= self.active.len() {
+                    self.col_idx = 0;
+                    self.round += 1;
+                    self.sample_columns();
+                }
+            }
+            Some(Op::compute(2_500))
+        })
     }
 
     fn footprint_bytes(&self) -> u64 {

@@ -189,7 +189,8 @@ impl ZipfDistribution {
     }
 
     /// Probability mass of the top `k` ranks.
-    pub fn head_mass(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    fn head_mass(&self, k: usize) -> f64 {
         if k == 0 {
             0.0
         } else {
@@ -199,7 +200,7 @@ impl ZipfDistribution {
 
     /// Smallest number of top ranks whose combined mass reaches `mass`
     /// (all of them, [`len`](Self::len), for `mass ≥ 1`).
-    pub fn ranks_for_mass(&self, mass: f64) -> usize {
+    fn ranks_for_mass(&self, mass: f64) -> usize {
         (self.table.cdf.partition_point(|&c| c < mass) + 1).min(self.len())
     }
 }
@@ -313,12 +314,12 @@ impl ShiftableZipf {
     }
 
     /// Item currently at `rank`.
-    pub fn item_at_rank(&self, rank: usize) -> u32 {
+    pub(crate) fn item_at_rank(&self, rank: usize) -> u32 {
         self.item_of[rank]
     }
 
     /// The underlying rank distribution.
-    pub fn distribution(&self) -> &ZipfDistribution {
+    pub(crate) fn distribution(&self) -> &ZipfDistribution {
         &self.dist
     }
 
