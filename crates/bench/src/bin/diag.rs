@@ -1,5 +1,16 @@
-//! Diagnostic: trace a policy's placement dynamics through the Figure 4
-//! adaptation scenario (development/tuning tool).
+//! Diagnostic: trace a policy's placement dynamics through the Figure 4 /
+//! Table 3 adaptation run (development/tuning tool).
+//!
+//! The run is the CDN cell of `repro fig4` and `repro table3`: the same
+//! shifted workload ([`shifted_cachelib`]), engine configuration
+//! ([`adaptation_config`]) and seed ([`SEED`], the one the figure harness
+//! seeds it with). Its [`SimRun`] is stepped to every 200 ms report
+//! boundary (the shift instant is one of them), which does not change the
+//! run, so every row describes the model the figure measures. Each row
+//! covers the 200 ms since the previous one: mean op latency, the fraction
+//! of accesses served below tier 0, promotions, demotions, how many of the
+//! pages that were fast at the shift are still fast, and the policy's
+//! [`debug_state`](tiering_policies::TieringPolicy::debug_state).
 //!
 //! Usage: `diag [hybridtier|memtis|autonuma|tpp|arc|twoq|neomem] [1:16|1:8|1:4]`
 //! (defaults: `hybridtier 1:16`). Anything else is rejected with the usage
@@ -7,12 +18,17 @@
 
 use std::process::ExitCode;
 
-use tiering_mem::{PageId, PageSize, Tier, TierConfig, TierRatio, TieredMemory};
-use tiering_policies::{build_policy, PolicyCtx, PolicyKind};
-use tiering_trace::{AccessBatch, Sampler, Workload};
-use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
+use hybridtier_bench::experiments::adaptation::{shifted_cachelib, SHIFT_NS};
+use hybridtier_bench::{adaptation_config, SEED};
+use tiering_mem::{PageId, Tier, TierConfig, TierRatio, TierTopology};
+use tiering_policies::{build_policy, PolicyKind};
+use tiering_sim::SimRun;
+use tiering_trace::Workload;
 
 const USAGE: &str = "usage: diag [hybridtier|memtis|autonuma|tpp|arc|twoq|neomem] [1:16|1:8|1:4]";
+
+/// Simulated time between two report rows.
+const REPORT_NS: u64 = 200_000_000;
 
 fn parse_args(args: &[String]) -> Result<(PolicyKind, TierRatio), String> {
     let kind = match args.first().map(String::as_str) {
@@ -52,32 +68,13 @@ fn main() -> ExitCode {
 }
 
 fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
-    let shift_ns = 2_000_000_000;
-    let mut workload = CacheLibWorkload::new(
-        CacheLibConfig::cdn()
-            .with_uniform_size(16 << 10)
-            .without_churn()
-            .with_seed(0xA5F0_5EED)
-            .with_shift(shift_ns, 2.0 / 3.0),
-    );
-    let pages = workload.footprint_pages(PageSize::Base4K);
-    let tier_cfg = TierConfig::for_footprint(pages, ratio, PageSize::Base4K);
+    let config = adaptation_config();
+    let mut workload = shifted_cachelib(true, SEED);
+    let pages = workload.footprint_pages(config.page_size);
+    let tier_cfg = TierConfig::for_footprint(pages, ratio, config.page_size);
     let mut policy = build_policy(kind, &tier_cfg);
-    let mut mem = TieredMemory::new(tier_cfg);
-    let mut sampler = Sampler::new(19);
-    let mut ctx = PolicyCtx::new();
-    let latency = tiering_mem::LatencyModel::default();
-
-    // Track which pages were fast at the shift instant ("stale set") and how
-    // quickly the policy flushes them.
-    let mut stale: Vec<PageId> = Vec::new();
-
-    let mut now = 0u64;
-    let mut next_tick = 1_000_000u64;
-    let mut next_report = 200_000_000u64;
-    let mut batch = AccessBatch::new();
-    let mut last = mem.stats();
-    let (mut slow_hits, mut accesses, mut lat_sum, mut ops) = (0u64, 0u64, 0u64, 0u64);
+    let topology = TierTopology::two_tier(tier_cfg, &config.latency);
+    let mut run = SimRun::new(&config, topology, policy.as_ref());
     println!(
         "policy={} ratio={ratio} fast_cap={}",
         kind.label(),
@@ -87,63 +84,43 @@ fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
         "{:>6} {:>9} {:>9} {:>7} {:>7} {:>10}",
         "t(s)", "mean(ns)", "slowfrac", "promo", "demo", "stale-left"
     );
-    while now < 8_000_000_000 {
-        batch.clear();
-        if workload.fill_batch(now, 1, &mut batch) == 0 {
-            break;
-        }
-        let (op, start, end) = batch.op_bounds(0);
-        let mut op_ns = op.cpu_ns;
-        for a in (start..end).map(|i| batch.access(i)) {
-            let page = a.page(PageSize::Base4K);
-            let tier = mem.ensure_mapped(page, policy.preferred_alloc_tier());
-            accesses += 1;
-            if tier == Tier::Slow {
-                slow_hits += 1;
-            }
-            op_ns += latency.access_ns(tier);
-            if policy.wants_access_hook() {
-                op_ns += policy.on_access_batch(&[page], now, &mut mem, &mut ctx);
-            }
-            if let Some(s) = sampler.observe_full(&a, tier, now, PageSize::Base4K) {
-                policy.on_sample_batch(&[s], &mut mem, &mut ctx);
-            }
-        }
-        if now >= next_tick {
-            policy.on_tick(now, &mut mem, &mut ctx);
-            next_tick = now + 1_000_000;
-        }
-        ctx.drain();
-        now += op_ns.max(1);
-        lat_sum += op_ns;
-        ops += 1;
 
-        if stale.is_empty() && now >= shift_ns {
+    // Pages fast at the shift instant ("stale set"): how quickly does the
+    // policy flush them?
+    let mut stale: Vec<PageId> = Vec::new();
+    let (mut now, mut ops, mut accesses, mut fast_hits) = (0, 0, 0, 0);
+    let mut last = run.mem().stats();
+    let mut report_at = REPORT_NS;
+    while !run.finished() {
+        run.run_until(&mut workload, policy.as_mut(), report_at);
+        report_at += REPORT_NS;
+        let mem = run.mem();
+        if stale.is_empty() && run.now_ns() >= SHIFT_NS {
             stale = mem
                 .iter_mapped()
                 .filter(|&(_, t)| t == Tier::Fast)
                 .map(|(p, _)| p)
                 .collect();
         }
-        if now >= next_report {
-            let s = mem.stats();
-            let stale_left = stale
-                .iter()
-                .filter(|&&p| mem.tier_of(p) == Some(Tier::Fast))
-                .count();
-            println!(
-                "{:>6.1} {:>9} {:>9.3} {:>7} {:>7} {:>10}  {}",
-                now as f64 / 1e9,
-                lat_sum / ops.max(1),
-                slow_hits as f64 / accesses.max(1) as f64,
-                s.promotions - last.promotions,
-                s.demotions - last.demotions,
-                stale_left,
-                policy.debug_state(),
-            );
-            last = s;
-            (slow_hits, accesses, lat_sum, ops) = (0, 0, 0, 0);
-            next_report += 200_000_000;
-        }
+        let stats = mem.stats();
+        let stale_left = stale
+            .iter()
+            .filter(|&&p| mem.tier_of(p) == Some(Tier::Fast))
+            .count();
+        let window_accesses = run.accesses() - accesses;
+        println!(
+            "{:>6.1} {:>9} {:>9.3} {:>7} {:>7} {:>10}  {}",
+            run.now_ns() as f64 / 1e9,
+            (run.now_ns() - now) / (run.ops() - ops).max(1),
+            (window_accesses - (run.fast_hits() - fast_hits)) as f64
+                / window_accesses.max(1) as f64,
+            stats.promotions - last.promotions,
+            stats.demotions - last.demotions,
+            stale_left,
+            policy.debug_state(),
+        );
+        (now, ops, accesses, fast_hits) =
+            (run.now_ns(), run.ops(), run.accesses(), run.fast_hits());
+        last = stats;
     }
 }

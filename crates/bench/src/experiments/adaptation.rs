@@ -23,29 +23,28 @@ pub const SHIFT_NS: u64 = 2_000_000_000;
 /// Fraction of hot data turning cold at the shift (paper: 2/3).
 pub const SHIFT_FRACTION: f64 = 2.0 / 3.0;
 
-/// One shifted-CacheLib scenario (uniform object sizes, no background
-/// churn — isolates the one-time shift).
+/// The shifted CacheLib workload (CDN or social graph) of every adaptation
+/// run: uniform object sizes, no background churn — isolates the one-time
+/// shift at [`SHIFT_NS`].
+pub fn shifted_cachelib(cdn: bool, seed: u64) -> CacheLibWorkload {
+    let base = if cdn {
+        CacheLibConfig::cdn().with_uniform_size(16 << 10)
+    } else {
+        CacheLibConfig::social_graph().with_uniform_size(512)
+    };
+    CacheLibWorkload::new(
+        base.without_churn()
+            .with_seed(seed)
+            .with_shift(SHIFT_NS, SHIFT_FRACTION),
+    )
+}
+
+/// One shifted-CacheLib scenario (see [`shifted_cachelib`]).
 fn shifted_scenario(kind: PolicyKind, cdn: bool, ratio: TierRatio) -> Scenario {
-    let label = format!(
-        "{}/{}/{}",
-        if cdn { "CDN" } else { "social" },
-        ratio,
-        kind.label()
-    );
+    let name = if cdn { "CDN" } else { "social" };
     Scenario::new(
-        label,
-        WorkloadSpec::custom(if cdn { "CDN" } else { "social" }, move |seed| {
-            let base = if cdn {
-                CacheLibConfig::cdn().with_uniform_size(16 << 10)
-            } else {
-                CacheLibConfig::social_graph().with_uniform_size(512)
-            };
-            Box::new(CacheLibWorkload::new(
-                base.without_churn()
-                    .with_seed(seed)
-                    .with_shift(SHIFT_NS, SHIFT_FRACTION),
-            ))
-        }),
+        format!("{name}/{ratio}/{}", kind.label()),
+        WorkloadSpec::custom(name, move |seed| Box::new(shifted_cachelib(cdn, seed))),
         PolicySpec::Kind(kind),
         TierSpec::Ratio(ratio),
         &adaptation_config(),

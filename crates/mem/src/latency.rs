@@ -1,6 +1,6 @@
 //! Access and migration latency model.
 
-use crate::page::{PageSize, Tier};
+use crate::page::PageSize;
 
 /// Latency parameters of the simulated memory system, in nanoseconds.
 ///
@@ -67,24 +67,6 @@ impl LatencyModel {
         }
     }
 
-    /// Latency of a memory access served by DRAM in the given tier.
-    #[inline]
-    pub fn access_ns(&self, tier: Tier) -> u64 {
-        match tier {
-            Tier::Fast => self.fast_ns,
-            Tier::Slow => self.slow_ns,
-        }
-    }
-
-    /// Effective cost of a streamed (hardware-prefetched) access.
-    #[inline]
-    pub fn stream_ns(&self, tier: Tier) -> u64 {
-        match tier {
-            Tier::Fast => self.fast_stream_ns,
-            Tier::Slow => self.slow_stream_ns,
-        }
-    }
-
     /// Cost of migrating one page of the given size (linear in page bytes;
     /// a 2 MiB THP costs 512× a base page, matching kernel measurements of
     /// ~1 ms per huge-page move).
@@ -119,13 +101,6 @@ mod tests {
             m.slow_ns >= 2 * m.fast_ns && m.slow_ns <= 5 * m.fast_ns,
             "slow tier within the paper's 2-5x band"
         );
-    }
-
-    #[test]
-    fn access_latency_by_tier() {
-        let m = LatencyModel::emulated_cxl();
-        assert_eq!(m.access_ns(Tier::Fast), 100);
-        assert_eq!(m.access_ns(Tier::Slow), 250);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 use cache_sim::CacheConfig;
 use tiering_mem::{LatencyModel, PageSize, TierConfig, TierTopology};
 use tiering_policies::TieringPolicy;
-use tiering_trace::{AccessBatch, Workload};
+use tiering_trace::Workload;
 
 use crate::hotness::RetentionConfig;
-use crate::pipeline::Pipeline;
+use crate::pipeline::SimRun;
 use crate::report::SimReport;
 
 /// Cache-simulation options.
@@ -183,11 +183,10 @@ impl Engine {
     /// Runs the simulation to completion through the batched pipeline,
     /// pulling up to [`SimConfig::batch_ops`] operations per workload call.
     ///
-    /// Reports are byte-identical for any batch size (`batch_ops = 1` is
-    /// the legacy one-op-per-pull loop): time-sensitive workload phases
+    /// Reports are byte-identical for any batch size (`batch_ops = 1`
+    /// pulls one op per workload call): time-sensitive workload phases
     /// degrade to single-op pulls, and every pipeline stage is shared (see
-    /// the [`pipeline`](crate::Engine) module docs and the
-    /// `batch_equivalence` integration tests).
+    /// [`SimRun`] and the `batch_equivalence` integration tests).
     ///
     /// The two tiers of `tier_cfg` are the N = 2 ladder
     /// ([`TierTopology::two_tier`] over this config's latency model), so
@@ -246,11 +245,11 @@ impl Engine {
         self.run_typed_ladder(workload, policy, topology)
     }
 
-    /// The engine core every other entry wraps: one pipeline over
-    /// `topology`, driven to completion, monomorphized for the concrete
-    /// workload and policy types (see [`run_typed`](Engine::run_typed)).
-    /// `dyn` callers are the `W = dyn Workload, P = dyn TieringPolicy`
-    /// instantiation.
+    /// The engine core every other entry wraps: one [`SimRun`] over
+    /// `topology`, driven to completion in one call, monomorphized for the
+    /// concrete workload and policy types (see
+    /// [`run_typed`](Engine::run_typed)). `dyn` callers are the
+    /// `W = dyn Workload, P = dyn TieringPolicy` instantiation.
     pub fn run_typed_ladder<W, P>(
         &self,
         workload: &mut W,
@@ -261,21 +260,9 @@ impl Engine {
         W: Workload + ?Sized,
         P: TieringPolicy + ?Sized,
     {
-        let batch_ops = self.config.batch_ops.max(1);
-        let mut pipeline = Pipeline::with_topology(&self.config, topology, policy);
-        let mut batch = AccessBatch::with_capacity(batch_ops, batch_ops * 4);
-        'run: while !pipeline.done() {
-            if !pipeline.stage_pull(workload, &mut batch, batch_ops) {
-                break;
-            }
-            for idx in 0..batch.len() {
-                pipeline.stage_op(policy, &batch, idx);
-                if pipeline.done() {
-                    break 'run;
-                }
-            }
-        }
-        pipeline.finish(workload.name(), policy)
+        let mut run = SimRun::new(&self.config, topology, policy);
+        run.run_until(workload, policy, u64::MAX);
+        run.finish(workload.name(), policy)
     }
 }
 

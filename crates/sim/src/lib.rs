@@ -24,14 +24,14 @@
 //!
 //! # Module map
 //!
-//! * `engine` — [`Engine`], [`SimConfig`], and the run loop's accounting.
-//! * `pipeline` — the batched stage pipeline behind [`Engine::run`]
-//!   (pull → access → policy → migrate → account over
+//! * `engine` — [`Engine`] and [`SimConfig`]: one [`SimRun`] to completion.
+//! * `pipeline` — [`SimRun`], the one engine loop, over the batched stage
+//!   pipeline (pull → access → policy → migrate → account over
 //!   [`AccessBatch`](tiering_trace::AccessBatch)es; provably
-//!   batch-size-invariant).
-//! * `multi_tenant` — [`MultiTenantEngine`]: N tenants over one shared
-//!   fast tier under the §7 global controller, with churn
-//!   ([`ChurnSchedule`]) and round-based rebalancing.
+//!   batch-size-invariant and resumable at any clock bound).
+//! * `multi_tenant` — [`MultiTenantEngine`]: N tenants, one [`SimRun`]
+//!   each, over one shared fast tier under the §7 global controller, with
+//!   churn ([`ChurnSchedule`]) and round-based rebalancing.
 //! * `report` — [`SimReport`] / [`MultiTenantReport`] and friends.
 //! * `adaptation` / `hotness` / `histo` / `prefetch` — measurement
 //!   helpers: adaptation-time extraction, retention/count probes, exact
@@ -62,6 +62,7 @@ pub use multi_tenant::{
     ChurnSchedule, FleetError, MultiTenantConfig, MultiTenantEngine, TenantEvent,
     TenantPolicyBuilder, TenantRun, DEFAULT_FLOOR_FRAC, DEFAULT_REBALANCE_INTERVAL_NS,
 };
+pub use pipeline::SimRun;
 pub use prefetch::StreamPrefetcher;
 pub use report::{
     CacheTimelinePoint, ChurnKind, ChurnRecord, LatencySummary, MultiTenantReport, SimReport,

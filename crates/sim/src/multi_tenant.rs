@@ -1,11 +1,12 @@
 //! Co-located tenants over one physical fast tier (paper §7).
 //!
 //! [`MultiTenantEngine`] drives N tenants — each an ordinary (workload,
-//! policy) pair with its own [`Pipeline`] — against one shared fast-tier
+//! policy) pair with its own [`SimRun`], the run handle the single-tenant
+//! [`Engine`](crate::Engine) drives too — against one shared fast-tier
 //! budget partitioned by a [`GlobalController`]. Execution is round-based:
 //!
-//! 1. every tenant runs through the shared batched pipeline until its local
-//!    simulated clock reaches the next rebalance boundary (or it finishes);
+//! 1. every tenant's run is stepped until its local simulated clock reaches
+//!    the next rebalance boundary (or it finishes);
 //! 2. the controller collects each tenant's demand signal
 //!    ([`TieringPolicy::fast_demand_pages`]) and re-partitions the budget,
 //!    recording a typed [`RebalanceEvent`](tiering_policies::RebalanceEvent);
@@ -16,10 +17,9 @@
 //! Determinism mirrors the single-tenant engine: tenants are stepped in
 //! registration order, all state is thread-local, and batching never
 //! perturbs results. A tenant suspended at a round boundary with
-//! pulled-but-unconsumed operations resumes them after the rebalance —
-//! legal because operations are batch-pulled only while the workload's
-//! output is time-independent, and a rebalance only resizes memory, never
-//! the workload. The `multi_tenant_equivalence` integration tests pin
+//! pulled-but-unconsumed operations resumes them after the rebalance (see
+//! [`SimRun::run_until`]); a rebalance only resizes memory, never the
+//! workload. The `multi_tenant_equivalence` integration tests pin
 //! batch-size invariance for the whole co-located run.
 //!
 //! # Tenant churn
@@ -50,9 +50,9 @@ use std::fmt;
 
 use tiering_mem::{TierConfig, TierTopology};
 use tiering_policies::{ControllerMode, GlobalController, ObjectiveKind, TieringPolicy};
-use tiering_trace::{AccessBatch, Workload};
+use tiering_trace::Workload;
 
-use crate::pipeline::Pipeline;
+use crate::pipeline::SimRun;
 use crate::report::{ChurnKind, ChurnRecord, MultiTenantReport, SimReport, TenantReport};
 use crate::{LatencySummary, LogHistogram, SimConfig};
 
@@ -272,16 +272,11 @@ struct Lane<'c> {
     name: String,
     workload: Box<dyn Workload>,
     policy: Box<dyn TieringPolicy>,
-    pipeline: Pipeline<'c>,
-    batch: AccessBatch,
-    /// Next unconsumed op within `batch`.
-    cursor: usize,
-    /// The workload returned an empty pull.
-    exhausted: bool,
+    run: SimRun<'c>,
     initial_quota: u64,
     /// Fleet time at which this lane joined (0 for initial tenants). The
-    /// lane's pipeline clock is local — fleet boundaries are translated by
-    /// this offset.
+    /// lane's run clock is local — fleet boundaries are translated by this
+    /// offset.
     start_ns: u64,
     /// Fleet time the lane departed at, once a churn event removed it.
     departed_at_ns: Option<u64>,
@@ -295,37 +290,17 @@ impl Lane<'_> {
     /// Whether this tenant has nothing left to simulate (departed lanes
     /// are done regardless of their workload's state).
     fn finished(&self) -> bool {
-        self.departed_at_ns.is_some()
-            || self.pipeline.done()
-            || (self.exhausted && self.cursor >= self.batch.len())
+        self.departed_at_ns.is_some() || self.run.finished()
     }
 
     /// Advances the tenant until its local clock reaches the **fleet**
-    /// boundary `until_fleet_ns`, it hits an engine cap, or its workload
-    /// ends. Unconsumed batched ops are kept for the next round.
-    fn run_until(&mut self, until_fleet_ns: u64, batch_ops: usize) {
-        let until_ns = until_fleet_ns.saturating_sub(self.start_ns);
-        loop {
-            if self.pipeline.done() || self.pipeline.now_ns() >= until_ns {
-                return;
-            }
-            if self.cursor >= self.batch.len() {
-                if self.exhausted {
-                    return;
-                }
-                if !self
-                    .pipeline
-                    .stage_pull(self.workload.as_mut(), &mut self.batch, batch_ops)
-                {
-                    self.exhausted = true;
-                    return;
-                }
-                self.cursor = 0;
-            }
-            self.pipeline
-                .stage_op(self.policy.as_mut(), &self.batch, self.cursor);
-            self.cursor += 1;
-        }
+    /// boundary `until_fleet_ns` (see [`SimRun::run_until`]).
+    fn run_until(&mut self, until_fleet_ns: u64) {
+        self.run.run_until(
+            self.workload.as_mut(),
+            self.policy.as_mut(),
+            until_fleet_ns.saturating_sub(self.start_ns),
+        );
     }
 }
 
@@ -383,7 +358,6 @@ impl MultiTenantEngine {
             controller.add_tenant(&t.name, t.workload.footprint_pages(self.sim.page_size));
         }
 
-        let batch_ops = self.sim.batch_ops.max(1);
         // Sized once for every slot the run can create: a `Lane` is over
         // 2 KiB, so one arrival doubling a 5 000-lane table is a 32 MiB
         // transient.
@@ -397,7 +371,7 @@ impl MultiTenantEngine {
             tenants
                 .into_iter()
                 .enumerate()
-                .map(|(i, t)| self.lane(&controller, i, t, 0, batch_ops)),
+                .map(|(i, t)| self.lane(&controller, i, t, 0)),
         );
         let mut pending: VecDeque<(u64, TenantEvent)> = churn.events.into();
         let mut churn_records: Vec<ChurnRecord> = Vec::new();
@@ -415,9 +389,9 @@ impl MultiTenantEngine {
         loop {
             for &i in &active {
                 let lane = &mut lanes[i];
-                lane.run_until(round_end, batch_ops);
-                fleet_ops += lane.pipeline.ops() - lane.counted_ops;
-                lane.counted_ops = lane.pipeline.ops();
+                lane.run_until(round_end);
+                fleet_ops += lane.run.ops() - lane.counted_ops;
+                lane.counted_ops = lane.run.ops();
             }
 
             // Apply due churn events. Each event fires independently of
@@ -457,7 +431,7 @@ impl MultiTenantEngine {
                             run.workload.footprint_pages(self.sim.page_size),
                         );
                         let name = run.name.clone();
-                        let lane = self.lane(&controller, slot, run, round_end, batch_ops);
+                        let lane = self.lane(&controller, slot, run, round_end);
                         debug_assert_eq!(slot, lanes.len(), "slots track lanes");
                         debug_assert!(lanes.len() < lanes.capacity(), "lane table sized once");
                         lanes.push(lane);
@@ -472,7 +446,7 @@ impl MultiTenantEngine {
                 for &i in &active {
                     let lane = &mut lanes[i];
                     if lane.departed_at_ns.is_none() {
-                        lane.pipeline.set_fast_capacity(controller.quota(i));
+                        lane.run.set_fast_capacity(controller.quota(i));
                     }
                 }
                 churn_records.push(ChurnRecord {
@@ -506,11 +480,11 @@ impl MultiTenantEngine {
             }
             for &i in &active {
                 let lane = &lanes[i];
-                controller.update_demand(i, lane.policy.fast_demand_pages(lane.pipeline.mem()));
+                controller.update_demand(i, lane.policy.fast_demand_pages(lane.run.mem()));
             }
             controller.rebalance_dirty(round_end);
             for &i in &active {
-                lanes[i].pipeline.set_fast_capacity(controller.quota(i));
+                lanes[i].run.set_fast_capacity(controller.quota(i));
             }
             round_end += self.cfg.rebalance_interval_ns;
         }
@@ -525,22 +499,18 @@ impl MultiTenantEngine {
         slot: usize,
         run: TenantRun,
         start_ns: u64,
-        batch_ops: usize,
     ) -> Lane<'c> {
         let tier_cfg = controller.tier_config(slot, self.sim.page_size);
         let policy = (run.policy)(&tier_cfg);
         Lane {
             name: run.name,
             workload: run.workload,
-            pipeline: Pipeline::with_topology(
+            run: SimRun::new(
                 &self.sim,
                 TierTopology::two_tier(tier_cfg, &self.sim.latency),
                 policy.as_ref(),
             ),
             policy,
-            batch: AccessBatch::with_capacity(batch_ops, batch_ops * 4),
-            cursor: 0,
-            exhausted: false,
             initial_quota: tier_cfg.fast_capacity_pages,
             start_ns,
             departed_at_ns: None,
@@ -560,11 +530,9 @@ impl MultiTenantEngine {
         let mut names = Vec::with_capacity(lanes.len());
         let mut policies = Vec::with_capacity(lanes.len());
         for (i, lane) in lanes.into_iter().enumerate() {
-            merged_hist.merge(&lane.pipeline.hist());
-            let final_fast_used = lane.pipeline.mem().fast_used();
-            let report = lane
-                .pipeline
-                .finish(lane.workload.name(), lane.policy.as_ref());
+            merged_hist.merge(&lane.run.hist());
+            let final_fast_used = lane.run.mem().fast_used();
+            let report = lane.run.finish(lane.workload.name(), lane.policy.as_ref());
             names.push(lane.name.clone());
             policies.push(report.policy.clone());
             tenant_reports.push(TenantReport {
@@ -923,12 +891,12 @@ mod tests {
             |cfg| build_policy(PolicyKind::HybridTier, cfg),
         );
         controller.add_tenant(&run.name, 64);
-        let mut lane = engine.lane(&controller, 0, run, 0, 32);
-        assert_eq!(lane.pipeline.histogram_buckets(), 0, "nothing recorded yet");
-        lane.run_until(u64::MAX, 32);
+        let mut lane = engine.lane(&controller, 0, run, 0);
+        assert_eq!(lane.run.histogram_buckets(), 0, "nothing recorded yet");
+        lane.run_until(u64::MAX);
         assert!(lane.finished());
-        assert_eq!(lane.pipeline.ops(), 40);
-        let held = lane.pipeline.histogram_buckets();
+        assert_eq!(lane.run.ops(), 40);
+        let held = lane.run.histogram_buckets();
         assert!((1..1024).contains(&held), "{held} buckets allocated");
     }
 }

@@ -1,9 +1,7 @@
-//! The batched simulation pipeline.
+//! The batched simulation pipeline and [`SimRun`], the one loop that drives
+//! it.
 //!
-//! [`Engine::run`](crate::Engine::run) used to be one ~400-line loop making
-//! a virtual call into the workload per operation and a virtual call into
-//! the policy per access/sample. It is now a pipeline over
-//! [`AccessBatch`]es, split into stages:
+//! A run is a pipeline over [`AccessBatch`]es, split into stages:
 //!
 //! 1. **pull** — [`Workload::fill_batch`] emits up to
 //!    [`SimConfig::batch_ops`](crate::SimConfig::batch_ops) operations per
@@ -27,19 +25,25 @@
 //! 5. **account** — migration-bandwidth and tiering-CPU interference
 //!    charges, metadata cache replay, clock advance, and latency windows.
 //!
-//! Batched and scalar execution share every stage, so for a fixed seed the
-//! two produce byte-identical [`SimReport`]s — asserted by the
-//! `batch_equivalence` integration tests. The pipeline is the shared
-//! execution substrate: [`Engine`](crate::Engine) drives one instance to
-//! completion, while [`MultiTenantEngine`](crate::MultiTenantEngine)
-//! suspends/resumes one per tenant at rebalance boundaries.
+//! Every batch size shares every stage, so for a fixed seed all produce
+//! byte-identical [`SimReport`]s — asserted by the `batch_equivalence`
+//! integration tests.
 //!
-//! Compared to the legacy loop, stage 3 delivers a burst's policy events at
-//! burst end instead of interleaved between its accesses. Within one op the
-//! simulated clock does not advance, so event timestamps are unchanged;
-//! only intra-burst placement visibility shifts — the direction real
-//! systems already behave (fault service and sample drain complete after
-//! the touching instruction retires, not between two loads of one request).
+//! [`SimRun::run_until`] is the only caller of the pull stage and of stages
+//! 2–5. [`Engine`](crate::Engine) drives one run to completion in a single
+//! call; [`MultiTenantEngine`](crate::MultiTenantEngine) holds one run per
+//! tenant and steps it to each rebalance boundary; the `diag` binary steps
+//! one to each report boundary. Stopping between two calls changes nothing:
+//! pulled ops wait in the run for the next call.
+//!
+//! Stage 3 delivers a burst's policy events at burst end, not interleaved
+//! between its accesses. Within one op the simulated clock does not
+//! advance, so event timestamps are exact; only intra-burst placement
+//! visibility differs — the way real systems behave (fault service and
+//! sample drain complete after the touching instruction retires, not
+//! between two loads of one request).
+
+use std::fmt;
 
 use cache_sim::{CacheConfig, CacheHierarchy, HierarchyStats, HitLevel, Source};
 use tiering_mem::{LatencyModel, PageId, Tier, TierTopology, TieredMemory};
@@ -53,8 +57,140 @@ use crate::prefetch::StreamPrefetcher;
 use crate::report::{CacheTimelinePoint, LatencySummary, SimReport, TimelinePoint};
 use crate::SimConfig;
 
+/// A resumable simulation run: one pipeline plus the ops pulled from the
+/// workload but not yet simulated. Stepped through any sequence of
+/// [`run_until`](SimRun::run_until) bounds, it seals the report of one
+/// unbounded call.
+pub struct SimRun<'c> {
+    pipeline: Pipeline<'c>,
+    batch: AccessBatch,
+    /// Next unsimulated op of `batch`.
+    cursor: usize,
+    /// The workload's last pull came back empty.
+    exhausted: bool,
+    /// Ops pulled per workload call ([`SimConfig::batch_ops`], at least 1).
+    batch_ops: usize,
+}
+
+impl<'c> SimRun<'c> {
+    /// A fresh run of `policy` over `topology` (the classic testbed is
+    /// [`TierTopology::two_tier`] over `cfg.latency`).
+    pub fn new<P: TieringPolicy + ?Sized>(
+        cfg: &'c SimConfig,
+        topology: TierTopology,
+        policy: &P,
+    ) -> Self {
+        let batch_ops = cfg.batch_ops.max(1);
+        Self {
+            pipeline: Pipeline::with_topology(cfg, topology, policy),
+            batch: AccessBatch::with_capacity(batch_ops, batch_ops * 4),
+            cursor: 0,
+            exhausted: false,
+            batch_ops,
+        }
+    }
+
+    /// Simulates operations until the run hits an engine cap, its clock
+    /// reaches `until_ns`, or the workload is exhausted. Ops pulled but not
+    /// simulated are kept for the next call — legal because a workload is
+    /// batch-pulled only while its output does not depend on the clock.
+    pub fn run_until<W, P>(&mut self, workload: &mut W, policy: &mut P, until_ns: u64)
+    where
+        W: Workload + ?Sized,
+        P: TieringPolicy + ?Sized,
+    {
+        // Split borrows once per call, so the per-op loop runs on locals.
+        let Self {
+            pipeline,
+            batch,
+            cursor,
+            exhausted,
+            batch_ops,
+        } = self;
+        let mut next = *cursor;
+        while !pipeline.done() && pipeline.now_ns < until_ns {
+            if next >= batch.len() {
+                if *exhausted || !pipeline.stage_pull(workload, batch, *batch_ops) {
+                    *exhausted = true;
+                    break;
+                }
+                next = 0;
+            }
+            pipeline.stage_op(policy, batch, next);
+            next += 1;
+        }
+        *cursor = next;
+    }
+
+    /// Whether an engine cap was hit or the workload is exhausted.
+    pub fn finished(&self) -> bool {
+        self.exhausted || self.pipeline.done()
+    }
+
+    /// Simulated time of this run.
+    pub fn now_ns(&self) -> u64 {
+        self.pipeline.now_ns
+    }
+
+    /// Operations simulated so far.
+    pub fn ops(&self) -> u64 {
+        self.pipeline.ops
+    }
+
+    /// Accesses simulated so far.
+    pub fn accesses(&self) -> u64 {
+        self.pipeline.accesses
+    }
+
+    /// Accesses served by tier 0 so far.
+    pub fn fast_hits(&self) -> u64 {
+        self.pipeline.fast_hits
+    }
+
+    /// The run's tiered memory (placement, migration counters).
+    pub fn mem(&self) -> &TieredMemory {
+        &self.pipeline.mem
+    }
+
+    /// Applies a controller-assigned fast-tier quota (paper §7). Shrinking
+    /// below occupancy is fine — watermark demotion drains the excess.
+    pub(crate) fn set_fast_capacity(&mut self, pages: u64) {
+        self.pipeline.mem.set_fast_capacity(pages);
+    }
+
+    /// The whole-run latency histogram so far: the flushed windows plus the
+    /// in-flight one (the fleet aggregate merges these). Bucket merge is
+    /// addition, so this equals per-op recording into one histogram.
+    pub(crate) fn hist(&self) -> LogHistogram {
+        let mut h = self.pipeline.global_hist.clone();
+        h.merge(&self.pipeline.window_hist);
+        h
+    }
+
+    /// Buckets both latency histograms allocate (the footprint meter).
+    #[cfg(test)]
+    pub(crate) fn histogram_buckets(&self) -> usize {
+        self.pipeline.global_hist.allocated_buckets()
+            + self.pipeline.window_hist.allocated_buckets()
+    }
+
+    /// Seals the run into a [`SimReport`].
+    pub fn finish<P: TieringPolicy + ?Sized>(self, workload_name: &str, policy: &P) -> SimReport {
+        self.pipeline.finish(workload_name, policy)
+    }
+}
+
+impl fmt::Debug for SimRun<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimRun")
+            .field("now_ns", &self.now_ns())
+            .field("ops", &self.ops())
+            .finish_non_exhaustive()
+    }
+}
+
 /// All mutable state of one simulation run, advanced stage by stage.
-pub(crate) struct Pipeline<'c> {
+struct Pipeline<'c> {
     cfg: &'c SimConfig,
     mem: TieredMemory,
     sampler: Sampler,
@@ -96,10 +232,8 @@ pub(crate) struct Pipeline<'c> {
 }
 
 impl<'c> Pipeline<'c> {
-    /// A fresh run over `topology`: per-rung access costs and per-hop
-    /// migration costs come from its rows. The classic testbed is
-    /// [`TierTopology::two_tier`] built from `cfg.latency`.
-    pub(crate) fn with_topology<P: TieringPolicy + ?Sized>(
+    /// A fresh run over `topology` (see [`SimRun::new`]).
+    fn with_topology<P: TieringPolicy + ?Sized>(
         cfg: &'c SimConfig,
         topology: TierTopology,
         policy: &P,
@@ -167,49 +301,8 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Whether the run has hit an op or simulated-time cap.
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.ops >= self.cfg.max_ops || self.now_ns >= self.cfg.max_sim_ns
-    }
-
-    /// Current simulated time of this run (the multi-tenant engine
-    /// interleaves several pipelines by their local clocks).
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// Read access to the tiered memory (demand signals, diagnostics).
-    pub(crate) fn mem(&self) -> &TieredMemory {
-        &self.mem
-    }
-
-    /// Operations completed so far (the multi-tenant engine's churn
-    /// schedule triggers on fleet-wide op counts).
-    pub(crate) fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Applies a controller-assigned fast-tier quota (paper §7). Shrinking
-    /// below occupancy is fine — watermark demotion drains the excess.
-    pub(crate) fn set_fast_capacity(&mut self, pages: u64) {
-        self.mem.set_fast_capacity(pages);
-    }
-
-    /// The whole-run latency histogram accumulated so far (merged across
-    /// tenants for the co-location aggregate report): the flushed windows
-    /// plus the in-flight partial window. Bucket merge is commutative
-    /// addition, so this equals what per-op recording into one histogram
-    /// would hold.
-    pub(crate) fn hist(&self) -> LogHistogram {
-        let mut h = self.global_hist.clone();
-        h.merge(&self.window_hist);
-        h
-    }
-
-    /// Buckets allocated by the two latency histograms together (the
-    /// per-tenant footprint meter).
-    #[cfg(test)]
-    pub(crate) fn histogram_buckets(&self) -> usize {
-        self.global_hist.allocated_buckets() + self.window_hist.allocated_buckets()
     }
 
     /// Stage 1 — pull: refills `batch` from the workload and derives its
@@ -218,7 +311,7 @@ impl<'c> Pipeline<'c> {
     ///
     /// `max_ops` is the configured batch size; the pull degrades to a single
     /// op whenever the workload's output may depend on the current clock.
-    pub(crate) fn stage_pull<W: Workload + ?Sized>(
+    fn stage_pull<W: Workload + ?Sized>(
         &mut self,
         workload: &mut W,
         batch: &mut AccessBatch,
@@ -244,7 +337,7 @@ impl<'c> Pipeline<'c> {
     ///
     /// Panics if the workload emitted an address outside its declared
     /// footprint (a workload bug worth failing loudly on).
-    pub(crate) fn stage_op<P: TieringPolicy + ?Sized>(
+    fn stage_op<P: TieringPolicy + ?Sized>(
         &mut self,
         policy: &mut P,
         batch: &AccessBatch,
@@ -481,11 +574,7 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Seals the run into a [`SimReport`].
-    pub(crate) fn finish<P: TieringPolicy + ?Sized>(
-        mut self,
-        workload_name: &str,
-        policy: &P,
-    ) -> SimReport {
+    fn finish<P: TieringPolicy + ?Sized>(mut self, workload_name: &str, policy: &P) -> SimReport {
         // Final partial window.
         if self.window_hist.count() > 0 {
             self.timeline.push(TimelinePoint {

@@ -5,12 +5,14 @@
 //! This holds by construction — every pipeline stage is shared between
 //! batch sizes, and workloads are batch-pulled only while their output is
 //! independent of simulated time — and these tests pin the construction,
-//! on the two-tier testbed and on every ladder preset.
+//! on the two-tier testbed and on every ladder preset. The same
+//! construction makes a run resumable: stepping a `SimRun` to any sequence
+//! of clock bounds gives the report of one unbounded call.
 
-use tiering_mem::{LadderKind, PageSize, TierConfig, TierRatio};
+use tiering_mem::{LadderKind, PageSize, TierConfig, TierRatio, TierTopology};
 use tiering_policies::{build_policy, visit_policy, PolicyKind, PolicyVisitor, TieringPolicy};
-use tiering_sim::{Engine, SimConfig, SimReport};
-use tiering_trace::Workload;
+use tiering_sim::{Engine, SimConfig, SimReport, SimRun};
+use tiering_trace::{AccessBatch, Workload};
 use tiering_workloads::{
     build_workload, visit_workload, WorkloadId, WorkloadVisitor, ZipfPageWorkload,
 };
@@ -231,4 +233,128 @@ fn probes_equivalent_under_batching() {
     assert_reports_identical(&scalar, &batched, "probes");
     assert!(scalar.count_distribution.is_some());
     assert!(scalar.cache.is_some());
+}
+
+/// A workload that counts the ops it hands out, so a test can see ops
+/// pulled by a run but not yet simulated.
+struct Counted<W> {
+    inner: W,
+    pulled: u64,
+}
+
+impl<W: Workload> Workload for Counted<W> {
+    fn fill_batch(&mut self, now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
+        let n = self.inner.fill_batch(now_ns, max_ops, batch);
+        self.pulled += n as u64;
+        n
+    }
+    fn footprint_bytes(&self) -> u64 {
+        self.inner.footprint_bytes()
+    }
+    fn footprint_pages(&self, size: PageSize) -> u64 {
+        self.inner.footprint_pages(size)
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn batchable_now(&self) -> bool {
+        self.inner.batchable_now()
+    }
+}
+
+/// Runs `kind` over a Zipf workload whose hot set shifts at 5 ms, on the
+/// 2-tier testbed or the DRAM→CXL→NVMe ladder, stepping the run to every
+/// multiple of `stride_ns` (`None`: one unbounded call). Returns the report
+/// and how many stride boundaries found ops pulled but not yet simulated.
+fn stepped_zipf(kind: PolicyKind, three_tier: bool, stride_ns: Option<u64>) -> (SimReport, u32) {
+    let config = SimConfig::default();
+    let mut w = Counted {
+        // ~1.2 µs per op: ~48 simulated ms, so every stride has several
+        // boundaries after the shift, where pulls are 64 ops.
+        inner: ZipfPageWorkload::new(3_000, 0.99, 40_000, 11)
+            .with_cpu_ns(1_000)
+            .with_shift(5_000_000, 0.8),
+        pulled: 0,
+    };
+    let pages = w.footprint_pages(PageSize::Base4K);
+    let topology = if three_tier {
+        TierTopology::three_tier_dram_cxl_nvme(pages, PageSize::Base4K)
+    } else {
+        let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
+        TierTopology::two_tier(tier_cfg, &config.latency)
+    };
+    let mut policy = build_policy(kind, &topology.as_tier_config());
+    let mut run = SimRun::new(&config, topology, policy.as_ref());
+    let mut mid_batch = 0;
+    match stride_ns {
+        None => run.run_until(&mut w, policy.as_mut(), u64::MAX),
+        Some(stride) => {
+            let mut until = stride;
+            while !run.finished() {
+                run.run_until(&mut w, policy.as_mut(), until);
+                mid_batch += u32::from(w.pulled > run.ops());
+                until += stride;
+            }
+        }
+    }
+    (run.finish(w.name(), policy.as_ref()), mid_batch)
+}
+
+/// Suspending a run changes nothing: for every compared policy plus NeoMem,
+/// on two and three tiers, a run stepped in 1 ms, 7 ms and 1 000 003 ns
+/// strides seals the report of one unbounded `run_until` — including at
+/// boundaries where pulled ops wait in the run for the next call.
+#[test]
+fn suspended_runs_equal_one_unbounded_call() {
+    for three_tier in [false, true] {
+        for kind in PolicyKind::COMPARED.into_iter().chain([PolicyKind::NeoMem]) {
+            let (whole, _) = stepped_zipf(kind, three_tier, None);
+            for stride in [1_000_000, 7_000_000, 1_000_003] {
+                let what = format!("{kind:?} three_tier={three_tier} stride={stride}");
+                let (stepped, mid_batch) = stepped_zipf(kind, three_tier, Some(stride));
+                assert!(mid_batch > 0, "{what}: no boundary landed mid-batch");
+                assert_reports_identical(&whole, &stepped, &what);
+                assert_eq!(whole.fingerprint(), stepped.fingerprint(), "{what}");
+            }
+        }
+    }
+}
+
+/// A run that hit a cap or ran its workload dry is finished, a further call
+/// simulates nothing, and the report is the engine's.
+#[test]
+fn finished_runs_stay_finished() {
+    let capped = SimConfig::default().with_max_ops(777);
+    let timed = SimConfig::default().with_max_sim_ns(300_000);
+    let unbounded = SimConfig::default();
+    for (what, config) in [
+        ("ops cap", capped),
+        ("time cap", timed),
+        ("exhausted", unbounded),
+    ] {
+        let mk = || ZipfPageWorkload::new(500, 0.9, 5_000, 3);
+        let pages = mk().footprint_pages(PageSize::Base4K);
+        let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
+        let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
+        let topology = TierTopology::two_tier(tier_cfg, &config.latency);
+        let mut run = SimRun::new(&config, topology, policy.as_ref());
+        let mut w = mk();
+        run.run_until(&mut w, policy.as_mut(), u64::MAX);
+        assert!(run.finished(), "{what}");
+        let (now, ops) = (run.now_ns(), run.ops());
+        let stopped_by = match (ops, now >= 300_000) {
+            (777, _) => "ops cap",
+            (5_000, _) => "exhausted",
+            (_, true) => "time cap",
+            _ => "nothing",
+        };
+        assert_eq!(stopped_by, what, "{ops} ops at {now} ns");
+        run.run_until(&mut w, policy.as_mut(), u64::MAX);
+        assert_eq!((run.now_ns(), run.ops()), (now, ops), "{what}: resumed");
+        let report = run.finish(w.name(), policy.as_ref());
+
+        let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
+        let engine = Engine::new(config).run(&mut mk(), policy.as_mut(), tier_cfg);
+        assert_reports_identical(&engine, &report, what);
+    }
 }

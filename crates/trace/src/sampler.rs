@@ -1,6 +1,6 @@
 //! PEBS-style periodic access sampling.
 
-use tiering_mem::{PageId, PageSize, Tier};
+use tiering_mem::{PageId, Tier};
 
 use crate::access::Access;
 
@@ -103,24 +103,6 @@ impl Sampler {
             None
         }
     }
-
-    /// Convenience: observe and build a full [`Sample`] when selected.
-    #[inline]
-    pub fn observe_full(
-        &mut self,
-        access: &Access,
-        tier: Tier,
-        now_ns: u64,
-        page_size: PageSize,
-    ) -> Option<Sample> {
-        self.observe(access).map(|addr| Sample {
-            page: PageId::containing(addr, page_size),
-            addr,
-            tier,
-            at_ns: now_ns,
-            is_write: access.is_write,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -148,18 +130,5 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_period_rejected() {
         let _ = Sampler::new(0);
-    }
-
-    #[test]
-    fn observe_full_builds_sample() {
-        let mut s = Sampler::new(1);
-        let sample = s
-            .observe_full(&Access::write(0x5123), Tier::Slow, 77, PageSize::Base4K)
-            .unwrap();
-        assert_eq!(sample.page, PageId(5));
-        assert_eq!(sample.addr, 0x5123);
-        assert_eq!(sample.tier, Tier::Slow);
-        assert_eq!(sample.at_ns, 77);
-        assert!(sample.is_write);
     }
 }
