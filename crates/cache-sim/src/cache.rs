@@ -23,16 +23,6 @@ impl CacheConfig {
         }
     }
 
-    /// A 24 MiB, 12-way shared last-level cache (scaled to the 16-core
-    /// Xeon 4314's 24 MiB LLC).
-    pub fn llc() -> Self {
-        Self {
-            size_bytes: 24 << 20,
-            ways: 12,
-            line_bytes: 64,
-        }
-    }
-
     /// A small LLC for scaled-down simulations: keeps the ratio of metadata
     /// size to LLC size comparable to the paper despite ~512× smaller
     /// footprints.
@@ -77,17 +67,19 @@ impl CacheConfig {
 /// miss rotates the whole set, which drops the last way — an empty one until
 /// the set is full, the LRU line afterwards. The order *is* the replacement
 /// state, so there is no per-way timestamp and no clock, and a lookup costs
-/// as many compares as the line's recency depth: a repeat of the previous
-/// line (7 of every 8 references of a pagemap walk) is one compare.
+/// as many compares as the line's recency depth. A repeat of the previous
+/// line is a hit on way 0 that moves nothing, so batched replay
+/// ([`crate::CacheHierarchy::access_all`]) settles it before any lookup.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: usize,
     set_mask: u64,
     line_shift: u32,
     /// `sets * ways` tags, each set MRU first; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// Work meter: tag comparisons made by `access`.
+    /// Work meters: calls to `access`, and the tag comparisons they make.
+    #[cfg(test)]
+    pub(crate) lookups: u64,
     #[cfg(test)]
     compares: u64,
 }
@@ -109,10 +101,11 @@ impl SetAssocCache {
         );
         Self {
             config,
-            sets,
             set_mask: sets as u64 - 1,
             line_shift: config.line_bytes.trailing_zeros(),
             tags: vec![EMPTY; sets * config.ways],
+            #[cfg(test)]
+            lookups: 0,
             #[cfg(test)]
             compares: 0,
         }
@@ -123,17 +116,16 @@ impl SetAssocCache {
         self.config
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
     /// Touches the line containing `byte_addr`; returns `true` on hit.
     ///
     /// The line becomes the set's most recently used; on a miss the least
     /// recently used way of the set is evicted to make room.
     #[inline]
     pub fn access(&mut self, byte_addr: u64) -> bool {
+        #[cfg(test)]
+        {
+            self.lookups += 1;
+        }
         let line = byte_addr >> self.line_shift;
         let base = (line & self.set_mask) as usize * self.config.ways;
         let set = &mut self.tags[base..base + self.config.ways];
@@ -157,6 +149,7 @@ impl SetAssocCache {
 
     /// Returns whether the line containing `byte_addr` is currently resident
     /// (without touching LRU state).
+    #[cfg(test)]
     pub fn contains(&self, byte_addr: u64) -> bool {
         let line = byte_addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
@@ -165,11 +158,13 @@ impl SetAssocCache {
     }
 
     /// Empties the cache.
+    #[cfg(test)]
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
     }
 
     /// Number of resident lines.
+    #[cfg(test)]
     pub fn resident_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
@@ -192,8 +187,8 @@ mod tests {
     #[test]
     fn geometry() {
         assert_eq!(CacheConfig::l1d().num_sets(), 64);
-        assert_eq!(CacheConfig::llc().num_sets(), 32768);
-        assert_eq!(tiny().sets(), 4);
+        assert_eq!(CacheConfig::llc_scaled().num_sets(), 2048);
+        assert_eq!(tiny().config().num_sets(), 4);
     }
 
     #[test]

@@ -27,15 +27,6 @@ impl SourceStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss ratio in `[0, 1]`; zero when no accesses occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
 }
 
 /// Per-level statistics split by source.
@@ -70,16 +61,13 @@ impl LevelStats {
         }
     }
 
-    fn record(&mut self, source: Source, hit: bool) {
+    fn add(&mut self, source: Source, hits: u64, misses: u64) {
         let s = match source {
             Source::App => &mut self.app,
             Source::Tiering => &mut self.tiering,
         };
-        if hit {
-            s.hits += 1;
-        } else {
-            s.misses += 1;
-        }
+        s.hits += hits;
+        s.misses += misses;
     }
 }
 
@@ -124,45 +112,54 @@ impl CacheHierarchy {
         }
     }
 
-    /// Hierarchy for scaled-down simulations (48 KiB L1d, 2 MiB LLC), keeping
-    /// metadata:LLC proportions close to the paper's despite smaller
-    /// footprints.
-    pub fn scaled() -> Self {
-        Self::new(CacheConfig::l1d(), CacheConfig::llc_scaled())
-    }
-
     /// Touches `byte_addr` on behalf of `source`; returns where it hit.
     #[inline]
     pub fn access(&mut self, byte_addr: u64, source: Source) -> HitLevel {
         if self.l1.access(byte_addr) {
-            self.stats.l1.record(source, true);
+            self.stats.l1.add(source, 1, 0);
             return HitLevel::L1;
         }
-        self.stats.l1.record(source, false);
+        self.stats.l1.add(source, 0, 1);
         if self.llc.access(byte_addr) {
-            self.stats.llc.record(source, true);
+            self.stats.llc.add(source, 1, 0);
             HitLevel::Llc
         } else {
-            self.stats.llc.record(source, false);
+            self.stats.llc.add(source, 0, 1);
             HitLevel::Memory
         }
+    }
+
+    /// One [`access`](Self::access) per address of `addrs`, in order; returns
+    /// how many were served by L1, the LLC and memory (indexed by
+    /// [`HitLevel`]). A repeat of the previous reference's L1 line is an L1
+    /// hit with no set lookup — exact, since every access leaves its line as
+    /// its L1 set's MRU way, where a hit moves nothing.
+    pub fn access_all(&mut self, addrs: &[u64], source: Source) -> [u64; 3] {
+        let shift = self.l1.config().line_bytes.trailing_zeros();
+        let mut levels = [0u64; 3];
+        // Not the first line, so the first reference is looked up.
+        let mut prev = addrs.first().map_or(0, |&a| !(a >> shift));
+        for &addr in addrs {
+            let line = addr >> shift;
+            let level = if line == prev || self.l1.access(addr) {
+                HitLevel::L1
+            } else if self.llc.access(addr) {
+                HitLevel::Llc
+            } else {
+                HitLevel::Memory
+            };
+            prev = line;
+            levels[level as usize] += 1;
+        }
+        let [l1, llc, memory] = levels;
+        self.stats.l1.add(source, l1, llc + memory);
+        self.stats.llc.add(source, llc, memory);
+        levels
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> HierarchyStats {
         self.stats
-    }
-
-    /// Resets statistics but keeps cache contents (for excluding warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
-    }
-
-    /// Flushes both levels and resets statistics.
-    pub fn reset(&mut self) {
-        self.l1.flush();
-        self.llc.flush();
-        self.stats = HierarchyStats::default();
     }
 }
 
@@ -231,22 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_keeps_contents() {
-        let mut h = tiny_hierarchy();
-        h.access(0, Source::App);
-        h.reset_stats();
-        assert_eq!(
-            h.access(0, Source::App),
-            HitLevel::L1,
-            "line still resident"
-        );
-        assert_eq!(h.stats().l1.by(Source::App).misses, 0);
-    }
-
-    #[test]
     fn miss_ratio_edge_cases() {
-        let s = SourceStats::default();
-        assert_eq!(s.miss_ratio(), 0.0);
         let l = LevelStats::default();
         assert_eq!(l.tiering_miss_fraction(), 0.0);
     }
@@ -262,15 +244,15 @@ mod tests {
     impl StampHierarchy {
         fn access(&mut self, byte_addr: u64, source: Source) -> HitLevel {
             if self.l1.access(byte_addr) {
-                self.stats.l1.record(source, true);
+                self.stats.l1.add(source, 1, 0);
                 return HitLevel::L1;
             }
-            self.stats.l1.record(source, false);
+            self.stats.l1.add(source, 0, 1);
             if self.llc.access(byte_addr) {
-                self.stats.llc.record(source, true);
+                self.stats.llc.add(source, 1, 0);
                 HitLevel::Llc
             } else {
-                self.stats.llc.record(source, false);
+                self.stats.llc.add(source, 0, 1);
                 HitLevel::Memory
             }
         }
@@ -311,5 +293,113 @@ mod tests {
             assert_eq!(hier.stats(), oracle.stats, "{l1:?}+{llc:?}");
             assert!(levels.iter().all(|&n| n > 50_000), "{levels:?}");
         }
+    }
+
+    /// The replay loop `access_all` replaced: one `access` per reference.
+    fn access_each(h: &mut CacheHierarchy, addrs: &[u64], source: Source) -> [u64; 3] {
+        let mut levels = [0; 3];
+        for &addr in addrs {
+            levels[h.access(addr, source) as usize] += 1;
+        }
+        levels
+    }
+
+    /// Same-line runs in `addrs`: the L1 lookups `access_all` may make.
+    fn runs(addrs: &[u64]) -> u64 {
+        let starts = addrs.windows(2).filter(|w| w[0] >> 6 != w[1] >> 6).count();
+        (starts + !addrs.is_empty() as usize) as u64
+    }
+
+    #[test]
+    fn batched_replay_equals_per_reference_replay() {
+        const REFS_PER_MIX: usize = 200_000;
+        let pairs = [
+            metadata_pair(),
+            (CacheConfig::l1d(), CacheConfig::llc_scaled()),
+            // The engine's full hierarchy (`CacheSimOptions::default`).
+            (
+                CacheConfig::l1d(),
+                CacheConfig {
+                    size_bytes: 512 << 10,
+                    ways: 16,
+                    line_bytes: 64,
+                },
+            ),
+        ];
+        for (p, (l1, llc)) in pairs.into_iter().enumerate() {
+            let mut batched = CacheHierarchy::new(l1, llc);
+            let mut oracle = CacheHierarchy::new(l1, llc);
+            let mut levels = [0u64; 3];
+            let (mut refs, mut lookups, mut rejoined) = (0u64, 0u64, 0usize);
+            for (m, mix) in Mix::ALL.into_iter().enumerate() {
+                let seed = 0x5EED_2000 + (p * 16 + m) as u64;
+                let mut tiering = Stream::new(mix, llc, seed);
+                let mut app = Stream::new(mix, llc, seed ^ 0xA99);
+                let mut rng = Rng(seed ^ 0xFFFF);
+                let mut probes = [0u64; 16];
+                let mut slice: Vec<u64> = Vec::new();
+                let mut done = 0;
+                while done < REFS_PER_MIX {
+                    // Application references between two replays, as the
+                    // engine's access stage issues them between two ops.
+                    for _ in 0..rng.below(4) {
+                        let addr = app.next_addr();
+                        probes[rng.below(16) as usize] = addr;
+                        let level = batched.access(addr, Source::App);
+                        assert_eq!(level, oracle.access(addr, Source::App));
+                    }
+                    // A quarter of the slices start on the line the last
+                    // one ended on (at another byte of it).
+                    let last = slice.last().copied();
+                    slice.clear();
+                    if let Some(last) = last.filter(|_| rng.below(4) == 0) {
+                        slice.push(last & !63 | rng.below(64));
+                        rejoined += 1;
+                    }
+                    let len = rng.below(97) as usize;
+                    slice.extend((0..len).map(|_| tiering.next_addr()));
+                    if let Some(&addr) = slice.last() {
+                        probes[rng.below(16) as usize] = addr;
+                    }
+
+                    let before = batched.l1.lookups;
+                    let got = batched.access_all(&slice, Source::Tiering);
+                    let want = access_each(&mut oracle, &slice, Source::Tiering);
+                    let at = format!("{l1:?}+{llc:?} {mix:?} ref {done}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(batched.stats(), oracle.stats(), "{at}");
+                    for probe in probes {
+                        assert_eq!(batched.l1.contains(probe), oracle.l1.contains(probe));
+                        assert_eq!(batched.llc.contains(probe), oracle.llc.contains(probe));
+                    }
+                    // The exact lookup meter: one per same-line run.
+                    assert_eq!(batched.l1.lookups - before, runs(&slice), "{at}");
+
+                    (0..3).for_each(|i| levels[i] += got[i]);
+                    refs += slice.len() as u64;
+                    lookups += runs(&slice);
+                    done += slice.len();
+                }
+            }
+            // Every level serves references, repeats are skipped (7/8 of
+            // the `Repeat8` quarter: a lookup per ~0.78 references), and
+            // slices start on the line the last one ended on.
+            assert!(levels.iter().all(|&n| n > 20_000), "{levels:?}");
+            assert!(lookups < refs * 4 / 5, "{lookups} of {refs}");
+            assert!(rejoined > 1_000, "{rejoined}");
+        }
+    }
+
+    /// The pagemap walk's 8×-repeated stream costs one L1 lookup per line.
+    #[test]
+    fn batched_replay_looks_up_a_repeated_line_once() {
+        let (l1, llc) = metadata_pair();
+        let mut h = CacheHierarchy::new(l1, llc);
+        let mut stream = Stream::new(Mix::Repeat8, llc, 0x5EED_3000);
+        let refs: Vec<u64> = (0..800_000).map(|_| stream.next_addr()).collect();
+        h.access_all(&refs, Source::Tiering);
+        let lookups = h.l1.lookups;
+        assert!(lookups <= refs.len() as u64 / 8 + 1, "{lookups}");
+        assert_eq!(h.stats().l1.by(Source::Tiering).accesses(), 800_000);
     }
 }

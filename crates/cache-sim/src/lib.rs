@@ -25,12 +25,17 @@
 //! produces the same hit/miss sequence; it is the tests' differential
 //! oracle.
 //!
+//! A policy's metadata lines are replayed in one call,
+//! [`CacheHierarchy::access_all`], which settles a repeat of the previous
+//! line (7 of every 8 references of a pagemap walk) before any set lookup;
+//! one [`CacheHierarchy::access`] per line is its test oracle.
+//!
 //! # Example
 //!
 //! ```
 //! use cache_sim::{CacheConfig, CacheHierarchy, Source};
 //!
-//! let mut h = CacheHierarchy::new(CacheConfig::l1d(), CacheConfig::llc());
+//! let mut h = CacheHierarchy::new(CacheConfig::l1d(), CacheConfig::llc_scaled());
 //! h.access(0x1000, Source::App);
 //! h.access(0x1000, Source::App); // second touch hits L1
 //! let stats = h.stats();
@@ -48,6 +53,3 @@ mod oracle;
 
 pub use cache::{CacheConfig, SetAssocCache};
 pub use hierarchy::{CacheHierarchy, HierarchyStats, HitLevel, LevelStats, Source, SourceStats};
-
-/// Cache line size in bytes used throughout the simulator.
-pub const LINE_BYTES: u64 = 64;

@@ -508,21 +508,15 @@ impl<'c> Pipeline<'c> {
             charged += charge_scaled(self.ctx.tiering_work_ns, cfg.tiering_work_charge);
         }
         // Replay metadata traffic through the cache, attributed to the
-        // tiering runtime.
-        if let Some(h) = &mut self.hier {
-            for &line in &self.ctx.metadata_lines {
-                h.access(line, Source::Tiering);
+        // tiering runtime. Most ops touch no metadata and skip the call.
+        let lines = &self.ctx.metadata_lines;
+        if !lines.is_empty() {
+            if let Some(h) = &mut self.hier {
+                h.access_all(lines, Source::Tiering);
+            } else if let Some(h) = &mut self.meta_hier {
+                let [_, llc, memory] = h.access_all(lines, Source::Tiering);
+                charged += charge_scaled(6 * llc + 60 * memory, cfg.tiering_work_charge);
             }
-        } else if let Some(h) = &mut self.meta_hier {
-            let mut interference = 0u64;
-            for &line in &self.ctx.metadata_lines {
-                interference += match h.access(line, Source::Tiering) {
-                    HitLevel::L1 => 0,
-                    HitLevel::Llc => 6,
-                    HitLevel::Memory => 60,
-                };
-            }
-            charged += charge_scaled(interference, cfg.tiering_work_charge);
         }
         self.ctx.drain();
         charged
