@@ -547,7 +547,8 @@ impl TieredMemory {
     }
 
     /// Number of currently mapped pages.
-    pub fn mapped_pages(&self) -> u64 {
+    #[cfg(test)]
+    fn mapped_pages(&self) -> u64 {
         self.used.iter().sum()
     }
 

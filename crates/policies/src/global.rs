@@ -24,12 +24,15 @@
 //!
 //! Two fleet-scale extensions on top of the §7 sketch:
 //!
-//! * **Pluggable objectives.** *How* the distributable budget follows
-//!   demand is a [`QuotaObjective`]: proportional share (the default),
+//! * **Three built-in objectives.** *How* the distributable budget follows
+//!   demand is an [`ObjectiveKind`]: proportional share (the default),
 //!   max-min fairness (progressive filling, Equilibria-style), or a
-//!   piecewise-linear SLO/utility objective. Every objective must satisfy
-//!   the same contract — exact assignment, determinism, demand
-//!   monotonicity — pinned for all of them by `tests/global_properties.rs`.
+//!   piecewise-linear SLO/utility objective. All three satisfy the same
+//!   contract — exact assignment, determinism, demand monotonicity —
+//!   pinned by `tests/global_properties.rs`. Every rebalance computes them
+//!   through one lazy apportioning plan over a demand treap; the full-scan
+//!   bodies they were first written as are the test oracle
+//!   (`tests/support/oracle.rs`).
 //! * **Tenant churn.** Tenants [`admit`](GlobalController::admit_tenant)
 //!   mid-run (under the min-one guarantee) and
 //!   [`retire`](GlobalController::retire_tenant) (their fast pages are
@@ -40,9 +43,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::fmt;
 
-use tiering_mem::{PageSize, TierConfig, TieredMemory};
+use tiering_mem::{PageSize, TierConfig};
 
 use crate::ostree::OsTree;
 
@@ -51,240 +53,55 @@ use crate::ostree::OsTree;
 /// any `u64` budget while being far beyond any real footprint.
 const DEMAND_CLAMP: u64 = 1 << 40;
 
-/// How a controller splits the distributable budget across live tenants.
+/// SLO point of [`ObjectiveKind::SloUtility`]: half the demonstrated hot
+/// set must be fast before any tenant gets post-SLO pages.
+const DEFAULT_SLO_FRAC: f64 = 0.5;
+
+/// The SLO requirement for one clamped demand: `ceil(d * slo_frac)`, kept
+/// within `[1, d]` so it is always achievable and monotone in `d`.
+fn slo_requirement(demand: u64) -> u64 {
+    ((demand as f64 * DEFAULT_SLO_FRAC).ceil() as u64).clamp(1, demand)
+}
+
+/// How the controller splits the distributable budget across live tenants.
 ///
-/// `apportion` receives the clamped demand vector (every entry in
-/// `[1, 2^40]`) of the *live* tenants only and the page count to split; it
-/// must return one allocation per demand that
+/// Every objective sees the clamped demands (each in `[1, 2^40]`) of the
+/// live tenants and the page count to split, and its allocation
 ///
-/// * sums to **exactly** `amount` (the controller closes no gaps);
-/// * is **deterministic** — equal inputs, equal outputs (exact integer
-///   arithmetic only);
+/// * sums to **exactly** that count;
+/// * is **deterministic** — exact integer arithmetic only;
 /// * is **demand-monotone** — raising one tenant's demand while the others
 ///   hold still never lowers that tenant's allocation;
 /// * **follows demand ordering** — a strictly hungrier tenant never
 ///   receives strictly less.
 ///
-/// The per-tenant floor and the min-one guarantee are enforced by the
-/// controller *around* the objective, so objectives stay pure apportioning
-/// math. `tests/global_properties.rs` pins the contract for every
-/// [`ObjectiveKind`].
-pub trait QuotaObjective: fmt::Debug + Send + Sync {
-    /// Short name recorded into every [`RebalanceEvent`].
-    fn label(&self) -> &'static str;
-
-    /// Splits `amount` pages across `demands.len()` tenants.
-    fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64>;
-}
-
-/// Exact weighted split: each tenant gets `amount * w_i / total` (128-bit
-/// integer arithmetic), and the rounding dust all goes to the heaviest
-/// weight — ties broken by `tiebreak` (the raw demands), then by highest
-/// index (`max_by_key` semantics, matching the controller's historical
-/// remainder rule). The demand tie-break matters for objectives whose
-/// phase weights can tie while demands differ (e.g. SLO requirements
-/// `ceil(d·frac)`): without it, dust could hand a strictly hungrier
-/// tenant strictly less, breaking the demand-ordering contract. All-zero
-/// weights degrade to an equal split (tie-break still by demand).
-fn weighted_split(weights: &[u64], amount: u64, tiebreak: &[u64]) -> Vec<u64> {
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    if total == 0 {
-        let ones = vec![1u64; weights.len()];
-        return weighted_split(&ones, amount, tiebreak);
-    }
-    let mut out: Vec<u64> = weights
-        .iter()
-        .map(|&w| (u128::from(amount) * u128::from(w) / total) as u64)
-        .collect();
-    let assigned: u64 = out.iter().sum();
-    let max_idx = weights
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &w)| (w, tiebreak[i], i))
-        .map(|(i, _)| i)
-        .expect("non-empty weights");
-    out[max_idx] += amount - assigned;
-    out
-}
-
-/// The historical default: allocations proportional to demand.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProportionalShare;
-
-impl QuotaObjective for ProportionalShare {
-    fn label(&self) -> &'static str {
-        "proportional"
-    }
-
-    fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64> {
-        weighted_split(demands, amount, demands)
-    }
-}
-
-/// Max-min fairness by progressive filling: demands are caps, the water
-/// level rises until the budget is spent, and any surplus beyond total
-/// demand is split equally. Small tenants are fully satisfied before any
-/// large tenant gets more than the fair share — the classic fleet fairness
-/// objective (Equilibria, PAPERS.md).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxMinFairness;
-
-impl QuotaObjective for MaxMinFairness {
-    fn label(&self) -> &'static str {
-        "max-min"
-    }
-
-    fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64> {
-        let n = demands.len();
-        let total: u128 = demands.iter().map(|&d| u128::from(d)).sum();
-        if u128::from(amount) >= total {
-            // Everyone satisfied; the surplus is split equally, one-page
-            // dust going to the hungriest tenants first (ties: highest
-            // index, consistent with `weighted_split`).
-            let surplus = amount - total as u64;
-            let base = surplus / n as u64;
-            let dust = (surplus % n as u64) as usize;
-            let mut out: Vec<u64> = demands.iter().map(|&d| d + base).collect();
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&i| (demands[i], i));
-            for &i in order.iter().rev().take(dust) {
-                out[i] += 1;
-            }
-            return out;
-        }
-        // Progressive filling: satisfy demands in ascending order while the
-        // equal share covers them; once it no longer does, every remaining
-        // tenant gets the final water level (dust to the hungriest).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (demands[i], i));
-        let mut out = vec![0u64; n];
-        let mut remaining = amount;
-        for (pos, &i) in order.iter().enumerate() {
-            let active = (n - pos) as u64;
-            let level = remaining / active;
-            if demands[i] <= level {
-                out[i] = demands[i];
-                remaining -= demands[i];
-            } else {
-                let dust = (remaining - level * active) as usize;
-                for &j in &order[pos..] {
-                    out[j] = level;
-                }
-                for &j in order.iter().rev().take(dust) {
-                    out[j] += 1;
-                }
-                remaining = 0;
-                break;
-            }
-        }
-        debug_assert_eq!(remaining, 0, "filling assigns the whole amount");
-        out
-    }
-}
-
-/// Default SLO point of [`SloUtility`]: half the demonstrated hot set must
-/// be fast before any tenant gets post-SLO pages.
-pub const DEFAULT_SLO_FRAC: f64 = 0.5;
-
-/// Piecewise-linear utility / SLO objective (Equilibria-style): each
-/// tenant's utility curve is concave piecewise-linear in fast pages — a
-/// steep segment up to its SLO requirement (`slo_frac` of demand), a
-/// shallow segment up to full demand, flat beyond. With slopes shared
-/// across tenants, the exact utility maximizer is a three-phase greedy:
-///
-/// 1. satisfy every SLO requirement (proportionally to requirements when
-///    the budget cannot cover them all);
-/// 2. fill the post-SLO segments up to demand (proportionally to segment
-///    width when short);
-/// 3. split any surplus beyond total demand proportionally to demand
-///    (marginal utility is zero there, so surplus placement just keeps the
-///    assignment exact and demand-ordered).
-#[derive(Debug, Clone, Copy)]
-pub struct SloUtility {
-    /// Fraction of a tenant's demand that constitutes its SLO requirement,
-    /// in `(0, 1]`.
-    pub slo_frac: f64,
-}
-
-impl Default for SloUtility {
-    fn default() -> Self {
-        Self {
-            slo_frac: DEFAULT_SLO_FRAC,
-        }
-    }
-}
-
-/// The SLO requirement for one clamped demand at `slo_frac`:
-/// `ceil(d * slo_frac)`, kept within `[1, d]` so it is always achievable
-/// and monotone in `d`. Shared by the full-scan oracle and the incremental
-/// apportioner, so both compute bit-identical requirements.
-fn slo_requirement(demand: u64, slo_frac: f64) -> u64 {
-    ((demand as f64 * slo_frac).ceil() as u64).clamp(1, demand)
-}
-
-impl SloUtility {
-    /// The three-phase greedy over an explicit requirement vector (each
-    /// entry already within `[1, d]`): requirements first, then the
-    /// post-requirement segments, then surplus beyond demand.
-    fn apportion_with_requirements(&self, demands: &[u64], req: &[u64], amount: u64) -> Vec<u64> {
-        let total_req: u128 = req.iter().map(|&r| u128::from(r)).sum();
-        if u128::from(amount) <= total_req {
-            // SLO pressure: the steep segments already exceed the budget —
-            // allocate proportionally to the requirements (dust ties broken
-            // by raw demand, so requirement ties cannot invert ordering).
-            return weighted_split(req, amount, demands);
-        }
-        let mut out = req.to_vec();
-        let mut remaining = amount - total_req as u64;
-        let post: Vec<u64> = demands.iter().zip(req).map(|(&d, &r)| d - r).collect();
-        let total_post: u128 = post.iter().map(|&p| u128::from(p)).sum();
-        if u128::from(remaining) <= total_post {
-            for (o, p) in out
-                .iter_mut()
-                .zip(weighted_split(&post, remaining, demands))
-            {
-                *o += p;
-            }
-            return out;
-        }
-        for (o, &p) in out.iter_mut().zip(&post) {
-            *o += p;
-        }
-        remaining -= total_post as u64;
-        for (o, s) in out
-            .iter_mut()
-            .zip(weighted_split(demands, remaining, demands))
-        {
-            *o += s;
-        }
-        out
-    }
-}
-
-impl QuotaObjective for SloUtility {
-    fn label(&self) -> &'static str {
-        "slo-utility"
-    }
-
-    fn apportion(&self, demands: &[u64], amount: u64) -> Vec<u64> {
-        let req: Vec<u64> = demands
-            .iter()
-            .map(|&d| slo_requirement(d, self.slo_frac))
-            .collect();
-        self.apportion_with_requirements(demands, &req, amount)
-    }
-}
-
-/// The built-in objectives, as a cheap, hashable recipe — what sweep specs
-/// carry and [`RebalanceEvent`]s are labelled with.
+/// Rounding dust goes to the hungriest tenants, ties broken by the highest
+/// slot. The per-tenant floor and the min-one guarantee are enforced by the
+/// controller *around* the objective. `tests/global_properties.rs` pins the
+/// contract for every kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ObjectiveKind {
-    /// [`ProportionalShare`] (the default).
+    /// Proportional share (the default): each tenant gets
+    /// `amount · d / Σd`, the dust going to the largest demand.
     #[default]
     Proportional,
-    /// [`MaxMinFairness`].
+    /// Max-min fairness by progressive filling: demands are caps, the water
+    /// level rises until the budget is spent, and any surplus beyond total
+    /// demand is split equally. Small tenants are fully satisfied before any
+    /// large tenant gets more than the fair share — the classic fleet
+    /// fairness objective (Equilibria, PAPERS.md).
     MaxMin,
-    /// [`SloUtility`] at [`DEFAULT_SLO_FRAC`].
+    /// Piecewise-linear utility / SLO objective (Equilibria-style): each
+    /// tenant's utility is steep up to its SLO requirement (half its
+    /// demand, rounded up), shallow up to full demand, flat beyond. With
+    /// slopes shared across tenants, the exact maximizer is a three-phase
+    /// greedy:
+    ///
+    /// 1. satisfy every SLO requirement (proportionally to requirements
+    ///    when the budget cannot cover them all);
+    /// 2. fill the post-SLO segments up to demand (proportionally to
+    ///    segment width when short);
+    /// 3. split any surplus beyond total demand proportionally to demand.
     SloUtility,
 }
 
@@ -297,7 +114,8 @@ impl ObjectiveKind {
         ObjectiveKind::SloUtility,
     ];
 
-    /// Label used in reports, scenario names, and golden files.
+    /// Label used in reports, scenario names, golden files and every
+    /// [`RebalanceEvent`].
     pub fn label(self) -> &'static str {
         match self {
             ObjectiveKind::Proportional => "proportional",
@@ -305,49 +123,26 @@ impl ObjectiveKind {
             ObjectiveKind::SloUtility => "slo-utility",
         }
     }
-
-    /// Instantiates the objective.
-    pub fn build(self) -> Box<dyn QuotaObjective> {
-        match self {
-            ObjectiveKind::Proportional => Box::new(ProportionalShare),
-            ObjectiveKind::MaxMin => Box::new(MaxMinFairness),
-            ObjectiveKind::SloUtility => Box::new(SloUtility::default()),
-        }
-    }
 }
 
-/// How the controller computes and records rebalances.
+/// What a [`RebalanceEvent`] records. Quotas do not depend on the mode:
+/// both compute every rebalance through the same apportioning plan.
+///
+/// The mode stays because the callers pin two event shapes: the fleet
+/// goldens and `tests/control_plane.rs` fingerprint full events, while the
+/// synthetic large fleets (`Scenario::synthetic_fleet_spec`) and the
+/// controller probe of the host-cost benchmark record compact ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ControllerMode {
-    /// The historical path: every rebalance rescans all slots, materializes
-    /// every quota, and records full per-slot event vectors. This is the
-    /// oracle the incremental path is pinned against, and what all existing
-    /// goldens/fingerprints were produced under.
+    /// Every event records the `live`, `demands` and `quotas` vectors —
+    /// `O(n)` per rebalance. The shape every golden was produced under.
     #[default]
     FullScan,
-    /// The fleet-scale path: demands arrive as deltas
-    /// ([`update_demand`](GlobalController::update_demand)), a rebalance
-    /// after `k` changes costs `O((k + v) log n)` (`v` = distinct live
-    /// demand values — `O(k)` in the idle-fleet regime where quiescent
-    /// tenants share one demand value), and quotas are represented lazily
-    /// as an apportioning *plan* evaluated per slot on read. Events are
-    /// **compact**: `live`/`demands`/`quotas` vectors are left empty so a
-    /// 10⁵-tenant trace doesn't cost `O(n)` per round to record. Quotas
-    /// themselves are bit-identical to [`FullScan`](Self::FullScan) —
-    /// property suites pin incremental ≡ full-scan for every objective.
-    /// Requires the objective to be set via
-    /// [`with_objective_kind`](GlobalController::with_objective_kind);
-    /// custom boxed objectives fall back to full scans (correct, just not
-    /// sub-linear).
+    /// Events are **compact**: `live`/`demands`/`quotas` are left empty so
+    /// a 10⁵-tenant trace doesn't cost `O(n)` per round to record. Query
+    /// the controller for the quotas themselves.
     Incremental,
 }
-
-/// Cap on the distinct-demand-value class iteration inside incremental
-/// weighted plans. Beyond this the per-class dust sum stops beating the
-/// `O(n)` oracle by enough to matter, so the planner gives up and the
-/// controller falls back to a full scan for that rebalance (identical
-/// results either way).
-const MAX_PLAN_CLASSES: usize = 1024;
 
 /// Which weight function a [`ApportionPlan::Weighted`] phase applies to a
 /// clamped demand. Every variant is monotone non-decreasing in `d`, which
@@ -358,9 +153,9 @@ enum WeightFn {
     /// base 0, weight `d` — proportional share.
     Demand,
     /// base 0, weight `req(d)` — SLO phase 1 (under requirement pressure).
-    Requirement(f64),
+    Requirement,
     /// base `req(d)`, weight `d - req(d)` — SLO phase 2 (post-SLO fill).
-    Post(f64),
+    Post,
     /// base `d`, weight `d` — SLO phase 3 (surplus beyond total demand).
     Luxury,
 }
@@ -370,9 +165,9 @@ impl WeightFn {
     fn base_weight(self, d: u64) -> (u64, u64) {
         match self {
             WeightFn::Demand => (0, d),
-            WeightFn::Requirement(frac) => (0, slo_requirement(d, frac)),
-            WeightFn::Post(frac) => {
-                let r = slo_requirement(d, frac);
+            WeightFn::Requirement => (0, slo_requirement(d)),
+            WeightFn::Post => {
+                let r = slo_requirement(d);
                 (r, d - r)
             }
             WeightFn::Luxury => (d, d),
@@ -382,13 +177,13 @@ impl WeightFn {
 
 /// A lazy, `O(1)`-per-slot representation of one exact apportioning
 /// decision: `quota(slot) = floor + plan_alloc(plan, slot, norm[slot])`.
-/// Constructed in `O(log n)`-ish time from the demand treap; provably
-/// equal, slot for slot, to what the full-scan objective math produces
-/// (the incremental≡full property suites enforce this bit for bit).
+/// Constructed in `O(log n)`-ish time from the demand treap; equal, slot
+/// for slot, to the full-scan objective bodies kept as the test oracle
+/// (`tests/support/oracle.rs`).
 #[derive(Debug, Clone)]
 enum ApportionPlan {
     /// One exact weighted split plus a per-slot base — proportional share
-    /// and every `SloUtility` phase. `alloc(d) = base(d) +
+    /// and every SLO phase. `alloc(d) = base(d) +
     /// floor(amount·w(d)/total) + dust·[slot == dust_slot]`; since `w` is
     /// monotone in `d` with demand-then-slot tie-breaks, the oracle's
     /// `max_by_key((w, d, i))` dust receiver *is* the maximum
@@ -456,19 +251,16 @@ fn plan_alloc(plan: &ApportionPlan, slot: usize, d: u64) -> u64 {
     }
 }
 
-/// Per-objective incremental apportioning state: the live demand treap
-/// (keyed `(demand, slot)`, augmented with subtree counts and demand sums)
-/// plus the incrementally-maintained requirement total for `SloUtility`.
-/// `plan` turns the current tree into an [`ApportionPlan`] without touching
-/// unchanged tenants; `None` means "this rebalance can't be planned
-/// sub-linearly" and the controller falls back to the full-scan oracle.
-#[derive(Debug)]
+/// The controller's apportioning state: the live demand treap (keyed
+/// `(demand, slot)`, augmented with subtree counts and demand sums) plus
+/// the incrementally-maintained SLO requirement total. `plan` turns the
+/// current tree into an [`ApportionPlan`] without touching unchanged
+/// tenants.
+#[derive(Debug, Default)]
 struct IncrementalApportioner {
-    kind: ObjectiveKind,
-    slo_frac: f64,
     tree: OsTree,
     /// `Σ slo_requirement(d)` over live slots (maintained for every kind —
-    /// one multiply per update — so switching objectives stays trivial).
+    /// one multiply per update — so the objective can be switched freely).
     total_req: u128,
     /// Demand-value classes: distinct clamped demand → live-slot count.
     /// The weighted plans' dust sum iterates *classes*, not slots, and
@@ -482,27 +274,16 @@ struct IncrementalApportioner {
 }
 
 impl IncrementalApportioner {
-    fn new(kind: ObjectiveKind) -> Self {
-        Self {
-            kind,
-            slo_frac: DEFAULT_SLO_FRAC,
-            tree: OsTree::new(),
-            total_req: 0,
-            classes: BTreeMap::new(),
-            walk_ops: 0,
-        }
-    }
-
     fn insert(&mut self, slot: usize, d: u64) {
         self.tree.insert((d, slot));
-        self.total_req += u128::from(slo_requirement(d, self.slo_frac));
+        self.total_req += u128::from(slo_requirement(d));
         *self.classes.entry(d).or_insert(0) += 1;
     }
 
     fn remove(&mut self, slot: usize, d: u64) {
         let removed = self.tree.remove((d, slot));
         debug_assert!(removed, "removing absent demand key ({d}, {slot})");
-        self.total_req -= u128::from(slo_requirement(d, self.slo_frac));
+        self.total_req -= u128::from(slo_requirement(d));
         let count = self.classes.get_mut(&d).expect("class present");
         *count -= 1;
         if *count == 0 {
@@ -514,8 +295,12 @@ impl IncrementalApportioner {
         self.tree.visits() + self.walk_ops
     }
 
-    fn plan(&mut self, amount: u64) -> Option<ApportionPlan> {
-        match self.kind {
+    /// Plans `amount` pages over the live tenants. Every phase total is
+    /// positive: clamped demands are ≥ 1, so are their requirements, and
+    /// the post-SLO phase is entered only when it has more width than the
+    /// (positive) pages left for it.
+    fn plan(&mut self, kind: ObjectiveKind, amount: u64) -> ApportionPlan {
+        match kind {
             ObjectiveKind::Proportional => {
                 let total = self.tree.sum();
                 self.weighted_plan(WeightFn::Demand, amount, total)
@@ -524,12 +309,12 @@ impl IncrementalApportioner {
             ObjectiveKind::SloUtility => {
                 let treq = self.total_req;
                 if u128::from(amount) <= treq {
-                    return self.weighted_plan(WeightFn::Requirement(self.slo_frac), amount, treq);
+                    return self.weighted_plan(WeightFn::Requirement, amount, treq);
                 }
                 let rem = (u128::from(amount) - treq) as u64;
                 let tpost = self.tree.sum() - treq;
                 if u128::from(rem) <= tpost {
-                    return self.weighted_plan(WeightFn::Post(self.slo_frac), rem, tpost);
+                    return self.weighted_plan(WeightFn::Post, rem, tpost);
                 }
                 let rem2 = (u128::from(rem) - tpost) as u64;
                 let total = self.tree.sum();
@@ -541,24 +326,9 @@ impl IncrementalApportioner {
     /// A weighted-split plan. The only super-logarithmic step is the dust
     /// value `amount - Σ floor(amount·w_i/total)`, summed per distinct
     /// demand-value class (`w` depends only on the demand value) through
-    /// the class index — `O(1)` per class, bounded by
-    /// [`MAX_PLAN_CLASSES`]; a more fragmented demand domain falls back to
-    /// the full scan instead of pretending to be sub-linear.
-    fn weighted_plan(
-        &mut self,
-        weight: WeightFn,
-        amount: u64,
-        total: u128,
-    ) -> Option<ApportionPlan> {
-        if total == 0 {
-            // Unreachable for live inputs (clamped demands ≥ 1 make every
-            // phase total positive), but the oracle's equal-split fallback
-            // is not worth replicating here.
-            return None;
-        }
-        if self.classes.len() > MAX_PLAN_CLASSES {
-            return None;
-        }
+    /// the class index — `O(1)` per class, so `O(v)` for `v` distinct live
+    /// demands and never more than the `O(n)` scan it replaces.
+    fn weighted_plan(&mut self, weight: WeightFn, amount: u64, total: u128) -> ApportionPlan {
         let dust_slot = self.tree.last().expect("live tenants present").1;
         let mut assigned: u128 = 0;
         for (&v, &count) in &self.classes {
@@ -566,16 +336,16 @@ impl IncrementalApportioner {
             assigned += u128::from(count) * (u128::from(amount) * u128::from(w) / total);
         }
         self.walk_ops += self.classes.len() as u64;
-        Some(ApportionPlan::Weighted {
+        ApportionPlan::Weighted {
             weight,
             amount,
             total,
             dust_slot,
             dust: amount - assigned as u64,
-        })
+        }
     }
 
-    fn maxmin_plan(&mut self, amount: u64) -> Option<ApportionPlan> {
+    fn maxmin_plan(&mut self, amount: u64) -> ApportionPlan {
         let m = self.tree.len() as u64;
         let total = self.tree.sum();
         if u128::from(amount) >= total {
@@ -583,7 +353,7 @@ impl IncrementalApportioner {
             let base = surplus / m;
             let dust = surplus % m;
             let cutoff = (dust > 0).then(|| self.tree.select((m - dust) as usize));
-            return Some(ApportionPlan::Surplus { base, cutoff });
+            return ApportionPlan::Surplus { base, cutoff };
         }
         let (p, pref, d_break) = self
             .tree
@@ -594,11 +364,11 @@ impl IncrementalApportioner {
         let level = remaining / active;
         let dust = remaining % active;
         let cutoff = (dust > 0).then(|| self.tree.select((m - dust) as usize));
-        Some(ApportionPlan::Fill {
+        ApportionPlan::Fill {
             level,
             d_break,
             cutoff,
-        })
+        }
     }
 
     /// The smallest allocation any live slot would receive under `plan` —
@@ -629,7 +399,7 @@ impl IncrementalApportioner {
 pub struct RebalanceEvent {
     /// Simulated time the rebalance ran at.
     pub at_ns: u64,
-    /// Label of the [`QuotaObjective`] that made the decision.
+    /// [`ObjectiveKind::label`] of the objective that made the decision.
     pub objective: String,
     /// Per-live-tenant floor (pages) enforced around the objective.
     pub floor_pages: u64,
@@ -665,9 +435,9 @@ struct TenantSlot {
 }
 
 /// A rebalance whose quotas exist only as `floor + plan` — the lazy state
-/// [`ControllerMode::Incremental`] leaves behind instead of materialized
-/// per-slot quotas. Folded into the slots (`materialize`) the moment any
-/// operation needs mutable per-slot quotas (churn).
+/// a rebalance leaves behind instead of materialized per-slot quotas.
+/// Folded into the slots (`materialize`) the moment any operation needs
+/// mutable per-slot quotas (churn, the min-one fixup).
 #[derive(Debug, Clone)]
 struct LazyPlan {
     floor: u64,
@@ -678,26 +448,24 @@ struct LazyPlan {
 ///
 /// Quotas are re-derived on [`rebalance`](GlobalController::rebalance):
 /// the caller reports each tenant's demand (pages it demonstrably wants
-/// fast), and the controller assigns the global budget proportionally with
-/// a configurable per-tenant floor so an idle tenant can always warm back
-/// up. The arithmetic is exact (128-bit integer), so equal inputs always
-/// produce identical quotas — the property tests pin this.
+/// fast), and the controller assigns the global budget under its
+/// [`ObjectiveKind`] with a configurable per-tenant floor so an idle
+/// tenant can always warm back up. The arithmetic is exact (128-bit
+/// integer), so equal inputs always produce identical quotas — the
+/// property tests pin this.
 ///
-/// At fleet scale, [`ControllerMode::Incremental`] plus the delta API
-/// ([`update_demand`](Self::update_demand) →
-/// [`rebalance_dirty`](Self::rebalance_dirty)) makes a rebalance after `k`
-/// demand changes cost `O(k log n)` instead of `O(n)`, bit-identical to
-/// the full-scan arithmetic (pinned by `tests/global_incremental.rs`).
+/// With the delta API ([`update_demand`](Self::update_demand) →
+/// [`rebalance_dirty`](Self::rebalance_dirty)) a rebalance after `k`
+/// demand changes costs `O((k + v) log n)` (`v` = distinct live demand
+/// values) in either [`ControllerMode`]; `Incremental` additionally keeps
+/// the recorded event `O(1)` (`tests/global_incremental.rs` pins both
+/// modes against the full-scan oracle and meters the work).
 #[derive(Debug)]
 pub struct GlobalController {
     fast_budget_pages: u64,
     /// Minimum share of the budget any tenant keeps (fraction).
     floor_frac: f64,
-    objective: Box<dyn QuotaObjective>,
-    /// Set when the objective came from [`ObjectiveKind`] — the incremental
-    /// apportioner dispatches on it; `None` (custom boxed objective) pins
-    /// the controller to full scans.
-    objective_kind: Option<ObjectiveKind>,
+    objective: ObjectiveKind,
     mode: ControllerMode,
     tenants: Vec<TenantSlot>,
     /// Applied clamped demand per slot (`[1, 2^40]` live, 0 dead) — the
@@ -708,7 +476,7 @@ pub struct GlobalController {
     dirty: Vec<bool>,
     dirty_slots: Vec<usize>,
     live_count: usize,
-    incr: Option<IncrementalApportioner>,
+    apportioner: IncrementalApportioner,
     lazy: Option<LazyPlan>,
     /// Set while quotas are (lazily) the equal seed split of the budget —
     /// [`add_tenant`](Self::add_tenant) resets every live tenant anyway,
@@ -721,15 +489,15 @@ pub struct GlobalController {
     /// making admission bursts `O(log n)` amortized; invalidated whenever
     /// quotas change outside `admit_tenant` itself.
     donor_heap: Option<BinaryHeap<(u64, Reverse<usize>)>>,
-    /// Slots touched by full-scan rebalances — with the treap's visit
-    /// counter, the work meter behind [`apportion_ops`](Self::apportion_ops).
-    full_scan_ops: u64,
+    /// Slots touched by min-one fixups — with the treap's visit counter,
+    /// the work meter behind [`apportion_ops`](Self::apportion_ops).
+    fixup_ops: u64,
     events: Vec<RebalanceEvent>,
 }
 
 impl GlobalController {
     /// A controller managing `fast_budget_pages` of physical fast memory
-    /// under the default [`ProportionalShare`] objective.
+    /// under the default [`ObjectiveKind::Proportional`] objective.
     ///
     /// # Panics
     ///
@@ -744,8 +512,7 @@ impl GlobalController {
         Self {
             fast_budget_pages,
             floor_frac,
-            objective: Box::new(ProportionalShare),
-            objective_kind: Some(ObjectiveKind::Proportional),
+            objective: ObjectiveKind::Proportional,
             mode: ControllerMode::FullScan,
             tenants: Vec::new(),
             norm: Vec::new(),
@@ -753,74 +520,29 @@ impl GlobalController {
             dirty: Vec::new(),
             dirty_slots: Vec::new(),
             live_count: 0,
-            incr: None,
+            apportioner: IncrementalApportioner::default(),
             lazy: None,
             equal_share: false,
             donor_heap: None,
-            full_scan_ops: 0,
+            fixup_ops: 0,
             events: Vec::new(),
         }
     }
 
-    /// Swaps in a **custom** quota objective. This disables the incremental
-    /// apportioner (the controller can't see inside a boxed objective), so
-    /// [`ControllerMode::Incremental`] degrades to full scans with compact
-    /// events; built-in objectives should go through
-    /// [`with_objective_kind`](Self::with_objective_kind) instead.
-    #[must_use]
-    pub fn with_objective(mut self, objective: Box<dyn QuotaObjective>) -> Self {
-        self.objective = objective;
-        self.objective_kind = None;
-        self.refresh_incremental();
-        self
-    }
-
-    /// Selects a built-in objective by kind — the form that keeps
-    /// [`ControllerMode::Incremental`] genuinely sub-linear, because the
-    /// controller can maintain per-kind incremental apportioning state.
+    /// Selects the quota objective (default
+    /// [`ObjectiveKind::Proportional`]); it applies from the next
+    /// rebalance on.
     #[must_use]
     pub fn with_objective_kind(mut self, kind: ObjectiveKind) -> Self {
-        self.objective = kind.build();
-        self.objective_kind = Some(kind);
-        self.refresh_incremental();
+        self.objective = kind;
         self
     }
 
-    /// Selects the rebalance mode (default [`ControllerMode::FullScan`]).
+    /// Selects the event shape (default [`ControllerMode::FullScan`]).
     #[must_use]
     pub fn with_mode(mut self, mode: ControllerMode) -> Self {
         self.mode = mode;
-        self.refresh_incremental();
         self
-    }
-
-    /// The active rebalance mode.
-    pub fn mode(&self) -> ControllerMode {
-        self.mode
-    }
-
-    /// (Re)builds the incremental apportioner to match mode + objective,
-    /// reseeding it from the current live demand model so the builders can
-    /// be called in any order (even, defensively, mid-run).
-    fn refresh_incremental(&mut self) {
-        self.materialize();
-        self.incr = match (self.mode, self.objective_kind) {
-            (ControllerMode::Incremental, Some(kind)) => {
-                let mut inc = IncrementalApportioner::new(kind);
-                for (slot, &d) in self.norm.iter().enumerate() {
-                    if d > 0 {
-                        inc.insert(slot, d);
-                    }
-                }
-                Some(inc)
-            }
-            _ => None,
-        };
-    }
-
-    /// Label of the active objective.
-    pub fn objective_label(&self) -> &'static str {
-        self.objective.label()
     }
 
     /// Registers a tenant and resets all **live** tenants to equal initial
@@ -869,7 +591,7 @@ impl GlobalController {
 
     /// Pushes one live slot with the shared side-table bookkeeping: the
     /// demand model starts at 1 (the clamp of "no demand reported yet"),
-    /// mirrored into the incremental apportioner.
+    /// mirrored into the apportioner.
     fn register_slot(&mut self, name: &str, footprint_pages: u64, quota: u64) -> usize {
         self.tenants.push(TenantSlot {
             name: name.to_string(),
@@ -882,9 +604,7 @@ impl GlobalController {
         self.dirty.push(false);
         self.live_count += 1;
         let slot = self.tenants.len() - 1;
-        if let Some(inc) = &mut self.incr {
-            inc.insert(slot, 1);
-        }
+        self.apportioner.insert(slot, 1);
         slot
     }
 
@@ -966,9 +686,7 @@ impl GlobalController {
         let reclaimed = self.tenants[idx].quota;
         self.tenants[idx].quota = 0;
         self.tenants[idx].live = false;
-        if let Some(inc) = &mut self.incr {
-            inc.remove(idx, self.norm[idx]);
-        }
+        self.apportioner.remove(idx, self.norm[idx]);
         self.norm[idx] = 0;
         self.live_count -= 1;
         self.donor_heap = None;
@@ -1020,8 +738,8 @@ impl GlobalController {
     }
 
     /// The tenant's current fast-tier quota in pages. Under a lazy
-    /// incremental rebalance this evaluates the plan for the slot in
-    /// `O(1)`; the result is identical to the materialized quota.
+    /// rebalance this evaluates the plan for the slot in `O(1)`; the
+    /// result is identical to the materialized quota.
     pub fn quota(&self, idx: usize) -> u64 {
         let t = &self.tenants[idx];
         if !t.live {
@@ -1045,9 +763,8 @@ impl GlobalController {
     }
 
     /// Folds an outstanding lazy plan into materialized per-slot quotas —
-    /// the `O(n)` step churn pays so admit/retire keep their exact
-    /// historical donor/spread semantics. A no-op when quotas are already
-    /// materialized (always, under [`ControllerMode::FullScan`]).
+    /// the `O(n)` step churn and the min-one fixup pay so they can mutate
+    /// individual quotas. A no-op when quotas are already materialized.
     fn materialize(&mut self) {
         if self.equal_share {
             self.equal_share = false;
@@ -1104,18 +821,8 @@ impl GlobalController {
         }
     }
 
-    /// Enforces the tenant's current quota on its memory view: shrinking
-    /// below occupancy is allowed — the tier reports zero free pages until
-    /// the tenant policy's watermark demotion drains the excess, so quota
-    /// enforcement rides the ordinary migration path. Quotas are always
-    /// ≥ 1 (the min-one guarantee), so the recorded quota is the capacity
-    /// actually enforced.
-    pub fn apply(&self, idx: usize, mem: &mut TieredMemory) {
-        mem.set_fast_capacity(self.quota(idx));
-    }
-
     /// Re-partitions the fast budget across **live** tenants according to
-    /// the active [`QuotaObjective`] and the reported demand per slot
+    /// the active [`ObjectiveKind`] and the reported demand per slot
     /// (index-aligned with registration order; departed slots' entries are
     /// ignored), with the configured floor, and records the result as a
     /// [`RebalanceEvent`].
@@ -1169,17 +876,11 @@ impl GlobalController {
 
     /// Re-partitions the budget from the staged demand deltas — the
     /// fleet-scale half of the split API. Applies every dirty slot to the
-    /// demand model (and the incremental apportioner), then either
-    ///
-    /// * plans the apportionment lazily in `O((k + v) log n)` and records a
-    ///   compact event ([`ControllerMode::Incremental`], when the plan is
-    ///   provably fixup-free), or
-    /// * runs the full-scan oracle over the same demand model (always
-    ///   under [`ControllerMode::FullScan`]; as the incremental fallback
-    ///   when the plan can't be built or the min-one fixup might fire).
-    ///
-    /// Both paths produce bit-identical quotas; `FullScan` additionally
-    /// records the historical full event vectors.
+    /// demand model and the apportioner, plans the apportionment in
+    /// `O((k + v) log n)` and leaves the quotas lazy as `floor + plan`.
+    /// Only when the smallest of those is 0 does it materialize them and
+    /// run the min-one fixup. The [`ControllerMode`] decides only the
+    /// shape of the recorded event.
     ///
     /// # Panics
     ///
@@ -1197,10 +898,8 @@ impl GlobalController {
             if old == new {
                 continue;
             }
-            if let Some(inc) = &mut self.incr {
-                inc.remove(slot, old);
-                inc.insert(slot, new);
-            }
+            self.apportioner.remove(slot, old);
+            self.apportioner.insert(slot, new);
             self.norm[slot] = new;
         }
 
@@ -1208,134 +907,85 @@ impl GlobalController {
         let distributable = self.fast_budget_pages.saturating_sub(floor * m as u64);
         self.donor_heap = None;
         self.equal_share = false;
-
-        // `incr` exists only under `ControllerMode::Incremental`.
-        if let Some(inc) = &mut self.incr {
-            if let Some(plan) = inc.plan(distributable) {
-                // Lazy quotas are exactly `floor + alloc`; that equals
-                // the oracle iff the min-one fixup would not fire, i.e.
-                // the smallest resulting quota is already ≥ 1.
-                if floor + inc.min_alloc(&plan) >= 1 {
-                    self.lazy = Some(LazyPlan { floor, plan });
-                    let event = self.compact_event(at_ns, floor);
-                    self.events.push(event.clone());
-                    return event;
-                }
-            }
+        let plan = self.apportioner.plan(self.objective, distributable);
+        // The smallest lazy quota is `floor + min_alloc`; only a zero there
+        // gives the min-one fixup anything to do.
+        let fixup = floor + self.apportioner.min_alloc(&plan) == 0;
+        self.lazy = Some(LazyPlan { floor, plan });
+        if fixup {
+            self.materialize();
+            self.min_one_fixup();
         }
 
-        self.lazy = None;
-        self.full_scan_ops += self.tenants.len() as u64;
-        let quotas = self.full_scan_quotas(floor, distributable);
-        for (tenant, &quota) in self.tenants.iter_mut().zip(&quotas) {
-            tenant.quota = quota;
-        }
-        let event = match self.mode {
-            ControllerMode::FullScan => RebalanceEvent {
-                at_ns,
-                objective: self.objective.label().to_string(),
-                floor_pages: floor,
-                live: self.live_mask(),
-                demands: self.norm.clone(),
-                quotas,
-            },
-            // Event shape is decided by the mode, not by which internal
-            // path ran — fingerprints must not depend on planner
-            // heuristics like the class-walk cap.
-            ControllerMode::Incremental => self.compact_event(at_ns, floor),
-        };
-        self.events.push(event.clone());
-        event
-    }
-
-    /// An `O(1)` event record for [`ControllerMode::Incremental`].
-    fn compact_event(&self, at_ns: u64, floor: u64) -> RebalanceEvent {
-        RebalanceEvent {
+        let mut event = RebalanceEvent {
             at_ns,
             objective: self.objective.label().to_string(),
             floor_pages: floor,
             live: Vec::new(),
             demands: Vec::new(),
             quotas: Vec::new(),
+        };
+        if self.mode == ControllerMode::FullScan {
+            event.live = self.live_mask();
+            event.demands = self.norm.clone();
+            event.quotas = self.quotas();
         }
+        self.events.push(event.clone());
+        event
     }
 
-    /// The full-scan oracle: apportions over the *applied* demand model
-    /// (`norm`) exactly as the historical `rebalance` body did, including
-    /// the min-one fixup. Returns the materialized quota vector.
-    fn full_scan_quotas(&self, floor: u64, distributable: u64) -> Vec<u64> {
-        let n = self.tenants.len();
-        // The objective sees only the live tenants, in slot order.
-        let mut live_demands = Vec::with_capacity(self.live_count);
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.live {
-                live_demands.push(self.norm[i]);
-            }
-        }
-        let alloc = self.objective.apportion(&live_demands, distributable);
-        debug_assert_eq!(
-            alloc.iter().sum::<u64>(),
-            distributable,
-            "objective {} broke exact assignment",
-            self.objective.label()
-        );
-        let mut quotas = vec![0u64; n];
-        let mut cursor = alloc.into_iter();
-        for (q, t) in quotas.iter_mut().zip(&self.tenants) {
-            if t.live {
-                *q = floor + cursor.next().expect("one allocation per live tenant");
-            }
-        }
-
-        // Min-one guarantee: a quota of zero is not an enforceable fast
-        // capacity, so top live zeros up to one page, taking each page from
-        // the largest current live quota (lowest demand, then lowest index,
-        // on ties — the tie-break that keeps quota ordering aligned with
-        // demand ordering). Admission guarantees budget ≥ live tenants, so
-        // while a live zero exists some live quota is ≥ 2 by pigeonhole.
-        //
-        // The donor key (q, Reverse(norm[j]), Reverse(j)) is injective in j,
-        // so each donor is the unique maximum and a lazily-deleted max-heap
-        // pops the same donor sequence a per-zero rescan would — in
-        // O((n + zeros) log n) instead of O(zeros · n). A donor's quota only
-        // decreases (and a topped-up zero jumps 0 → 1 exactly once), so a
-        // stale entry can never collide with a slot's current quota; the
-        // `quotas[j] == q` freshness check is exact.
+    /// Min-one guarantee over materialized quotas: a quota of zero is not
+    /// an enforceable fast capacity, so top live zeros up to one page,
+    /// taking each page from the largest current live quota (lowest
+    /// demand, then lowest index, on ties — the tie-break that keeps quota
+    /// ordering aligned with demand ordering). Admission guarantees
+    /// budget ≥ live tenants, so while a live zero exists some live quota
+    /// is ≥ 2 by pigeonhole.
+    ///
+    /// The donor key (q, Reverse(norm[j]), Reverse(j)) is injective in j,
+    /// so each donor is the unique maximum and a lazily-deleted max-heap
+    /// pops the same donor sequence a per-zero rescan would (the test
+    /// oracle's form) — in O((n + zeros) log n) instead of O(zeros · n). A
+    /// donor's quota only decreases (and a topped-up zero jumps 0 → 1
+    /// exactly once), so a stale entry can never collide with a slot's
+    /// current quota; the `quota == q` freshness check is exact.
+    fn min_one_fixup(&mut self) {
         type DonorKey = (u64, Reverse<u64>, Reverse<usize>);
+        let (tenants, norm) = (&mut self.tenants, &self.norm);
+        self.fixup_ops += tenants.len() as u64;
         let mut donors: Option<BinaryHeap<DonorKey>> = None;
-        for i in 0..n {
-            if self.tenants[i].live && quotas[i] == 0 {
+        for i in 0..tenants.len() {
+            if tenants[i].live && tenants[i].quota == 0 {
                 let heap = donors.get_or_insert_with(|| {
-                    (0..n)
-                        .filter(|&j| self.tenants[j].live)
-                        .map(|j| (quotas[j], Reverse(self.norm[j]), Reverse(j)))
+                    (0..tenants.len())
+                        .filter(|&j| tenants[j].live)
+                        .map(|j| (tenants[j].quota, Reverse(norm[j]), Reverse(j)))
                         .collect()
                 });
                 let donor = loop {
                     let &(q, _, Reverse(j)) = heap.peek().expect("a live tenant exists");
-                    if quotas[j] == q {
+                    if tenants[j].quota == q {
                         break j;
                     }
                     heap.pop(); // stale: j's quota changed since this entry
                 };
-                debug_assert!(quotas[donor] >= 2, "pigeonhole violated");
+                debug_assert!(tenants[donor].quota >= 2, "pigeonhole violated");
                 heap.pop();
-                quotas[donor] -= 1;
-                heap.push((quotas[donor], Reverse(self.norm[donor]), Reverse(donor)));
-                quotas[i] = 1;
-                heap.push((1, Reverse(self.norm[i]), Reverse(i)));
+                tenants[donor].quota -= 1;
+                heap.push((tenants[donor].quota, Reverse(norm[donor]), Reverse(donor)));
+                tenants[i].quota = 1;
+                heap.push((1, Reverse(norm[i]), Reverse(i)));
             }
         }
-        quotas
     }
 
-    /// Work meter for the sub-linearity tests: tree-node visits performed
-    /// by the incremental apportioner plus slots touched by full-scan
-    /// rebalances. Counted (not timed) so CI can assert that a dirty-slot
-    /// rebalance at 10⁴ tenants does sub-linear work without wall-clock
-    /// flakiness.
+    /// Work meter for the sub-linearity tests: tree-node visits and
+    /// class-walk steps performed by the apportioner plus slots touched by
+    /// min-one fixups. Counted (not timed) so CI can assert that a
+    /// dirty-slot rebalance at 10⁴ tenants does sub-linear work without
+    /// wall-clock flakiness.
     pub fn apportion_ops(&self) -> u64 {
-        self.full_scan_ops + self.incr.as_ref().map_or(0, IncrementalApportioner::ops)
+        self.fixup_ops + self.apportioner.ops()
     }
 
     /// The full rebalance trace, in call order.
@@ -1349,7 +999,7 @@ mod tests {
     use super::*;
     use crate::hybridtier::{HybridTierConfig, HybridTierPolicy};
     use crate::policy::{PolicyCtx, TieringPolicy};
-    use tiering_mem::{PageId, Tier};
+    use tiering_mem::{PageId, Tier, TieredMemory};
     use tiering_trace::Sample;
 
     /// Builds a tenant runtime at the controller's current quota and feeds
@@ -1474,7 +1124,7 @@ mod tests {
         }
         g.add_tenant("b", 10_000);
         g.rebalance(0, &[100, 800]);
-        g.apply(a, &mut mem);
+        mem.set_fast_capacity(g.quota(a));
         assert_eq!(mem.config().fast_capacity_pages, g.quota(a).max(1));
         // Over-quota state is visible so the policy's watermark demotion
         // drains it on subsequent ticks.
@@ -1506,62 +1156,6 @@ mod tests {
         let mut g = GlobalController::new(100, 0.1);
         g.add_tenant("a", 10);
         g.rebalance(0, &[1, 2]);
-    }
-
-    #[test]
-    fn maxmin_satisfies_small_demands_first() {
-        // 100 pages, demands [10, 200]: the small tenant is fully satisfied
-        // (10), the big one takes the rest (90) — proportional would have
-        // given the small tenant only ~5.
-        let alloc = MaxMinFairness.apportion(&[10, 200], 100);
-        assert_eq!(alloc, vec![10, 90]);
-        // Surplus beyond total demand splits equally (dust to hungriest).
-        let alloc = MaxMinFairness.apportion(&[10, 20], 41);
-        assert_eq!(alloc, vec![15, 26]);
-        assert_eq!(alloc.iter().sum::<u64>(), 41);
-    }
-
-    #[test]
-    fn slo_utility_fills_requirements_before_luxury() {
-        let slo = SloUtility { slo_frac: 0.5 };
-        // 30 pages, demands [20, 40]: requirements [10, 20] fit exactly.
-        assert_eq!(slo.apportion(&[20, 40], 30), vec![10, 20]);
-        // Under SLO pressure the budget splits over requirements, not raw
-        // demand.
-        let alloc = slo.apportion(&[20, 40], 15);
-        assert_eq!(alloc.iter().sum::<u64>(), 15);
-        assert_eq!(alloc, vec![5, 10]);
-        // Beyond all requirements, the post-SLO segments fill toward
-        // demand.
-        let alloc = slo.apportion(&[20, 40], 45);
-        assert_eq!(alloc.iter().sum::<u64>(), 45);
-        assert!(alloc[0] >= 10 && alloc[1] >= 20, "SLOs held: {alloc:?}");
-    }
-
-    #[test]
-    fn slo_utility_dust_cannot_invert_ordering_on_requirement_ties() {
-        // Demands [4, 3] → requirements [2, 2] (ceil of halves tie while
-        // demands differ); 3 pages under SLO pressure leave one dust page.
-        // The tie must break by raw demand — the hungrier tenant keeps at
-        // least as much.
-        let alloc = SloUtility { slo_frac: 0.5 }.apportion(&[4, 3], 3);
-        assert_eq!(alloc.iter().sum::<u64>(), 3);
-        assert!(alloc[0] >= alloc[1], "ordering inverted: {alloc:?}");
-        // Same shape one phase later: post-SLO widths tie at [2, 1]→... and
-        // the dust page of the post split must also favor the hungrier.
-        let alloc = SloUtility { slo_frac: 0.5 }.apportion(&[4, 3], 6);
-        assert_eq!(alloc.iter().sum::<u64>(), 6);
-        assert!(alloc[0] >= alloc[1], "phase-2 ordering inverted: {alloc:?}");
-    }
-
-    #[test]
-    fn objective_kinds_build_and_label() {
-        for kind in ObjectiveKind::ALL {
-            let obj = kind.build();
-            assert_eq!(obj.label(), kind.label());
-            assert_eq!(obj.apportion(&[3, 9, 1], 50).iter().sum::<u64>(), 50);
-        }
-        assert_eq!(ObjectiveKind::default(), ObjectiveKind::Proportional);
     }
 
     #[test]
@@ -1621,8 +1215,7 @@ mod tests {
 
     #[test]
     fn events_record_objective_and_floor() {
-        let mut g = GlobalController::new(1_000, 0.2).with_objective(ObjectiveKind::MaxMin.build());
-        assert_eq!(g.objective_label(), "max-min");
+        let mut g = GlobalController::new(1_000, 0.2).with_objective_kind(ObjectiveKind::MaxMin);
         g.add_tenant("a", 1_000);
         g.add_tenant("b", 1_000);
         let e = g.rebalance(3, &[10, 2_000]);
@@ -1643,15 +1236,6 @@ mod tests {
         g.retire_tenant(0);
     }
 
-    /// SplitMix64 — deterministic demand scripts without external crates.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn paired(
         kind: ObjectiveKind,
         budget: u64,
@@ -1667,94 +1251,6 @@ mod tests {
             inc.add_tenant(&format!("t{i}"), 512);
         }
         (full, inc)
-    }
-
-    #[test]
-    fn incremental_matches_full_scan_for_every_objective() {
-        for kind in ObjectiveKind::ALL {
-            let (mut full, mut inc) = paired(kind, 10_000, 0.02, 24);
-            let mut state = 0xA5F0_5EED ^ kind as u64;
-            let mut demands = vec![1u64; 24];
-            for round in 0..40 {
-                // A few slots change per round, with occasional extremes.
-                for _ in 0..3 {
-                    let slot = (mix(&mut state) % 24) as usize;
-                    demands[slot] = match mix(&mut state) % 5 {
-                        0 => 0,
-                        1 => u64::MAX,
-                        _ => mix(&mut state) % 5_000,
-                    };
-                }
-                let ev_full = full.rebalance(round, &demands);
-                let ev_inc = inc.rebalance(round, &demands);
-                assert_eq!(
-                    full.quotas(),
-                    inc.quotas(),
-                    "{kind:?} round {round} diverged"
-                );
-                assert_eq!(ev_full.floor_pages, ev_inc.floor_pages);
-                // Compact events intentionally carry no vectors; the
-                // controllers themselves must still agree exactly.
-                assert_eq!(ev_inc.assigned(), 0);
-                assert_eq!(ev_full.assigned(), inc.quotas().iter().sum::<u64>());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_matches_full_scan_under_churn() {
-        for kind in ObjectiveKind::ALL {
-            let (mut full, mut inc) = paired(kind, 4_096, 0.01, 8);
-            let mut state = 0xC0FF_EE00 ^ kind as u64;
-            let mut live: Vec<usize> = (0..8).collect();
-            let mut demands = vec![1u64; 8];
-            for round in 0..60 {
-                match mix(&mut state) % 4 {
-                    0 if live.len() > 2 => {
-                        let victim =
-                            live.swap_remove((mix(&mut state) % live.len() as u64) as usize);
-                        full.retire_tenant(victim);
-                        inc.retire_tenant(victim);
-                        demands[victim] = 0;
-                    }
-                    1 => {
-                        let name = format!("n{round}");
-                        let a = full.admit_tenant(&name, 256);
-                        let b = inc.admit_tenant(&name, 256);
-                        assert_eq!(a, b);
-                        live.push(a);
-                        demands.push(1);
-                    }
-                    _ => {
-                        let slot = live[(mix(&mut state) % live.len() as u64) as usize];
-                        demands[slot] = mix(&mut state) % 3_000;
-                    }
-                }
-                assert_eq!(full.quotas(), inc.quotas(), "{kind:?} churn {round}");
-                full.rebalance(round, &demands);
-                inc.rebalance(round, &demands);
-                assert_eq!(full.quotas(), inc.quotas(), "{kind:?} round {round}");
-                assert_eq!(full.num_live(), inc.num_live());
-            }
-        }
-    }
-
-    #[test]
-    fn delta_api_matches_bulk_rebalance() {
-        for kind in ObjectiveKind::ALL {
-            let (mut bulk, mut delta) = paired(kind, 8_192, 0.05, 16);
-            let mut state = 7u64;
-            let mut demands = vec![1u64; 16];
-            for round in 0..25 {
-                let slot = (mix(&mut state) % 16) as usize;
-                let d = mix(&mut state) % 2_000;
-                demands[slot] = d;
-                bulk.rebalance(round, &demands);
-                delta.update_demand(slot, d);
-                delta.rebalance_dirty(round);
-                assert_eq!(bulk.quotas(), delta.quotas(), "{kind:?} round {round}");
-            }
-        }
     }
 
     #[test]

@@ -46,13 +46,15 @@
 //! multi-tenant extension: a [`GlobalController`] owns one physical fast
 //! budget, collects each tenant's demand signal
 //! ([`TieringPolicy::fast_demand_pages`]), and re-partitions on a cadence
-//! under a pluggable, exact-integer [`QuotaObjective`]
+//! under one of three built-in, exact-integer objectives
 //! ([`ObjectiveKind`]: proportional share, max-min fairness, SLO utility),
 //! supporting mid-run tenant churn and recording every decision as a typed
 //! [`RebalanceEvent`]. Its invariants (budget conservation, floors,
 //! min-one admission, determinism, demand monotonicity) are
 //! property-tested for every objective in `tests/global_properties.rs` and
-//! model-tested under churn in `tests/global_churn_model.rs`.
+//! model-tested under churn in `tests/global_churn_model.rs`; all three
+//! suites compare the controller with the full-scan oracle in
+//! `tests/support/oracle.rs`.
 //!
 //! [`Sample`]: tiering_trace::Sample
 //! [`TieredMemory`]: tiering_mem::TieredMemory
@@ -84,10 +86,7 @@ pub use baseline::{AllFastPolicy, FirstTouchPolicy};
 pub use chain::DemotionChain;
 pub use ema::{ema_lag_series, EmaScore};
 pub use flat_table::FlatPageMap;
-pub use global::{
-    ControllerMode, GlobalController, MaxMinFairness, ObjectiveKind, ProportionalShare,
-    QuotaObjective, RebalanceEvent, SloUtility, DEFAULT_SLO_FRAC,
-};
+pub use global::{ControllerMode, GlobalController, ObjectiveKind, RebalanceEvent};
 pub use histogram::HotnessHistogram;
 pub use hybridtier::{HybridTierConfig, HybridTierPolicy, MigrationDecision, TrackerLayout};
 pub use list_set::ListSet;

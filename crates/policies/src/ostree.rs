@@ -1,7 +1,7 @@
 //! Augmented order-statistics treap over `(demand, slot)` keys.
 //!
-//! The incremental control plane (`global::ControllerMode::Incremental`)
-//! keeps every live tenant's clamped demand in one of these: a balanced
+//! The global controller's apportioner keeps every live tenant's clamped
+//! demand in one of these: a balanced
 //! search tree ordered by `(demand, slot)` where each node carries its
 //! subtree's element count and demand sum. That augmentation answers, in
 //! `O(log n)` per query, exactly the order statistics the three built-in
@@ -168,10 +168,6 @@ pub(crate) struct OsTree {
 }
 
 impl OsTree {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of keys.
     pub(crate) fn len(&self) -> usize {
         cnt(&self.root)
@@ -292,7 +288,7 @@ mod tests {
 
     #[test]
     fn order_statistics_match_a_sorted_vec() {
-        let mut tree = OsTree::new();
+        let mut tree = OsTree::default();
         let mut keys = Vec::new();
         for slot in 0..200usize {
             let d = mix(slot as u64) % 37 + 1; // dense values: many ties
@@ -320,7 +316,7 @@ mod tests {
 
     #[test]
     fn fill_break_matches_linear_scan() {
-        let mut tree = OsTree::new();
+        let mut tree = OsTree::default();
         let mut keys = Vec::new();
         for slot in 0..64usize {
             let d = mix(slot as u64 ^ 0xabcd) % 1_000 + 1;
@@ -346,7 +342,7 @@ mod tests {
     #[test]
     fn shape_is_deterministic_and_visits_count_work() {
         let build = || {
-            let mut tree = OsTree::new();
+            let mut tree = OsTree::default();
             for slot in 0..500usize {
                 tree.insert((mix(slot as u64) % 1_000 + 1, slot));
             }

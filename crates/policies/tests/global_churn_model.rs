@@ -7,6 +7,11 @@
 //! every objective. The reference is deliberately dumb (it re-derives
 //! everything from scratch each step), so a bookkeeping bug in the real
 //! controller's incremental updates cannot hide in a matching bug here.
+//! After every rebalance the quotas must also be exactly the full-scan
+//! oracle's (`support/oracle.rs`) over the live composition.
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use proptest::prelude::*;
 use tiering_policies::{ControllerMode, GlobalController, ObjectiveKind};
@@ -172,6 +177,12 @@ proptest! {
                                 prop_assert!(event.live.is_empty(), "compact event");
                             }
                             model.check(&real, true, &format!("{what}: rebalance"));
+                            let live = real.live_mask();
+                            prop_assert_eq!(
+                                real.quotas(),
+                                oracle::quotas(kind, budget, floor_frac, &live, &demands),
+                                "{:?} {}: rebalance ≠ oracle", mode, what
+                            );
                         }
                     }
                 }

@@ -1,13 +1,19 @@
 //! Property tests for [`GlobalController::rebalance`]: the §7 quota
 //! arithmetic must hold for *any* demand vector, budget, floor — **and
-//! objective**. Every [`QuotaObjective`] (proportional share, max-min
+//! objective**. Every [`ObjectiveKind`] (proportional share, max-min
 //! fairness, SLO-utility) is held to the exact same contract the
 //! multi-tenant engine and its determinism tests build on: exact
 //! assignment, floors, min-one, determinism, demand monotonicity, and
 //! demand-ordered quotas. A cross-objective invariant pins that the
 //! *total* assignment is objective-independent (same demands + same
 //! budget ⇒ quota sums identical), so swapping objectives can never leak
-//! or overcommit fast memory.
+//! or overcommit fast memory. Both modes must hold exactly the full-scan
+//! oracle's quotas (`support/oracle.rs`), and the literal expectations of
+//! each objective are checked on the oracle and through a floor-0
+//! controller.
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use proptest::prelude::*;
 use tiering_policies::{ControllerMode, GlobalController, ObjectiveKind};
@@ -28,8 +34,7 @@ fn controller(
     tenants: usize,
     kind: ObjectiveKind,
 ) -> GlobalController {
-    let mut g =
-        GlobalController::new(budget, floor_pct as f64 / 100.0).with_objective(kind.build());
+    let mut g = GlobalController::new(budget, floor_pct as f64 / 100.0).with_objective_kind(kind);
     for i in 0..tenants {
         g.add_tenant(&format!("t{i}"), 1 << 20);
     }
@@ -254,25 +259,29 @@ proptest! {
         }
     }
 
-    /// [`ControllerMode::Incremental`] is bit-identical to the full-scan
-    /// path on arbitrary inputs: every contract above therefore transfers
-    /// to the incremental controller by equality (the fleet-scale churn
-    /// scripts live in `global_incremental.rs`).
+    /// Both [`ControllerMode`]s hold exactly the full-scan oracle's quotas
+    /// on arbitrary inputs: every contract above therefore transfers to the
+    /// incremental controller by equality (the fleet-scale churn scripts
+    /// live in `global_incremental.rs`).
     #[test]
     fn incremental_mode_is_bit_identical(input in inputs(), second in inputs()) {
         let (budget, floor_pct, demands) = input;
         let (_, _, demands2) = second;
+        let floor_frac = floor_pct as f64 / 100.0;
+        let live = vec![true; demands.len()];
         for kind in ObjectiveKind::ALL {
             let mut full = controller(budget, floor_pct, demands.len(), kind);
-            let mut inc = GlobalController::new(budget, floor_pct as f64 / 100.0)
+            let mut inc = GlobalController::new(budget, floor_frac)
                 .with_objective_kind(kind)
                 .with_mode(ControllerMode::Incremental);
             for i in 0..demands.len() {
                 inc.add_tenant(&format!("t{i}"), 1 << 20);
             }
+            let want = oracle::quotas(kind, budget, floor_frac, &live, &demands);
             full.rebalance(0, &demands);
             inc.rebalance(0, &demands);
-            prop_assert_eq!(full.quotas(), inc.quotas(), "{:?} first rebalance", kind);
+            prop_assert_eq!(full.quotas(), want.clone(), "{:?} first rebalance", kind);
+            prop_assert_eq!(inc.quotas(), want, "{:?} first rebalance", kind);
             // A second, partially-overlapping demand vector exercises the
             // dirty-slot delta path rather than a from-scratch plan.
             let mut next = demands.clone();
@@ -281,9 +290,99 @@ proptest! {
                     next[slot] = d;
                 }
             }
+            let want = oracle::quotas(kind, budget, floor_frac, &live, &next);
             full.rebalance(1, &next);
             inc.rebalance(1, &next);
-            prop_assert_eq!(full.quotas(), inc.quotas(), "{:?} delta rebalance", kind);
+            prop_assert_eq!(full.quotas(), want.clone(), "{:?} delta rebalance", kind);
+            prop_assert_eq!(inc.quotas(), want, "{:?} delta rebalance", kind);
         }
     }
+}
+
+/// `amount` pages over `demands` under `kind`: the oracle's allocation,
+/// then the quotas of a floor-0 controller with `amount` as its budget,
+/// once per mode — three vectors that must all carry the expectation.
+fn allocations(kind: ObjectiveKind, demands: &[u64], amount: u64) -> [Vec<u64>; 3] {
+    let through = |mode| {
+        let mut g = GlobalController::new(amount, 0.0)
+            .with_objective_kind(kind)
+            .with_mode(mode);
+        for i in 0..demands.len() {
+            g.add_tenant(&format!("t{i}"), 1 << 20);
+        }
+        g.rebalance(0, demands);
+        g.quotas()
+    };
+    [
+        oracle::apportion(kind, demands, amount),
+        through(ControllerMode::FullScan),
+        through(ControllerMode::Incremental),
+    ]
+}
+
+#[test]
+fn maxmin_satisfies_small_demands_first() {
+    // 100 pages, demands [10, 200]: the small tenant is fully satisfied
+    // (10), the big one takes the rest (90) — proportional would have
+    // given the small tenant only ~5.
+    for alloc in allocations(ObjectiveKind::MaxMin, &[10, 200], 100) {
+        assert_eq!(alloc, vec![10, 90]);
+    }
+    // Surplus beyond total demand splits equally (dust to hungriest).
+    for alloc in allocations(ObjectiveKind::MaxMin, &[10, 20], 41) {
+        assert_eq!(alloc, vec![15, 26]);
+    }
+}
+
+#[test]
+fn slo_utility_fills_requirements_before_luxury() {
+    let slo = |demands: &[u64], amount| allocations(ObjectiveKind::SloUtility, demands, amount);
+    for alloc in slo(&[20, 40], 30) {
+        // Requirements [10, 20] fit exactly.
+        assert_eq!(alloc, vec![10, 20]);
+    }
+    for alloc in slo(&[20, 40], 15) {
+        // Under SLO pressure the budget splits over requirements, not raw
+        // demand.
+        assert_eq!(alloc, vec![5, 10]);
+    }
+    for alloc in slo(&[20, 40], 45) {
+        // Beyond all requirements, the post-SLO segments fill toward
+        // demand.
+        assert_eq!(alloc.iter().sum::<u64>(), 45);
+        assert!(alloc[0] >= 10 && alloc[1] >= 20, "SLOs held: {alloc:?}");
+    }
+}
+
+#[test]
+fn slo_utility_dust_cannot_invert_ordering_on_requirement_ties() {
+    // Demands [4, 3] → requirements [2, 2] (ceil of halves tie while
+    // demands differ); 3 pages under SLO pressure leave one dust page.
+    // The tie must break by raw demand — the hungrier tenant keeps at
+    // least as much. At 6 pages the post-SLO widths [2, 1] leave a dust
+    // page of the post split, which must also favor the hungrier.
+    for amount in [3, 6] {
+        for alloc in allocations(ObjectiveKind::SloUtility, &[4, 3], amount) {
+            assert_eq!(alloc.iter().sum::<u64>(), amount);
+            assert!(
+                alloc[0] >= alloc[1],
+                "ordering inverted at {amount}: {alloc:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn objective_kinds_label_and_assign_exactly() {
+    let labels = ["proportional", "max-min", "slo-utility"];
+    for (kind, label) in ObjectiveKind::ALL.into_iter().zip(labels) {
+        assert_eq!(kind.label(), label);
+        for alloc in allocations(kind, &[3, 9, 1], 50) {
+            assert_eq!(alloc.iter().sum::<u64>(), 50, "{label}: {alloc:?}");
+        }
+        let mut g = GlobalController::new(50, 0.0).with_objective_kind(kind);
+        g.add_tenant("a", 64);
+        assert_eq!(g.rebalance(0, &[3]).objective, label);
+    }
+    assert_eq!(ObjectiveKind::default(), ObjectiveKind::Proportional);
 }

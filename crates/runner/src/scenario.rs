@@ -434,10 +434,10 @@ pub struct FleetSpec {
     pub floor_frac: f64,
     /// Simulated time between controller rebalances.
     pub rebalance_interval_ns: u64,
-    /// How the controller recomputes quotas on each rebalance.
-    /// `FullScan` (the default) keeps the historical event shape the
-    /// goldens fingerprint; `Incremental` records compact events and does
-    /// O(k log n) work per rebalance — the setting for large fleets.
+    /// The shape of the controller's rebalance events. `FullScan` (the
+    /// default) records the full per-slot vectors the goldens fingerprint;
+    /// `Incremental` records compact `O(1)` events — the setting for large
+    /// fleets. Quotas are computed the same way in both.
     pub controller_mode: ControllerMode,
 }
 
@@ -465,7 +465,7 @@ impl FleetSpec {
 
     /// Overrides the quota objective.
     #[must_use]
-    pub fn with_objective(mut self, objective: ObjectiveKind) -> Self {
+    pub fn with_objective_kind(mut self, objective: ObjectiveKind) -> Self {
         self.objective = objective;
         self
     }
@@ -491,7 +491,7 @@ impl FleetSpec {
         self
     }
 
-    /// Overrides the controller's apportioning mode.
+    /// Overrides the shape of the controller's rebalance events.
     #[must_use]
     pub fn with_controller_mode(mut self, mode: ControllerMode) -> Self {
         self.controller_mode = mode;
@@ -746,7 +746,7 @@ impl Scenario {
         let (tenants, churn) = Self::fleet_churn_demo_tenants();
         let spec = FleetSpec::new(tenants)
             .with_churn(churn)
-            .with_objective(objective)
+            .with_objective_kind(objective)
             .with_budget(BudgetSpec::Ratio(TierRatio::OneTo8))
             .with_rebalance_interval_ns(5_000_000);
         Self::fleet(
@@ -764,8 +764,8 @@ impl Scenario {
     /// `tiny` tenants registers, touches a handful of pages, and finishes
     /// within the first round — the fleet shape that stresses the
     /// controller's admit/retire and sparse-rebalance paths rather than
-    /// the memory pipeline. The controller runs in
-    /// [`ControllerMode::Incremental`] on a tight 200 µs cadence with a
+    /// the memory pipeline. The controller records compact
+    /// ([`ControllerMode::Incremental`]) events on a tight 200 µs cadence with a
     /// 4-pages-per-tenant budget, and one hot tenant departs then a
     /// replacement arrives mid-run so the schedule exercises churn at
     /// scale.
@@ -946,7 +946,7 @@ impl Scenario {
                 let mt_cfg = MultiTenantConfig::new(budget)
                     .with_floor_frac(spec.floor_frac)
                     .with_rebalance_interval_ns(spec.rebalance_interval_ns)
-                    .with_objective(spec.objective)
+                    .with_objective_kind(spec.objective)
                     .with_controller_mode(spec.controller_mode);
                 let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg)
                     .run_with_churn(runs, schedule)

@@ -351,7 +351,7 @@ impl FleetMatrix {
                 for &budget in &self.budgets {
                     let spec = FleetSpec::new(tenants.clone())
                         .with_churn(churn.clone())
-                        .with_objective(objective)
+                        .with_objective_kind(objective)
                         .with_budget(budget)
                         .with_floor_frac(self.floor_frac)
                         .with_rebalance_interval_ns(self.rebalance_interval_ns);
@@ -370,7 +370,7 @@ impl FleetMatrix {
         // keep their identity whether or not counts are configured.
         for &n in &self.tenant_counts {
             for &objective in &self.objectives {
-                let spec = Scenario::synthetic_fleet_spec(n).with_objective(objective);
+                let spec = Scenario::synthetic_fleet_spec(n).with_objective_kind(objective);
                 let seed = derive_seed(self.seed, out.len() as u64);
                 out.push(Scenario::fleet(
                     format!("synth{n}/{}/fleet", objective.label()),

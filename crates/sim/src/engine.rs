@@ -380,6 +380,29 @@ mod tests {
     }
 
     #[test]
+    fn count_probe_counts_unmapped_pages_once() {
+        // One access per op and fewer ops than pages: most of the address
+        // space is never touched, so never mapped, and must still be
+        // counted exactly once, in the 0 bucket.
+        let cfg = SimConfig {
+            count_probe: true,
+            ..SimConfig::default()
+        };
+        let mut w = ZipfPageWorkload::new(4_000, 0.99, 1_000, 3);
+        let pages = tiering_trace::Workload::footprint_pages(&w, PageSize::Base4K);
+        let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
+        let mut policy = build_policy(PolicyKind::FirstTouch, &tier_cfg);
+        let r = Engine::new(cfg).run(&mut w, policy.as_mut(), tier_cfg);
+        assert!(r.accesses < pages, "the run must leave pages unmapped");
+        let d = r.count_distribution.expect("probe enabled");
+        assert_eq!(d.total(), pages);
+        assert!(
+            d.buckets[0] >= pages - r.accesses,
+            "untouched pages count 0"
+        );
+    }
+
+    #[test]
     fn two_tier_ladder_matches_classic_run() {
         // The ladder entry point over the 2-tier topology must be
         // byte-identical to the classic TierConfig path — the same claim

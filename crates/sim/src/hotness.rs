@@ -17,11 +17,10 @@ pub struct CountDistribution {
 pub const COUNT_BUCKET_LABELS: [&str; 7] = ["0", "1-3", "4-6", "7-9", "10-12", "13-14", "15"];
 
 impl CountDistribution {
-    /// Builds the distribution from saturating per-page counts, including
-    /// `untouched` pages in the 0 bucket.
-    pub fn from_counts(counts: &[u8], untouched: u64) -> Self {
+    /// Builds the distribution from saturating per-page counts, one per
+    /// page of the address space (never-touched pages count 0).
+    pub fn from_counts(counts: &[u8]) -> Self {
         let mut buckets = [0u64; 7];
-        buckets[0] = untouched;
         for &c in counts {
             let b = match c {
                 0 => 0,
@@ -154,10 +153,10 @@ mod tests {
 
     #[test]
     fn distribution_buckets_match_figure16_axis() {
-        let counts = vec![0u8, 1, 3, 4, 6, 7, 9, 10, 12, 13, 14, 15, 15];
-        let d = CountDistribution::from_counts(&counts, 5);
+        let counts = vec![0u8, 0, 0, 0, 0, 0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 14, 15, 15];
+        let d = CountDistribution::from_counts(&counts);
         assert_eq!(d.buckets, [6, 2, 2, 2, 2, 2, 2]);
-        assert_eq!(d.total(), 18);
+        assert_eq!(d.total(), counts.len() as u64, "one entry per page");
         let cum = d.cumulative_fractions();
         assert!((cum[6] - 1.0).abs() < 1e-12);
         assert!(cum.windows(2).all(|w| w[0] <= w[1]));
@@ -165,7 +164,7 @@ mod tests {
 
     #[test]
     fn saturated_fraction() {
-        let d = CountDistribution::from_counts(&[15, 15, 1, 2], 0);
+        let d = CountDistribution::from_counts(&[15, 15, 1, 2]);
         assert!((d.saturated_fraction() - 0.5).abs() < 1e-12);
     }
 

@@ -178,11 +178,12 @@ pub struct MultiTenantConfig {
     pub rebalance_interval_ns: u64,
     /// How the controller follows demand (see [`ObjectiveKind`]).
     pub objective: ObjectiveKind,
-    /// Controller execution mode. [`ControllerMode::FullScan`] (the
-    /// default) records the historical full-vector rebalance events;
-    /// [`ControllerMode::Incremental`] records compact events and costs
-    /// `O(k log n)` per rebalance — the setting for synthetic large
-    /// fleets. Quotas are bit-identical either way.
+    /// The shape of the controller's rebalance events.
+    /// [`ControllerMode::FullScan`] (the default) records the full
+    /// per-slot vectors the fleet goldens pin;
+    /// [`ControllerMode::Incremental`] records compact `O(1)` events — the
+    /// setting for synthetic large fleets. Quotas are identical either
+    /// way.
     pub controller_mode: ControllerMode,
 }
 
@@ -199,7 +200,7 @@ impl MultiTenantConfig {
         }
     }
 
-    /// Overrides the controller execution mode (see
+    /// Overrides the controller's event shape (see
     /// [`MultiTenantConfig::controller_mode`]).
     #[must_use]
     pub fn with_controller_mode(mut self, mode: ControllerMode) -> Self {
@@ -209,7 +210,7 @@ impl MultiTenantConfig {
 
     /// Overrides the quota objective.
     #[must_use]
-    pub fn with_objective(mut self, objective: ObjectiveKind) -> Self {
+    pub fn with_objective_kind(mut self, objective: ObjectiveKind) -> Self {
         self.objective = objective;
         self
     }
@@ -828,7 +829,7 @@ mod tests {
             SimConfig::default().with_max_ops(10_000),
             MultiTenantConfig::new(500)
                 .with_rebalance_interval_ns(2_000_000)
-                .with_objective(ObjectiveKind::MaxMin),
+                .with_objective_kind(ObjectiveKind::MaxMin),
         );
         let r = engine.run(two_tenants(10_000)).unwrap();
         assert!(!r.rebalances.is_empty());

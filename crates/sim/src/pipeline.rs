@@ -580,7 +580,6 @@ impl<'c> Pipeline<'c> {
         }
         self.global_hist.merge(&self.window_hist);
 
-        let untouched = self.mem.address_space_pages() - self.mem.mapped_pages();
         SimReport {
             workload: workload_name.to_string(),
             policy: policy.name().to_string(),
@@ -600,7 +599,7 @@ impl<'c> Pipeline<'c> {
             },
             metadata_bytes: policy.metadata_bytes(),
             count_distribution: if self.cfg.count_probe {
-                Some(CountDistribution::from_counts(&self.counts, untouched))
+                Some(CountDistribution::from_counts(&self.counts))
             } else {
                 None
             },

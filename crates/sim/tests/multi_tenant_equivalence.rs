@@ -127,7 +127,7 @@ fn run_churn(batch_ops: usize, ops: u64) -> MultiTenantReport {
         MultiTenantConfig::new(1_200)
             .with_floor_frac(0.1)
             .with_rebalance_interval_ns(2_000_000)
-            .with_objective(ObjectiveKind::MaxMin),
+            .with_objective_kind(ObjectiveKind::MaxMin),
     )
     .run_with_churn(tenants(ops), schedule)
     .expect("the schedule departs live tenants only")
