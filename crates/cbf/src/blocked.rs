@@ -82,11 +82,6 @@ impl BlockedCbf {
         }
     }
 
-    /// Number of 64-byte blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.num_blocks
-    }
-
     /// Number of counters (blocks × slots per block).
     pub fn num_counters(&self) -> usize {
         self.counters.len()
@@ -104,7 +99,7 @@ impl BlockedCbf {
 
     /// Index of the block `key` maps to.
     #[inline]
-    pub fn block_of(&self, key: u64) -> usize {
+    fn block_of(&self, key: u64) -> usize {
         // Probe 0 selects the block; probes 1..=k select slots inside it.
         // probe(key, 0) = h1 + 0·h2 = h1.
         reduce(self.hasher.pair(key).0, self.num_blocks)
@@ -372,7 +367,7 @@ mod tests {
             seed: 0,
             base_addr: 0,
         });
-        assert_eq!(f.num_blocks(), 2);
+        assert_eq!(f.num_blocks, 2);
         assert_eq!(f.num_counters(), 256);
         assert_eq!(f.metadata_bytes(), 128);
     }

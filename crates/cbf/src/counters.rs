@@ -59,7 +59,7 @@ impl CounterWidth {
     }
 
     /// How many counters of this width fit in one `u64` word.
-    pub const fn counters_per_word(self) -> usize {
+    const fn counters_per_word(self) -> usize {
         64 / self.bits() as usize
     }
 
@@ -232,8 +232,8 @@ impl CounterArray {
 
     /// Increments counter `idx` by one, saturating at the cap; returns the
     /// new value.
-    #[inline]
-    pub fn saturating_inc(&mut self, idx: usize) -> u32 {
+    #[cfg(test)]
+    fn saturating_inc(&mut self, idx: usize) -> u32 {
         let v = self.get(idx);
         if v < self.width.max_count() {
             self.set(idx, v + 1);

@@ -41,7 +41,8 @@ impl GroundTruthCounter {
     }
 
     /// Number of distinct keys ever incremented.
-    pub fn distinct_keys(&self) -> usize {
+    #[cfg(test)]
+    fn distinct_keys(&self) -> usize {
         self.counts.len()
     }
 

@@ -96,8 +96,9 @@ impl CbfParams {
     /// Returns a copy scaled to `1/divisor` of the counters, as HybridTier
     /// does for its momentum tracker (128× smaller than the frequency
     /// tracker, paper §4.2).
+    #[cfg(test)]
     #[must_use]
-    pub fn scaled_down(mut self, divisor: usize) -> Self {
+    fn scaled_down(mut self, divisor: usize) -> Self {
         self.m = (self.m / divisor).max(self.width.counters_per_line());
         self
     }

@@ -63,7 +63,7 @@ impl FaultKind {
     }
 
     /// Whether this fault permanently removes the worker.
-    pub fn is_kill(&self) -> bool {
+    fn is_kill(&self) -> bool {
         matches!(
             self,
             FaultKind::KillBefore | FaultKind::KillMid | FaultKind::KillAfter

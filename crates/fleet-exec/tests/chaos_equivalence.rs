@@ -1,8 +1,8 @@
 //! The headline chaos property: for random matrices × random fault plans
 //! with at least one surviving worker, the coordinator's merged report is
 //! identical in **all deterministic fields** (labels, seeds, fingerprints,
-//! outcomes) to the unsharded `SweepRunner` run — for Single, CoLocation,
-//! Fleet, and mixed-kind matrices.
+//! outcomes) to the unsharded `SweepRunner` run — for Single, co-location
+//! (static fleet), churned fleet, and mixed matrices.
 //!
 //! Plans are generated by `FaultPlan::seeded` from seeds derived off each
 //! matrix's own base seed (`derive_seed`, no wall-clock randomness), so a

@@ -44,7 +44,7 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// The paper's emulated-CXL testbed parameters.
-    pub fn emulated_cxl() -> Self {
+    fn emulated_cxl() -> Self {
         Self {
             fast_ns: 100,
             slow_ns: 250,
@@ -60,7 +60,8 @@ impl LatencyModel {
 
     /// A pessimistic CXL device at the top of Figure 1's band (5× local
     /// latency), for sensitivity studies.
-    pub fn far_cxl() -> Self {
+    #[cfg(test)]
+    fn far_cxl() -> Self {
         Self {
             slow_ns: 500,
             ..Self::emulated_cxl()

@@ -482,7 +482,7 @@ impl TieredMemory {
     }
 
     /// One rung's current capacity.
-    pub fn tier_capacity(&self, tier: usize) -> u64 {
+    fn tier_capacity(&self, tier: usize) -> u64 {
         self.topology.tier(tier).capacity_pages
     }
 

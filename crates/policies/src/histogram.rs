@@ -32,7 +32,7 @@ impl HotnessHistogram {
     }
 
     /// Highest representable level (counts are clamped to it).
-    pub fn max_level(&self) -> u32 {
+    fn max_level(&self) -> u32 {
         self.buckets.len() as u32 - 1
     }
 
@@ -69,7 +69,8 @@ impl HotnessHistogram {
     }
 
     /// Number of pages at exactly `level`.
-    pub fn pages_at(&self, level: u32) -> u64 {
+    #[cfg(test)]
+    fn pages_at(&self, level: u32) -> u64 {
         self.buckets
             .get(level as usize)
             .copied()

@@ -124,7 +124,7 @@ pub struct HybridTierConfig {
 
 impl HybridTierConfig {
     /// The paper's full-scale parameters.
-    pub fn paper_defaults(tier_cfg: &TierConfig) -> Self {
+    fn paper_defaults(tier_cfg: &TierConfig) -> Self {
         let _ = tier_cfg;
         Self {
             k: 4,
@@ -338,7 +338,7 @@ impl HybridTierPolicy {
     /// memory across tenants). The adaptive threshold is unsuitable here —
     /// it rises until the hot set fits the current quota, so measuring at
     /// it would always report "exactly my quota".
-    pub fn hot_set_estimate(&self) -> u64 {
+    fn hot_set_estimate(&self) -> u64 {
         self.hist.pages_at_or_above(self.config.min_freq_threshold)
     }
 

@@ -97,8 +97,9 @@ impl NeoMemPolicy {
         }
     }
 
-    /// Device counter value of a page (test/diagnostic hook).
-    pub fn counter_of(&self, page: PageId) -> u8 {
+    /// Device counter value of a page.
+    #[cfg(test)]
+    fn counter_of(&self, page: PageId) -> u8 {
         self.counters[page.0 as usize]
     }
 

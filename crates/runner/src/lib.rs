@@ -14,18 +14,17 @@
 //! * [`ScenarioMatrix`] — cross-product builder for the standard
 //!   workload × policy × ratio sweeps, with deterministic per-scenario
 //!   seeds derived from one base seed (see [`derive_seed`]).
-//! * [`TenantSpec`] / [`ScenarioKind::CoLocation`] / [`CoLocationMatrix`] —
-//!   multi-tenant co-location as a first-class sweep dimension: N tenants
-//!   share one fast tier under the §7 global controller, and pairings ×
-//!   budgets cross-product into ordinary scenario lists (see the crate
-//!   README for an authoring guide).
-//! * [`FleetSpec`] / [`ChurnSpec`] / [`ScenarioKind::Fleet`] /
-//!   [`FleetMatrix`] — dynamic fleets: tenants arrive and depart mid-run
-//!   on an op-count schedule, the controller apportions under a pluggable
-//!   quota objective
-//!   ([`ObjectiveKind`](tiering_policies::ObjectiveKind): proportional,
-//!   max-min, SLO-utility), and fleets × objectives × budgets
-//!   cross-product into ordinary scenario lists.
+//! * [`TenantSpec`] / [`FleetSpec`] / [`ChurnSpec`] /
+//!   [`ScenarioKind::Fleet`] — multi-tenant runs as a first-class sweep
+//!   dimension: N tenants share one fast tier under the §7 global
+//!   controller, optionally arriving and departing mid-run on an op-count
+//!   schedule, with quotas apportioned under one of the built-in
+//!   [`ObjectiveKind`](tiering_policies::ObjectiveKind)s (proportional,
+//!   max-min, SLO-utility). The paper's co-location is the static
+//!   proportional fleet.
+//! * [`CoLocationMatrix`] / [`FleetMatrix`] — pairings × budgets and
+//!   fleets × objectives × budgets cross-product into ordinary scenario
+//!   lists (see the crate README for an authoring guide).
 //! * [`SweepRunner`] — a work-stealing thread pool over a scenario list.
 //!   Results land in input order no matter which thread finishes first, so
 //!   parallel output is byte-identical to serial output — asserted by this
@@ -68,8 +67,8 @@ mod shard;
 mod sweep;
 
 pub use scenario::{
-    BudgetSpec, ChurnAction, ChurnSpec, CoLocationSpec, FleetSpec, PolicySpec, Scenario,
-    ScenarioError, ScenarioKind, ScenarioResult, TenantSpec, TierSpec, WorkloadSpec,
+    BudgetSpec, ChurnAction, ChurnSpec, FleetSpec, PolicySpec, Scenario, ScenarioError,
+    ScenarioKind, ScenarioResult, TenantSpec, TierSpec, WorkloadSpec,
 };
 pub use shard::{MergeError, ShardError, ShardReport, ShardSpec, ShardedSweep};
 pub use sweep::{CoLocationMatrix, FleetMatrix, ScenarioMatrix, SweepReport, SweepRunner};

@@ -2,24 +2,24 @@
 //!
 //! A [`Scenario`] is a *recipe*, not a live object: workload and policy
 //! **factories** ([`WorkloadSpec`], [`PolicySpec`]) plus tier sizing
-//! ([`TierSpec`] or, for multi-tenant kinds, [`BudgetSpec`]), an engine
+//! ([`TierSpec`] or, for a fleet, [`BudgetSpec`]), an engine
 //! [`SimConfig`], and a seed. [`Scenario::run`] builds everything inside
 //! the executing thread, so recipes are cheap to clone, safe to send to
 //! any thread (or serialize to another host as a matrix position — see the
 //! shard module), and every run is as deterministic as the engine itself.
 //!
-//! Three [`ScenarioKind`]s cover the repo's experiment shapes: `Single`
-//! (the classic one-workload/one-policy run), `CoLocation`
-//! ([`CoLocationSpec`]: N tenants share one controller-partitioned fast
-//! tier, paper §7), and `Fleet` ([`FleetSpec`]: co-location plus a
-//! [`ChurnSpec`] arrival/departure schedule and a pluggable quota
-//! objective). The canonical demo recipes ([`Scenario::wakeup_demo`],
+//! Two [`ScenarioKind`]s cover the repo's experiment shapes: `Single`
+//! (the classic one-workload/one-policy run) and `Fleet` ([`FleetSpec`]:
+//! N tenants share one controller-partitioned fast tier, with an optional
+//! [`ChurnSpec`] arrival/departure schedule and one of the built-in
+//! [`ObjectiveKind`]s). The paper's §7 co-location is the static
+//! proportional fleet. The canonical demo recipes ([`Scenario::wakeup_demo`],
 //! [`Scenario::fleet_churn_demo`]) are shared verbatim by the examples,
 //! the bench sweeps, and the golden suite so their trajectories can never
 //! drift apart.
 //!
 //! Every run yields a [`ScenarioResult`]: labels, the seed, the
-//! [`SimReport`] (for multi-tenant kinds, the whole-machine aggregate plus
+//! [`SimReport`] (for a fleet, the whole-machine aggregate plus
 //! per-tenant detail in [`ScenarioResult::multi`]), host wall time, and a
 //! stable outcome [`fingerprint`](ScenarioResult::fingerprint) used by the
 //! distributed-sweep merge layer.
@@ -63,8 +63,8 @@ pub enum ScenarioError {
         /// What the trace reader found wrong with it.
         source: TraceError,
     },
-    /// A co-location or fleet spec with no tenants, or a churn schedule
-    /// that departs a tenant that is not live.
+    /// A fleet spec with no tenants, or a churn schedule that departs a
+    /// tenant that is not live.
     Fleet(FleetError),
 }
 
@@ -278,9 +278,19 @@ impl TenantSpec {
     pub fn suite(name: impl Into<String>, id: WorkloadId, kind: PolicyKind) -> Self {
         Self::new(name, WorkloadSpec::Suite(id), PolicySpec::Kind(kind))
     }
+
+    /// The tenant's live run: the workload built from its derived `seed`,
+    /// the policy built once the engine resolves the tenant's tiers.
+    fn build(&self, seed: u64) -> Result<TenantRun, ScenarioError> {
+        let policy = self.policy.clone();
+        let workload = self.workload.build(seed)?;
+        Ok(TenantRun::new(self.name.clone(), workload, move |cfg| {
+            policy.build(cfg)
+        }))
+    }
 }
 
-/// How the shared fast budget of a co-location scenario is sized.
+/// How the shared fast budget of a fleet scenario is sized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetSpec {
     /// An explicit page count.
@@ -309,66 +319,6 @@ impl BudgetSpec {
             BudgetSpec::Pages(p) => (*p).max(min),
             BudgetSpec::Ratio(r) => (combined_footprint_pages / r.slow_multiple()).max(min),
         }
-    }
-}
-
-/// A complete co-location recipe: who shares the machine and how the
-/// controller carves it up.
-#[derive(Debug, Clone)]
-pub struct CoLocationSpec {
-    /// The co-located tenants (at least one; typically ≥ 2).
-    pub tenants: Vec<TenantSpec>,
-    /// Shared fast-tier sizing.
-    pub budget: BudgetSpec,
-    /// Minimum budget share any tenant keeps.
-    pub floor_frac: f64,
-    /// Simulated time between controller rebalances.
-    pub rebalance_interval_ns: u64,
-}
-
-impl CoLocationSpec {
-    /// The default budget sizing (see [`CoLocationSpec::new`]).
-    pub const DEFAULT_BUDGET: BudgetSpec = BudgetSpec::Ratio(TierRatio::OneTo8);
-
-    /// A spec with the demo defaults: 1:8 budget, 10% floor, 10 ms cadence
-    /// (the floor/cadence constants live in `tiering_sim`).
-    pub fn new(tenants: Vec<TenantSpec>) -> Self {
-        Self {
-            tenants,
-            budget: Self::DEFAULT_BUDGET,
-            floor_frac: tiering_sim::DEFAULT_FLOOR_FRAC,
-            rebalance_interval_ns: tiering_sim::DEFAULT_REBALANCE_INTERVAL_NS,
-        }
-    }
-
-    /// Overrides the budget sizing.
-    #[must_use]
-    pub fn with_budget(mut self, budget: BudgetSpec) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the tenant floor fraction.
-    #[must_use]
-    pub fn with_floor_frac(mut self, frac: f64) -> Self {
-        self.floor_frac = frac;
-        self
-    }
-
-    /// Overrides the rebalance cadence.
-    #[must_use]
-    pub fn with_rebalance_interval_ns(mut self, ns: u64) -> Self {
-        self.rebalance_interval_ns = ns;
-        self
-    }
-
-    /// `a+b+c` label over the tenant names.
-    pub fn tenants_label(&self) -> String {
-        self.tenants
-            .iter()
-            .map(|t| t.name.as_str())
-            .collect::<Vec<_>>()
-            .join("+")
     }
 }
 
@@ -413,10 +363,11 @@ impl ChurnSpec {
     }
 }
 
-/// A complete dynamic-fleet recipe: who starts on the machine, how the
+/// A complete multi-tenant recipe: who starts on the machine, how the
 /// composition churns, and which objective the controller apportions
-/// under. The churn-free, proportional special case is exactly a
-/// [`CoLocationSpec`] — this is its fleet-scale superset.
+/// under. The churn-free, proportional case is the paper's §7
+/// co-location, and its results carry the tier label `co/<budget>`;
+/// every other fleet is labelled `fleet/<objective>/<budget>`.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// Tenants present from the start (at least one).
@@ -449,7 +400,7 @@ impl FleetSpec {
             tenants,
             churn: Vec::new(),
             objective: ObjectiveKind::Proportional,
-            budget: CoLocationSpec::DEFAULT_BUDGET,
+            budget: BudgetSpec::Ratio(TierRatio::OneTo8),
             floor_frac: tiering_sim::DEFAULT_FLOOR_FRAC,
             rebalance_interval_ns: tiering_sim::DEFAULT_REBALANCE_INTERVAL_NS,
             controller_mode: ControllerMode::FullScan,
@@ -498,30 +449,20 @@ impl FleetSpec {
         self
     }
 
-    /// Every tenant the recipe can ever admit: the initial set plus churn
-    /// arrivals (budget floors and seed derivation are sized by this).
-    pub fn total_tenant_slots(&self) -> usize {
-        self.tenants.len()
-            + self
-                .churn
-                .iter()
-                .filter(|c| matches!(c.action, ChurnAction::Arrive(_)))
-                .count()
-    }
-
-    /// `a+b+c` label over the initial tenant names.
-    pub fn tenants_label(&self) -> String {
-        self.tenants
-            .iter()
-            .map(|t| t.name.as_str())
-            .collect::<Vec<_>>()
-            .join("+")
+    /// The results' tier label: `co/<budget>` for a churn-free fleet under
+    /// the proportional objective (the §7 co-location), otherwise
+    /// `fleet/<objective>/<budget>`.
+    fn tier_label(&self) -> String {
+        if self.churn.is_empty() && self.objective == ObjectiveKind::Proportional {
+            format!("co/{}", self.budget.label())
+        } else {
+            format!("fleet/{}/{}", self.objective.label(), self.budget.label())
+        }
     }
 }
 
-/// What a scenario executes: one (workload, policy, tier) run, N
-/// co-located tenants sharing a controller-partitioned fast tier, or a
-/// dynamic fleet with churn and a pluggable quota objective.
+/// What a scenario executes: one (workload, policy, tier) run, or N
+/// tenants sharing a controller-partitioned fast tier.
 #[derive(Debug, Clone)]
 pub enum ScenarioKind {
     /// The classic single-application experiment.
@@ -533,9 +474,7 @@ pub enum ScenarioKind {
         /// Tier sizing.
         tier: TierSpec,
     },
-    /// Multi-tenant co-location under the §7 global controller.
-    CoLocation(CoLocationSpec),
-    /// A dynamic fleet: tenant churn plus a pluggable quota objective.
+    /// N tenants under the §7 global controller, static or churned.
     Fleet(FleetSpec),
 }
 
@@ -549,16 +488,14 @@ pub struct Scenario {
     pub kind: ScenarioKind,
     /// Engine configuration.
     pub config: SimConfig,
-    /// Base seed (single: the workload seed; co-location: per-tenant seeds
-    /// are derived from it by tenant index).
+    /// Base seed (single: the workload seed; fleet: per-tenant seeds are
+    /// derived from it by tenant slot).
     pub seed: u64,
 }
 
 impl Scenario {
-    /// A scenario over standard suite components, mirroring
-    /// [`run_suite_experiment`](tiering_sim::run_suite_experiment): the
-    /// `AllFast` policy gets the all-fast tier configuration, everything
-    /// else the ratio split.
+    /// A scenario over standard suite components: the `AllFast` policy gets
+    /// the all-fast tier configuration, everything else the ratio split.
     pub fn suite(
         id: WorkloadId,
         kind: PolicyKind,
@@ -627,22 +564,6 @@ impl Scenario {
         }
     }
 
-    /// A co-location scenario: the tenants run concurrently (in simulated
-    /// time) against one controller-partitioned fast tier.
-    pub fn co_location(
-        label: impl Into<String>,
-        spec: CoLocationSpec,
-        config: &SimConfig,
-        seed: u64,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            kind: ScenarioKind::CoLocation(spec),
-            config: config.clone(),
-            seed,
-        }
-    }
-
     /// The tenant pair behind [`wakeup_demo`](Scenario::wakeup_demo): a hot
     /// cache-style tenant and a mostly idle batch tenant that wakes up at
     /// 40 simulated ms. Exposed so sweeps (the bench co-location matrix)
@@ -674,18 +595,19 @@ impl Scenario {
     /// `multi_tenant` example, the `sec7` bench experiment, and the golden
     /// suite (so all three see the same quota trajectory): the
     /// [`wakeup_demo_tenants`](Scenario::wakeup_demo_tenants) pair at a 1:8
-    /// budget, rebalanced every 10 ms. Run it with a horizon of at least
-    /// ~100 ms (`config.max_sim_ns`) to see the controller follow the
-    /// demand swing.
+    /// budget, rebalanced every 10 ms — a static proportional fleet. Run it
+    /// with a horizon of at least ~100 ms (`config.max_sim_ns`) to see the
+    /// controller follow the demand swing.
     pub fn wakeup_demo(config: &SimConfig, seed: u64) -> Self {
-        let spec = CoLocationSpec::new(Self::wakeup_demo_tenants())
+        let spec = FleetSpec::new(Self::wakeup_demo_tenants())
             .with_budget(BudgetSpec::Ratio(TierRatio::OneTo8))
             .with_rebalance_interval_ns(10_000_000);
-        Self::co_location("cache+batch/1:8/wakeup", spec, config, seed)
+        Self::fleet("cache+batch/1:8/wakeup", spec, config, seed)
     }
 
-    /// A dynamic-fleet scenario: tenants arrive and depart on the spec's
-    /// churn schedule, under its quota objective.
+    /// A multi-tenant scenario: the tenants run concurrently (in simulated
+    /// time) against one controller-partitioned fast tier, arriving and
+    /// departing on the spec's churn schedule, under its quota objective.
     pub fn fleet(label: impl Into<String>, spec: FleetSpec, config: &SimConfig, seed: u64) -> Self {
         Self {
             label: label.into(),
@@ -845,130 +767,85 @@ impl Scenario {
     /// so an unreadable trace costs no simulation.
     pub fn try_run(&self) -> Result<ScenarioResult, ScenarioError> {
         let start = Instant::now();
-        Ok(match &self.kind {
+        let (workload, policy, tier, report, multi) = match &self.kind {
             ScenarioKind::Single {
                 workload,
                 policy,
                 tier,
-            } => {
-                let report = run_single(workload, policy, tier, &self.config, self.seed)?;
-                ScenarioResult {
-                    label: self.label.clone(),
-                    workload: workload.label(),
-                    policy: policy.label(),
-                    tier: tier.label(),
-                    seed: self.seed,
-                    wall: start.elapsed(),
-                    report,
-                    multi: None,
-                }
-            }
-            ScenarioKind::CoLocation(spec) => {
-                let runs: Vec<TenantRun> = spec
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let wseed = derive_seed(self.seed, i as u64);
-                        let policy = t.policy.clone();
-                        let workload = t.workload.build(wseed)?;
-                        Ok(TenantRun::new(t.name.clone(), workload, move |cfg| {
-                            policy.build(cfg)
-                        }))
-                    })
-                    .collect::<Result<_, ScenarioError>>()?;
-                let combined: u64 = runs
-                    .iter()
-                    .map(|r| r.workload.footprint_pages(self.config.page_size))
-                    .sum();
-                let budget = spec.budget.resolve(combined, spec.tenants.len());
-                let mt_cfg = MultiTenantConfig::new(budget)
-                    .with_floor_frac(spec.floor_frac)
-                    .with_rebalance_interval_ns(spec.rebalance_interval_ns);
-                let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg)
-                    .run(runs)
-                    .map_err(ScenarioError::Fleet)?;
-                ScenarioResult {
-                    label: self.label.clone(),
-                    workload: spec.tenants_label(),
-                    policy: spec
-                        .tenants
-                        .iter()
-                        .map(|t| t.policy.label())
-                        .collect::<Vec<_>>()
-                        .join("+"),
-                    tier: format!("co/{}", spec.budget.label()),
-                    seed: self.seed,
-                    wall: start.elapsed(),
-                    report: multi.aggregate.clone(),
-                    multi: Some(multi),
-                }
-            }
+            } => (
+                workload.label(),
+                policy.label(),
+                tier.label(),
+                run_single(workload, policy, tier, &self.config, self.seed)?,
+                None,
+            ),
             ScenarioKind::Fleet(spec) => {
-                let runs: Vec<TenantRun> = spec
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let wseed = derive_seed(self.seed, i as u64);
-                        let policy = t.policy.clone();
-                        let workload = t.workload.build(wseed)?;
-                        Ok(TenantRun::new(t.name.clone(), workload, move |cfg| {
-                            policy.build(cfg)
-                        }))
-                    })
-                    .collect::<Result<_, ScenarioError>>()?;
-                let mut schedule = ChurnSchedule::new();
-                let mut combined: u64 = runs
-                    .iter()
-                    .map(|r| r.workload.footprint_pages(self.config.page_size))
-                    .sum();
-                for (j, c) in spec.churn.iter().enumerate() {
-                    match &c.action {
-                        ChurnAction::Arrive(t) => {
-                            let wseed = derive_seed(self.seed, (spec.tenants.len() + j) as u64);
-                            let workload = t.workload.build(wseed)?;
-                            combined += workload.footprint_pages(self.config.page_size);
-                            let policy = t.policy.clone();
-                            schedule = schedule.arrive(
-                                c.at_fleet_ops,
-                                TenantRun::new(t.name.clone(), workload, move |cfg| {
-                                    policy.build(cfg)
-                                }),
-                            );
-                        }
-                        ChurnAction::Depart(name) => {
-                            schedule = schedule.depart(c.at_fleet_ops, name.clone());
-                        }
-                    }
-                }
-                let budget = spec.budget.resolve(combined, spec.total_tenant_slots());
-                let mt_cfg = MultiTenantConfig::new(budget)
-                    .with_floor_frac(spec.floor_frac)
-                    .with_rebalance_interval_ns(spec.rebalance_interval_ns)
-                    .with_objective_kind(spec.objective)
-                    .with_controller_mode(spec.controller_mode);
-                let multi = MultiTenantEngine::new(self.config.clone(), mt_cfg)
-                    .run_with_churn(runs, schedule)
-                    .map_err(ScenarioError::Fleet)?;
-                ScenarioResult {
-                    label: self.label.clone(),
-                    workload: spec.tenants_label(),
-                    policy: spec
-                        .tenants
-                        .iter()
-                        .map(|t| t.policy.label())
-                        .collect::<Vec<_>>()
-                        .join("+"),
-                    tier: format!("fleet/{}/{}", spec.objective.label(), spec.budget.label()),
-                    seed: self.seed,
-                    wall: start.elapsed(),
-                    report: multi.aggregate.clone(),
-                    multi: Some(multi),
-                }
+                let multi = run_fleet(spec, &self.config, self.seed)?;
+                let joined = |label: fn(&TenantSpec) -> String| {
+                    spec.tenants.iter().map(label).collect::<Vec<_>>().join("+")
+                };
+                (
+                    joined(|t| t.name.clone()),
+                    joined(|t| t.policy.label()),
+                    spec.tier_label(),
+                    multi.aggregate.clone(),
+                    Some(multi),
+                )
             }
+        };
+        Ok(ScenarioResult {
+            label: self.label.clone(),
+            workload,
+            policy,
+            tier,
+            seed: self.seed,
+            wall: start.elapsed(),
+            report,
+            multi,
         })
     }
+}
+
+/// One fleet run. Every tenant slot gets its own workload seed: initial
+/// tenant `i` is built from `derive_seed(seed, i)`, the arrival at churn
+/// position `j` from `derive_seed(seed, tenants.len() + j)`.
+fn run_fleet(
+    spec: &FleetSpec,
+    config: &SimConfig,
+    seed: u64,
+) -> Result<MultiTenantReport, ScenarioError> {
+    let slot_seed = |slot: usize| derive_seed(seed, slot as u64);
+    let footprint = |run: &TenantRun| run.workload.footprint_pages(config.page_size);
+    let runs = spec
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(i, t)| t.build(slot_seed(i)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut combined: u64 = runs.iter().map(footprint).sum();
+    let mut slots = runs.len();
+    let mut schedule = ChurnSchedule::new();
+    for (j, c) in spec.churn.iter().enumerate() {
+        schedule = match &c.action {
+            ChurnAction::Arrive(t) => {
+                let run = t.build(slot_seed(spec.tenants.len() + j))?;
+                combined += footprint(&run);
+                slots += 1;
+                schedule.arrive(c.at_fleet_ops, run)
+            }
+            ChurnAction::Depart(name) => schedule.depart(c.at_fleet_ops, name.clone()),
+        };
+    }
+    // Sized for every slot the recipe can ever admit, so churn never
+    // pushes the budget below the min-one guarantee.
+    let mt_cfg = MultiTenantConfig::new(spec.budget.resolve(combined, slots))
+        .with_floor_frac(spec.floor_frac)
+        .with_rebalance_interval_ns(spec.rebalance_interval_ns)
+        .with_objective_kind(spec.objective)
+        .with_controller_mode(spec.controller_mode);
+    MultiTenantEngine::new(config.clone(), mt_cfg)
+        .run_with_churn(runs, schedule)
+        .map_err(ScenarioError::Fleet)
 }
 
 /// One single-application run.
@@ -1053,20 +930,21 @@ impl<W: Workload> PolicyVisitor for TypedSingleWithWorkload<'_, W> {
 pub struct ScenarioResult {
     /// Scenario label.
     pub label: String,
-    /// Workload label (tenant names joined with `+` for co-location).
+    /// Workload label (initial tenant names joined with `+` for a fleet).
     pub workload: String,
-    /// Policy label (joined with `+` for co-location).
+    /// Policy label (joined with `+` for a fleet).
     pub policy: String,
-    /// Tier-spec label (`co/<budget>` for co-location).
+    /// Tier-spec label (for a fleet, `co/<budget>` or
+    /// `fleet/<objective>/<budget>` — see [`FleetSpec`]).
     pub tier: String,
     /// Seed the workload(s) were built with.
     pub seed: u64,
     /// Host wall-clock time of this run (excluded from `PartialEq`-based
     /// determinism checks via [`ScenarioResult::same_outcome`]).
     pub wall: Duration,
-    /// The simulation report (co-location: the whole-machine aggregate).
+    /// The simulation report (fleet: the whole-machine aggregate).
     pub report: SimReport,
-    /// Per-tenant detail and quota trajectory for co-location scenarios.
+    /// Per-tenant detail and quota trajectory for fleet scenarios.
     pub multi: Option<MultiTenantReport>,
 }
 
@@ -1084,7 +962,7 @@ impl ScenarioResult {
     }
 
     /// A stable 64-bit digest of this result's deterministic outcome:
-    /// labels, seed, the report fingerprint, and (for multi-tenant kinds)
+    /// labels, seed, the report fingerprint, and (for a fleet)
     /// the [`MultiTenantReport::fingerprint`]. Host wall time is excluded.
     ///
     /// Identical scenarios produce identical fingerprints on any host, so
@@ -1187,7 +1065,7 @@ mod tests {
 
     #[test]
     fn colocation_scenario_runs_with_derived_tenant_seeds() {
-        let spec = CoLocationSpec::new(vec![
+        let spec = FleetSpec::new(vec![
             TenantSpec::new(
                 "a",
                 WorkloadSpec::custom("zipf", |seed| {
@@ -1205,7 +1083,7 @@ mod tests {
         ])
         .with_budget(BudgetSpec::Pages(250))
         .with_rebalance_interval_ns(500_000);
-        let r = Scenario::co_location("a+b", spec, &SimConfig::default(), 77).run();
+        let r = Scenario::fleet("a+b", spec, &SimConfig::default(), 77).run();
         let multi = r.multi.expect("co-location detail");
         assert_eq!(multi.tenants.len(), 2);
         assert_eq!(multi.fast_budget_pages, 250);
@@ -1226,7 +1104,7 @@ mod tests {
     #[test]
     fn unrunnable_fleet_specs_are_typed_errors() {
         let config = SimConfig::default().with_max_ops(2_000);
-        let empty = Scenario::co_location("none", CoLocationSpec::new(Vec::new()), &config, 1);
+        let empty = Scenario::fleet("none", FleetSpec::new(Vec::new()), &config, 1);
         assert!(matches!(
             empty.try_run(),
             Err(ScenarioError::Fleet(FleetError::NoTenants))
@@ -1302,7 +1180,6 @@ mod tests {
             ])
             .with_budget(BudgetSpec::Pages(300))
             .with_rebalance_interval_ns(500_000);
-        assert_eq!(spec.total_tenant_slots(), 3);
         let r = Scenario::fleet("fleet", spec, &SimConfig::default(), 5).run();
         let multi = r.multi.expect("fleet detail");
         assert_eq!(multi.tenants.len(), 3);
@@ -1310,6 +1187,46 @@ mod tests {
             multi.tenants[1].report.sim_ns, multi.tenants[2].report.sim_ns,
             "arrivals must not share a workload RNG stream"
         );
+    }
+
+    /// Every tenant slot's workload is built from `derive_seed(seed, slot)`:
+    /// initial tenants by index, then arrivals by churn position after
+    /// them (a departure still takes its position).
+    #[test]
+    fn tenant_slots_seed_initial_tenants_then_arrivals() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let tenant = |name: &str| {
+            let seen = Arc::clone(&seen);
+            TenantSpec::new(
+                name,
+                WorkloadSpec::custom("zipf", move |seed| {
+                    seen.lock().unwrap().push(seed);
+                    Box::new(ZipfPageWorkload::new(200, 0.9, 500, seed))
+                }),
+                PolicySpec::Kind(PolicyKind::HybridTier),
+            )
+        };
+        let spec = FleetSpec::new(vec![tenant("a"), tenant("b")]).with_churn(vec![
+            ChurnSpec::depart(100, "a"),
+            ChurnSpec::arrive(200, tenant("c")),
+        ]);
+        Scenario::fleet("slots", spec, &SimConfig::default(), 9).run();
+        let want = [0, 1, 3].map(|slot| derive_seed(9, slot));
+        assert_eq!(*seen.lock().unwrap(), want);
+    }
+
+    /// `co/<budget>` marks exactly the fleets the §7 co-location covers:
+    /// no churn and the proportional objective.
+    #[test]
+    fn tier_label_is_co_only_for_static_proportional_fleets() {
+        let tenant = || TenantSpec::suite("a", WorkloadId::Silo, PolicyKind::HybridTier);
+        let fleet =
+            FleetSpec::new(vec![tenant()]).with_budget(BudgetSpec::Ratio(TierRatio::OneTo4));
+        assert_eq!(fleet.tier_label(), "co/1:4");
+        let max_min = fleet.clone().with_objective_kind(ObjectiveKind::MaxMin);
+        assert_eq!(max_min.tier_label(), "fleet/max-min/1:4");
+        let churned = fleet.with_churn(vec![ChurnSpec::arrive(1_000, tenant())]);
+        assert_eq!(churned.tier_label(), "fleet/proportional/1:4");
     }
 
     #[test]

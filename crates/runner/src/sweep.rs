@@ -2,13 +2,13 @@
 //!
 //! Three cross-product builders turn experiment dimensions into canonical
 //! scenario lists — [`ScenarioMatrix`] (workloads × policies × ratios),
-//! [`CoLocationMatrix`] (pairings × budgets), [`FleetMatrix`] (fleets ×
-//! objectives × budgets) — each deriving per-scenario seeds from one base
-//! seed and the scenario's position in that canonical order. Because seeds
-//! are fixed at build time, any *selection* of the built list (a
-//! [`ShardSpec`] slice for a multi-host run, a filtered subset, a reordered
-//! copy) runs the exact same simulations; the builders' `shard(..)` methods
-//! exploit this for distributed sweeps.
+//! [`CoLocationMatrix`] (pairings × budgets, static proportional fleets),
+//! [`FleetMatrix`] (fleets × objectives × budgets) — each deriving
+//! per-scenario seeds from one base seed and the scenario's position in
+//! that canonical order. Because seeds are fixed at build time, any
+//! *selection* of the built list (a filtered subset, a reordered copy, or
+//! [`ShardSpec::select`](crate::ShardSpec::select) — the one way to cut a
+//! shard for a multi-host run) runs the exact same simulations.
 //!
 //! [`SweepRunner`] executes any scenario list over a work-stealing pool and
 //! returns a [`SweepReport`] with results **in input order** — execution
@@ -27,10 +27,8 @@ use tiering_workloads::WorkloadId;
 
 use crate::derive_seed;
 use crate::scenario::{
-    BudgetSpec, ChurnSpec, CoLocationSpec, FleetSpec, Scenario, ScenarioError, ScenarioResult,
-    TenantSpec,
+    BudgetSpec, ChurnSpec, FleetSpec, Scenario, ScenarioError, ScenarioResult, TenantSpec,
 };
-use crate::shard::ShardSpec;
 
 /// Builds the standard workload × policy × ratio cross product with
 /// deterministic per-scenario seeds.
@@ -151,24 +149,13 @@ impl ScenarioMatrix {
         }
         out
     }
-
-    /// Materializes `spec`'s round-robin slice of the canonical scenario
-    /// list. Seeds, labels, and configs are identical to the corresponding
-    /// entries of [`build`](ScenarioMatrix::build) — sharding decides *where*
-    /// a scenario runs, never *what* it is — so the union of all shards'
-    /// results merges back into exactly the unsharded sweep
-    /// (`tests/shard_equivalence.rs`).
-    pub fn shard(&self, spec: ShardSpec) -> Vec<Scenario> {
-        spec.select(self.build())
-    }
 }
 
 /// Cross-product builder for co-location sweeps: named tenant pairings ×
-/// budget specs, each cell one [`ScenarioKind::CoLocation`] scenario with a
-/// seed derived from the base seed and the scenario index (tenant workload
-/// seeds are derived further, per tenant — see [`Scenario::run`]).
-///
-/// [`ScenarioKind::CoLocation`]: crate::ScenarioKind::CoLocation
+/// budget specs, each cell one static proportional [`Scenario::fleet`]
+/// (tier label `co/<budget>`) with a seed derived from the base seed and
+/// the scenario index (tenant workload seeds are derived further, per
+/// tenant — see [`Scenario::run`]).
 #[derive(Debug, Clone)]
 pub struct CoLocationMatrix {
     pairings: Vec<(String, Vec<TenantSpec>)>,
@@ -181,10 +168,10 @@ pub struct CoLocationMatrix {
 
 impl CoLocationMatrix {
     /// A matrix over the given engine config and base seed, with the
-    /// [`CoLocationSpec::new`] demo defaults (1:8 budget, 10% floor, 10 ms
+    /// [`FleetSpec::new`] demo defaults (1:8 budget, 10% floor, 10 ms
     /// cadence) until overridden.
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        let defaults = CoLocationSpec::new(Vec::new());
+        let defaults = FleetSpec::new(Vec::new());
         Self {
             pairings: Vec::new(),
             budgets: vec![defaults.budget],
@@ -228,12 +215,12 @@ impl CoLocationMatrix {
         let mut out = Vec::with_capacity(self.pairings.len() * self.budgets.len());
         for (label, tenants) in &self.pairings {
             for &budget in &self.budgets {
-                let spec = CoLocationSpec::new(tenants.clone())
+                let spec = FleetSpec::new(tenants.clone())
                     .with_budget(budget)
                     .with_floor_frac(self.floor_frac)
                     .with_rebalance_interval_ns(self.rebalance_interval_ns);
                 let seed = derive_seed(self.seed, out.len() as u64);
-                out.push(Scenario::co_location(
+                out.push(Scenario::fleet(
                     format!("{label}/{}/co", budget.label()),
                     spec,
                     &self.config,
@@ -242,13 +229,6 @@ impl CoLocationMatrix {
             }
         }
         out
-    }
-
-    /// Materializes `spec`'s round-robin slice of the canonical scenario
-    /// list — same seed-identity guarantee as
-    /// [`ScenarioMatrix::shard`](ScenarioMatrix::shard).
-    pub fn shard(&self, spec: ShardSpec) -> Vec<Scenario> {
-        spec.select(self.build())
     }
 }
 
@@ -381,13 +361,6 @@ impl FleetMatrix {
             }
         }
         out
-    }
-
-    /// Materializes `spec`'s round-robin slice of the canonical scenario
-    /// list — same seed-identity guarantee as
-    /// [`ScenarioMatrix::shard`](ScenarioMatrix::shard).
-    pub fn shard(&self, spec: ShardSpec) -> Vec<Scenario> {
-        spec.select(self.build())
     }
 }
 

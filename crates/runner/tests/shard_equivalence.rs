@@ -1,7 +1,8 @@
 //! The distributed-sweep contract: union-of-shards ≡ unsharded.
 //!
-//! For every [`ScenarioKind`] (Single via `ScenarioMatrix`, CoLocation via
-//! `CoLocationMatrix`, Fleet via `FleetMatrix`) these tests pin that
+//! For every matrix builder (`ScenarioMatrix` of Single scenarios,
+//! `CoLocationMatrix` of static fleets, `FleetMatrix` of churned fleets)
+//! these tests pin that
 //!
 //! 1. sharding a matrix N ways and merging the shard reports yields results
 //!    identical to the unsharded sweep (same scenarios, same seeds, same
@@ -29,7 +30,7 @@ fn single_matrix() -> ScenarioMatrix {
         .ratios([TierRatio::OneTo8])
 }
 
-/// A 2-pairing × 2-budget CoLocation matrix (4 scenarios).
+/// A 2-pairing × 2-budget co-location matrix (4 scenarios).
 fn colocation_matrix() -> CoLocationMatrix {
     CoLocationMatrix::new(SimConfig::default().with_max_sim_ns(4_000_000), 0xC0C0)
         .pairing("wakeup", Scenario::wakeup_demo_tenants())
@@ -128,19 +129,14 @@ fn union_of_shards_equals_unsharded_fleet() {
 }
 
 #[test]
-fn matrix_shard_method_matches_select_of_build() {
+fn shard_select_preserves_canonical_seeds_and_labels() {
     let spec = ShardSpec::new(1, 3).unwrap();
-    let from_method = single_matrix().shard(spec);
-    let from_build = spec.select(single_matrix().build());
-    assert_eq!(from_method.len(), from_build.len());
-    for (a, b) in from_method.iter().zip(&from_build) {
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.seed, b.seed);
-    }
-    // And the sharded slice preserves the full-matrix seeds: entry j of
-    // shard i is entry j*total+i of the canonical list.
+    let shard = spec.select(single_matrix().build());
+    assert_eq!(shard.len(), spec.count_of(4));
+    // Entry j of shard i is entry j*total+i of the canonical list, seed
+    // and label alike.
     let full = single_matrix().build();
-    for (j, s) in from_method.iter().enumerate() {
+    for (j, s) in shard.iter().enumerate() {
         assert_eq!(s.seed, full[spec.global_index(j)].seed);
         assert_eq!(s.label, full[spec.global_index(j)].label);
     }
@@ -236,7 +232,7 @@ fn merge_rejects_bad_unions() {
 #[test]
 fn mixed_kind_sweep_shards_too() {
     // Sharding operates on scenario lists, not matrices — a heterogeneous
-    // list (all three kinds concatenated) shards and merges the same way.
+    // list (all three matrices concatenated) shards and merges the same way.
     let mut matrix = single_matrix().build();
     matrix.extend(colocation_matrix().build());
     matrix.extend(fleet_matrix().build());

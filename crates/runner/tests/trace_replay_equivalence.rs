@@ -15,8 +15,7 @@ use fleet_exec::FaultKind;
 use tiering_mem::TierRatio;
 use tiering_policies::PolicyKind;
 use tiering_runner::{
-    CoLocationSpec, PolicySpec, Scenario, ScenarioError, SweepRunner, TenantSpec, TierSpec,
-    WorkloadSpec,
+    FleetSpec, PolicySpec, Scenario, ScenarioError, SweepRunner, TenantSpec, TierSpec, WorkloadSpec,
 };
 use tiering_sim::SimConfig;
 use tiering_trace::{AccessBatch, TraceError, TraceReader, Workload};
@@ -246,9 +245,9 @@ fn unreadable_traces_are_typed_scenario_errors() {
         let tenant = |name: &str, workload| {
             TenantSpec::new(name, workload, PolicySpec::Kind(PolicyKind::HybridTier))
         };
-        let colo = Scenario::co_location(
+        let colo = Scenario::fleet(
             "colo",
-            CoLocationSpec::new(vec![
+            FleetSpec::new(vec![
                 tenant("live", WorkloadSpec::Suite(WorkloadId::CdnCacheLib)),
                 tenant("replayed", WorkloadSpec::Trace(path.clone())),
             ]),

@@ -57,7 +57,8 @@ impl CountDistribution {
     /// justification check for 4-bit counters (§6.4.2: "for all workloads
     /// except for social-graph, the fraction of pages with frequency ≥ 15 is
     /// less than 3%").
-    pub fn saturated_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn saturated_fraction(&self) -> f64 {
         self.buckets[6] as f64 / self.total().max(1) as f64
     }
 }

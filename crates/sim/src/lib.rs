@@ -68,36 +68,3 @@ pub use report::{
     CacheTimelinePoint, ChurnKind, ChurnRecord, LatencySummary, MultiTenantReport, SimReport,
     TenantReport, TimelinePoint, SUMMARY_MAX_TENANTS,
 };
-
-/// Convenience: run `policy_kind` over `workload_id` at `ratio` with default
-/// engine settings and the suite's scaled parameters.
-///
-/// This is the entry point the figure harnesses and examples use; it wires
-/// the workload footprint into a [`TierConfig`](tiering_mem::TierConfig)
-/// (using the all-fast configuration for the `AllFast` bound), builds the
-/// policy, and runs the engine.
-pub fn run_suite_experiment(
-    workload_id: tiering_workloads::WorkloadId,
-    policy_kind: tiering_policies::PolicyKind,
-    ratio: tiering_mem::TierRatio,
-    config: &SimConfig,
-    seed: u64,
-) -> SimReport {
-    use tiering_mem::{PageSize, TierConfig};
-    use tiering_policies::{build_policy, PolicyKind};
-    use tiering_workloads::build_workload;
-
-    let mut workload = build_workload(workload_id, seed);
-    let pages = workload.footprint_pages(config.page_size);
-    let tier_cfg = if policy_kind == PolicyKind::AllFast {
-        TierConfig::all_fast(pages, config.page_size)
-    } else {
-        let mut c = TierConfig::for_footprint(pages, ratio, config.page_size);
-        if config.page_size == PageSize::Huge2M {
-            c.page_size = PageSize::Huge2M;
-        }
-        c
-    };
-    let mut policy = build_policy(policy_kind, &tier_cfg);
-    Engine::new(config.clone()).run(workload.as_mut(), policy.as_mut(), tier_cfg)
-}

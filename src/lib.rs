@@ -90,14 +90,13 @@ pub mod prelude {
         RebalanceEvent, TieringPolicy, TppPolicy, TwoQPolicy,
     };
     pub use crate::runner::{
-        BudgetSpec, ChurnSpec, CoLocationMatrix, CoLocationSpec, FleetMatrix, FleetSpec,
-        PolicySpec, Scenario, ScenarioError, ScenarioKind, ScenarioMatrix, ScenarioResult,
-        ShardReport, ShardSpec, ShardedSweep, SweepReport, SweepRunner, TenantSpec, TierSpec,
-        WorkloadSpec,
+        BudgetSpec, ChurnSpec, CoLocationMatrix, FleetMatrix, FleetSpec, PolicySpec, Scenario,
+        ScenarioError, ScenarioKind, ScenarioMatrix, ScenarioResult, ShardReport, ShardSpec,
+        ShardedSweep, SweepReport, SweepRunner, TenantSpec, TierSpec, WorkloadSpec,
     };
     pub use crate::sim::{
-        adaptation_time_ns, run_suite_experiment, Engine, MultiTenantConfig, MultiTenantEngine,
-        MultiTenantReport, SimConfig, SimReport, TenantReport, TenantRun,
+        adaptation_time_ns, Engine, MultiTenantConfig, MultiTenantEngine, MultiTenantReport,
+        SimConfig, SimReport, TenantReport, TenantRun,
     };
     pub use crate::trace::{
         Access, AccessBatch, Op, Sample, Sampler, TraceError, TraceReader, TraceWriter, Workload,

@@ -83,7 +83,9 @@ fn seeds_matter_but_shape_holds() {
 fn every_suite_workload_simulates() {
     for id in WorkloadId::ALL {
         let cfg = SimConfig::default().with_max_ops(20_000);
-        let report = run_suite_experiment(id, PolicyKind::HybridTier, TierRatio::OneTo8, &cfg, 7);
+        let report = Scenario::suite(id, PolicyKind::HybridTier, TierRatio::OneTo8, &cfg, 7)
+            .run()
+            .report;
         assert!(report.ops > 0, "{id:?} ran no ops");
         assert!(report.accesses >= report.ops, "{id:?} ops without accesses");
         assert!(report.sim_ns > 0);
@@ -98,13 +100,15 @@ fn every_suite_workload_simulates() {
 #[test]
 fn huge_page_mode_runs() {
     let cfg = SimConfig::default().with_max_ops(50_000).with_huge_pages();
-    let report = run_suite_experiment(
+    let report = Scenario::suite(
         WorkloadId::CdnCacheLib,
         PolicyKind::HybridTier,
         TierRatio::OneTo4,
         &cfg,
         7,
-    );
+    )
+    .run()
+    .report;
     assert!(report.ops > 0);
     assert!(
         report.migrations.promotions < 10_000,
@@ -117,13 +121,15 @@ fn huge_page_mode_runs() {
 #[test]
 fn cache_attribution_end_to_end() {
     let cfg = SimConfig::default().with_max_ops(100_000).with_cache_sim();
-    let report = run_suite_experiment(
+    let report = Scenario::suite(
         WorkloadId::CdnCacheLib,
         PolicyKind::Memtis,
         TierRatio::OneTo4,
         &cfg,
         7,
-    );
+    )
+    .run()
+    .report;
     let stats = report.cache.expect("cache sim enabled");
     assert!(stats.l1.by(Source::App).accesses() > 0);
     assert!(stats.l1.by(Source::Tiering).accesses() > 0);
@@ -156,8 +162,9 @@ fn momentum_ablation_changes_behaviour() {
 
 /// The parallel scenario runner through the facade: a sweep over suite
 /// workloads is deterministic, order-independent, and identical to serial
-/// execution — and a scenario's report matches a direct `Engine::run` of
-/// the same triple.
+/// execution — and a scenario's report, which the runner computes on the
+/// monomorphized pipeline, matches a direct dyn `Engine::run` of the same
+/// triple.
 #[test]
 fn parallel_sweep_matches_serial_and_direct_runs() {
     let matrix = || {
@@ -183,13 +190,12 @@ fn parallel_sweep_matches_serial_and_direct_runs() {
     }
 
     // A sweep cell reproduces a direct engine run of the same triple.
-    let direct = run_suite_experiment(
-        WorkloadId::Silo,
-        PolicyKind::HybridTier,
-        TierRatio::OneTo8,
-        &SimConfig::default().with_max_ops(20_000),
-        7,
-    );
+    let config = SimConfig::default().with_max_ops(20_000);
+    let mut workload = build_workload(WorkloadId::Silo, 7);
+    let pages = workload.footprint_pages(config.page_size);
+    let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, config.page_size);
+    let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
+    let direct = Engine::new(config).run(workload.as_mut(), policy.as_mut(), tier_cfg);
     let cell = &serial
         .cell(WorkloadId::Silo, TierRatio::OneTo8, PolicyKind::HybridTier)
         .expect("cell present")
