@@ -2,11 +2,12 @@
 //! Table 3 adaptation run (development/tuning tool).
 //!
 //! The run is the CDN cell of `repro fig4` and `repro table3`: the same
-//! shifted workload ([`shifted_cachelib`]), engine configuration
-//! ([`adaptation_config`]) and seed ([`SEED`], the one the figure harness
-//! seeds it with). Its [`SimRun`] is stepped to every 200 ms report
-//! boundary (the shift instant is one of them), which does not change the
-//! run, so every row describes the model the figure measures. Each row
+//! shifted workload ([`shifted_cachelib`]), engine configuration and shift
+//! instant (both from [`Budget::paper`], the budget `repro` runs) and seed
+//! ([`SEED`], the one the figure harness seeds it with). Its [`SimRun`] is
+//! stepped to every 200 ms report boundary (the shift instant is one of
+//! them), which does not change the run, so every row describes the model
+//! the figure measures. Each row
 //! covers the 200 ms since the previous one: mean op latency, the fraction
 //! of accesses served below tier 0, promotions, demotions, how many of the
 //! pages that were fast at the shift are still fast, and the policy's
@@ -18,8 +19,8 @@
 
 use std::process::ExitCode;
 
-use hybridtier_bench::experiments::adaptation::{shifted_cachelib, SHIFT_NS};
-use hybridtier_bench::{adaptation_config, SEED};
+use hybridtier_bench::experiments::adaptation::shifted_cachelib;
+use hybridtier_bench::{Budget, SEED};
 use tiering_mem::{PageId, Tier, TierConfig, TierRatio, TierTopology};
 use tiering_policies::{build_policy, PolicyKind};
 use tiering_sim::SimRun;
@@ -68,8 +69,9 @@ fn main() -> ExitCode {
 }
 
 fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
-    let config = adaptation_config();
-    let mut workload = shifted_cachelib(true, SEED);
+    let budget = Budget::paper();
+    let config = budget.adaptation_config();
+    let mut workload = shifted_cachelib(true, budget.shift_ns, SEED);
     let pages = workload.footprint_pages(config.page_size);
     let tier_cfg = TierConfig::for_footprint(pages, ratio, config.page_size);
     let mut policy = build_policy(kind, &tier_cfg);
@@ -95,7 +97,7 @@ fn trace_adaptation(kind: PolicyKind, ratio: TierRatio) {
         run.run_until(&mut workload, policy.as_mut(), report_at);
         report_at += REPORT_NS;
         let mem = run.mem();
-        if stale.is_empty() && run.now_ns() >= SHIFT_NS {
+        if stale.is_empty() && run.now_ns() >= budget.shift_ns {
             stale = mem
                 .iter_mapped()
                 .filter(|&(_, t)| t == Tier::Fast)

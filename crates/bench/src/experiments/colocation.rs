@@ -8,46 +8,43 @@
 //! (`Scenario::wakeup_demo`), so the printed trajectory and the example's
 //! output are the same numbers.
 
-use std::io;
-use std::path::Path;
-
 use tiering_runner::{Scenario, SweepRunner};
+use tiering_sim::SimConfig;
 
-use crate::output::{f3, print_header, CsvWriter};
-use crate::{colocation_config, SEED};
+use super::Budget;
+use crate::{Cell, Figure, SEED};
 
-/// §7: the wake-up quota trajectory plus per-tenant service quality.
-pub fn sec7(out: &Path) -> io::Result<()> {
-    print_header(
-        "sec7",
-        "global controller quota trajectory across a tenant wake-up",
-    );
-    let sweep = SweepRunner::new(0).run(vec![Scenario::wakeup_demo(&colocation_config(), SEED)]);
-    let result = &sweep.results[0];
-    let multi = result
+/// §7: the wake-up quota trajectory plus per-tenant service quality, over
+/// a 100 ms horizon covering the 40 ms tenant wake-up plus several
+/// rebalance periods on each side.
+pub fn sec7(_: &Budget) -> Figure {
+    let config = SimConfig::default().with_max_sim_ns(100_000_000);
+    let sweep = SweepRunner::new(0).run(vec![Scenario::wakeup_demo(&config, SEED)]);
+    let multi = sweep.results[0]
         .multi
         .as_ref()
-        .expect("wakeup demo is a co-location scenario");
-
-    let mut csv = CsvWriter::create(out, "sec7")?;
-    csv.row([
-        "t_ms",
-        "cache_demand",
-        "batch_demand",
-        "cache_quota",
-        "batch_quota",
-    ])?;
+        .expect("`Scenario::wakeup_demo` is a fleet scenario");
+    let mut fig = Figure::new(
+        "sec7",
+        [
+            "t_ms",
+            "cache_demand",
+            "batch_demand",
+            "cache_quota",
+            "batch_quota",
+        ],
+    );
     for e in &multi.rebalances {
-        csv.row([
-            f3(e.at_ns as f64 / 1e6),
-            e.demands[0].to_string(),
-            e.demands[1].to_string(),
-            e.quotas[0].to_string(),
-            e.quotas[1].to_string(),
-        ])?;
+        fig.row(vec![
+            Cell::fixed(e.at_ns as f64 / 1e6, 3),
+            Cell::int(e.demands[0]),
+            Cell::int(e.demands[1]),
+            Cell::int(e.quotas[0]),
+            Cell::int(e.quotas[1]),
+        ]);
     }
-    print!("{}", multi.summary());
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    for line in multi.summary().lines() {
+        fig.note(line);
+    }
+    fig
 }

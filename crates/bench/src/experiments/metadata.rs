@@ -1,8 +1,5 @@
 //! Metadata experiments: Figure 16 and Tables 4/5.
 
-use std::io;
-use std::path::Path;
-
 use hybridtier_cbf::{
     AccessCounter, BlockedCbf, CbfParams, CounterWidth, DecisionOutcome, GroundTruthCounter,
 };
@@ -12,22 +9,17 @@ use tiering_sim::{SimConfig, COUNT_BUCKET_LABELS};
 use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{build_workload, WorkloadId};
 
-use crate::output::{f3, print_header, CsvWriter};
-use crate::SEED;
+use super::Budget;
+use crate::{Cell, Figure, SEED};
 
 /// Figure 16: cumulative per-page sampled-access-count distributions for all
 /// 12 workloads. Paper: social-graph has the largest ≥15 fraction; GAP
 /// Kronecker workloads have ~94% of pages at count 0.
-pub fn fig16(out: &Path) -> io::Result<()> {
-    print_header("fig16", "access hotness distributions (12 workloads)");
-    let mut csv = CsvWriter::create(out, "fig16")?;
-    let mut header = vec!["workload".to_string()];
-    header.extend(COUNT_BUCKET_LABELS.iter().map(|b| format!("cum_{b}")));
-    csv.row(header)?;
-    println!(
-        "{:<9} {}",
-        "workload",
-        COUNT_BUCKET_LABELS.map(|b| format!("{b:>8}")).join(" ")
+pub fn fig16(_: &Budget) -> Figure {
+    let mut fig = Figure::new(
+        "fig16",
+        std::iter::once("workload".to_string())
+            .chain(COUNT_BUCKET_LABELS.iter().map(|b| format!("cum_{b}"))),
     );
     let mut cfg = SimConfig::default().with_max_ops(1_500_000);
     cfg.count_probe = true;
@@ -45,75 +37,56 @@ pub fn fig16(out: &Path) -> io::Result<()> {
             .build(),
     );
     for (id, result) in WorkloadId::ALL.iter().zip(&sweep.results) {
-        let id = *id;
         let dist = result
             .report
             .count_distribution
-            .clone()
-            .expect("probe enabled");
-        let cum = dist.cumulative_fractions();
-        println!(
-            "{:<9} {}",
-            id.label(),
-            cum.map(|c| format!("{c:>8.3}")).join(" ")
+            .as_ref()
+            .expect("`cfg.count_probe` is set above");
+        let mut row = vec![Cell::label(id.label())];
+        row.extend(
+            dist.cumulative_fractions()
+                .iter()
+                .map(|&c| Cell::fixed(c, 3)),
         );
-        let mut row = vec![id.label().to_string()];
-        row.extend(cum.iter().map(|c| f3(*c)));
-        csv.row(row)?;
+        fig.row(row);
     }
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    fig
 }
 
 /// Table 4: tiering metadata size relative to total memory capacity.
 /// Paper: Memtis constant at 0.39%; HybridTier 0.050%/0.097%/0.192% at
 /// 1:16/1:8/1:4 (2.0–7.8× smaller).
-pub fn table4(out: &Path) -> io::Result<()> {
-    print_header("table4", "metadata size relative to total memory");
-    let mut csv = CsvWriter::create(out, "table4")?;
-    csv.row(["ratio", "memtis_frac", "hybridtier_frac", "reduction"])?;
+pub fn table4(_: &Budget) -> Figure {
+    let mut fig = Figure::new(
+        "table4",
+        ["ratio", "memtis_frac", "hybridtier_frac", "reduction"],
+    );
     // Use a CDN-scale footprint; the fractions are size-independent for
     // Memtis and scale with the fast-tier share for HybridTier.
     // A footprint large enough that the small-scale CBF sizing floors do
     // not bind (the paper's server has millions of fast-tier pages).
     let pages = 1_000_000u64;
-    println!(
-        "{:<6} {:>10} {:>12} {:>10}",
-        "ratio", "Memtis", "HybridTier", "reduction"
-    );
     for ratio in TierRatio::ALL {
         let tier_cfg = TierConfig::for_footprint(pages, ratio, PageSize::Base4K);
         let total_bytes = tier_cfg.total_bytes() as f64;
         let memtis = build_policy(PolicyKind::Memtis, &tier_cfg).metadata_bytes() as f64;
         let ht = build_policy(PolicyKind::HybridTier, &tier_cfg).metadata_bytes() as f64;
         let (mf, hf) = (memtis / total_bytes, ht / total_bytes);
-        println!(
-            "{:<6} {:>9.3}% {:>11.3}% {:>9.1}x",
-            ratio.to_string(),
-            mf * 100.0,
-            hf * 100.0,
-            mf / hf
-        );
-        csv.row([
-            ratio.to_string(),
-            format!("{mf:.5}"),
-            format!("{hf:.5}"),
-            f3(mf / hf),
-        ])?;
+        fig.row(vec![
+            Cell::label(ratio.to_string()),
+            Cell::fixed(mf, 5),
+            Cell::fixed(hf, 5),
+            Cell::fixed(mf / hf, 3),
+        ]);
     }
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    fig
 }
 
 /// Table 5: accuracy of CBF-based migration decisions vs. an exact hash
 /// table as CBF size shrinks. Paper (at 256–8 MB full scale):
 /// 99.72% → 96.92%. Sizes here are scaled 512× with the footprints.
-pub fn table5(out: &Path) -> io::Result<()> {
-    print_header("table5", "CBF migration-decision accuracy vs size");
-    let mut csv = CsvWriter::create(out, "table5")?;
-    csv.row(["cbf_kib", "accuracy"])?;
+pub fn table5(_: &Budget) -> Figure {
+    let mut fig = Figure::new("table5", ["cbf_kib", "accuracy"]);
     // Paper sizes {256,128,64,32,8} MB ÷ 512 → KiB.
     let sizes_kib = [512usize, 256, 128, 64, 16];
     let threshold = 4u32;
@@ -164,13 +137,12 @@ pub fn table5(out: &Path) -> io::Result<()> {
             }
         }
     }
-    println!("{:<10} {:>10}", "CBF size", "accuracy");
     for (kib, _, outcome) in &filters {
-        println!("{:>7}KiB {:>9.2}%", kib, outcome.accuracy() * 100.0);
-        csv.row([kib.to_string(), format!("{:.4}", outcome.accuracy())])?;
+        fig.row(vec![
+            Cell::int(*kib as u64),
+            Cell::fixed(outcome.accuracy(), 4),
+        ]);
     }
-    println!("({samples} sampled decisions compared)");
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    fig.note(format!("({samples} sampled decisions compared)"));
+    fig
 }

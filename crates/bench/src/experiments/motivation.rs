@@ -1,26 +1,20 @@
 //! Motivation figures: hotness churn (Figure 2) and the cooling-period
 //! dilemma (Figure 3).
 
-use std::io;
-use std::path::Path;
-
 use tiering_mem::PageSize;
 use tiering_policies::ema_lag_series;
 use tiering_sim::{RetentionConfig, SimConfig};
 use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload, WorkloadId};
 
-use crate::output::{f3, print_header, CsvWriter};
-use crate::SEED;
+use super::Budget;
+use crate::{Cell, Figure, SEED};
 
 /// Figure 2: fraction of initially hot pages still hot over time, for
 /// PageRank and XGBoost. Paper: "most pages are no longer hot after just 5
 /// minutes" (PR > 90% decayed, XGBoost > 50%).
-pub fn fig2(out: &Path) -> io::Result<()> {
-    print_header("fig2", "hot-page retention over time");
-    let mut csv = CsvWriter::create(out, "fig2")?;
-    csv.row(["workload", "t_ns", "fraction_still_hot"])?;
-
+pub fn fig2(_: &Budget) -> Figure {
+    let mut fig = Figure::new("fig2", ["workload", "t_ns", "fraction_still_hot"]);
     let mut cfg = SimConfig::default().with_max_ops(4_000_000);
     // Windows shorter than one kernel iteration/boosting round, so the
     // probe sees the hot set move through the data (the paper's minutes
@@ -41,61 +35,66 @@ pub fn fig2(out: &Path) -> io::Result<()> {
     );
     for result in &sweep.results {
         let report = &result.report;
-        let series = report.retention.clone().expect("probe enabled");
-        println!("{}:", report.workload);
-        for &(t, frac) in &series {
-            csv.row([report.workload.clone(), t.to_string(), f3(frac)])?;
+        let series = report
+            .retention
+            .as_ref()
+            .expect("`cfg.retention_probe` is set above");
+        for &(t, frac) in series {
+            fig.row(vec![
+                Cell::label(&report.workload),
+                Cell::int(t),
+                Cell::fixed(frac, 3),
+            ]);
         }
+        fig.note(format!("{}:", report.workload));
         if let Some(&(t_last, f_last)) = series.last() {
-            println!(
+            fig.note(format!(
                 "  after {:.1}s (scaled minutes): {:.0}% of the initial hot set remains",
                 t_last as f64 / 1e9,
                 f_last * 100.0
-            );
+            ));
         }
     }
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    fig
 }
 
 /// Figure 3(a): a page accessed 50×/min for 10 minutes; its EMA score
 /// (cooling ÷2 every 2 min) lags ~9 minutes behind the access stream.
-pub fn fig3a(out: &Path) -> io::Result<()> {
-    print_header("fig3a", "EMA lag on a pulsed page");
-    let mut csv = CsvWriter::create(out, "fig3a")?;
-    csv.row(["minute", "accesses_per_min", "ema_score"])?;
+pub fn fig3a(_: &Budget) -> Figure {
+    let mut fig = Figure::new("fig3a", ["minute", "accesses_per_min", "ema_score"]);
     let series = ema_lag_series(50, 10, 2, 25);
     let mut lag_minute = None;
     for (minute, &score) in series.iter().enumerate() {
         let rate = if minute < 10 { 50 } else { 0 };
-        csv.row([minute.to_string(), rate.to_string(), score.to_string()])?;
+        fig.row(vec![
+            Cell::int(minute as u64),
+            Cell::int(rate),
+            Cell::int(score),
+        ]);
         if minute >= 10 && score < 10 && lag_minute.is_none() {
             lag_minute = Some(minute);
         }
     }
-    println!(
+    fig.note(format!(
         "page went cold at minute 10; EMA score dropped below 10 at minute {} (paper: ~19)",
         lag_minute.unwrap_or(25)
-    );
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    ));
+    fig
 }
 
 /// Figure 3(b): the fraction of pages classified hot/warm/cold under
 /// different cooling periods C. Lower C refreshes faster but starves the
 /// histogram: hot/warm pages lose their accumulated counts.
-pub fn fig3b(out: &Path) -> io::Result<()> {
-    print_header("fig3b", "hotness classification vs cooling period");
-    let mut csv = CsvWriter::create(out, "fig3b")?;
-    csv.row([
-        "cooling_period_samples",
-        "hot_frac",
-        "warm_frac",
-        "cold_frac",
-    ])?;
-
+pub fn fig3b(_: &Budget) -> Figure {
+    let mut fig = Figure::new(
+        "fig3b",
+        [
+            "cooling_period_samples",
+            "hot_frac",
+            "warm_frac",
+            "cold_frac",
+        ],
+    );
     // Paper sweeps C in {Inf, 25M, 10M, 5M, 2M} samples at full scale; the
     // sampled stream here is ~500× smaller.
     let periods: [(&str, u64); 5] = [
@@ -105,7 +104,6 @@ pub fn fig3b(out: &Path) -> io::Result<()> {
         ("10k", 10_000),
         ("4k", 4_000),
     ];
-    println!("{:<10} {:>8} {:>8} {:>8}", "C", "hot", "warm", "cold");
     for (label, period) in periods {
         let mut workload =
             CacheLibWorkload::new(CacheLibConfig::cdn().without_churn().with_ops(1_500_000));
@@ -134,16 +132,13 @@ pub fn fig3b(out: &Path) -> io::Result<()> {
         let hot = counts.iter().filter(|&&c| c >= 8).count();
         let warm = counts.iter().filter(|&&c| (2..8).contains(&c)).count();
         let cold = touched - hot - warm;
-        let (h, w, c) = (
-            hot as f64 / touched as f64,
-            warm as f64 / touched as f64,
-            cold as f64 / touched as f64,
-        );
-        println!("{label:<10} {h:>8.3} {w:>8.3} {c:>8.3}");
-        csv.row([label.to_string(), f3(h), f3(w), f3(c)])?;
+        fig.row(vec![
+            Cell::label(label),
+            Cell::fixed(hot as f64 / touched as f64, 3),
+            Cell::fixed(warm as f64 / touched as f64, 3),
+            Cell::fixed(cold as f64 / touched as f64, 3),
+        ]);
     }
-    println!("(lower C loses hot/warm mass to cold — requirement 1 vs 2 tension)");
-    let path = csv.finish()?;
-    println!("wrote {}", path.display());
-    Ok(())
+    fig.note("(lower C loses hot/warm mass to cold — requirement 1 vs 2 tension)");
+    fig
 }

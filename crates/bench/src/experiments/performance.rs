@@ -2,73 +2,51 @@
 //!
 //! All sweeps run through the parallel scenario runner: every
 //! (workload, ratio, policy) cell becomes a [`Scenario`], the whole matrix
-//! executes across the machine's cores, and the tables print from the
+//! executes across the machine's cores, and the rows are read from the
 //! merged sweep report in the paper's row order. Seeds follow the legacy
 //! protocol (one fixed seed for the whole figure) so regenerated numbers
 //! stay comparable across PRs.
-
-use std::io;
-use std::path::Path;
 
 use tiering_mem::TierRatio;
 use tiering_policies::{HybridTierConfig, HybridTierPolicy, PolicyKind};
 use tiering_runner::{PolicySpec, Scenario, ScenarioMatrix, SweepRunner, TierSpec, WorkloadSpec};
 use tiering_workloads::WorkloadId;
 
-use crate::output::{f3, print_header, CsvWriter};
-use crate::{sweep_config, SEED};
+use super::{built, geomean, Budget};
+use crate::{Cell, Figure, SEED};
 
 /// Figure 9: CacheLib CDN + social-graph median latency and throughput for
 /// all six systems at 1:16, 1:8, 1:4. Paper: HybridTier best or tied in all
 /// but two cells; ~2× less fast-tier memory for equal performance.
-pub fn fig9(out: &Path) -> io::Result<()> {
-    print_header("fig9", "CacheLib performance, 6 systems x 3 ratios");
+pub fn fig9(budget: &Budget) -> Figure {
     let sweep = SweepRunner::new(0).run(
-        ScenarioMatrix::new(sweep_config(), SEED)
+        ScenarioMatrix::new(budget.sweep_config(), SEED)
             .workloads([WorkloadId::CdnCacheLib, WorkloadId::SocialCacheLib])
             .ratios(TierRatio::ALL)
             .policies(PolicyKind::COMPARED)
             .fixed_seed()
             .build(),
     );
-    let mut csv = CsvWriter::create(out, "fig9")?;
-    csv.row(["workload", "ratio", "policy", "p50_ns", "mops", "fast_hit"])?;
+    let mut fig = Figure::new(
+        "fig9",
+        ["workload", "ratio", "policy", "p50_ns", "mops", "fast_hit"],
+    );
     for id in [WorkloadId::CdnCacheLib, WorkloadId::SocialCacheLib] {
         for ratio in TierRatio::ALL {
-            println!("\n{} @ {ratio}:", id.label());
-            println!(
-                "{:<12} {:>9} {:>9} {:>9}",
-                "policy", "p50(ns)", "Mop/s", "fast-hit"
-            );
             for kind in PolicyKind::COMPARED {
-                let r = &sweep.cell(id, ratio, kind).expect("cell in sweep").report;
-                println!(
-                    "{:<12} {:>9} {:>9.3} {:>8.1}%",
-                    r.policy,
-                    r.latency.p50_ns,
-                    r.throughput_mops(),
-                    r.fast_hit_frac * 100.0
-                );
-                csv.row([
-                    id.label().to_string(),
-                    ratio.to_string(),
-                    r.policy.clone(),
-                    r.latency.p50_ns.to_string(),
-                    f3(r.throughput_mops()),
-                    f3(r.fast_hit_frac),
-                ])?;
+                let r = built(sweep.cell(id, ratio, kind));
+                fig.row(vec![
+                    Cell::label(id.label()),
+                    Cell::label(ratio.to_string()),
+                    Cell::label(&r.policy),
+                    Cell::int(r.latency.p50_ns),
+                    Cell::fixed(r.throughput_mops(), 3),
+                    Cell::fixed(r.fast_hit_frac, 3),
+                ]);
             }
         }
     }
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig
 }
 
 /// The ten batch/throughput workloads of Figure 10.
@@ -89,70 +67,46 @@ const FIG10_WORKLOADS: [WorkloadId; 10] = [
 /// SPEC, Silo, and XGBoost workloads — the harness's biggest sweep
 /// (180 simulations). Paper geomeans: HybridTier beats TPP 32%, AutoNUMA
 /// 11%, Memtis 29%, ARC 50%, TwoQ 40%.
-pub fn fig10(out: &Path) -> io::Result<()> {
-    print_header("fig10", "relative performance normalized to TPP");
+pub fn fig10(budget: &Budget) -> Figure {
     let sweep = SweepRunner::new(0).run(
-        ScenarioMatrix::new(sweep_config(), SEED)
+        ScenarioMatrix::new(budget.sweep_config(), SEED)
             .workloads(FIG10_WORKLOADS)
             .ratios(TierRatio::ALL)
             .policies(PolicyKind::COMPARED)
             .fixed_seed()
             .build(),
     );
-    let mut csv = CsvWriter::create(out, "fig10")?;
-    csv.row([
-        "workload",
-        "ratio",
-        "policy",
-        "runtime_s",
-        "relative_to_tpp",
-    ])?;
-    // Geometric-mean accumulators per policy.
-    let mut geo: std::collections::HashMap<&'static str, (f64, u32)> = Default::default();
+    let mut fig = Figure::new(
+        "fig10",
+        [
+            "workload",
+            "ratio",
+            "policy",
+            "runtime_s",
+            "relative_to_tpp",
+        ],
+    );
     for id in FIG10_WORKLOADS {
         for ratio in TierRatio::ALL {
-            let tpp = &sweep
-                .cell(id, ratio, PolicyKind::Tpp)
-                .expect("TPP cell")
-                .report;
-            println!("\n{} @ {ratio}:", id.label());
+            let tpp = built(sweep.cell(id, ratio, PolicyKind::Tpp));
             for kind in PolicyKind::COMPARED {
-                let r = &sweep.cell(id, ratio, kind).expect("cell in sweep").report;
-                let rel = r.relative_performance(tpp);
-                println!(
-                    "  {:<12} runtime {:>8.3}s  relative {:>6.3}",
-                    r.policy,
-                    r.runtime_s(),
-                    rel
-                );
-                csv.row([
-                    id.label().to_string(),
-                    ratio.to_string(),
-                    r.policy.clone(),
-                    format!("{:.4}", r.runtime_s()),
-                    f3(rel),
-                ])?;
-                let e = geo.entry(kind.label()).or_insert((0.0, 0));
-                e.0 += rel.max(1e-9).ln();
-                e.1 += 1;
+                let r = built(sweep.cell(id, ratio, kind));
+                fig.row(vec![
+                    Cell::label(id.label()),
+                    Cell::label(ratio.to_string()),
+                    Cell::label(&r.policy),
+                    Cell::fixed(r.runtime_s(), 4),
+                    Cell::fixed(r.relative_performance(tpp), 3),
+                ]);
             }
         }
     }
-    println!("\ngeomean relative performance (vs TPP):");
+    fig.note("geomean relative performance (vs TPP):");
     for kind in PolicyKind::COMPARED {
-        if let Some((lnsum, n)) = geo.get(kind.label()) {
-            println!("  {:<12} {:.3}", kind.label(), (lnsum / *n as f64).exp());
-        }
+        let rel = fig.values(&[("policy", kind.label())], "relative_to_tpp");
+        fig.note(format!("  {:<12} {:.3}", kind.label(), geomean(&rel)));
     }
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig
 }
 
 /// All 12 workloads (request-driven ones measured by throughput).
@@ -160,16 +114,16 @@ const ALL_WORKLOADS: [WorkloadId; 12] = WorkloadId::ALL;
 
 /// Figure 11: HybridTier normalized against the all-fast-tier upper bound.
 /// Paper: 14%, 9%, 6% slower at 1:16, 1:8, 1:4 on average.
-pub fn fig11(out: &Path) -> io::Result<()> {
-    print_header("fig11", "HybridTier vs all-fast-tier upper bound");
+pub fn fig11(budget: &Budget) -> Figure {
     // One AllFast bound plus the three ratio runs per workload.
+    let config = budget.sweep_config();
     let mut scenarios = Vec::new();
     for id in ALL_WORKLOADS {
         scenarios.push(Scenario::suite(
             id,
             PolicyKind::AllFast,
             TierRatio::OneTo4,
-            &sweep_config(),
+            &config,
             SEED,
         ));
         for ratio in TierRatio::ALL {
@@ -177,56 +131,37 @@ pub fn fig11(out: &Path) -> io::Result<()> {
                 id,
                 PolicyKind::HybridTier,
                 ratio,
-                &sweep_config(),
+                &config,
                 SEED,
             ));
         }
     }
     let sweep = SweepRunner::new(0).run(scenarios);
 
-    let mut csv = CsvWriter::create(out, "fig11")?;
-    csv.row(["workload", "ratio", "relative_to_allfast"])?;
-    let mut per_ratio: std::collections::HashMap<String, (f64, u32)> = Default::default();
+    let mut fig = Figure::new("fig11", ["workload", "ratio", "relative_to_allfast"]);
     for id in ALL_WORKLOADS {
-        let upper = &sweep
-            .cell(id, TierRatio::OneTo4, PolicyKind::AllFast)
-            .expect("upper bound")
-            .report;
-        print!("{:<9}", id.label());
+        let upper = built(sweep.cell(id, TierRatio::OneTo4, PolicyKind::AllFast));
         for ratio in TierRatio::ALL {
-            let r = &sweep
-                .cell(id, ratio, PolicyKind::HybridTier)
-                .expect("cell")
-                .report;
-            let rel = r.relative_performance(upper).min(1.0);
-            print!("  {ratio}: {rel:.3}");
-            csv.row([id.label().to_string(), ratio.to_string(), f3(rel)])?;
-            let e = per_ratio.entry(ratio.to_string()).or_insert((0.0, 0));
-            e.0 += rel.max(1e-9).ln();
-            e.1 += 1;
+            let r = built(sweep.cell(id, ratio, PolicyKind::HybridTier));
+            fig.row(vec![
+                Cell::label(id.label()),
+                Cell::label(ratio.to_string()),
+                Cell::fixed(r.relative_performance(upper).min(1.0), 3),
+            ]);
         }
-        println!();
     }
-    println!("\ngeomean fraction of all-fast performance:");
+    fig.note("geomean fraction of all-fast performance:");
     for ratio in TierRatio::ALL {
-        if let Some((lnsum, n)) = per_ratio.get(&ratio.to_string()) {
-            println!("  {}: {:.3}", ratio, (lnsum / *n as f64).exp());
-        }
+        let rel = fig.values(&[("ratio", &ratio.to_string())], "relative_to_allfast");
+        fig.note(format!("  {}: {:.3}", ratio, geomean(&rel)));
     }
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig
 }
 
 /// Workloads with footprints large enough to hold >50 huge pages; the
 /// scaled-down GAP graphs span too few 2 MiB pages to tier meaningfully
-/// (documented in EXPERIMENTS.md).
+/// (the Figure 12 claim in `crates/bench/tests/paper_claims.rs` records
+/// what this leaves out).
 const FIG12_WORKLOADS: [WorkloadId; 6] = [
     WorkloadId::CdnCacheLib,
     WorkloadId::SocialCacheLib,
@@ -238,92 +173,61 @@ const FIG12_WORKLOADS: [WorkloadId; 6] = [
 
 /// Figure 12: huge-page (2 MiB) performance of HybridTier relative to
 /// Memtis. Paper: on par at 1:16, +9%/+11% at 1:8/1:4.
-pub fn fig12(out: &Path) -> io::Result<()> {
-    print_header("fig12", "huge-page performance vs Memtis");
+pub fn fig12(budget: &Budget) -> Figure {
     let sweep = SweepRunner::new(0).run(
-        ScenarioMatrix::new(sweep_config().with_huge_pages(), SEED)
+        ScenarioMatrix::new(budget.sweep_config().with_huge_pages(), SEED)
             .workloads(FIG12_WORKLOADS)
             .ratios(TierRatio::ALL)
             .policies([PolicyKind::Memtis, PolicyKind::HybridTier])
             .fixed_seed()
             .build(),
     );
-    let mut csv = CsvWriter::create(out, "fig12")?;
-    csv.row(["workload", "ratio", "hybridtier_vs_memtis"])?;
+    let mut fig = Figure::new("fig12", ["workload", "ratio", "hybridtier_vs_memtis"]);
     for id in FIG12_WORKLOADS {
-        print!("{:<9}", id.label());
         for ratio in TierRatio::ALL {
-            let memtis = &sweep
-                .cell(id, ratio, PolicyKind::Memtis)
-                .expect("cell")
-                .report;
-            let ht = &sweep
-                .cell(id, ratio, PolicyKind::HybridTier)
-                .expect("cell")
-                .report;
-            let rel = ht.relative_performance(memtis);
-            print!("  {ratio}: {rel:.3}");
-            csv.row([id.label().to_string(), ratio.to_string(), f3(rel)])?;
+            let memtis = built(sweep.cell(id, ratio, PolicyKind::Memtis));
+            let ht = built(sweep.cell(id, ratio, PolicyKind::HybridTier));
+            fig.row(vec![
+                Cell::label(id.label()),
+                Cell::label(ratio.to_string()),
+                Cell::fixed(ht.relative_performance(memtis), 3),
+            ]);
         }
-        println!();
     }
-    println!("(>1 means HybridTier faster than Memtis under 2 MiB pages)");
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig.note("(>1 means HybridTier faster than Memtis under 2 MiB pages)");
+    fig
 }
 
 /// Figure 15: contribution of the momentum tracker — HybridTier vs the
 /// frequency-only ablation at 1:8. Paper: +8.5% on CacheLib and XGBoost,
 /// parity on the small-hot-set GAP kernels.
-pub fn fig15(out: &Path) -> io::Result<()> {
-    print_header("fig15", "frequency-only ablation (1:8)");
+pub fn fig15(budget: &Budget) -> Figure {
     let sweep = SweepRunner::new(0).run(
-        ScenarioMatrix::new(sweep_config(), SEED)
+        ScenarioMatrix::new(budget.sweep_config(), SEED)
             .workloads(ALL_WORKLOADS)
             .ratios([TierRatio::OneTo8])
             .policies([PolicyKind::HybridTier, PolicyKind::HybridTierFreqOnly])
             .fixed_seed()
             .build(),
     );
-    let mut csv = CsvWriter::create(out, "fig15")?;
-    csv.row(["workload", "freq_only_relative_to_full"])?;
+    let mut fig = Figure::new("fig15", ["workload", "freq_only_relative_to_full"]);
     for id in ALL_WORKLOADS {
-        let full = &sweep
-            .cell(id, TierRatio::OneTo8, PolicyKind::HybridTier)
-            .expect("cell")
-            .report;
-        let freq_only = &sweep
-            .cell(id, TierRatio::OneTo8, PolicyKind::HybridTierFreqOnly)
-            .expect("cell")
-            .report;
-        let rel = freq_only.relative_performance(full);
-        println!("{:<9} freq-only/full = {rel:.3}", id.label());
-        csv.row([id.label().to_string(), f3(rel)])?;
+        let full = built(sweep.cell(id, TierRatio::OneTo8, PolicyKind::HybridTier));
+        let freq_only = built(sweep.cell(id, TierRatio::OneTo8, PolicyKind::HybridTierFreqOnly));
+        fig.row(vec![
+            Cell::label(id.label()),
+            Cell::fixed(freq_only.relative_performance(full), 3),
+        ]);
     }
-    println!("(<1 means the momentum tracker helps)");
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig.note("(<1 means the momentum tracker helps)");
+    fig
 }
 
 /// Figure 17: momentum-threshold sensitivity on the CacheLib workloads —
 /// custom-policy scenarios through the same parallel driver.
 /// Paper: thresholds below 3 mispromote; beyond 3 little change.
-pub fn fig17(out: &Path) -> io::Result<()> {
-    print_header("fig17", "momentum threshold sensitivity (1:16)");
+pub fn fig17(budget: &Budget) -> Figure {
+    let config = budget.sweep_config();
     let mut scenarios = Vec::new();
     for id in [WorkloadId::CdnCacheLib, WorkloadId::SocialCacheLib] {
         for threshold in 1..=6u32 {
@@ -335,42 +239,24 @@ pub fn fig17(out: &Path) -> io::Result<()> {
                     Box::new(HybridTierPolicy::new(cfg, tier_cfg))
                 }),
                 TierSpec::Ratio(TierRatio::OneTo16),
-                &sweep_config(),
+                &config,
                 SEED,
             ));
         }
     }
     let sweep = SweepRunner::new(0).run(scenarios);
 
-    let mut csv = CsvWriter::create(out, "fig17")?;
-    csv.row(["workload", "threshold", "p50_ns", "mops"])?;
+    let mut fig = Figure::new("fig17", ["workload", "threshold", "p50_ns", "mops"]);
     for id in [WorkloadId::CdnCacheLib, WorkloadId::SocialCacheLib] {
-        println!("{}:", id.label());
         for threshold in 1..=6u32 {
-            let r = &sweep
-                .find(&format!("{}/thr{}", id.label(), threshold))
-                .expect("scenario present")
-                .report;
-            println!(
-                "  threshold {threshold}: p50 {:>6} ns, {:.3} Mop/s",
-                r.latency.p50_ns,
-                r.throughput_mops()
-            );
-            csv.row([
-                id.label().to_string(),
-                threshold.to_string(),
-                r.latency.p50_ns.to_string(),
-                f3(r.throughput_mops()),
-            ])?;
+            let r = built(sweep.find(&format!("{}/thr{}", id.label(), threshold)));
+            fig.row(vec![
+                Cell::label(id.label()),
+                Cell::int(threshold.into()),
+                Cell::int(r.latency.p50_ns),
+                Cell::fixed(r.throughput_mops(), 3),
+            ]);
         }
     }
-    let path = csv.finish()?;
-    println!(
-        "wrote {} ({} scenarios in {:.1}s on {} threads)",
-        path.display(),
-        sweep.results.len(),
-        sweep.wall.as_secs_f64(),
-        sweep.threads
-    );
-    Ok(())
+    fig
 }

@@ -1,10 +1,12 @@
 //! Benchmark harness regenerating every table and figure of the HybridTier
 //! (ASPLOS'25) evaluation, plus the workspace's distributed-sweep tooling.
 //!
-//! Each `experiments::figN` / `experiments::tableN` module regenerates one
-//! paper result: it runs the relevant simulations, prints the same
-//! rows/series the paper reports, and writes a CSV under `results/`.
-//! The `repro` binary dispatches to them:
+//! Each id in [`experiments::ALL`] is a pure `fn(&Budget) -> Figure`: it
+//! runs one paper result's simulations at the given [`Budget`] and returns
+//! a [`Figure`] — a header, rows of cells that keep both their value and
+//! their CSV text, and note lines. [`render`] is the one function that
+//! prints a figure and writes its CSV. The `repro` binary runs the ids at
+//! [`Budget::paper`] and renders them:
 //!
 //! ```text
 //! cargo run -p hybridtier-bench --release --bin repro -- fig4
@@ -14,8 +16,9 @@
 //! Absolute numbers differ from the paper (simulator vs. testbed, ~512×
 //! scaled footprints, ~1000× compressed timescale); the *shapes* — which
 //! system wins, by roughly what factor, where crossovers fall — are the
-//! reproduction targets. EXPERIMENTS.md records paper-vs-measured for every
-//! entry.
+//! reproduction targets. `crates/bench/tests/paper_claims.rs` asserts them
+//! on the same functions at a small budget, and its comments record
+//! paper-vs-measured for every id.
 //!
 //! The `bench` binary runs the standard sweeps serial and parallel, checks
 //! that the two agree, and emits a byte-deterministic `BENCH_*.json`
@@ -35,39 +38,13 @@ pub mod json;
 pub mod merge;
 mod output;
 
-pub use output::{print_header, CsvWriter};
+pub use experiments::Budget;
+pub use output::{render, Cell, Figure};
 
 use tiering_sim::SimConfig;
 
-/// Operation budget for the steady-state comparison sweeps (Figures 9–12,
-/// 15): long enough for placement to converge and several churn cycles to
-/// pass, short enough that the 180-run Figure 10 sweep stays in minutes.
-pub const SWEEP_OPS: u64 = 1_200_000;
-
 /// Default seed for all experiments (results are deterministic given this).
 pub const SEED: u64 = 0xA5F0_5EED;
-
-/// Engine configuration for the steady-state sweeps.
-pub fn sweep_config() -> SimConfig {
-    SimConfig::default().with_max_ops(SWEEP_OPS)
-}
-
-/// Engine configuration for adaptation-timeline experiments (Figure 4,
-/// Table 3): finer windows, longer simulated horizon.
-pub fn adaptation_config() -> SimConfig {
-    SimConfig {
-        window_ns: 100_000_000,    // 100 ms windows
-        max_sim_ns: 8_000_000_000, // 8 simulated seconds
-        ..SimConfig::default()
-    }
-}
-
-/// Engine configuration for the §7 co-location experiments: a 100 ms
-/// horizon covering the 40 ms tenant wake-up plus several rebalance
-/// periods on each side.
-pub fn colocation_config() -> SimConfig {
-    SimConfig::default().with_max_sim_ns(100_000_000)
-}
 
 /// The co-location sweep the `bench` binary runs serial and parallel: the
 /// §7 wake-up pairing plus a suite pairing, across two budget sizings

@@ -2,10 +2,13 @@
 //! `--help` promises, that retired flags are rejected like any other
 //! unknown flag (before anything runs or is written), that the shard/merge
 //! exclusion still holds, and that equal flags write equal bytes. Plus
-//! `diag`'s: an argument it does not know is an error, not a default.
+//! `diag`'s: an argument it does not know is an error, not a default. And
+//! `repro`'s: every id is checked before any runs, and `list` names each
+//! experiment once.
 
 use std::process::{Command, Output};
 
+use hybridtier_bench::experiments;
 use hybridtier_bench::json::{parse, Json};
 
 /// Every flag `parse_args` accepts besides `--help` itself.
@@ -130,4 +133,41 @@ fn diag_rejects_unknown_policy_and_ratio_before_simulating() {
         assert!(stderr.contains("usage: diag"), "{args:?}: {stderr}");
         assert!(stderr.contains("neomem"), "usage omits neomem: {stderr}");
     }
+}
+
+fn repro(args: &[&str], out_dir: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env("REPRO_OUT_DIR", out_dir)
+        .output()
+        .expect("spawn repro")
+}
+
+#[test]
+fn repro_rejects_an_unknown_id_before_running_any() {
+    let dir = std::env::temp_dir().join(format!("repro_cli_{}", std::process::id()));
+    let out = repro(&["fig3a", "bogus"], &dir);
+    let created = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "an unknown id was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'bogus'"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+    assert!(!created, "fig3a ran before the unknown id was rejected");
+}
+
+#[test]
+fn repro_list_names_every_experiment_once() {
+    let dir = std::env::temp_dir().join(format!("repro_list_{}", std::process::id()));
+    let out = repro(&["list"], &dir);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 list");
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let all: Vec<&str> = experiments::ALL.iter().map(|e| e.id).collect();
+    assert_eq!(ids, all);
+    assert_eq!(stdout.lines().count(), experiments::ALL.len());
+    assert!(!dir.exists(), "list wrote into {}", dir.display());
 }
