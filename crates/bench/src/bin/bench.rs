@@ -20,12 +20,6 @@
 //!                     traces streamed back through the batch pipeline)
 //!   --shard <i/N>     run only round-robin shard i of N (0-based) of every
 //!                     sweep; the json gains shard identity for --merge
-//!   --exec-workers <n>
-//!                     run the parallel pass through the fleet executor
-//!                     (n in-process workers, 2n shards, retry/reassignment
-//!                     on failure); the json gains a "fleet_exec" section
-//!                     with the executor's event log (scheduling-dependent,
-//!                     so such a file is not byte-reproducible)
 //!   --merge <a.json> <b.json> ...
 //!                     merge shard jsons (any order) into --json instead of
 //!                     running; rejects overlapping/missing/foreign shards
@@ -43,9 +37,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fleet_exec::{sweep_coordinator, FleetConfig, FleetExecReport};
-use hybridtier_bench::fleet::fleet_exec_json;
-use hybridtier_bench::json::{self, Json};
+use hybridtier_bench::json::Json;
 use hybridtier_bench::{
     colocation_matrix, fleet_matrix, merge, policy_comparison_matrix, tier_ladder_matrix,
 };
@@ -63,7 +55,6 @@ struct Args {
     fleet: bool,
     trace: bool,
     shard: Option<ShardSpec>,
-    exec_workers: usize,
     merge: Vec<PathBuf>,
 }
 
@@ -81,7 +72,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         fleet: true,
         trace: true,
         shard: None,
-        exec_workers: 0,
         merge: Vec::new(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -126,16 +116,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                         .map_err(|e| format!("--shard: {e}"))?,
                 );
             }
-            "--exec-workers" => {
-                args.exec_workers = it
-                    .next()
-                    .ok_or("--exec-workers needs a worker count")?
-                    .parse()
-                    .map_err(|e| format!("--exec-workers: {e}"))?;
-                if args.exec_workers == 0 {
-                    return Err("--exec-workers needs at least one worker".to_string());
-                }
-            }
             "--merge" => {
                 while let Some(path) = it.peek() {
                     if path.starts_with("--") {
@@ -151,8 +131,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                 println!(
                     "usage: bench [--json <path>] [--ops <n>] [--sim-ms <n>] [--threads <n>] \
                      [--serial-only] [--parallel-only] [--no-tiers] [--no-colocation] \
-                     [--no-fleet] [--no-trace] [--shard <i/N>] [--exec-workers <n>] \
-                     [--merge <shard.json>...]\n\
+                     [--no-fleet] [--no-trace] [--shard <i/N>] [--merge <shard.json>...]\n\
                      json schema and shard/merge workflow: docs/BENCH_FORMAT.md"
                 );
                 return Ok(None);
@@ -166,35 +145,25 @@ fn parse_args() -> Result<Option<Args>, String> {
     if !args.merge.is_empty() && args.shard.is_some() {
         return Err("--merge only reads shard jsons; drop --shard".to_string());
     }
-    if args.exec_workers > 0 {
-        if args.shard.is_some() {
-            return Err(
-                "--exec-workers shards each sweep internally; it cannot run inside a \
-                 --shard slice"
-                    .to_string(),
-            );
-        }
-        if !args.merge.is_empty() {
-            return Err("--merge only reads shard jsons; drop --exec-workers".to_string());
-        }
-        if !args.parallel {
-            return Err("--exec-workers drives the parallel pass; drop --serial-only".to_string());
-        }
-    }
     Ok(Some(args))
 }
 
 /// `--merge` mode: no simulations, just validate + reassemble shard jsons.
 fn run_merge(args: &Args) -> Result<Json, String> {
-    let mut docs = Vec::with_capacity(args.merge.len());
-    for path in &args.merge {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc =
-            json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-        docs.push(doc);
-    }
-    let merged = merge::merge_docs(&docs).map_err(|e| format!("merge failed: {e}"))?;
+    let texts = args
+        .merge
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = merge::merge_texts(&texts).map_err(|e| match e {
+        merge::MergeJsonError::Unparseable { doc, detail } => {
+            format!("cannot parse {}: {detail}", args.merge[doc].display())
+        }
+        e => format!("merge failed: {e}"),
+    })?;
     for section in merge::SECTIONS {
         if let Some(n) = merged.get(section).and_then(|s| s.num("scenarios")) {
             println!(
@@ -213,20 +182,16 @@ struct SweepPasses {
     sweep: SweepReport,
     identical: Option<bool>,
     matrix_len: usize,
-    exec: Option<FleetExecReport>,
 }
 
 /// Runs one scenario list serial and/or parallel — only this host's shard
-/// of it when `--shard` is set. With `--exec-workers` the parallel pass
-/// runs through the fleet executor (worker loss, retry, and reassignment
-/// handling live) and the executor's event log rides along. Returns the
-/// passes and whether they agreed; `Err` when a scenario could not be
-/// built (an unreadable trace input) or the fleet executor could not
-/// complete the sweep.
+/// of it when `--shard` is set. Returns the passes and whether they
+/// agreed; `Err` when a scenario could not be built (an unreadable trace
+/// input).
 fn run_sweep(
     name: &str,
     args: &Args,
-    build: impl Fn() -> Vec<Scenario> + Send + Sync + Clone + 'static,
+    build: impl Fn() -> Vec<Scenario>,
 ) -> Result<SweepPasses, String> {
     let matrix_len = build().len();
     // Shard selection happens on the full canonical list, so per-scenario
@@ -251,36 +216,16 @@ fn run_sweep(
         serial = Some(sweep);
     }
     let mut parallel: Option<SweepReport> = None;
-    let mut exec: Option<FleetExecReport> = None;
     if args.parallel {
-        if args.exec_workers > 0 {
-            // 2 shards per worker: enough slack that a lost worker's
-            // shards spread across survivors instead of serializing.
-            let shards = (args.exec_workers * 2).clamp(1, matrix_len.max(1));
-            let fleet = sweep_coordinator(build.clone(), args.exec_workers, FleetConfig::default())
-                .run_sweep(shards)
-                .map_err(|e| format!("{name}: fleet executor failed: {e}"))?;
-            println!(
-                "exec:     {:>8.2}s across {} workers ({} shards, {} lost, {} retries)",
-                fleet.report.wall.as_secs_f64(),
-                args.exec_workers,
-                shards,
-                fleet.exec.workers_lost,
-                fleet.exec.retries
-            );
-            parallel = Some(fleet.report);
-            exec = Some(fleet.exec);
-        } else {
-            let sweep = SweepRunner::new(args.threads)
-                .try_run(scenarios())
-                .map_err(|e| format!("{name}: {e}"))?;
-            println!(
-                "parallel: {:>8.2}s on {} threads",
-                sweep.wall.as_secs_f64(),
-                sweep.threads
-            );
-            parallel = Some(sweep);
-        }
+        let sweep = SweepRunner::new(args.threads)
+            .try_run(scenarios())
+            .map_err(|e| format!("{name}: {e}"))?;
+        println!(
+            "parallel: {:>8.2}s on {} threads",
+            sweep.wall.as_secs_f64(),
+            sweep.threads
+        );
+        parallel = Some(sweep);
     }
     let identical = match (&serial, &parallel) {
         (Some(s), Some(p)) => {
@@ -298,7 +243,6 @@ fn run_sweep(
         sweep: parallel.or(serial).expect("parse_args keeps one pass on"),
         identical,
         matrix_len,
-        exec,
     })
 }
 
@@ -388,7 +332,7 @@ fn run_sweeps(args: &Args) -> Result<(Json, bool), String> {
     // Trace-replay sweep: newest axis, so it runs last. The inputs are
     // recorded fresh with ops-independent names, so scenario labels are
     // stable across --ops protocols. The directory is this process's own:
-    // concurrent `bench` runs (ProcessWorker shards, parallel tests) record
+    // concurrent `bench` runs (parallel tests, shards on one host) record
     // at different --ops and must not see each other's files.
     let mut trace = None;
     if args.trace {
@@ -426,18 +370,6 @@ fn run_sweeps(args: &Args) -> Result<(Json, bool), String> {
             let cut = args.shard.map(|spec| (spec, p.matrix_len));
             doc.set(name, merge::sweep_section_json(&p.sweep, p.identical, cut));
         }
-    }
-    // The executor's sealed account of each sweep, one member per sweep
-    // section it drove.
-    if args.exec_workers > 0 {
-        let mut section = Json::obj();
-        section.set("workers", Json::Int(args.exec_workers as i128));
-        for (name, passes) in sections {
-            if let Some(exec) = passes.and_then(|p| p.exec.as_ref()) {
-                section.set(name, fleet_exec_json(exec));
-            }
-        }
-        doc.set("fleet_exec", section);
     }
     let mut ran = sections.iter().filter_map(|(_, passes)| *passes);
     Ok((doc, ran.all(|p| p.identical != Some(false))))

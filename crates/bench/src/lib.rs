@@ -22,18 +22,16 @@
 //!
 //! The `bench` binary runs the standard sweeps serial and parallel, checks
 //! that the two agree, and emits a byte-deterministic `BENCH_*.json`
-//! (schema: `docs/BENCH_FORMAT.md`), supported by three library modules:
+//! (schema: `docs/BENCH_FORMAT.md`), supported by two library modules:
 //! [`json`] (the one dependency-free codec: `Json::render` and `parse`),
-//! [`merge`] (the BENCH encoder and the `--shard`/`--merge`
-//! distributed-sweep workflow), and [`fleet`] (the `"fleet_exec"` section a
-//! `bench --exec-workers N` run seals its executor event log into). Host
-//! time is reported by `benchmark/` only.
+//! and [`merge`] (the BENCH encoder and the `--shard`/`--merge`
+//! distributed-sweep workflow). Host time is reported by `benchmark/`
+//! only.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod fleet;
 pub mod json;
 pub mod merge;
 mod output;

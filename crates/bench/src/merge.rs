@@ -190,8 +190,7 @@ pub enum MergeJsonError {
         label: String,
     },
     /// Input `doc` is not valid JSON at all — a truncated or corrupted
-    /// shard file (the fault injectors in `fleet-exec` produce exactly
-    /// these).
+    /// shard file.
     Unparseable {
         /// Position in the input list.
         doc: usize,
@@ -360,8 +359,8 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
 
 /// [`merge_docs`] over raw file contents: parses each text (typed
 /// [`MergeJsonError::Unparseable`] instead of a panic on truncated or
-/// corrupted shard files) and merges. This is the text plane the
-/// fleet executor's `ProcessWorker` artifacts feed.
+/// corrupted shard files) and merges. `bench --merge` reads its files
+/// through this.
 pub fn merge_texts<S: AsRef<str>>(texts: &[S]) -> Result<Json, MergeJsonError> {
     let docs = texts
         .iter()
@@ -374,35 +373,6 @@ pub fn merge_texts<S: AsRef<str>>(texts: &[S]) -> Result<Json, MergeJsonError> {
         })
         .collect::<Result<Vec<_>, _>>()?;
     merge_docs(&docs)
-}
-
-/// Checks that `text` is a well-formed shard document for exactly `spec`:
-/// parseable, carrying `spec`'s shard identity, with every sweep section's
-/// scenario count matching its round-robin slice. The fleet executor uses
-/// this as its artifact validator, so a corrupted or truncated shard json
-/// is rejected (and the shard retried elsewhere) instead of poisoning the
-/// final merge.
-pub fn validate_shard_text(spec: ShardSpec, text: &str) -> Result<(), String> {
-    let doc = crate::json::parse(text).map_err(|e| format!("unparseable shard json: {e}"))?;
-    let (index, total) = shard_identity(&doc).ok_or("document has no shard identity")?;
-    if index != spec.index() || total != spec.total() {
-        return Err(format!(
-            "shard identity {index}/{total} does not match the assigned shard {spec}"
-        ));
-    }
-    for section in SECTIONS {
-        let Some(s) = doc.get(section) else { continue };
-        let matrix_len = usize_field(s, "matrix_scenarios")
-            .ok_or_else(|| format!("section '{section}' lacks matrix_scenarios"))?;
-        let entries = entries(s).len();
-        let expected = spec.count_of(matrix_len);
-        if entries != expected {
-            return Err(format!(
-                "section '{section}': {entries} scenarios, slice demands {expected}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Merges one sweep section across the index-ordered shard documents.
@@ -647,19 +617,18 @@ mod tests {
 
     /// The trace crate's corruption-matrix technique on the text plane:
     /// every prefix and every flipped byte of a real shard document goes to
-    /// all three entry points that take outside text. Returning at all is
-    /// the assertion — `Ok` is legitimate (a flipped digit is still a
+    /// both entry points that take outside text. Returning at all is the
+    /// assertion — `Ok` is legitimate (a flipped digit is still a
     /// document), a typed error is the rest, a panic is the bug.
     #[test]
     fn every_prefix_and_flipped_byte_of_a_shard_document_is_handled() {
         let [zero, one] = [0, 1].map(|i| ShardSpec::new(i, 2).unwrap());
         let (good, other) = (doc(Some(zero)).render(), doc(Some(one)).render());
-        assert_eq!(validate_shard_text(zero, &good), Ok(()));
+        assert!(merge_texts(&[good.as_str(), other.as_str()]).is_ok());
         let survives = |damaged: &str| {
             let _ = crate::json::parse(damaged);
             let _ = merge_texts(&[damaged, other.as_str()]);
             let _ = merge_texts(&[other.as_str(), damaged]);
-            let _ = validate_shard_text(zero, damaged);
         };
         // The document is ASCII, so every byte offset is a char boundary.
         for cut in 0..good.len() {

@@ -1,7 +1,8 @@
 //! The `bench` binary's contract, checked on the built binary: what
 //! `--help` promises, that retired flags are rejected like any other
 //! unknown flag (before anything runs or is written), that the shard/merge
-//! exclusion still holds, and that equal flags write equal bytes. Plus
+//! exclusion still holds, that `--merge` names a file it cannot parse, and
+//! that equal flags write equal bytes. Plus
 //! `diag`'s: an argument it does not know is an error, not a default. And
 //! `repro`'s: every id is checked before any runs, and `list` names each
 //! experiment once.
@@ -13,7 +14,7 @@ use hybridtier_bench::json::{parse, Json};
 
 /// Every flag `parse_args` accepts besides `--help` itself.
 const FLAGS: &str = "--json --ops --sim-ms --threads --serial-only --parallel-only --no-tiers \
-                     --no-colocation --no-fleet --no-trace --shard --exec-workers --merge";
+                     --no-colocation --no-fleet --no-trace --shard --merge";
 
 fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench"))
@@ -41,6 +42,7 @@ fn retired_flags_are_unknown_and_write_nothing() {
         ("compare", Some("x")),
         ("regress", Some("0.1")),
         ("no-controller", None),
+        ("exec-workers", Some("2")),
     ] {
         let flag = format!("--{name}");
         let mut args = vec!["--json", json, flag.as_str()];
@@ -65,6 +67,81 @@ fn shard_and_merge_stay_mutually_exclusive() {
         stderr.contains("--merge only reads shard jsons"),
         "{stderr}"
     );
+}
+
+#[test]
+fn shards_merge_to_the_unsharded_document() {
+    let dir = std::env::temp_dir().join(format!("bench_cli_shards_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let protocol = [
+        "--ops",
+        "1500",
+        "--serial-only",
+        "--no-colocation",
+        "--no-fleet",
+    ];
+    let run = |extra: &[&str]| {
+        let mut args = protocol.to_vec();
+        args.extend(extra);
+        let out = bench(&args);
+        assert!(
+            out.status.success(),
+            "bench {extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&["--json", &path("unsharded.json")]);
+    let shards: Vec<String> = (0..3).map(|i| path(&format!("shard{i}.json"))).collect();
+    // Out of order: the merge sorts by shard identity.
+    for i in [2, 0, 1] {
+        run(&["--shard", &format!("{i}/3"), "--json", &shards[i]]);
+    }
+    let merged = path("merged.json");
+    let mut merge = vec!["--json", merged.as_str(), "--merge"];
+    merge.extend(shards.iter().rev().map(String::as_str));
+    let out = bench(&merge);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let [unsharded, merged] =
+        [path("unsharded.json"), merged].map(|p| std::fs::read(p).expect("bench wrote"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(unsharded == merged, "merged shards != unsharded run");
+}
+
+#[test]
+fn merge_names_the_file_it_cannot_parse() {
+    let dir = std::env::temp_dir().join(format!("bench_cli_merge_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let good = dir.join("good.json");
+    let truncated = dir.join("truncated.json");
+    let out_json = dir.join("merged.json");
+    std::fs::write(&good, r#"{"bench":"x","shard":{"index":0,"total":2}}"#).expect("write");
+    std::fs::write(&truncated, r#"{"bench":"x","shard":{"index":1,"tot"#).expect("write");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+    let out = bench(&[
+        "--json",
+        &path(&out_json),
+        "--merge",
+        &path(&good),
+        &path(&truncated),
+    ]);
+    let wrote = out_json.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "a truncated shard was merged");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("truncated.json"), "{stderr}");
+    assert!(!stderr.contains("good.json"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!wrote, "a failed merge wrote its output");
 }
 
 #[test]

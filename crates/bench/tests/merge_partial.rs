@@ -1,15 +1,13 @@
 //! Regression tests for `bench --merge` on minimal and partially-written
-//! shard documents — the shapes the fleet executor's fault injectors
-//! actually produce (truncated files, corrupted prefixes) plus
-//! hand-degraded documents and the shape older builds wrote (host-timing
-//! members, a `"compare"` section). The merge must reject these with a
+//! shard documents — truncated files, corrupted prefixes, hand-degraded
+//! documents and the shape older builds wrote (host-timing members, a
+//! `"compare"` section). The merge must reject these with a
 //! typed [`MergeJsonError`] or merge them losslessly; it must never panic,
 //! and what an older writer added must never abort an otherwise valid
 //! union.
 
 use hybridtier_bench::json::{parse, Json};
-use hybridtier_bench::merge::{merge_docs, merge_texts, validate_shard_text, MergeJsonError};
-use tiering_runner::ShardSpec;
+use hybridtier_bench::merge::{merge_docs, merge_texts, MergeJsonError};
 
 /// A well-formed 2-way shard document over a 3-scenario matrix: shard 0
 /// owns indices {0, 2}, shard 1 owns {1}. The timing members are the
@@ -110,14 +108,14 @@ fn non_integer_shard_identities_are_rejected() {
 #[test]
 fn truncated_or_corrupted_texts_are_typed_errors() {
     let good = shard_text(0);
-    // The fleet executor's Truncate fault: the file cut mid-write.
+    // A file cut mid-write.
     let truncated = good[..good.len() / 2].to_string();
     let err = merge_texts(&[truncated, shard_text(1)]).unwrap_err();
     assert!(
         matches!(err, MergeJsonError::Unparseable { doc: 0, .. }),
         "got {err:?}"
     );
-    // The Corrupt fault: garbage prepended to otherwise valid json.
+    // Garbage prepended to otherwise valid json.
     let corrupted = format!("!corrupt!{}", shard_text(1));
     let err = merge_texts(&[shard_text(0), corrupted]).unwrap_err();
     assert!(
@@ -130,30 +128,4 @@ fn truncated_or_corrupted_texts_are_typed_errors() {
         merged.get("single").and_then(|s| s.num("scenarios")),
         Some(3.0)
     );
-}
-
-#[test]
-fn validate_shard_text_rejects_what_the_faults_produce() {
-    let spec = ShardSpec::new(0, 2).unwrap();
-    let good = shard_text(0);
-    assert_eq!(validate_shard_text(spec, &good), Ok(()));
-
-    // Truncation → unparseable.
-    let err = validate_shard_text(spec, &good[..good.len() - 20]).unwrap_err();
-    assert!(err.contains("unparseable"), "{err}");
-
-    // A different shard's output (a worker answering for the wrong
-    // shard) → identity mismatch.
-    let err = validate_shard_text(spec, &shard_text(1)).unwrap_err();
-    assert!(err.contains("does not match"), "{err}");
-
-    // A scenario list that lost entries (partial write that still
-    // parses) → slice-count mismatch.
-    let halved = good.replace(r#",{"label":"c","seed":3,"fingerprint":"fc"}"#, "");
-    let err = validate_shard_text(spec, &halved).unwrap_err();
-    assert!(err.contains("slice demands"), "{err}");
-
-    // No shard identity at all.
-    let err = validate_shard_text(spec, r#"{"bench":"x"}"#).unwrap_err();
-    assert!(err.contains("no shard identity"), "{err}");
 }

@@ -1,6 +1,6 @@
 //! `record_trace_inputs` publishes each trace by rename, so a reader of the
 //! final paths never meets a half-written file — the race that used to
-//! break concurrent `bench` processes (ProcessWorker shards, parallel
+//! break concurrent `bench` processes (shards on one host, parallel
 //! tests) recording at different `--ops` into one directory.
 
 use std::sync::atomic::{AtomicBool, Ordering};

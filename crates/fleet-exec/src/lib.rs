@@ -1,57 +1,26 @@
-//! Elastic fleet executor: fault-tolerant fan-out of sharded sweeps.
+//! In-process fan-out of a sharded sweep: `workers` scoped threads run the
+//! round-robin shards of one scenario matrix and the shard reports merge
+//! back into the unsharded answer.
 //!
-//! [`ShardSpec`](tiering_runner::ShardSpec) (PR 5) made distributed sweeps
-//! *correct* — union-of-shards ≡ unsharded, merge rejects bad unions — but
-//! left execution to the operator: run `bench --shard i/N` on every host by
-//! hand and hope none of them dies. This crate is the missing operational
-//! layer: a [`FleetCoordinator`] that partitions a sweep with the existing
-//! shard machinery, fans the shards out to N workers, and survives worker
-//! loss, hangs, and corrupted results while still producing the exact
-//! unsharded answer.
+//! This is not a second way to run a sweep on many workers — that is
+//! [`SweepRunner::new(n)`](tiering_runner::SweepRunner::new) on one host
+//! and `bench --shard i/N` plus `bench --merge` across hosts. The crate is
+//! kept at the size of its one caller, the benchmark's shard-dispatch
+//! probe (`benchmark/src/probes.rs`), which prices what cutting a sweep
+//! into shards and merging them back costs. ROADMAP direction 6 retires
+//! that probe; this crate goes with it.
 //!
-//! * [`ShardWorker`] — where a shard runs. [`LocalWorker`] executes in
-//!   process (its artifact is a [`ShardReport`](tiering_runner::ShardReport),
-//!   merged via
-//!   [`SweepReport::merge`](tiering_runner::SweepReport::merge));
-//!   [`ProcessWorker`] spawns a subprocess per shard — e.g.
-//!   `bench --shard {index}/{total} --json {out}` — and reads the shard
-//!   BENCH json back as a `String` (merged via `bench --merge` /
-//!   `hybridtier_bench::merge`).
-//! * [`FleetCoordinator`] — deterministic round-based scheduler:
-//!   per-shard timeout/retry with capped exponential backoff, reassignment
-//!   of a lost worker's shards to survivors (merge accepts any
-//!   index-complete union, so *which* worker ran a shard never matters),
-//!   and weighted shard sizing from a per-worker calibration probe.
-//! * [`FleetEvent`] — a typed log of every scheduling decision
-//!   (assigned / completed / timed-out / retried / reassigned / lost),
-//!   with **logical** timestamps (monotone sequence numbers), sealed into
-//!   the [`FleetExecReport`] and the `"fleet_exec"` BENCH json section.
-//! * [`FaultPlan`] — the chaos harness this crate ships *first*: a
-//!   deterministic injection layer (seeded from the sweep seed via
-//!   [`derive_seed`](tiering_runner::derive_seed), no wall-clock
-//!   randomness) that kills a worker before/mid/after a shard, delays a
-//!   response past the timeout, or corrupts/truncates a shard artifact —
-//!   so every recovery path is exercised by tests, not just claimed.
-//!
-//! # Determinism contract
-//!
-//! Everything the simulation produces — scenario results, seeds,
-//! fingerprints, merge output — is bit-identical to the unsharded run for
-//! *any* fault plan that leaves at least one worker alive (the chaos suite
-//! pins this). The [`FleetEvent`] log is deterministic given the worker
-//! set, shard count, config, and fault plan, **provided** no genuine
-//! wall-clock timeout fires: scheduling is round-based and ordered by
-//! worker index, timestamps are logical, and injected faults (not host
-//! speed) decide outcomes. A `Delay` fault or a real straggler adds
-//! `TimedOut`/`StaleResult` events whose *presence* is plan-determined but
-//! whose interleaving with genuine work is host-timing dependent — golden
-//! tests therefore use kill faults, which are detected by channel
-//! disconnect and carry no timing dependence.
-//!
-//! # Example
+//! Shard `i` of [`ShardSpec::all(shards)`](tiering_runner::ShardSpec::all)
+//! runs on worker `i % workers`, each shard as
+//! `ShardedSweep::new(spec, SweepRunner::serial()).try_run(matrix())`, and
+//! the reports merge through
+//! [`SweepReport::merge`](tiering_runner::SweepReport::merge). Shards are
+//! deterministic, so nothing is retried: an unbuildable scenario is a
+//! typed [`FleetError::Scenario`] on its first failure, and a panic inside
+//! a shard propagates, as it does in `SweepRunner`.
 //!
 //! ```
-//! use fleet_exec::{FaultKind, FaultPlan, FleetConfig, sweep_coordinator};
+//! use fleet_exec::{sweep_coordinator, FleetConfig};
 //! use tiering_policies::PolicyKind;
 //! use tiering_runner::{ScenarioMatrix, SweepRunner};
 //! use tiering_sim::SimConfig;
@@ -63,27 +32,164 @@
 //!         .policies([PolicyKind::HybridTier, PolicyKind::FirstTouch])
 //!         .build()
 //! };
-//! // 3 workers, one of which dies mid-shard — the sweep still completes
-//! // and matches the unsharded run exactly.
 //! let fleet = sweep_coordinator(matrix, 3, FleetConfig::default())
-//!     .with_faults(FaultPlan::new(vec![FaultKind::KillMid.on(1)]))
 //!     .run_sweep(6)
-//!     .expect("two survivors finish the sweep");
-//! assert!(fleet.exec.workers_lost == 1);
-//! let reference = SweepRunner::serial().run(matrix());
-//! assert!(fleet.report.same_outcomes(&reference));
+//!     .expect("every scenario builds");
+//! assert!(fleet.report.same_outcomes(&SweepRunner::serial().run(matrix())));
+//! assert_eq!(fleet.exec.retries, 0);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod coordinator;
-mod fault;
-mod worker;
+use std::fmt;
+use std::panic;
+use std::thread;
 
-pub use coordinator::{
-    sweep_coordinator, FleetConfig, FleetCoordinator, FleetError, FleetEvent, FleetEventKind,
-    FleetExecReport, FleetRun, FleetSweep, WorkerStats,
+use tiering_runner::{
+    MergeError, Scenario, ScenarioError, ShardReport, ShardSpec, ShardedSweep, SweepReport,
+    SweepRunner,
 };
-pub use fault::{Fault, FaultKind, FaultPlan};
-pub use worker::{LocalWorker, ProcessWorker, ShardArtifact, ShardWorker, WorkerFailure};
+
+/// The fan-out's settings: there are none. A fault-free in-process shard
+/// has nothing to time out, retry or back off from.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FleetConfig {}
+
+/// A matrix factory fanned out over `workers` threads; run it with
+/// [`FleetCoordinator::run_sweep`].
+pub struct FleetCoordinator<M> {
+    matrix: M,
+    workers: usize,
+}
+
+impl<M> fmt::Debug for FleetCoordinator<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FleetCoordinator")
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A fan-out of `matrix` over `workers` in-process workers. Every worker
+/// builds the full matrix and runs only its shards' slices, as a host of
+/// a `bench --shard` run does.
+pub fn sweep_coordinator<M>(matrix: M, workers: usize, _config: FleetConfig) -> FleetCoordinator<M>
+where
+    M: Fn() -> Vec<Scenario> + Sync,
+{
+    FleetCoordinator { matrix, workers }
+}
+
+impl<M> FleetCoordinator<M>
+where
+    M: Fn() -> Vec<Scenario> + Sync,
+{
+    /// Runs the matrix in `shards` round-robin shards, shard `i` on worker
+    /// `i % workers`, and merges the reports into one identical in every
+    /// deterministic field to an unsharded [`SweepRunner`] run.
+    pub fn run_sweep(self, shards: usize) -> Result<FleetSweep, FleetError> {
+        if self.workers == 0 {
+            return Err(FleetError::NoWorkers);
+        }
+        if shards == 0 {
+            return Err(FleetError::NoShards);
+        }
+        let (matrix, workers) = (&self.matrix, self.workers);
+        let per_worker: Vec<Result<Vec<ShardReport>, ScenarioError>> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.min(shards))
+                .map(|worker| {
+                    scope.spawn(move || {
+                        ShardSpec::all(shards)
+                            .skip(worker)
+                            .step_by(workers)
+                            .map(|spec| {
+                                ShardedSweep::new(spec, SweepRunner::serial()).try_run(matrix())
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
+                .collect()
+        });
+        let mut reports = Vec::with_capacity(shards);
+        for worker in per_worker {
+            reports.extend(worker?);
+        }
+        Ok(FleetSweep {
+            report: SweepReport::merge(reports)?,
+            exec: FleetExecReport { retries: 0 },
+        })
+    }
+}
+
+/// What the fan-out did besides the results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FleetExecReport {
+    /// Shard re-dispatches. Always 0: an in-process shard is
+    /// deterministic, so a second attempt would fail the same way, and
+    /// the first failure is returned instead.
+    pub retries: u64,
+}
+
+/// A completed fan-out: the merged results plus the execution account.
+#[derive(Debug)]
+pub struct FleetSweep {
+    /// The merged sweep — identical in every deterministic field to an
+    /// unsharded [`SweepRunner`] run.
+    pub report: SweepReport,
+    /// The execution account.
+    pub exec: FleetExecReport,
+}
+
+/// Why a fan-out failed.
+#[derive(Debug)]
+pub enum FleetError {
+    /// Zero workers were requested.
+    NoWorkers,
+    /// Zero shards were requested.
+    NoShards,
+    /// A scenario could not be built (an unreadable trace input).
+    Scenario(ScenarioError),
+    /// The shard reports did not form a complete union.
+    Merge(MergeError),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::NoWorkers => write!(f, "fleet has no workers"),
+            FleetError::NoShards => write!(f, "cannot run a sweep over zero shards"),
+            FleetError::Scenario(e) => e.fmt(f),
+            FleetError::Merge(e) => write!(f, "merging shard reports failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FleetError::NoWorkers | FleetError::NoShards => None,
+            FleetError::Scenario(e) => Some(e),
+            FleetError::Merge(e) => Some(e),
+        }
+    }
+}
+
+impl From<ScenarioError> for FleetError {
+    fn from(e: ScenarioError) -> Self {
+        FleetError::Scenario(e)
+    }
+}
+
+impl From<MergeError> for FleetError {
+    fn from(e: MergeError) -> Self {
+        FleetError::Merge(e)
+    }
+}

@@ -16,7 +16,6 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use fleet_exec::{sweep_coordinator, FaultKind, FaultPlan, FleetConfig};
 use tiering_mem::{LadderKind, TierRatio};
 use tiering_policies::{ObjectiveKind, PolicyKind};
 use tiering_runner::{
@@ -334,47 +333,4 @@ fn phased_workload_matches_golden() {
         .collect();
     let sweep = SweepRunner::serial().run(scenarios);
     assert_matches_golden("phased_workload.txt", &report_lines(&sweep.results));
-}
-
-/// The canonical 3-worker / one-loss fleet-executor run: worker `w1` is
-/// killed mid-shard, its shard is reassigned, and the run completes. The
-/// event log uses logical timestamps (a gapless dispatch-order sequence)
-/// and the scheduler visits workers in index order, so with kill faults —
-/// detected by channel disconnect, never by a wall-clock deadline — the
-/// whole log is deterministic and snapshottable. Any change to the
-/// scheduling order, retry bookkeeping, or event vocabulary drifts this
-/// golden.
-#[test]
-fn fleet_executor_event_log_matches_golden() {
-    let matrix = || {
-        ScenarioMatrix::new(SimConfig::default().with_max_ops(2_000), 0xA5F0_5EED)
-            .workloads([WorkloadId::CdnCacheLib, WorkloadId::Silo])
-            .policies([PolicyKind::HybridTier, PolicyKind::FirstTouch])
-            .ratios([TierRatio::OneTo8])
-            .build()
-    };
-    let fleet = sweep_coordinator(matrix, 3, FleetConfig::default())
-        .with_faults(FaultPlan::new(vec![FaultKind::KillMid.on(1)]))
-        .run_sweep(6)
-        .expect("one loss out of three workers is recoverable");
-
-    let reference = SweepRunner::serial().run(matrix());
-    assert!(fleet.report.same_outcomes(&reference));
-
-    let mut out = String::from("# at worker event\n");
-    out.push_str(&fleet.exec.event_log());
-    let _ = writeln!(
-        out,
-        "# workers={} shards={} retries={} timeouts={} reassignments={} \
-         workers_lost={} rejected={} stale_results={}",
-        fleet.exec.workers.len(),
-        fleet.exec.shards,
-        fleet.exec.retries,
-        fleet.exec.timeouts,
-        fleet.exec.reassignments,
-        fleet.exec.workers_lost,
-        fleet.exec.rejected,
-        fleet.exec.stale_results,
-    );
-    assert_matches_golden("fleet_event_log.txt", &out);
 }

@@ -11,7 +11,6 @@
 
 use std::path::{Path, PathBuf};
 
-use fleet_exec::FaultKind;
 use tiering_mem::TierRatio;
 use tiering_policies::PolicyKind;
 use tiering_runner::{
@@ -171,19 +170,25 @@ fn replay_memory_stays_per_chunk() {
     );
 }
 
-/// Applies one of the PR-7 fleet-executor fault shapes to a trace file:
-/// `Corrupt` flips a byte mid-file, `Truncate` cuts the tail off. (The
-/// byte-exact corruption matrix lives in `tiering_trace`'s own suite; this
-/// level checks the same damage vocabulary through the replay entry point.)
-fn damage(path: &PathBuf, kind: &FaultKind) {
+/// The two ways a trace file gets damaged in transit.
+enum Damage {
+    /// A byte flipped mid-file.
+    Corrupt,
+    /// The tail cut off (an interrupted copy).
+    Truncate,
+}
+
+/// Applies `kind` to a trace file. (The byte-exact corruption matrix
+/// lives in `tiering_trace`'s own suite; this level checks the same damage
+/// through the replay entry point.)
+fn damage(path: &PathBuf, kind: Damage) {
     let mut bytes = std::fs::read(path).expect("read trace");
     match kind {
-        FaultKind::Corrupt => {
+        Damage::Corrupt => {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x40;
         }
-        FaultKind::Truncate => bytes.truncate(bytes.len() * 2 / 3),
-        other => panic!("not a file-damage fault: {other:?}"),
+        Damage::Truncate => bytes.truncate(bytes.len() * 2 / 3),
     }
     std::fs::write(path, bytes).expect("rewrite trace");
 }
@@ -192,12 +197,9 @@ fn damage(path: &PathBuf, kind: &FaultKind) {
 /// panics, and no short stream is silently accepted.
 #[test]
 fn damaged_traces_fail_typed_at_open() {
-    for (kind, tag) in [
-        (FaultKind::Corrupt, "corrupt"),
-        (FaultKind::Truncate, "truncate"),
-    ] {
+    for (kind, tag) in [(Damage::Corrupt, "corrupt"), (Damage::Truncate, "truncate")] {
         let path = record(WorkloadId::CdnCacheLib, 64, &format!("fault-{tag}"));
-        damage(&path, &kind);
+        damage(&path, kind);
         match TraceReplayWorkload::open(&path) {
             Err(
                 TraceError::ChecksumMismatch { .. }

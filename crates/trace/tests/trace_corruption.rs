@@ -9,10 +9,10 @@
 //! crate's seal and the document ever disagree, the pinned frame and the
 //! re-sealing tests fail.
 //!
-//! The damage shapes mirror the PR-7 fleet-executor fault vocabulary
-//! (`FaultKind::Corrupt` / `FaultKind::Truncate`); the runner-level suite
-//! drives those same shapes through `FaultPlan` against real files, while
-//! this suite exercises the byte-exact cases in memory.
+//! The runner-level suite (`trace_replay_equivalence`) drives the two
+//! coarse damage shapes — a byte flipped mid-file, a cut tail — against
+//! real files through the replay entry point, while this suite exercises
+//! the byte-exact cases in memory.
 
 use std::io::Cursor;
 

@@ -67,8 +67,10 @@ pub use tiering_workloads as workloads;
 pub mod runner {
     pub use tiering_runner::*;
 
-    /// Elastic fleet executor: fault-tolerant fan-out of sharded sweeps
-    /// over local and subprocess workers (re-export of [`fleet_exec`]).
+    /// In-process fan-out of a sharded sweep over worker threads
+    /// (re-export of [`fleet_exec`]), kept for the benchmark's
+    /// shard-dispatch probe. Multi-host sweeps use `bench --shard` and
+    /// `bench --merge`.
     pub mod remote {
         pub use fleet_exec::*;
     }
