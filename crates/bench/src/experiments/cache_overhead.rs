@@ -5,54 +5,69 @@
 //! source, the simulator analogue of the paper's per-thread `perf`
 //! attribution (§6.3.3).
 
-use cache_sim::{HierarchyStats, Source};
-use tiering_mem::{PageSize, TierRatio};
-use tiering_policies::PolicyKind;
-use tiering_runner::{PolicySpec, Scenario, SweepRunner, TierSpec, WorkloadSpec};
-use tiering_sim::{SimConfig, SimReport};
+use cache_sim::{HierarchyStats, LevelStats, Source};
+use tiering_mem::{PageSize, TierConfig, TierRatio, TierTopology};
+use tiering_policies::{build_policy, PolicyKind};
+use tiering_sim::{SimConfig, SimReport, SimRun};
+use tiering_trace::Workload;
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
 
-use super::Budget;
+use super::{par_map, Budget};
 use crate::{Cell, Figure, SEED};
 
-/// One cache-attributed CacheLib scenario of 600 000 ops at the given page
-/// granularity.
-fn cached_scenario(kind: PolicyKind, page_size: PageSize) -> Scenario {
+/// The cache-attributed run of these figures: 600 000 CDN CacheLib ops at
+/// the given page granularity, 100 ms windows.
+fn cached_config(page_size: PageSize) -> SimConfig {
     let mut cfg = SimConfig::default().with_max_ops(600_000).with_cache_sim();
     cfg.page_size = page_size;
     cfg.window_ns = 100_000_000;
-    let suffix = match page_size {
-        PageSize::Base4K => "4k",
-        PageSize::Huge2M => "2m",
+    cfg
+}
+
+/// Runs `kind` over the CDN CacheLib workload at 1:4 under `cfg` (cache
+/// simulation on), stepped one `cfg.window_ns` window at a time, and reads
+/// the cache counters at every window end the clock passes — the way the
+/// paper reads per-thread `perf` counters (§6.3.3). Returns each window as
+/// `(end ns, tiering share of its L1 misses, same for the LLC)`, and the
+/// run's report.
+fn cache_windows(kind: PolicyKind, cfg: &SimConfig) -> (Vec<(u64, f64, f64)>, SimReport) {
+    let mut workload = CacheLibWorkload::new(CacheLibConfig::cdn().with_seed(SEED));
+    let pages = workload.footprint_pages(cfg.page_size);
+    let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo4, cfg.page_size);
+    let mut policy = build_policy(kind, &tier_cfg);
+    let topology = TierTopology::two_tier(tier_cfg, &cfg.latency);
+    let mut run = SimRun::new(cfg, topology, &*policy);
+    // The tiering share of the misses a level took since `last`.
+    let share = |now: &LevelStats, last: &LevelStats| {
+        let tiering = now.by(Source::Tiering).misses - last.by(Source::Tiering).misses;
+        let total = now.total_misses() - last.total_misses();
+        if total == 0 {
+            0.0
+        } else {
+            tiering as f64 / total as f64
+        }
     };
-    Scenario::new(
-        format!("{}/{}", kind.label(), suffix),
-        WorkloadSpec::custom("CDN", |seed| {
-            Box::new(CacheLibWorkload::new(CacheLibConfig::cdn().with_seed(seed)))
-        }),
-        PolicySpec::Kind(kind),
-        TierSpec::Ratio(TierRatio::OneTo4),
-        &cfg,
-        SEED,
-    )
-}
-
-/// Runs a list of cache-attributed scenarios in parallel and returns their
-/// reports in input order.
-fn run_cached_sweep(scenarios: Vec<Scenario>) -> Vec<SimReport> {
-    SweepRunner::new(0)
-        .run(scenarios)
-        .results
-        .into_iter()
-        .map(|r| r.report)
-        .collect()
-}
-
-/// The cache statistics of a [`cached_scenario`] run.
-fn cache_stats(report: &SimReport) -> HierarchyStats {
-    report
-        .cache
-        .expect("`cached_scenario` turns the cache simulation on")
+    let mut windows = Vec::new();
+    let mut last = HierarchyStats::default();
+    let mut window_end = cfg.window_ns;
+    while !run.finished() {
+        run.run_until(&mut workload, policy.as_mut(), window_end);
+        // One op can pass several window ends; the windows after the first
+        // took no misses.
+        while run.now_ns() >= window_end {
+            let now = run
+                .cache_stats()
+                .expect("`cfg` turns the cache simulation on");
+            windows.push((
+                window_end,
+                share(&now.l1, &last.l1),
+                share(&now.llc, &last.llc),
+            ));
+            last = now;
+            window_end += cfg.window_ns;
+        }
+    }
+    (windows, run.finish(workload.name(), &*policy))
 }
 
 /// Figures 5 and 13: the per-window share of L1 and LLC misses caused by
@@ -63,21 +78,22 @@ fn tiering_fractions(id: &'static str, kind: PolicyKind, name: &str) -> Figure {
         id,
         ["config", "t_ns", "l1_tiering_frac", "llc_tiering_frac"],
     );
-    let reports = run_cached_sweep(vec![
-        cached_scenario(kind, PageSize::Base4K),
-        cached_scenario(kind, PageSize::Huge2M),
-    ]);
-    for (report, suffix) in reports.iter().zip(["4k", "2m"]) {
+    let runs = par_map(&[PageSize::Base4K, PageSize::Huge2M], |&page_size| {
+        cache_windows(kind, &cached_config(page_size))
+    });
+    for ((windows, report), suffix) in runs.iter().zip(["4k", "2m"]) {
         let label = format!("{name}-{suffix}");
-        for p in &report.cache_timeline {
+        for &(t_ns, l1, llc) in windows {
             fig.row(vec![
                 Cell::label(&label),
-                Cell::int(p.t_ns),
-                Cell::fixed(p.l1_tiering_frac, 3),
-                Cell::fixed(p.llc_tiering_frac, 3),
+                Cell::int(t_ns),
+                Cell::fixed(l1, 3),
+                Cell::fixed(llc, 3),
             ]);
         }
-        let stats = cache_stats(report);
+        let stats = report
+            .cache
+            .expect("`cached_config` turns the cache simulation on");
         fig.note(format!(
             "{label:<24} L1 misses from tiering: {:>5.1}%   LLC: {:>5.1}%",
             stats.l1.tiering_miss_fraction() * 100.0,
@@ -119,15 +135,13 @@ pub fn fig14(_: &Budget) -> Figure {
         PolicyKind::HybridTierUnblocked,
         PolicyKind::HybridTier,
     ];
-    let reports = run_cached_sweep(
-        kinds
-            .iter()
-            .map(|&k| cached_scenario(k, PageSize::Base4K))
-            .collect(),
-    );
+    let cfg = cached_config(PageSize::Base4K);
+    let runs = par_map(&kinds, |&kind| cache_windows(kind, &cfg));
     let mut baseline: Option<(u64, u64)> = None;
-    for report in &reports {
-        let stats = cache_stats(report);
+    for (_, report) in &runs {
+        let stats = report
+            .cache
+            .expect("`cached_config` turns the cache simulation on");
         let l1 = stats.l1.by(Source::Tiering).misses;
         let llc = stats.llc.by(Source::Tiering).misses;
         let (bl1, bllc) = *baseline.get_or_insert((l1.max(1), llc.max(1)));
@@ -141,4 +155,29 @@ pub fn fig14(_: &Budget) -> Figure {
     }
     fig.note("(ratios are miss reductions relative to Memtis; higher is better)");
     fig
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Stepping closes exactly the windows the engine's latency timeline
+    /// closes: one cache window per full-window timeline point, same end.
+    #[test]
+    fn cache_windows_match_the_full_timeline_windows() {
+        for page_size in [PageSize::Base4K, PageSize::Huge2M] {
+            let mut cfg = cached_config(page_size).with_max_ops(60_000);
+            cfg.window_ns = 5_000_000;
+            let (windows, report) = cache_windows(PolicyKind::Memtis, &cfg);
+            let stepped: Vec<u64> = windows.iter().map(|w| w.0).collect();
+            let full: Vec<u64> = report
+                .timeline
+                .iter()
+                .map(|p| p.t_ns)
+                .filter(|t| t % cfg.window_ns == 0)
+                .collect();
+            assert!(stepped.len() >= 5, "{page_size:?}: {stepped:?}");
+            assert_eq!(stepped, full, "{page_size:?}");
+        }
+    }
 }

@@ -5,11 +5,12 @@ use hybridtier_cbf::{
 };
 use tiering_mem::{PageSize, TierConfig, TierRatio};
 use tiering_policies::{build_policy, PolicyKind};
-use tiering_sim::{SimConfig, COUNT_BUCKET_LABELS};
+use tiering_sim::SimConfig;
 use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{build_workload, WorkloadId};
 
-use super::Budget;
+use super::{par_map, Budget};
+use crate::hotness::{count_sample, cumulative_fractions, record_samples, COUNT_BUCKET_LABELS};
 use crate::{Cell, Figure, SEED};
 
 /// Figure 16: cumulative per-page sampled-access-count distributions for all
@@ -22,32 +23,19 @@ pub fn fig16(_: &Budget) -> Figure {
             .chain(COUNT_BUCKET_LABELS.iter().map(|b| format!("cum_{b}"))),
     );
     let mut cfg = SimConfig::default().with_max_ops(1_500_000);
-    cfg.count_probe = true;
     // The paper's counts come from real PEBS rates, where most pages of
     // a hundreds-of-GB footprint are never sampled (GAP-Kronecker: 94%
-    // at count 0). Use a proportionally sparse probe period so the
+    // at count 0). Use a proportionally sparse sampling period so the
     // distribution reflects relative hotness rather than run length.
     cfg.sample_period = 499;
-    let sweep = tiering_runner::SweepRunner::new(0).run(
-        tiering_runner::ScenarioMatrix::new(cfg, SEED)
-            .workloads(WorkloadId::ALL)
-            .ratios([TierRatio::OneTo4])
-            .policies([PolicyKind::FirstTouch])
-            .fixed_seed()
-            .build(),
-    );
-    for (id, result) in WorkloadId::ALL.iter().zip(&sweep.results) {
-        let dist = result
-            .report
-            .count_distribution
-            .as_ref()
-            .expect("`cfg.count_probe` is set above");
+    let counts = par_map(&WorkloadId::ALL, |&id| {
+        let mut workload = build_workload(id, SEED);
+        let tally = |pages| vec![0; pages as usize];
+        record_samples(workload.as_mut(), &cfg, tally, count_sample).0
+    });
+    for (id, counts) in WorkloadId::ALL.iter().zip(&counts) {
         let mut row = vec![Cell::label(id.label())];
-        row.extend(
-            dist.cumulative_fractions()
-                .iter()
-                .map(|&c| Cell::fixed(c, 3)),
-        );
+        row.extend(cumulative_fractions(counts).map(|c| Cell::fixed(c, 3)));
         fig.row(row);
     }
     fig

@@ -3,42 +3,38 @@
 
 use tiering_mem::PageSize;
 use tiering_policies::ema_lag_series;
-use tiering_sim::{RetentionConfig, SimConfig};
-use tiering_trace::{AccessBatch, Sampler, Workload};
-use tiering_workloads::{CacheLibConfig, CacheLibWorkload, WorkloadId};
+use tiering_sim::SimConfig;
+use tiering_trace::{AccessBatch, Sample, Sampler, Workload};
+use tiering_workloads::{build_workload, CacheLibConfig, CacheLibWorkload, WorkloadId};
 
-use super::Budget;
+use super::{par_map, Budget};
+use crate::hotness::{record_samples, Retention};
 use crate::{Cell, Figure, SEED};
+
+/// Figure 2's hot-set window: shorter than one kernel iteration/boosting
+/// round, so the windows see the hot set move through the data (the
+/// paper's minutes compress to tens of milliseconds here).
+const RETENTION_WINDOW_NS: u64 = 100_000_000;
+
+/// Samples within one window that make a page hot. One is already strong
+/// hotness evidence at the scaled sampling density (period 19 vs. the
+/// paper's thousands).
+const HOT_MIN_SAMPLES: u32 = 1;
 
 /// Figure 2: fraction of initially hot pages still hot over time, for
 /// PageRank and XGBoost. Paper: "most pages are no longer hot after just 5
 /// minutes" (PR > 90% decayed, XGBoost > 50%).
 pub fn fig2(_: &Budget) -> Figure {
     let mut fig = Figure::new("fig2", ["workload", "t_ns", "fraction_still_hot"]);
-    let mut cfg = SimConfig::default().with_max_ops(4_000_000);
-    // Windows shorter than one kernel iteration/boosting round, so the
-    // probe sees the hot set move through the data (the paper's minutes
-    // compress to tens of milliseconds here).
-    // One sample per window is already strong hotness evidence at the
-    // scaled sampling density (period 19 vs. the paper's thousands).
-    cfg.retention_probe = Some(RetentionConfig {
-        window_ns: 100_000_000,
-        hot_min_samples: 1,
+    let cfg = SimConfig::default().with_max_ops(4_000_000);
+    let runs = par_map(&[WorkloadId::PrKron, WorkloadId::Xgboost], |&id| {
+        let mut workload = build_workload(id, SEED);
+        let tally = |_| Retention::new(RETENTION_WINDOW_NS, HOT_MIN_SAMPLES);
+        let fold = |r: &mut Retention, s: &Sample| r.record(s.page, s.at_ns);
+        let (retention, report) = record_samples(workload.as_mut(), &cfg, tally, fold);
+        (retention.finish(report.sim_ns), report)
     });
-    let sweep = tiering_runner::SweepRunner::new(0).run(
-        tiering_runner::ScenarioMatrix::new(cfg, SEED)
-            .workloads([WorkloadId::PrKron, WorkloadId::Xgboost])
-            .ratios([tiering_mem::TierRatio::OneTo4])
-            .policies([tiering_policies::PolicyKind::FirstTouch])
-            .fixed_seed()
-            .build(),
-    );
-    for result in &sweep.results {
-        let report = &result.report;
-        let series = report
-            .retention
-            .as_ref()
-            .expect("`cfg.retention_probe` is set above");
+    for (series, report) in &runs {
         for &(t, frac) in series {
             fig.row(vec![
                 Cell::label(&report.workload),

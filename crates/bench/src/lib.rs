@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
+mod hotness;
 pub mod json;
 pub mod merge;
 mod output;

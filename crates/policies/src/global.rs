@@ -16,11 +16,13 @@
 //!
 //! The controller deliberately does **not** own tenant runtimes: the
 //! simulation engine (`tiering_sim::MultiTenantEngine`) drives each tenant
-//! through its own pipeline, collects demand signals, calls
-//! [`rebalance`](GlobalController::rebalance), and enforces the resulting
-//! quotas by resizing each tenant's fast tier (shrunk tenants drain through
-//! their policy's ordinary watermark demotion — quota enforcement rides the
-//! existing migration path, it is not a special mechanism).
+//! through its own pipeline, reports each tenant's demand signal through
+//! [`update_demand`](GlobalController::update_demand), calls
+//! [`rebalance_dirty`](GlobalController::rebalance_dirty), and enforces the
+//! resulting quotas by resizing each tenant's fast tier (shrunk tenants
+//! drain through their policy's ordinary watermark demotion — quota
+//! enforcement rides the existing migration path, it is not a special
+//! mechanism).
 //!
 //! Two fleet-scale extensions on top of the §7 sketch:
 //!

@@ -5,7 +5,6 @@ use tiering_mem::{LatencyModel, PageSize, TierConfig, TierTopology};
 use tiering_policies::TieringPolicy;
 use tiering_trace::Workload;
 
-use crate::hotness::RetentionConfig;
 use crate::pipeline::SimRun;
 use crate::report::SimReport;
 
@@ -73,12 +72,9 @@ pub struct SimConfig {
     pub max_ops: u64,
     /// Stop after this much simulated time (`u64::MAX` = unbounded).
     pub max_sim_ns: u64,
-    /// Timeline window length.
+    /// Timeline window length; must be positive ([`SimRun::new`] panics
+    /// on 0).
     pub window_ns: u64,
-    /// Record the per-page sampled-count distribution (Figure 16).
-    pub count_probe: bool,
-    /// Record hot-set retention (Figure 2).
-    pub retention_probe: Option<RetentionConfig>,
     /// Operations pulled from the workload per
     /// [`fill_batch`](Workload::fill_batch) call (the pipeline's unit of
     /// work). `1` pulls one op per call.
@@ -91,8 +87,7 @@ pub struct SimConfig {
     /// knob. Tuning guidance:
     ///
     /// * 32–128 amortizes workload/policy virtual dispatch without growing
-    ///   the batch buffers past the L1 working set; 64 is the sweet spot in
-    ///   the `end_to_end` bench across the suite workloads.
+    ///   the batch buffers past the L1 working set; 64 is the default.
     /// * Larger values pay off for many-access ops (CacheLib large objects,
     ///   PageRank supersteps) where the flat access buffer already spans
     ///   multiple cache lines per op.
@@ -115,8 +110,6 @@ impl Default for SimConfig {
             max_ops: u64::MAX,
             max_sim_ns: u64::MAX,
             window_ns: 1_000_000_000, // 1 s
-            count_probe: false,
-            retention_probe: None,
             batch_ops: 64,
         }
     }
@@ -364,42 +357,17 @@ mod tests {
     }
 
     #[test]
-    fn count_probe_distribution_sums_to_address_space() {
+    #[should_panic(expected = "timeline window must be positive")]
+    fn zero_window_is_rejected() {
         let cfg = SimConfig {
-            count_probe: true,
+            window_ns: 0,
             ..SimConfig::default()
         };
-        let mut w = ZipfPageWorkload::new(500, 0.99, 50_000, 3);
+        let mut w = ZipfPageWorkload::new(500, 0.99, 1_000, 3);
         let pages = tiering_trace::Workload::footprint_pages(&w, PageSize::Base4K);
         let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
         let mut policy = build_policy(PolicyKind::FirstTouch, &tier_cfg);
-        let r = Engine::new(cfg).run(&mut w, policy.as_mut(), tier_cfg);
-        let d = r.count_distribution.expect("probe enabled");
-        assert_eq!(d.total(), pages);
-        assert!(d.buckets[6] > 0, "hottest zipf pages should saturate");
-    }
-
-    #[test]
-    fn count_probe_counts_unmapped_pages_once() {
-        // One access per op and fewer ops than pages: most of the address
-        // space is never touched, so never mapped, and must still be
-        // counted exactly once, in the 0 bucket.
-        let cfg = SimConfig {
-            count_probe: true,
-            ..SimConfig::default()
-        };
-        let mut w = ZipfPageWorkload::new(4_000, 0.99, 1_000, 3);
-        let pages = tiering_trace::Workload::footprint_pages(&w, PageSize::Base4K);
-        let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
-        let mut policy = build_policy(PolicyKind::FirstTouch, &tier_cfg);
-        let r = Engine::new(cfg).run(&mut w, policy.as_mut(), tier_cfg);
-        assert!(r.accesses < pages, "the run must leave pages unmapped");
-        let d = r.count_distribution.expect("probe enabled");
-        assert_eq!(d.total(), pages);
-        assert!(
-            d.buckets[0] >= pages - r.accesses,
-            "untouched pages count 0"
-        );
+        Engine::new(cfg).run(&mut w, policy.as_mut(), tier_cfg);
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!
 //! Outputs are [`SimReport`]s: latency percentiles (exact, from log-bucketed
 //! histograms), a median-latency timeline (paper Figure 4), migration and
-//! cache statistics, optional hotness probes (Figures 2 and 16), and a
-//! stable outcome [`fingerprint`](SimReport::fingerprint) that distributed
-//! sweeps use as portable scenario identity.
+//! cache statistics, and a stable outcome
+//! [`fingerprint`](SimReport::fingerprint) that distributed sweeps use as
+//! portable scenario identity. Figures that need more — the sample stream,
+//! cache counters per window — read it through a policy's sample hook or
+//! by stepping a [`SimRun`].
 //!
 //! # Module map
 //!
@@ -33,9 +35,9 @@
 //!   each, over one shared fast tier under the §7 global controller, with
 //!   churn ([`ChurnSchedule`]) and round-based rebalancing.
 //! * `report` — [`SimReport`] / [`MultiTenantReport`] and friends.
-//! * `adaptation` / `hotness` / `histo` / `prefetch` — measurement
-//!   helpers: adaptation-time extraction, retention/count probes, exact
-//!   log-bucketed percentiles, stream prefetch detection.
+//! * `adaptation` / `histo` / `prefetch` — measurement helpers:
+//!   adaptation-time extraction, exact log-bucketed percentiles, stream
+//!   prefetch detection.
 //!
 //! Everything here is single-run machinery; *many* runs (matrices,
 //! parallel sweeps, multi-host sharding) live in `tiering_runner`.
@@ -47,7 +49,6 @@ mod adaptation;
 mod charge;
 mod engine;
 mod histo;
-mod hotness;
 mod multi_tenant;
 mod pipeline;
 mod prefetch;
@@ -57,7 +58,6 @@ pub use adaptation::{adaptation_time_ns, steady_state_p50};
 pub use charge::charge_scaled;
 pub use engine::{CacheSimOptions, Engine, SimConfig};
 pub use histo::LogHistogram;
-pub use hotness::{CountDistribution, RetentionConfig, RetentionProbe, COUNT_BUCKET_LABELS};
 pub use multi_tenant::{
     ChurnSchedule, FleetError, MultiTenantConfig, MultiTenantEngine, TenantEvent,
     TenantPolicyBuilder, TenantRun, DEFAULT_FLOOR_FRAC, DEFAULT_REBALANCE_INTERVAL_NS,
@@ -65,6 +65,6 @@ pub use multi_tenant::{
 pub use pipeline::SimRun;
 pub use prefetch::StreamPrefetcher;
 pub use report::{
-    CacheTimelinePoint, ChurnKind, ChurnRecord, LatencySummary, MultiTenantReport, SimReport,
-    TenantReport, TimelinePoint, SUMMARY_MAX_TENANTS,
+    ChurnKind, ChurnRecord, LatencySummary, MultiTenantReport, SimReport, TenantReport,
+    TimelinePoint, SUMMARY_MAX_TENANTS,
 };

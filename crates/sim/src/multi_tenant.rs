@@ -174,7 +174,8 @@ pub struct MultiTenantConfig {
     /// Minimum budget share any tenant keeps (see
     /// [`GlobalController::new`]).
     pub floor_frac: f64,
-    /// Simulated time between controller rebalances.
+    /// Simulated time between controller rebalances; must be positive
+    /// ([`MultiTenantEngine::run_with_churn`] panics on 0).
     pub rebalance_interval_ns: u64,
     /// How the controller follows demand (see [`ObjectiveKind`]).
     pub objective: ObjectiveKind,
@@ -223,13 +224,8 @@ impl MultiTenantConfig {
     }
 
     /// Overrides the rebalance cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns == 0`.
     #[must_use]
     pub fn with_rebalance_interval_ns(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "rebalance interval must be positive");
         self.rebalance_interval_ns = ns;
         self
     }
@@ -319,7 +315,7 @@ pub struct MultiTenantEngine {
 
 impl MultiTenantEngine {
     /// Creates the engine. `sim` applies to every tenant's pipeline
-    /// (per-tenant op/time caps, batch size, probes).
+    /// (per-tenant op/time caps, batch size, timeline window).
     pub fn new(sim: SimConfig, cfg: MultiTenantConfig) -> Self {
         Self { sim, cfg }
     }
@@ -344,11 +340,19 @@ impl MultiTenantEngine {
     /// [`FleetError::NoTenants`] if `tenants` is empty (a fleet must start
     /// with at least one tenant); [`FleetError::UnknownDeparture`] if a
     /// [`TenantEvent::Depart`] names no live tenant when it fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rebalance interval is 0: no round would ever end.
     pub fn run_with_churn(
         &self,
         tenants: Vec<TenantRun>,
         churn: ChurnSchedule,
     ) -> Result<MultiTenantReport, FleetError> {
+        assert!(
+            self.cfg.rebalance_interval_ns > 0,
+            "rebalance interval must be positive"
+        );
         if tenants.is_empty() {
             return Err(FleetError::NoTenants);
         }
@@ -575,7 +579,6 @@ impl MultiTenantEngine {
             sim_ns,
             latency: LatencySummary::from_histogram(&merged_hist),
             timeline: Vec::new(),
-            cache_timeline: Vec::new(),
             cache: None,
             migrations,
             fast_hit_frac: if accesses == 0 {
@@ -584,8 +587,6 @@ impl MultiTenantEngine {
                 fast_hits_weighted / accesses as f64
             },
             metadata_bytes,
-            count_distribution: None,
-            retention: None,
         };
 
         MultiTenantReport {
@@ -621,6 +622,17 @@ mod tests {
                 |cfg| build_policy(PolicyKind::HybridTier, cfg),
             ),
         ]
+    }
+
+    #[test]
+    #[should_panic(expected = "rebalance interval must be positive")]
+    fn zero_rebalance_interval_is_rejected() {
+        let cfg = MultiTenantConfig {
+            rebalance_interval_ns: 0,
+            ..MultiTenantConfig::new(750)
+        };
+        let engine = MultiTenantEngine::new(SimConfig::default().with_max_ops(1_000), cfg);
+        let _ = engine.run(two_tenants(1_000));
     }
 
     #[test]

@@ -52,9 +52,8 @@ use tiering_trace::{AccessBatch, Sample, Sampler, Workload};
 
 use crate::charge::charge_scaled;
 use crate::histo::LogHistogram;
-use crate::hotness::{CountDistribution, RetentionProbe};
 use crate::prefetch::StreamPrefetcher;
-use crate::report::{CacheTimelinePoint, LatencySummary, SimReport, TimelinePoint};
+use crate::report::{LatencySummary, SimReport, TimelinePoint};
 use crate::SimConfig;
 
 /// A resumable simulation run: one pipeline plus the ops pulled from the
@@ -75,11 +74,17 @@ pub struct SimRun<'c> {
 impl<'c> SimRun<'c> {
     /// A fresh run of `policy` over `topology` (the classic testbed is
     /// [`TierTopology::two_tier`] over `cfg.latency`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.window_ns == 0`: the latency windows would never
+    /// close.
     pub fn new<P: TieringPolicy + ?Sized>(
         cfg: &'c SimConfig,
         topology: TierTopology,
         policy: &P,
     ) -> Self {
+        assert!(cfg.window_ns > 0, "timeline window must be positive");
         let batch_ops = cfg.batch_ops.max(1);
         Self {
             pipeline: Pipeline::with_topology(cfg, topology, policy),
@@ -152,6 +157,11 @@ impl<'c> SimRun<'c> {
         &self.pipeline.mem
     }
 
+    /// Cache statistics so far, when cache simulation is on.
+    pub fn cache_stats(&self) -> Option<HierarchyStats> {
+        self.pipeline.hier.as_ref().map(CacheHierarchy::stats)
+    }
+
     /// Applies a controller-assigned fast-tier quota (paper §7). Shrinking
     /// below occupancy is fine — watermark demotion drains the excess.
     pub(crate) fn set_fast_capacity(&mut self, pages: u64) {
@@ -205,12 +215,7 @@ struct Pipeline<'c> {
     global_hist: LogHistogram,
     window_hist: LogHistogram,
     timeline: Vec<TimelinePoint>,
-    cache_timeline: Vec<CacheTimelinePoint>,
     window_end: u64,
-    last_cache_stats: HierarchyStats,
-
-    counts: Vec<u8>,
-    retention: Option<RetentionProbe>,
 
     prefetcher: StreamPrefetcher,
     recent_pages: [u64; 16],
@@ -238,7 +243,6 @@ impl<'c> Pipeline<'c> {
         topology: TierTopology,
         policy: &P,
     ) -> Self {
-        let address_space_pages = topology.address_space_pages();
         let tier_ns = topology
             .latency_table()
             .iter()
@@ -274,15 +278,7 @@ impl<'c> Pipeline<'c> {
             global_hist: LogHistogram::new(),
             window_hist: LogHistogram::new(),
             timeline: Vec::new(),
-            cache_timeline: Vec::new(),
             window_end: cfg.window_ns,
-            last_cache_stats: HierarchyStats::default(),
-            counts: if cfg.count_probe {
-                vec![0; address_space_pages as usize]
-            } else {
-                Vec::new()
-            },
-            retention: cfg.retention_probe.map(RetentionProbe::new),
             prefetcher: StreamPrefetcher::new(),
             recent_pages: [u64::MAX; 16],
             recent_cursor: 0,
@@ -435,8 +431,8 @@ impl<'c> Pipeline<'c> {
         burst_ns
     }
 
-    /// Handles one selected PEBS sample: burst filtering, probes, and
-    /// buffering for the policy stage.
+    /// Handles one selected PEBS sample: burst filtering and buffering for
+    /// the policy stage.
     ///
     /// Burst filter: at real PEBS periods a sequential sweep yields at most
     /// one sample per page, because the period far exceeds a page's line
@@ -452,13 +448,6 @@ impl<'c> Pipeline<'c> {
         self.recent_pages[self.recent_cursor] = page.0;
         self.recent_cursor = (self.recent_cursor + 1) % self.recent_pages.len();
         self.samples += 1;
-        if self.cfg.count_probe {
-            let c = &mut self.counts[page.0 as usize];
-            *c = (*c + 1).min(15);
-        }
-        if let Some(r) = &mut self.retention {
-            r.record(page, self.now_ns);
-        }
         self.sample_buf.push(Sample {
             page,
             addr,
@@ -538,29 +527,6 @@ impl<'c> Pipeline<'c> {
                 mean_ns: self.window_hist.mean() as u64,
                 ops: self.window_hist.count(),
             });
-            if let Some(h) = &self.hier {
-                let s = h.stats();
-                let dl1_t = s.l1.by(Source::Tiering).misses
-                    - self.last_cache_stats.l1.by(Source::Tiering).misses;
-                let dl1 = s.l1.total_misses() - self.last_cache_stats.l1.total_misses();
-                let dllc_t = s.llc.by(Source::Tiering).misses
-                    - self.last_cache_stats.llc.by(Source::Tiering).misses;
-                let dllc = s.llc.total_misses() - self.last_cache_stats.llc.total_misses();
-                self.cache_timeline.push(CacheTimelinePoint {
-                    t_ns: self.window_end,
-                    l1_tiering_frac: if dl1 == 0 {
-                        0.0
-                    } else {
-                        dl1_t as f64 / dl1 as f64
-                    },
-                    llc_tiering_frac: if dllc == 0 {
-                        0.0
-                    } else {
-                        dllc_t as f64 / dllc as f64
-                    },
-                });
-                self.last_cache_stats = s;
-            }
             self.global_hist.merge(&self.window_hist);
             self.window_hist.clear();
             self.window_end += self.cfg.window_ns;
@@ -589,7 +555,6 @@ impl<'c> Pipeline<'c> {
             sim_ns: self.now_ns,
             latency: LatencySummary::from_histogram(&self.global_hist),
             timeline: self.timeline,
-            cache_timeline: self.cache_timeline,
             cache: self.hier.map(|h| h.stats()),
             migrations: self.mem.stats(),
             fast_hit_frac: if self.accesses == 0 {
@@ -598,12 +563,6 @@ impl<'c> Pipeline<'c> {
                 self.fast_hits as f64 / self.accesses as f64
             },
             metadata_bytes: policy.metadata_bytes(),
-            count_distribution: if self.cfg.count_probe {
-                Some(CountDistribution::from_counts(&self.counts))
-            } else {
-                None
-            },
-            retention: self.retention.map(|r| r.finish(self.now_ns)),
         }
     }
 }

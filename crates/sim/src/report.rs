@@ -14,7 +14,6 @@ use tiering_mem::MigrationStats;
 use tiering_policies::RebalanceEvent;
 
 use crate::histo::LogHistogram;
-use crate::hotness::CountDistribution;
 
 /// Latency percentile summary over all operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -58,17 +57,6 @@ pub struct TimelinePoint {
     pub ops: u64,
 }
 
-/// One point of the cache-miss-attribution timeline (paper Figures 5/13).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheTimelinePoint {
-    /// Window end time (simulated ns).
-    pub t_ns: u64,
-    /// Fraction of this window's L1 misses caused by tiering metadata.
-    pub l1_tiering_frac: f64,
-    /// Fraction of this window's LLC misses caused by tiering metadata.
-    pub llc_tiering_frac: f64,
-}
-
 /// The complete result of one simulation run.
 ///
 /// `PartialEq` compares every field — the batch-equivalence and runner
@@ -91,8 +79,6 @@ pub struct SimReport {
     pub latency: LatencySummary,
     /// Windowed median-latency series.
     pub timeline: Vec<TimelinePoint>,
-    /// Cache-attribution series (when cache simulation was enabled).
-    pub cache_timeline: Vec<CacheTimelinePoint>,
     /// Final cache statistics (when enabled).
     pub cache: Option<HierarchyStats>,
     /// Migration counters.
@@ -101,11 +87,6 @@ pub struct SimReport {
     pub fast_hit_frac: f64,
     /// Policy metadata footprint at end of run.
     pub metadata_bytes: usize,
-    /// Per-page sampled-count distribution (when the count probe was on).
-    pub count_distribution: Option<CountDistribution>,
-    /// Hot-page retention series (when the retention probe was on):
-    /// `(window end ns, fraction of the initial hot set still hot)`.
-    pub retention: Option<Vec<(u64, f64)>>,
 }
 
 impl SimReport {
@@ -536,13 +517,10 @@ mod tests {
             sim_ns,
             latency: LatencySummary::default(),
             timeline: Vec::new(),
-            cache_timeline: Vec::new(),
             cache: None,
             migrations: MigrationStats::default(),
             fast_hit_frac: 0.0,
             metadata_bytes: 0,
-            count_distribution: None,
-            retention: None,
         }
     }
 

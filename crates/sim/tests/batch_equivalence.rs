@@ -9,10 +9,14 @@
 //! construction makes a run resumable: stepping a `SimRun` to any sequence
 //! of clock bounds gives the report of one unbounded call.
 
-use tiering_mem::{LadderKind, PageSize, TierConfig, TierRatio, TierTopology};
-use tiering_policies::{build_policy, visit_policy, PolicyKind, PolicyVisitor, TieringPolicy};
+use tiering_mem::{
+    LadderKind, PageId, PageSize, Tier, TierConfig, TierRatio, TierTopology, TieredMemory,
+};
+use tiering_policies::{
+    build_policy, visit_policy, PolicyCtx, PolicyKind, PolicyVisitor, TieringPolicy,
+};
 use tiering_sim::{Engine, SimConfig, SimReport, SimRun};
-use tiering_trace::{AccessBatch, Workload};
+use tiering_trace::{AccessBatch, Sample, Workload};
 use tiering_workloads::{
     build_workload, visit_workload, WorkloadId, WorkloadVisitor, ZipfPageWorkload,
 };
@@ -26,16 +30,10 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
     assert_eq!(a.sim_ns, b.sim_ns, "{what}: sim_ns");
     assert_eq!(a.latency, b.latency, "{what}: latency summary");
     assert_eq!(a.timeline, b.timeline, "{what}: timeline");
-    assert_eq!(a.cache_timeline, b.cache_timeline, "{what}: cache timeline");
     assert_eq!(a.cache, b.cache, "{what}: cache stats");
     assert_eq!(a.migrations, b.migrations, "{what}: migrations");
     assert_eq!(a.fast_hit_frac, b.fast_hit_frac, "{what}: fast_hit_frac");
     assert_eq!(a.metadata_bytes, b.metadata_bytes, "{what}: metadata_bytes");
-    assert_eq!(
-        a.count_distribution, b.count_distribution,
-        "{what}: count distribution"
-    );
-    assert_eq!(a.retention, b.retention, "{what}: retention");
     assert_eq!(a, b, "{what}: full report");
 }
 
@@ -222,17 +220,73 @@ fn typed_path_equals_dyn_across_full_matrix() {
     }
 }
 
-/// Probes (count distribution, cache attribution) survive batching
-/// unchanged too — they observe per-access state inside the access stage.
+/// Delegates to `inner` and records the `(page, at_ns)` of every sample it
+/// is handed — what the Figure 2 and 16 harnesses read.
+struct Recording {
+    inner: Box<dyn TieringPolicy>,
+    samples: Vec<(u64, u64)>,
+}
+
+impl TieringPolicy for Recording {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn preferred_alloc_tier(&self) -> Tier {
+        self.inner.preferred_alloc_tier()
+    }
+    fn wants_access_hook(&self) -> bool {
+        self.inner.wants_access_hook()
+    }
+    fn on_access_batch(
+        &mut self,
+        pages: &[PageId],
+        now_ns: u64,
+        mem: &mut TieredMemory,
+        ctx: &mut PolicyCtx,
+    ) -> u64 {
+        self.inner.on_access_batch(pages, now_ns, mem, ctx)
+    }
+    fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
+        self.samples
+            .extend(samples.iter().map(|s| (s.page.0, s.at_ns)));
+        self.inner.on_sample_batch(samples, mem, ctx);
+    }
+    fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
+        self.inner.on_tick(now_ns, mem, ctx);
+    }
+    fn fast_demand_pages(&self, mem: &TieredMemory) -> u64 {
+        self.inner.fast_demand_pages(mem)
+    }
+    fn metadata_bytes(&self) -> usize {
+        self.inner.metadata_bytes()
+    }
+}
+
+/// What the figure harnesses observe from outside the engine — the sample
+/// stream a policy ingests (Figures 2/16) and the cache counters (Figures
+/// 5/13/14) — survives batching unchanged.
 #[test]
 fn probes_equivalent_under_batching() {
-    let mut config = SimConfig::default().with_cache_sim().with_max_ops(60_000);
-    config.count_probe = true;
-    let scalar = run_zipf(&config, PolicyKind::Memtis, true);
-    let batched = run_zipf(&config, PolicyKind::Memtis, false);
-    assert_reports_identical(&scalar, &batched, "probes");
-    assert!(scalar.count_distribution.is_some());
+    let config = SimConfig::default().with_cache_sim().with_max_ops(60_000);
+    let run = |batch_ops: usize| {
+        let mut w = ZipfPageWorkload::new(3_000, 0.99, 120_000, 11).with_shift(50_000_000, 0.8);
+        let pages = w.footprint_pages(PageSize::Base4K);
+        let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo8, PageSize::Base4K);
+        let mut policy = Recording {
+            inner: build_policy(PolicyKind::Memtis, &tier_cfg),
+            samples: Vec::new(),
+        };
+        let config = config.clone().with_batch_ops(batch_ops);
+        let report = Engine::new(config).run(&mut w, &mut policy, tier_cfg);
+        (policy.samples, report)
+    };
+    let (scalar_samples, scalar) = run(1);
+    let (batched_samples, batched) = run(64);
+    assert!(!scalar_samples.is_empty());
+    assert_eq!(scalar_samples, batched_samples, "sample stream");
     assert!(scalar.cache.is_some());
+    assert_eq!(scalar.cache, batched.cache, "cache stats");
+    assert_reports_identical(&scalar, &batched, "probes");
 }
 
 /// A workload that counts the ops it hands out, so a test can see ops
