@@ -33,11 +33,10 @@ use crate::AccessCounter;
 ///   indexed accesses.
 ///
 /// This is the only `GET`/`INCREMENT` implementation, and it is
-/// **bit-for-bit identical** to the per-counter reference path
-/// ([`increment_per_counter`](BlockedCbf::increment_per_counter)), which
-/// exists for the tests: probe values are algebraically the same, and
-/// duplicate slots update in the same order. The `cbf_properties` suite
-/// asserts the equivalence under random operation sequences.
+/// **bit-for-bit identical** to the per-counter reference path, which is
+/// compiled only into this module's tests: probe values are algebraically
+/// the same, and duplicate slots update in the same order. Those tests
+/// assert the equivalence under random operation sequences.
 ///
 /// [`StandardCbf`]: crate::StandardCbf
 #[derive(Debug, Clone)]
@@ -122,47 +121,6 @@ impl BlockedCbf {
         }
         block
     }
-
-    /// Per-counter reference implementation of [`AccessCounter::increment`]:
-    /// one indexed [`CounterArray::get`]/[`CounterArray::set`] per probe, as
-    /// the pre-word-level code did. Retained so equivalence tests and the
-    /// `cbf_ops` bench can pin the word-level path against it.
-    #[doc(hidden)]
-    pub fn increment_per_counter(&mut self, key: u64) -> u32 {
-        let block = self.fill_slots(key);
-        let base = block * self.slots_per_block;
-        let min = self
-            .slot_scratch
-            .iter()
-            .map(|&s| self.counters.get(base + s))
-            .min()
-            .expect("k > 0");
-        if min >= self.counters.width().max_count() {
-            return min;
-        }
-        for j in 0..self.k as usize {
-            let i = base + self.slot_scratch[j];
-            if self.counters.get(i) == min {
-                self.counters.set(i, min + 1);
-            }
-        }
-        min + 1
-    }
-
-    /// Per-counter reference implementation of [`AccessCounter::estimate`]
-    /// (see [`increment_per_counter`](Self::increment_per_counter)).
-    #[doc(hidden)]
-    pub fn estimate_per_counter(&self, key: u64) -> u32 {
-        let (h1, h2) = self.hasher.pair(key);
-        let base = reduce(h1, self.num_blocks) * self.slots_per_block;
-        (1..=self.k as u64)
-            .map(|i| {
-                let slot = reduce(h1.wrapping_add(i.wrapping_mul(h2)), self.slots_per_block);
-                self.counters.get(base + slot)
-            })
-            .min()
-            .expect("k > 0")
-    }
 }
 
 impl AccessCounter for BlockedCbf {
@@ -238,6 +196,48 @@ impl AccessCounter for BlockedCbf {
 mod tests {
     use super::*;
     use crate::counters::CounterWidth;
+    use proptest::prelude::*;
+
+    impl BlockedCbf {
+        /// Per-counter reference implementation of [`AccessCounter::increment`]:
+        /// one indexed [`CounterArray::get`]/[`CounterArray::set`] per probe, as
+        /// the pre-word-level code did. The tests below pin the word-level
+        /// path against it.
+        fn increment_per_counter(&mut self, key: u64) -> u32 {
+            let block = self.fill_slots(key);
+            let base = block * self.slots_per_block;
+            let min = self
+                .slot_scratch
+                .iter()
+                .map(|&s| self.counters.get(base + s))
+                .min()
+                .expect("k > 0");
+            if min >= self.counters.width().max_count() {
+                return min;
+            }
+            for j in 0..self.k as usize {
+                let i = base + self.slot_scratch[j];
+                if self.counters.get(i) == min {
+                    self.counters.set(i, min + 1);
+                }
+            }
+            min + 1
+        }
+
+        /// Per-counter reference implementation of [`AccessCounter::estimate`]
+        /// (see [`increment_per_counter`](Self::increment_per_counter)).
+        fn estimate_per_counter(&self, key: u64) -> u32 {
+            let (h1, h2) = self.hasher.pair(key);
+            let base = reduce(h1, self.num_blocks) * self.slots_per_block;
+            (1..=self.k as u64)
+                .map(|i| {
+                    let slot = reduce(h1.wrapping_add(i.wrapping_mul(h2)), self.slots_per_block);
+                    self.counters.get(base + slot)
+                })
+                .min()
+                .expect("k > 0")
+        }
+    }
 
     fn filter(cap: usize) -> BlockedCbf {
         BlockedCbf::new(CbfParams::for_capacity(cap, 4, 0.001, CounterWidth::W8))
@@ -305,6 +305,44 @@ mod tests {
             assert_eq!(word.increment(key), scalar.increment_per_counter(key));
             let probe = state % 900;
             assert_eq!(word.estimate(probe), scalar.estimate_per_counter(probe));
+        }
+    }
+
+    fn any_width() -> impl Strategy<Value = CounterWidth> {
+        prop_oneof![
+            Just(CounterWidth::W4),
+            Just(CounterWidth::W8),
+            Just(CounterWidth::W16),
+        ]
+    }
+
+    proptest! {
+        /// The word-level `BlockedCbf` increment/estimate equals the
+        /// per-counter reference implementation under random op sequences
+        /// (interleaved increments, estimates, and cooling), at every width.
+        #[test]
+        fn blocked_word_path_matches_reference(
+            width in any_width(),
+            ops in prop::collection::vec((0u64..96, any::<bool>()), 1..300),
+            cool_every in 20usize..80,
+        ) {
+            let params = CbfParams::for_capacity(64, 4, 0.001, width);
+            let mut word = BlockedCbf::new(params.clone());
+            let mut reference = BlockedCbf::new(params);
+            for (i, &(key, is_inc)) in ops.iter().enumerate() {
+                if is_inc {
+                    prop_assert_eq!(word.increment(key), reference.increment_per_counter(key));
+                } else {
+                    prop_assert_eq!(word.estimate(key), reference.estimate_per_counter(key));
+                }
+                if (i + 1) % cool_every == 0 {
+                    word.cool();
+                    reference.cool();
+                }
+            }
+            for key in 0..96u64 {
+                prop_assert_eq!(word.estimate(key), reference.estimate_per_counter(key));
+            }
         }
     }
 

@@ -38,9 +38,8 @@
 //! result: probe values are algebraically identical to the per-probe
 //! derivation and word extraction mirrors
 //! [`CounterArray::get`]/[`set`](CounterArray::set) bit for bit. The
-//! `cbf_properties` test suite pins both equivalences under random op
-//! sequences against the per-counter reference
-//! ([`BlockedCbf::increment_per_counter`]).
+//! `blocked` module's tests pin both equivalences under random op
+//! sequences against a per-counter reference compiled only into them.
 //!
 //! # Example
 //!

@@ -189,34 +189,6 @@ proptest! {
         }
     }
 
-    /// The word-level `BlockedCbf` increment/estimate equals the
-    /// per-counter reference implementation under random op sequences
-    /// (interleaved increments, estimates, and cooling), at every width.
-    #[test]
-    fn blocked_word_path_matches_reference(
-        width in any_width(),
-        ops in prop::collection::vec((0u64..96, any::<bool>()), 1..300),
-        cool_every in 20usize..80,
-    ) {
-        let params = CbfParams::for_capacity(64, 4, 0.001, width);
-        let mut word = BlockedCbf::new(params.clone());
-        let mut reference = BlockedCbf::new(params);
-        for (i, &(key, is_inc)) in ops.iter().enumerate() {
-            if is_inc {
-                prop_assert_eq!(word.increment(key), reference.increment_per_counter(key));
-            } else {
-                prop_assert_eq!(word.estimate(key), reference.estimate_per_counter(key));
-            }
-            if (i + 1) % cool_every == 0 {
-                word.cool();
-                reference.cool();
-            }
-        }
-        for key in 0..96u64 {
-            prop_assert_eq!(word.estimate(key), reference.estimate_per_counter(key));
-        }
-    }
-
     /// The fused `increment_with_prev` equals a discrete
     /// `(estimate, increment)` pair for both layouts.
     #[test]

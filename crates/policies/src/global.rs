@@ -15,8 +15,9 @@
 //! get a full quota trajectory instead of a bare quota vector.
 //!
 //! The controller deliberately does **not** own tenant runtimes: the
-//! simulation engine (`tiering_sim::MultiTenantEngine`) drives each tenant
-//! through its own pipeline, reports each tenant's demand signal through
+//! fleet round loop (`tiering_runner`'s `ScenarioKind::Fleet` runs) steps
+//! each tenant through its own `tiering_sim::SimRun`, reports each
+//! tenant's demand signal through
 //! [`update_demand`](GlobalController::update_demand), calls
 //! [`rebalance_dirty`](GlobalController::rebalance_dirty), and enforces the
 //! resulting quotas by resizing each tenant's fast tier (shrunk tenants

@@ -31,8 +31,6 @@ pub struct TppConfig {
     /// Proactive free-headroom target for the fast tier (TPP keeps
     /// `demote_wmark` free even without promotion pressure).
     pub demote_wmark: f64,
-    /// Pressure trigger.
-    pub promo_wmark: f64,
     /// Max pages demoted per reclaim call.
     pub max_demote_per_call: u64,
 }
@@ -44,7 +42,6 @@ impl Default for TppConfig {
             scan_interval_ns: 10_000_000,    // 10 ms
             active_window_ns: 1_500_000_000, // ~2 full scan sweeps of a typical footprint
             demote_wmark: 0.08,
-            promo_wmark: 0.03,
             max_demote_per_call: 4_096,
         }
     }

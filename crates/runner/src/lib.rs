@@ -29,9 +29,10 @@
 //!   Results land in input order no matter which thread finishes first, so
 //!   parallel output is byte-identical to serial output — asserted by this
 //!   crate's tests.
-//! * [`SweepReport`] — the merged results, with lookup helpers and a
-//!   machine-readable JSON emitter the bench harness uses to track the
-//!   perf trajectory across PRs (`BENCH_*.json`).
+//! * [`SweepReport`] — the merged results in input order, with lookup
+//!   helpers and an outcome comparison; the bench harness renders them as
+//!   the byte-deterministic `BENCH_*.json` document (simulated outcomes
+//!   and fingerprints, no host timings).
 //! * [`ShardSpec`] / [`ShardedSweep`] / [`ShardReport`] /
 //!   [`SweepReport::merge`] — distributed sweeps: any matrix partitions
 //!   deterministically across hosts by round-robin over the canonical
@@ -62,6 +63,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod multi_tenant;
 mod scenario;
 mod shard;
 mod sweep;

@@ -33,17 +33,14 @@ use tiering_policies::{
     build_policy, visit_policy, ControllerMode, HybridTierConfig, HybridTierPolicy, ObjectiveKind,
     PolicyKind, PolicyVisitor, TieringPolicy,
 };
-use tiering_sim::{
-    ChurnSchedule, Engine, FleetError, MultiTenantConfig, MultiTenantEngine, MultiTenantReport,
-    SimConfig, SimReport, TenantRun,
-};
+use tiering_sim::{Engine, MultiTenantReport, SimConfig, SimReport};
 use tiering_trace::{TraceError, Workload};
 use tiering_workloads::{
     build_workload, visit_workload, TraceReplayWorkload, WorkloadId, WorkloadVisitor,
     ZipfPageWorkload,
 };
 
-use crate::derive_seed;
+use crate::multi_tenant;
 
 /// Factory for a workload, given the scenario seed.
 pub type WorkloadFactory = Arc<dyn Fn(u64) -> Box<dyn Workload> + Send + Sync>;
@@ -63,9 +60,17 @@ pub enum ScenarioError {
         /// What the trace reader found wrong with it.
         source: TraceError,
     },
-    /// A fleet spec with no tenants, or a churn schedule that departs a
-    /// tenant that is not live.
-    Fleet(FleetError),
+    /// A fleet spec with no initial tenants: a fleet starts with at least
+    /// one.
+    NoTenants,
+    /// A fleet's churn schedule departed a name no live tenant carries
+    /// when the event fired.
+    UnknownDeparture {
+        /// The name the event carried.
+        tenant: String,
+        /// The event's fleet op-count threshold.
+        at_fleet_ops: u64,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -74,7 +79,14 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Trace { path, source } => {
                 write!(f, "cannot open trace {}: {source}", path.display())
             }
-            ScenarioError::Fleet(e) => e.fmt(f),
+            ScenarioError::NoTenants => write!(f, "co-location needs at least one tenant"),
+            ScenarioError::UnknownDeparture {
+                tenant,
+                at_fleet_ops,
+            } => write!(
+                f,
+                "depart of unknown live tenant {tenant} (scheduled at {at_fleet_ops} fleet ops)"
+            ),
         }
     }
 }
@@ -83,7 +95,7 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Trace { source, .. } => Some(source),
-            ScenarioError::Fleet(e) => Some(e),
+            ScenarioError::NoTenants | ScenarioError::UnknownDeparture { .. } => None,
         }
     }
 }
@@ -132,7 +144,7 @@ impl WorkloadSpec {
         }
     }
 
-    fn build(&self, seed: u64) -> Result<Box<dyn Workload>, ScenarioError> {
+    pub(crate) fn build(&self, seed: u64) -> Result<Box<dyn Workload>, ScenarioError> {
         Ok(match self {
             WorkloadSpec::Suite(id) => build_workload(*id, seed),
             WorkloadSpec::Custom { build, .. } => build(seed),
@@ -192,7 +204,7 @@ impl PolicySpec {
         }
     }
 
-    fn build(&self, tier_cfg: &TierConfig) -> Box<dyn TieringPolicy> {
+    pub(crate) fn build(&self, tier_cfg: &TierConfig) -> Box<dyn TieringPolicy> {
         match self {
             PolicySpec::Kind(kind) => build_policy(*kind, tier_cfg),
             PolicySpec::Custom { build, .. } => build(tier_cfg),
@@ -278,16 +290,6 @@ impl TenantSpec {
     pub fn suite(name: impl Into<String>, id: WorkloadId, kind: PolicyKind) -> Self {
         Self::new(name, WorkloadSpec::Suite(id), PolicySpec::Kind(kind))
     }
-
-    /// The tenant's live run: the workload built from its derived `seed`,
-    /// the policy built once the engine resolves the tenant's tiers.
-    fn build(&self, seed: u64) -> Result<TenantRun, ScenarioError> {
-        let policy = self.policy.clone();
-        let workload = self.workload.build(seed)?;
-        Ok(TenantRun::new(self.name.clone(), workload, move |cfg| {
-            policy.build(cfg)
-        }))
-    }
 }
 
 /// How the shared fast budget of a fleet scenario is sized.
@@ -323,9 +325,11 @@ impl BudgetSpec {
 }
 
 /// One scheduled fleet-composition change, as a recipe: what happens and
-/// at which fleet op count (see
-/// [`ChurnSchedule`](tiering_sim::ChurnSchedule) for the trigger
-/// semantics).
+/// at which fleet op count. The event fires at the first rebalance
+/// boundary where the fleet's cumulative completed operations have reached
+/// `at_fleet_ops`, whatever its position in the list; events due in the
+/// same round apply in list order, and an event whose threshold the run
+/// never reaches does not fire.
 #[derive(Debug, Clone)]
 pub struct ChurnSpec {
     /// Fleet-wide completed-op threshold the event fires at.
@@ -383,7 +387,8 @@ pub struct FleetSpec {
     pub budget: BudgetSpec,
     /// Minimum budget share any live tenant keeps.
     pub floor_frac: f64,
-    /// Simulated time between controller rebalances.
+    /// Simulated time between controller rebalances; must be positive (a
+    /// run panics on 0).
     pub rebalance_interval_ns: u64,
     /// The shape of the controller's rebalance events. `FullScan` (the
     /// default) records the full per-slot vectors the goldens fingerprint;
@@ -401,8 +406,8 @@ impl FleetSpec {
             churn: Vec::new(),
             objective: ObjectiveKind::Proportional,
             budget: BudgetSpec::Ratio(TierRatio::OneTo8),
-            floor_frac: tiering_sim::DEFAULT_FLOOR_FRAC,
-            rebalance_interval_ns: tiering_sim::DEFAULT_REBALANCE_INTERVAL_NS,
+            floor_frac: 0.1,
+            rebalance_interval_ns: 10_000_000,
             controller_mode: ControllerMode::FullScan,
         }
     }
@@ -780,7 +785,7 @@ impl Scenario {
                 None,
             ),
             ScenarioKind::Fleet(spec) => {
-                let multi = run_fleet(spec, &self.config, self.seed)?;
+                let multi = multi_tenant::run(spec, &self.config, self.seed)?;
                 let joined = |label: fn(&TenantSpec) -> String| {
                     spec.tenants.iter().map(label).collect::<Vec<_>>().join("+")
                 };
@@ -804,48 +809,6 @@ impl Scenario {
             multi,
         })
     }
-}
-
-/// One fleet run. Every tenant slot gets its own workload seed: initial
-/// tenant `i` is built from `derive_seed(seed, i)`, the arrival at churn
-/// position `j` from `derive_seed(seed, tenants.len() + j)`.
-fn run_fleet(
-    spec: &FleetSpec,
-    config: &SimConfig,
-    seed: u64,
-) -> Result<MultiTenantReport, ScenarioError> {
-    let slot_seed = |slot: usize| derive_seed(seed, slot as u64);
-    let footprint = |run: &TenantRun| run.workload.footprint_pages(config.page_size);
-    let runs = spec
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| t.build(slot_seed(i)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut combined: u64 = runs.iter().map(footprint).sum();
-    let mut slots = runs.len();
-    let mut schedule = ChurnSchedule::new();
-    for (j, c) in spec.churn.iter().enumerate() {
-        schedule = match &c.action {
-            ChurnAction::Arrive(t) => {
-                let run = t.build(slot_seed(spec.tenants.len() + j))?;
-                combined += footprint(&run);
-                slots += 1;
-                schedule.arrive(c.at_fleet_ops, run)
-            }
-            ChurnAction::Depart(name) => schedule.depart(c.at_fleet_ops, name.clone()),
-        };
-    }
-    // Sized for every slot the recipe can ever admit, so churn never
-    // pushes the budget below the min-one guarantee.
-    let mt_cfg = MultiTenantConfig::new(spec.budget.resolve(combined, slots))
-        .with_floor_frac(spec.floor_frac)
-        .with_rebalance_interval_ns(spec.rebalance_interval_ns)
-        .with_objective_kind(spec.objective)
-        .with_controller_mode(spec.controller_mode);
-    MultiTenantEngine::new(config.clone(), mt_cfg)
-        .run_with_churn(runs, schedule)
-        .map_err(ScenarioError::Fleet)
 }
 
 /// One single-application run.
@@ -990,6 +953,7 @@ impl ScenarioResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derive_seed;
 
     #[test]
     fn suite_scenario_runs_and_labels() {
@@ -1098,17 +1062,14 @@ mod tests {
         assert!(!multi.rebalances.is_empty());
     }
 
-    /// A hand-built spec the engine refuses comes back as
-    /// `ScenarioError::Fleet` from `try_run` — and as the documented panic,
+    /// A hand-built spec the engine refuses comes back as a typed
+    /// `ScenarioError` from `try_run` — and as the documented panic,
     /// with the same message, from `run`.
     #[test]
     fn unrunnable_fleet_specs_are_typed_errors() {
         let config = SimConfig::default().with_max_ops(2_000);
         let empty = Scenario::fleet("none", FleetSpec::new(Vec::new()), &config, 1);
-        assert!(matches!(
-            empty.try_run(),
-            Err(ScenarioError::Fleet(FleetError::NoTenants))
-        ));
+        assert!(matches!(empty.try_run(), Err(ScenarioError::NoTenants)));
 
         let tenant = TenantSpec::new(
             "a",
@@ -1124,7 +1085,7 @@ mod tests {
         let err = ghost.try_run().map(drop).expect_err("unknown departure");
         assert!(matches!(
             &err,
-            ScenarioError::Fleet(FleetError::UnknownDeparture { tenant, at_fleet_ops: 100 })
+            ScenarioError::UnknownDeparture { tenant, at_fleet_ops: 100 }
                 if tenant == "ghost"
         ));
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ghost.run()))

@@ -370,6 +370,29 @@ mod tests {
         Engine::new(cfg).run(&mut w, policy.as_mut(), tier_cfg);
     }
 
+    /// The footprint meter at lane level: a tail tenant of the synthetic
+    /// fleet (64 pages, 40 ops, 100–400 ns each, on its one-page share of
+    /// a 4-page budget) ends its run holding a few hundred histogram
+    /// buckets, where the fixed-range histograms held 8 192 (64 KiB, 16×
+    /// the tenant's CBF budget).
+    #[test]
+    fn tiny_lane_histograms_cost_what_they_record() {
+        let cfg = SimConfig::default().with_batch_ops(32);
+        let mut controller = tiering_policies::GlobalController::new(4, 0.25);
+        controller.add_tenant("tiny", 64);
+        let tier_cfg = controller.tier_config(0, cfg.page_size);
+        let mut w = ZipfPageWorkload::new(64, 0.9, 40, 5);
+        let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
+        let topology = TierTopology::two_tier(tier_cfg, &cfg.latency);
+        let mut run = SimRun::new(&cfg, topology, policy.as_ref());
+        assert_eq!(run.histogram_buckets(), 0, "nothing recorded yet");
+        run.run_until(&mut w, policy.as_mut(), u64::MAX);
+        assert!(run.finished());
+        assert_eq!(run.ops(), 40);
+        let held = run.histogram_buckets();
+        assert!((1..1024).contains(&held), "{held} buckets allocated");
+    }
+
     #[test]
     fn two_tier_ladder_matches_classic_run() {
         // The ladder entry point over the 2-tier topology must be

@@ -31,10 +31,9 @@
 //!   pipeline (pull → access → policy → migrate → account over
 //!   [`AccessBatch`](tiering_trace::AccessBatch)es; provably
 //!   batch-size-invariant and resumable at any clock bound).
-//! * `multi_tenant` — [`MultiTenantEngine`]: N tenants, one [`SimRun`]
-//!   each, over one shared fast tier under the §7 global controller, with
-//!   churn ([`ChurnSchedule`]) and round-based rebalancing.
-//! * `report` — [`SimReport`] / [`MultiTenantReport`] and friends.
+//! * `report` — [`SimReport`] and, for a fleet run (N tenants, one
+//!   [`SimRun`] each, under the §7 global controller — the round loop
+//!   lives in `tiering_runner`), [`MultiTenantReport`] and friends.
 //! * `adaptation` / `histo` / `prefetch` — measurement helpers:
 //!   adaptation-time extraction, exact log-bucketed percentiles, stream
 //!   prefetch detection.
@@ -49,7 +48,6 @@ mod adaptation;
 mod charge;
 mod engine;
 mod histo;
-mod multi_tenant;
 mod pipeline;
 mod prefetch;
 mod report;
@@ -58,10 +56,6 @@ pub use adaptation::{adaptation_time_ns, steady_state_p50};
 pub use charge::charge_scaled;
 pub use engine::{CacheSimOptions, Engine, SimConfig};
 pub use histo::LogHistogram;
-pub use multi_tenant::{
-    ChurnSchedule, FleetError, MultiTenantConfig, MultiTenantEngine, TenantEvent,
-    TenantPolicyBuilder, TenantRun, DEFAULT_FLOOR_FRAC, DEFAULT_REBALANCE_INTERVAL_NS,
-};
 pub use pipeline::SimRun;
 pub use prefetch::StreamPrefetcher;
 pub use report::{

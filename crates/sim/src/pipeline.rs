@@ -31,7 +31,7 @@
 //!
 //! [`SimRun::run_until`] is the only caller of the pull stage and of stages
 //! 2–5. [`Engine`](crate::Engine) drives one run to completion in a single
-//! call; [`MultiTenantEngine`](crate::MultiTenantEngine) holds one run per
+//! call; a fleet run (`tiering_runner`'s round loop) holds one run per
 //! tenant and steps it to each rebalance boundary; the `diag` binary steps
 //! one to each report boundary. Stopping between two calls changes nothing:
 //! pulled ops wait in the run for the next call.
@@ -164,14 +164,14 @@ impl<'c> SimRun<'c> {
 
     /// Applies a controller-assigned fast-tier quota (paper §7). Shrinking
     /// below occupancy is fine — watermark demotion drains the excess.
-    pub(crate) fn set_fast_capacity(&mut self, pages: u64) {
+    pub fn set_fast_capacity(&mut self, pages: u64) {
         self.pipeline.mem.set_fast_capacity(pages);
     }
 
     /// The whole-run latency histogram so far: the flushed windows plus the
     /// in-flight one (the fleet aggregate merges these). Bucket merge is
     /// addition, so this equals per-op recording into one histogram.
-    pub(crate) fn hist(&self) -> LogHistogram {
+    pub fn hist(&self) -> LogHistogram {
         let mut h = self.pipeline.global_hist.clone();
         h.merge(&self.pipeline.window_hist);
         h

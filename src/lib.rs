@@ -97,8 +97,7 @@ pub mod prelude {
         ShardedSweep, SweepReport, SweepRunner, TenantSpec, TierSpec, WorkloadSpec,
     };
     pub use crate::sim::{
-        adaptation_time_ns, Engine, MultiTenantConfig, MultiTenantEngine, MultiTenantReport,
-        SimConfig, SimReport, TenantReport, TenantRun,
+        adaptation_time_ns, Engine, MultiTenantReport, SimConfig, SimReport, TenantReport,
     };
     pub use crate::trace::{
         Access, AccessBatch, Op, Sample, Sampler, TraceError, TraceReader, TraceWriter, Workload,
