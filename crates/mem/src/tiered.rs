@@ -134,8 +134,8 @@ pub struct MigrationStats {
 ///
 /// The threshold decomposes exactly into `m · 2^e` (every finite `f64`
 /// does), so the comparison reduces to integer arithmetic in `u128` with
-/// shift-overflow guards. `fast_free_frac() < w` computed through `f64`
-/// division agrees everywhere except ratios within one rounding error of
+/// shift-overflow guards. `num as f64 / den as f64 < w` computed through
+/// `f64` division agrees everywhere except ratios within one rounding error of
 /// the threshold, where the division's round-to-nearest can flip the
 /// verdict; this form is the exact one. NaN thresholds compare `false`
 /// (matching `<` on `f64`); a zero denominator compares `false`.
@@ -219,6 +219,8 @@ pub struct TieredMemory {
     /// Accumulated per-hop migration cost (each hop charged at the slower
     /// rung's rate), drained by [`take_migration_ns`](Self::take_migration_ns).
     migration_ns: u64,
+    /// See [`fast_set_changes`](Self::fast_set_changes).
+    fast_set_changes: u64,
 }
 
 impl TieredMemory {
@@ -237,6 +239,7 @@ impl TieredMemory {
             topology,
             stats: MigrationStats::default(),
             migration_ns: 0,
+            fast_set_changes: 0,
         }
     }
 
@@ -328,6 +331,7 @@ impl TieredMemory {
         self.used[dst] += 1;
         if dst == 0 {
             self.stats.allocated_fast += 1;
+            self.fast_set_changes += 1;
         } else {
             self.stats.allocated_slow += 1;
         }
@@ -374,6 +378,7 @@ impl TieredMemory {
         self.table[page.0 as usize] = to as u8;
         self.used[from] -= 1;
         self.used[to] += 1;
+        self.fast_set_changes += u64::from(from == 0 || to == 0);
         if to < from {
             self.stats.promotions += 1;
         } else {
@@ -512,19 +517,9 @@ impl TieredMemory {
         self.topology.set_tier_capacity(0, pages);
     }
 
-    /// Free fast-tier fraction in `[0, 1]`.
-    ///
-    /// This is the *display* form; watermark checks should use the exact
-    /// [`fast_free_below`](Self::fast_free_below) instead of comparing this
-    /// rounded quotient.
-    pub fn fast_free_frac(&self) -> f64 {
-        self.fast_free() as f64 / self.config.fast_capacity_pages as f64
-    }
-
     /// Exact watermark test: `fast_free() / fast_capacity < frac`, computed
     /// in integer arithmetic ([`frac_lt`]) rather than through a rounded
-    /// `f64` division. `!fast_free_below(w)` is the exact form of
-    /// `fast_free_frac() >= w` (for the non-NaN thresholds policies use).
+    /// `f64` division.
     #[inline]
     pub fn fast_free_below(&self, frac: f64) -> bool {
         frac_lt(self.fast_free(), self.config.fast_capacity_pages, frac)
@@ -555,6 +550,12 @@ impl TieredMemory {
     /// Migration statistics so far.
     pub fn stats(&self) -> MigrationStats {
         self.stats
+    }
+
+    /// How many times a page has entered rung 0 (first touch or a hop) or
+    /// left it. Two equal readings mean rung 0 held the same pages between.
+    pub fn fast_set_changes(&self) -> u64 {
+        self.fast_set_changes
     }
 
     /// Drains the accumulated per-hop migration cost (each hop charged at
@@ -612,11 +613,11 @@ impl TieredMemory {
             match first_equal(entries, rung) {
                 Some(i) => {
                     let page = *hand + i as u64;
-                    *hand = (page + 1) % n;
+                    *hand = if page + 1 == n { 0 } else { page + 1 };
                     return (Some(PageId(page)), walked + i as u64 + 1);
                 }
                 None => {
-                    *hand = (*hand + run) % n;
+                    *hand = if *hand + run == n { 0 } else { *hand + run };
                     walked += run;
                 }
             }
@@ -749,7 +750,7 @@ mod tests {
         assert_eq!(m.mapped_pages(), 50);
         assert_eq!(m.fast_used() + m.slow_used(), 50);
         assert_eq!(m.fast_used(), 4);
-        assert!((m.fast_free_frac() - 0.0).abs() < 1e-12);
+        assert_eq!(m.fast_free(), 0);
     }
 
     #[test]

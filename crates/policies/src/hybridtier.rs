@@ -124,8 +124,7 @@ pub struct HybridTierConfig {
 
 impl HybridTierConfig {
     /// The paper's full-scale parameters.
-    fn paper_defaults(tier_cfg: &TierConfig) -> Self {
-        let _ = tier_cfg;
+    fn paper_defaults() -> Self {
         Self {
             k: 4,
             error_rate: 0.001,
@@ -149,14 +148,14 @@ impl HybridTierConfig {
     /// Parameters scaled to this repository's ~512×-smaller footprints: the
     /// sample-count periods shrink proportionally so cooling/batching happen
     /// at the same *per-page* rates as at paper scale.
-    pub fn scaled(tier_cfg: &TierConfig) -> Self {
+    pub fn scaled(_tier_cfg: &TierConfig) -> Self {
         Self {
             freq_cool_samples: 200_000,
             momentum_cool_samples: 12_000,
             batch_samples: 2_000,
             second_chance_revisit_ns: 100_000_000, // 100 ms (paper: 1 min)
             max_scan_per_call: 32_768,
-            ..Self::paper_defaults(tier_cfg)
+            ..Self::paper_defaults()
         }
     }
 
@@ -208,6 +207,11 @@ fn push_pagemap_lines(from: u64, walked: u64, n: u64, out: &mut Vec<u64>) {
     }
 }
 
+#[cfg(test)]
+use tests::meter;
+#[cfg(not(test))]
+fn meter(_walked: u64, _probes: u64) {}
+
 fn build_tracker(params: CbfParams, layout: TrackerLayout) -> Box<dyn AccessCounter + Send + Sync> {
     match layout {
         TrackerLayout::Blocked => Box::new(BlockedCbf::new(params)),
@@ -241,6 +245,11 @@ pub struct HybridTierPolicy {
     /// `std::collections::HashMap`'s hashed heap buckets.
     second_chance: FlatPageMap<(u32, u64, u32)>,
     scan_cursor: u64,
+    /// The last quiet revolution's [`TieredMemory::fast_set_changes`] (`None`
+    /// once momentum cools) and lines, which [`demote_scan`](Self::demote_scan)
+    /// replays: simulator state, not modelled metadata.
+    quiet_key: Option<u64>,
+    quiet_lines: Vec<u64>,
     chain: DemotionChain,
 }
 
@@ -313,6 +322,8 @@ impl HybridTierPolicy {
             cooling_epoch: 0,
             second_chance: FlatPageMap::new(),
             scan_cursor: 0,
+            quiet_key: None,
+            quiet_lines: Vec::new(),
             chain: DemotionChain::new(),
             config,
         }
@@ -331,15 +342,6 @@ impl HybridTierPolicy {
     /// Momentum estimate for a page (exposed for experiments).
     pub fn momentum_estimate(&self, page: PageId) -> u32 {
         self.momentum.estimate(page.0)
-    }
-
-    /// Estimated hot-set size: pages at or above the *minimum* hotness
-    /// level (used by the global controller of paper §7 to apportion fast
-    /// memory across tenants). The adaptive threshold is unsuitable here —
-    /// it rises until the hot set fits the current quota, so measuring at
-    /// it would always report "exactly my quota".
-    fn hot_set_estimate(&self) -> u64 {
-        self.hist.pages_at_or_above(self.config.min_freq_threshold)
     }
 
     /// The Algorithm-1 loop body: update both trackers, cool on schedule,
@@ -381,6 +383,7 @@ impl HybridTierPolicy {
             if self.momentum_cool_in == 0 {
                 self.momentum_cool_in = self.config.momentum_cool_samples;
                 self.momentum.cool();
+                self.quiet_key = None;
             }
         }
 
@@ -438,24 +441,47 @@ impl HybridTierPolicy {
     /// Watermark-driven linear demotion scan (paper §4.3): walk the address
     /// space, applying Table 1 to fast-tier pages until the free fraction
     /// recovers to `DEMOTE_WMARK` or the scan budget is exhausted.
+    ///
+    /// A revolution over the whole address space (`n ≤ max_scan_per_call`)
+    /// finding every rung-0 page momentum-hot is *quiet*: Table 1 makes each
+    /// `NoAction`, so it moves nothing and ends where it began. Momentum only
+    /// rises between coolings, so until momentum cools or a page enters or
+    /// leaves rung 0, each later scan past the watermark test would walk it
+    /// again with the same lines and `n × SCAN_PAGE_NS`: it replays instead.
     fn demote_scan(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         let n = mem.address_space_pages();
+        if mem.fast_free_below(self.config.demote_wmark)
+            && self.quiet_key == Some(mem.fast_set_changes())
+        {
+            ctx.tiering_work_ns += n * SCAN_PAGE_NS;
+            ctx.metadata_lines.extend_from_slice(&self.quiet_lines);
+            return;
+        }
         let budget = self.config.max_scan_per_call.min(n);
+        let first_line = ctx.metadata_lines.len();
+        let mut quiet = true;
         let mut walked = 0;
         while mem.fast_free_below(self.config.demote_wmark) && walked < budget {
             let from = self.scan_cursor;
             let (page, step) = mem.next_resident(0, &mut self.scan_cursor, budget - walked);
             walked += step;
+            meter(step, 0);
             ctx.tiering_work_ns += step * SCAN_PAGE_NS;
             push_pagemap_lines(from, step, n, &mut ctx.metadata_lines);
             let Some(page) = page else { break };
-            let f = self.freq.estimate(page.0);
-            let m = self.momentum.estimate(page.0);
             self.freq.touched_lines(page.0, &mut ctx.metadata_lines);
             if self.config.momentum_enabled {
                 self.momentum.touched_lines(page.0, &mut ctx.metadata_lines);
             }
-            match MigrationDecision::decide(self.is_freq_hot(f), self.is_momentum_hot(m), true) {
+            // Table 1: momentum-hot is `NoAction`, so read frequency if cold.
+            meter(0, 1);
+            if self.is_momentum_hot(self.momentum.estimate(page.0)) {
+                continue;
+            }
+            quiet = false;
+            meter(0, 1);
+            let f = self.freq.estimate(page.0);
+            match MigrationDecision::decide(self.is_freq_hot(f), false, true) {
                 MigrationDecision::Demote => {
                     self.second_chance.remove(page.0);
                     let _ = mem.demote(page);
@@ -482,6 +508,7 @@ impl HybridTierPolicy {
                                 // accesses arrived.
                                 let coolings = (self.cooling_epoch - epoch).min(31);
                                 let expected = saved >> coolings;
+                                meter(0, 1);
                                 if self.freq.estimate(page.0) <= expected {
                                     // Not accessed since marking: demote.
                                     self.second_chance.remove(page.0);
@@ -498,6 +525,12 @@ impl HybridTierPolicy {
                 MigrationDecision::NoAction | MigrationDecision::Promote => {}
             }
         }
+        if quiet && walked == n {
+            self.quiet_key = Some(mem.fast_set_changes());
+            self.quiet_lines.clear();
+            self.quiet_lines
+                .extend_from_slice(&ctx.metadata_lines[first_line..]);
+        }
     }
 }
 
@@ -512,8 +545,13 @@ impl TieringPolicy for HybridTierPolicy {
         }
     }
 
+    /// Estimated hot-set size: pages at or above the *minimum* hotness
+    /// level (used by the global controller of paper §7 to apportion fast
+    /// memory across tenants). The adaptive threshold is unsuitable here —
+    /// it rises until the hot set fits the current quota, so measuring at
+    /// it would always report "exactly my quota".
     fn fast_demand_pages(&self, _mem: &TieredMemory) -> u64 {
-        self.hot_set_estimate()
+        self.hist.pages_at_or_above(self.config.min_freq_threshold)
     }
 
     fn on_sample_batch(&mut self, samples: &[Sample], mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
@@ -674,9 +712,9 @@ mod tests {
         assert_eq!(mem.fast_free(), 0);
         p.on_tick(0, &mut mem, &mut ctx);
         assert!(
-            mem.fast_free_frac() >= 0.06,
-            "scan should demote cold pages to DEMOTE_WMARK, free frac {}",
-            mem.fast_free_frac()
+            !mem.fast_free_below(0.06),
+            "scan should demote cold pages to DEMOTE_WMARK, {} free",
+            mem.fast_free()
         );
         assert!(mem.stats().demotions > 0);
     }
@@ -745,6 +783,194 @@ mod tests {
             Some(Tier::Slow),
             "stale second-chance page should be demoted on revisit"
         );
+    }
+
+    thread_local! {
+        /// Work meter: page-table entries the demotion scan walked and CBF
+        /// estimates it read, on this thread.
+        static SCAN_WORK: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    }
+
+    pub(super) fn meter(walked: u64, probes: u64) {
+        SCAN_WORK.with(|w| {
+            let [a, b] = w.get();
+            w.set([a + walked, b + probes]);
+        });
+    }
+
+    fn scan_work() -> [u64; 2] {
+        SCAN_WORK.with(std::cell::Cell::get)
+    }
+
+    /// One policy + memory of the quiet-regime differential below.
+    struct Pair {
+        p: HybridTierPolicy,
+        mem: TieredMemory,
+        ctx: PolicyCtx,
+    }
+
+    impl Pair {
+        fn new(max_scan_per_call: u64) -> Self {
+            let cfg = TierConfig::for_footprint(512, TierRatio::OneTo16, PageSize::Base4K);
+            let mut ht_cfg = HybridTierConfig::scaled(&cfg);
+            // Every sample flushes its own batch, so a call runs at most one
+            // scan: the reference, cleared before each call, never replays.
+            ht_cfg.batch_samples = 1;
+            ht_cfg.momentum_cool_samples = 1_000;
+            ht_cfg.freq_cool_samples = 1_000_000;
+            ht_cfg.second_chance_revisit_ns = 50_000;
+            ht_cfg.max_scan_per_call = max_scan_per_call;
+            let mut mem = TieredMemory::new(cfg);
+            for pg in 0..480 {
+                mem.ensure_mapped(PageId(pg), if pg < 32 { Tier::Fast } else { Tier::Slow });
+            }
+            Self {
+                p: HybridTierPolicy::new(ht_cfg, &cfg),
+                mem,
+                ctx: PolicyCtx::new(),
+            }
+        }
+
+        /// Runs one call, returning the `[walked, probes]` it cost.
+        fn call(&mut self, tick: bool, page: u64, now_ns: u64) -> [u64; 2] {
+            let before = scan_work();
+            self.ctx.drain();
+            if tick {
+                self.p.on_tick(now_ns, &mut self.mem, &mut self.ctx);
+            } else {
+                let tier = self
+                    .mem
+                    .tier_of(PageId(page))
+                    .expect("sampled pages are mapped");
+                let s = sample(page, tier, now_ns);
+                self.p.on_sample_batch(&[s], &mut self.mem, &mut self.ctx);
+            }
+            let after = scan_work();
+            [after[0] - before[0], after[1] - before[1]]
+        }
+
+        fn assert_same(&self, other: &Self, step: u64) {
+            assert_eq!(
+                self.ctx.metadata_lines, other.ctx.metadata_lines,
+                "lines, step {step}"
+            );
+            assert_eq!(
+                self.ctx.tiering_work_ns, other.ctx.tiering_work_ns,
+                "work, step {step}"
+            );
+            assert_eq!(self.mem.stats(), other.mem.stats(), "stats, step {step}");
+            assert_eq!(
+                self.p.scan_cursor, other.p.scan_cursor,
+                "cursor, step {step}"
+            );
+            for pg in 0..self.mem.address_space_pages() {
+                let page = PageId(pg);
+                assert_eq!(
+                    self.mem.tier_of(page),
+                    other.mem.tier_of(page),
+                    "{page}, step {step}"
+                );
+                assert_eq!(
+                    self.p.second_chance.get(pg),
+                    other.p.second_chance.get(pg),
+                    "second chance of {page}, step {step}"
+                );
+            }
+        }
+    }
+
+    /// Drives a walking reference pair (memo cleared before every call) and
+    /// a replaying pair through a quiet regime — every fast page sampled
+    /// until momentum-hot, slow pages bursting into promotion candidates —
+    /// past momentum coolings, a capacity shrink and grow, first-touch
+    /// allocations into rung 0, a hot-set shift that brings promotions,
+    /// second-chance marks and revisits, and asserts both agree after every
+    /// call. Returns how many scans the replaying pair replayed.
+    fn quiet_regime_differential(max_scan_per_call: u64) -> u64 {
+        let (mut walking, mut replaying) =
+            (Pair::new(max_scan_per_call), Pair::new(max_scan_per_call));
+        let n = walking.mem.address_space_pages();
+        let mut hot: Vec<u64> = (0..32).collect();
+        let (mut burst, mut burst_left) = (0, 0);
+        let mut state = 0x0051_E7C4_u64;
+        let (mut replays, mut revisited) = (0, 0);
+        for step in 0..24_000u64 {
+            if step == 6_000 {
+                // Over quota, but every fast page is still momentum-hot.
+                walking.mem.set_fast_capacity(28);
+                replaying.mem.set_fast_capacity(28);
+            }
+            if step == 9_000 {
+                // Grow, first-touch two pages into rung 0, then shift the hot
+                // set: 0..8 go cold (second chance, then demotion) and
+                // 100..108 heat up and are promoted.
+                for x in [&mut walking, &mut replaying] {
+                    x.mem.set_fast_capacity(36);
+                    for pg in [500, 501] {
+                        assert_eq!(x.mem.ensure_mapped(PageId(pg), Tier::Fast), Tier::Fast);
+                    }
+                }
+                hot = (8..32).chain(100..108).chain([500, 501]).collect();
+            }
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = state >> 33;
+            let tick = step % 64 == 63;
+            if !tick && burst_left == 0 && r.is_multiple_of(97) {
+                (burst, burst_left) = (200 + r % 280, 3);
+            }
+            let page = if burst_left > 0 && !tick {
+                burst_left -= 1;
+                burst
+            } else {
+                hot[(r % hot.len() as u64) as usize]
+            };
+            // Marks past their revisit window: the next scan to reach one
+            // demotes or re-marks it.
+            let now_ns = step * 1_000;
+            let due: Vec<_> = (0..n)
+                .filter_map(|pg| Some((pg, walking.p.second_chance.get(pg)?)))
+                .filter(|&(_, (_, at, _))| now_ns - at >= walking.p.config.second_chance_revisit_ns)
+                .collect();
+            walking.p.quiet_key = None;
+            let walked = walking.call(tick, page, now_ns);
+            let memo_valid = replaying.p.quiet_key == Some(replaying.mem.fast_set_changes());
+            let replayed = replaying.call(tick, page, now_ns);
+            walking.assert_same(&replaying, step);
+            if replayed != walked {
+                // The meter's bound: a replayed revolution walks 0 entries
+                // and makes 0 CBF probes. The walk it stands for is one
+                // revolution, one momentum probe per (momentum-hot) rung-0
+                // page and no frequency probe.
+                assert!(memo_valid, "step {step}");
+                assert_eq!(replayed, [0, 0], "step {step}");
+                assert_eq!(walked, [n, walking.mem.fast_used()], "step {step}");
+                replays += 1;
+            }
+            revisited += due
+                .iter()
+                .filter(|&&(pg, mark)| walking.p.second_chance.get(pg) != Some(mark))
+                .count();
+        }
+        let (stats, coolings) = (walking.mem.stats(), walking.p.samples_seen / 1_000);
+        assert!(coolings >= 20, "{coolings} momentum coolings");
+        assert!(
+            stats.allocated_fast == 34 && stats.promotions >= 8,
+            "{stats:?}"
+        );
+        assert!(revisited > 0, "no second-chance mark was revisited");
+        replays
+    }
+
+    #[test]
+    fn quiet_revolution_replay_equals_walking() {
+        // The whole address space fits one scan: quiet revolutions replay.
+        let replays = quiet_regime_differential(32_768);
+        assert!(replays >= 100, "{replays} replays");
+        // 512 pages against a 200-entry budget: no scan walks a revolution,
+        // so none is recorded and none replays.
+        assert_eq!(quiet_regime_differential(200), 0);
     }
 
     #[test]

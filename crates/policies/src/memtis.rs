@@ -349,7 +349,7 @@ mod tests {
         }
         p.on_tick(0, &mut mem, &mut ctx);
         assert!(mem.stats().demotions > 0);
-        assert!(mem.fast_free_frac() >= 0.06);
+        assert!(!mem.fast_free_below(0.06));
     }
 
     #[test]

@@ -181,7 +181,7 @@ mod tests {
         assert_eq!(mem.fast_free(), 0);
         p.on_tick(0, &mut mem, &mut ctx);
         assert!(
-            mem.fast_free_frac() >= 0.08,
+            !mem.fast_free_below(0.08),
             "TPP reclaims proactively to its headroom target"
         );
     }

@@ -80,3 +80,30 @@ fn every_tick_path_fingerprint_is_pinned() {
         .collect();
     assert_eq!(got, PINNED, "a tick path moved; got {got:#018x?}");
 }
+
+/// `social/archive-1to64/HybridTier` at 100 000 ops: the one pinned run in
+/// which HybridTier's demotion scan goes quiet (every rung-0 page
+/// momentum-hot over a whole revolution), so most of its scans replay a
+/// recorded revolution instead of walking one (≈ 2 260 replays). The
+/// fingerprint was recorded while every scan still walked. CDN's
+/// address space is larger than `max_scan_per_call`, and this run at
+/// 60 000 ops never goes quiet. About 1 s in a debug build on 2 vCPUs.
+#[test]
+fn quiet_demotion_revolutions_are_pinned() {
+    let config = SimConfig::default().with_max_ops(100_000);
+    let result = Scenario::suite_ladder(
+        WorkloadId::SocialCacheLib,
+        PolicyKind::HybridTier,
+        LadderKind::Archive,
+        &config,
+        0x71C4_5EED,
+    )
+    .run();
+    assert!(result.report.migrations.demotions > 0);
+    assert_eq!(
+        result.fingerprint(),
+        0xf3ff_8ebc_a70b_af2c,
+        "a quiet revolution's replay moved; got {:#018x}",
+        result.fingerprint()
+    );
+}
