@@ -36,22 +36,19 @@ impl<T> TieringPolicy for SampleRecorder<T> {
 /// Runs `workload` under first-touch placement at 1:4, folding every
 /// sample into the tally `tally` builds from the run's address space
 /// (pages). Returns the tally and the run's report.
-pub(crate) fn record_samples<W, T>(
-    workload: &mut W,
+pub(crate) fn record_samples<T>(
+    workload: &mut dyn Workload,
     cfg: &SimConfig,
     tally: impl FnOnce(u64) -> T,
     fold: fn(&mut T, &Sample),
-) -> (T, SimReport)
-where
-    W: Workload + ?Sized,
-{
+) -> (T, SimReport) {
     let pages = workload.footprint_pages(cfg.page_size);
     let tier_cfg = TierConfig::for_footprint(pages, TierRatio::OneTo4, cfg.page_size);
     let mut recorder = SampleRecorder {
         tally: tally(tier_cfg.address_space_pages),
         fold,
     };
-    let report = Engine::new(cfg.clone()).run_typed(workload, &mut recorder, tier_cfg);
+    let report = Engine::new(cfg.clone()).run(workload, &mut recorder, tier_cfg);
     (recorder.tally, report)
 }
 

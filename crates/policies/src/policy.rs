@@ -183,10 +183,11 @@ impl PolicyKind {
 }
 
 /// Receiver for [`visit_policy`]: `visit` is called with the *concretely
-/// typed* policy for a [`PolicyKind`], so a caller generic over
-/// [`TieringPolicy`] is monomorphized for it. The engine's typed pipeline
-/// uses this to resolve policy dispatch once per run instead of once per
-/// batched virtual call; [`build_policy`] is the type-erasing special case.
+/// typed* policy for a [`PolicyKind`]. The product reaches it only through
+/// [`build_policy`], which boxes the result; its other caller is the host
+/// benchmark's ledger (`benchmark/src/ledger.rs`, frozen between benchmark
+/// changes), which times the typed engine entries. Both uses end when that
+/// ledger steps the engine's own `SimRun`.
 pub trait PolicyVisitor {
     /// The visit result.
     type Out;
@@ -195,8 +196,8 @@ pub trait PolicyVisitor {
 }
 
 /// Builds the policy for `kind` with the crate's default (scaled) parameters
-/// and passes it, concretely typed, to `visitor` — the dispatch-once
-/// counterpart of [`build_policy`].
+/// and passes it, concretely typed, to `visitor`; [`build_policy`] boxes
+/// it. See [`PolicyVisitor`] for why both remain.
 pub fn visit_policy<V: PolicyVisitor>(kind: PolicyKind, cfg: &TierConfig, visitor: V) -> V::Out {
     use crate::{
         AllFastPolicy, ArcPolicy, AutoNumaPolicy, FirstTouchPolicy, HybridTierConfig,

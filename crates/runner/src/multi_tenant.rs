@@ -231,16 +231,13 @@ pub(crate) fn run(
                     (ChurnKind::Arrived, t.name.clone())
                 }
             };
-            // Reclaimed/carved pages are enforced immediately, not at
-            // the next rebalance — live quotas always sum to budget.
-            // Finished lanes never run again, so re-capping them is
-            // unobservable: active lanes suffice.
-            for &i in &active {
-                let lane = &mut lanes[i];
-                if lane.departed_at_ns.is_none() {
-                    lane.run.set_fast_capacity(controller.quota(i));
-                }
-            }
+            // No re-cap here: the quotas this event moved reach the
+            // lanes at the round-end re-cap below, and nothing can see
+            // the difference. No lane runs before it; the calls in
+            // between (`finished`, `fast_demand_pages`, `update_demand`,
+            // `rebalance_dirty`) read occupancy or a policy's histogram,
+            // never a capacity; and a lane that leaves `active` never
+            // runs again, while no report field reads its capacity.
             churn_records.push(ChurnRecord {
                 at_ns: round_end,
                 at_fleet_ops: at_ops,

@@ -30,15 +30,12 @@ use std::time::{Duration, Instant};
 
 use tiering_mem::{LadderKind, TierConfig, TierRatio, TierTopology};
 use tiering_policies::{
-    build_policy, visit_policy, ControllerMode, HybridTierConfig, HybridTierPolicy, ObjectiveKind,
-    PolicyKind, PolicyVisitor, TieringPolicy,
+    build_policy, ControllerMode, HybridTierConfig, HybridTierPolicy, ObjectiveKind, PolicyKind,
+    TieringPolicy,
 };
 use tiering_sim::{Engine, MultiTenantReport, SimConfig, SimReport};
 use tiering_trace::{TraceError, Workload};
-use tiering_workloads::{
-    build_workload, visit_workload, TraceReplayWorkload, WorkloadId, WorkloadVisitor,
-    ZipfPageWorkload,
-};
+use tiering_workloads::{build_workload, TraceReplayWorkload, WorkloadId, ZipfPageWorkload};
 
 use crate::multi_tenant;
 
@@ -770,6 +767,12 @@ impl Scenario {
     /// produce byte-identical reports regardless of which/how many threads
     /// run their siblings. Every workload is built before anything runs,
     /// so an unreadable trace costs no simulation.
+    ///
+    /// Every workload and policy, suite or custom, runs boxed: a single
+    /// run is the `Box<dyn Workload>` × `Box<dyn TieringPolicy>` pipeline
+    /// that every fleet lane runs. Resolving suite ids to concrete types
+    /// instead gives byte-identical reports and bought no measurable host
+    /// time (the numbers are on [`Engine::run_typed`]).
     pub fn try_run(&self) -> Result<ScenarioResult, ScenarioError> {
         let start = Instant::now();
         let (workload, policy, tier, report, multi) = match &self.kind {
@@ -777,13 +780,15 @@ impl Scenario {
                 workload,
                 policy,
                 tier,
-            } => (
-                workload.label(),
-                policy.label(),
-                tier.label(),
-                run_single(workload, policy, tier, &self.config, self.seed)?,
-                None,
-            ),
+            } => {
+                let mut w = workload.build(self.seed)?;
+                let pages = w.footprint_pages(self.config.page_size);
+                let topology = tier.topology(&self.config, pages);
+                let mut p = policy.build(&topology.as_tier_config());
+                let engine = Engine::new(self.config.clone());
+                let report = engine.run_ladder(w.as_mut(), p.as_mut(), topology);
+                (workload.label(), policy.label(), tier.label(), report, None)
+            }
             ScenarioKind::Fleet(spec) => {
                 let multi = multi_tenant::run(spec, &self.config, self.seed)?;
                 let joined = |label: fn(&TenantSpec) -> String| {
@@ -808,83 +813,6 @@ impl Scenario {
             report,
             multi,
         })
-    }
-}
-
-/// One single-application run.
-///
-/// Suite workload + standard policy: resolve both identifiers to concrete
-/// types once, so the whole run executes the monomorphized pipeline.
-/// Custom specs only hand out boxed trait objects, so they take the dyn
-/// instantiation of the same [`Engine::run_typed_ladder`]; either way the
-/// report is byte-identical (see `typed_path_equals_dyn` in the sim crate's
-/// integration tests).
-fn run_single(
-    workload: &WorkloadSpec,
-    policy: &PolicySpec,
-    tier: &TierSpec,
-    config: &SimConfig,
-    seed: u64,
-) -> Result<SimReport, ScenarioError> {
-    Ok(match (workload, policy) {
-        (WorkloadSpec::Suite(id), PolicySpec::Kind(kind)) => visit_workload(
-            *id,
-            seed,
-            TypedSingle {
-                config,
-                tier,
-                kind: *kind,
-            },
-        ),
-        _ => {
-            let mut w = workload.build(seed)?;
-            let topology = tier.topology(config, w.footprint_pages(config.page_size));
-            let mut p = policy.build(&topology.as_tier_config());
-            Engine::new(config.clone()).run_typed_ladder(w.as_mut(), p.as_mut(), topology)
-        }
-    })
-}
-
-/// Double-dispatch glue for the monomorphized single-scenario path: the
-/// workload visitor resolves the generator type, sizes the tiers from its
-/// footprint, then hands off to the policy visitor, which resolves the
-/// policy type and runs [`Engine::run_typed_ladder`]. Only these two
-/// small shells are instantiated per (workload, policy) type pair — the
-/// heavy pipeline stages are generic in at most one of the two, so the
-/// instantiation count stays additive, not multiplicative.
-struct TypedSingle<'a> {
-    config: &'a SimConfig,
-    tier: &'a TierSpec,
-    kind: PolicyKind,
-}
-
-impl WorkloadVisitor for TypedSingle<'_> {
-    type Out = SimReport;
-    fn visit<W: Workload + 'static>(self, mut workload: W) -> SimReport {
-        let pages = workload.footprint_pages(self.config.page_size);
-        let topology = self.tier.topology(self.config, pages);
-        visit_policy(
-            self.kind,
-            &topology.as_tier_config(),
-            TypedSingleWithWorkload {
-                config: self.config,
-                topology,
-                workload: &mut workload,
-            },
-        )
-    }
-}
-
-struct TypedSingleWithWorkload<'a, W: Workload> {
-    config: &'a SimConfig,
-    topology: TierTopology,
-    workload: &'a mut W,
-}
-
-impl<W: Workload> PolicyVisitor for TypedSingleWithWorkload<'_, W> {
-    type Out = SimReport;
-    fn visit<P: TieringPolicy + 'static>(self, mut policy: P) -> SimReport {
-        Engine::new(self.config.clone()).run_typed_ladder(self.workload, &mut policy, self.topology)
     }
 }
 

@@ -195,7 +195,8 @@ impl Engine {
         policy: &mut dyn TieringPolicy,
         tier_cfg: TierConfig,
     ) -> SimReport {
-        self.run_typed(workload, policy, tier_cfg)
+        let topology = TierTopology::two_tier(tier_cfg, &self.config.latency);
+        self.run_ladder(workload, policy, topology)
     }
 
     /// [`run`](Engine::run), monomorphized for the concrete workload and
@@ -205,13 +206,17 @@ impl Engine {
     /// [`run`](Engine::run) merely instantiates it with `W = dyn Workload, P = dyn
     /// TieringPolicy` — so for identical inputs the two produce
     /// byte-identical reports (asserted across the full suite×policy matrix
-    /// by the `batch_equivalence` integration tests). The typed
-    /// instantiation lets the compiler inline `fill_batch` into the pull
-    /// stage and the batched policy callbacks into the policy stage, which
-    /// is worth a double-digit percentage of sweep wall time. Sweep drivers
-    /// resolve `(WorkloadId, PolicyKind)` to concrete types once per
-    /// scenario via the `visit_workload`/`visit_policy` dispatchers in the
-    /// workload and policy crates and then call this.
+    /// by `typed_path_equals_dyn_across_full_matrix` in the
+    /// `batch_equivalence` integration tests). The typed instantiation buys
+    /// no measurable host time: running every suite scenario boxed instead
+    /// read `host_ns_per_access` 35.1 → 31.3 on the host
+    /// benchmark's `cachelib`, 20.4 → 18.0 on `batch`, 53.3 → 49.6 on
+    /// `ladder` and 59.4 → 58.3 on `cachesim` (medians of 10 alternating
+    /// pairs, seed 1, 2 vCPUs; no difference resolved), so the product
+    /// calls only the boxed entries. Outside this file the typed entries
+    /// have two callers: the host benchmark's ledger
+    /// (`benchmark/src/ledger.rs`), which resolves concrete types with
+    /// `visit_workload`/`visit_policy`, and that test.
     pub fn run_typed<W, P>(
         &self,
         workload: &mut W,
@@ -239,10 +244,11 @@ impl Engine {
     }
 
     /// The engine core every other entry wraps: one [`SimRun`] over
-    /// `topology`, driven to completion in one call, monomorphized for the
-    /// concrete workload and policy types (see
-    /// [`run_typed`](Engine::run_typed)). `dyn` callers are the
-    /// `W = dyn Workload, P = dyn TieringPolicy` instantiation.
+    /// `topology`, driven to completion in one call. Generic so that the
+    /// ledger's typed calls (see [`run_typed`](Engine::run_typed)) and the
+    /// product's boxed ones, the `W = dyn Workload, P = dyn
+    /// TieringPolicy` instantiation behind [`run_ladder`](Engine::run_ladder),
+    /// share one body.
     pub fn run_typed_ladder<W, P>(
         &self,
         workload: &mut W,

@@ -158,8 +158,9 @@ const ALL_POLICIES: [PolicyKind; 10] = [
 ];
 
 /// Runs `(id, kind)` through `Engine::run_typed` with both the workload and
-/// the policy resolved to their concrete types via the dispatch-once
-/// visitors — exactly the route the sweep runner takes for suite scenarios.
+/// the policy resolved to their concrete types via the visitors — the route
+/// the host benchmark's ledger (`benchmark/src/ledger.rs`) times. The
+/// product runs every scenario boxed.
 fn run_fully_typed(id: WorkloadId, kind: PolicyKind, seed: u64, config: &SimConfig) -> SimReport {
     struct TypedRun<'a> {
         kind: PolicyKind,
@@ -198,7 +199,8 @@ fn run_fully_typed(id: WorkloadId, kind: PolicyKind, seed: u64, config: &SimConf
 /// The monomorphized entry point against the dyn one, across the **full**
 /// suite × policy matrix with identical seeds: `run_typed` with concrete
 /// types and `run` with trait objects are instantiations of the same
-/// generic pipeline, so every report must match byte for byte.
+/// generic pipeline, so every report must match byte for byte. This is what
+/// keeps the ledger's typed entries pricing the same run the product makes.
 #[test]
 fn typed_path_equals_dyn_across_full_matrix() {
     const SEED: u64 = 0xA5F0_5EED;

@@ -121,11 +121,11 @@ fn gap_graph(kind: GraphKind, seed: u64) -> Graph {
 }
 
 /// Receiver for [`visit_workload`]: `visit` is called with the *concretely
-/// typed* generator for a [`WorkloadId`], so a caller generic over
-/// [`Workload`] is monomorphized for it. The engine's typed pipeline uses
-/// this to inline `fill_batch` into the pull stage instead of making a
-/// virtual call per batch; [`build_workload`] is the type-erasing special
-/// case, so both paths construct byte-identical generators.
+/// typed* generator for a [`WorkloadId`]. The product reaches it only through
+/// [`build_workload`], which boxes the result; its other caller is the host
+/// benchmark's ledger (`benchmark/src/ledger.rs`, frozen between benchmark
+/// changes), which times the typed engine entries. Both uses end when that
+/// ledger steps the engine's own `SimRun`.
 pub trait WorkloadVisitor {
     /// The visit result.
     type Out;
@@ -135,8 +135,8 @@ pub trait WorkloadVisitor {
 }
 
 /// Builds the workload for `id` with the suite's default scaled parameters
-/// and passes it, concretely typed, to `visitor` — the dispatch-once
-/// counterpart of [`build_workload`].
+/// and passes it, concretely typed, to `visitor`; [`build_workload`] boxes
+/// it. See [`WorkloadVisitor`] for why both remain.
 pub fn visit_workload<V: WorkloadVisitor>(id: WorkloadId, seed: u64, visitor: V) -> V::Out {
     match id {
         WorkloadId::CdnCacheLib => {

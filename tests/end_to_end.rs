@@ -162,9 +162,8 @@ fn momentum_ablation_changes_behaviour() {
 
 /// The parallel scenario runner through the facade: a sweep over suite
 /// workloads is deterministic, order-independent, and identical to serial
-/// execution — and a scenario's report, which the runner computes on the
-/// monomorphized pipeline, matches a direct dyn `Engine::run` of the same
-/// triple.
+/// execution — and a scenario's report, binary or on a ladder, matches a
+/// direct `Engine` run of the same triple.
 #[test]
 fn parallel_sweep_matches_serial_and_direct_runs() {
     let matrix = || {
@@ -201,4 +200,17 @@ fn parallel_sweep_matches_serial_and_direct_runs() {
         .expect("cell present")
         .report;
     assert_eq!(cell, &direct, "runner diverged from direct engine run");
+
+    // A ladder cell sizes its preset from the workload footprint, as a
+    // direct `run_ladder` over `LadderKind::topology` does.
+    let config = SimConfig::default().with_max_ops(20_000);
+    let kind = PolicyKind::HybridTier;
+    let ladder = LadderKind::Archive;
+    let cell = Scenario::suite_ladder(WorkloadId::Silo, kind, ladder, &config, 7).run();
+    let mut workload = build_workload(WorkloadId::Silo, 7);
+    let topology = ladder.topology(workload.footprint_pages(config.page_size), config.page_size);
+    let mut policy = build_policy(kind, &topology.as_tier_config());
+    let direct = Engine::new(config).run_ladder(workload.as_mut(), policy.as_mut(), topology);
+    assert_eq!(cell.tier, "archive-1to64");
+    assert_eq!(cell.report, direct, "ladder cell diverged from direct run");
 }
