@@ -235,7 +235,7 @@ pub fn fig17(budget: &Budget) -> Figure {
                 format!("{}/thr{}", id.label(), threshold),
                 WorkloadSpec::Suite(id),
                 PolicySpec::custom(format!("HybridTier(m={threshold})"), move |tier_cfg| {
-                    let cfg = HybridTierConfig::scaled(tier_cfg).with_momentum_threshold(threshold);
+                    let cfg = HybridTierConfig::scaled().with_momentum_threshold(threshold);
                     Box::new(HybridTierPolicy::new(cfg, tier_cfg))
                 }),
                 TierSpec::Ratio(TierRatio::OneTo16),

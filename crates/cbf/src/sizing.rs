@@ -114,7 +114,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_defaults_give_about_20_counters_per_element() {
+    fn paper_parameters_give_about_20_counters_per_element() {
         // k=4, p=0.001 → r ≈ 20.41.
         let m = counters_for(1_000_000, 4, 0.001);
         let r = m as f64 / 1e6;

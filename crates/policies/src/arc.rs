@@ -14,7 +14,7 @@
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 use tiering_trace::Sample;
 
-use crate::chain::DemotionChain;
+use crate::chain::{DemotionChain, DEMOTE_BUDGET, DEMOTE_WMARK};
 use crate::list_set::ListSet;
 use crate::policy::{PolicyCtx, TieringPolicy};
 
@@ -25,13 +25,6 @@ const B2: u8 = 3;
 
 const LRU_NODE_NS: u64 = 8;
 const META_BASE: u64 = 0x7800_0000_0000;
-/// Free-fraction target the cascade maintains on middle rungs of deep
-/// ladders, and its per-rung move budget per tick. ARC itself has no
-/// watermark machinery — the cache *is* the fast tier — but on an N-tier
-/// ladder its REPLACE demotions land on the next rung down, which must in
-/// turn drain somewhere or REPLACE wedges against a full rung.
-const CHAIN_WMARK: f64 = 0.06;
-const CHAIN_BUDGET: u64 = 4_096;
 
 /// The ARC tiering policy.
 #[derive(Debug)]
@@ -170,7 +163,7 @@ impl TieringPolicy for ArcPolicy {
     fn on_tick(&mut self, _now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         // Keep the rung below the cache drained on deep ladders so REPLACE
         // has somewhere to demote to (no-op on the 2-tier testbed).
-        self.chain.cascade(mem, CHAIN_WMARK, CHAIN_BUDGET, ctx);
+        self.chain.cascade(mem, DEMOTE_WMARK, DEMOTE_BUDGET, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {

@@ -14,62 +14,29 @@
 
 use tiering_mem::{PageId, TierConfig, TieredMemory};
 
+use crate::chain::{DEMOTE_WMARK, PROMO_WMARK};
 use crate::hint_fault::HintFaultModel;
 use crate::policy::{PolicyCtx, TieringPolicy};
 
-/// Configuration of [`AutoNumaPolicy`].
-#[derive(Debug, Clone)]
-pub struct AutoNumaConfig {
-    /// Pages unmapped per scan window (256 MB at paper scale; scaled down
-    /// with the footprints here).
-    pub scan_window_pages: u64,
-    /// Interval between scan windows.
-    pub scan_interval_ns: u64,
-    /// Hint-fault latency below which a slow-tier page is promoted
-    /// (paper: 1 second).
-    pub promote_latency_ns: u64,
-    /// Demotion trigger watermark.
-    pub promo_wmark: f64,
-    /// Demotion target watermark.
-    pub demote_wmark: f64,
-    /// Max pages demoted per pressure event.
-    pub max_demote_per_call: u64,
-}
-
-impl Default for AutoNumaConfig {
-    fn default() -> Self {
-        Self {
-            scan_window_pages: 1_024,
-            scan_interval_ns: 10_000_000, // 10 ms (paper-scale seconds, compressed ~1000x)
-            promote_latency_ns: 20_000_000, // 20 ms (paper: 1 s)
-            promo_wmark: 0.02,
-            demote_wmark: 0.06,
-            max_demote_per_call: 4_096,
-        }
-    }
-}
+/// Hint-fault latency below which a slow-tier page is promoted: 20 ms
+/// (paper: 1 second, compressed like the scan interval).
+const PROMOTE_LATENCY_NS: u64 = 20_000_000;
 
 /// The AutoNUMA policy: the shared hint-fault model with AutoNUMA's
 /// hint-fault-latency promotion test and pressure-only reclaim trigger.
 #[derive(Debug)]
 pub struct AutoNumaPolicy {
-    config: AutoNumaConfig,
     model: HintFaultModel,
 }
 
 impl AutoNumaPolicy {
-    /// Builds AutoNUMA for the given address space. The scan window scales
-    /// with the footprint so the full-sweep period stays roughly constant.
-    pub fn new(config: AutoNumaConfig, tier_cfg: &TierConfig) -> Self {
+    /// Builds AutoNUMA for the given address space. The scanner's window
+    /// scales with the footprint only from 65 536 pages up, where a full
+    /// sweep takes a constant 64 intervals; below that it is 1 024 pages and
+    /// the sweep takes ⌈n / 1 024⌉ (see `HintFaultModel::new`).
+    pub fn new(tier_cfg: &TierConfig) -> Self {
         Self {
-            model: HintFaultModel::new(
-                config.scan_window_pages,
-                config.scan_interval_ns,
-                config.demote_wmark,
-                config.max_demote_per_call,
-                tier_cfg,
-            ),
-            config,
+            model: HintFaultModel::new(DEMOTE_WMARK, tier_cfg),
         }
     }
 }
@@ -92,18 +59,16 @@ impl TieringPolicy for AutoNumaPolicy {
     ) -> u64 {
         // One recent access suffices: promote when the hint-fault latency
         // (unmap → access) is short, regardless of history.
-        let promote_latency_ns = self.config.promote_latency_ns;
         self.model
             .on_access_batch(pages, now_ns, mem, ctx, |fault| {
-                now_ns.saturating_sub(fault.unmapped_ns) < promote_latency_ns
+                now_ns.saturating_sub(fault.unmapped_ns) < PROMOTE_LATENCY_NS
             })
     }
 
     fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         // Reclaim only under promotion pressure (MGLRU aging: oldest hint
-        // fault first), down to `demote_wmark`.
-        self.model
-            .on_tick(now_ns, self.config.promo_wmark, mem, ctx);
+        // fault first), down to `DEMOTE_WMARK`.
+        self.model.on_tick(now_ns, PROMO_WMARK, mem, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {
@@ -118,10 +83,7 @@ mod tests {
 
     fn setup() -> (AutoNumaPolicy, TieredMemory) {
         let cfg = TierConfig::for_footprint(512, TierRatio::OneTo8, PageSize::Base4K);
-        (
-            AutoNumaPolicy::new(AutoNumaConfig::default(), &cfg),
-            TieredMemory::new(cfg),
-        )
+        (AutoNumaPolicy::new(&cfg), TieredMemory::new(cfg))
     }
 
     #[test]
@@ -196,7 +158,7 @@ mod tests {
     #[test]
     fn metadata_is_two_words_per_page() {
         let cfg = TierConfig::for_footprint(1_000, TierRatio::OneTo8, PageSize::Base4K);
-        let p = AutoNumaPolicy::new(AutoNumaConfig::default(), &cfg);
+        let p = AutoNumaPolicy::new(&cfg);
         assert_eq!(p.metadata_bytes(), 16_000);
     }
 }

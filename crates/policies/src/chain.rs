@@ -19,9 +19,24 @@ use tiering_mem::{PageId, TieredMemory};
 
 use crate::policy::PolicyCtx;
 
-/// Cost charged per page-table entry walked by a cascade sweep and by the
-/// recency reclaims ([`reclaim_two_pass`]).
-pub(crate) const SCAN_PAGE_NS: u64 = 10;
+/// Fast-tier free fraction below which watermark demotion starts
+/// (PROMO_WMARK, paper §4.3).
+pub(crate) const PROMO_WMARK: f64 = 0.02;
+/// Free fraction at which demotion stops (DEMOTE_WMARK, paper §4.3); the
+/// cascade keeps every middle rung of a ladder at it too.
+pub(crate) const DEMOTE_WMARK: f64 = 0.06;
+/// Per-call demotion budget of the policies with no scan budget of their
+/// own: ARC's and 2Q's cascade, and the hint-fault model's reclaim passes
+/// and cascade. ARC and 2Q have no watermark machinery — the cache *is* the
+/// fast tier — but on an N-tier ladder their demotions land on the next
+/// rung down, which must in turn drain or they wedge against a full rung.
+pub(crate) const DEMOTE_BUDGET: u64 = 4_096;
+
+/// Cost charged per page-table entry walked by a cascade sweep, by the
+/// recency reclaims ([`reclaim_two_pass`]) and by the hint-fault scanner's
+/// unmap: a kernel page-table step per entry, twice HybridTier's sequential
+/// userspace pagemap read.
+pub(crate) const RECLAIM_ENTRY_NS: u64 = 10;
 
 /// The two-pass fast-tier reclaim the recency policies share (TPP and
 /// AutoNUMA through the hint-fault model, NeoMem on its device counters):
@@ -43,7 +58,7 @@ pub(crate) fn reclaim_two_pass(
         while mem.fast_free_below(wmark) && walked < budget {
             let (page, step) = mem.next_resident(0, hand, budget - walked);
             walked += step;
-            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            ctx.tiering_work_ns += step * RECLAIM_ENTRY_NS;
             let Some(page) = page else { break };
             if pass == 1 || is_cold(page) {
                 let _ = mem.demote(page);
@@ -107,7 +122,7 @@ impl DemotionChain {
             while mem.tier_free_below(t, wmark) && moved < max_per_tier && walked < n {
                 let (page, step) = mem.next_resident(t, &mut self.cursors[t], n - walked);
                 walked += step;
-                ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+                ctx.tiering_work_ns += step * RECLAIM_ENTRY_NS;
                 let Some(page) = page else { break };
                 if mem.demote_toward(page, t + 1).is_ok() {
                     moved += 1;

@@ -1014,7 +1014,7 @@ mod tests {
         samples_per_page: u32,
     ) -> u64 {
         let cfg = g.tier_config(idx, PageSize::Base4K);
-        let mut policy = HybridTierPolicy::new(HybridTierConfig::scaled(&cfg), &cfg);
+        let mut policy = HybridTierPolicy::new(HybridTierConfig::scaled(), &cfg);
         let mut mem = TieredMemory::new(cfg);
         let mut ctx = PolicyCtx::new();
         for p in 0..pages {

@@ -18,7 +18,7 @@ use hybridtier_cbf::{AccessCounter, BlockedCbf, CbfParams, CounterWidth, Standar
 use tiering_mem::{PageId, PageSize, Tier, TierConfig, TieredMemory};
 use tiering_trace::Sample;
 
-use crate::chain::DemotionChain;
+use crate::chain::{DemotionChain, DEMOTE_WMARK, PROMO_WMARK};
 use crate::flat_table::FlatPageMap;
 use crate::histogram::HotnessHistogram;
 use crate::policy::{PolicyCtx, TieringPolicy};
@@ -31,7 +31,18 @@ const PAGEMAP_BASE: u64 = 0x7500_0000_0000;
 
 /// Cost constants for tiering-thread work (charged via `PolicyCtx`).
 const SYSCALL_NS: u64 = 1_500;
-const SCAN_PAGE_NS: u64 = 5;
+/// Per pagemap entry the demotion scan reads: the userspace runtime reads
+/// `/proc/PID/pagemap` sequentially, 8 bytes per page, so half a kernel
+/// reclaim step.
+const PAGEMAP_ENTRY_NS: u64 = 5;
+
+/// Number of CBF hash functions (paper: 4).
+const CBF_HASHES: u32 = 4;
+/// CBF tracking-error target (paper: 0.001).
+const CBF_ERROR_RATE: f64 = 0.001;
+/// The momentum CBF is `1/MOMENTUM_DIVISOR` the size of the frequency CBF
+/// (paper: 128).
+const MOMENTUM_DIVISOR: usize = 128;
 
 /// Which CBF layout the trackers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,22 +95,15 @@ impl MigrationDecision {
 /// Configuration of [`HybridTierPolicy`].
 #[derive(Debug, Clone)]
 pub struct HybridTierConfig {
-    /// Number of CBF hash functions (paper: 4).
-    pub k: u32,
-    /// CBF tracking-error target (paper: 0.001).
-    pub error_rate: f64,
     /// Tracker layout (paper default: blocked).
     pub layout: TrackerLayout,
     /// Explicit frequency-CBF budget in bytes; overrides formula sizing
-    /// (used by the Table 5 accuracy sweep).
+    /// (the lean tail tenants of `Scenario::synthetic_fleet_spec`).
     pub cbf_budget_bytes: Option<usize>,
     /// Whether the momentum tracker participates (Figure 15 ablation).
     pub momentum_enabled: bool,
     /// Momentum hotness threshold (paper: 3, set empirically; Figure 17).
     pub momentum_threshold: u32,
-    /// Momentum CBF is `1/momentum_divisor` the size of the frequency CBF
-    /// (paper: 128).
-    pub momentum_divisor: usize,
     /// Cooling period of the frequency tracker, in samples (high).
     pub freq_cool_samples: u64,
     /// Cooling period of the momentum tracker, in samples (low).
@@ -112,8 +116,6 @@ pub struct HybridTierConfig {
     /// Demotion stops once free fast-tier fraction reaches this
     /// (DEMOTE_WMARK, §4.3).
     pub demote_wmark: f64,
-    /// Whether second-chance demotion is enabled.
-    pub second_chance_enabled: bool,
     /// Second-chance revisit delay (paper: 1 minute).
     pub second_chance_revisit_ns: u64,
     /// Lower bound on the auto-derived frequency threshold.
@@ -123,39 +125,24 @@ pub struct HybridTierConfig {
 }
 
 impl HybridTierConfig {
-    /// The paper's full-scale parameters.
-    fn paper_defaults() -> Self {
+    /// The paper's parameters scaled to this repository's ~512×-smaller
+    /// footprints: the sample-count periods shrink proportionally so
+    /// cooling/batching happen at the same *per-page* rates as at paper
+    /// scale.
+    pub fn scaled() -> Self {
         Self {
-            k: 4,
-            error_rate: 0.001,
             layout: TrackerLayout::Blocked,
             cbf_budget_bytes: None,
             momentum_enabled: true,
             momentum_threshold: 3,
-            momentum_divisor: 128,
-            freq_cool_samples: 2_000_000,
-            momentum_cool_samples: 31_250,
-            batch_samples: 100_000,
-            promo_wmark: 0.02,
-            demote_wmark: 0.06,
-            second_chance_enabled: true,
-            second_chance_revisit_ns: 60_000_000_000,
-            min_freq_threshold: 2,
-            max_scan_per_call: 65_536,
-        }
-    }
-
-    /// Parameters scaled to this repository's ~512×-smaller footprints: the
-    /// sample-count periods shrink proportionally so cooling/batching happen
-    /// at the same *per-page* rates as at paper scale.
-    pub fn scaled(_tier_cfg: &TierConfig) -> Self {
-        Self {
-            freq_cool_samples: 200_000,
-            momentum_cool_samples: 12_000,
-            batch_samples: 2_000,
+            freq_cool_samples: 200_000,    // paper: 2 000 000
+            momentum_cool_samples: 12_000, // paper: 31 250
+            batch_samples: 2_000,          // paper: 100 000
+            promo_wmark: PROMO_WMARK,
+            demote_wmark: DEMOTE_WMARK,
             second_chance_revisit_ns: 100_000_000, // 100 ms (paper: 1 min)
-            max_scan_per_call: 32_768,
-            ..Self::paper_defaults()
+            min_freq_threshold: 2,
+            max_scan_per_call: 32_768, // paper: 65 536
         }
     }
 
@@ -181,7 +168,7 @@ impl HybridTierConfig {
         self
     }
 
-    /// Fixes the frequency-CBF size by byte budget (Table 5 sweep).
+    /// Fixes the frequency-CBF size by byte budget (lean fleet tenants).
     #[must_use]
     pub fn with_cbf_budget(mut self, bytes: usize) -> Self {
         self.cbf_budget_bytes = Some(bytes);
@@ -267,7 +254,7 @@ impl std::fmt::Debug for HybridTierPolicy {
 impl HybridTierPolicy {
     /// Builds the policy for the given tier configuration: the frequency
     /// CBF is sized for the fast-tier page count (paper §4.2, `n` = number
-    /// of fast-tier pages) and the momentum CBF `momentum_divisor`× smaller.
+    /// of fast-tier pages) and the momentum CBF `MOMENTUM_DIVISOR`× smaller.
     ///
     /// # Panics
     ///
@@ -290,21 +277,21 @@ impl HybridTierPolicy {
         // The floors are negligible in bytes and only bind in small runs.
         let n_freq = (tier_cfg.fast_capacity_pages.max(1) as usize).max(16_384);
         let freq_params = match config.cbf_budget_bytes {
-            Some(bytes) => CbfParams::for_budget_bytes(bytes, config.k, width),
-            None => CbfParams::for_capacity(n_freq, config.k, config.error_rate, width),
+            Some(bytes) => CbfParams::for_budget_bytes(bytes, CBF_HASHES, width),
+            None => CbfParams::for_capacity(n_freq, CBF_HASHES, CBF_ERROR_RATE, width),
         }
         .with_base_addr(FREQ_BASE);
-        // Momentum tracker: `momentum_divisor`× smaller, same floor logic.
+        // Momentum tracker: `MOMENTUM_DIVISOR`× smaller, same floor logic.
         // When the tracker is disabled every write and decision path is
         // gated off, so it stays empty and only its allocation remains
         // observable (via `metadata_bytes`) — size it minimally instead of
         // carrying a dead divisor-scaled filter per tenant, which at fleet
         // scale (10⁵ lean tenants) is gigabytes.
-        let n_mom = (n_freq / config.momentum_divisor).max(16_384);
+        let n_mom = (n_freq / MOMENTUM_DIVISOR).max(16_384);
         let mom_params = if config.momentum_enabled {
-            CbfParams::for_capacity(n_mom, config.k, config.error_rate, width)
+            CbfParams::for_capacity(n_mom, CBF_HASHES, CBF_ERROR_RATE, width)
         } else {
-            CbfParams::for_budget_bytes(64, config.k, width)
+            CbfParams::for_budget_bytes(64, CBF_HASHES, width)
         }
         .with_base_addr(MOM_BASE)
         .with_seed(0x4D4F_4D45_4E54_554D); // distinct seed for the momentum tracker
@@ -447,13 +434,13 @@ impl HybridTierPolicy {
     /// `NoAction`, so it moves nothing and ends where it began. Momentum only
     /// rises between coolings, so until momentum cools or a page enters or
     /// leaves rung 0, each later scan past the watermark test would walk it
-    /// again with the same lines and `n × SCAN_PAGE_NS`: it replays instead.
+    /// again with the same lines and `n × PAGEMAP_ENTRY_NS`: it replays instead.
     fn demote_scan(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         let n = mem.address_space_pages();
         if mem.fast_free_below(self.config.demote_wmark)
             && self.quiet_key == Some(mem.fast_set_changes())
         {
-            ctx.tiering_work_ns += n * SCAN_PAGE_NS;
+            ctx.tiering_work_ns += n * PAGEMAP_ENTRY_NS;
             ctx.metadata_lines.extend_from_slice(&self.quiet_lines);
             return;
         }
@@ -466,7 +453,7 @@ impl HybridTierPolicy {
             let (page, step) = mem.next_resident(0, &mut self.scan_cursor, budget - walked);
             walked += step;
             meter(step, 0);
-            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            ctx.tiering_work_ns += step * PAGEMAP_ENTRY_NS;
             push_pagemap_lines(from, step, n, &mut ctx.metadata_lines);
             let Some(page) = page else { break };
             self.freq.touched_lines(page.0, &mut ctx.metadata_lines);
@@ -487,12 +474,6 @@ impl HybridTierPolicy {
                     let _ = mem.demote(page);
                 }
                 MigrationDecision::SecondChance => {
-                    if !self.config.second_chance_enabled {
-                        // Ablation: without second chance, historically hot
-                        // but momentum-cold pages demote immediately.
-                        let _ = mem.demote(page);
-                        continue;
-                    }
                     match self.second_chance.get(page.0) {
                         None => {
                             self.second_chance
@@ -609,7 +590,7 @@ mod tests {
 
     fn setup(ratio: TierRatio) -> (HybridTierPolicy, TieredMemory) {
         let cfg = TierConfig::for_footprint(4_096, ratio, PageSize::Base4K);
-        let mut ht_cfg = HybridTierConfig::scaled(&cfg);
+        let mut ht_cfg = HybridTierConfig::scaled();
         ht_cfg.batch_samples = 16; // small batches for unit tests
         ht_cfg.freq_cool_samples = 1_000_000;
         ht_cfg.momentum_cool_samples = 1_000_000;
@@ -682,7 +663,7 @@ mod tests {
     #[test]
     fn freq_only_ablation_does_not_use_momentum() {
         let cfg = TierConfig::for_footprint(4_096, TierRatio::OneTo16, PageSize::Base4K);
-        let mut ht_cfg = HybridTierConfig::scaled(&cfg).without_momentum();
+        let mut ht_cfg = HybridTierConfig::scaled().without_momentum();
         ht_cfg.batch_samples = 4;
         ht_cfg.min_freq_threshold = 10; // high bar frequency can't reach fast
         let mut p = HybridTierPolicy::new(ht_cfg, &cfg);
@@ -742,7 +723,7 @@ mod tests {
     #[test]
     fn second_chance_defers_then_demotes_stale_pages() {
         let cfg = TierConfig::for_footprint(256, TierRatio::OneTo4, PageSize::Base4K);
-        let mut ht_cfg = HybridTierConfig::scaled(&cfg);
+        let mut ht_cfg = HybridTierConfig::scaled();
         ht_cfg.batch_samples = 1_000_000; // no auto flush
         ht_cfg.momentum_cool_samples = 4; // momentum cools fast
         ht_cfg.freq_cool_samples = 1_000_000;
@@ -812,7 +793,7 @@ mod tests {
     impl Pair {
         fn new(max_scan_per_call: u64) -> Self {
             let cfg = TierConfig::for_footprint(512, TierRatio::OneTo16, PageSize::Base4K);
-            let mut ht_cfg = HybridTierConfig::scaled(&cfg);
+            let mut ht_cfg = HybridTierConfig::scaled();
             // Every sample flushes its own batch, so a call runs at most one
             // scan: the reference, cleared before each call, never replays.
             ht_cfg.batch_samples = 1;
@@ -993,7 +974,7 @@ mod tests {
     #[should_panic(expected = "cooling periods must be positive")]
     fn zero_cooling_period_rejected() {
         let cfg = TierConfig::for_footprint(256, TierRatio::OneTo4, PageSize::Base4K);
-        let mut ht_cfg = HybridTierConfig::scaled(&cfg);
+        let mut ht_cfg = HybridTierConfig::scaled();
         ht_cfg.freq_cool_samples = 0;
         let _ = HybridTierPolicy::new(ht_cfg, &cfg);
     }
@@ -1001,7 +982,7 @@ mod tests {
     #[test]
     fn metadata_is_far_smaller_than_16b_per_page() {
         let cfg = TierConfig::for_footprint(100_000, TierRatio::OneTo16, PageSize::Base4K);
-        let p = HybridTierPolicy::new(HybridTierConfig::scaled(&cfg), &cfg);
+        let p = HybridTierPolicy::new(HybridTierConfig::scaled(), &cfg);
         let memtis_equivalent = 100_000 * 16;
         assert!(
             p.metadata_bytes() * 2 < memtis_equivalent,
@@ -1014,9 +995,9 @@ mod tests {
     #[test]
     fn blocked_layout_touches_fewer_lines_than_standard() {
         let cfg = TierConfig::for_footprint(50_000, TierRatio::OneTo8, PageSize::Base4K);
-        let mut blocked = HybridTierPolicy::new(HybridTierConfig::scaled(&cfg), &cfg);
+        let mut blocked = HybridTierPolicy::new(HybridTierConfig::scaled(), &cfg);
         let mut standard = HybridTierPolicy::new(
-            HybridTierConfig::scaled(&cfg).with_layout(TrackerLayout::Standard),
+            HybridTierConfig::scaled().with_layout(TrackerLayout::Standard),
             &cfg,
         );
         let mut mem_b = TieredMemory::new(cfg);

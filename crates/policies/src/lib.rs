@@ -81,7 +81,7 @@ mod tpp;
 mod twoq;
 
 pub use arc::ArcPolicy;
-pub use autonuma::{AutoNumaConfig, AutoNumaPolicy};
+pub use autonuma::AutoNumaPolicy;
 pub use baseline::{AllFastPolicy, FirstTouchPolicy};
 pub use chain::DemotionChain;
 pub use ema::{ema_lag_series, EmaScore};
@@ -93,5 +93,5 @@ pub use list_set::ListSet;
 pub use memtis::{MemtisConfig, MemtisPolicy};
 pub use neomem::{NeoMemConfig, NeoMemPolicy};
 pub use policy::{build_policy, visit_policy, PolicyCtx, PolicyKind, PolicyVisitor, TieringPolicy};
-pub use tpp::{TppConfig, TppPolicy};
+pub use tpp::TppPolicy;
 pub use twoq::TwoQPolicy;

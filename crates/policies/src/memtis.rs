@@ -20,7 +20,7 @@
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 use tiering_trace::Sample;
 
-use crate::chain::DemotionChain;
+use crate::chain::{DemotionChain, DEMOTE_WMARK, PROMO_WMARK};
 use crate::histogram::HotnessHistogram;
 use crate::policy::{PolicyCtx, TieringPolicy};
 
@@ -28,8 +28,25 @@ const META_BASE: u64 = 0x7600_0000_0000;
 const LEVEL2_BASE: u64 = 0x7680_0000_0000;
 const LEVEL3_BASE: u64 = 0x76C0_0000_0000;
 const HIST_BASE: u64 = 0x7700_0000_0000;
-const SCAN_PAGE_NS: u64 = 20;
+/// Cost charged per page-table entry a demotion scan walks: Memtis reads
+/// each page's record through its multi-level table (three lines per
+/// entry, [`MemtisPolicy::record_meta_lines`]), so twice a reclaim step.
+const PTE_ENTRY_NS: u64 = 20;
 const SYSCALL_NS: u64 = 1_500;
+/// Lower bound on the derived hotness threshold.
+const MIN_THRESHOLD: u32 = 2;
+/// Max pages examined per demotion scan call.
+const MAX_SCAN_PER_CALL: u64 = 16_384;
+/// Pages demote only when their count falls below this (Memtis demotes from
+/// its *cold* set — the lowest histogram region — not everything below the
+/// promotion threshold; a warm page stays until cooling erodes it, which is
+/// precisely the paper's adaptation critique).
+const DEMOTE_BELOW: u32 = 2;
+/// Background management overhead per fast-tier page per tick, in
+/// nanoseconds ×1000 (the paper observes Memtis "performs additional
+/// background activities that result in higher runtime overhead" as the
+/// fast tier grows, §6.1).
+const BACKGROUND_NS_PER_KPAGE: u64 = 3_000;
 
 /// Configuration of [`MemtisPolicy`].
 #[derive(Debug, Clone)]
@@ -37,36 +54,12 @@ pub struct MemtisConfig {
     /// Cooling period in samples (the paper's Figure 3b sweeps this;
     /// Memtis's default at full scale is 2M samples).
     pub cool_samples: u64,
-    /// Lower bound on the derived hotness threshold.
-    pub min_threshold: u32,
-    /// Demotion trigger watermark (free fast fraction).
-    pub promo_wmark: f64,
-    /// Demotion target watermark.
-    pub demote_wmark: f64,
-    /// Max pages examined per demotion scan call.
-    pub max_scan_per_call: u64,
-    /// Pages demote only when their count falls below this (Memtis demotes
-    /// from its *cold* set — the lowest histogram region — not everything
-    /// below the promotion threshold; a warm page stays until cooling
-    /// erodes it, which is precisely the paper's adaptation critique).
-    pub demote_below: u32,
-    /// Background management overhead per fast-tier page per tick, in
-    /// nanoseconds ×1000 (the paper observes Memtis "performs additional
-    /// background activities that result in higher runtime overhead" as the
-    /// fast tier grows, §6.1).
-    pub background_ns_per_kpage: u64,
 }
 
 impl Default for MemtisConfig {
     fn default() -> Self {
         Self {
             cool_samples: 200_000,
-            min_threshold: 2,
-            promo_wmark: 0.02,
-            demote_wmark: 0.06,
-            max_scan_per_call: 16_384,
-            demote_below: 2,
-            background_ns_per_kpage: 3_000,
         }
     }
 }
@@ -107,7 +100,7 @@ impl MemtisPolicy {
         Self {
             counts: vec![0; tier_cfg.address_space_pages as usize],
             hist: HotnessHistogram::new(MAX_LEVEL),
-            threshold: config.min_threshold,
+            threshold: MIN_THRESHOLD,
             samples_seen: 0,
             cool_in: config.cool_samples,
             scan_cursor: 0,
@@ -161,7 +154,7 @@ impl MemtisPolicy {
 
         self.threshold = self
             .hist
-            .threshold_for(mem.config().fast_capacity_pages, self.config.min_threshold);
+            .threshold_for(mem.config().fast_capacity_pages, MIN_THRESHOLD);
 
         // Promotion is attempted inline (kmigrated is asynchronous but fast);
         // when the fast tier is clogged the candidate is simply dropped —
@@ -181,19 +174,19 @@ impl MemtisPolicy {
     }
 
     fn demote_scan(&mut self, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        let budget = self.config.max_scan_per_call.min(mem.address_space_pages());
+        let budget = MAX_SCAN_PER_CALL.min(mem.address_space_pages());
         let mut walked = 0;
-        while mem.fast_free_below(self.config.demote_wmark) && walked < budget {
+        while mem.fast_free_below(DEMOTE_WMARK) && walked < budget {
             let (page, step) = mem.next_resident(0, &mut self.scan_cursor, budget - walked);
             walked += step;
-            ctx.tiering_work_ns += step * SCAN_PAGE_NS;
+            ctx.tiering_work_ns += step * PTE_ENTRY_NS;
             let Some(page) = page else { break };
             self.record_meta_lines(page.0, &mut ctx.metadata_lines);
             // Demote only cold-classified pages; warm/hot pages keep their
             // fast residency until cooling erodes their EMA score (no
             // momentum signal, no second chance — the adaptation lag of
             // paper §2.3.2).
-            if self.counts[page.0 as usize] < self.config.demote_below.min(self.threshold) {
+            if self.counts[page.0 as usize] < DEMOTE_BELOW.min(self.threshold) {
                 let _ = mem.demote(page);
             }
         }
@@ -212,21 +205,16 @@ impl TieringPolicy for MemtisPolicy {
     }
 
     fn on_tick(&mut self, _now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
-        if mem.fast_free_below(self.config.promo_wmark) {
+        if mem.fast_free_below(PROMO_WMARK) {
             self.demote_scan(mem, ctx);
         }
         // Cascade watermark pressure down any middle rungs (no-op on the
         // 2-tier testbed).
-        self.chain.cascade(
-            mem,
-            self.config.demote_wmark,
-            self.config.max_scan_per_call,
-            ctx,
-        );
+        self.chain
+            .cascade(mem, DEMOTE_WMARK, MAX_SCAN_PER_CALL, ctx);
         // Background page-size determination / kptscand-style activity that
         // grows with the managed fast tier (paper §6.1 observation).
-        ctx.tiering_work_ns +=
-            mem.config().fast_capacity_pages * self.config.background_ns_per_kpage / 1_000;
+        ctx.tiering_work_ns += mem.config().fast_capacity_pages * BACKGROUND_NS_PER_KPAGE / 1_000;
     }
 
     fn metadata_bytes(&self) -> usize {
@@ -288,13 +276,7 @@ mod tests {
     #[test]
     fn cooling_halves_counts_and_is_periodic() {
         let cfg = TierConfig::for_footprint(64, TierRatio::OneTo4, PageSize::Base4K);
-        let mut p = MemtisPolicy::new(
-            MemtisConfig {
-                cool_samples: 10,
-                ..MemtisConfig::default()
-            },
-            &cfg,
-        );
+        let mut p = MemtisPolicy::new(MemtisConfig { cool_samples: 10 }, &cfg);
         let mut mem = TieredMemory::new(cfg);
         let mut ctx = PolicyCtx::new();
         mem.ensure_mapped(PageId(0), Tier::Slow);
@@ -309,13 +291,7 @@ mod tests {
     #[should_panic(expected = "cooling period must be positive")]
     fn zero_cooling_period_rejected() {
         let cfg = TierConfig::for_footprint(64, TierRatio::OneTo4, PageSize::Base4K);
-        let _ = MemtisPolicy::new(
-            MemtisConfig {
-                cool_samples: 0,
-                ..MemtisConfig::default()
-            },
-            &cfg,
-        );
+        let _ = MemtisPolicy::new(MemtisConfig { cool_samples: 0 }, &cfg);
     }
 
     #[test]
@@ -361,7 +337,6 @@ mod tests {
         let mut p = MemtisPolicy::new(
             MemtisConfig {
                 cool_samples: 1_000_000,
-                ..MemtisConfig::default()
             },
             &cfg,
         );

@@ -23,7 +23,7 @@
 
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 
-use crate::chain::{reclaim_two_pass, DemotionChain};
+use crate::chain::{reclaim_two_pass, DemotionChain, DEMOTE_WMARK};
 use crate::policy::{PolicyCtx, TieringPolicy};
 
 /// Host-side cost of one device-counter readout transaction (an MMIO/DMA
@@ -33,12 +33,13 @@ const READOUT_NS: u64 = 1_500;
 const PER_ENTRY_NS: u64 = 40;
 /// Counters a readout tests for a hot entry, and decays, at a time.
 const READOUT_CHUNK: usize = 64;
+/// Interval between host readouts of the device counters (simulated): 5 ms
+/// — NeoMem polls fast.
+const READOUT_INTERVAL_NS: u64 = 5_000_000;
 
 /// Configuration of [`NeoMemPolicy`].
 #[derive(Debug, Clone)]
 pub struct NeoMemConfig {
-    /// Interval between host readouts of the device counters (simulated).
-    pub readout_interval_ns: u64,
     /// Device counter value at which a page is reported hot.
     pub hot_threshold: u8,
     /// Right-shift applied to every counter at each readout (hardware decay
@@ -48,8 +49,6 @@ pub struct NeoMemConfig {
     /// Maximum pages promoted per readout (bounds the migration burst the
     /// host issues per report).
     pub max_promote_per_readout: u64,
-    /// Fast-tier free-fraction target maintained by demotion.
-    pub demote_wmark: f64,
     /// Maximum pages scanned per demotion call.
     pub max_scan_per_call: u64,
 }
@@ -57,11 +56,9 @@ pub struct NeoMemConfig {
 impl Default for NeoMemConfig {
     fn default() -> Self {
         Self {
-            readout_interval_ns: 5_000_000, // 5 ms — NeoMem polls fast
             hot_threshold: 4,
             decay_shift: 1,
             max_promote_per_readout: 2_048,
-            demote_wmark: 0.06,
             max_scan_per_call: 16_384,
         }
     }
@@ -89,7 +86,7 @@ impl NeoMemPolicy {
         let readout_buf_entries = (config.max_promote_per_readout as usize).max(64);
         Self {
             counters: vec![0; tier_cfg.address_space_pages as usize],
-            next_readout_ns: config.readout_interval_ns,
+            next_readout_ns: READOUT_INTERVAL_NS,
             demote_cursor: 0,
             chain: DemotionChain::new(),
             readout_buf_entries,
@@ -161,7 +158,7 @@ impl NeoMemPolicy {
         reclaim_two_pass(
             mem,
             &mut self.demote_cursor,
-            self.config.demote_wmark,
+            DEMOTE_WMARK,
             self.config.max_scan_per_call,
             ctx,
             |page| counters[page.0 as usize] == 0,
@@ -205,17 +202,13 @@ impl TieringPolicy for NeoMemPolicy {
     fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         if now_ns >= self.next_readout_ns {
             self.readout(mem, ctx);
-            self.next_readout_ns = now_ns + self.config.readout_interval_ns;
+            self.next_readout_ns = now_ns + READOUT_INTERVAL_NS;
         }
-        if mem.fast_free_below(self.config.demote_wmark) {
+        if mem.fast_free_below(DEMOTE_WMARK) {
             self.demote_pressure(mem, ctx);
         }
-        self.chain.cascade(
-            mem,
-            self.config.demote_wmark,
-            self.config.max_scan_per_call,
-            ctx,
-        );
+        self.chain
+            .cascade(mem, DEMOTE_WMARK, self.config.max_scan_per_call, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {
@@ -450,7 +443,6 @@ mod tests {
                 decay_shift: [0, 1, 2, 7][rng.below(4) as usize],
                 max_promote_per_readout: [0, 1, 2_048][case / 6 % 3],
                 max_scan_per_call: [8, 16_384][rng.below(2) as usize],
-                ..NeoMemConfig::default()
             };
             let mut mem = full_ladder(n_tiers, pages, &mut rng);
             let mut oracle_mem = mem.clone();

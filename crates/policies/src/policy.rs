@@ -205,19 +205,19 @@ pub fn visit_policy<V: PolicyVisitor>(kind: PolicyKind, cfg: &TierConfig, visito
     };
     match kind {
         PolicyKind::HybridTier => {
-            visitor.visit(HybridTierPolicy::new(HybridTierConfig::scaled(cfg), cfg))
+            visitor.visit(HybridTierPolicy::new(HybridTierConfig::scaled(), cfg))
         }
         PolicyKind::HybridTierFreqOnly => {
-            let c = HybridTierConfig::scaled(cfg).without_momentum();
+            let c = HybridTierConfig::scaled().without_momentum();
             visitor.visit(HybridTierPolicy::new(c, cfg))
         }
         PolicyKind::HybridTierUnblocked => {
-            let c = HybridTierConfig::scaled(cfg).with_layout(crate::TrackerLayout::Standard);
+            let c = HybridTierConfig::scaled().with_layout(crate::TrackerLayout::Standard);
             visitor.visit(HybridTierPolicy::new(c, cfg))
         }
         PolicyKind::Memtis => visitor.visit(MemtisPolicy::new(Default::default(), cfg)),
-        PolicyKind::AutoNuma => visitor.visit(AutoNumaPolicy::new(Default::default(), cfg)),
-        PolicyKind::Tpp => visitor.visit(TppPolicy::new(Default::default(), cfg)),
+        PolicyKind::AutoNuma => visitor.visit(AutoNumaPolicy::new(cfg)),
+        PolicyKind::Tpp => visitor.visit(TppPolicy::new(cfg)),
         PolicyKind::Arc => visitor.visit(ArcPolicy::new(cfg)),
         PolicyKind::TwoQ => visitor.visit(TwoQPolicy::new(cfg)),
         PolicyKind::NeoMem => visitor.visit(NeoMemPolicy::new(Default::default(), cfg)),

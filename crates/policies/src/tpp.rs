@@ -18,57 +18,31 @@ use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 use crate::hint_fault::HintFaultModel;
 use crate::policy::{PolicyCtx, TieringPolicy};
 
-/// Configuration of [`TppPolicy`].
-#[derive(Debug, Clone)]
-pub struct TppConfig {
-    /// Pages unmapped per scan window.
-    pub scan_window_pages: u64,
-    /// Interval between scan windows.
-    pub scan_interval_ns: u64,
-    /// Second fault must arrive within this window of the first to count as
-    /// "active" (promotion filter).
-    pub active_window_ns: u64,
-    /// Proactive free-headroom target for the fast tier (TPP keeps
-    /// `demote_wmark` free even without promotion pressure).
-    pub demote_wmark: f64,
-    /// Max pages demoted per reclaim call.
-    pub max_demote_per_call: u64,
-}
-
-impl Default for TppConfig {
-    fn default() -> Self {
-        Self {
-            scan_window_pages: 1_024,
-            scan_interval_ns: 10_000_000,    // 10 ms
-            active_window_ns: 1_500_000_000, // ~2 full scan sweeps of a typical footprint
-            demote_wmark: 0.08,
-            max_demote_per_call: 4_096,
-        }
-    }
-}
+/// A second fault must arrive within this window of the first to count as
+/// "active" (the promotion filter): 150 scan intervals, so 2.3 full sweeps
+/// from 65 536 pages up, 2.7 of the suite's CDN model (55–56 intervals a
+/// sweep) and 6 of social (25).
+const ACTIVE_WINDOW_NS: u64 = 1_500_000_000;
+/// Proactive free-headroom target for the fast tier: TPP keeps it free even
+/// without promotion pressure (decoupled watermarks), above the
+/// `DEMOTE_WMARK` the other policies demote to.
+const HEADROOM_WMARK: f64 = 0.08;
 
 /// The TPP policy: the shared hint-fault model with TPP's two-touch
 /// promotion filter and proactive reclaim trigger.
 #[derive(Debug)]
 pub struct TppPolicy {
-    config: TppConfig,
     model: HintFaultModel,
 }
 
 impl TppPolicy {
-    /// Builds TPP for the given address space. The scan window scales with
-    /// the footprint (full sweep ~640 ms) so the two-fault window spans a
-    /// constant number of sweeps.
-    pub fn new(config: TppConfig, tier_cfg: &TierConfig) -> Self {
+    /// Builds TPP for the given address space. A full sweep takes
+    /// ⌈n / 1 024⌉ 10 ms intervals below 65 536 pages and 640 ms from there
+    /// up (see `HintFaultModel::new`), so the two-fault window spans a
+    /// constant number of sweeps only in the second regime.
+    pub fn new(tier_cfg: &TierConfig) -> Self {
         Self {
-            model: HintFaultModel::new(
-                config.scan_window_pages,
-                config.scan_interval_ns,
-                config.demote_wmark,
-                config.max_demote_per_call,
-                tier_cfg,
-            ),
-            config,
+            model: HintFaultModel::new(HEADROOM_WMARK, tier_cfg),
         }
     }
 }
@@ -95,19 +69,17 @@ impl TieringPolicy for TppPolicy {
     ) -> u64 {
         // Two-touch filter: promote only when the previous fault was recent
         // (the page is on the active list).
-        let active_window_ns = self.config.active_window_ns;
         self.model
             .on_access_batch(pages, now_ns, mem, ctx, |fault| {
                 fault.prev_fault_ns > 0
-                    && now_ns.saturating_sub(fault.prev_fault_ns) < active_window_ns
+                    && now_ns.saturating_sub(fault.prev_fault_ns) < ACTIVE_WINDOW_NS
             })
     }
 
     fn on_tick(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         // Proactive reclaim keeps the headroom even before pressure (TPP's
         // signature behaviour): the trigger is the reclaim target itself.
-        self.model
-            .on_tick(now_ns, self.config.demote_wmark, mem, ctx);
+        self.model.on_tick(now_ns, HEADROOM_WMARK, mem, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {
@@ -122,10 +94,7 @@ mod tests {
 
     fn setup() -> (TppPolicy, TieredMemory) {
         let cfg = TierConfig::for_footprint(512, TierRatio::OneTo8, PageSize::Base4K);
-        (
-            TppPolicy::new(TppConfig::default(), &cfg),
-            TieredMemory::new(cfg),
-        )
+        (TppPolicy::new(&cfg), TieredMemory::new(cfg))
     }
 
     #[test]

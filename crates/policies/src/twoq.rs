@@ -11,7 +11,7 @@
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 use tiering_trace::Sample;
 
-use crate::chain::DemotionChain;
+use crate::chain::{DemotionChain, DEMOTE_BUDGET, DEMOTE_WMARK};
 use crate::list_set::ListSet;
 use crate::policy::{PolicyCtx, TieringPolicy};
 
@@ -21,11 +21,6 @@ const A1OUT: u8 = 2;
 
 const LRU_NODE_NS: u64 = 8;
 const META_BASE: u64 = 0x7900_0000_0000;
-/// Middle-rung free-fraction target and per-rung move budget for the
-/// ladder cascade: 2Q's reclaim demotes to the rung below the cache, which
-/// must itself drain on deep ladders or reclaim wedges against a full rung.
-const CHAIN_WMARK: f64 = 0.06;
-const CHAIN_BUDGET: u64 = 4_096;
 
 /// The 2Q tiering policy.
 #[derive(Debug)]
@@ -143,7 +138,7 @@ impl TieringPolicy for TwoQPolicy {
     fn on_tick(&mut self, _now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         // Keep the rung below the cache drained on deep ladders so reclaim
         // has somewhere to demote to (no-op on the 2-tier testbed).
-        self.chain.cascade(mem, CHAIN_WMARK, CHAIN_BUDGET, ctx);
+        self.chain.cascade(mem, DEMOTE_WMARK, DEMOTE_BUDGET, ctx);
     }
 
     fn metadata_bytes(&self) -> usize {

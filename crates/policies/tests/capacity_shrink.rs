@@ -40,7 +40,6 @@ fn make_policy(kind: PolicyKind, cfg: &TierConfig) -> Box<dyn TieringPolicy> {
         PolicyKind::Memtis => Box::new(MemtisPolicy::new(
             MemtisConfig {
                 cool_samples: 4_000,
-                ..Default::default()
             },
             cfg,
         )),

@@ -713,7 +713,7 @@ impl Scenario {
         // per tenant — negligible at demo scale, ~10 GiB at 10⁵ tenants.
         let lean_policy = || {
             PolicySpec::custom("hybridtier-lean", |tier_cfg| {
-                let config = HybridTierConfig::scaled(tier_cfg)
+                let config = HybridTierConfig::scaled()
                     .without_momentum()
                     .with_cbf_budget(4096);
                 Box::new(HybridTierPolicy::new(config, tier_cfg))

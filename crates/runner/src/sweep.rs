@@ -160,7 +160,6 @@ impl ScenarioMatrix {
 pub struct CoLocationMatrix {
     pairings: Vec<(String, Vec<TenantSpec>)>,
     budgets: Vec<BudgetSpec>,
-    floor_frac: f64,
     rebalance_interval_ns: u64,
     config: SimConfig,
     seed: u64,
@@ -168,14 +167,13 @@ pub struct CoLocationMatrix {
 
 impl CoLocationMatrix {
     /// A matrix over the given engine config and base seed, with the
-    /// [`FleetSpec::new`] demo defaults (1:8 budget, 10% floor, 10 ms
-    /// cadence) until overridden.
+    /// [`FleetSpec::new`] demo defaults: a 1:8 budget and a 10 ms cadence
+    /// until overridden, and its 10% floor.
     pub fn new(config: SimConfig, seed: u64) -> Self {
         let defaults = FleetSpec::new(Vec::new());
         Self {
             pairings: Vec::new(),
             budgets: vec![defaults.budget],
-            floor_frac: defaults.floor_frac,
             rebalance_interval_ns: defaults.rebalance_interval_ns,
             config,
             seed,
@@ -196,13 +194,6 @@ impl CoLocationMatrix {
         self
     }
 
-    /// Overrides the tenant floor fraction.
-    #[must_use]
-    pub fn floor_frac(mut self, frac: f64) -> Self {
-        self.floor_frac = frac;
-        self
-    }
-
     /// Overrides the rebalance cadence.
     #[must_use]
     pub fn rebalance_every_ns(mut self, ns: u64) -> Self {
@@ -217,7 +208,6 @@ impl CoLocationMatrix {
             for &budget in &self.budgets {
                 let spec = FleetSpec::new(tenants.clone())
                     .with_budget(budget)
-                    .with_floor_frac(self.floor_frac)
                     .with_rebalance_interval_ns(self.rebalance_interval_ns);
                 let seed = derive_seed(self.seed, out.len() as u64);
                 out.push(Scenario::fleet(
@@ -245,7 +235,6 @@ pub struct FleetMatrix {
     objectives: Vec<ObjectiveKind>,
     budgets: Vec<BudgetSpec>,
     tenant_counts: Vec<usize>,
-    floor_frac: f64,
     rebalance_interval_ns: u64,
     config: SimConfig,
     seed: u64,
@@ -253,8 +242,8 @@ pub struct FleetMatrix {
 
 impl FleetMatrix {
     /// A matrix over the given engine config and base seed, sweeping all
-    /// built-in objectives at the [`FleetSpec::new`] defaults until
-    /// overridden.
+    /// built-in objectives at the [`FleetSpec::new`] defaults (its floor
+    /// always; budget and cadence until overridden).
     pub fn new(config: SimConfig, seed: u64) -> Self {
         let defaults = FleetSpec::new(Vec::new());
         Self {
@@ -262,7 +251,6 @@ impl FleetMatrix {
             objectives: ObjectiveKind::ALL.to_vec(),
             budgets: vec![defaults.budget],
             tenant_counts: Vec::new(),
-            floor_frac: defaults.floor_frac,
             rebalance_interval_ns: defaults.rebalance_interval_ns,
             config,
             seed,
@@ -307,13 +295,6 @@ impl FleetMatrix {
         self
     }
 
-    /// Overrides the tenant floor fraction.
-    #[must_use]
-    pub fn floor_frac(mut self, frac: f64) -> Self {
-        self.floor_frac = frac;
-        self
-    }
-
     /// Overrides the rebalance cadence.
     #[must_use]
     pub fn rebalance_every_ns(mut self, ns: u64) -> Self {
@@ -333,7 +314,6 @@ impl FleetMatrix {
                         .with_churn(churn.clone())
                         .with_objective_kind(objective)
                         .with_budget(budget)
-                        .with_floor_frac(self.floor_frac)
                         .with_rebalance_interval_ns(self.rebalance_interval_ns);
                     let seed = derive_seed(self.seed, out.len() as u64);
                     out.push(Scenario::fleet(
