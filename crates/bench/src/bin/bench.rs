@@ -41,7 +41,7 @@ use hybridtier_bench::json::Json;
 use hybridtier_bench::{
     colocation_matrix, fleet_matrix, merge, policy_comparison_matrix, tier_ladder_matrix,
 };
-use tiering_runner::{Scenario, ShardSpec, SweepReport, SweepRunner};
+use tiering_runner::{Scenario, ShardReport, ShardSpec, ShardedSweep, SweepRunner};
 
 struct Args {
     json: PathBuf,
@@ -176,60 +176,56 @@ fn run_merge(args: &Args) -> Result<Json, String> {
 }
 
 /// One sweep's results (the passes agree or the run fails, so either
-/// pass's will do), whether the passes agreed when both ran, and the
-/// full-matrix size the (possibly sharded) scenario list was cut from.
+/// pass's will do) with the shard identity they were cut with, and whether
+/// the passes agreed when both ran.
 struct SweepPasses {
-    sweep: SweepReport,
+    shard: ShardReport,
     identical: Option<bool>,
-    matrix_len: usize,
 }
 
 /// Runs one scenario list serial and/or parallel — only this host's shard
-/// of it when `--shard` is set. Returns the passes and whether they
-/// agreed; `Err` when a scenario could not be built (an unreadable trace
-/// input).
+/// of it when `--shard` is set, the whole list as shard `0/1` otherwise.
+/// Returns the passes and whether they agreed; `Err` when a scenario could
+/// not be built (an unreadable trace input).
 fn run_sweep(
     name: &str,
     args: &Args,
     build: impl Fn() -> Vec<Scenario>,
 ) -> Result<SweepPasses, String> {
-    let matrix_len = build().len();
     // Shard selection happens on the full canonical list, so per-scenario
     // seeds are identical sharded or not (the runner's shard guarantee).
-    let scenarios = || match args.shard {
-        Some(spec) => spec.select(build()),
-        None => build(),
-    };
-    match args.shard {
-        Some(spec) => println!(
-            "{name}: {} of {matrix_len} scenarios (shard {spec})",
-            spec.count_of(matrix_len)
-        ),
-        None => println!("{name}: {matrix_len} scenarios"),
-    }
-    let mut serial: Option<SweepReport> = None;
-    if args.serial {
-        let sweep = SweepRunner::serial()
-            .try_run(scenarios())
+    let spec = args.shard.unwrap_or_else(ShardSpec::solo);
+    let passes = [
+        args.serial.then(|| ("serial:", SweepRunner::serial())),
+        args.parallel
+            .then(|| ("parallel:", SweepRunner::new(args.threads))),
+    ];
+    let mut reports: Vec<ShardReport> = Vec::with_capacity(2);
+    for (pass, runner) in passes.into_iter().flatten() {
+        let report = ShardedSweep::new(spec, runner)
+            .try_run(build())
             .map_err(|e| format!("{name}: {e}"))?;
-        println!("serial:   {:>8.2}s on 1 thread", sweep.wall.as_secs_f64());
-        serial = Some(sweep);
-    }
-    let mut parallel: Option<SweepReport> = None;
-    if args.parallel {
-        let sweep = SweepRunner::new(args.threads)
-            .try_run(scenarios())
-            .map_err(|e| format!("{name}: {e}"))?;
+        if reports.is_empty() {
+            let matrix_len = report.matrix_len;
+            match args.shard {
+                Some(spec) => println!(
+                    "{name}: {} of {matrix_len} scenarios (shard {spec})",
+                    report.sweep.results.len()
+                ),
+                None => println!("{name}: {matrix_len} scenarios"),
+            }
+        }
+        let threads = report.sweep.threads;
         println!(
-            "parallel: {:>8.2}s on {} threads",
-            sweep.wall.as_secs_f64(),
-            sweep.threads
+            "{pass:<9} {:>8.2}s on {threads} thread{}",
+            report.sweep.wall.as_secs_f64(),
+            if threads == 1 { "" } else { "s" }
         );
-        parallel = Some(sweep);
+        reports.push(report);
     }
-    let identical = match (&serial, &parallel) {
-        (Some(s), Some(p)) => {
-            let same = s.same_outcomes(p);
+    let identical = match reports.as_slice() {
+        [serial, parallel] => {
+            let same = serial.sweep.same_outcomes(&parallel.sweep);
             if same {
                 println!("parallel results identical to serial: yes");
             } else {
@@ -240,9 +236,8 @@ fn run_sweep(
         _ => None,
     };
     Ok(SweepPasses {
-        sweep: parallel.or(serial).expect("parse_args keeps one pass on"),
+        shard: reports.pop().expect("parse_args keeps one pass on"),
         identical,
-        matrix_len,
     })
 }
 
@@ -359,6 +354,7 @@ fn run_sweeps(args: &Args) -> Result<(Json, bool), String> {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("policy_comparison_sweep".to_string()));
     doc.set("ops_per_scenario", Json::Int(i128::from(args.ops)));
+    doc.set("sim_ms_per_scenario", Json::Int(i128::from(args.sim_ms)));
     if let Some(spec) = args.shard {
         let mut shard = Json::obj();
         shard.set("index", Json::Int(spec.index() as i128));
@@ -366,9 +362,12 @@ fn run_sweeps(args: &Args) -> Result<(Json, bool), String> {
         doc.set("shard", shard);
     }
     for (name, passes) in sections {
-        if let Some(p) = passes {
-            let cut = args.shard.map(|spec| (spec, p.matrix_len));
-            doc.set(name, merge::sweep_section_json(&p.sweep, p.identical, cut));
+        if let Some(SweepPasses { shard, identical }) = passes {
+            let cut = args.shard.map(|spec| (spec, shard.matrix_len));
+            doc.set(
+                name,
+                merge::sweep_section_json(&shard.sweep, *identical, cut),
+            );
         }
     }
     let mut ran = sections.iter().filter_map(|(_, passes)| *passes);

@@ -8,11 +8,12 @@
 use cache_sim::{HierarchyStats, LevelStats, Source};
 use tiering_mem::{PageSize, TierConfig, TierRatio, TierTopology};
 use tiering_policies::{build_policy, PolicyKind};
+use tiering_runner::SweepRunner;
 use tiering_sim::{SimConfig, SimReport, SimRun};
 use tiering_trace::Workload;
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
 
-use super::{par_map, Budget};
+use super::Budget;
 use crate::{Cell, Figure, SEED};
 
 /// The cache-attributed run of these figures: 600 000 CDN CacheLib ops at
@@ -78,7 +79,7 @@ fn tiering_fractions(id: &'static str, kind: PolicyKind, name: &str) -> Figure {
         id,
         ["config", "t_ns", "l1_tiering_frac", "llc_tiering_frac"],
     );
-    let runs = par_map(&[PageSize::Base4K, PageSize::Huge2M], |&page_size| {
+    let runs = SweepRunner::new(0).map(&[PageSize::Base4K, PageSize::Huge2M], |&page_size| {
         cache_windows(kind, &cached_config(page_size))
     });
     for ((windows, report), suffix) in runs.iter().zip(["4k", "2m"]) {
@@ -136,7 +137,7 @@ pub fn fig14(_: &Budget) -> Figure {
         PolicyKind::HybridTier,
     ];
     let cfg = cached_config(PageSize::Base4K);
-    let runs = par_map(&kinds, |&kind| cache_windows(kind, &cfg));
+    let runs = SweepRunner::new(0).map(&kinds, |&kind| cache_windows(kind, &cfg));
     let mut baseline: Option<(u64, u64)> = None;
     for (_, report) in &runs {
         let stats = report

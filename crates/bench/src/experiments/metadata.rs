@@ -5,11 +5,12 @@ use hybridtier_cbf::{
 };
 use tiering_mem::{PageSize, TierConfig, TierRatio};
 use tiering_policies::{build_policy, PolicyKind};
+use tiering_runner::SweepRunner;
 use tiering_sim::SimConfig;
 use tiering_trace::{AccessBatch, Sampler, Workload};
 use tiering_workloads::{build_workload, WorkloadId};
 
-use super::{par_map, Budget};
+use super::Budget;
 use crate::hotness::{count_sample, cumulative_fractions, record_samples, COUNT_BUCKET_LABELS};
 use crate::{Cell, Figure, SEED};
 
@@ -28,7 +29,7 @@ pub fn fig16(_: &Budget) -> Figure {
     // at count 0). Use a proportionally sparse sampling period so the
     // distribution reflects relative hotness rather than run length.
     cfg.sample_period = 499;
-    let counts = par_map(&WorkloadId::ALL, |&id| {
+    let counts = SweepRunner::new(0).map(&WorkloadId::ALL, |&id| {
         let mut workload = build_workload(id, SEED);
         let tally = |pages| vec![0; pages as usize];
         record_samples(workload.as_mut(), &cfg, tally, count_sample).0

@@ -14,8 +14,6 @@ pub mod metadata;
 pub mod motivation;
 pub mod performance;
 
-use std::thread;
-
 use tiering_runner::ScenarioResult;
 use tiering_sim::{SimConfig, SimReport};
 
@@ -172,25 +170,6 @@ pub const ALL: &[Experiment] = &[
 /// Looks up an experiment by id.
 pub fn find(id: &str) -> Option<&'static Experiment> {
     ALL.iter().find(|e| e.id == id)
-}
-
-/// `f` over every item, the items split into one contiguous share per
-/// available core, each on a scoped thread; results in input order. For
-/// runs that return more than a report (a sample tally, stepped cache
-/// windows), which a `SweepRunner` cannot hand back.
-fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let cores = thread::available_parallelism().map_or(1, |n| n.get());
-    let share = items.len().div_ceil(cores).max(1);
-    thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .chunks(share)
-            .map(|chunk| scope.spawn(|| chunk.iter().map(&f).collect::<Vec<_>>()))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("a figure run panicked"))
-            .collect()
-    })
 }
 
 /// The report of a scenario the calling figure function put in its own

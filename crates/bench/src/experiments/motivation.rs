@@ -3,11 +3,12 @@
 
 use tiering_mem::PageSize;
 use tiering_policies::ema_lag_series;
+use tiering_runner::SweepRunner;
 use tiering_sim::SimConfig;
 use tiering_trace::{AccessBatch, Sample, Sampler, Workload};
 use tiering_workloads::{build_workload, CacheLibConfig, CacheLibWorkload, WorkloadId};
 
-use super::{par_map, Budget};
+use super::Budget;
 use crate::hotness::{record_samples, Retention};
 use crate::{Cell, Figure, SEED};
 
@@ -27,7 +28,7 @@ const HOT_MIN_SAMPLES: u32 = 1;
 pub fn fig2(_: &Budget) -> Figure {
     let mut fig = Figure::new("fig2", ["workload", "t_ns", "fraction_still_hot"]);
     let cfg = SimConfig::default().with_max_ops(4_000_000);
-    let runs = par_map(&[WorkloadId::PrKron, WorkloadId::Xgboost], |&id| {
+    let runs = SweepRunner::new(0).map(&[WorkloadId::PrKron, WorkloadId::Xgboost], |&id| {
         let mut workload = build_workload(id, SEED);
         let tally = |_| Retention::new(RETENTION_WINDOW_NS, HOT_MIN_SAMPLES);
         let fold = |r: &mut Retention, s: &Sample| r.record(s.page, s.at_ns);

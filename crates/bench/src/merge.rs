@@ -10,11 +10,15 @@
 //! 2. the shard files are collected anywhere and merged with
 //!    `bench --merge shard_0.json ... shard_N-1.json --json merged.json`.
 //!
-//! [`merge_docs`] validates the union exactly like
-//! `tiering_runner::SweepReport::merge` — rejecting overlapping
-//! (duplicate-index or duplicate-label), missing, or inconsistent shards —
-//! and reassembles each sweep section's scenario entries into canonical
-//! matrix order. Every member [`sweep_section_json`] writes is
+//! [`merge_docs`] is a caller of the runner's one shard rule,
+//! [`tiering_runner::reassemble`]: once over the documents (each shard's
+//! one document of a `total`-item matrix), which orders them and rejects a
+//! foreign shard count, an overlap or a gap, and once per sweep section
+//! over its scenario entries, which reassembles them into canonical matrix
+//! order and rejects a foreign `matrix_scenarios` or a wrong entry count.
+//! The JSON-only checks are its own: a document without a shard identity,
+//! disagreeing protocol fields, a section only some shards carry, and one
+//! label in two shards. Every member [`sweep_section_json`] writes is
 //! deterministic and scenario entries are copied through verbatim, so the
 //! merged document renders **byte-identical** to an unsharded run's with
 //! the same pass flags. Members the encoder does not write — the host
@@ -23,7 +27,7 @@
 
 use std::fmt;
 
-use tiering_runner::{ScenarioResult, ShardSpec, SweepReport};
+use tiering_runner::{reassemble, MergeError, ScenarioResult, ShardSpec, SweepReport};
 
 use crate::json::Json;
 
@@ -130,30 +134,12 @@ fn sweep_json(entries: Vec<Json>) -> Json {
 /// Why [`merge_docs`] rejected a set of shard documents.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeJsonError {
-    /// No documents supplied.
-    Empty,
     /// Document `doc` carries no `"shard"` object (not written with
-    /// `bench --shard`).
+    /// `bench --shard`), or one of its sweep sections no
+    /// `"matrix_scenarios"`.
     NotSharded {
         /// Position in the input list.
         doc: usize,
-    },
-    /// Two documents disagree on the shard count.
-    MismatchedTotal {
-        /// Count from the first document.
-        expected: usize,
-        /// The disagreeing count.
-        found: usize,
-    },
-    /// The same shard index appears twice (overlapping shards).
-    DuplicateShard {
-        /// The repeated index.
-        index: usize,
-    },
-    /// A shard index was never supplied (incomplete union).
-    MissingShard {
-        /// The absent index.
-        index: usize,
     },
     /// A top-level field (protocol parameter) differs between shards.
     MismatchedField {
@@ -164,22 +150,6 @@ pub enum MergeJsonError {
     MismatchedSections {
         /// The section name.
         section: String,
-    },
-    /// Shards disagree on a section's full-matrix scenario count.
-    MismatchedMatrixLen {
-        /// The section name.
-        section: String,
-    },
-    /// A shard's scenario count does not match its slice of the matrix.
-    WrongShardLen {
-        /// The section name.
-        section: String,
-        /// The offending shard index.
-        index: usize,
-        /// Entries its slice demands.
-        expected: usize,
-        /// Entries it carries.
-        found: usize,
     },
     /// Two shards carry a scenario with the same label (overlapping
     /// matrices).
@@ -197,42 +167,30 @@ pub enum MergeJsonError {
         /// The parser's diagnostic.
         detail: String,
     },
+    /// The shard rule rejected the union: of the documents' shard
+    /// identities (`section` is `None`) or of one section's scenario
+    /// entries.
+    Union {
+        /// The section whose entries were rejected, if any.
+        section: Option<String>,
+        /// What [`reassemble`] found.
+        error: MergeError,
+    },
 }
 
 impl fmt::Display for MergeJsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MergeJsonError::Empty => write!(f, "no shard files to merge"),
             MergeJsonError::NotSharded { doc } => write!(
                 f,
                 "input {doc} has no shard identity (was it written with --shard?)"
             ),
-            MergeJsonError::MismatchedTotal { expected, found } => {
-                write!(f, "shards disagree on shard count: {expected} vs {found}")
-            }
-            MergeJsonError::DuplicateShard { index } => {
-                write!(f, "shard {index} supplied more than once (overlap)")
-            }
-            MergeJsonError::MissingShard { index } => write!(f, "shard {index} missing"),
             MergeJsonError::MismatchedField { key } => {
                 write!(f, "shards disagree on '{key}' (different protocols?)")
             }
             MergeJsonError::MismatchedSections { section } => {
                 write!(f, "section '{section}' present in some shards but not all")
             }
-            MergeJsonError::MismatchedMatrixLen { section } => {
-                write!(f, "shards disagree on '{section}' matrix size")
-            }
-            MergeJsonError::WrongShardLen {
-                section,
-                index,
-                expected,
-                found,
-            } => write!(
-                f,
-                "section '{section}': shard {index} carries {found} scenarios, \
-                 its slice demands {expected}"
-            ),
             MergeJsonError::DuplicateLabel { section, label } => write!(
                 f,
                 "section '{section}': scenario '{label}' appears in two shards (overlap)"
@@ -243,6 +201,14 @@ impl fmt::Display for MergeJsonError {
                     "input {doc} is not valid JSON ({detail}) — truncated shard file?"
                 )
             }
+            MergeJsonError::Union {
+                section: None,
+                error,
+            } => write!(f, "{error}"),
+            MergeJsonError::Union {
+                section: Some(section),
+                error,
+            } => write!(f, "section '{section}': {error}"),
         }
     }
 }
@@ -251,10 +217,9 @@ impl std::error::Error for MergeJsonError {}
 
 /// The `{"index": i, "total": N}` identity of a shard document, when it
 /// has a well-formed one.
-fn shard_identity(doc: &Json) -> Option<(usize, usize)> {
+fn shard_identity(doc: &Json) -> Option<ShardSpec> {
     let shard = doc.get("shard")?;
-    let (index, total) = (usize_field(shard, "index")?, usize_field(shard, "total")?);
-    (index < total).then_some((index, total))
+    ShardSpec::new(usize_field(shard, "index")?, usize_field(shard, "total")?).ok()
 }
 
 /// The scenario entries of a sweep section (none when malformed).
@@ -279,38 +244,32 @@ fn usize_field(doc: &Json, key: &str) -> Option<usize> {
 /// an unsharded run's. See the module docs for the validation and
 /// reassembly rules.
 pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
-    if docs.is_empty() {
-        return Err(MergeJsonError::Empty);
-    }
-
-    // Establish each document's shard identity and order them by index.
-    let mut total: Option<usize> = None;
-    let mut by_index: Vec<Option<&Json>> = Vec::new();
-    for (i, doc) in docs.iter().enumerate() {
-        let (index, t) = shard_identity(doc).ok_or(MergeJsonError::NotSharded { doc: i })?;
-        let expected = *total.get_or_insert(t);
-        if t != expected {
-            return Err(MergeJsonError::MismatchedTotal { expected, found: t });
+    // Each document is the one item its shard owns of a `total`-item
+    // matrix, so the shard rule orders them and rejects a foreign total,
+    // an overlap or a gap. The first document without an identity ends
+    // the union there and is reported unless an earlier one was rejected.
+    let mut not_sharded = None;
+    let identities = docs.iter().enumerate().map_while(|(doc, json)| {
+        let spec = shard_identity(json);
+        if spec.is_none() {
+            not_sharded = Some(doc);
         }
-        if by_index.is_empty() {
-            by_index = vec![None; expected];
-        }
-        if by_index[index].is_some() {
-            return Err(MergeJsonError::DuplicateShard { index });
-        }
-        by_index[index] = Some(doc);
+        spec.map(|spec| (spec, spec.total(), vec![(doc, json)]))
+    });
+    let ordered = reassemble(identities);
+    if let Some(doc) = not_sharded {
+        return Err(MergeJsonError::NotSharded { doc });
     }
-    if let Some(index) = by_index.iter().position(Option::is_none) {
-        return Err(MergeJsonError::MissingShard { index });
-    }
-    let total = total.expect("at least one doc");
-    let ordered: Vec<&Json> = by_index.into_iter().map(|d| d.expect("filled")).collect();
+    let ordered = ordered.map_err(|error| MergeJsonError::Union {
+        section: None,
+        error,
+    })?;
 
     // Walk shard 0's top-level members to keep the unsharded layout: drop
     // the shard identity, merge sweep sections, and copy everything else
     // through after checking the shards agree on it.
-    let Json::Obj(members) = ordered[0] else {
-        return Err(MergeJsonError::NotSharded { doc: 0 });
+    let Json::Obj(members) = ordered[0].1 else {
+        return Err(MergeJsonError::NotSharded { doc: ordered[0].0 });
     };
     // Symmetric protocol check: a key only *other* shards carry (e.g. a
     // newer bench build's extra field) is just as foreign as a
@@ -319,7 +278,7 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     // perf deltas there (wall-clock ratios against some baseline file),
     // which legitimately differ host to host and cannot be meaningfully
     // merged — it is dropped.
-    for doc in &ordered[1..] {
+    for (_, doc) in &ordered[1..] {
         if let Json::Obj(other_members) = doc {
             for (key, _) in other_members {
                 if key != "compare" && !members.iter().any(|(k, _)| k == key) {
@@ -334,10 +293,10 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
             continue;
         }
         if SECTIONS.contains(&key.as_str()) {
-            out.set(key, merge_section(key, &ordered, total)?);
+            out.set(key, merge_section(key, &ordered)?);
             continue;
         }
-        for doc in &ordered[1..] {
+        for (_, doc) in &ordered[1..] {
             if doc.get(key) != Some(value) {
                 return Err(MergeJsonError::MismatchedField { key: key.clone() });
             }
@@ -347,8 +306,11 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     // A section only some shards ran (e.g. one host passed --no-fleet) is
     // an inconsistent union even when shard 0 lacks it.
     for section in SECTIONS {
-        let present = ordered.iter().filter(|d| d.get(section).is_some()).count();
-        if present != 0 && present != total {
+        let present = ordered
+            .iter()
+            .filter(|(_, d)| d.get(section).is_some())
+            .count();
+        if present != 0 && present != ordered.len() {
             return Err(MergeJsonError::MismatchedSections {
                 section: section.to_string(),
             });
@@ -375,62 +337,40 @@ pub fn merge_texts<S: AsRef<str>>(texts: &[S]) -> Result<Json, MergeJsonError> {
     merge_docs(&docs)
 }
 
-/// Merges one sweep section across the index-ordered shard documents.
-fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, MergeJsonError> {
+/// Merges one sweep section across the shard documents, in shard order
+/// and each with its input position.
+fn merge_section(name: &str, ordered: &[(usize, &Json)]) -> Result<Json, MergeJsonError> {
     let section_err = || MergeJsonError::MismatchedSections {
         section: name.to_string(),
     };
     let sections: Vec<&Json> = ordered
         .iter()
-        .map(|d| d.get(name).ok_or_else(section_err))
+        .map(|(_, d)| d.get(name).ok_or_else(section_err))
         .collect::<Result<_, _>>()?;
 
-    // Full-matrix size: all shards must agree.
-    let matrix_len = usize_field(sections[0], "matrix_scenarios")
-        .ok_or(MergeJsonError::NotSharded { doc: 0 })?;
-    if sections
-        .iter()
-        .any(|s| usize_field(s, "matrix_scenarios") != Some(matrix_len))
-    {
-        return Err(MergeJsonError::MismatchedMatrixLen {
-            section: name.to_string(),
-        });
-    }
-
-    // Per-shard scenario entries, validated against the slice sizes.
-    let mut slices: Vec<std::slice::Iter<'_, Json>> = Vec::with_capacity(total);
-    for (index, s) in sections.iter().enumerate() {
-        let entries = entries(s);
-        // The ownership formula lives in one place: ShardSpec.
-        let expected = ShardSpec::new(index, total)
-            .expect("index ranges over 0..total")
-            .count_of(matrix_len);
-        if entries.len() != expected {
-            return Err(MergeJsonError::WrongShardLen {
+    // Each shard's entries are its slice of a `matrix_scenarios`-entry
+    // matrix: the shard rule puts them back in canonical order.
+    let cuts = ShardSpec::all(ordered.len())
+        .zip(ordered)
+        .zip(&sections)
+        .map(|((spec, &(doc, _)), section)| {
+            let matrix_len = usize_field(section, "matrix_scenarios")
+                .ok_or(MergeJsonError::NotSharded { doc })?;
+            Ok((spec, matrix_len, entries(section).iter().collect()))
+        })
+        .collect::<Result<Vec<_>, MergeJsonError>>()?;
+    let merged_entries: Vec<&Json> = reassemble(cuts).map_err(|error| MergeJsonError::Union {
+        section: Some(name.to_string()),
+        error,
+    })?;
+    let mut labels = std::collections::HashSet::new();
+    for label in merged_entries.iter().filter_map(|e| e.str("label")) {
+        if !labels.insert(label) {
+            return Err(MergeJsonError::DuplicateLabel {
                 section: name.to_string(),
-                index,
-                expected,
-                found: entries.len(),
+                label: label.to_string(),
             });
         }
-        slices.push(entries.iter());
-    }
-
-    // Round-robin reassembly into canonical matrix order, with label
-    // overlap detection across shards.
-    let mut merged_entries = Vec::with_capacity(matrix_len);
-    let mut labels = std::collections::HashSet::new();
-    for g in 0..matrix_len {
-        let entry = slices[g % total].next().expect("validated above");
-        if let Some(label) = entry.str("label") {
-            if !labels.insert(label.to_string()) {
-                return Err(MergeJsonError::DuplicateLabel {
-                    section: name.to_string(),
-                    label: label.to_string(),
-                });
-            }
-        }
-        merged_entries.push(entry.clone());
     }
 
     let identical = sections
@@ -445,11 +385,14 @@ fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, Me
     // anything else a shard section carried (older builds' host timing) is
     // not carried over.
     let mut out = Json::obj();
-    out.set("scenarios", int(matrix_len as u64));
+    out.set("scenarios", int(merged_entries.len() as u64));
     if let Some(same) = identical {
         out.set("parallel_identical_to_serial", Json::Bool(same));
     }
-    out.set("sweep", sweep_json(merged_entries));
+    out.set(
+        "sweep",
+        sweep_json(merged_entries.into_iter().cloned().collect()),
+    );
     Ok(out)
 }
 
@@ -457,7 +400,9 @@ fn merge_section(name: &str, ordered: &[&Json], total: usize) -> Result<Json, Me
 mod tests {
     use super::*;
     use tiering_policies::{ObjectiveKind, PolicyKind};
-    use tiering_runner::{FleetMatrix, Scenario, ScenarioMatrix, ShardedSweep, SweepRunner};
+    use tiering_runner::{
+        FleetMatrix, Scenario, ScenarioMatrix, ShardReport, ShardedSweep, SweepRunner,
+    };
     use tiering_sim::SimConfig;
     use tiering_workloads::WorkloadId;
 
@@ -471,23 +416,25 @@ mod tests {
     /// A BENCH document as `bench --serial-only` would write it (`"single"`
     /// section only), sharded or not.
     fn doc(shard: Option<ShardSpec>) -> Json {
+        let spec = shard.unwrap_or_else(ShardSpec::solo);
+        let report = ShardedSweep::new(spec, SweepRunner::serial()).run(matrix());
+        report_doc(&report, shard.is_some())
+    }
+
+    /// The document `bench --serial-only` writes for `report`, with its
+    /// shard identity when `sharded`.
+    fn report_doc(report: &ShardReport, sharded: bool) -> Json {
         let mut doc = Json::obj();
         doc.set("bench", text("policy_comparison_sweep"));
         doc.set("ops_per_scenario", int(1_000));
-        let sweep = match shard {
-            Some(spec) => {
-                let mut identity = Json::obj();
-                identity.set("index", int(spec.index() as u64));
-                identity.set("total", int(spec.total() as u64));
-                doc.set("shard", identity);
-                ShardedSweep::new(spec, SweepRunner::serial())
-                    .run(matrix())
-                    .sweep
-            }
-            None => SweepRunner::serial().run(matrix()),
-        };
-        let cut = shard.map(|spec| (spec, matrix().len()));
-        doc.set("single", sweep_section_json(&sweep, None, cut));
+        if sharded {
+            let mut identity = Json::obj();
+            identity.set("index", int(report.spec.index() as u64));
+            identity.set("total", int(report.spec.total() as u64));
+            doc.set("shard", identity);
+        }
+        let cut = sharded.then_some((report.spec, report.matrix_len));
+        doc.set("single", sweep_section_json(&report.sweep, None, cut));
         doc
     }
 
@@ -512,19 +459,25 @@ mod tests {
     #[test]
     fn merge_rejects_bad_unions() {
         let docs: Vec<Json> = ShardSpec::all(3).map(|s| doc(Some(s))).collect();
-        assert_eq!(merge_docs(&[]), Err(MergeJsonError::Empty));
+        let union = |error| {
+            Err(MergeJsonError::Union {
+                section: None,
+                error,
+            })
+        };
+        assert_eq!(merge_docs(&[]), union(MergeError::Empty));
         assert_eq!(
             merge_docs(&[docs[0].clone(), docs[2].clone()]),
-            Err(MergeJsonError::MissingShard { index: 1 })
+            union(MergeError::MissingShard { index: 1 })
         );
         assert_eq!(
             merge_docs(&[docs[0].clone(), docs[1].clone(), docs[1].clone()]),
-            Err(MergeJsonError::DuplicateShard { index: 1 })
+            union(MergeError::DuplicateShard { index: 1 })
         );
         let two_way = doc(Some(ShardSpec::new(0, 2).unwrap()));
         assert_eq!(
             merge_docs(&[docs[0].clone(), two_way]),
-            Err(MergeJsonError::MismatchedTotal {
+            union(MergeError::MismatchedTotal {
                 expected: 3,
                 found: 2
             })
@@ -551,6 +504,47 @@ mod tests {
                 key: "future_field".into()
             })
         );
+    }
+
+    /// Both callers of the shard rule reject a malformed union with the
+    /// same `MergeError`: the runner's merge of shard reports and this
+    /// merge of the documents written from them. Identity faults are
+    /// found on the documents, slice faults in the section.
+    #[test]
+    fn merge_docs_rejects_like_sweep_report_merge() {
+        let run = |spec, matrix| ShardedSweep::new(spec, SweepRunner::serial()).run(matrix);
+        let shards: Vec<ShardReport> = ShardSpec::all(3).map(|s| run(s, matrix())).collect();
+        let mut short_matrix = matrix();
+        short_matrix.pop();
+        let foreign_matrix = run(ShardSpec::new(1, 3).unwrap(), short_matrix);
+        let foreign_total = run(ShardSpec::new(0, 2).unwrap(), matrix());
+        let mut short_slice = shards[0].clone();
+        short_slice.sweep.results.pop();
+
+        let [s0, s1, s2] = [0, 1, 2].map(|i| shards[i].clone());
+        let cases = [
+            ("duplicate", None, vec![s0.clone(), s1.clone(), s1.clone()]),
+            ("missing", None, vec![s0.clone(), s2.clone()]),
+            ("foreign total", None, vec![s0.clone(), foreign_total]),
+            (
+                "foreign matrix length",
+                Some("single"),
+                vec![s0.clone(), foreign_matrix, s2.clone()],
+            ),
+            ("short slice", Some("single"), vec![short_slice, s1, s2]),
+        ];
+        for (case, section, reports) in cases {
+            let docs: Vec<Json> = reports.iter().map(|r| report_doc(r, true)).collect();
+            let error = SweepReport::merge(reports).expect_err(case);
+            assert_eq!(
+                merge_docs(&docs),
+                Err(MergeJsonError::Union {
+                    section: section.map(String::from),
+                    error,
+                }),
+                "{case}"
+            );
+        }
     }
 
     /// The runner's small head-count run of the large-fleet recipe: 48

@@ -1,8 +1,9 @@
 //! The `bench` binary's contract, checked on the built binary: what
 //! `--help` promises, that retired flags are rejected like any other
 //! unknown flag (before anything runs or is written), that the shard/merge
-//! exclusion still holds, that `--merge` names a file it cannot parse, and
-//! that equal flags write equal bytes. Plus
+//! exclusion still holds, that `--merge` names a file it cannot parse,
+//! that shards run at different `--sim-ms` do not merge, and that equal
+//! flags write equal bytes. Plus
 //! `diag`'s: an argument it does not know is an error, not a default. And
 //! `repro`'s: every id is checked before any runs, and `list` names each
 //! experiment once.
@@ -145,6 +146,47 @@ fn merge_names_the_file_it_cannot_parse() {
 }
 
 #[test]
+fn shards_at_different_horizons_do_not_merge() {
+    let dir = std::env::temp_dir().join(format!("bench_cli_horizon_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let shards = [path("shard0.json"), path("shard1.json")];
+    for (i, sim_ms) in [(0, "2"), (1, "3")] {
+        let out = bench(&[
+            "--ops",
+            "500",
+            "--sim-ms",
+            sim_ms,
+            "--serial-only",
+            "--no-tiers",
+            "--no-trace",
+            "--shard",
+            &format!("{i}/2"),
+            "--json",
+            &shards[i],
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let merged = path("merged.json");
+    let out = bench(&["--json", &merged, "--merge", &shards[0], &shards[1]]);
+    let wrote = std::path::Path::new(&merged).exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "shards at 2 and 3 ms merged");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'sim_ms_per_scenario'"), "{stderr}");
+    assert!(!wrote, "a failed merge wrote its output");
+}
+
+#[test]
 fn equal_flags_write_byte_identical_documents() {
     let tmp = std::env::temp_dir();
     let paths =
@@ -188,8 +230,8 @@ fn equal_flags_write_byte_identical_documents() {
     }
     assert_eq!(
         members.len(),
-        7,
-        "bench, ops_per_scenario and five sections"
+        8,
+        "bench, ops_per_scenario, sim_ms_per_scenario and five sections"
     );
 }
 

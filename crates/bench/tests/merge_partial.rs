@@ -106,6 +106,22 @@ fn non_integer_shard_identities_are_rejected() {
 }
 
 #[test]
+fn a_section_without_matrix_scenarios_names_its_document() {
+    // Shard 1 is the first input; its section lost the full-matrix size it
+    // was cut from, so its entries cannot be placed.
+    let mut degraded = shard_doc(1);
+    let mut section = degraded.get("single").unwrap().clone();
+    if let Json::Obj(members) = &mut section {
+        members.retain(|(k, _)| k != "matrix_scenarios");
+    }
+    degraded.set("single", section);
+    assert_eq!(
+        merge_docs(&[degraded, shard_doc(0)]),
+        Err(MergeJsonError::NotSharded { doc: 0 })
+    );
+}
+
+#[test]
 fn truncated_or_corrupted_texts_are_typed_errors() {
     let good = shard_text(0);
     // A file cut mid-write.

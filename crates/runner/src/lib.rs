@@ -34,7 +34,7 @@
 //!   the byte-deterministic `BENCH_*.json` document (simulated outcomes
 //!   and fingerprints, no host timings).
 //! * [`ShardSpec`] / [`ShardedSweep`] / [`ShardReport`] /
-//!   [`SweepReport::merge`] — distributed sweeps: any matrix partitions
+//!   [`SweepReport::merge`] / [`reassemble`] — distributed sweeps: any matrix partitions
 //!   deterministically across hosts by round-robin over the canonical
 //!   scenario order (per-scenario seeds are identical sharded or not), and
 //!   merging the shard reports reproduces the unsharded results exactly —
@@ -72,7 +72,7 @@ pub use scenario::{
     BudgetSpec, ChurnAction, ChurnSpec, FleetSpec, PolicySpec, Scenario, ScenarioError,
     ScenarioKind, ScenarioResult, TenantSpec, TierSpec, WorkloadSpec,
 };
-pub use shard::{MergeError, ShardError, ShardReport, ShardSpec, ShardedSweep};
+pub use shard::{reassemble, MergeError, ShardError, ShardReport, ShardSpec, ShardedSweep};
 pub use sweep::{CoLocationMatrix, FleetMatrix, ScenarioMatrix, SweepReport, SweepRunner};
 
 /// Doc-tests the crate README: every Rust snippet in it must keep

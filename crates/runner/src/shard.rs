@@ -23,14 +23,16 @@
 //!   parses from the CLI form `i/N` (`bench --shard i/N`).
 //! * [`ShardedSweep`] — runs one shard of a full matrix through the
 //!   ordinary [`SweepRunner`] and tags the output with its shard identity.
-//! * [`ShardReport`] + [`SweepReport::merge`] — reassembles shard outputs
-//!   into one [`SweepReport`] in the canonical order, rejecting
-//!   overlapping, missing, or mismatched shards ([`MergeError`]). Merging
-//!   is order-invariant: hand the reports over in any order.
+//! * [`reassemble`] — the merge side of the rule, over any per-shard
+//!   slices: canonical order back, and every overlapping, missing or
+//!   mismatched union rejected as a [`MergeError`]. It is order-invariant:
+//!   hand the shards over in any order.
+//! * [`ShardReport`] + [`SweepReport::merge`] — [`reassemble`] over scenario
+//!   results, plus the merged wall and thread count.
 //!
-//! The JSON-level twin (merging `BENCH_*.json` files written by `bench
-//! --shard` on different hosts) lives in `hybridtier-bench::merge`; the
-//! schema is documented in `docs/BENCH_FORMAT.md`.
+//! `hybridtier-bench::merge` (`bench --merge` over `BENCH_*.json` files
+//! written by `bench --shard` on different hosts) is the other caller of
+//! [`reassemble`]; the schema is documented in `docs/BENCH_FORMAT.md`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -323,82 +325,102 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// The round-robin shard rule, the one place it is enforced: reassembles
+/// per-shard slices — `(spec, matrix_len, items)`, `items` being the
+/// shard's [`select`](ShardSpec::select)ion of a `matrix_len`-item
+/// matrix — into the matrix's canonical order. Item `g` of the result is
+/// item `g / total` of shard `g % total`, whatever order the shards come
+/// in.
+///
+/// Each shard is checked as it is drawn, in this order: its shard count
+/// and matrix length against the first shard's, its slice length against
+/// [`count_of`](ShardSpec::count_of), and its index against the shards
+/// already drawn. An index never drawn is checked last. An empty union is
+/// [`MergeError::Empty`].
+///
+/// # Examples
+///
+/// ```
+/// use tiering_runner::{reassemble, MergeError, ShardSpec};
+///
+/// let matrix: Vec<u32> = (0..7).collect();
+/// let mut shards: Vec<_> = ShardSpec::all(3)
+///     .map(|spec| (spec, matrix.len(), spec.select(matrix.clone())))
+///     .collect();
+/// shards.reverse();
+/// assert_eq!(reassemble(shards.clone()), Ok(matrix));
+/// shards.pop();
+/// assert_eq!(reassemble(shards), Err(MergeError::MissingShard { index: 0 }));
+/// ```
+pub fn reassemble<T>(
+    shards: impl IntoIterator<Item = (ShardSpec, usize, Vec<T>)>,
+) -> Result<Vec<T>, MergeError> {
+    let mut shards = shards.into_iter();
+    let first = shards.next().ok_or(MergeError::Empty)?;
+    let (total, matrix_len) = (first.0.total(), first.1);
+
+    let mut by_index: Vec<Option<std::vec::IntoIter<T>>> = (0..total).map(|_| None).collect();
+    for (spec, len, items) in std::iter::once(first).chain(shards) {
+        if spec.total() != total {
+            return Err(MergeError::MismatchedTotal {
+                expected: total,
+                found: spec.total(),
+            });
+        }
+        if len != matrix_len {
+            return Err(MergeError::MismatchedMatrixLen {
+                expected: matrix_len,
+                found: len,
+            });
+        }
+        let index = spec.index();
+        let expected = spec.count_of(matrix_len);
+        if items.len() != expected {
+            return Err(MergeError::WrongShardLen {
+                index,
+                expected,
+                found: items.len(),
+            });
+        }
+        let slot = &mut by_index[index];
+        if slot.is_some() {
+            return Err(MergeError::DuplicateShard { index });
+        }
+        *slot = Some(items.into_iter());
+    }
+    if let Some(index) = by_index.iter().position(Option::is_none) {
+        return Err(MergeError::MissingShard { index });
+    }
+
+    let mut slices: Vec<_> = by_index.into_iter().flatten().collect();
+    Ok((0..matrix_len)
+        .map(|g| {
+            slices[g % total]
+                .next()
+                .expect("slice lengths validated above")
+        })
+        .collect())
+}
+
 impl SweepReport {
     /// Reassembles shard reports into the full sweep, **identical in
-    /// results to the unsharded run**: scenario `g` of the merged report is
-    /// result `g / total` of shard `g % total`, so results land in
-    /// canonical matrix order whatever order (or on whatever hosts) the
-    /// shards ran.
-    ///
-    /// Merging is order-invariant — pass the reports in any order — and
-    /// rejects incomplete or inconsistent unions: duplicate shard indices
-    /// (overlap), absent indices (missing shard), disagreeing shard counts
-    /// or matrix lengths, and shards whose result count does not match
-    /// their slice.
+    /// results to the unsharded run**: the results go through
+    /// [`reassemble`], so they land in canonical matrix order whatever
+    /// order (or on whatever hosts) the shards ran, and an incomplete or
+    /// inconsistent union is the [`MergeError`] it names.
     ///
     /// The merged `wall` is the **maximum** shard wall (the wall-clock of a
     /// distributed run is its slowest host) and `threads` is the sum of
     /// shard thread counts (total workers across hosts). Both are excluded
     /// from outcome comparisons, as everywhere else in this crate.
     pub fn merge(shards: Vec<ShardReport>) -> Result<SweepReport, MergeError> {
-        let first = shards.first().ok_or(MergeError::Empty)?;
-        let total = first.spec.total();
-        let matrix_len = first.matrix_len;
-
-        let mut by_index: Vec<Option<ShardReport>> = (0..total).map(|_| None).collect();
-        for shard in shards {
-            if shard.spec.total() != total {
-                return Err(MergeError::MismatchedTotal {
-                    expected: total,
-                    found: shard.spec.total(),
-                });
-            }
-            if shard.matrix_len != matrix_len {
-                return Err(MergeError::MismatchedMatrixLen {
-                    expected: matrix_len,
-                    found: shard.matrix_len,
-                });
-            }
-            let index = shard.spec.index();
-            let expected = shard.spec.count_of(matrix_len);
-            let found = shard.sweep.results.len();
-            if found != expected {
-                return Err(MergeError::WrongShardLen {
-                    index,
-                    expected,
-                    found,
-                });
-            }
-            let slot = &mut by_index[index];
-            if slot.is_some() {
-                return Err(MergeError::DuplicateShard { index });
-            }
-            *slot = Some(shard);
-        }
-        if let Some(index) = by_index.iter().position(Option::is_none) {
-            return Err(MergeError::MissingShard { index });
-        }
-
         let mut wall = std::time::Duration::ZERO;
         let mut threads = 0;
-        let mut slices: Vec<_> = by_index
-            .into_iter()
-            .map(|s| {
-                let s = s.expect("all slots filled above");
-                wall = wall.max(s.sweep.wall);
-                threads += s.sweep.threads;
-                s.sweep.results.into_iter()
-            })
-            .collect();
-
-        let mut results = Vec::with_capacity(matrix_len);
-        for g in 0..matrix_len {
-            results.push(
-                slices[g % total]
-                    .next()
-                    .expect("slice lengths validated above"),
-            );
-        }
+        let results = reassemble(shards.into_iter().map(|s| {
+            wall = wall.max(s.sweep.wall);
+            threads += s.sweep.threads;
+            (s.spec, s.matrix_len, s.sweep.results)
+        }))?;
         Ok(SweepReport {
             results,
             wall,
@@ -440,6 +462,128 @@ mod tests {
                 assert!(seen.iter().all(|&c| c == 1), "partition not exact");
             }
         }
+    }
+
+    type Slice = (ShardSpec, usize, Vec<usize>);
+
+    /// The union checks of `SweepReport::merge` before they moved into
+    /// [`reassemble`], over `(spec, matrix_len, slice)` triples: the
+    /// oracle for which error a malformed union gets.
+    fn merge_checks_oracle(shards: &[Slice]) -> Result<(), MergeError> {
+        let first = shards.first().ok_or(MergeError::Empty)?;
+        let (total, matrix_len) = (first.0.total(), first.1);
+        let mut seen = vec![false; total];
+        for (spec, len, items) in shards {
+            if spec.total() != total {
+                return Err(MergeError::MismatchedTotal {
+                    expected: total,
+                    found: spec.total(),
+                });
+            }
+            if *len != matrix_len {
+                return Err(MergeError::MismatchedMatrixLen {
+                    expected: matrix_len,
+                    found: *len,
+                });
+            }
+            let index = spec.index();
+            let expected = spec.count_of(matrix_len);
+            if items.len() != expected {
+                return Err(MergeError::WrongShardLen {
+                    index,
+                    expected,
+                    found: items.len(),
+                });
+            }
+            if seen[index] {
+                return Err(MergeError::DuplicateShard { index });
+            }
+            seen[index] = true;
+        }
+        match seen.iter().position(|s| !s) {
+            Some(index) => Err(MergeError::MissingShard { index }),
+            None => Ok(()),
+        }
+    }
+
+    /// Shard `spec`'s slice of a `matrix_len`-item matrix of global indices.
+    fn cut(spec: ShardSpec, matrix_len: usize) -> Slice {
+        (spec, matrix_len, spec.select((0..matrix_len).collect()))
+    }
+
+    /// A seeded Fisher–Yates shuffle.
+    fn scramble<T>(items: &mut [T], seed: u64) {
+        for i in (1..items.len()).rev() {
+            let j = crate::derive_seed(seed, i as u64) % (i as u64 + 1);
+            items.swap(i, j as usize);
+        }
+    }
+
+    /// Fault kinds [`fault`] can inject.
+    const FAULTS: usize = 6;
+
+    /// Injects fault `kind` at the `k`-th shard of `union` (drawn from a
+    /// `matrix_len`-item matrix): drop it, repeat it further on, recut it
+    /// for one more shard or from a longer matrix, or lengthen or shorten
+    /// its slice.
+    fn fault(union: &mut Vec<Slice>, kind: usize, k: usize, matrix_len: usize) {
+        let spec = union[k].0;
+        match kind {
+            0 => drop(union.remove(k)),
+            1 => union.insert((k * 7 + 3) % (union.len() + 1), union[k].clone()),
+            2 => {
+                union[k] = cut(
+                    ShardSpec::new(spec.index(), spec.total() + 1).unwrap(),
+                    matrix_len,
+                )
+            }
+            3 => union[k] = cut(spec, matrix_len + spec.total()),
+            4 => union[k].2.push(matrix_len),
+            _ => drop(union[k].2.pop()),
+        }
+    }
+
+    #[test]
+    fn reassemble_restores_canonical_order_and_rejects_like_merge() {
+        let mut rejections = 0;
+        for total in 1..=6usize {
+            for matrix_len in 0..=13usize {
+                let seed = (total * 100 + matrix_len) as u64;
+                let mut union: Vec<Slice> =
+                    ShardSpec::all(total).map(|s| cut(s, matrix_len)).collect();
+                scramble(&mut union, seed);
+                let canonical: Vec<usize> = (0..matrix_len).collect();
+                assert_eq!(
+                    reassemble(union.clone()),
+                    Ok(canonical),
+                    "{total}/{matrix_len}"
+                );
+
+                // The empty union and every one- and two-fault variant of
+                // the scrambled one: the error must be the oracle's, so two
+                // faults also pin which check comes first.
+                let mut variants: Vec<Vec<Slice>> = vec![Vec::new()];
+                for (kind, k) in (0..FAULTS).flat_map(|f| (0..total).map(move |k| (f, k))) {
+                    let mut once = union.clone();
+                    fault(&mut once, kind, k, matrix_len);
+                    for (kind2, k2) in
+                        (0..FAULTS).flat_map(|f| (0..once.len()).map(move |k| (f, k)))
+                    {
+                        let mut twice = once.clone();
+                        fault(&mut twice, kind2, k2, matrix_len);
+                        variants.push(twice);
+                    }
+                    variants.push(once);
+                }
+                for v in variants {
+                    let want = merge_checks_oracle(&v);
+                    let got = reassemble(v.clone());
+                    assert_eq!(got.as_ref().err(), want.as_ref().err(), "{v:?}");
+                    rejections += usize::from(want.is_err());
+                }
+            }
+        }
+        assert!(rejections > 40_000, "{rejections} rejections");
     }
 
     #[test]

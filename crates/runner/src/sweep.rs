@@ -14,7 +14,8 @@
 //! returns a [`SweepReport`] with results **in input order** — execution
 //! interleaving never leaks into the output, so serial and parallel sweeps
 //! are interchangeable and shard reports merge deterministically
-//! ([`SweepReport::merge`], defined in the shard module).
+//! ([`SweepReport::merge`], defined in the shard module). The pool itself
+//! is [`SweepRunner::map`], which runs any per-item function the same way.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -390,40 +391,45 @@ impl SweepRunner {
     /// in input order, so it too is independent of thread count.
     pub fn try_run(&self, scenarios: Vec<Scenario>) -> Result<SweepReport, ScenarioError> {
         let start = Instant::now();
-        let n = scenarios.len();
-        let results: Vec<Mutex<Option<Result<ScenarioResult, ScenarioError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n.max(1));
+        let results = self.map(&scenarios, Scenario::try_run);
+        Ok(SweepReport {
+            results: results.into_iter().collect::<Result<_, _>>()?,
+            wall: start.elapsed(),
+            threads: self.workers(scenarios.len()),
+        })
+    }
 
+    /// `f` over every item across the pool, results **in input order**.
+    /// Threads claim the next unclaimed item from a shared cursor (work
+    /// stealing), so long runs (PageRank at 1:16) don't serialize behind a
+    /// static partition. [`try_run`](SweepRunner::try_run) is this over
+    /// scenarios; the figure harness maps runs that return more than a
+    /// report (a sample tally, stepped cache windows) the same way.
+    pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.workers(items.len()) {
                 scope.spawn(|| loop {
-                    // Work stealing by atomic cursor: threads grab the next
-                    // unclaimed scenario, so long runs (PageRank at 1:16)
-                    // don't serialize behind a static partition.
                     let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let result = scenarios[idx].try_run();
-                    *results[idx].lock().expect("result slot poisoned") = Some(result);
+                    let Some(item) = items.get(idx) else { break };
+                    *slots[idx].lock().expect("result slot poisoned") = Some(f(item));
                 });
             }
         });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("item slot never filled")
+            })
+            .collect()
+    }
 
-        Ok(SweepReport {
-            results: results
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("scenario slot never filled")
-                })
-                .collect::<Result<_, _>>()?,
-            wall: start.elapsed(),
-            threads: workers,
-        })
+    /// Threads a run over `n` items uses: never more than there are items.
+    fn workers(&self, n: usize) -> usize {
+        self.threads.min(n.max(1))
     }
 }
 
