@@ -9,7 +9,7 @@ use cache_sim::{HierarchyStats, LevelStats, Source};
 use tiering_mem::{PageSize, TierConfig, TierRatio, TierTopology};
 use tiering_policies::{build_policy, PolicyKind};
 use tiering_runner::SweepRunner;
-use tiering_sim::{SimConfig, SimReport, SimRun};
+use tiering_sim::{LogHistogram, SimConfig, SimReport, SimRun};
 use tiering_trace::Workload;
 use tiering_workloads::{CacheLibConfig, CacheLibWorkload};
 
@@ -68,7 +68,8 @@ fn cache_windows(kind: PolicyKind, cfg: &SimConfig) -> (Vec<(u64, f64, f64)>, Si
             window_end += cfg.window_ns;
         }
     }
-    (windows, run.finish(workload.name(), &*policy))
+    let report = run.finish(workload.name(), &*policy, &mut LogHistogram::new());
+    (windows, report)
 }
 
 /// Figures 5 and 13: the per-window share of L1 and LLC misses caused by

@@ -24,24 +24,36 @@
 //! workload. The `multi_tenant_equivalence` integration tests pin
 //! batch-size invariance for the whole co-located run.
 //!
+//! # Lane lifecycle
+//!
+//! A tenant's policy and run exist only while it can step: an initial
+//! tenant's are built right before its first step in round 1, an
+//! arrival's at admission. A lane is *sealed* — report and final fast-tier
+//! use kept, histogram folded into the fleet's, run dropped — right after
+//! the step in which it finishes, or when a churn event departs it. So a
+//! fleet whose tail finishes in its first step holds its hot tenants'
+//! runs plus one at most. This is exact: no rebalance runs before round 1
+//! ends, so a late build reads the quota an eager one would, and building
+//! is pure; a finished or departed lane is never stepped, asked for demand
+//! or re-capped again, and its final quota is read from the controller at
+//! the end; histogram merge is per-bucket addition plus max, so merge
+//! order does not matter; and reports stay in slot order.
+//!
 //! # Tenant churn
 //!
-//! Real fleets are not a fixed tenant set: applications arrive, finish,
-//! and leave mid-run. The spec's [`ChurnSpec`](crate::ChurnSpec)s fire at
-//! **fleet op-count boundaries**: once the fleet's cumulative completed
-//! operations cross an event's threshold, the event is applied at the next
-//! round boundary (round boundaries are the only points where the fleet's
-//! state is globally consistent, and per-round op counts are batch-size
-//! invariant — so churn is too). Events due in the same round apply in list
-//! order; events whose threshold the run never reaches do not fire.
+//! Tenants arrive and leave mid-run. The spec's
+//! [`ChurnSpec`](crate::ChurnSpec)s fire at **fleet op-count boundaries**:
+//! once the fleet's cumulative completed operations cross an event's
+//! threshold, the event is applied at the next round boundary (round
+//! boundaries are the only points where the fleet's state is globally
+//! consistent, and per-round op counts are batch-size invariant — so churn
+//! is too). Events whose threshold the run never reaches do not fire.
 //! Departing tenants stop executing and their fast pages are reclaimed into
 //! the live budget immediately; arrivals are admitted under the
 //! controller's min-one guarantee and earn their real share at the next
 //! rebalance. Every applied event is sealed into the report as a
 //! [`ChurnRecord`], so per-epoch fleet composition is reconstructible from
 //! the result alone.
-
-use std::collections::VecDeque;
 
 use tiering_mem::TierTopology;
 use tiering_policies::{GlobalController, TieringPolicy};
@@ -60,49 +72,96 @@ enum Event<'s> {
     Depart(&'s str),
 }
 
-/// One tenant's live execution state.
+/// One tenant slot: `live` until the lane is sealed, `sealed` after.
 struct Lane<'s> {
     name: &'s str,
-    workload: Box<dyn Workload>,
-    policy: Box<dyn TieringPolicy>,
-    run: SimRun<'s>,
     initial_quota: u64,
-    /// Fleet time at which this lane joined (0 for initial tenants). The
-    /// lane's run clock is local — fleet boundaries are translated by this
-    /// offset.
+    /// Fleet time at which this lane joined (0 for initial tenants); its
+    /// run's clock is local, offset by this.
     start_ns: u64,
     /// Fleet time the lane departed at, once a churn event removed it.
     departed_at_ns: Option<u64>,
-    /// Ops already folded into the running fleet total, so the per-round
-    /// fleet op count is an `O(active)` delta accumulation instead of an
-    /// `O(tenants)` re-sum.
-    counted_ops: u64,
+    /// Boxed, so that a slot stays small.
+    live: Option<Box<Live<'s>>>,
+    /// The report and the fast pages the lane ended on.
+    sealed: Option<(SimReport, u64)>,
 }
 
-impl Lane<'_> {
-    /// Whether this tenant has nothing left to simulate (departed lanes
-    /// are done regardless of their workload's state).
-    fn finished(&self) -> bool {
-        self.departed_at_ns.is_some() || self.run.finished()
+/// A live lane's workload, policy and run.
+struct Live<'s>(Box<dyn Workload>, Box<dyn TieringPolicy>, SimRun<'s>);
+
+/// The lane table in slot order, and what sealed lanes fold into.
+#[derive(Default)]
+struct Lanes<'s> {
+    slots: Vec<Lane<'s>>,
+    hist: LogHistogram,
+    live: usize,
+    /// Most lanes live at once (the footprint meter).
+    peak_live: usize,
+}
+
+impl<'s> Lanes<'s> {
+    /// Appends the next slot's lane, built at its current quota.
+    fn build(
+        &mut self,
+        sim: &'s SimConfig,
+        controller: &GlobalController,
+        tenant: &'s TenantSpec,
+        workload: Box<dyn Workload>,
+        start_ns: u64,
+    ) {
+        let tier_cfg = controller.tier_config(self.slots.len(), sim.page_size);
+        let policy = tenant.policy.build(&tier_cfg);
+        let topology = TierTopology::two_tier(tier_cfg, &sim.latency);
+        let run = SimRun::new(sim, topology, policy.as_ref());
+        self.slots.push(Lane {
+            name: &tenant.name,
+            initial_quota: tier_cfg.fast_capacity_pages,
+            start_ns,
+            departed_at_ns: None,
+            live: Some(Box::new(Live(workload, policy, run))),
+            sealed: None,
+        });
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
     }
 
-    /// Advances the tenant until its local clock reaches the **fleet**
-    /// boundary `until_fleet_ns` (see [`SimRun::run_until`]).
-    fn run_until(&mut self, until_fleet_ns: u64) {
-        self.run.run_until(
-            self.workload.as_mut(),
-            self.policy.as_mut(),
-            until_fleet_ns.saturating_sub(self.start_ns),
-        );
+    fn live(&mut self, slot: usize) -> &mut Live<'s> {
+        self.slots[slot].live.as_mut().expect("active lane")
+    }
+
+    /// Steps `slot` to the **fleet** boundary `until_ns` and seals it if it
+    /// finished; returns the ops it simulated.
+    fn step(&mut self, slot: usize, until_ns: u64) -> u64 {
+        let local_ns = until_ns.saturating_sub(self.slots[slot].start_ns);
+        let Live(workload, policy, run) = self.live(slot);
+        let ops = run.run_until(workload.as_mut(), policy.as_mut(), local_ns);
+        self.seal(slot, false);
+        ops
+    }
+
+    /// Seals `slot` if it is live and departing or finished; returns
+    /// whether the lane is sealed.
+    fn seal(&mut self, slot: usize, departing: bool) -> bool {
+        let lane = &mut self.slots[slot];
+        if let Some(live) = lane.live.take_if(|l| departing || l.2.finished()) {
+            let Live(workload, policy, run) = *live;
+            let fast_used = run.mem().fast_used();
+            let report = run.finish(workload.name(), policy.as_ref(), &mut self.hist);
+            lane.sealed = Some((report, fast_used));
+            self.live -= 1;
+        }
+        lane.sealed.is_some()
     }
 }
 
-/// Runs `spec` to completion and seals the merged report. Every tenant
-/// slot gets its own workload seed: initial tenant `i` is built from
-/// `derive_seed(seed, i)`, the arrival at churn position `j` from
-/// `derive_seed(seed, tenants.len() + j)`. Every workload, arrivals
-/// included, is built before anything runs. `sim` applies to every
-/// tenant's run (per-tenant op/time caps, batch size, timeline window).
+/// Runs `spec` to completion and seals the merged report, returned with
+/// the most lanes live at once. Every tenant slot gets its own workload
+/// seed: initial tenant `i` is built from `derive_seed(seed, i)`, the
+/// arrival at churn position `j` from `derive_seed(seed, tenants.len() +
+/// j)`. Every workload, arrivals included, is built before anything runs.
+/// `sim` applies to every tenant's run (per-tenant op/time caps, batch
+/// size, timeline window).
 ///
 /// # Panics
 ///
@@ -111,7 +170,7 @@ pub(crate) fn run(
     spec: &FleetSpec,
     sim: &SimConfig,
     seed: u64,
-) -> Result<MultiTenantReport, ScenarioError> {
+) -> Result<(MultiTenantReport, usize), ScenarioError> {
     let slot_seed = |slot: usize| derive_seed(seed, slot as u64);
     let workloads = spec
         .tenants
@@ -119,7 +178,7 @@ pub(crate) fn run(
         .enumerate()
         .map(|(i, t)| t.workload.build(slot_seed(i)))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut pending = VecDeque::with_capacity(spec.churn.len());
+    let mut pending = Vec::with_capacity(spec.churn.len());
     for (j, c) in spec.churn.iter().enumerate() {
         let event = match &c.action {
             ChurnAction::Arrive(t) => {
@@ -127,7 +186,7 @@ pub(crate) fn run(
             }
             ChurnAction::Depart(name) => Event::Depart(name),
         };
-        pending.push_back((c.at_fleet_ops, event));
+        pending.push((c.at_fleet_ops, event));
     }
     assert!(
         spec.rebalance_interval_ns > 0,
@@ -159,56 +218,39 @@ pub(crate) fn run(
         controller.add_tenant(&t.name, footprint(w.as_ref()));
     }
 
-    // Sized once for every slot the run can create: a `Lane` is over
-    // 2 KiB, so one arrival doubling a 5 000-lane table is a 32 MiB
-    // transient.
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(slots);
-    lanes.extend(
-        spec.tenants
-            .iter()
-            .zip(workloads)
-            .enumerate()
-            .map(|(i, (t, w))| lane(sim, &controller, i, t, w, 0)),
-    );
+    let mut lanes = Lanes::default();
+    // Initial tenant `i` is built when round 1 reaches slot `i`.
+    let mut unbuilt = spec.tenants.iter().zip(workloads);
     let mut churn_records: Vec<ChurnRecord> = Vec::new();
-
-    // Active-set iteration: only lanes that can still make progress
-    // are visited per round, so a fleet where most tenants finished
-    // early (the synthetic large-fleet shape) costs O(active) per
-    // round, not O(tenants). Registration order is preserved —
-    // `retain` keeps relative order — so stepping order, and with it
-    // every report bit, is unchanged.
-    let mut active: Vec<usize> = (0..lanes.len()).collect();
+    // Only lanes that can still step are visited, in slot order, so a
+    // fleet whose tail finished early costs O(active) per round.
+    let mut active: Vec<usize> = (0..spec.tenants.len()).collect();
     let mut fleet_ops = 0u64;
 
     let mut round_end = spec.rebalance_interval_ns;
     loop {
         for &i in &active {
-            let lane = &mut lanes[i];
-            lane.run_until(round_end);
-            fleet_ops += lane.run.ops() - lane.counted_ops;
-            lane.counted_ops = lane.run.ops();
+            if i == lanes.slots.len() {
+                let (t, w) = unbuilt.next().expect("round 1 visits every slot");
+                lanes.build(sim, &controller, t, w, 0);
+            }
+            fleet_ops += lanes.step(i, round_end);
         }
 
-        // Apply due churn events. Each event fires independently of
-        // its position in the schedule — the whole pending list is
-        // scanned every round, so an event listed after one with a
-        // higher (possibly never-reached) threshold still fires when
-        // its own threshold is crossed; events due in the same round
-        // apply in list order. Thresholds compare against fleet-wide
-        // completed ops, which are identical at round boundaries for
-        // every batch size — so churn timing is batch-size invariant
-        // too.
+        // Apply due churn events: the whole pending list is scanned every
+        // round, so a due event fires behind a never-reached one; events
+        // due in the same round apply in list order.
         let mut scan = 0;
         while scan < pending.len() {
             if pending[scan].0 > fleet_ops {
                 scan += 1;
                 continue;
             }
-            let (at_ops, event) = pending.remove(scan).expect("index checked");
+            let (at_ops, event) = pending.remove(scan);
             let (kind, tenant) = match event {
                 Event::Depart(name) => {
                     let Some(slot) = lanes
+                        .slots
                         .iter()
                         .position(|l| l.departed_at_ns.is_none() && l.name == name)
                     else {
@@ -217,27 +259,23 @@ pub(crate) fn run(
                             at_fleet_ops: at_ops,
                         });
                     };
-                    lanes[slot].departed_at_ns = Some(round_end);
+                    lanes.slots[slot].departed_at_ns = Some(round_end);
+                    lanes.seal(slot, true);
                     controller.retire_tenant(slot);
                     (ChurnKind::Departed, name.to_string())
                 }
                 Event::Arrive(t, workload) => {
                     let slot = controller.admit_tenant(&t.name, footprint(workload.as_ref()));
-                    let lane = lane(sim, &controller, slot, t, workload, round_end);
-                    debug_assert_eq!(slot, lanes.len(), "slots track lanes");
-                    debug_assert!(lanes.len() < lanes.capacity(), "lane table sized once");
-                    lanes.push(lane);
+                    debug_assert_eq!(slot, lanes.slots.len(), "slots track lanes");
+                    lanes.build(sim, &controller, t, workload, round_end);
                     active.push(slot);
                     (ChurnKind::Arrived, t.name.clone())
                 }
             };
-            // No re-cap here: the quotas this event moved reach the
-            // lanes at the round-end re-cap below, and nothing can see
-            // the difference. No lane runs before it; the calls in
-            // between (`finished`, `fast_demand_pages`, `update_demand`,
-            // `rebalance_dirty`) read occupancy or a policy's histogram,
-            // never a capacity; and a lane that leaves `active` never
-            // runs again, while no report field reads its capacity.
+            // No re-cap here: the quotas this event moved reach the live
+            // lanes at the round-end re-cap below, and no call in between
+            // (`seal`, `fast_demand_pages`, `update_demand`,
+            // `rebalance_dirty`) reads a capacity.
             churn_records.push(ChurnRecord {
                 at_ns: round_end,
                 at_fleet_ops: at_ops,
@@ -247,84 +285,46 @@ pub(crate) fn run(
             });
         }
 
-        // A finished tenant's application is gone: its policy state
-        // (and hot-set estimate) is frozen at peak, so letting it keep
-        // reporting demand would squeeze still-running tenants forever.
-        // It reports zero exactly once, at the transition off the
-        // active set — the controller floors that to the idle share
-        // and the applied demand model never changes again, which is
-        // why dropping it from the per-round loop is bit-identical.
-        // (Departed tenants have no quota at all — their slots are
-        // dead; `update_demand` ignores them.)
+        // A finished tenant's policy state is frozen at peak, so its
+        // demand would squeeze the running tenants forever: it reports
+        // zero once, leaving `active`, and the controller floors that to
+        // the idle share for good (departed slots are dead and ignore it).
+        // The seal here catches only an arrival capped at admission.
         active.retain(|&i| {
-            if lanes[i].finished() {
+            let sealed = lanes.seal(i, false);
+            if sealed {
                 controller.update_demand(i, 0);
-                false
-            } else {
-                true
             }
+            !sealed
         });
         if active.is_empty() {
             break;
         }
         for &i in &active {
-            let lane = &lanes[i];
-            controller.update_demand(i, lane.policy.fast_demand_pages(lane.run.mem()));
+            let Live(_, policy, run) = lanes.live(i);
+            controller.update_demand(i, policy.fast_demand_pages(run.mem()));
         }
         controller.rebalance_dirty(round_end);
         for &i in &active {
-            lanes[i].run.set_fast_capacity(controller.quota(i));
+            lanes.live(i).2.set_fast_capacity(controller.quota(i));
         }
         round_end += spec.rebalance_interval_ns;
     }
 
-    Ok(seal(budget, controller, lanes, churn_records))
+    let peak_live = lanes.peak_live;
+    Ok((seal(budget, controller, lanes, churn_records), peak_live))
 }
 
-/// Builds one tenant's lane at its controller-assigned initial quota.
-fn lane<'s>(
-    sim: &'s SimConfig,
-    controller: &GlobalController,
-    slot: usize,
-    tenant: &'s TenantSpec,
-    workload: Box<dyn Workload>,
-    start_ns: u64,
-) -> Lane<'s> {
-    let tier_cfg = controller.tier_config(slot, sim.page_size);
-    let policy = tenant.policy.build(&tier_cfg);
-    Lane {
-        name: &tenant.name,
-        workload,
-        run: SimRun::new(
-            sim,
-            TierTopology::two_tier(tier_cfg, &sim.latency),
-            policy.as_ref(),
-        ),
-        policy,
-        initial_quota: tier_cfg.fast_capacity_pages,
-        start_ns,
-        departed_at_ns: None,
-        counted_ops: 0,
-    }
-}
-
-/// Merges per-lane state into the final report.
+/// Merges the sealed lanes into the final report.
 fn seal(
     fast_budget_pages: u64,
     controller: GlobalController,
-    lanes: Vec<Lane<'_>>,
+    lanes: Lanes<'_>,
     churn: Vec<ChurnRecord>,
 ) -> MultiTenantReport {
-    let mut merged_hist = LogHistogram::new();
-    let mut tenant_reports = Vec::with_capacity(lanes.len());
-    let mut names = Vec::with_capacity(lanes.len());
-    let mut policies = Vec::with_capacity(lanes.len());
-    for (i, lane) in lanes.into_iter().enumerate() {
-        merged_hist.merge(&lane.run.hist());
-        let final_fast_used = lane.run.mem().fast_used();
-        let report = lane.run.finish(lane.workload.name(), lane.policy.as_ref());
-        names.push(lane.name);
-        policies.push(report.policy.clone());
+    let mut tenant_reports = Vec::with_capacity(lanes.slots.len());
+    for (i, lane) in lanes.slots.into_iter().enumerate() {
+        let (report, final_fast_used) = lane.sealed.expect("a lane leaves `active` sealed");
         tenant_reports.push(TenantReport {
             name: lane.name.to_string(),
             initial_quota_pages: lane.initial_quota,
@@ -355,14 +355,18 @@ fn seal(
         migrations.allocated_slow += t.report.migrations.allocated_slow;
         migrations.failed_promotions += t.report.migrations.failed_promotions;
     }
+    let joined = |f: fn(&TenantReport) -> &str| {
+        let parts: Vec<_> = tenant_reports.iter().map(f).collect();
+        parts.join("+")
+    };
     let aggregate = SimReport {
-        workload: names.join("+"),
-        policy: policies.join("+"),
+        workload: joined(|t| &t.name),
+        policy: joined(|t| &t.report.policy),
         ops,
         accesses,
         samples,
         sim_ns,
-        latency: LatencySummary::from_histogram(&merged_hist),
+        latency: LatencySummary::from_histogram(&lanes.hist),
         timeline: Vec::new(),
         cache: None,
         migrations,
@@ -595,6 +599,59 @@ mod tests {
         let r = run(spec, &SimConfig::default().with_max_ops(4_000));
         assert_eq!(r.tenants.len(), 2, "unreachable arrival never joined");
         assert!(r.churn.is_empty());
+    }
+
+    /// A tenant that finished and is departed in a later round: its
+    /// departure is stamped with that round's end, and its report is the
+    /// one the same fleet gives it when nobody departs it.
+    #[test]
+    fn departing_a_finished_tenant_keeps_its_report() {
+        let sim = SimConfig::default().with_max_ops(30_000);
+        let spec = |churn| {
+            let tenants = vec![
+                tenant(
+                    "short",
+                    |ops| ZipfPageWorkload::new(500, 0.9, ops, 5),
+                    2_000,
+                ),
+                two_tenants(30_000).remove(1),
+            ];
+            fleet(tenants, 500)
+                .with_rebalance_interval_ns(1_000_000)
+                .with_churn(churn)
+        };
+        let kept = run(spec(Vec::new()), &sim);
+        let r = run(spec(vec![ChurnSpec::depart(10_000, "short")]), &sim);
+        let (before, after) = (&kept.tenants[0], &r.tenants[0]);
+        assert_eq!(r.churn.len(), 1);
+        assert_eq!(r.churn[0].kind, ChurnKind::Departed);
+        let at_ns = r.churn[0].at_ns;
+        assert_eq!(at_ns % 1_000_000, 0, "departures land on a round end");
+        assert!(
+            after.report.sim_ns + 1_000_000 <= at_ns,
+            "test premise: finished a round or more before it departed"
+        );
+        assert_eq!(after.departed_at_ns, Some(at_ns));
+        assert_eq!(after.final_quota_pages, 0, "pages reclaimed");
+        assert_eq!(after.report, before.report);
+        assert_eq!(after.final_fast_used, before.final_fast_used);
+        assert_eq!(before.departed_at_ns, None);
+    }
+
+    /// The footprint meter: the synthetic fleet's tail tenants finish in
+    /// their first step, so at most its 16 hot lanes plus the tail lane
+    /// being stepped are live at once, whatever the tail's length. Lanes
+    /// built up front and sealed at the end would read `n + 1`.
+    #[test]
+    fn synthetic_fleet_holds_only_the_lanes_that_can_step() {
+        let sim = SimConfig::default().with_batch_ops(32).with_max_ops(5_000);
+        for n in [200, 2_000] {
+            let spec = Scenario::synthetic_fleet_spec(n);
+            let (report, peak_live) = super::run(&spec, &sim, 7).expect("fleet runs");
+            assert_eq!(report.tenants.len(), n + 1, "n initial tenants + 1 arrival");
+            assert_eq!(report.churn.len(), 2, "depart + arrive");
+            assert_eq!(peak_live, 17, "n = {n}");
+        }
     }
 
     /// Events fire independently of schedule order: a due departure listed

@@ -790,7 +790,7 @@ impl Scenario {
                 (workload.label(), policy.label(), tier.label(), report, None)
             }
             ScenarioKind::Fleet(spec) => {
-                let multi = multi_tenant::run(spec, &self.config, self.seed)?;
+                let (multi, _) = multi_tenant::run(spec, &self.config, self.seed)?;
                 let joined = |label: fn(&TenantSpec) -> String| {
                     spec.tenants.iter().map(label).collect::<Vec<_>>().join("+")
                 };

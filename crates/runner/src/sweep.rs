@@ -599,20 +599,23 @@ mod tests {
     /// The same recipe at 10⁵ tenants, end to end: engine active-set
     /// iteration, donor-funded churn and compact events at the scale the
     /// control plane is built for. Minutes in a debug build, so CI runs it
-    /// once with `--release -- --ignored`, under `ulimit -v 3145728`: the
-    /// run peaks near 1.5 GiB, and the cap turns a per-tenant memory
-    /// regression into a failed allocation on any runner.
+    /// once with `--release -- --ignored`, under `ulimit -v 1048576`. A
+    /// lane holds its run only while it can step, so the 10⁵ tail lanes
+    /// are never live together and the run peaks near 175 MiB resident
+    /// (≈ 1.4 GiB when every lane was built up front and sealed at the
+    /// end); the cap turns a per-tenant memory regression into a failed
+    /// allocation on any runner.
     #[test]
     #[ignore = "release-only scale test: cargo test --release -p tiering_runner -- --ignored"]
     fn hundred_thousand_tenant_fleet_runs_end_to_end() {
         let mut config = SimConfig::default()
             .with_max_ops(100_000)
             .with_batch_ops(32);
-        // The per-lane metadata-cache model costs ~37 KiB of tags per
-        // tenant — ~3.5 GiB at this scale, more than the rest of the fleet
-        // together (a lane is ~2 KiB, its latency histograms a few KiB
-        // since they are sized by the range they record, its lean CBF
-        // 4 KiB).
+        // The per-lane metadata-cache model allocates ~37 KiB of tags at
+        // every lane build, ~3.5 GiB over this run, which this test does
+        // not need (a live lane's run is ~2 KiB, its latency histograms a
+        // few KiB since they are sized by the range they record, its lean
+        // CBF 4 KiB).
         config.metadata_cache = false;
         let scenario = Scenario::fleet(
             "synth100000/scale/fleet",

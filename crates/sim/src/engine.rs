@@ -5,6 +5,7 @@ use tiering_mem::{LatencyModel, PageSize, TierConfig, TierTopology};
 use tiering_policies::TieringPolicy;
 use tiering_trace::Workload;
 
+use crate::histo::LogHistogram;
 use crate::pipeline::SimRun;
 use crate::report::SimReport;
 
@@ -261,7 +262,7 @@ impl Engine {
     {
         let mut run = SimRun::new(&self.config, topology, policy);
         run.run_until(workload, policy, u64::MAX);
-        run.finish(workload.name(), policy)
+        run.finish(workload.name(), policy, &mut LogHistogram::new())
     }
 }
 

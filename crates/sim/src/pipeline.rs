@@ -31,8 +31,8 @@
 //!
 //! [`SimRun::run_until`] is the only caller of the pull stage and of stages
 //! 2–5. [`Engine`](crate::Engine) drives one run to completion in a single
-//! call; a fleet run (`tiering_runner`'s round loop) holds one run per
-//! tenant and steps it to each rebalance boundary; the `diag` binary steps
+//! call; a fleet run (`tiering_runner`'s round loop) holds a tenant's run
+//! while it can step, to each rebalance boundary; the `diag` binary steps
 //! one to each report boundary. Stopping between two calls changes nothing:
 //! pulled ops wait in the run for the next call.
 //!
@@ -99,7 +99,8 @@ impl<'c> SimRun<'c> {
     /// reaches `until_ns`, or the workload is exhausted. Ops pulled but not
     /// simulated are kept for the next call — legal because a workload is
     /// batch-pulled only while its output does not depend on the clock.
-    pub fn run_until<W, P>(&mut self, workload: &mut W, policy: &mut P, until_ns: u64)
+    /// Returns the ops this call simulated.
+    pub fn run_until<W, P>(&mut self, workload: &mut W, policy: &mut P, until_ns: u64) -> u64
     where
         W: Workload + ?Sized,
         P: TieringPolicy + ?Sized,
@@ -112,6 +113,7 @@ impl<'c> SimRun<'c> {
             exhausted,
             batch_ops,
         } = self;
+        let ops_before = pipeline.ops;
         let mut next = *cursor;
         while !pipeline.done() && pipeline.now_ns < until_ns {
             if next >= batch.len() {
@@ -125,6 +127,7 @@ impl<'c> SimRun<'c> {
             next += 1;
         }
         *cursor = next;
+        pipeline.ops - ops_before
     }
 
     /// Whether an engine cap was hit or the workload is exhausted.
@@ -168,15 +171,6 @@ impl<'c> SimRun<'c> {
         self.pipeline.mem.set_fast_capacity(pages);
     }
 
-    /// The whole-run latency histogram so far: the flushed windows plus the
-    /// in-flight one (the fleet aggregate merges these). Bucket merge is
-    /// addition, so this equals per-op recording into one histogram.
-    pub fn hist(&self) -> LogHistogram {
-        let mut h = self.pipeline.global_hist.clone();
-        h.merge(&self.pipeline.window_hist);
-        h
-    }
-
     /// Buckets both latency histograms allocate (the footprint meter).
     #[cfg(test)]
     pub(crate) fn histogram_buckets(&self) -> usize {
@@ -184,9 +178,44 @@ impl<'c> SimRun<'c> {
             + self.pipeline.window_hist.allocated_buckets()
     }
 
-    /// Seals the run into a [`SimReport`].
-    pub fn finish<P: TieringPolicy + ?Sized>(self, workload_name: &str, policy: &P) -> SimReport {
-        self.pipeline.finish(workload_name, policy)
+    /// Seals the run into a [`SimReport`] and folds its whole-run latency
+    /// histogram into `hist` (a fleet's aggregate). Bucket merge is
+    /// addition, so the fold equals per-op recording into `hist`.
+    pub fn finish<P>(self, workload_name: &str, policy: &P, hist: &mut LogHistogram) -> SimReport
+    where
+        P: TieringPolicy + ?Sized,
+    {
+        let mut p = self.pipeline;
+        // Final partial window.
+        if p.window_hist.count() > 0 {
+            p.timeline.push(TimelinePoint {
+                t_ns: p.now_ns,
+                p50_ns: p.window_hist.p50(),
+                mean_ns: p.window_hist.mean() as u64,
+                ops: p.window_hist.count(),
+            });
+        }
+        p.global_hist.merge(&p.window_hist);
+        hist.merge(&p.global_hist);
+
+        SimReport {
+            workload: workload_name.to_string(),
+            policy: policy.name().to_string(),
+            ops: p.ops,
+            accesses: p.accesses,
+            samples: p.samples,
+            sim_ns: p.now_ns,
+            latency: LatencySummary::from_histogram(&p.global_hist),
+            timeline: p.timeline,
+            cache: p.hier.map(|h| h.stats()),
+            migrations: p.mem.stats(),
+            fast_hit_frac: if p.accesses == 0 {
+                0.0
+            } else {
+                p.fast_hits as f64 / p.accesses as f64
+            },
+            metadata_bytes: policy.metadata_bytes(),
+        }
     }
 }
 
@@ -530,39 +559,6 @@ impl<'c> Pipeline<'c> {
             self.global_hist.merge(&self.window_hist);
             self.window_hist.clear();
             self.window_end += self.cfg.window_ns;
-        }
-    }
-
-    /// Seals the run into a [`SimReport`].
-    fn finish<P: TieringPolicy + ?Sized>(mut self, workload_name: &str, policy: &P) -> SimReport {
-        // Final partial window.
-        if self.window_hist.count() > 0 {
-            self.timeline.push(TimelinePoint {
-                t_ns: self.now_ns,
-                p50_ns: self.window_hist.p50(),
-                mean_ns: self.window_hist.mean() as u64,
-                ops: self.window_hist.count(),
-            });
-        }
-        self.global_hist.merge(&self.window_hist);
-
-        SimReport {
-            workload: workload_name.to_string(),
-            policy: policy.name().to_string(),
-            ops: self.ops,
-            accesses: self.accesses,
-            samples: self.samples,
-            sim_ns: self.now_ns,
-            latency: LatencySummary::from_histogram(&self.global_hist),
-            timeline: self.timeline,
-            cache: self.hier.map(|h| h.stats()),
-            migrations: self.mem.stats(),
-            fast_hit_frac: if self.accesses == 0 {
-                0.0
-            } else {
-                self.fast_hits as f64 / self.accesses as f64
-            },
-            metadata_bytes: policy.metadata_bytes(),
         }
     }
 }

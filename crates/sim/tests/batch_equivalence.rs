@@ -15,7 +15,7 @@ use tiering_mem::{
 use tiering_policies::{
     build_policy, visit_policy, PolicyCtx, PolicyKind, PolicyVisitor, TieringPolicy,
 };
-use tiering_sim::{Engine, SimConfig, SimReport, SimRun};
+use tiering_sim::{Engine, LogHistogram, SimConfig, SimReport, SimRun};
 use tiering_trace::{AccessBatch, Sample, Workload};
 use tiering_workloads::{
     build_workload, visit_workload, WorkloadId, WorkloadVisitor, ZipfPageWorkload,
@@ -341,19 +341,21 @@ fn stepped_zipf(kind: PolicyKind, three_tier: bool, stride_ns: Option<u64>) -> (
     };
     let mut policy = build_policy(kind, &topology.as_tier_config());
     let mut run = SimRun::new(&config, topology, policy.as_ref());
-    let mut mid_batch = 0;
+    let (mut mid_batch, mut ops) = (0, 0);
     match stride_ns {
-        None => run.run_until(&mut w, policy.as_mut(), u64::MAX),
+        None => ops = run.run_until(&mut w, policy.as_mut(), u64::MAX),
         Some(stride) => {
             let mut until = stride;
             while !run.finished() {
-                run.run_until(&mut w, policy.as_mut(), until);
+                ops += run.run_until(&mut w, policy.as_mut(), until);
                 mid_batch += u32::from(w.pulled > run.ops());
                 until += stride;
             }
         }
     }
-    (run.finish(w.name(), policy.as_ref()), mid_batch)
+    assert_eq!(ops, run.ops(), "each call returns the ops it simulated");
+    let report = run.finish(w.name(), policy.as_ref(), &mut LogHistogram::new());
+    (report, mid_batch)
 }
 
 /// Suspending a run changes nothing: for every compared policy plus NeoMem,
@@ -405,9 +407,18 @@ fn finished_runs_stay_finished() {
             _ => "nothing",
         };
         assert_eq!(stopped_by, what, "{ops} ops at {now} ns");
-        run.run_until(&mut w, policy.as_mut(), u64::MAX);
+        assert_eq!(
+            run.run_until(&mut w, policy.as_mut(), u64::MAX),
+            0,
+            "{what}"
+        );
         assert_eq!((run.now_ns(), run.ops()), (now, ops), "{what}: resumed");
-        let report = run.finish(w.name(), policy.as_ref());
+        // The fold adds the run's histogram to what `hist` already holds.
+        let mut hist = LogHistogram::new();
+        hist.record(1 << 40);
+        let report = run.finish(w.name(), policy.as_ref(), &mut hist);
+        assert_eq!(hist.count(), ops + 1, "{what}");
+        assert_eq!(hist.max(), 1 << 40, "{what}");
 
         let mut policy = build_policy(PolicyKind::HybridTier, &tier_cfg);
         let engine = Engine::new(config).run(&mut mk(), policy.as_mut(), tier_cfg);
