@@ -6,8 +6,7 @@
 //! §2.2). Each GET touches the cache index plus every page of the object;
 //! SETs additionally write the object.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use tiering_trace::{Access, AccessBatch, Op, Workload};
 
 use crate::layout::{LayoutBuilder, Region};
+use crate::memo::{memoized, Memo};
 use crate::zipf::ShiftableZipf;
 
 /// A scheduled hotness-distribution change (paper Figure 4: "we adjust the
@@ -221,8 +221,7 @@ impl ObjectTable {
 
     fn shared(config: &CacheLibConfig) -> Arc<Self> {
         type Key = (usize, u64, u64, u64, u64);
-        static CACHE: OnceLock<Mutex<HashMap<Key, Arc<ObjectTable>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+        static TABLES: Memo<Key, Arc<ObjectTable>> = OnceLock::new();
         let key = (
             config.objects,
             config.small_size,
@@ -230,18 +229,7 @@ impl ObjectTable {
             config.large_frac.to_bits(),
             config.seed,
         );
-        if let Some(t) = cache.lock().expect("object table cache poisoned").get(&key) {
-            return Arc::clone(t);
-        }
-        // Build outside the lock (racing builds are identical; last insert
-        // wins).
-        let table = Arc::new(Self::build(config));
-        cache
-            .lock()
-            .expect("object table cache poisoned")
-            .entry(key)
-            .or_insert(table)
-            .clone()
+        memoized(&TABLES, key, || Arc::new(Self::build(config)))
     }
 }
 

@@ -17,6 +17,7 @@
 //!   the reusable hot set.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,11 +49,12 @@ impl GraphKind {
 }
 
 /// A directed graph in CSR form, laid out in the simulated address space.
+/// The CSR arrays are immutable and shared, so a clone costs O(1).
 #[derive(Debug, Clone)]
 pub struct Graph {
     num_nodes: u32,
-    offsets: Vec<u64>,
-    edges: Vec<u32>,
+    offsets: Arc<[u64]>,
+    edges: Arc<[u32]>,
     kind: GraphKind,
     offsets_region: Region,
     edges_region: Region,
@@ -64,11 +66,27 @@ const RMAT_A: f64 = 0.57;
 const RMAT_B: f64 = 0.19;
 const RMAT_C: f64 = 0.19;
 
+/// The RMAT quadrant `(u bit, v bit)` a draw `r` picks, without branches:
+/// (0, 0) below A, (0, 1) below A+B, (1, 0) below A+B+C, else (1, 1).
+fn rmat_quadrant(r: f64) -> (u32, u32) {
+    let b = (r >= RMAT_A) as u32;
+    let c = (r >= RMAT_A + RMAT_B) as u32;
+    let d = (r >= RMAT_A + RMAT_B + RMAT_C) as u32;
+    (c, (b & !c) | d)
+}
+
 impl Graph {
     /// Generates a Kronecker (RMAT) graph with `2^scale` nodes and
     /// `edge_factor * 2^scale` directed edges, with vertex ids randomly
     /// permuted (as GAP does) so graph locality is not an artifact of the
     /// generator.
+    ///
+    /// A level's quadrant is three comparisons, not an `if r < A … else if`
+    /// chain, which mispredicts on most draws and dominated the build. It
+    /// is exact: the draw is in [0, 1), never NaN, so `r >= t` is "not
+    /// `r < t`" at the same `f64` thresholds; these ascend, so `(b, c, d)`
+    /// is 000 / 100 / 110 / 111, the chain's arms in order. Same RNG
+    /// stream, same graph.
     pub fn kronecker(scale: u32, edge_factor: u32, seed: u64) -> Self {
         let n = 1u32 << scale;
         let m = (edge_factor as u64 * n as u64) as usize;
@@ -77,19 +95,9 @@ impl Graph {
         for _ in 0..m {
             let (mut u, mut v) = (0u32, 0u32);
             for _ in 0..scale {
-                u <<= 1;
-                v <<= 1;
-                let r: f64 = rng.gen();
-                if r < RMAT_A {
-                    // quadrant (0,0)
-                } else if r < RMAT_A + RMAT_B {
-                    v |= 1;
-                } else if r < RMAT_A + RMAT_B + RMAT_C {
-                    u |= 1;
-                } else {
-                    u |= 1;
-                    v |= 1;
-                }
+                let (du, dv) = rmat_quadrant(rng.gen());
+                u = (u << 1) | du;
+                v = (v << 1) | dv;
             }
             pairs.push((u, v));
         }
@@ -118,20 +126,21 @@ impl Graph {
         Self::from_edge_list(n, &pairs, GraphKind::UniformRandom)
     }
 
-    /// Builds CSR from an edge list via counting sort.
+    /// Builds CSR from an edge list via counting sort, writing both arrays
+    /// straight into their `Arc`s (a `Vec` would be copied into one).
     fn from_edge_list(n: u32, pairs: &[(u32, u32)], kind: GraphKind) -> Self {
-        let mut degree = vec![0u64; n as usize + 1];
+        let mut cursor = vec![0u64; n as usize + 1];
         for &(u, _) in pairs {
-            degree[u as usize + 1] += 1;
+            cursor[u as usize + 1] += 1;
         }
-        let mut offsets = degree;
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
+        for i in 1..cursor.len() {
+            cursor[i] += cursor[i - 1];
         }
-        let mut edges = vec![0u32; pairs.len()];
-        let mut cursor = offsets.clone();
+        let offsets: Arc<[u64]> = cursor.iter().copied().collect();
+        let mut edges: Arc<[u32]> = std::iter::repeat_n(0, pairs.len()).collect();
+        let slots = Arc::get_mut(&mut edges).expect("a new Arc has no other owner");
         for &(u, v) in pairs {
-            edges[cursor[u as usize] as usize] = v;
+            slots[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
         }
         let mut layout = LayoutBuilder::new();
@@ -166,6 +175,12 @@ impl Graph {
     /// Out-degree of `u`.
     fn degree(&self, u: u32) -> u64 {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
+    }
+
+    /// Whether `self` and `other` share their CSR arrays.
+    #[cfg(test)]
+    pub(crate) fn shares_csr(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.edges, &other.edges)
     }
 
     /// Out-neighbours of `u`.
@@ -514,6 +529,101 @@ mod tests {
 
     fn tiny_kron() -> Graph {
         Graph::kronecker(8, 8, 1)
+    }
+
+    /// The branch chain `Graph::kronecker` drew its quadrants with before
+    /// `rmat_quadrant`; the reference both tests below compare against.
+    fn chain_quadrant(r: f64) -> (u32, u32) {
+        if r < RMAT_A {
+            (0, 0)
+        } else if r < RMAT_A + RMAT_B {
+            (0, 1)
+        } else if r < RMAT_A + RMAT_B + RMAT_C {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// `Graph::kronecker` as it was: the branch chain per level, then the
+    /// vertex permutation and the CSR build.
+    fn kronecker_chain(scale: u32, edge_factor: u32, seed: u64) -> Graph {
+        let n = 1u32 << scale;
+        let m = (edge_factor as u64 * n as u64) as usize;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut pairs = Vec::with_capacity(m);
+        for _ in 0..m {
+            let (mut u, mut v) = (0u32, 0u32);
+            for _ in 0..scale {
+                u <<= 1;
+                v <<= 1;
+                let (du, dv) = chain_quadrant(rng.gen());
+                u |= du;
+                v |= dv;
+            }
+            pairs.push((u, v));
+        }
+        let mut perm: Vec<u32> = (0..n).collect();
+        for i in (1..n as usize).rev() {
+            let j = rng.gen_range(0..=i);
+            perm.swap(i, j);
+        }
+        for (u, v) in &mut pairs {
+            *u = perm[*u as usize];
+            *v = perm[*v as usize];
+        }
+        Graph::from_edge_list(n, &pairs, GraphKind::Kronecker)
+    }
+
+    fn assert_same_graph(a: &Graph, b: &Graph, label: &str) {
+        assert_eq!(a.num_nodes, b.num_nodes, "{label}: nodes");
+        assert_eq!(a.offsets, b.offsets, "{label}: offsets");
+        assert_eq!(a.edges, b.edges, "{label}: edges");
+    }
+
+    #[test]
+    fn rmat_quadrant_matches_chain_at_every_threshold() {
+        let mut draws = vec![0.0, 1.0f64.next_down()];
+        for t in [RMAT_A, RMAT_A + RMAT_B, RMAT_A + RMAT_B + RMAT_C] {
+            draws.extend([t.next_down(), t, t.next_up()]);
+        }
+        for r in draws {
+            assert_eq!(rmat_quadrant(r), chain_quadrant(r), "r = {r:e}");
+        }
+        // Each threshold itself already belongs to the next quadrant.
+        assert_eq!(rmat_quadrant(RMAT_A), (0, 1));
+        assert_eq!(rmat_quadrant(RMAT_A + RMAT_B), (1, 0));
+        assert_eq!(rmat_quadrant(RMAT_A + RMAT_B + RMAT_C), (1, 1));
+    }
+
+    #[test]
+    fn kronecker_matches_chain_oracle() {
+        for scale in 0..=12 {
+            for edge_factor in [1, 3, 16] {
+                for seed in 0..8 {
+                    assert_same_graph(
+                        &Graph::kronecker(scale, edge_factor, seed),
+                        &kronecker_chain(scale, edge_factor, seed),
+                        &format!("scale {scale} × {edge_factor}, seed {seed}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The suite's own graph size; seconds per build in a debug build, so
+    /// CI runs it with `--release -- --ignored`.
+    #[test]
+    #[ignore = "suite-scale graphs: run with --release -- --ignored"]
+    fn suite_kronecker_matches_chain_oracle() {
+        use crate::suite::{GAP_EDGE_FACTOR, GAP_SCALE};
+        for seed in [1, 2] {
+            assert_same_graph(
+                &Graph::kronecker(GAP_SCALE, GAP_EDGE_FACTOR, seed),
+                &kronecker_chain(GAP_SCALE, GAP_EDGE_FACTOR, seed),
+                &format!("suite graph, seed {seed}"),
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 mod cachelib;
 mod gap;
 mod layout;
+mod memo;
 mod phased;
 mod replay;
 mod silo;

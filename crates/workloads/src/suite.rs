@@ -1,10 +1,13 @@
 //! The full evaluation suite: one identifier per paper workload, with the
 //! default scaled parameters used by the benchmark harness.
 
+use std::sync::OnceLock;
+
 use tiering_trace::Workload;
 
 use crate::cachelib::{CacheLibConfig, CacheLibWorkload};
 use crate::gap::{BfsWorkload, CcWorkload, Graph, GraphKind, PrWorkload};
+use crate::memo::{memoized, Memo};
 use crate::silo::{SiloConfig, SiloWorkload};
 use crate::spec::{BwavesWorkload, RomsWorkload};
 use crate::xgboost::{XgboostConfig, XgboostWorkload};
@@ -86,38 +89,20 @@ impl WorkloadId {
 
 /// Graph generation parameters shared by the GAP workloads
 /// (2^17 nodes × 16 edges/node — the paper's 2³¹ × 4, scaled ~16 000×).
-const GAP_SCALE: u32 = 17;
-const GAP_EDGE_FACTOR: u32 = 16;
+pub(crate) const GAP_SCALE: u32 = 17;
+pub(crate) const GAP_EDGE_FACTOR: u32 = 16;
 
 fn gap_graph(kind: GraphKind, seed: u64) -> Graph {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
     // Generation (RMAT/uniform sampling, vertex permutation, CSR sort)
     // dominates GAP suite construction and is deterministic in
     // `(kind, seed)` at the fixed suite scale, so build each graph once
-    // process-wide and hand out clones — a plain memcpy of the CSR arrays,
-    // bit-identical to a fresh build.
-    static CACHE: OnceLock<Mutex<HashMap<(GraphKind, u64), Graph>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(g) = cache
-        .lock()
-        .expect("gap graph cache poisoned")
-        .get(&(kind, seed))
-    {
-        return g.clone();
-    }
-    // Build outside the lock (racing builds are identical; last insert
-    // wins).
-    let g = match kind {
+    // process-wide and hand out clones — they share its immutable CSR
+    // arrays, so a clone copies no graph data.
+    static GRAPHS: Memo<(GraphKind, u64), Graph> = OnceLock::new();
+    memoized(&GRAPHS, (kind, seed), || match kind {
         GraphKind::Kronecker => Graph::kronecker(GAP_SCALE, GAP_EDGE_FACTOR, seed),
         GraphKind::UniformRandom => Graph::uniform(GAP_SCALE, GAP_EDGE_FACTOR, seed),
-    };
-    cache
-        .lock()
-        .expect("gap graph cache poisoned")
-        .entry((kind, seed))
-        .or_insert(g)
-        .clone()
+    })
 }
 
 /// Receiver for [`visit_workload`]: `visit` is called with the *concretely
@@ -201,6 +186,16 @@ pub fn build_workload(id: WorkloadId, seed: u64) -> Box<dyn Workload> {
 mod tests {
     use super::*;
     use tiering_mem::PageSize;
+
+    #[test]
+    fn gap_graph_clones_share_one_edge_array() {
+        for kind in [GraphKind::Kronecker, GraphKind::UniformRandom] {
+            // Seeds the other tests here build anyway.
+            let (a, b) = (gap_graph(kind, 42), gap_graph(kind, 42));
+            assert!(a.shares_csr(&b), "{kind:?}");
+            assert!(!a.shares_csr(&gap_graph(kind, 97)), "{kind:?}");
+        }
+    }
 
     #[test]
     fn all_twelve_build_and_emit() {

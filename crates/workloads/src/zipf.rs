@@ -1,9 +1,10 @@
 //! Zipfian popularity with re-rankable (shiftable) item assignment.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use rand::{Rng, SeedableRng};
+
+use crate::memo::{memoized, Memo};
 
 /// Bounds on the quantile-index fan-out accelerating
 /// [`ZipfDistribution::sample_rank`]: `u`'s top bits select a precomputed
@@ -34,9 +35,6 @@ fn quantile_buckets(n: usize) -> usize {
         .next_power_of_two()
         .clamp(MIN_QUANTILE_BUCKETS, MAX_QUANTILE_BUCKETS)
 }
-
-/// Memo-cache type: one entry per distinct `(n, θ-bits)` / `(n, seed)`.
-type MemoCache<T> = OnceLock<Mutex<HashMap<(usize, u64), Arc<T>>>>;
 
 /// The CDF (plus its quantile index) for one `(n, θ)`, shared across every
 /// distribution instance with those parameters.
@@ -85,21 +83,10 @@ impl ZipfTable {
 /// table is invisible to results — the cached values are the very f64s a
 /// fresh build would produce.
 fn table_for(n: usize, theta: f64) -> Arc<ZipfTable> {
-    static CACHE: MemoCache<ZipfTable> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (n, theta.to_bits());
-    if let Some(t) = cache.lock().expect("zipf cache poisoned").get(&key) {
-        return Arc::clone(t);
-    }
-    // Build outside the lock (several runner threads may race; last insert
-    // wins and all builds are identical).
-    let table = Arc::new(ZipfTable::build(n, theta));
-    cache
-        .lock()
-        .expect("zipf cache poisoned")
-        .entry(key)
-        .or_insert(table)
-        .clone()
+    static TABLES: Memo<(usize, u64), Arc<ZipfTable>> = OnceLock::new();
+    memoized(&TABLES, (n, theta.to_bits()), || {
+        Arc::new(ZipfTable::build(n, theta))
+    })
 }
 
 /// A Zipf(θ) distribution over ranks `0..n` (rank 0 most popular),
@@ -270,27 +257,11 @@ impl ShiftableZipf {
     /// is shared copy-on-write — shifts never leak between instances.
     #[must_use]
     pub fn shuffled_from_seed(n: usize, theta: f64, seed: u64) -> Self {
-        static CACHE: MemoCache<Vec<u32>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = (n, seed);
-        let cached = cache
-            .lock()
-            .expect("perm cache poisoned")
-            .get(&key)
-            .cloned();
-        let item_of = match cached {
-            Some(p) => p,
-            None => {
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-                let shuffled = Self::new(n, theta).shuffled(&mut rng);
-                cache
-                    .lock()
-                    .expect("perm cache poisoned")
-                    .entry(key)
-                    .or_insert(shuffled.item_of)
-                    .clone()
-            }
-        };
+        static PERMS: Memo<(usize, u64), Arc<Vec<u32>>> = OnceLock::new();
+        let item_of = memoized(&PERMS, (n, seed), || {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            Self::new(n, theta).shuffled(&mut rng).item_of
+        });
         Self {
             dist: ZipfDistribution::new(n, theta),
             item_of,
