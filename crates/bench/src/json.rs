@@ -470,7 +470,7 @@ mod tests {
                 .policies([PolicyKind::FirstTouch, PolicyKind::HybridTier])
                 .build(),
         );
-        let section = crate::merge::sweep_section_json(&sweep, None, None);
+        let section = crate::merge::sweep_section_json(&sweep, None);
         let v = parse(&section.render()).expect("writer output parses");
         assert_eq!(v, section, "parse ∘ render is the identity");
         let scenarios = v.get("sweep").unwrap().get("scenarios").unwrap();

@@ -20,9 +20,9 @@
 //! on the same functions at a small budget, and its comments record
 //! paper-vs-measured for every id.
 //!
-//! The `bench` binary runs the standard sweeps serial and parallel, checks
-//! that the two agree, and emits a byte-deterministic `BENCH_*.json`
-//! (schema: `docs/BENCH_FORMAT.md`), supported by two library modules:
+//! The `bench` binary runs each standard sweep once on the parallel runner
+//! and emits a byte-deterministic `BENCH_*.json` — the same bytes at any
+//! `--threads` (schema: `docs/BENCH_FORMAT.md`), supported by two library modules:
 //! [`json`] (the one dependency-free codec: `Json::render` and `parse`),
 //! and [`merge`] (the BENCH encoder and the `--shard`/`--merge`
 //! distributed-sweep workflow). Host time is reported by `benchmark/`
@@ -45,7 +45,7 @@ use tiering_sim::SimConfig;
 /// Default seed for all experiments (results are deterministic given this).
 pub const SEED: u64 = 0xA5F0_5EED;
 
-/// The co-location sweep the `bench` binary runs serial and parallel: the
+/// The co-location sweep the `bench` binary runs (`"colocation"`): the
 /// §7 wake-up pairing plus a suite pairing, across two budget sizings
 /// (4 multi-tenant scenarios, 2 tenants each).
 pub fn colocation_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
@@ -70,7 +70,7 @@ pub fn colocation_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
         .build()
 }
 
-/// The dynamic-fleet sweep the `bench` binary runs serial and parallel:
+/// The dynamic-fleet sweep the `bench` binary runs (`"fleet"`):
 /// the canonical 3-tenant arrive/depart/arrive-again churn fleet
 /// (`Scenario::fleet_churn_demo_tenants`) under every built-in quota
 /// objective, across two budget sizings (6 fleet scenarios, up to 4
@@ -92,7 +92,7 @@ pub fn fleet_matrix(max_sim_ns: u64) -> Vec<tiering_runner::Scenario> {
 
 /// The policy-comparison sweep: both CacheLib workloads × all three tier
 /// ratios × the six compared systems (36 scenarios) — the matrix the `bench`
-/// binary runs serial and parallel and the examples run interactively.
+/// binary runs (`"single"`) and the examples run interactively.
 pub fn policy_comparison_matrix(ops: u64) -> Vec<tiering_runner::Scenario> {
     use tiering_mem::TierRatio;
     use tiering_policies::PolicyKind;

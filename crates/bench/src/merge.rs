@@ -21,9 +21,10 @@
 //! label in two shards. Every member [`sweep_section_json`] writes is
 //! deterministic and scenario entries are copied through verbatim, so the
 //! merged document renders **byte-identical** to an unsharded run's with
-//! the same pass flags. Members the encoder does not write — the host
-//! timing and legacy `"compare"` data older builds recorded — are accepted
-//! on input and not carried over.
+//! the same `--ops` and `--sim-ms`. Members the encoder does not write —
+//! the host timing, the `"parallel_identical_to_serial"` verdict and the
+//! legacy `"compare"` data older builds recorded — are accepted on input
+//! and not carried over.
 
 use std::fmt;
 
@@ -99,25 +100,17 @@ fn scenario_json(r: &ScenarioResult) -> Json {
 }
 
 /// One sweep section (the `"single"` / `"colocation"` / … objects of a
-/// BENCH document) over `sweep`'s results. `identical` is the outcome of
-/// the parallel ≡ serial check when both passes ran. With `shard` set, the
-/// section records the shard identity and the full-matrix scenario count
+/// BENCH document) over `sweep`'s results. With `shard` set, the section
+/// records the shard identity and the full-matrix scenario count
 /// (`"matrix_scenarios"`) the shard was cut from — [`merge_docs`] needs
 /// them to validate and reassemble.
-pub fn sweep_section_json(
-    sweep: &SweepReport,
-    identical: Option<bool>,
-    shard: Option<(ShardSpec, usize)>,
-) -> Json {
+pub fn sweep_section_json(sweep: &SweepReport, shard: Option<(ShardSpec, usize)>) -> Json {
     let mut section = Json::obj();
     section.set("scenarios", int(sweep.results.len() as u64));
     if let Some((spec, matrix_len)) = shard {
         section.set("shard_index", int(spec.index() as u64));
         section.set("shard_total", int(spec.total() as u64));
         section.set("matrix_scenarios", int(matrix_len as u64));
-    }
-    if let Some(same) = identical {
-        section.set("parallel_identical_to_serial", Json::Bool(same));
     }
     let entries = sweep.results.iter().map(scenario_json).collect();
     section.set("sweep", sweep_json(entries));
@@ -271,6 +264,20 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
     let Json::Obj(members) = ordered[0].1 else {
         return Err(MergeJsonError::NotSharded { doc: ordered[0].0 });
     };
+    // A section only some shards carry is an inconsistent union, whichever
+    // shard lacks it — shard 0 included, so this runs before the protocol
+    // check below would call shard 0's missing section a foreign field.
+    for section in SECTIONS {
+        let present = ordered
+            .iter()
+            .filter(|(_, d)| d.get(section).is_some())
+            .count();
+        if present != 0 && present != ordered.len() {
+            return Err(MergeJsonError::MismatchedSections {
+                section: section.to_string(),
+            });
+        }
+    }
     // Symmetric protocol check: a key only *other* shards carry (e.g. a
     // newer bench build's extra field) is just as foreign as a
     // disagreeing value, and must not vanish silently in the merge.
@@ -303,19 +310,6 @@ pub fn merge_docs(docs: &[Json]) -> Result<Json, MergeJsonError> {
         }
         out.set(key, value.clone());
     }
-    // A section only some shards ran (e.g. one host passed --no-fleet) is
-    // an inconsistent union even when shard 0 lacks it.
-    for section in SECTIONS {
-        let present = ordered
-            .iter()
-            .filter(|(_, d)| d.get(section).is_some())
-            .count();
-        if present != 0 && present != ordered.len() {
-            return Err(MergeJsonError::MismatchedSections {
-                section: section.to_string(),
-            });
-        }
-    }
     Ok(out)
 }
 
@@ -338,15 +332,10 @@ pub fn merge_texts<S: AsRef<str>>(texts: &[S]) -> Result<Json, MergeJsonError> {
 }
 
 /// Merges one sweep section across the shard documents, in shard order
-/// and each with its input position.
+/// and each with its input position; [`merge_docs`] has checked that every
+/// shard carries it.
 fn merge_section(name: &str, ordered: &[(usize, &Json)]) -> Result<Json, MergeJsonError> {
-    let section_err = || MergeJsonError::MismatchedSections {
-        section: name.to_string(),
-    };
-    let sections: Vec<&Json> = ordered
-        .iter()
-        .map(|(_, d)| d.get(name).ok_or_else(section_err))
-        .collect::<Result<_, _>>()?;
+    let sections: Vec<&Json> = ordered.iter().filter_map(|(_, d)| d.get(name)).collect();
 
     // Each shard's entries are its slice of a `matrix_scenarios`-entry
     // matrix: the shard rule puts them back in canonical order.
@@ -373,22 +362,11 @@ fn merge_section(name: &str, ordered: &[(usize, &Json)]) -> Result<Json, MergeJs
         }
     }
 
-    let identical = sections
-        .iter()
-        .map(|s| s.get("parallel_identical_to_serial"))
-        .try_fold(true, |acc, v| match v {
-            Some(Json::Bool(b)) => Some(acc && *b),
-            _ => None,
-        });
-
     // Same members, same order as `sweep_section_json` without a shard:
-    // anything else a shard section carried (older builds' host timing) is
-    // not carried over.
+    // anything else a shard section carried (older builds' host timing and
+    // pass verdict) is not carried over.
     let mut out = Json::obj();
     out.set("scenarios", int(merged_entries.len() as u64));
-    if let Some(same) = identical {
-        out.set("parallel_identical_to_serial", Json::Bool(same));
-    }
     out.set(
         "sweep",
         sweep_json(merged_entries.into_iter().cloned().collect()),
@@ -413,16 +391,15 @@ mod tests {
             .build()
     }
 
-    /// A BENCH document as `bench --serial-only` would write it (`"single"`
-    /// section only), sharded or not.
+    /// A BENCH document with a `"single"` section only, sharded or not.
     fn doc(shard: Option<ShardSpec>) -> Json {
         let spec = shard.unwrap_or_else(ShardSpec::solo);
         let report = ShardedSweep::new(spec, SweepRunner::serial()).run(matrix());
         report_doc(&report, shard.is_some())
     }
 
-    /// The document `bench --serial-only` writes for `report`, with its
-    /// shard identity when `sharded`.
+    /// A document with `report` as its `"single"` section, with its shard
+    /// identity when `sharded`.
     fn report_doc(report: &ShardReport, sharded: bool) -> Json {
         let mut doc = Json::obj();
         doc.set("bench", text("policy_comparison_sweep"));
@@ -434,7 +411,7 @@ mod tests {
             doc.set("shard", identity);
         }
         let cut = sharded.then_some((report.spec, report.matrix_len));
-        doc.set("single", sweep_section_json(&report.sweep, None, cut));
+        doc.set("single", sweep_section_json(&report.sweep, cut));
         doc
     }
 
@@ -506,6 +483,28 @@ mod tests {
         );
     }
 
+    /// A section only some shards carry is the same fault whichever shard
+    /// lacks it, shard 0 included, and in either input order.
+    #[test]
+    fn a_section_one_shard_lacks_is_mismatched_sections() {
+        let shards = [0, 1].map(|i| doc(Some(ShardSpec::new(i, 2).unwrap())));
+        for lacking in 0..2 {
+            let mut docs = shards.clone();
+            let carrier = &mut docs[1 - lacking];
+            let section = carrier.get("single").expect("single section").clone();
+            carrier.set("fleet", section);
+            for order in [[0, 1], [1, 0]] {
+                assert_eq!(
+                    merge_docs(&order.map(|i| docs[i].clone())),
+                    Err(MergeJsonError::MismatchedSections {
+                        section: "fleet".into()
+                    }),
+                    "shard {lacking} lacks it, input order {order:?}"
+                );
+            }
+        }
+    }
+
     /// Both callers of the shard rule reject a malformed union with the
     /// same `MergeError`: the runner's merge of shard reports and this
     /// merge of the documents written from them. Identity faults are
@@ -560,7 +559,7 @@ mod tests {
     #[test]
     fn fleet_entries_carry_churn_and_elide_long_tenant_lists() {
         let sweep = synthetic_fleet();
-        let section = sweep_section_json(&sweep, None, None);
+        let section = sweep_section_json(&sweep, None);
         let entry = &entries(&section)[0];
         assert_eq!(entry.str("label"), Some("synth48/max-min/fleet"));
         assert_eq!(entry.get("churn_events"), Some(&Json::Int(2)));
@@ -595,13 +594,10 @@ mod tests {
         let single = ShardedSweep::new(spec, SweepRunner::serial()).run(matrix());
         let mut emitted = std::collections::BTreeSet::new();
         keys(
-            &sweep_section_json(&single.sweep, Some(true), Some((spec, 4))),
+            &sweep_section_json(&single.sweep, Some((spec, 4))),
             &mut emitted,
         );
-        keys(
-            &sweep_section_json(&synthetic_fleet(), None, None),
-            &mut emitted,
-        );
+        keys(&sweep_section_json(&synthetic_fleet(), None), &mut emitted);
         assert!(emitted.contains("matrix_scenarios") && emitted.contains("tenants_elided"));
         let doc = include_str!("../../../docs/BENCH_FORMAT.md");
         for key in emitted {

@@ -14,8 +14,7 @@ use hybridtier_bench::experiments;
 use hybridtier_bench::json::{parse, Json};
 
 /// Every flag `parse_args` accepts besides `--help` itself.
-const FLAGS: &str = "--json --ops --sim-ms --threads --serial-only --parallel-only --no-tiers \
-                     --no-colocation --no-fleet --no-trace --shard --merge";
+const FLAGS: &str = "--json --ops --sim-ms --threads --shard --merge";
 
 fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench"))
@@ -29,9 +28,15 @@ fn help_exits_zero_and_names_every_flag() {
     let out = bench(&["--help"]);
     assert!(out.status.success());
     let usage = String::from_utf8(out.stdout).expect("utf-8 usage");
-    for flag in FLAGS.split_whitespace() {
-        assert!(usage.contains(flag), "usage omits {flag}:\n{usage}");
-    }
+    let named: Vec<&str> = usage
+        .split(|c: char| c == '[' || c.is_whitespace())
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    assert_eq!(
+        named,
+        FLAGS.split_whitespace().collect::<Vec<_>>(),
+        "{usage}"
+    );
 }
 
 #[test]
@@ -44,6 +49,12 @@ fn retired_flags_are_unknown_and_write_nothing() {
         ("regress", Some("0.1")),
         ("no-controller", None),
         ("exec-workers", Some("2")),
+        ("serial-only", None),
+        ("parallel-only", None),
+        ("no-tiers", None),
+        ("no-colocation", None),
+        ("no-fleet", None),
+        ("no-trace", None),
     ] {
         let flag = format!("--{name}");
         let mut args = vec!["--json", json, flag.as_str()];
@@ -80,13 +91,7 @@ fn shards_merge_to_the_unsharded_document() {
             .expect("utf-8 temp path")
             .to_string()
     };
-    let protocol = [
-        "--ops",
-        "1500",
-        "--serial-only",
-        "--no-colocation",
-        "--no-fleet",
-    ];
+    let protocol = ["--ops", "1500", "--sim-ms", "2"];
     let run = |extra: &[&str]| {
         let mut args = protocol.to_vec();
         args.extend(extra);
@@ -162,9 +167,6 @@ fn shards_at_different_horizons_do_not_merge() {
             "500",
             "--sim-ms",
             sim_ms,
-            "--serial-only",
-            "--no-tiers",
-            "--no-trace",
             "--shard",
             &format!("{i}/2"),
             "--json",
@@ -186,6 +188,9 @@ fn shards_at_different_horizons_do_not_merge() {
     assert!(!wrote, "a failed merge wrote its output");
 }
 
+/// The serial ≡ parallel oracle over all five bench matrices: one worker
+/// and three write the same bytes, every section present and none of them
+/// carrying a pass verdict.
 #[test]
 fn equal_flags_write_byte_identical_documents() {
     let tmp = std::env::temp_dir();
@@ -233,6 +238,12 @@ fn equal_flags_write_byte_identical_documents() {
         8,
         "bench, ops_per_scenario, sim_ms_per_scenario and five sections"
     );
+    for (key, section) in &members[3..] {
+        assert!(
+            section.get("parallel_identical_to_serial").is_none(),
+            "{key} carries a pass verdict"
+        );
+    }
 }
 
 #[test]

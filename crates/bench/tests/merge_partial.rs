@@ -10,8 +10,9 @@ use hybridtier_bench::json::{parse, Json};
 use hybridtier_bench::merge::{merge_docs, merge_texts, MergeJsonError};
 
 /// A well-formed 2-way shard document over a 3-scenario matrix: shard 0
-/// owns indices {0, 2}, shard 1 owns {1}. The timing members are the
-/// old-writer case: today's encoder writes none of them.
+/// owns indices {0, 2}, shard 1 owns {1}. The timing members and the
+/// pass verdict are the old-writer case: today's encoder writes none of
+/// them.
 fn shard_text(index: usize) -> String {
     let entries = match index {
         0 => {
@@ -23,7 +24,7 @@ fn shard_text(index: usize) -> String {
         "{{\"bench\":\"policy_comparison_sweep\",\"ops_per_scenario\":5,\
          \"shard\":{{\"index\":{index},\"total\":2}},\
          \"single\":{{\"scenarios\":{n},\"shard_index\":{index},\"shard_total\":2,\
-         \"matrix_scenarios\":3,\"serial_s\":0.5,\
+         \"matrix_scenarios\":3,\"serial_s\":0.5,\"parallel_identical_to_serial\":true,\
          \"sweep\":{{\"threads\":1,\"wall_s\":0.5,\"scenarios\":{entries}}}}}}}",
         n = if index == 0 { 2 } else { 1 },
     )
