@@ -180,6 +180,40 @@ impl AccessBatch {
         );
     }
 
+    /// Replaces the batch with whole operations given column by column (a
+    /// checked trace frame): `ops` yields each operation with its access
+    /// count, in column order. Reserves exactly the given sizes, so a
+    /// reused batch's capacity is the largest chunk it held, not that
+    /// chunk's next power of two.
+    pub(crate) fn refill(
+        &mut self,
+        ops: impl ExactSizeIterator<Item = (Op, u32)>,
+        addrs: impl ExactSizeIterator<Item = u64>,
+        writes: impl ExactSizeIterator<Item = bool>,
+    ) {
+        self.clear();
+        self.ops.reserve_exact(ops.len());
+        self.addrs.reserve_exact(addrs.len());
+        self.writes.reserve_exact(writes.len());
+        let mut start = 0;
+        self.ops.extend(ops.map(|(op, len)| {
+            let record = OpRecord { op, start, len };
+            start += len;
+            record
+        }));
+        self.addrs.extend(addrs);
+        self.writes.extend(writes);
+        debug_assert_eq!(start as usize, self.addrs.len());
+    }
+
+    /// Bytes held by the columns (capacity, not length — what stays
+    /// resident while the batch is reused).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.ops.capacity() * std::mem::size_of::<OpRecord>()
+            + (self.addrs.capacity() + self.pages.capacity()) * 8
+            + self.writes.capacity()
+    }
+
     /// Fills the [`pages`](Self::pages) column from the address column —
     /// one sequential pass per batch, so the engine's access stage never
     /// recomputes `addr >> shift` per access.

@@ -3,11 +3,12 @@
 //! A trace file is a fixed little-endian header followed by a sequence of
 //! self-verifying chunk frames. Each frame stores its operations
 //! **columnar** — per-op `kind`/`cpu_ns`/`access-count` columns, per-access
-//! `addrs`/`writes` columns — mirroring the structure-of-arrays layout of
-//! [`AccessBatch`](crate::AccessBatch), so a decoded chunk feeds the batch
-//! pipeline a whole column range at a time
-//! ([`AccessBatch::append_ops`](crate::AccessBatch::append_ops)) without
-//! ever materializing per-op `Access` vectors.
+//! `addrs`/`writes` columns — in the structure-of-arrays layout of
+//! [`AccessBatch`], and **a decoded chunk is an `AccessBatch`**: the
+//! writer buffers its chunk in one and the reader decodes each frame into
+//! one, so replay feeds the batch pipeline a whole column range at a time
+//! ([`AccessBatch::append_ops`]) without ever materializing per-op
+//! `Access` vectors.
 //!
 //! Layout (byte offsets; all integers little-endian; full specification in
 //! `docs/TRACE_FORMAT.md`):
@@ -37,21 +38,26 @@
 //! folded every byte through one FNV-1a dependency chain, version 2 folds
 //! the payload as little-endian `u64` words through four independent
 //! lanes, so sealing and both verification passes cost a multiply per
-//! eight bytes instead of one per byte. The decoder works per column the
-//! same way: one reduction validates a column's vocabulary, one `extend`
-//! converts it.
+//! eight bytes instead of one per byte.
+//!
+//! Reading a frame is a *check* then a *convert*. The check
+//! ([`check_payload`]) runs on the payload bytes — seal, op-kind
+//! vocabulary, access-count total, write-flag vocabulary, in that order,
+//! one reduction per column — before any column is written; the convert
+//! ([`convert_payload`]) fills the chunk batch a whole column at a time.
+//! [`advance`](TraceReader::advance) does both; [`verify`](TraceReader::verify)
+//! checks without converting.
 //!
 //! `payload_len` must equal `13·ops + 9·accesses` and is capped
 //! ([`MAX_CHUNK_PAYLOAD_BYTES`]) so a corrupted count field can never make
 //! the reader allocate unbounded memory. [`TraceWriter`] streams frames out
 //! as ops arrive — sealing early when the next op would cross the cap, so
 //! it never writes a frame its own reader rejects — and back-patches the
-//! header totals on
-//! [`finish`](TraceWriter::finish); [`TraceReader`] holds **one decoded
-//! chunk at a time** (replay memory is O(chunk), never O(trace) — the
-//! [`max_resident_bytes`](TraceReader::max_resident_bytes) meter is
-//! asserted on by the replay-equivalence suite). Every structural defect —
-//! foreign magic, unknown version, truncation, checksum mismatch,
+//! header totals on [`finish`](TraceWriter::finish); [`TraceReader`] holds
+//! **one decoded chunk at a time** (replay memory is O(chunk), never
+//! O(trace) — the [`max_resident_bytes`](TraceReader::max_resident_bytes)
+//! meter is asserted on by the replay-equivalence suite). Every structural
+//! defect — foreign magic, unknown version, truncation, checksum mismatch,
 //! over-length chunk, total drift — surfaces as a typed [`TraceError`],
 //! never a panic and never a silent short read.
 
@@ -61,6 +67,7 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::access::{Access, Op, OpKind};
+use crate::batch::AccessBatch;
 
 /// Magic bytes opening every trace file.
 pub const TRACE_MAGIC: [u8; 8] = *b"HTIERTRC";
@@ -325,8 +332,6 @@ impl TraceHeader {
         if magic != TRACE_MAGIC {
             return Err(TraceError::BadMagic { found: magic });
         }
-        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte slice"));
-        let le64 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte slice"));
         let version = le32(&fixed[8..12]);
         if version != TRACE_VERSION {
             return Err(TraceError::BadVersion { found: version });
@@ -366,22 +371,17 @@ pub struct TraceSummary {
     pub chunks: u64,
 }
 
-/// Streaming trace writer: buffer one chunk's columns, seal it with its
-/// checksum when full, back-patch the header totals on
+/// Streaming trace writer: buffer one chunk in an [`AccessBatch`], seal
+/// its frame with its checksum when full, back-patch the header totals on
 /// [`finish`](TraceWriter::finish).
 ///
-/// The writer holds at most one chunk's worth of columns — recording is
-/// O(chunk) memory just like replay.
+/// The writer holds at most one chunk — recording is O(chunk) memory just
+/// like replay.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     out: W,
     chunk_ops: usize,
-    // Current chunk, columnar (mirrors the on-disk frame layout).
-    kinds: Vec<u8>,
-    cpu_ns: Vec<u64>,
-    acc_len: Vec<u32>,
-    addrs: Vec<u64>,
-    writes: Vec<u8>,
+    chunk: AccessBatch,
     header: TraceHeader,
 }
 
@@ -422,11 +422,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         Ok(Self {
             out,
             chunk_ops: DEFAULT_CHUNK_OPS,
-            kinds: Vec::new(),
-            cpu_ns: Vec::new(),
-            acc_len: Vec::new(),
-            addrs: Vec::new(),
-            writes: Vec::new(),
+            chunk: AccessBatch::new(),
             header,
         })
     }
@@ -463,20 +459,14 @@ impl<W: Write + Seek> TraceWriter<W> {
         if self.payload_len() + op_bytes > MAX_CHUNK_PAYLOAD_BYTES {
             self.flush_chunk()?;
         }
-        self.kinds.push(match op.kind {
-            OpKind::Read => 0,
-            OpKind::Write => 1,
-            OpKind::Compute => 2,
-        });
-        self.cpu_ns.push(op.cpu_ns);
-        self.acc_len.push(accesses.len() as u32);
-        for a in accesses {
-            self.addrs.push(a.addr);
-            self.writes.push(u8::from(a.is_write));
+        let start = self.chunk.open_op();
+        for &a in accesses {
+            self.chunk.push_access(a);
         }
+        self.chunk.commit_open_op(op, start);
         self.header.total_ops += 1;
         self.header.total_accesses += accesses.len() as u64;
-        if self.kinds.len() >= self.chunk_ops {
+        if self.chunk.len() >= self.chunk_ops {
             self.flush_chunk()?;
         }
         Ok(())
@@ -486,16 +476,17 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// [`MAX_CHUNK_PAYLOAD_BYTES`], so it and both counts fit the
     /// prologue's `u32` fields.
     fn payload_len(&self) -> u64 {
-        self.kinds.len() as u64 * OP_BYTES + self.addrs.len() as u64 * ACCESS_BYTES
+        self.chunk.len() as u64 * OP_BYTES + self.chunk.total_accesses() as u64 * ACCESS_BYTES
     }
 
     /// Seals and writes the buffered chunk (no-op when empty).
     fn flush_chunk(&mut self) -> Result<(), TraceError> {
-        if self.kinds.is_empty() {
+        let c = &self.chunk;
+        if c.is_empty() {
             return Ok(());
         }
-        let ops = self.kinds.len();
-        let accesses = self.addrs.len();
+        let ops = c.len();
+        let accesses = c.total_accesses();
         let payload_len = self.payload_len();
 
         let mut prologue = [0u8; PROLOGUE_BYTES];
@@ -503,18 +494,23 @@ impl<W: Write + Seek> TraceWriter<W> {
         prologue[4..8].copy_from_slice(&(accesses as u32).to_le_bytes());
         prologue[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
 
+        let records = (0..ops).map(|i| c.op_bounds(i));
         let mut payload = Vec::with_capacity(payload_len as usize);
-        payload.extend_from_slice(&self.kinds);
-        for &v in &self.cpu_ns {
-            payload.extend_from_slice(&v.to_le_bytes());
+        payload.extend(records.clone().map(|(op, ..)| match op.kind {
+            OpKind::Read => 0u8,
+            OpKind::Write => 1,
+            OpKind::Compute => 2,
+        }));
+        for (op, ..) in records.clone() {
+            payload.extend_from_slice(&op.cpu_ns.to_le_bytes());
         }
-        for &v in &self.acc_len {
-            payload.extend_from_slice(&v.to_le_bytes());
+        for (_, start, end) in records {
+            payload.extend_from_slice(&((end - start) as u32).to_le_bytes());
         }
-        for &v in &self.addrs {
-            payload.extend_from_slice(&v.to_le_bytes());
+        for &addr in c.addrs() {
+            payload.extend_from_slice(&addr.to_le_bytes());
         }
-        payload.extend_from_slice(&self.writes);
+        payload.extend(c.writes().iter().map(|&w| u8::from(w)));
         debug_assert_eq!(payload.len() as u64, payload_len);
 
         let checksum = chunk_seal(&prologue, &payload);
@@ -523,11 +519,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.out.write_all(&checksum.to_le_bytes())?;
 
         self.header.chunk_count += 1;
-        self.kinds.clear();
-        self.cpu_ns.clear();
-        self.acc_len.clear();
-        self.addrs.clear();
-        self.writes.clear();
+        self.chunk.clear();
         Ok(())
     }
 
@@ -551,104 +543,15 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 }
 
-/// One decoded chunk: the columnar frame, ready to feed
-/// [`AccessBatch`](crate::AccessBatch) column-for-column. Buffers are
-/// reused across [`TraceReader::advance`] calls.
-#[derive(Debug, Default)]
-pub struct TraceChunk {
-    kinds: Vec<OpKind>,
-    cpu_ns: Vec<u64>,
-    /// Exclusive prefix sums of per-op access counts (`len() + 1` entries),
-    /// so an op's access range is two lookups, mirroring
-    /// [`AccessBatch::op_bounds`](crate::AccessBatch::op_bounds).
-    acc_start: Vec<u32>,
-    addrs: Vec<u64>,
-    writes: Vec<bool>,
-}
-
-impl TraceChunk {
-    /// Operations in this chunk.
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Whether the chunk holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-
-    /// Total accesses in this chunk.
-    pub fn total_accesses(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// The `idx`-th operation's metadata.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn op(&self, idx: usize) -> Op {
-        Op {
-            kind: self.kinds[idx],
-            cpu_ns: self.cpu_ns[idx],
-        }
-    }
-
-    /// The `[start, end)` range of the `idx`-th operation's accesses within
-    /// the flat columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn op_access_range(&self, idx: usize) -> (usize, usize) {
-        (
-            self.acc_start[idx] as usize,
-            self.acc_start[idx + 1] as usize,
-        )
-    }
-
-    /// The flat byte-address column.
-    pub fn addrs(&self) -> &[u64] {
-        &self.addrs
-    }
-
-    /// The flat is-write column (parallel to [`addrs`](Self::addrs)).
-    pub fn writes(&self) -> &[bool] {
-        &self.writes
-    }
-
-    /// Reconstructs the `i`-th access of the chunk from the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= total_accesses()`.
-    pub fn access(&self, i: usize) -> Access {
-        Access {
-            addr: self.addrs[i],
-            is_write: self.writes[i],
-        }
-    }
-
-    /// Bytes currently held by the decoded columns (capacity, not length —
-    /// the honest measure of what stays resident across chunk reuse).
-    fn resident_bytes(&self) -> usize {
-        self.kinds.capacity()
-            + self.cpu_ns.capacity() * 8
-            + self.acc_start.capacity() * 4
-            + self.addrs.capacity() * 8
-            + self.writes.capacity()
-    }
-}
-
 /// Streaming trace reader: validates the header on construction, then
 /// decodes one chunk frame per [`advance`](TraceReader::advance) into a
-/// reused [`TraceChunk`] — at no point is more than one chunk resident
+/// reused [`AccessBatch`] — at no point is more than one chunk resident
 /// ([`max_resident_bytes`](TraceReader::max_resident_bytes) meters it).
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     inner: R,
     header: TraceHeader,
-    chunk: TraceChunk,
+    chunk: AccessBatch,
     payload_buf: Vec<u8>,
     chunks_read: u64,
     ops_seen: u64,
@@ -663,10 +566,10 @@ impl TraceReader<BufReader<File>> {
         Self::new(BufReader::new(File::open(path)?))
     }
 
-    /// Streams through every chunk of `path`, verifying checksums, layout,
-    /// and totals, holding one chunk at a time. The cheap way to reject a
-    /// damaged file *before* handing it to a replay that has no error
-    /// channel.
+    /// Streams through every chunk of `path`, checking seals, layout,
+    /// vocabularies and totals without converting a column, holding one
+    /// frame at a time. The cheap way to reject a damaged file *before*
+    /// handing it to a replay that has no error channel.
     pub fn verify_file(path: impl AsRef<Path>) -> Result<TraceSummary, TraceError> {
         Self::open(path)?.verify()
     }
@@ -679,7 +582,7 @@ impl<R: Read> TraceReader<R> {
         Ok(Self {
             inner,
             header,
-            chunk: TraceChunk::default(),
+            chunk: AccessBatch::new(),
             payload_buf: Vec::new(),
             chunks_read: 0,
             ops_seen: 0,
@@ -696,7 +599,7 @@ impl<R: Read> TraceReader<R> {
 
     /// The most recently decoded chunk (empty before the first
     /// [`advance`](Self::advance) and after the last).
-    pub fn chunk(&self) -> &TraceChunk {
+    pub fn chunk(&self) -> &AccessBatch {
         &self.chunk
     }
 
@@ -710,12 +613,38 @@ impl<R: Read> TraceReader<R> {
     /// `Ok(false)` once every chunk has been read and the header totals
     /// have been cross-checked against the data.
     pub fn advance(&mut self) -> Result<bool, TraceError> {
-        if self.done {
+        let Some((ops, accesses)) = self.next_frame()? else {
             return Ok(false);
+        };
+        convert_payload(&self.payload_buf, ops, accesses, &mut self.chunk);
+        self.max_resident = self
+            .max_resident
+            .max(self.payload_buf.capacity() + self.chunk.resident_bytes());
+        Ok(true)
+    }
+
+    /// Streams through every remaining chunk, checking each frame without
+    /// converting it, and returns the totals. Memory stays O(chunk).
+    pub fn verify(mut self) -> Result<TraceSummary, TraceError> {
+        while self.next_frame()?.is_some() {}
+        Ok(TraceSummary {
+            ops: self.ops_seen,
+            accesses: self.accesses_seen,
+            chunks: self.chunks_read,
+        })
+    }
+
+    /// Reads the next frame's payload into `payload_buf` and checks it
+    /// ([`check_payload`]), returning its op and access counts. Returns
+    /// `Ok(None)` once every chunk has been read and the header totals
+    /// have been cross-checked against the data.
+    fn next_frame(&mut self) -> Result<Option<(usize, usize)>, TraceError> {
+        if self.done {
+            return Ok(None);
         }
         if self.chunks_read == self.header.chunk_count {
             self.done = true;
-            self.chunk = TraceChunk::default();
+            self.chunk = AccessBatch::new();
             if self.ops_seen != self.header.total_ops {
                 return Err(TraceError::CountMismatch {
                     what: "total ops",
@@ -730,13 +659,12 @@ impl<R: Read> TraceReader<R> {
                     found: self.accesses_seen,
                 });
             }
-            return Ok(false);
+            return Ok(None);
         }
         let idx = self.chunks_read;
 
         let mut prologue = [0u8; PROLOGUE_BYTES];
         read_exact_or_truncated(&mut self.inner, &mut prologue, "chunk prologue")?;
-        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte slice"));
         let ops = u64::from(le32(&prologue[0..4]));
         let accesses = u64::from(le32(&prologue[4..8]));
         let payload_len = u64::from(le32(&prologue[8..12]));
@@ -757,90 +685,90 @@ impl<R: Read> TraceReader<R> {
         if u64::from_le_bytes(stored) != computed {
             return Err(TraceError::ChecksumMismatch { chunk: idx });
         }
+        let (ops, accesses) = (ops as usize, accesses as usize);
+        check_payload(&self.payload_buf, ops, accesses)?;
 
-        self.decode_payload(ops as usize, accesses as usize)?;
         self.chunks_read += 1;
-        self.ops_seen += ops;
-        self.accesses_seen += accesses;
-        self.max_resident = self
-            .max_resident
-            .max(self.payload_buf.capacity() + self.chunk.resident_bytes());
-        Ok(true)
+        self.ops_seen += ops as u64;
+        self.accesses_seen += accesses as u64;
+        Ok(Some((ops, accesses)))
     }
+}
 
-    /// Splits the verified payload into the reused column vectors, a whole
-    /// column at a time: one reduction checks a column's vocabulary, one
-    /// `extend` converts it. Columns are checked in file order (kinds,
-    /// access counts, write flags), so the first defect in that order is
-    /// the one reported.
-    fn decode_payload(&mut self, ops: usize, accesses: usize) -> Result<(), TraceError> {
-        let c = &mut self.chunk;
-        // Reserve exactly the declared sizes: capacity (what
-        // `max_resident_bytes` meters) is then the largest chunk seen, not
-        // its next power of two.
-        c.kinds.clear();
-        c.kinds.reserve_exact(ops);
-        c.cpu_ns.clear();
-        c.cpu_ns.reserve_exact(ops);
-        c.acc_start.clear();
-        c.acc_start.reserve_exact(ops + 1);
-        c.addrs.clear();
-        c.addrs.reserve_exact(accesses);
-        c.writes.clear();
-        c.writes.reserve_exact(accesses);
+/// Splits a sealed payload of `ops` operations and `accesses` accesses
+/// into its five columns: kinds, cpu_ns, acc_len, addrs, writes.
+fn columns(payload: &[u8], ops: usize, accesses: usize) -> [&[u8]; 5] {
+    let (kinds, rest) = payload.split_at(ops);
+    let (cpu_ns, rest) = rest.split_at(ops * 8);
+    let (acc_len, rest) = rest.split_at(ops * 4);
+    let (addrs, writes) = rest.split_at(accesses * 8);
+    [kinds, cpu_ns, acc_len, addrs, writes]
+}
 
-        let buf = &self.payload_buf;
-        let (kind_bytes, rest) = buf.split_at(ops);
-        let (cpu_bytes, rest) = rest.split_at(ops * 8);
-        let (len_bytes, rest) = rest.split_at(ops * 4);
-        let (addr_bytes, write_bytes) = rest.split_at(accesses * 8);
-        let le64 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+fn le32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4-byte slice"))
+}
 
-        if kind_bytes.iter().fold(0, |max, &k| max.max(k)) > 2 {
-            return Err(TraceError::Malformed { what: "op kind" });
-        }
-        c.kinds.extend(kind_bytes.iter().map(|&k| match k {
-            0 => OpKind::Read,
-            1 => OpKind::Write,
-            _ => OpKind::Compute,
-        }));
-        c.cpu_ns.extend(cpu_bytes.chunks_exact(8).map(le64));
-        // Running totals in `u64`: a column of `u32` counts cannot wrap it,
-        // so the first prefix past `accesses` is the one reported.
-        let mut cursor: u64 = 0;
-        c.acc_start.push(0);
-        for b in len_bytes.chunks_exact(4) {
-            cursor += u64::from(u32::from_le_bytes(b.try_into().expect("4-byte chunk")));
-            if cursor > accesses as u64 {
-                break;
-            }
-            c.acc_start.push(cursor as u32);
-        }
-        if cursor != accesses as u64 {
-            return Err(TraceError::CountMismatch {
-                what: "chunk access total",
-                declared: accesses as u64,
-                found: cursor,
-            });
-        }
-        c.addrs.extend(addr_bytes.chunks_exact(8).map(le64));
-        if write_bytes.iter().fold(0, |or, &w| or | w) > 1 {
-            return Err(TraceError::Malformed { what: "write flag" });
-        }
-        c.writes.extend(write_bytes.iter().map(|&w| w != 0));
-        Ok(())
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte slice"))
+}
+
+/// The check half of a frame read: validates a sealed payload's op-kind
+/// vocabulary, access-count total and write-flag vocabulary, in that
+/// (file) order and one reduction per column, so the first defect in that
+/// order is the one reported. A payload that passes converts without a
+/// failure path.
+fn check_payload(payload: &[u8], ops: usize, accesses: usize) -> Result<(), TraceError> {
+    let [kinds, _, acc_len, _, writes] = columns(payload, ops, accesses);
+    if kinds.iter().fold(0, |max, &k| max.max(k)) > 2 {
+        return Err(TraceError::Malformed { what: "op kind" });
     }
-
-    /// Streams through every remaining chunk, verifying as it goes, and
-    /// returns the totals. Memory stays O(chunk).
-    pub fn verify(mut self) -> Result<TraceSummary, TraceError> {
-        while self.advance()? {}
-        Ok(TraceSummary {
-            ops: self.ops_seen,
-            accesses: self.accesses_seen,
-            chunks: self.chunks_read,
-        })
+    // Running total in `u64`: a column of `u32` counts cannot wrap it, so
+    // the first prefix past `accesses` is the one reported.
+    let mut total: u64 = 0;
+    for b in acc_len.chunks_exact(4) {
+        total += u64::from(le32(b));
+        if total > accesses as u64 {
+            break;
+        }
     }
+    if total != accesses as u64 {
+        return Err(TraceError::CountMismatch {
+            what: "chunk access total",
+            declared: accesses as u64,
+            found: total,
+        });
+    }
+    if writes.iter().fold(0, |or, &w| or | w) > 1 {
+        return Err(TraceError::Malformed { what: "write flag" });
+    }
+    Ok(())
+}
+
+/// The convert half of a frame read: fills `chunk` from a payload that
+/// passed [`check_payload`], a whole column at a time.
+fn convert_payload(payload: &[u8], ops: usize, accesses: usize, chunk: &mut AccessBatch) {
+    let [kinds, cpu_ns, acc_len, addrs, writes] = columns(payload, ops, accesses);
+    let records = kinds
+        .iter()
+        .zip(cpu_ns.chunks_exact(8))
+        .zip(acc_len.chunks_exact(4));
+    chunk.refill(
+        records.map(|((&kind, cpu_ns), len)| {
+            let kind = match kind {
+                0 => OpKind::Read,
+                1 => OpKind::Write,
+                _ => OpKind::Compute,
+            };
+            let op = Op {
+                kind,
+                cpu_ns: le64(cpu_ns),
+            };
+            (op, le32(len))
+        }),
+        addrs.chunks_exact(8).map(le64),
+        writes.iter().map(|&w| w != 0),
+    );
 }
 
 #[cfg(test)]
@@ -865,8 +793,8 @@ mod tests {
         while r.advance().expect("advance") {
             let c = r.chunk();
             for i in 0..c.len() {
-                let (s, e) = c.op_access_range(i);
-                out.push((c.op(i), (s..e).map(|j| c.access(j)).collect()));
+                let (op, s, e) = c.op_bounds(i);
+                out.push((op, (s..e).map(|j| c.access(j)).collect()));
             }
         }
         out
@@ -979,12 +907,22 @@ mod tests {
         ));
     }
 
+    /// The five columns the per-element oracle decodes into.
+    #[derive(Default)]
+    struct Columns {
+        kinds: Vec<OpKind>,
+        cpu_ns: Vec<u64>,
+        acc_start: Vec<u32>,
+        addrs: Vec<u64>,
+        writes: Vec<bool>,
+    }
+
     /// The reader's `decode_payload` body as it stood before the
     /// whole-column rewrite, verbatim (one `match` + `push` per element):
-    /// the oracle the bulk decoder is compared against.
+    /// the oracle the bulk check and convert are compared against.
     fn decode_per_element(
         buf: &[u8],
-        c: &mut TraceChunk,
+        c: &mut Columns,
         ops: usize,
         accesses: usize,
     ) -> Result<(), TraceError> {
@@ -1047,28 +985,34 @@ mod tests {
         Ok(())
     }
 
-    /// Decodes `payload` both ways and requires the same outcome: the same
-    /// five columns on `Ok`, the same error (variant and fields) on `Err`.
+    /// Decodes `payload` both ways — per element, and check then convert
+    /// into the reused `chunk` — and requires the same outcome: the chunk
+    /// batch's `op_bounds`, `addrs` and `writes` equal to the oracle's five
+    /// columns on `Ok`, the same error (variant and fields) on `Err`.
     /// Returns the shared outcome's error, rendered, for the caller to pin.
     fn decode_both_ways(
-        reader: &mut TraceReader<Cursor<Vec<u8>>>,
+        chunk: &mut AccessBatch,
         payload: &[u8],
         ops: usize,
         accesses: usize,
     ) -> Option<String> {
-        let mut oracle = TraceChunk::default();
+        let mut oracle = Columns::default();
         let expected = decode_per_element(payload, &mut oracle, ops, accesses);
-        reader.payload_buf.clear();
-        reader.payload_buf.extend_from_slice(payload);
-        let got = reader.decode_payload(ops, accesses);
+        let got = check_payload(payload, ops, accesses)
+            .map(|()| convert_payload(payload, ops, accesses, chunk));
         match (&expected, &got) {
             (Ok(()), Ok(())) => {
-                let c = &reader.chunk;
-                assert_eq!(c.kinds, oracle.kinds);
-                assert_eq!(c.cpu_ns, oracle.cpu_ns);
-                assert_eq!(c.acc_start, oracle.acc_start);
-                assert_eq!(c.addrs, oracle.addrs);
-                assert_eq!(c.writes, oracle.writes);
+                assert_eq!(chunk.len(), ops);
+                for i in 0..ops {
+                    let op = Op {
+                        kind: oracle.kinds[i],
+                        cpu_ns: oracle.cpu_ns[i],
+                    };
+                    let (s, e) = (oracle.acc_start[i], oracle.acc_start[i + 1]);
+                    assert_eq!(chunk.op_bounds(i), (op, s as usize, e as usize), "op {i}");
+                }
+                assert_eq!(chunk.addrs(), oracle.addrs);
+                assert_eq!(chunk.writes(), oracle.writes);
                 None
             }
             (Err(e), Err(g)) => {
@@ -1094,7 +1038,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % below
         };
-        let mut reader = TraceReader::new(Cursor::new(write_ops(&[], 1))).expect("reader");
+        let mut chunk = AccessBatch::new();
         let mut planted = 0u64;
         for round in 0..16 {
             let ops = [0, 1, 2, 5, 31, 32, 33, 40][round % 8];
@@ -1114,7 +1058,7 @@ mod tests {
             let writes_at = payload.len();
             payload.extend((0..accesses).map(|_| rand(2) as u8));
             assert_eq!(
-                decode_both_ways(&mut reader, &payload, ops, accesses),
+                decode_both_ways(&mut chunk, &payload, ops, accesses),
                 None,
                 "round {round}: a clean payload decodes"
             );
@@ -1133,7 +1077,7 @@ mod tests {
                     let sound = payload[at];
                     for bad in first_bad..=u8::MAX {
                         payload[at] = bad;
-                        assert_eq!(&decode_both_ways(&mut reader, &payload, ops, accesses), err);
+                        assert_eq!(&decode_both_ways(&mut chunk, &payload, ops, accesses), err);
                         planted += 1;
                     }
                     payload[at] = sound;
@@ -1146,23 +1090,23 @@ mod tests {
             let len_at = ops * 9 + 4 * rand(ops as u64) as usize;
             let mut drifted = payload.clone();
             drifted[len_at] = drifted[len_at].wrapping_add(1 + rand(200) as u8);
-            let count_err = decode_both_ways(&mut reader, &drifted, ops, accesses)
+            let count_err = decode_both_ways(&mut chunk, &drifted, ops, accesses)
                 .expect("a drifted access count is rejected");
             assert!(count_err.starts_with("CountMismatch"), "{count_err}");
             let mut p = drifted.clone();
             p[ops - 1] = 3;
-            assert_eq!(decode_both_ways(&mut reader, &p, ops, accesses), kind_err);
+            assert_eq!(decode_both_ways(&mut chunk, &p, ops, accesses), kind_err);
             if accesses > 0 {
                 let mut p = drifted.clone();
                 p[writes_at] = 2;
                 assert_eq!(
-                    decode_both_ways(&mut reader, &p, ops, accesses),
+                    decode_both_ways(&mut chunk, &p, ops, accesses),
                     Some(count_err)
                 );
                 let mut p = payload.clone();
                 p[ops - 1] = 255;
                 p[writes_at] = 255;
-                assert_eq!(decode_both_ways(&mut reader, &p, ops, accesses), kind_err);
+                assert_eq!(decode_both_ways(&mut chunk, &p, ops, accesses), kind_err);
             }
         }
         assert!(

@@ -20,7 +20,7 @@
 //!   in one operation.
 //! * [`TraceWriter`] / [`TraceReader`] — a versioned, chunked, checksummed
 //!   on-disk trace format (`docs/TRACE_FORMAT.md`) whose columnar chunk
-//!   frames mirror the [`AccessBatch`] layout, so recorded access streams
+//!   frames decode into an [`AccessBatch`], so recorded access streams
 //!   bigger than RAM replay a column range at a time
 //!   ([`AccessBatch::append_ops`]) with O(chunk) resident memory.
 //!
@@ -47,7 +47,7 @@ mod sampler;
 pub use access::{Access, Op, OpKind, Workload};
 pub use batch::{AccessBatch, OpRecord};
 pub use file::{
-    TraceChunk, TraceError, TraceHeader, TraceReader, TraceSummary, TraceWriter, DEFAULT_CHUNK_OPS,
+    TraceError, TraceHeader, TraceReader, TraceSummary, TraceWriter, DEFAULT_CHUNK_OPS,
     MAX_CHUNK_PAYLOAD_BYTES, TRACE_MAGIC, TRACE_VERSION,
 };
 pub use sampler::{Sample, Sampler};

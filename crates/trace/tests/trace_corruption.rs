@@ -4,6 +4,11 @@
 //! totals — must surface as a typed [`TraceError`], never a panic and never
 //! a silent short read.
 //!
+//! Every damaged file is read two ways — [`TraceReader::verify`], which
+//! checks each frame without converting it, and the
+//! [`advance`](TraceReader::advance) loop, which checks and converts — and
+//! both must return the same outcome ([`scan`]).
+//!
 //! Frames are re-sealed here by [`seal_from_the_spec`], written from
 //! `docs/TRACE_FORMAT.md` alone and sharing no code with the crate: if the
 //! crate's seal and the document ever disagree, the pinned frame and the
@@ -19,6 +24,7 @@ use std::io::Cursor;
 use tiering_trace::{
     Access, Op, TraceError, TraceReader, TraceWriter, MAX_CHUNK_PAYLOAD_BYTES, TRACE_VERSION,
 };
+use tiering_workloads::TraceReplayWorkload;
 
 /// A small but multi-chunk valid trace (9 ops, chunked 4+4+1).
 fn valid_trace() -> Vec<u8> {
@@ -82,11 +88,22 @@ fn reseal(bytes: &mut [u8], frame: usize) {
     bytes[end..end + 8].copy_from_slice(&seal.to_le_bytes());
 }
 
-/// Fully consumes `bytes` as a trace, returning the first error.
+/// Fully consumes `bytes` as a trace both ways — `verify`, and the
+/// `advance` loop — requires the same outcome (the same error, variant and
+/// fields) from each, and returns it.
 fn scan(bytes: &[u8]) -> Result<(), TraceError> {
-    let mut r = TraceReader::new(Cursor::new(bytes))?;
-    while r.advance()? {}
-    Ok(())
+    let verified = TraceReader::new(Cursor::new(bytes)).and_then(TraceReader::verify);
+    let advanced = (|| {
+        let mut r = TraceReader::new(Cursor::new(bytes))?;
+        while r.advance()? {}
+        Ok(())
+    })();
+    match (&verified, &advanced) {
+        (Ok(_), Ok(())) => {}
+        (Err(v), Err(a)) => assert_eq!(format!("{v:?}"), format!("{a:?}")),
+        _ => panic!("verify gave {verified:?}, the advance loop {advanced:?}"),
+    }
+    advanced
 }
 
 #[test]
@@ -426,4 +443,41 @@ fn garbage_write_flag_is_rejected() {
     bytes[last_flag] = 1;
     reseal(&mut bytes, FIRST_CHUNK);
     assert_eq!(bytes, valid_trace());
+}
+
+/// The third re-sealed twin: an `acc_len` column that over- or
+/// under-counts the prologue's `accesses`, under a valid seal. `verify`,
+/// the `advance` loop and `TraceReplayWorkload::open` all report the
+/// running total the check reached — never the batch fill's "op counts
+/// disagree" panic.
+#[test]
+fn drifted_access_counts_are_rejected() {
+    // Chunk 0 holds 4 ops of 2 accesses (8 in all); its `acc_len` column
+    // follows the 4 kind bytes and the 4 `cpu_ns` words.
+    let first_len = FIRST_CHUNK + 16 + 4 + 8 * 4;
+    let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("corruption-{}-acc-len.trace", std::process::id()));
+    // Over: 3 + 2 + 2 + 2 passes 8 at the last op. Under: 1 + 2 + 2 + 2.
+    for (len, found) in [(3u32, 9), (1, 7)] {
+        let mut bytes = valid_trace();
+        assert_eq!(bytes[first_len..first_len + 4], 2u32.to_le_bytes());
+        bytes[first_len..first_len + 4].copy_from_slice(&len.to_le_bytes());
+        reseal(&mut bytes, FIRST_CHUNK);
+        let is_drift = |e: &TraceError| {
+            matches!(
+                e,
+                TraceError::CountMismatch {
+                    what: "chunk access total",
+                    declared: 8,
+                    found: f,
+                } if *f == found
+            )
+        };
+        let err = scan(&bytes).expect_err("a drifted access count is rejected");
+        assert!(is_drift(&err), "acc_len {len}: {err:?}");
+        std::fs::write(&path, &bytes).expect("write");
+        let err = TraceReplayWorkload::open(&path).expect_err("open refuses the file");
+        assert!(is_drift(&err), "open, acc_len {len}: {err:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }

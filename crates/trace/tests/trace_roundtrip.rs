@@ -34,8 +34,8 @@ fn decode(bytes: &[u8]) -> Vec<(Op, Vec<Access>)> {
     while r.advance().expect("advance") {
         let c = r.chunk();
         for i in 0..c.len() {
-            let (s, e) = c.op_access_range(i);
-            out.push((c.op(i), (s..e).map(|j| c.access(j)).collect()));
+            let (op, s, e) = c.op_bounds(i);
+            out.push((op, (s..e).map(|j| c.access(j)).collect()));
         }
     }
     out
@@ -182,8 +182,8 @@ fn writer_seals_early_at_the_payload_cap() {
     let c = r.chunk();
     assert_eq!(c.len() as u64, BIG_OPS);
     for op in 0..BIG_OPS {
-        assert_eq!(c.op(op as usize), Op::read(op));
-        let (s, e) = c.op_access_range(op as usize);
+        let (decoded, s, e) = c.op_bounds(op as usize);
+        assert_eq!(decoded, Op::read(op));
         let expected = burst(op);
         assert_eq!(e - s, expected.len());
         assert!(expected
@@ -194,9 +194,8 @@ fn writer_seals_early_at_the_payload_cap() {
     assert!(r.advance().expect("second chunk"));
     let c = r.chunk();
     assert_eq!(c.len(), 2);
-    assert_eq!(c.op(0), Op::compute(77));
-    assert_eq!(c.op_access_range(0), (0, 0));
-    assert_eq!(c.op(1), Op::write(78));
+    assert_eq!(c.op_bounds(0), (Op::compute(77), 0, 0));
+    assert_eq!(c.op_bounds(1), (Op::write(78), 0, 3));
     assert_eq!((0..3).map(|i| c.access(i)).collect::<Vec<_>>(), small);
     assert!(!r.advance().expect("end of trace"));
 }

@@ -17,7 +17,7 @@
 //! | Silo (YCSB-C) | [`SiloWorkload`] |
 //! | XGBoost (Criteo) | [`XgboostWorkload`] |
 //!
-//! Plus synthetic building blocks ([`ZipfPageWorkload`], [`PulseWorkload`],
+//! Plus synthetic building blocks ([`ZipfPageWorkload`],
 //! [`SequentialScanWorkload`]) used by the motivation figures and unit tests,
 //! and two composition layers: [`PhasedWorkload`] (generators switching at
 //! op thresholds, for diurnal long-horizon scenarios) and
@@ -51,6 +51,6 @@ pub use replay::{record_workload, TraceReplayWorkload};
 pub use silo::{SiloConfig, SiloWorkload};
 pub use spec::{BwavesWorkload, RomsWorkload};
 pub use suite::{build_workload, visit_workload, WorkloadId, WorkloadVisitor};
-pub use synthetic::{PulseWorkload, SequentialScanWorkload, ZipfPageWorkload};
+pub use synthetic::{SequentialScanWorkload, ZipfPageWorkload};
 pub use xgboost::{XgboostConfig, XgboostWorkload};
 pub use zipf::{ShiftableZipf, ZipfDistribution};

@@ -3,14 +3,15 @@
 //!
 //! [`TraceReplayWorkload`] streams a file written by
 //! [`TraceWriter`](tiering_trace::TraceWriter) (format:
-//! `docs/TRACE_FORMAT.md`) back into the engine. The trace's chunk frames
-//! are columnar in exactly the [`AccessBatch`] structure-of-arrays layout,
-//! so [`fill_batch`](Workload::fill_batch) copies the `addrs`/`writes`
-//! range of the ops it serves into the batch with one slice copy per column
-//! ([`AccessBatch::append_ops`]) — one chunk resident at a time, so traces
-//! bigger than RAM replay in O(chunk) memory
+//! `docs/TRACE_FORMAT.md`) back into the engine. A decoded chunk is an
+//! [`AccessBatch`], so [`fill_batch`](Workload::fill_batch) reads the ops
+//! it serves with [`op_bounds`](AccessBatch::op_bounds) and copies their
+//! `addrs`/`writes` range into the engine's batch with one slice copy per
+//! column ([`AccessBatch::append_ops`]) — one chunk resident at a time, so
+//! traces bigger than RAM replay in O(chunk) memory
 //! ([`max_resident_bytes`](TraceReplayWorkload::max_resident_bytes) meters
-//! it).
+//! it). [`open`](TraceReplayWorkload::open) first verifies the whole file,
+//! which checks every frame without converting it.
 //!
 //! Replay reports the *recorded* workload's name (stored in the trace
 //! header) and footprint, so a replayed scenario resolves the same tier
@@ -68,7 +69,7 @@ pub fn record_workload<W: Workload + ?Sized>(
 /// A [`Workload`] that replays a recorded trace file chunk by chunk.
 ///
 /// Construction ([`open`](Self::open)) verifies the whole file first —
-/// checksums, counts, layout — so corruption surfaces as a typed
+/// checksums, counts, layout, vocabularies — so corruption surfaces as a typed
 /// [`TraceError`] up front rather than mid-simulation, then reopens the
 /// file for streaming. Replay itself holds one decoded chunk at a time.
 #[derive(Debug)]
@@ -170,14 +171,14 @@ impl Workload for TraceReplayWorkload {
             // `ensure_op` left the cursor on an unserved op, so `n ≥ 1`.
             let first = self.cursor;
             let n = (max_ops - filled).min(chunk.len() - first);
-            let (start, _) = chunk.op_access_range(first);
-            let (_, end) = chunk.op_access_range(first + n - 1);
+            let (_, start, _) = chunk.op_bounds(first);
+            let (_, _, end) = chunk.op_bounds(first + n - 1);
             batch.append_ops(
                 &chunk.addrs()[start..end],
                 &chunk.writes()[start..end],
                 (first..first + n).map(|idx| {
-                    let (s, e) = chunk.op_access_range(idx);
-                    (chunk.op(idx), e - s)
+                    let (op, s, e) = chunk.op_bounds(idx);
+                    (op, e - s)
                 }),
             );
             self.cursor += n;
@@ -244,11 +245,11 @@ mod tests {
                 let n = (max_ops - filled).min(chunk.len() - self.cursor);
                 for idx in self.cursor..self.cursor + n {
                     let start = batch.open_op();
-                    let (s, e) = chunk.op_access_range(idx);
+                    let (op, s, e) = chunk.op_bounds(idx);
                     for i in s..e {
                         batch.push_access(chunk.access(i));
                     }
-                    batch.commit_open_op(chunk.op(idx), start);
+                    batch.commit_open_op(op, start);
                 }
                 self.cursor += n;
                 filled += n;

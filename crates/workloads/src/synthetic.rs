@@ -119,69 +119,6 @@ impl Workload for ZipfPageWorkload {
     }
 }
 
-/// A page accessed at a fixed rate for a fixed duration, then never again —
-/// the paper's Figure 3(a) EMA-lag microbenchmark ("a page accessed 50 times
-/// per minute for 10 minutes").
-#[derive(Debug)]
-pub struct PulseWorkload {
-    region: Region,
-    /// Accesses per simulated minute while active.
-    rate_per_min: u64,
-    active_minutes: u64,
-    emitted: u64,
-}
-
-impl PulseWorkload {
-    /// A single page touched `rate_per_min` times per minute for
-    /// `active_minutes`, then never again.
-    pub fn new(rate_per_min: u64, active_minutes: u64) -> Self {
-        let mut layout = LayoutBuilder::new();
-        let region = layout.alloc(4096);
-        Self {
-            region,
-            rate_per_min,
-            active_minutes,
-            emitted: 0,
-        }
-    }
-
-    /// Simulated nanoseconds between consecutive accesses while active.
-    fn access_gap_ns(&self) -> u64 {
-        60_000_000_000 / self.rate_per_min
-    }
-
-    /// Total number of accesses the pulse emits.
-    fn total_accesses(&self) -> u64 {
-        self.rate_per_min * self.active_minutes
-    }
-}
-
-impl Workload for PulseWorkload {
-    fn fill_batch(&mut self, _now_ns: u64, max_ops: usize, batch: &mut AccessBatch) -> usize {
-        let n = max_ops.min((self.total_accesses() - self.emitted) as usize);
-        self.emitted += n as u64;
-        // The op's CPU time *is* the gap between accesses, so the pulse
-        // plays out at the right simulated rate.
-        let op = Op::read(self.access_gap_ns());
-        for _ in 0..n {
-            batch.push_single(op, Access::read(self.region.base()));
-        }
-        n
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.region.bytes()
-    }
-
-    fn name(&self) -> &str {
-        "pulse"
-    }
-
-    fn batchable_now(&self) -> bool {
-        true // pacing comes from op cpu time, not from reading the clock
-    }
-}
-
 /// A pure sequential scan over the whole footprint, repeated for a number of
 /// passes — the classic one-time-only access pattern that pollutes
 /// recency-based tiers (paper §7, "One-time-only Access Patterns").
@@ -295,16 +232,6 @@ mod tests {
         w.next_op(10, &mut buf).unwrap();
         let after_hot = w.zipf.item_at_rank(0);
         assert_ne!(before_hot, after_hot, "rank-0 item should be reassigned");
-    }
-
-    #[test]
-    fn pulse_emits_exact_count_and_rate() {
-        let mut w = PulseWorkload::new(50, 10);
-        assert_eq!(w.total_accesses(), 500);
-        assert_eq!(w.access_gap_ns(), 1_200_000_000);
-        let accesses = drain(&mut w, 1000);
-        assert_eq!(accesses.len(), 500);
-        assert!(accesses.iter().all(|a| a.addr == accesses[0].addr));
     }
 
     #[test]

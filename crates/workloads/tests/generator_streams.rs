@@ -16,8 +16,8 @@
 use tiering_trace::{AccessBatch, OpKind, Workload};
 use tiering_workloads::{
     build_workload, record_workload, BfsWorkload, CacheLibConfig, CacheLibWorkload, CcWorkload,
-    Graph, PhasedWorkload, PrWorkload, PulseWorkload, SequentialScanWorkload, TraceReplayWorkload,
-    WorkloadId, ZipfPageWorkload,
+    Graph, PhasedWorkload, PrWorkload, SequentialScanWorkload, TraceReplayWorkload, WorkloadId,
+    ZipfPageWorkload,
 };
 
 /// Simulated time the harness clock advances per op.
@@ -74,9 +74,8 @@ impl Drop for TraceFile {
 /// The pinned set: all twelve suite workloads, the GAP kernels run to
 /// completion on a small graph (BFS trial resets, PageRank's normalize
 /// scan, CC's convergence), Zipf with a time shift and with a wake-up, a
-/// pulse that ends mid-call, a scan, the phased diurnal mix (one phase
-/// ends before its budget), CacheLib churning inside the call, and one
-/// replayed trace.
+/// scan, the phased diurnal mix (one phase ends before its budget),
+/// CacheLib churning inside the call, and one replayed trace.
 fn pinned_inputs(trace: &TraceFile) -> Vec<Input> {
     let mut inputs: Vec<Input> = WorkloadId::ALL
         .into_iter()
@@ -107,9 +106,6 @@ fn pinned_inputs(trace: &TraceFile) -> Vec<Input> {
                 .with_cpu_ns(5_000)
                 .with_wakeup(1_000_000, 1.2, 50),
         )
-    }));
-    inputs.push(Input::new("pulse", OPS, || {
-        Box::new(PulseWorkload::new(1_999, 10))
     }));
     inputs.push(Input::new("seq-scan", OPS, || {
         Box::new(SequentialScanWorkload::new(300, 50, 1_024))
@@ -240,7 +236,6 @@ const PINNED: &[(&str, u64)] = &[
     ("PR-small", 0xf6e93bd7c36b2f95),
     ("zipf-shift", 0xf631b90e73364448),
     ("zipf-wakeup", 0x631aab23cfca5213),
-    ("pulse", 0x92a99ff1005ae1e9),
     ("seq-scan", 0x734c7e684b411b25),
     ("phased-diurnal", 0x1937da93b023a131),
     ("cachelib-cdn-churn-1", 0x4c4e741e65106b85),
@@ -318,7 +313,7 @@ fn a_short_fill_is_the_last_or_stops_before_the_clock() {
             }
         }
         let label = input.label.as_str();
-        if label.ends_with("-small") || matches!(label, "pulse" | "phased-diurnal") {
+        if label.ends_with("-small") || label == "phased-diurnal" {
             assert!(ended, "{label} ends inside the pulled range");
         }
     }

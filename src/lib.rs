@@ -45,8 +45,10 @@
 //!
 //! The benchmark harness regenerating every paper figure/table lives in the
 //! `hybridtier-bench` crate (`cargo run -p hybridtier-bench --release --bin
-//! repro -- all`); its `bench` binary times the parallel sweep driver and
-//! emits machine-readable `BENCH_*.json`.
+//! repro -- all`); its `bench` binary runs each sweep once on the parallel
+//! sweep driver and writes a byte-deterministic `BENCH_*.json` document
+//! with no timing in it. Host cost is measured by the separate
+//! `benchmark/` package.
 
 /// Doc-tests the repository README: every Rust snippet in it must keep
 /// compiling and passing under `cargo test`.
@@ -104,7 +106,7 @@ pub mod prelude {
     };
     pub use crate::workloads::{
         build_workload, record_workload, BfsWorkload, CacheLibConfig, CacheLibWorkload, Graph,
-        GraphKind, PhasedWorkload, PulseWorkload, SequentialScanWorkload, TraceReplayWorkload,
-        WorkloadId, ZipfDistribution, ZipfPageWorkload,
+        GraphKind, PhasedWorkload, SequentialScanWorkload, TraceReplayWorkload, WorkloadId,
+        ZipfDistribution, ZipfPageWorkload,
     };
 }
