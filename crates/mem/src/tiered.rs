@@ -201,15 +201,16 @@ const UNMAPPED: u8 = u8::MAX;
 /// Internally the table is an N-tier ladder ([`TierTopology`]): the classic
 /// constructor [`new`](TieredMemory::new) builds the 2-tier testbed, while
 /// [`with_topology`](TieredMemory::with_topology) runs deeper hierarchies.
-/// The binary [`Tier`] API is a facade over the ladder — tier 0 reads as
-/// [`Tier::Fast`], every rung below it as [`Tier::Slow`] — so policies
-/// written for two tiers keep working; ladder-aware callers use
-/// [`tier_index_of`](TieredMemory::tier_index_of) and the
-/// [`promote_toward`](TieredMemory::promote_toward) /
-/// [`demote_toward`](TieredMemory::demote_toward) adjacent-hop moves.
+/// The ladder is the only record of each rung's capacity, so a quota change
+/// ([`set_fast_capacity`](TieredMemory::set_fast_capacity)) reaches every
+/// reader at once. The binary [`Tier`] API is a facade over the ladder —
+/// tier 0 reads as [`Tier::Fast`], every rung below it as [`Tier::Slow`] —
+/// and each two-tier call is a rung call: `promote` / `demote` are
+/// [`promote_toward`](TieredMemory::promote_toward) rung 0 /
+/// [`demote_toward`](TieredMemory::demote_toward) the bottom rung, and the
+/// `fast_*` reads are the `tier_*` reads of rung 0.
 #[derive(Debug, Clone)]
 pub struct TieredMemory {
-    config: TierConfig,
     topology: TierTopology,
     /// Placement per page: tier index, or [`UNMAPPED`].
     table: Vec<u8>,
@@ -233,7 +234,6 @@ impl TieredMemory {
     /// Creates an empty memory over an arbitrary N-tier ladder.
     pub fn with_topology(topology: TierTopology) -> Self {
         Self {
-            config: topology.as_tier_config(),
             table: vec![UNMAPPED; topology.address_space_pages() as usize],
             used: vec![0; topology.n_tiers()],
             topology,
@@ -245,9 +245,10 @@ impl TieredMemory {
 
     /// The 2-tier facade of this memory's configuration: `fast` is tier 0,
     /// `slow` pools every rung below it. Exactly the constructor argument
-    /// for memories built with [`new`](Self::new).
+    /// for memories built with [`new`](Self::new), with the current fast
+    /// capacity.
     pub fn config(&self) -> TierConfig {
-        self.config
+        self.topology.as_tier_config()
     }
 
     /// The ladder this memory runs on.
@@ -354,15 +355,12 @@ impl TieredMemory {
                 return t;
             }
         }
-        if self.n_tiers() == 2 {
-            panic!("both tiers full; slow tier must be sized to the footprint");
-        }
         panic!("all tiers full; the bottom tier must be sized to the footprint");
     }
 
     #[inline]
     fn has_free(&self, tier: usize) -> bool {
-        self.used[tier] < self.topology.tier(tier).capacity_pages
+        self.used[tier] < self.tier_capacity(tier)
     }
 
     /// Moves a mapped page one adjacent hop, `from` → `to`, charging the
@@ -392,7 +390,8 @@ impl TieredMemory {
         Ok(to)
     }
 
-    /// Moves `page` one rung toward the fast end (slow → fast in 2-tier).
+    /// Moves `page` one rung toward the fast end (slow → fast in 2-tier):
+    /// [`promote_toward`](Self::promote_toward) rung 0.
     ///
     /// # Errors
     ///
@@ -401,27 +400,18 @@ impl TieredMemory {
     /// [`MigrationError::TierFull`] if the destination rung has no free
     /// page (the caller must demote first; failed promotions are counted).
     pub fn promote(&mut self, page: PageId) -> Result<(), MigrationError> {
-        match self.tier_index_of(page) {
-            None => Err(MigrationError::NotMapped(page)),
-            Some(0) => Err(MigrationError::AlreadyThere(page, Tier::Fast)),
-            Some(idx) => self.hop(page, idx, idx - 1).map(|_| ()),
-        }
+        self.promote_toward(page, 0).map(|_| ())
     }
 
-    /// Moves `page` one rung toward the cold end (fast → slow in 2-tier).
+    /// Moves `page` one rung toward the cold end (fast → slow in 2-tier):
+    /// [`demote_toward`](Self::demote_toward) the bottom rung.
     ///
     /// # Errors
     ///
     /// Mirror image of [`promote`](TieredMemory::promote), except failed
     /// demotions are not counted.
     pub fn demote(&mut self, page: PageId) -> Result<(), MigrationError> {
-        match self.tier_index_of(page) {
-            None => Err(MigrationError::NotMapped(page)),
-            Some(idx) if idx == self.topology.bottom() => {
-                Err(MigrationError::AlreadyThere(page, Tier::Slow))
-            }
-            Some(idx) => self.hop(page, idx, idx + 1).map(|_| ()),
-        }
+        self.demote_toward(page, self.topology.bottom()).map(|_| ())
     }
 
     /// One adjacent hop up-ladder toward the `target` rung; returns the
@@ -473,7 +463,7 @@ impl TieredMemory {
 
     /// Pages currently resident in the fast tier (tier 0).
     pub fn fast_used(&self) -> u64 {
-        self.used[0]
+        self.tier_used(0)
     }
 
     /// Pages currently resident below the fast tier.
@@ -500,20 +490,19 @@ impl TieredMemory {
     /// Free pages remaining in the fast tier (zero when over quota after a
     /// capacity shrink).
     pub fn fast_free(&self) -> u64 {
-        self.config.fast_capacity_pages.saturating_sub(self.used[0])
+        self.tier_free(0)
     }
 
     /// Re-sizes the fast tier (the global-tiering controller of paper §7
-    /// adjusts per-tenant quotas at runtime). Shrinking below the current
-    /// occupancy is allowed: the tier reports zero free pages until the
-    /// policy's watermark demotion drains the excess.
+    /// adjusts per-tenant quotas at runtime) by writing rung 0 of the
+    /// ladder, the one record every reader and policy reads. Shrinking
+    /// below the current occupancy is allowed: the tier reports zero free
+    /// pages until the policy's watermark demotion drains the excess.
     ///
     /// # Panics
     ///
     /// Panics if `pages == 0`.
     pub fn set_fast_capacity(&mut self, pages: u64) {
-        assert!(pages > 0, "fast capacity must be positive");
-        self.config.fast_capacity_pages = pages;
         self.topology.set_tier_capacity(0, pages);
     }
 
@@ -522,23 +511,19 @@ impl TieredMemory {
     /// `f64` division.
     #[inline]
     pub fn fast_free_below(&self, frac: f64) -> bool {
-        frac_lt(self.fast_free(), self.config.fast_capacity_pages, frac)
+        self.tier_free_below(0, frac)
     }
 
     /// Exact watermark test for one rung: `tier_free(tier) / capacity <
     /// frac` — the per-rung form demotion chains cascade on.
     #[inline]
     pub fn tier_free_below(&self, tier: usize, frac: f64) -> bool {
-        frac_lt(
-            self.tier_free(tier),
-            self.topology.tier(tier).capacity_pages,
-            frac,
-        )
+        frac_lt(self.tier_free(tier), self.tier_capacity(tier), frac)
     }
 
     /// Number of pages in the address space (mapped or not).
     pub fn address_space_pages(&self) -> u64 {
-        self.config.address_space_pages
+        self.topology.address_space_pages()
     }
 
     /// Number of currently mapped pages.

@@ -4,8 +4,9 @@
 //! with two resident LRU lists (T1: seen once, T2: seen twice+) and two
 //! ghost lists (B1/B2) steering the adaptation parameter `p`. The paper
 //! implements it as a tiering baseline (§5.2): the fast tier is the cache
-//! (capacity = fast-tier pages), new pages allocate to the slow tier, and a
-//! sampled access to a non-resident page is a "miss" that promotes it.
+//! (capacity = fast-tier pages, read live), new pages allocate to the slow
+//! tier, and a sampled access to a non-resident page is a "miss" that
+//! promotes it.
 //!
 //! The paper's profiling observation — "upon a cold miss, both systems
 //! directly promote the missed page... often too aggressive" (§6.1) — is a
@@ -30,20 +31,18 @@ const META_BASE: u64 = 0x7800_0000_0000;
 #[derive(Debug)]
 pub struct ArcPolicy {
     lists: ListSet,
-    /// Adaptation target for |T1|.
+    /// Adaptation target for |T1|, kept within the cache capacity.
     p: usize,
-    /// Cache capacity = fast-tier pages.
-    c: usize,
     chain: DemotionChain,
 }
 
 impl ArcPolicy {
-    /// Builds ARC with capacity equal to the fast tier.
+    /// Builds ARC over the address space of `tier_cfg`; the cache capacity
+    /// is the fast tier's, read live from the memory.
     pub fn new(tier_cfg: &TierConfig) -> Self {
         Self {
             lists: ListSet::new(tier_cfg.address_space_pages as usize, 4),
             p: 0,
-            c: tier_cfg.fast_capacity_pages as usize,
             chain: DemotionChain::new(),
         }
     }
@@ -88,6 +87,9 @@ impl ArcPolicy {
         let x = sample.page.0 as u32;
         ctx.tiering_work_ns += LRU_NODE_NS;
         ctx.metadata_lines.push(META_BASE + sample.page.0 * 9);
+        // The live cache size (a quota change moves it); `p ≤ c` across a shrink.
+        let c = mem.topology().tier(0).capacity_pages as usize;
+        self.p = self.p.min(c);
         match self.lists.which(x) {
             // Case I: resident hit → MRU of T2.
             Some(T1) | Some(T2) => {
@@ -96,7 +98,7 @@ impl ArcPolicy {
             // Case II: ghost hit in B1 → grow p toward recency.
             Some(B1) => {
                 let delta = (self.lists.len(B2) / self.lists.len(B1).max(1)).max(1);
-                self.p = (self.p + delta).min(self.c);
+                self.p = (self.p + delta).min(c);
                 self.replace(false, mem);
                 self.lists.remove(x);
                 self.lists.push_mru(T2, x);
@@ -114,9 +116,10 @@ impl ArcPolicy {
             Some(_) => unreachable!("only four lists"),
             // Case IV: cold miss → admit to T1 (the lenient promotion).
             None => {
+                // `>=`: after a shrink |T1| + |B1| may exceed c.
                 let l1 = self.lists.len(T1) + self.lists.len(B1);
-                if l1 == self.c && self.c > 0 {
-                    if self.lists.len(T1) < self.c {
+                if l1 >= c {
+                    if self.lists.len(T1) < c {
                         self.lists.pop_lru(B1);
                         self.replace(false, mem);
                     } else if let Some(v) = self.lists.pop_lru(T1) {
@@ -125,11 +128,11 @@ impl ArcPolicy {
                     }
                 } else {
                     let total = l1 + self.lists.len(T2) + self.lists.len(B2);
-                    if total >= self.c {
-                        if total >= 2 * self.c {
+                    if total >= c {
+                        if total >= 2 * c {
                             self.lists.pop_lru(B2);
                         }
-                        if self.resident() >= self.c {
+                        if self.resident() >= c {
                             self.replace(false, mem);
                         }
                     }
@@ -167,6 +170,7 @@ impl TieringPolicy for ArcPolicy {
     }
 
     fn metadata_bytes(&self) -> usize {
+        // The lists plus the scalars `p` and `c` a standalone ARC stores.
         self.lists.metadata_bytes() + 16
     }
 }

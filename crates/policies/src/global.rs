@@ -180,11 +180,16 @@ impl WeightFn {
 
 /// A lazy, `O(1)`-per-slot representation of one exact apportioning
 /// decision: `quota(slot) = floor + plan_alloc(plan, slot, norm[slot])`.
-/// Constructed in `O(log n)`-ish time from the demand treap; equal, slot
-/// for slot, to the full-scan objective bodies kept as the test oracle
-/// (`tests/support/oracle.rs`).
+/// A rebalance constructs one in `O(log n)`-ish time from the demand treap;
+/// equal, slot for slot, to the full-scan objective bodies kept as the test
+/// oracle (`tests/support/oracle.rs`). [`GlobalController::add_tenant`]'s
+/// equal seed split is one more ([`ApportionPlan::Equal`]).
 #[derive(Debug, Clone)]
 enum ApportionPlan {
+    /// The equal seed split over an all-live slot table (rank = slot):
+    /// `alloc = base + [slot < rem]`, the remainder pages going to the
+    /// earliest slots.
+    Equal { base: u64, rem: u64 },
     /// One exact weighted split plus a per-slot base — proportional share
     /// and every SLO phase. `alloc(d) = base(d) +
     /// floor(amount·w(d)/total) + dust·[slot == dust_slot]`; since `w` is
@@ -228,6 +233,7 @@ fn cutoff_bonus(cutoff: Option<(u64, usize)>, d: u64, slot: usize) -> u64 {
 /// read side of the lazy quota representation.
 fn plan_alloc(plan: &ApportionPlan, slot: usize, d: u64) -> u64 {
     match *plan {
+        ApportionPlan::Equal { base, rem } => base + u64::from((slot as u64) < rem),
         ApportionPlan::Weighted {
             weight,
             amount,
@@ -437,10 +443,10 @@ struct TenantSlot {
     live: bool,
 }
 
-/// A rebalance whose quotas exist only as `floor + plan` — the lazy state
-/// a rebalance leaves behind instead of materialized per-slot quotas.
-/// Folded into the slots (`materialize`) the moment any operation needs
-/// mutable per-slot quotas (churn, the min-one fixup).
+/// Quotas that exist only as `floor + plan` — the lazy state a rebalance
+/// or the equal seed split leaves behind instead of materialized per-slot
+/// quotas. Folded into the slots (`materialize`) the moment any operation
+/// needs mutable per-slot quotas (churn, the min-one fixup).
 #[derive(Debug, Clone)]
 struct LazyPlan {
     floor: u64,
@@ -480,14 +486,9 @@ pub struct GlobalController {
     dirty_slots: Vec<usize>,
     live_count: usize,
     apportioner: IncrementalApportioner,
+    /// Quotas as a plan instead of per-slot values (see [`LazyPlan`]);
+    /// `None` when the slots hold them.
     lazy: Option<LazyPlan>,
-    /// Set while quotas are (lazily) the equal seed split of the budget —
-    /// [`add_tenant`](Self::add_tenant) resets every live tenant anyway,
-    /// so registering an `n`-tenant fleet stays `O(n)` total instead of
-    /// `O(n²)`. Only ever set when every slot is live (rank = index);
-    /// folded by [`materialize`](Self::materialize). Mutually exclusive
-    /// with `lazy`.
-    equal_share: bool,
     /// Lazily rebuilt max-heap of `(quota, Reverse(slot))` over live slots,
     /// making admission bursts `O(log n)` amortized; invalidated whenever
     /// quotas change outside `admit_tenant` itself.
@@ -525,7 +526,6 @@ impl GlobalController {
             live_count: 0,
             apportioner: IncrementalApportioner::default(),
             lazy: None,
-            equal_share: false,
             donor_heap: None,
             fixup_ops: 0,
             events: Vec::new(),
@@ -569,18 +569,21 @@ impl GlobalController {
         );
         let slot = self.register_slot(name, footprint_pages, 0);
         // The reset discards every prior quota, so nothing needs
-        // materializing first — registering an n-tenant fleet is O(n)
-        // total. With retired slots in the table the live ranks are no
-        // longer the indices, so fall back to the eager loop.
-        self.lazy = None;
+        // materializing first, and the split stays a lazy plan —
+        // registering an n-tenant fleet is O(n) total. With retired slots
+        // in the table the live ranks are no longer the indices, so fall
+        // back to the eager loop.
         self.donor_heap = None;
+        let n = self.live_count as u64;
+        let base = self.fast_budget_pages / n;
+        let rem = self.fast_budget_pages % n;
         if self.live_count == self.tenants.len() {
-            self.equal_share = true;
+            self.lazy = Some(LazyPlan {
+                floor: 0,
+                plan: ApportionPlan::Equal { base, rem },
+            });
         } else {
-            self.equal_share = false;
-            let n = self.live_count as u64;
-            let base = self.fast_budget_pages / n;
-            let rem = self.fast_budget_pages % n;
+            self.lazy = None;
             let mut live_idx = 0u64;
             for t in self.tenants.iter_mut() {
                 if t.live {
@@ -740,19 +743,14 @@ impl GlobalController {
         self.tenants[idx].footprint_pages
     }
 
-    /// The tenant's current fast-tier quota in pages. Under a lazy
-    /// rebalance this evaluates the plan for the slot in `O(1)`; the
-    /// result is identical to the materialized quota.
+    /// The tenant's current fast-tier quota in pages. Under a lazy plan
+    /// (a rebalance or the equal seed split) this evaluates the plan for
+    /// the slot in `O(1)`; the result is identical to the materialized
+    /// quota.
     pub fn quota(&self, idx: usize) -> u64 {
         let t = &self.tenants[idx];
         if !t.live {
             return 0;
-        }
-        if self.equal_share {
-            // All slots are live while this flag holds, so rank = index.
-            let n = self.live_count as u64;
-            return self.fast_budget_pages / n
-                + u64::from((idx as u64) < self.fast_budget_pages % n);
         }
         match &self.lazy {
             Some(lz) => lz.floor + plan_alloc(&lz.plan, idx, self.norm[idx]),
@@ -769,17 +767,6 @@ impl GlobalController {
     /// the `O(n)` step churn and the min-one fixup pay so they can mutate
     /// individual quotas. A no-op when quotas are already materialized.
     fn materialize(&mut self) {
-        if self.equal_share {
-            self.equal_share = false;
-            let n = self.live_count as u64;
-            let base = self.fast_budget_pages / n;
-            let rem = self.fast_budget_pages % n;
-            for (i, t) in self.tenants.iter_mut().enumerate() {
-                t.quota = base + u64::from((i as u64) < rem);
-            }
-            self.donor_heap = None;
-            return;
-        }
         let Some(lz) = self.lazy.take() else {
             return;
         };
@@ -909,7 +896,6 @@ impl GlobalController {
         let floor = self.floor_pages();
         let distributable = self.fast_budget_pages.saturating_sub(floor * m as u64);
         self.donor_heap = None;
-        self.equal_share = false;
         let plan = self.apportioner.plan(self.objective, distributable);
         // The smallest lazy quota is `floor + min_alloc`; only a zero there
         // gives the min-one fixup anything to do.
@@ -1048,6 +1034,45 @@ mod tests {
         assert!(g.quota(0).abs_diff(g.quota(1)) <= 1, "equal initial shares");
         assert_eq!(g.tenant_name(1), "b");
         assert_eq!(g.footprint_pages(0), 10_000);
+    }
+
+    /// Quotas read lazily equal the quotas after the fold, whether
+    /// `add_tenant` left the equal split as a plan (every slot live) or
+    /// wrote it slot by slot (after a retire), and after admissions.
+    #[test]
+    fn add_tenant_split_reads_the_same_lazy_and_folded() {
+        fn lazy_equals_folded(g: &mut GlobalController, lazy: bool, what: &str) -> Vec<u64> {
+            assert_eq!(g.lazy.is_some(), lazy, "{what}: plan state");
+            let read = g.quotas();
+            g.materialize();
+            assert!(g.lazy.is_none(), "{what}: folded");
+            assert_eq!(g.quotas(), read, "{what}: lazy ≠ folded");
+            assert_eq!(read.iter().sum::<u64>(), g.fast_budget_pages(), "{what}");
+            read
+        }
+        let mut g = GlobalController::new(1_003, 0.1);
+        for name in ["a", "b", "c"] {
+            g.add_tenant(name, 10_000);
+        }
+        assert_eq!(lazy_equals_folded(&mut g, true, "seed"), [335, 334, 334]);
+        // After admissions every slot is still live: the split is a plan.
+        g.admit_tenant("d", 10_000);
+        g.admit_tenant("e", 10_000);
+        g.add_tenant("f", 10_000);
+        assert_eq!(
+            lazy_equals_folded(&mut g, true, "after admissions"),
+            [168, 167, 167, 167, 167, 167]
+        );
+        // After a retire the live ranks are not the slots: eager loop.
+        g.retire_tenant(1);
+        g.add_tenant("g", 10_000);
+        assert_eq!(
+            lazy_equals_folded(&mut g, false, "after a retire"),
+            [168, 0, 167, 167, 167, 167, 167]
+        );
+        // A rebalance over the split reads the same through either path.
+        g.rebalance(0, &[5, 0, 1, 1, 1, 1, 9]);
+        lazy_equals_folded(&mut g, true, "after a rebalance");
     }
 
     #[test]

@@ -275,6 +275,7 @@ impl HybridTierPolicy {
         // sized for a few hundred pages would saturate with collisions,
         // which at paper scale (millions of fast-tier pages) cannot happen.
         // The floors are negligible in bytes and only bind in small runs.
+        // Sized once here on purpose: a quota change keeps the filter.
         let n_freq = (tier_cfg.fast_capacity_pages.max(1) as usize).max(16_384);
         let freq_params = match config.cbf_budget_bytes {
             Some(bytes) => CbfParams::for_budget_bytes(bytes, CBF_HASHES, width),
@@ -403,7 +404,7 @@ impl HybridTierPolicy {
     fn flush_promotions(&mut self, now_ns: u64, mem: &mut TieredMemory, ctx: &mut PolicyCtx) {
         self.samples_since_flush = 0;
         self.freq_threshold = self.hist.threshold_for(
-            mem.config().fast_capacity_pages,
+            mem.topology().tier(0).capacity_pages,
             self.config.min_freq_threshold,
         );
         if self.promo_queue.is_empty() {

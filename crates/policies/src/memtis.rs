@@ -81,7 +81,8 @@ pub struct MemtisPolicy {
     scan_cursor: u64,
     chain: DemotionChain,
     /// Physical pages across both tiers (struct-page metadata is per
-    /// physical page, not per mapped page).
+    /// physical page, not per mapped page). Sized once at construction on
+    /// purpose: a quota change does not move the Table 4 charge.
     physical_pages: u64,
 }
 
@@ -154,7 +155,7 @@ impl MemtisPolicy {
 
         self.threshold = self
             .hist
-            .threshold_for(mem.config().fast_capacity_pages, MIN_THRESHOLD);
+            .threshold_for(mem.topology().tier(0).capacity_pages, MIN_THRESHOLD);
 
         // Promotion is attempted inline (kmigrated is asynchronous but fast);
         // when the fast tier is clogged the candidate is simply dropped —
@@ -214,7 +215,8 @@ impl TieringPolicy for MemtisPolicy {
             .cascade(mem, DEMOTE_WMARK, MAX_SCAN_PER_CALL, ctx);
         // Background page-size determination / kptscand-style activity that
         // grows with the managed fast tier (paper §6.1 observation).
-        ctx.tiering_work_ns += mem.config().fast_capacity_pages * BACKGROUND_NS_PER_KPAGE / 1_000;
+        ctx.tiering_work_ns +=
+            mem.topology().tier(0).capacity_pages * BACKGROUND_NS_PER_KPAGE / 1_000;
     }
 
     fn metadata_bytes(&self) -> usize {

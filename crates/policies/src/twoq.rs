@@ -6,7 +6,7 @@
 //! LRU `Am`. The paper uses the original parameters `Kin = maxSize/4`,
 //! `Kout = maxSize/2` (§6.1), allocates new pages slow-tier first, and
 //! promotes on first sampled touch — sharing ARC's lenient-promotion
-//! weakness.
+//! weakness. `maxSize` is the fast tier's capacity, read live.
 
 use tiering_mem::{PageId, Tier, TierConfig, TieredMemory};
 use tiering_trace::Sample;
@@ -22,28 +22,29 @@ const A1OUT: u8 = 2;
 const LRU_NODE_NS: u64 = 8;
 const META_BASE: u64 = 0x7900_0000_0000;
 
+/// FIFO admission-queue capacity for a cache of `c` pages (`maxSize / 4`).
+fn k_in(c: usize) -> usize {
+    (c / 4).max(1)
+}
+
+/// Ghost-queue capacity for a cache of `c` pages (`maxSize / 2`).
+fn k_out(c: usize) -> usize {
+    (c / 2).max(1)
+}
+
 /// The 2Q tiering policy.
 #[derive(Debug)]
 pub struct TwoQPolicy {
     lists: ListSet,
-    /// Fast-tier capacity in pages.
-    c: usize,
-    /// FIFO admission-queue capacity (`maxSize / 4`).
-    k_in: usize,
-    /// Ghost-queue capacity (`maxSize / 2`).
-    k_out: usize,
     chain: DemotionChain,
 }
 
 impl TwoQPolicy {
-    /// Builds 2Q with the paper's default parameters for the fast tier.
+    /// Builds 2Q over the address space of `tier_cfg`; its queues are
+    /// sized from the fast tier's live capacity.
     pub fn new(tier_cfg: &TierConfig) -> Self {
-        let c = tier_cfg.fast_capacity_pages as usize;
         Self {
             lists: ListSet::new(tier_cfg.address_space_pages as usize, 3),
-            c,
-            k_in: (c / 4).max(1),
-            k_out: (c / 2).max(1),
             chain: DemotionChain::new(),
         }
     }
@@ -53,14 +54,14 @@ impl TwoQPolicy {
         self.lists.len(A1IN) + self.lists.len(AM)
     }
 
-    /// Frees one resident slot per the 2Q reclaim rule.
-    fn reclaim_slot(&mut self, mem: &mut TieredMemory) {
-        if self.lists.len(A1IN) > self.k_in {
+    /// Frees one resident slot of a `c`-page cache per the 2Q reclaim rule.
+    fn reclaim_slot(&mut self, c: usize, mem: &mut TieredMemory) {
+        if self.lists.len(A1IN) > k_in(c) {
             // Evict the FIFO tail into the ghost queue.
             if let Some(victim) = self.lists.pop_lru(A1IN) {
                 let _ = mem.demote(PageId(victim as u64));
                 self.lists.push_mru(A1OUT, victim);
-                if self.lists.len(A1OUT) > self.k_out {
+                if self.lists.len(A1OUT) > k_out(c) {
                     self.lists.pop_lru(A1OUT);
                 }
             }
@@ -73,9 +74,9 @@ impl TwoQPolicy {
         }
     }
 
-    fn promote(&mut self, page: PageId, mem: &mut TieredMemory) -> bool {
+    fn promote(&mut self, page: PageId, c: usize, mem: &mut TieredMemory) -> bool {
         while mem.fast_free() == 0 && self.resident() > 0 {
-            self.reclaim_slot(mem);
+            self.reclaim_slot(c, mem);
         }
         mem.promote(page).is_ok()
     }
@@ -86,6 +87,8 @@ impl TwoQPolicy {
         let x = sample.page.0 as u32;
         ctx.tiering_work_ns += LRU_NODE_NS;
         ctx.metadata_lines.push(META_BASE + sample.page.0 * 9);
+        // The live cache size: a quota change moves it.
+        let c = mem.topology().tier(0).capacity_pages as usize;
         match self.lists.which(x) {
             Some(AM) => {
                 self.lists.touch(AM, x);
@@ -97,16 +100,17 @@ impl TwoQPolicy {
                 // Re-reference after admission-queue eviction: hot enough
                 // for the main LRU.
                 self.lists.remove(x);
-                if self.promote(sample.page, mem) {
+                if self.promote(sample.page, c, mem) {
                     self.lists.push_mru(AM, x);
                 }
             }
             Some(_) => unreachable!("only three lists"),
             None => {
-                if mem.tier_of(sample.page) == Some(Tier::Slow) && self.promote(sample.page, mem) {
+                if mem.tier_of(sample.page) == Some(Tier::Slow) && self.promote(sample.page, c, mem)
+                {
                     self.lists.push_mru(A1IN, x);
-                    if self.resident() > self.c {
-                        self.reclaim_slot(mem);
+                    if self.resident() > c {
+                        self.reclaim_slot(c, mem);
                     }
                 } else if mem.tier_of(sample.page) == Some(Tier::Fast)
                     && self.lists.which(x).is_none()
@@ -142,6 +146,7 @@ impl TieringPolicy for TwoQPolicy {
     }
 
     fn metadata_bytes(&self) -> usize {
+        // The lists plus the scalars `c`, `Kin`, `Kout` a standalone 2Q stores.
         self.lists.metadata_bytes() + 24
     }
 }
@@ -168,10 +173,11 @@ mod tests {
 
     #[test]
     fn parameters_follow_the_paper() {
-        let (p, _) = setup();
-        assert_eq!(p.c, 16);
-        assert_eq!(p.k_in, 4);
-        assert_eq!(p.k_out, 8);
+        let (_, mem) = setup();
+        let c = mem.topology().tier(0).capacity_pages as usize;
+        assert_eq!(c, 16);
+        assert_eq!(k_in(c), 4);
+        assert_eq!(k_out(c), 8);
     }
 
     #[test]
@@ -218,6 +224,30 @@ mod tests {
         p.on_sample_batch(&[sample(0)], &mut mem, &mut ctx);
         assert_eq!(p.lists.which(0), Some(AM));
         assert_eq!(mem.tier_of(PageId(0)), Some(Tier::Fast));
+    }
+
+    #[test]
+    fn admission_queue_eviction_follows_the_current_capacity() {
+        let (mut p, mut mem) = setup();
+        let mut ctx = PolicyCtx::new();
+        for i in 0..64u64 {
+            mem.ensure_mapped(PageId(i), Tier::Slow);
+        }
+        // A quota grow from 16 to 48 pages: Kin becomes 12, Kout 24.
+        mem.set_fast_capacity(48);
+        for i in 0..48u64 {
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
+        }
+        assert_eq!(mem.stats().demotions, 0, "no eviction while there is room");
+        assert_eq!((p.lists.len(A1IN), mem.fast_used()), (48, 48));
+        // Twelve more cold admissions each evict the FIFO tail, and the
+        // ghost queue holds all twelve (above the old Kout of 8).
+        for i in 48..60u64 {
+            p.on_sample_batch(&[sample(i)], &mut mem, &mut ctx);
+        }
+        assert_eq!(mem.stats().demotions, 12);
+        assert_eq!((p.lists.len(A1IN), p.lists.len(A1OUT)), (48, 12));
+        assert_eq!(p.lists.peek_lru(A1OUT), Some(0), "FIFO order");
     }
 
     #[test]

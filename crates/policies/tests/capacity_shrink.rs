@@ -1,13 +1,15 @@
-//! Cross-policy convergence after an in-flight fast-tier shrink.
+//! Cross-policy behaviour after an in-flight fast-tier resize.
 //!
 //! The global controller (paper §7) re-partitions the physical fast tier
-//! between tenants at runtime by calling `set_fast_capacity` — including
-//! *below* a tenant's current fast-tier occupancy. Every policy must then
-//! drain the excess through its own demotion machinery (watermark scans for
-//! the kernel-style policies, replacement for the cache-style ones) until
-//! residency fits the new quota. These tests pin that contract for all six
-//! compared policies plus NeoMem, on the 2-tier testbed and on a 3-tier
-//! ladder.
+//! between tenants at runtime by calling `set_fast_capacity` — in both
+//! directions. After a shrink *below* a tenant's current fast-tier
+//! occupancy, every policy must drain the excess through its own demotion
+//! machinery (watermark scans for the kernel-style policies, replacement
+//! for the cache-style ones) until residency fits the new quota. After a
+//! grow, a policy whose hot set outsizes the old quota must fill the new
+//! room: one that kept a copy of the old capacity stays pinned at it. These
+//! tests pin both contracts for all six compared policies plus NeoMem, on
+//! the 2-tier testbed and on a 3-tier ladder.
 //!
 //! The post-shrink stream shifts its hot set to the other half of the
 //! address space: the pages holding the old quota really are cold, so a
@@ -163,6 +165,78 @@ fn assert_shrink_converges(kind: PolicyKind, mut mem: TieredMemory, label: &str)
         mem.stats().demotions > 0,
         "{label}/{kind:?}: shrink must demote"
     );
+}
+
+/// Runs the grow scenario on `mem`: warm up on a hot set three times the
+/// fast tier, grow the fast tier threefold, keep driving the same hot set,
+/// and require residency to end above the old quota with page accounting
+/// intact.
+fn assert_grow_fills(kind: PolicyKind, mut mem: TieredMemory, label: &str) {
+    let cfg = mem.config();
+    let mut policy = make_policy(kind, &cfg);
+    let mut ctx = PolicyCtx::new();
+    let old_cap = cfg.fast_capacity_pages;
+    let (new_cap, hot) = (3 * old_cap, 3 * old_cap);
+    let now = drive(
+        policy.as_mut(),
+        &mut mem,
+        &mut ctx,
+        30_000,
+        0x5eed,
+        0,
+        hot,
+        0,
+    );
+    assert!(
+        mem.fast_used() <= old_cap,
+        "{label}/{kind:?}: warm-up overfilled the fast tier"
+    );
+
+    mem.set_fast_capacity(new_cap);
+    assert_eq!(mem.config().fast_capacity_pages, new_cap);
+    drive(
+        policy.as_mut(),
+        &mut mem,
+        &mut ctx,
+        60_000,
+        0xbeef,
+        0,
+        hot,
+        now,
+    );
+
+    assert!(
+        mem.fast_used() > old_cap,
+        "{label}/{kind:?}: residency stayed at the old quota after a grow: \
+         used {} vs old cap {old_cap}, new cap {new_cap}",
+        mem.fast_used()
+    );
+    assert!(
+        mem.fast_used() <= new_cap,
+        "{label}/{kind:?}: residency overran the grown quota"
+    );
+    let mapped = mem.iter_mapped().count() as u64;
+    assert_eq!(
+        mapped,
+        mem.fast_used() + mem.slow_used(),
+        "{label}/{kind:?}: page accounting broken after grow"
+    );
+}
+
+#[test]
+fn two_tier_grow_fills_past_the_old_quota_for_every_policy() {
+    for kind in KINDS {
+        let cfg = TierConfig::for_footprint(512, TierRatio::OneTo8, PageSize::Base4K);
+        assert_grow_fills(kind, TieredMemory::new(cfg), "two-tier");
+    }
+}
+
+#[test]
+fn three_tier_grow_fills_past_the_old_quota_for_every_policy() {
+    for kind in KINDS {
+        let topo = TierTopology::three_tier_dram_cxl_nvme(512, PageSize::Base4K);
+        assert_grow_fills(kind, TieredMemory::with_topology(topo), "three-tier");
+    }
 }
 
 #[test]

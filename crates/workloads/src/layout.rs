@@ -111,6 +111,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "beyond region")]
     fn out_of_range_offset_panics_in_debug() {
         let r = Region::new(0, 4096);
