@@ -23,20 +23,24 @@ use crate::AccessCounter;
 /// The simulator practices what the paper preaches, at the instruction level
 /// too:
 ///
-/// * the double-hash pair `(h1, h2)` is derived **once** per key and all
-///   `k + 1` probe values come from `h1 + i·h2` — not one
-///   [`PageHasher::pair`] rehash per probe;
+/// * one private `probes(key)` is the whole layout rule: it derives the
+///   double-hash pair `(h1, h2)` **once** per key and takes the block from
+///   probe 0 and the `k` in-block slots from probes `1..=k`, probe `i`
+///   being `h1 + i·h2` — not one [`PageHasher::pair`] rehash per probe.
+///   `increment`, `estimate` and `touched_lines` all read it;
 /// * `increment`/`estimate` load the key's 64-byte block as eight whole
 ///   `u64` words ([`CounterArray::load_block`]), extract and update all `k`
 ///   counters with shifts/masks in registers, and write the block back once
 ///   — fusing what used to be a get-min pass plus a set pass of per-counter
-///   indexed accesses.
+///   indexed accesses. The shifts and masks are the counter array's one bit
+///   layout ([`CounterWidth::get_in_words`](crate::CounterWidth::get_in_words)).
 ///
-/// This is the only `GET`/`INCREMENT` implementation, and it is
-/// **bit-for-bit identical** to the per-counter reference path, which is
-/// compiled only into this module's tests: probe values are algebraically
-/// the same, and duplicate slots update in the same order. Those tests
-/// assert the equivalence under random operation sequences.
+/// This is the only `GET`/`INCREMENT` implementation. Its tests compare it
+/// under random operation sequences with a per-counter reference compiled
+/// only into them, which derives the block and slots independently, by
+/// one [`PageHasher::probe`] rehash per probe, and reads each counter with
+/// [`CounterArray::get`]/[`set`](CounterArray::set). Duplicate slots update
+/// in the same order on both paths.
 ///
 /// [`StandardCbf`]: crate::StandardCbf
 #[derive(Debug, Clone)]
@@ -47,8 +51,6 @@ pub struct BlockedCbf {
     num_blocks: usize,
     slots_per_block: usize,
     base_addr: u64,
-    /// In-block slot indices of the current key (scratch, k entries).
-    slot_scratch: Vec<usize>,
 }
 
 impl BlockedCbf {
@@ -77,7 +79,6 @@ impl BlockedCbf {
             num_blocks,
             slots_per_block,
             base_addr: params.base_addr,
-            slot_scratch: vec![0; params.k as usize],
         }
     }
 
@@ -96,30 +97,21 @@ impl BlockedCbf {
         self.counters.occupied() as f64 / self.counters.len() as f64
     }
 
-    /// Index of the block `key` maps to.
-    #[inline]
-    fn block_of(&self, key: u64) -> usize {
-        // Probe 0 selects the block; probes 1..=k select slots inside it.
-        // probe(key, 0) = h1 + 0·h2 = h1.
-        reduce(self.hasher.pair(key).0, self.num_blocks)
-    }
-
-    /// Derives the block and all `k` in-block slots of `key` from a single
-    /// `(h1, h2)` pair (probe `i` is `h1 + i·h2`, exactly
-    /// [`PageHasher::probe`] without the per-probe rehash).
+    /// The layout of `key`: the index of its block's first counter and its
+    /// `k` in-block slots, all from one `(h1, h2)` pair. Probe 0 (`h1`)
+    /// selects the block and probe `i + 1` (`h1 + (i + 1)·h2`) slot `i`,
+    /// exactly [`PageHasher::probe`] without the per-probe rehash.
     ///
     /// Duplicate slots within a block are permitted (they simply behave as a
     /// filter with fewer effective hashes for that key), matching hardware
     /// blocked-bloom designs.
     #[inline]
-    fn fill_slots(&mut self, key: u64) -> usize {
+    fn probes(&self, key: u64) -> (usize, impl Iterator<Item = usize> + Clone) {
         let (h1, h2) = self.hasher.pair(key);
-        let block = reduce(h1, self.num_blocks);
-        for i in 0..self.k as u64 {
-            let probe = h1.wrapping_add((i + 1).wrapping_mul(h2));
-            self.slot_scratch[i as usize] = reduce(probe, self.slots_per_block);
-        }
-        block
+        let slots = self.slots_per_block;
+        let base = reduce(h1, self.num_blocks) * slots;
+        let probe = move |i: u64| reduce(h1.wrapping_add((i + 1).wrapping_mul(h2)), slots);
+        (base, (0..self.k as u64).map(probe))
     }
 }
 
@@ -129,22 +121,23 @@ impl AccessCounter for BlockedCbf {
     }
 
     fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
-        let block = self.fill_slots(key);
-        let base = block * self.slots_per_block;
+        let (base, slots) = self.probes(key);
         let width = self.counters.width();
         // One load pass over the block; min-scan and conservative update run
-        // on the in-register copy (sequentially, so duplicate slots behave
-        // exactly as in the per-counter path); one store pass. The pre-update
-        // minimum *is* the estimate, so `(prev, new)` costs one block visit.
+        // on the in-register copy (sequentially, in slot order, so duplicate
+        // slots behave exactly as in the per-counter path); one store pass.
+        // The pre-update minimum *is* the estimate, so `(prev, new)` costs
+        // one block visit.
         let mut words = self.counters.load_block(base);
-        let mut min = u32::MAX;
-        for &s in &self.slot_scratch {
-            min = min.min(width.get_in_words(&words, s));
-        }
+        let min = slots
+            .clone()
+            .map(|s| width.get_in_words(&words, s))
+            .min()
+            .expect("k > 0");
         if min >= width.max_count() {
             return (min, min);
         }
-        for &s in &self.slot_scratch {
+        for s in slots {
             if width.get_in_words(&words, s) == min {
                 width.set_in_words(&mut words, s, min + 1);
             }
@@ -154,17 +147,13 @@ impl AccessCounter for BlockedCbf {
     }
 
     fn estimate(&self, key: u64) -> u32 {
-        let (h1, h2) = self.hasher.pair(key);
-        let base = reduce(h1, self.num_blocks) * self.slots_per_block;
+        let (base, slots) = self.probes(key);
         let width = self.counters.width();
         // Read-only: borrow the block and extract the k probed counters
         // (only the probed words are touched — still exactly one line).
         let words = self.counters.block_ref(base);
-        (1..=self.k as u64)
-            .map(|i| {
-                let slot = reduce(h1.wrapping_add(i.wrapping_mul(h2)), self.slots_per_block);
-                width.get_in_words(words, slot)
-            })
+        slots
+            .map(|s| width.get_in_words(words, s))
             .min()
             .expect("k > 0")
     }
@@ -173,18 +162,14 @@ impl AccessCounter for BlockedCbf {
         self.counters.halve_all();
     }
 
-    fn reset(&mut self) {
-        self.counters.clear();
-    }
-
     fn metadata_bytes(&self) -> usize {
         self.counters.storage_bytes()
     }
 
     fn touched_lines(&self, key: u64, out: &mut Vec<u64>) {
         // The defining property: exactly one cache line per operation.
-        let block = self.block_of(key) as u64;
-        out.push(self.base_addr + block * crate::CACHE_LINE_BYTES as u64);
+        let (base, _) = self.probes(key);
+        out.push(self.base_addr + self.counters.line_offset(base));
     }
 
     fn base_addr(&self) -> u64 {
@@ -199,15 +184,25 @@ mod tests {
     use proptest::prelude::*;
 
     impl BlockedCbf {
+        /// The layout of `key` derived independently of
+        /// [`probes`](BlockedCbf::probes): one [`PageHasher::probe`] rehash
+        /// per probe, probe 0 for the block and probe `i + 1` for slot `i`.
+        fn rehashed_probes(&self, key: u64) -> (usize, Vec<usize>) {
+            let block = reduce(self.hasher.probe(key, 0), self.num_blocks);
+            let slots = (0..self.k)
+                .map(|i| reduce(self.hasher.probe(key, i + 1), self.slots_per_block))
+                .collect();
+            (block * self.slots_per_block, slots)
+        }
+
         /// Per-counter reference implementation of [`AccessCounter::increment`]:
-        /// one indexed [`CounterArray::get`]/[`CounterArray::set`] per probe, as
-        /// the pre-word-level code did. The tests below pin the word-level
-        /// path against it.
+        /// the rehashed layout and one indexed
+        /// [`CounterArray::get`]/[`CounterArray::set`] per probe, as the
+        /// pre-word-level code did. The tests below pin the word-level path
+        /// against it.
         fn increment_per_counter(&mut self, key: u64) -> u32 {
-            let block = self.fill_slots(key);
-            let base = block * self.slots_per_block;
-            let min = self
-                .slot_scratch
+            let (base, slots) = self.rehashed_probes(key);
+            let min = slots
                 .iter()
                 .map(|&s| self.counters.get(base + s))
                 .min()
@@ -215,10 +210,9 @@ mod tests {
             if min >= self.counters.width().max_count() {
                 return min;
             }
-            for j in 0..self.k as usize {
-                let i = base + self.slot_scratch[j];
-                if self.counters.get(i) == min {
-                    self.counters.set(i, min + 1);
+            for &s in &slots {
+                if self.counters.get(base + s) == min {
+                    self.counters.set(base + s, min + 1);
                 }
             }
             min + 1
@@ -227,13 +221,10 @@ mod tests {
         /// Per-counter reference implementation of [`AccessCounter::estimate`]
         /// (see [`increment_per_counter`](Self::increment_per_counter)).
         fn estimate_per_counter(&self, key: u64) -> u32 {
-            let (h1, h2) = self.hasher.pair(key);
-            let base = reduce(h1, self.num_blocks) * self.slots_per_block;
-            (1..=self.k as u64)
-                .map(|i| {
-                    let slot = reduce(h1.wrapping_add(i.wrapping_mul(h2)), self.slots_per_block);
-                    self.counters.get(base + slot)
-                })
+            let (base, slots) = self.rehashed_probes(key);
+            slots
+                .iter()
+                .map(|&s| self.counters.get(base + s))
                 .min()
                 .expect("k > 0")
         }
@@ -264,31 +255,56 @@ mod tests {
         }
     }
 
-    /// Satellite check: one `pair()` call derives the same probe sequence
-    /// the old per-probe `PageHasher::probe(key, i)` rehashing produced.
+    /// One `pair()` call derives the same probe sequence as per-probe
+    /// `PageHasher::probe(key, i)` rehashing, in both filters.
     #[test]
     fn single_pair_derivation_matches_per_probe_hashing() {
-        let mut f = filter(10_000);
-        let hasher = f.hasher;
+        let params = CbfParams::for_capacity(10_000, 4, 0.001, CounterWidth::W8);
+        let blocked = BlockedCbf::new(params.clone());
+        let standard = crate::StandardCbf::new(params.clone());
+        let hasher = PageHasher::new(params.seed);
         for key in 0..500u64 {
-            let legacy_block = reduce(hasher.probe(key, 0), f.num_blocks);
-            let legacy_slots: Vec<usize> = (0..f.k)
-                .map(|i| reduce(hasher.probe(key, i + 1), f.slots_per_block))
+            let (base, slots) = blocked.probes(key);
+            let legacy_block = reduce(hasher.probe(key, 0), blocked.num_blocks);
+            assert_eq!(
+                base,
+                legacy_block * blocked.slots_per_block,
+                "key {key}: block diverged"
+            );
+            let legacy_slots: Vec<usize> = (0..blocked.k)
+                .map(|i| reduce(hasher.probe(key, i + 1), blocked.slots_per_block))
                 .collect();
-            let block = f.fill_slots(key);
-            assert_eq!(block, legacy_block, "key {key}: block diverged");
-            assert_eq!(f.slot_scratch, legacy_slots, "key {key}: slots diverged");
-            assert_eq!(f.block_of(key), legacy_block);
+            assert_eq!(
+                slots.collect::<Vec<_>>(),
+                legacy_slots,
+                "key {key}: slots diverged"
+            );
+            let legacy_indices: Vec<usize> = (0..standard.k())
+                .map(|i| reduce(hasher.probe(key, i), standard.num_counters()))
+                .collect();
+            assert_eq!(
+                standard.probes(key).collect::<Vec<_>>(),
+                legacy_indices,
+                "key {key}: standard indices diverged"
+            );
         }
     }
 
     #[test]
     fn all_counters_of_a_key_are_in_its_block() {
-        let mut f = filter(10_000);
+        let f = filter(10_000);
         for key in 0..200u64 {
-            let block = f.fill_slots(key);
-            assert_eq!(block, f.block_of(key));
-            for &slot in &f.slot_scratch {
+            let (base, slots) = f.probes(key);
+            assert_eq!(base % f.slots_per_block, 0, "block base is line-aligned");
+            let mut lines = Vec::new();
+            f.touched_lines(key, &mut lines);
+            let block = (base / f.slots_per_block) as u64;
+            assert_eq!(
+                lines,
+                [f.base_addr + block * 64],
+                "the block is the touched line"
+            );
+            for slot in slots {
                 assert!(slot < f.slots_per_block, "slot escapes the block");
             }
         }
@@ -385,15 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn cool_and_reset() {
+    fn cool_halves_estimate() {
         let mut f = filter(100);
         for _ in 0..9 {
             f.increment(5);
         }
         f.cool();
         assert_eq!(f.estimate(5), 4);
-        f.reset();
-        assert_eq!(f.estimate(5), 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! in huge-page mode (§4.4). An 8-bit width is provided for experimentation.
 
 use std::fmt;
+use std::ops::Range;
 
 /// `u64` words per 64-byte cache-line block (the unit of the word-level
 /// block operations below).
@@ -22,6 +23,9 @@ pub const WORDS_PER_LINE: usize = crate::CACHE_LINE_BYTES / 8;
 /// GET+INCREMENT does one load pass and one store pass over the block
 /// instead of `2k` independent read-modify-write word accesses.
 pub type CounterBlock = [u64; WORDS_PER_LINE];
+
+/// Bits in one cache-line block.
+const LINE_BITS: usize = crate::CACHE_LINE_BYTES * 8;
 
 /// Width of each counter in a [`CounterArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,36 +59,45 @@ impl CounterWidth {
 
     /// How many counters of this width fit in one 64-byte cache line.
     pub const fn counters_per_line(self) -> usize {
-        (crate::CACHE_LINE_BYTES * 8) / self.bits() as usize
+        LINE_BITS / self.bits() as usize
     }
 
-    /// How many counters of this width fit in one `u64` word.
-    const fn counters_per_word(self) -> usize {
-        64 / self.bits() as usize
+    /// The counter bit layout: counter `slot` of a word sequence is the
+    /// `bits()`-wide field at bit `slot · bits()`, low bits first. Returns
+    /// its word index and its shift within that word. Every width divides
+    /// 64, so no field straddles two words.
+    #[inline]
+    const fn field(self, slot: usize) -> (usize, u32) {
+        let bit = slot * self.bits() as usize;
+        (bit / 64, (bit % 64) as u32)
     }
 
-    /// Reads in-block counter `slot` from a loaded [`CounterBlock`].
+    /// Reads counter `slot` of the packed words `words` — a loaded
+    /// [`CounterBlock`] with an in-block slot, or a whole array's words
+    /// with a global index ([`CounterArray::get`] is exactly that).
     ///
-    /// Bit arithmetic is identical to [`CounterArray::get`] on the
-    /// corresponding global index, provided the block was loaded from a
-    /// block-aligned position — asserted by the `cbf_properties` suite.
+    /// # Panics
+    ///
+    /// Panics if the counter lies past the end of `words`.
     #[inline]
-    pub fn get_in_words(self, words: &CounterBlock, slot: usize) -> u32 {
-        let per_word = self.counters_per_word();
-        let shift = (slot % per_word) as u32 * self.bits();
-        ((words[slot / per_word] >> shift) & self.max_count() as u64) as u32
+    pub fn get_in_words(self, words: &[u64], slot: usize) -> u32 {
+        let (word, shift) = self.field(slot);
+        ((words[word] >> shift) & self.max_count() as u64) as u32
     }
 
-    /// Writes in-block counter `slot` of a loaded [`CounterBlock`],
-    /// clamping `value` to the saturation cap (mirror of
-    /// [`CounterArray::set`]).
+    /// Writes counter `slot` of the packed words `words`, clamping `value`
+    /// to the saturation cap (the writer of
+    /// [`get_in_words`](Self::get_in_words)'s layout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter lies past the end of `words`.
     #[inline]
-    pub fn set_in_words(self, words: &mut CounterBlock, slot: usize, value: u32) {
+    pub fn set_in_words(self, words: &mut [u64], slot: usize, value: u32) {
         let cap = self.max_count();
-        let per_word = self.counters_per_word();
-        let shift = (slot % per_word) as u32 * self.bits();
+        let (word, shift) = self.field(slot);
         let mask = (cap as u64) << shift;
-        let w = &mut words[slot / per_word];
+        let w = &mut words[word];
         *w = (*w & !mask) | ((value.min(cap) as u64) << shift);
     }
 }
@@ -110,8 +123,7 @@ pub struct CounterArray {
 impl CounterArray {
     /// Creates an array of `len` zeroed counters.
     pub fn new(len: usize, width: CounterWidth) -> Self {
-        let per_word = 64 / width.bits() as usize;
-        let words = len.div_ceil(per_word);
+        let words = (len * width.bits() as usize).div_ceil(64);
         Self {
             width,
             len,
@@ -139,39 +151,63 @@ impl CounterArray {
         self.words.len() * 8
     }
 
+    /// `idx`, checked against `len` in every profile: it is caller input,
+    /// and an index past `len` but inside the last word would silently
+    /// reach a padding counter.
     #[inline]
-    fn slot(&self, idx: usize) -> (usize, u32) {
-        debug_assert!(
+    fn checked(&self, idx: usize) -> usize {
+        assert!(
             idx < self.len,
             "counter index {idx} out of bounds {}",
             self.len
         );
-        let bits = self.width.bits();
-        let per_word = 64 / bits;
-        (idx / per_word as usize, (idx as u32 % per_word) * bits)
+        idx
     }
 
     /// Reads counter `idx`.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `idx >= len`.
+    /// Panics if `idx >= len`.
     #[inline]
     pub fn get(&self, idx: usize) -> u32 {
-        let (word, shift) = self.slot(idx);
-        let mask = self.width.max_count() as u64;
-        ((self.words[word] >> shift) & mask) as u32
+        self.width.get_in_words(&self.words, self.checked(idx))
     }
 
     /// Writes counter `idx`, clamping `value` to the saturation cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len`.
     #[inline]
     pub fn set(&mut self, idx: usize, value: u32) {
-        let cap = self.width.max_count();
-        let v = value.min(cap) as u64;
-        let (word, shift) = self.slot(idx);
-        let mask = (cap as u64) << shift;
-        let w = &mut self.words[word];
-        *w = (*w & !mask) | (v << shift);
+        let idx = self.checked(idx);
+        self.width.set_in_words(&mut self.words, idx, value);
+    }
+
+    /// Byte offset, within this array, of the cache line holding counter
+    /// `idx`.
+    #[inline]
+    pub(crate) fn line_offset(&self, idx: usize) -> u64 {
+        let (word, _) = self.width.field(idx);
+        (word / WORDS_PER_LINE * crate::CACHE_LINE_BYTES) as u64
+    }
+
+    /// The eight words backing the 64-byte block whose first counter is
+    /// `first`.
+    ///
+    /// `first` is caller input, so its alignment is checked in every
+    /// profile: a misaligned `first` would silently read or write words
+    /// straddling two lines.
+    #[inline]
+    fn block_words(&self, first: usize) -> Range<usize> {
+        let bit = first * self.width.bits() as usize;
+        assert!(
+            bit.is_multiple_of(LINE_BITS),
+            "block start {first} not line-aligned"
+        );
+        let w0 = bit / 64;
+        w0..w0 + WORDS_PER_LINE
     }
 
     /// Copies the 64-byte block starting at counter `first` into a stack
@@ -183,18 +219,11 @@ impl CounterArray {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds on a misaligned `first` or when the block
-    /// extends past the backing words.
+    /// Panics on a misaligned `first` or when the block extends past the
+    /// backing words.
     #[inline]
     pub fn load_block(&self, first: usize) -> CounterBlock {
-        debug_assert!(
-            first.is_multiple_of(self.width.counters_per_line()),
-            "block start {first} not line-aligned"
-        );
-        let w0 = first / self.width.counters_per_word();
-        let mut words = [0u64; WORDS_PER_LINE];
-        words.copy_from_slice(&self.words[w0..w0 + WORDS_PER_LINE]);
-        words
+        *self.block_ref(first)
     }
 
     /// Borrows the 64-byte block starting at counter `first` as whole
@@ -204,30 +233,24 @@ impl CounterArray {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds on a misaligned `first` (see
-    /// [`load_block`](Self::load_block)).
+    /// As [`load_block`](Self::load_block).
     #[inline]
     pub fn block_ref(&self, first: usize) -> &CounterBlock {
-        debug_assert!(
-            first.is_multiple_of(self.width.counters_per_line()),
-            "block start {first} not line-aligned"
-        );
-        let w0 = first / self.width.counters_per_word();
-        (&self.words[w0..w0 + WORDS_PER_LINE])
+        self.words[self.block_words(first)]
             .try_into()
             .expect("slice is exactly one block")
     }
 
     /// Writes a [`CounterBlock`] back to the block starting at counter
     /// `first` (one store pass; see [`load_block`](Self::load_block)).
+    ///
+    /// # Panics
+    ///
+    /// As [`load_block`](Self::load_block).
     #[inline]
     pub fn store_block(&mut self, first: usize, words: CounterBlock) {
-        debug_assert!(
-            first.is_multiple_of(self.width.counters_per_line()),
-            "block start {first} not line-aligned"
-        );
-        let w0 = first / self.width.counters_per_word();
-        self.words[w0..w0 + WORDS_PER_LINE].copy_from_slice(&words);
+        let range = self.block_words(first);
+        self.words[range].copy_from_slice(&words);
     }
 
     /// Increments counter `idx` by one, saturating at the cap; returns the
@@ -250,28 +273,14 @@ impl CounterArray {
     /// bit-trick a production implementation uses, so cooling an `m`-counter
     /// filter is `O(m / 16)` word operations for 4-bit counters.
     pub fn halve_all(&mut self) {
-        let bits = self.width.bits();
-        // Mask with the top bit of every counter field cleared, so a 1-bit
-        // right shift never imports the neighbour counter's low bit.
-        let field_mask: u64 = match bits {
-            4 => 0x7777_7777_7777_7777,
-            8 => 0x7F7F_7F7F_7F7F_7F7F,
-            16 => 0x7FFF_7FFF_7FFF_7FFF,
-            _ => unreachable!("unsupported width"),
-        };
+        // Every field's top bit cleared, so a 1-bit right shift never
+        // imports the neighbour counter's low bit: `MAX / cap` has a one at
+        // each field's lowest bit, and `cap >> 1` fills all but its top.
+        let cap = self.width.max_count() as u64;
+        let field_mask = (u64::MAX / cap) * (cap >> 1);
         for w in &mut self.words {
             *w = (*w >> 1) & field_mask;
         }
-    }
-
-    /// Resets every counter to zero.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Sum of all counters (used for occupancy statistics and tests).
-    pub fn total(&self) -> u64 {
-        (0..self.len).map(|i| self.get(i) as u64).sum()
     }
 
     /// Number of non-zero counters.
@@ -349,17 +358,6 @@ mod tests {
         for i in 0..16 {
             assert_eq!(arr.get(i), if i % 2 == 0 { 7 } else { 0 });
         }
-    }
-
-    #[test]
-    fn clear_zeroes_everything() {
-        let mut arr = CounterArray::new(33, CounterWidth::W16);
-        for i in 0..33 {
-            arr.set(i, 9);
-        }
-        arr.clear();
-        assert_eq!(arr.total(), 0);
-        assert_eq!(arr.occupied(), 0);
     }
 
     #[test]

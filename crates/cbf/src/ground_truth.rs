@@ -72,10 +72,6 @@ impl AccessCounter for GroundTruthCounter {
         });
     }
 
-    fn reset(&mut self) {
-        self.counts.clear();
-    }
-
     fn metadata_bytes(&self) -> usize {
         // HashMap<u64, u32> entry: key + value + bucket overhead ≈ 16B, the
         // same figure the paper charges Memtis per page.

@@ -27,19 +27,26 @@
 //! filter's 64-byte block is exactly eight words
 //! ([`CounterBlock`]). The hot operations exploit this end to end:
 //!
-//! * one [`PageHasher::pair`] call per key yields all `k + 1` probe values
-//!   as `h1 + i·h2` (Kirsch–Mitzenmacher), instead of rehashing per probe;
-//! * [`BlockedCbf`] `GET`/`INCREMENT` load the key's block once as whole
-//!   words, extract/update every counter with shifts and masks in
-//!   registers, and store the block back once — the simulator-side twin of
-//!   the paper's one-cache-line-per-op design.
+//! * each filter derives a key's counter positions in one private
+//!   `probes` function: one [`PageHasher::pair`] call per key yields every
+//!   probe value as `h1 + i·h2` (Kirsch–Mitzenmacher), instead of
+//!   rehashing per probe. `GET`, `INCREMENT` and `touched_lines` all read
+//!   it, so the layout rule is written once per filter;
+//! * the counters have one bit layout,
+//!   [`CounterWidth::get_in_words`]/[`set_in_words`](CounterWidth::set_in_words)
+//!   over any word slice: [`CounterArray::get`]/[`set`](CounterArray::set)
+//!   are those functions over the whole array, and [`BlockedCbf`]
+//!   `GET`/`INCREMENT` apply them to the key's block, loaded once as whole
+//!   words and stored back once — the simulator-side twin of the paper's
+//!   one-cache-line-per-op design.
 //!
-//! That word-level path is the one kernel each filter has. It changes no
-//! result: probe values are algebraically identical to the per-probe
-//! derivation and word extraction mirrors
-//! [`CounterArray::get`]/[`set`](CounterArray::set) bit for bit. The
-//! `blocked` module's tests pin both equivalences under random op
-//! sequences against a per-counter reference compiled only into them.
+//! That word-level path is the one kernel each filter has. Its oracles are
+//! derived independently of the code they check: the `blocked` module's
+//! tests compare it under random op sequences with a per-counter reference
+//! that rehashes once per probe ([`PageHasher::probe`]) and is compiled only
+//! into them, and `tests/cbf_properties.rs` checks the bit layout against a
+//! plain `Vec<u32>` model of counter values. `tests/closed_forms.rs` reads
+//! both filters' false-positive rates against the textbook formulas.
 //!
 //! # Example
 //!
@@ -114,9 +121,6 @@ pub trait AccessCounter {
     /// run periodically to age out stale hotness (paper §2.3.2).
     fn cool(&mut self);
 
-    /// Resets every counter to zero.
-    fn reset(&mut self);
-
     /// Bytes of metadata memory consumed by this tracker.
     fn metadata_bytes(&self) -> usize;
 
@@ -161,8 +165,7 @@ mod trait_tests {
             assert_eq!(c.increment(42), 1);
             assert!(c.estimate(42) >= 1);
             c.cool();
-            c.reset();
-            assert_eq!(c.estimate(42), 0);
+            assert_eq!(c.estimate(42), 0, "cooling halves a count of 1 to 0");
             assert!(c.metadata_bytes() > 0 || c.estimate(1) == 0);
         }
     }

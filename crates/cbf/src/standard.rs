@@ -23,8 +23,6 @@ pub struct StandardCbf {
     hasher: PageHasher,
     k: u32,
     base_addr: u64,
-    /// Scratch for probe indices, to keep the hot path allocation-free.
-    idx_scratch: Vec<usize>,
 }
 
 impl StandardCbf {
@@ -41,7 +39,6 @@ impl StandardCbf {
             hasher: PageHasher::new(params.seed),
             k: params.k,
             base_addr: params.base_addr,
-            idx_scratch: vec![0; params.k as usize],
         }
     }
 
@@ -61,16 +58,14 @@ impl StandardCbf {
         self.counters.occupied() as f64 / self.counters.len() as f64
     }
 
-    /// Derives all `k` probe indices from a single `(h1, h2)` pair (probe
-    /// `i` is `h1 + i·h2`, exactly [`PageHasher::probe`] without the
-    /// per-probe rehash).
+    /// The layout of `key`: its `k` counter indices, all from one
+    /// `(h1, h2)` pair. Index `i` is `h1 + i·h2` reduced to the array,
+    /// exactly [`PageHasher::probe`] without the per-probe rehash.
     #[inline]
-    fn fill_indices(&mut self, key: u64) {
+    pub(crate) fn probes(&self, key: u64) -> impl Iterator<Item = usize> + Clone {
         let m = self.counters.len();
         let (h1, h2) = self.hasher.pair(key);
-        for i in 0..self.k as u64 {
-            self.idx_scratch[i as usize] = reduce(h1.wrapping_add(i.wrapping_mul(h2)), m);
-        }
+        (0..self.k as u64).map(move |i| reduce(h1.wrapping_add(i.wrapping_mul(h2)), m))
     }
 }
 
@@ -80,19 +75,18 @@ impl AccessCounter for StandardCbf {
     }
 
     fn increment_with_prev(&mut self, key: u64) -> (u32, u32) {
-        self.fill_indices(key);
-        let min = self
-            .idx_scratch
-            .iter()
-            .map(|&i| self.counters.get(i))
+        let probes = self.probes(key);
+        let min = probes
+            .clone()
+            .map(|i| self.counters.get(i))
             .min()
             .expect("k > 0");
         if min >= self.counters.width().max_count() {
             return (min, min); // saturated
         }
-        // Conservative update: bump only the counters at the minimum.
-        for j in 0..self.k as usize {
-            let i = self.idx_scratch[j];
+        // Conservative update: bump only the counters at the minimum, in
+        // probe order, so a duplicate index is bumped once.
+        for i in probes {
             if self.counters.get(i) == min {
                 self.counters.set(i, min + 1);
             }
@@ -101,13 +95,8 @@ impl AccessCounter for StandardCbf {
     }
 
     fn estimate(&self, key: u64) -> u32 {
-        let m = self.counters.len();
-        let (h1, h2) = self.hasher.pair(key);
-        (0..self.k as u64)
-            .map(|i| {
-                self.counters
-                    .get(reduce(h1.wrapping_add(i.wrapping_mul(h2)), m))
-            })
+        self.probes(key)
+            .map(|i| self.counters.get(i))
             .min()
             .expect("k > 0")
     }
@@ -116,22 +105,13 @@ impl AccessCounter for StandardCbf {
         self.counters.halve_all();
     }
 
-    fn reset(&mut self) {
-        self.counters.clear();
-    }
-
     fn metadata_bytes(&self) -> usize {
         self.counters.storage_bytes()
     }
 
     fn touched_lines(&self, key: u64, out: &mut Vec<u64>) {
-        let m = self.counters.len();
-        let bits = self.counters.width().bits() as u64;
-        let (h1, h2) = self.hasher.pair(key);
-        for i in 0..self.k as u64 {
-            let idx = reduce(h1.wrapping_add(i.wrapping_mul(h2)), m) as u64;
-            let byte = idx * bits / 8;
-            out.push(self.base_addr + (byte & !(crate::CACHE_LINE_BYTES as u64 - 1)));
+        for i in self.probes(key) {
+            out.push(self.base_addr + self.counters.line_offset(i));
         }
     }
 
@@ -216,15 +196,6 @@ mod tests {
         f.cool();
         assert_eq!(f.estimate(1), 5);
         assert_eq!(f.estimate(2), 2);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut f = filter(100);
-        f.increment(9);
-        f.reset();
-        assert_eq!(f.estimate(9), 0);
-        assert_eq!(f.occupancy(), 0.0);
     }
 
     #[test]

@@ -146,11 +146,14 @@ proptest! {
         prop_assert_eq!(g.estimate(5), n / 2);
     }
 
-    /// The word-level block operations (`load_block` + `get_in_words` /
-    /// `set_in_words` + `store_block`) match the per-counter `get`/`set`
-    /// path bit for bit under random interleaved op sequences, at every
-    /// counter width. This is the load-bearing equivalence behind the
-    /// word-level `BlockedCbf` fast path.
+    /// The counter bit layout against a plain `Vec<u32>` model of counter
+    /// values, under random interleaved writes at every counter width:
+    /// word-level block writes (`load_block` + `set_in_words` +
+    /// `store_block`) and indexed `set`s, each read back through both
+    /// `get` and `get_in_words` on a loaded block. `get`/`set` are
+    /// `get_in_words`/`set_in_words` over the whole array, so the model,
+    /// not either path, is the reference; this is the load-bearing check
+    /// behind the word-level `BlockedCbf` path.
     #[test]
     fn block_ops_match_scalar_get_set(
         width in any_width(),
@@ -159,31 +162,30 @@ proptest! {
     ) {
         let per_line = width.counters_per_line();
         let len = per_line * 3;
-        let mut word_arr = CounterArray::new(len, width);
-        let mut scalar_arr = CounterArray::new(len, width);
+        let mut arr = CounterArray::new(len, width);
+        let mut model = vec![0u32; len];
         for &(slot, value, word_path) in &ops {
             let idx = slot % len;
-            // Scalar reference: plain indexed set.
-            scalar_arr.set(idx, value);
+            model[idx] = value.min(width.max_count());
             if word_path {
                 // Word path: load the enclosing block, mutate in registers,
                 // store it back.
                 let base = (idx / per_line) * per_line;
-                let mut words = word_arr.load_block(base);
+                let mut words = arr.load_block(base);
                 width.set_in_words(&mut words, idx - base, value);
-                word_arr.store_block(base, words);
+                arr.store_block(base, words);
             } else {
-                word_arr.set(idx, value);
+                arr.set(idx, value);
             }
         }
-        // Every counter identical, read through both paths.
-        for idx in 0..len {
-            prop_assert_eq!(word_arr.get(idx), scalar_arr.get(idx), "idx {}", idx);
+        // Every counter equals the model, read through both paths.
+        for (idx, &want) in model.iter().enumerate() {
+            prop_assert_eq!(arr.get(idx), want, "idx {}", idx);
             let base = (idx / per_line) * per_line;
-            let words = word_arr.load_block(base);
+            let words = arr.load_block(base);
             prop_assert_eq!(
                 width.get_in_words(&words, idx - base),
-                scalar_arr.get(idx),
+                want,
                 "word read idx {}", idx
             );
         }
