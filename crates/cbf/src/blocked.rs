@@ -92,11 +92,6 @@ impl BlockedCbf {
         self.k
     }
 
-    /// Fraction of counters that are non-zero.
-    pub fn occupancy(&self) -> f64 {
-        self.counters.occupied() as f64 / self.counters.len() as f64
-    }
-
     /// The layout of `key`: the index of its block's first counter and its
     /// `k` in-block slots, all from one `(h1, h2)` pair. Probe 0 (`h1`)
     /// selects the block and probe `i + 1` (`h1 + (i + 1)·h2`) slot `i`,

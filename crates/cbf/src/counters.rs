@@ -282,11 +282,6 @@ impl CounterArray {
             *w = (*w >> 1) & field_mask;
         }
     }
-
-    /// Number of non-zero counters.
-    pub fn occupied(&self) -> usize {
-        (0..self.len).filter(|&i| self.get(i) != 0).count()
-    }
 }
 
 #[cfg(test)]

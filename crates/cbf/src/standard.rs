@@ -52,12 +52,6 @@ impl StandardCbf {
         self.k
     }
 
-    /// Fraction of counters that are non-zero (diagnostic; a nearly full
-    /// filter overestimates heavily).
-    pub fn occupancy(&self) -> f64 {
-        self.counters.occupied() as f64 / self.counters.len() as f64
-    }
-
     /// The layout of `key`: its `k` counter indices, all from one
     /// `(h1, h2)` pair. Index `i` is `h1 + i·h2` reduced to the array,
     /// exactly [`PageHasher::probe`] without the per-probe rehash.

@@ -448,7 +448,26 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// refused as [`TraceError::OverlengthChunk`] and leaves the writer as
     /// it was.
     pub fn push_op(&mut self, op: Op, accesses: &[Access]) -> Result<(), TraceError> {
-        let op_bytes = OP_BYTES + accesses.len() as u64 * ACCESS_BYTES;
+        self.append(accesses.len(), |chunk| {
+            let start = chunk.open_op();
+            accesses.iter().for_each(|&a| chunk.push_access(a));
+            chunk.commit_open_op(op, start);
+        })
+    }
+
+    /// [`push_op`](Self::push_op) for operation `idx` of `batch`, its
+    /// accesses copied straight from the batch's columns.
+    pub fn push_batch_op(&mut self, batch: &AccessBatch, idx: usize) -> Result<(), TraceError> {
+        let (op, start, end) = batch.op_bounds(idx);
+        let (addrs, writes) = (&batch.addrs()[start..end], &batch.writes()[start..end]);
+        self.append(end - start, |chunk| {
+            chunk.append_ops(addrs, writes, [(op, end - start)])
+        })
+    }
+
+    /// The body of both push entries: `push` appends one op of `n` accesses.
+    fn append(&mut self, n: usize, push: impl FnOnce(&mut AccessBatch)) -> Result<(), TraceError> {
+        let op_bytes = OP_BYTES + n as u64 * ACCESS_BYTES;
         if op_bytes > MAX_CHUNK_PAYLOAD_BYTES {
             return Err(TraceError::OverlengthChunk {
                 chunk: self.header.chunk_count,
@@ -459,13 +478,9 @@ impl<W: Write + Seek> TraceWriter<W> {
         if self.payload_len() + op_bytes > MAX_CHUNK_PAYLOAD_BYTES {
             self.flush_chunk()?;
         }
-        let start = self.chunk.open_op();
-        for &a in accesses {
-            self.chunk.push_access(a);
-        }
-        self.chunk.commit_open_op(op, start);
+        push(&mut self.chunk);
         self.header.total_ops += 1;
-        self.header.total_accesses += accesses.len() as u64;
+        self.header.total_accesses += n as u64;
         if self.chunk.len() >= self.chunk_ops {
             self.flush_chunk()?;
         }
@@ -825,6 +840,33 @@ mod tests {
         for chunk_ops in [1, 2, 3, 4, 100] {
             let bytes = write_ops(&ops, chunk_ops);
             assert_eq!(read_ops(&bytes), ops, "chunk_ops={chunk_ops}");
+        }
+    }
+
+    /// `push_batch_op` over the ops of one batch writes the bytes `push_op`
+    /// writes for the same ops, at every chunk size.
+    #[test]
+    fn batch_ops_write_the_bytes_push_op_writes() {
+        let ops = sample_ops();
+        let mut batch = AccessBatch::new();
+        for (op, accs) in &ops {
+            let start = batch.open_op();
+            accs.iter().for_each(|&a| batch.push_access(a));
+            batch.commit_open_op(*op, start);
+        }
+        for chunk_ops in [1, 2, 3, 4, 100] {
+            let mut w = TraceWriter::new(Cursor::new(Vec::new()), "test", 1 << 20)
+                .expect("writer")
+                .with_chunk_ops(chunk_ops);
+            for i in 0..batch.len() {
+                w.push_batch_op(&batch, i).expect("push");
+            }
+            let (_, cursor) = w.finish().expect("finish");
+            assert_eq!(
+                cursor.into_inner(),
+                write_ops(&ops, chunk_ops),
+                "chunk_ops={chunk_ops}"
+            );
         }
     }
 

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use tiering_trace::{Access, AccessBatch, Op, Workload};
 
@@ -53,7 +53,7 @@ impl GraphKind {
 #[derive(Debug, Clone)]
 pub struct Graph {
     num_nodes: u32,
-    offsets: Arc<[u64]>,
+    offsets: Arc<[u32]>,
     edges: Arc<[u32]>,
     kind: GraphKind,
     offsets_region: Region,
@@ -66,13 +66,38 @@ const RMAT_A: f64 = 0.57;
 const RMAT_B: f64 = 0.19;
 const RMAT_C: f64 = 0.19;
 
-/// The RMAT quadrant `(u bit, v bit)` a draw `r` picks, without branches:
+/// The quadrant thresholds A, A+B and A+B+C, ascending.
+const RMAT_SUMS: [f64; 3] = [RMAT_A, RMAT_A + RMAT_B, RMAT_A + RMAT_B + RMAT_C];
+
+/// The least raw draw `x` with `unit_f64(x) >= t`: `ceil(t·2⁵³) << 11`.
+const fn raw(t: f64) -> u64 {
+    ((t * (1u64 << 53) as f64).ceil() as u64) << 11
+}
+
+/// [`RMAT_SUMS`] as raw `next_u64` draws.
+const RMAT_DRAWS: [u64; 3] = [raw(RMAT_SUMS[0]), raw(RMAT_SUMS[1]), raw(RMAT_SUMS[2])];
+
+/// The RMAT quadrant `(u bit, v bit)` a raw draw `x` picks, branch-free:
 /// (0, 0) below A, (0, 1) below A+B, (1, 0) below A+B+C, else (1, 1).
-fn rmat_quadrant(r: f64) -> (u32, u32) {
-    let b = (r >= RMAT_A) as u32;
-    let c = (r >= RMAT_A + RMAT_B) as u32;
-    let d = (r >= RMAT_A + RMAT_B + RMAT_C) as u32;
+fn rmat_level(x: u64) -> (u32, u32) {
+    let [b, c, d] = RMAT_DRAWS.map(|t| (x >= t) as u32);
     (c, (b & !c) | d)
+}
+
+/// `2^scale` vertices and `edge_factor` edges per vertex, refused before
+/// anything is allocated if the edges overflow the `u32` CSR offsets.
+fn csr_size(scale: u32, edge_factor: u32) -> (u32, usize) {
+    let n = 1u32 << scale;
+    let m = edge_factor as u64 * n as u64;
+    assert!(m <= u32::MAX as u64, "{m} edges overflow u32 offsets");
+    (n, m as usize)
+}
+
+/// `len` zeros that `fill` writes in place (a `Vec` is copied into an `Arc`).
+fn csr_array(len: usize, fill: impl FnOnce(&mut [u32])) -> Arc<[u32]> {
+    let mut array: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+    fill(Arc::get_mut(&mut array).expect("a new Arc has no other owner"));
+    array
 }
 
 impl Graph {
@@ -81,73 +106,84 @@ impl Graph {
     /// permuted (as GAP does) so graph locality is not an artifact of the
     /// generator.
     ///
-    /// A level's quadrant is three comparisons, not an `if r < A … else if`
-    /// chain, which mispredicts on most draws and dominated the build. It
-    /// is exact: the draw is in [0, 1), never NaN, so `r >= t` is "not
-    /// `r < t`" at the same `f64` thresholds; these ascend, so `(b, c, d)`
-    /// is 000 / 100 / 110 / 111, the chain's arms in order. Same RNG
-    /// stream, same graph.
+    /// A level's quadrant is three integer comparisons of the raw draw, no
+    /// float and no `if r < A … else if` chain. Exact: the float draw is
+    /// `unit_f64(x) = (x >> 11)·2⁻⁵³` and scaling by 2⁵³ is exact, so
+    /// `unit_f64(x) >= t` iff `x >> 11 >= ceil(t·2⁵³)` iff `x >= raw(t)`.
+    /// Degrees are counted as edges are drawn; the permutation is applied in
+    /// the scatter, edge `(u, v)` going to `next[u]++` as `perm[v]`.
     pub fn kronecker(scale: u32, edge_factor: u32, seed: u64) -> Self {
-        let n = 1u32 << scale;
-        let m = (edge_factor as u64 * n as u64) as usize;
+        let (n, m) = csr_size(scale, edge_factor);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut pairs = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..scale {
-                let (du, dv) = rmat_quadrant(rng.gen());
-                u = (u << 1) | du;
-                v = (v << 1) | dv;
-            }
-            pairs.push((u, v));
-        }
-        // Permute vertex ids.
+        let mut degree = vec![0u32; n as usize];
+        let pairs: Vec<(u32, u32)> = (0..m)
+            .map(|_| {
+                let (mut u, mut v) = (0u32, 0u32);
+                for _ in 0..scale {
+                    let (du, dv) = rmat_level(rng.next_u64());
+                    (u, v) = ((u << 1) | du, (v << 1) | dv);
+                }
+                degree[u as usize] += 1;
+                (u, v)
+            })
+            .collect();
         let mut perm: Vec<u32> = (0..n).collect();
         for i in (1..n as usize).rev() {
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
-        for (u, v) in &mut pairs {
-            *u = perm[*u as usize];
-            *v = perm[*v as usize];
-        }
-        Self::from_edge_list(n, &pairs, GraphKind::Kronecker)
+        let permuted = pairs.iter().map(|&(u, v)| (u, perm[v as usize]));
+        Self::from_degrees(GraphKind::Kronecker, degree, |u| perm[u] as usize, permuted)
     }
 
     /// Generates a uniform-random graph with `2^scale` nodes and
-    /// `edge_factor * 2^scale` directed edges.
+    /// `edge_factor * 2^scale` directed edges. No edge list is built: two
+    /// passes over one reseeded stream, the first counting degrees, the
+    /// second scattering each edge into its CSR slot.
     pub fn uniform(scale: u32, edge_factor: u32, seed: u64) -> Self {
-        let n = 1u32 << scale;
-        let m = (edge_factor as u64 * n as u64) as usize;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pairs: Vec<(u32, u32)> = (0..m)
-            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-            .collect();
-        Self::from_edge_list(n, &pairs, GraphKind::UniformRandom)
+        let (n, m) = csr_size(scale, edge_factor);
+        let draws = || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..m).map(move |_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+        };
+        let mut degree = vec![0u32; n as usize];
+        draws().for_each(|(u, _)| degree[u as usize] += 1);
+        Self::from_degrees(GraphKind::UniformRandom, degree, |u| u, draws())
     }
 
-    /// Builds CSR from an edge list via counting sort, writing both arrays
-    /// straight into their `Arc`s (a `Vec` would be copied into one).
-    fn from_edge_list(n: u32, pairs: &[(u32, u32)], kind: GraphKind) -> Self {
-        let mut cursor = vec![0u64; n as usize + 1];
-        for &(u, _) in pairs {
-            cursor[u as usize + 1] += 1;
-        }
-        for i in 1..cursor.len() {
-            cursor[i] += cursor[i - 1];
-        }
-        let offsets: Arc<[u64]> = cursor.iter().copied().collect();
-        let mut edges: Arc<[u32]> = std::iter::repeat_n(0, pairs.len()).collect();
-        let slots = Arc::get_mut(&mut edges).expect("a new Arc has no other owner");
-        for &(u, v) in pairs {
-            slots[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-        }
+    /// Builds CSR by counting sort: `next` holds the out-degree of each
+    /// source id `edges` names, `vertex` maps that id to its CSR vertex, and
+    /// `next` then becomes each id's next edge slot, edge `(u, v)` going to
+    /// `next[u]++` as `v`. The layout keeps 8 bytes per offset, as GAP does.
+    fn from_degrees(
+        kind: GraphKind,
+        mut next: Vec<u32>,
+        vertex: impl Fn(usize) -> usize,
+        edges: impl ExactSizeIterator<Item = (u32, u32)>,
+    ) -> Self {
+        let (n, m) = (next.len(), edges.len());
+        let offsets = csr_array(n + 1, |offsets| {
+            for (u, &degree) in next.iter().enumerate() {
+                offsets[vertex(u) + 1] = degree;
+            }
+            for i in 1..offsets.len() {
+                offsets[i] += offsets[i - 1];
+            }
+            for (u, slot) in next.iter_mut().enumerate() {
+                *slot = offsets[vertex(u)];
+            }
+        });
+        let edges = csr_array(m, |slots| {
+            for (u, v) in edges {
+                slots[next[u as usize] as usize] = v;
+                next[u as usize] += 1;
+            }
+        });
         let mut layout = LayoutBuilder::new();
         let offsets_region = layout.alloc((n as u64 + 1) * 8);
-        let edges_region = layout.alloc(pairs.len() as u64 * 4);
+        let edges_region = layout.alloc(m as u64 * 4);
         Self {
-            num_nodes: n,
+            num_nodes: n as u32,
             offsets,
             edges,
             kind,
@@ -172,19 +208,7 @@ impl Graph {
         self.kind
     }
 
-    /// Out-degree of `u`.
-    fn degree(&self, u: u32) -> u64 {
-        self.offsets[u as usize + 1] - self.offsets[u as usize]
-    }
-
-    /// Whether `self` and `other` share their CSR arrays.
-    #[cfg(test)]
-    pub(crate) fn shares_csr(&self, other: &Graph) -> bool {
-        Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.edges, &other.edges)
-    }
-
     /// Out-neighbours of `u`.
-    #[cfg(test)]
     fn neighbors(&self, u: u32) -> &[u32] {
         let s = self.offsets[u as usize] as usize;
         let e = self.offsets[u as usize + 1] as usize;
@@ -195,10 +219,8 @@ impl Graph {
     /// offsets entry plus one access per 64-byte line of the edge slice.
     fn emit_adjacency(&self, u: u32, batch: &mut AccessBatch) {
         batch.push_access(Access::read(self.offsets_region.elem(u as u64, 8)));
-        let s = self.offsets[u as usize];
-        let e = self.offsets[u as usize + 1];
-        let mut byte = s * 4;
-        let end = e * 4;
+        let mut byte = u64::from(self.offsets[u as usize]) * 4;
+        let end = u64::from(self.offsets[u as usize + 1]) * 4;
         while byte < end {
             batch.push_access(Access::read(self.edges_region.addr(byte)));
             byte = (byte / 64 + 1) * 64;
@@ -273,7 +295,7 @@ impl BfsWorkload {
             // edgeless graph still terminates.
             let mut source = self.rng.gen_range(0..self.graph.num_nodes());
             for _ in 0..64 {
-                if self.graph.degree(source) > 0 {
+                if !self.graph.neighbors(source).is_empty() {
                     break;
                 }
                 source = self.rng.gen_range(0..self.graph.num_nodes());
@@ -296,13 +318,8 @@ impl BfsWorkload {
             }
         };
         self.graph.emit_adjacency(u, batch);
-        // Borrow-friendly local walk over the neighbour slice.
-        let (s, e) = (
-            self.graph.offsets[u as usize] as usize,
-            self.graph.offsets[u as usize + 1] as usize,
-        );
-        for i in s..e {
-            let v = self.graph.edges[i];
+        let neighbors = self.graph.neighbors(u);
+        for &v in neighbors {
             batch.push_access(Access::read(self.parent_region.elem(v as u64, 4)));
             if self.parent[v as usize] == NO_PARENT {
                 self.parent[v as usize] = u;
@@ -310,7 +327,7 @@ impl BfsWorkload {
                 self.queue.push_back(v);
             }
         }
-        Some(Op::compute(30 + (e - s) as u64 * 2))
+        Some(Op::compute(30 + neighbors.len() as u64 * 2))
     }
 }
 
@@ -366,15 +383,6 @@ impl CcWorkload {
             name,
         }
     }
-
-    /// Number of distinct component labels at the current state.
-    #[cfg(test)]
-    fn num_components(&self) -> usize {
-        let mut labels: Vec<u32> = self.comp.clone();
-        labels.sort_unstable();
-        labels.dedup();
-        labels.len()
-    }
 }
 
 impl Workload for CcWorkload {
@@ -387,12 +395,8 @@ impl Workload for CcWorkload {
             self.graph.emit_adjacency(u, batch);
             batch.push_access(Access::read(self.comp_region.elem(u as u64, 4)));
             let mut min = self.comp[u as usize];
-            let (s, e) = (
-                self.graph.offsets[u as usize] as usize,
-                self.graph.offsets[u as usize + 1] as usize,
-            );
-            for i in s..e {
-                let v = self.graph.edges[i];
+            let neighbors = self.graph.neighbors(u);
+            for &v in neighbors {
                 batch.push_access(Access::read(self.comp_region.elem(v as u64, 4)));
                 min = min.min(self.comp[v as usize]);
             }
@@ -411,7 +415,7 @@ impl Workload for CcWorkload {
                 }
                 self.changed = false;
             }
-            Some(Op::compute(30 + (e - s) as u64 * 2))
+            Some(Op::compute(30 + neighbors.len() as u64 * 2))
         })
     }
 
@@ -491,12 +495,8 @@ impl Workload for PrWorkload {
             let u = self.cursor;
             self.graph.emit_adjacency(u, batch);
             batch.push_access(Access::read(self.pr_region.elem(u as u64, 4)));
-            let (s, e) = (
-                self.graph.offsets[u as usize] as usize,
-                self.graph.offsets[u as usize + 1] as usize,
-            );
-            for i in s..e {
-                let v = self.graph.edges[i];
+            let neighbors = self.graph.neighbors(u);
+            for &v in neighbors {
                 batch.push_access(Access::write(self.next_region.elem(v as u64, 4)));
             }
 
@@ -505,7 +505,7 @@ impl Workload for PrWorkload {
                 self.cursor = 0;
                 self.scan_cursor = Some(0);
             }
-            Some(Op::compute(30 + (e - s) as u64 * 2))
+            Some(Op::compute(30 + neighbors.len() as u64 * 2))
         })
     }
 
@@ -527,6 +527,28 @@ mod tests {
     use super::*;
     use tiering_mem::PageSize;
 
+    impl Graph {
+        /// Out-degree of `u`.
+        fn degree(&self, u: u32) -> u64 {
+            self.neighbors(u).len() as u64
+        }
+
+        /// Whether `self` and `other` share their CSR arrays.
+        pub(crate) fn shares_csr(&self, other: &Graph) -> bool {
+            Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.edges, &other.edges)
+        }
+    }
+
+    impl CcWorkload {
+        /// Number of distinct component labels at the current state.
+        fn num_components(&self) -> usize {
+            let mut labels: Vec<u32> = self.comp.clone();
+            labels.sort_unstable();
+            labels.dedup();
+            labels.len()
+        }
+    }
+
     fn tiny_kron() -> Graph {
         Graph::kronecker(8, 8, 1)
     }
@@ -545,8 +567,61 @@ mod tests {
         }
     }
 
+    /// The float draw `rmat_level` replaced: three comparisons of
+    /// `unit_f64(x)` with the `f64` thresholds.
+    fn rmat_quadrant(r: f64) -> (u32, u32) {
+        let b = (r >= RMAT_A) as u32;
+        let c = (r >= RMAT_A + RMAT_B) as u32;
+        let d = (r >= RMAT_A + RMAT_B + RMAT_C) as u32;
+        (c, (b & !c) | d)
+    }
+
+    /// A generator that returns `x` forever, so `gen::<f64>()` is the
+    /// vendored `unit_f64(x)`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    fn unit_f64(x: u64) -> f64 {
+        Fixed(x).gen()
+    }
+
+    /// The CSR builder both graph families used before: an edge list,
+    /// counted by source, prefix-summed and scattered.
+    fn from_edge_list(n: u32, pairs: &[(u32, u32)], kind: GraphKind) -> Graph {
+        let mut cursor = vec![0u64; n as usize + 1];
+        for &(u, _) in pairs {
+            cursor[u as usize + 1] += 1;
+        }
+        for i in 1..cursor.len() {
+            cursor[i] += cursor[i - 1];
+        }
+        let offsets: Arc<[u32]> = cursor.iter().map(|&o| o as u32).collect();
+        let mut edges = vec![0u32; pairs.len()];
+        for &(u, v) in pairs {
+            edges[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+        }
+        let mut layout = LayoutBuilder::new();
+        let offsets_region = layout.alloc((n as u64 + 1) * 8);
+        let edges_region = layout.alloc(pairs.len() as u64 * 4);
+        Graph {
+            num_nodes: n,
+            offsets,
+            edges: edges.into(),
+            kind,
+            offsets_region,
+            edges_region,
+            layout,
+        }
+    }
+
     /// `Graph::kronecker` as it was: the branch chain per level, then the
-    /// vertex permutation and the CSR build.
+    /// vertex permutation and the edge-list CSR build.
     fn kronecker_chain(scale: u32, edge_factor: u32, seed: u64) -> Graph {
         let n = 1u32 << scale;
         let m = (edge_factor as u64 * n as u64) as usize;
@@ -572,13 +647,26 @@ mod tests {
             *u = perm[*u as usize];
             *v = perm[*v as usize];
         }
-        Graph::from_edge_list(n, &pairs, GraphKind::Kronecker)
+        from_edge_list(n, &pairs, GraphKind::Kronecker)
+    }
+
+    /// `Graph::uniform` as it was: one pass into an edge list, then the
+    /// edge-list CSR build.
+    fn uniform_edge_list(scale: u32, edge_factor: u32, seed: u64) -> Graph {
+        let n = 1u32 << scale;
+        let m = (edge_factor as u64 * n as u64) as usize;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pairs: Vec<(u32, u32)> = (0..m)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        from_edge_list(n, &pairs, GraphKind::UniformRandom)
     }
 
     fn assert_same_graph(a: &Graph, b: &Graph, label: &str) {
         assert_eq!(a.num_nodes, b.num_nodes, "{label}: nodes");
         assert_eq!(a.offsets, b.offsets, "{label}: offsets");
         assert_eq!(a.edges, b.edges, "{label}: edges");
+        assert_eq!(a.csr_bytes(), b.csr_bytes(), "{label}: layout");
     }
 
     #[test]
@@ -597,6 +685,23 @@ mod tests {
     }
 
     #[test]
+    fn rmat_level_matches_float_draw_at_every_threshold() {
+        let mut draws = vec![0, u64::MAX];
+        for t in RMAT_DRAWS {
+            draws.extend([t - 1, t, t + 1]);
+        }
+        for x in draws {
+            assert_eq!(rmat_level(x), rmat_quadrant(unit_f64(x)), "x = {x:#x}");
+        }
+        // Each threshold is the first draw of the next quadrant.
+        assert_eq!(RMAT_DRAWS.map(rmat_level), [(0, 1), (1, 0), (1, 1)]);
+        assert_eq!(
+            RMAT_DRAWS.map(|t| rmat_level(t - 1)),
+            [(0, 0), (0, 1), (1, 0)]
+        );
+    }
+
+    #[test]
     fn kronecker_matches_chain_oracle() {
         for scale in 0..=12 {
             for edge_factor in [1, 3, 16] {
@@ -604,6 +709,21 @@ mod tests {
                     assert_same_graph(
                         &Graph::kronecker(scale, edge_factor, seed),
                         &kronecker_chain(scale, edge_factor, seed),
+                        &format!("scale {scale} × {edge_factor}, seed {seed}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_matches_edge_list_oracle() {
+        for scale in 0..=12 {
+            for edge_factor in [1, 3, 16] {
+                for seed in 0..8 {
+                    assert_same_graph(
+                        &Graph::uniform(scale, edge_factor, seed),
+                        &uniform_edge_list(scale, edge_factor, seed),
                         &format!("scale {scale} × {edge_factor}, seed {seed}"),
                     );
                 }
@@ -624,6 +744,35 @@ mod tests {
                 &format!("suite graph, seed {seed}"),
             );
         }
+    }
+
+    /// The uniform twin of `suite_kronecker_matches_chain_oracle`.
+    #[test]
+    #[ignore = "suite-scale graphs: run with --release -- --ignored"]
+    fn suite_uniform_matches_edge_list_oracle() {
+        use crate::suite::{GAP_EDGE_FACTOR, GAP_SCALE};
+        for seed in [1, 2] {
+            assert_same_graph(
+                &Graph::uniform(GAP_SCALE, GAP_EDGE_FACTOR, seed),
+                &uniform_edge_list(GAP_SCALE, GAP_EDGE_FACTOR, seed),
+                &format!("suite graph, seed {seed}"),
+            );
+        }
+    }
+
+    /// 2 × (2³² − 1) edges: refused by `csr_size`, before the first
+    /// allocation (the edge list alone would be 64 GiB).
+    #[test]
+    #[should_panic(expected = "edges overflow u32 offsets")]
+    fn kronecker_refuses_more_edges_than_u32_offsets_hold() {
+        Graph::kronecker(1, u32::MAX, 0);
+    }
+
+    /// The same refusal before the uniform builder's first pass.
+    #[test]
+    #[should_panic(expected = "edges overflow u32 offsets")]
+    fn uniform_refuses_more_edges_than_u32_offsets_hold() {
+        Graph::uniform(1, u32::MAX, 0);
     }
 
     #[test]
@@ -698,7 +847,7 @@ mod tests {
     fn cc_converges_and_labels_components() {
         // A graph of two disjoint 2-cliques has exactly... build manually.
         let pairs = vec![(0u32, 1u32), (1, 0), (2, 3), (3, 2)];
-        let g = Graph::from_edge_list(4, &pairs, GraphKind::UniformRandom);
+        let g = from_edge_list(4, &pairs, GraphKind::UniformRandom);
         let mut cc = CcWorkload::new(g, 20);
         let mut buf = Vec::new();
         while cc.next_op(0, &mut buf).is_some() {

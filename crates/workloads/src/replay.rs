@@ -45,7 +45,6 @@ pub fn record_workload<W: Workload + ?Sized>(
     let mut writer = TraceWriter::create(path, workload.name(), workload.footprint_bytes())?
         .with_chunk_ops(chunk_ops);
     let mut batch = AccessBatch::new();
-    let mut accesses = Vec::new();
     let mut left = max_ops;
     while left > 0 {
         batch.clear();
@@ -55,10 +54,7 @@ pub fn record_workload<W: Workload + ?Sized>(
             break;
         }
         for i in 0..n {
-            let (op, start, end) = batch.op_bounds(i);
-            accesses.clear();
-            accesses.extend((start..end).map(|k| batch.access(k)));
-            writer.push_op(op, &accesses)?;
+            writer.push_batch_op(&batch, i)?;
         }
         left -= n as u64;
     }

@@ -93,11 +93,12 @@ pub(crate) const GAP_SCALE: u32 = 17;
 pub(crate) const GAP_EDGE_FACTOR: u32 = 16;
 
 fn gap_graph(kind: GraphKind, seed: u64) -> Graph {
-    // Generation (RMAT/uniform sampling, vertex permutation, CSR sort)
-    // dominates GAP suite construction and is deterministic in
-    // `(kind, seed)` at the fixed suite scale, so build each graph once
-    // process-wide and hand out clones — they share its immutable CSR
-    // arrays, so a clone copies no graph data.
+    // Generation (RMAT/uniform sampling, vertex permutation, the CSR
+    // counting sort; no uniform edge list, `u32` offsets) dominates GAP
+    // suite construction and is deterministic in `(kind, seed)` at the
+    // fixed suite scale, so build each graph once process-wide and hand out
+    // clones — they share its immutable CSR arrays, so a clone copies no
+    // graph data.
     static GRAPHS: Memo<(GraphKind, u64), Graph> = OnceLock::new();
     memoized(&GRAPHS, (kind, seed), || match kind {
         GraphKind::Kronecker => Graph::kronecker(GAP_SCALE, GAP_EDGE_FACTOR, seed),
